@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cluster.machine import Machine
 from repro.core.embedding_trie import trie_nodes_for_results
 from repro.core.region import MemoryEstimator
@@ -43,27 +45,23 @@ class SingleMachineSplit:
         self._constraints = constraints
         self._span = pattern.span(plan.start_vertex)
 
+    def _is_candidate(self, local: MachinePartition) -> np.ndarray:
+        """Mask over the owned vertices: degree filter of ``u_start``."""
+        min_degree = self._pattern.degree(self._plan.start_vertex)
+        return local.owned_degrees >= min_degree
+
     def candidates(self, local: MachinePartition) -> list[int]:
         """C(u_start): owned vertices passing the degree filter."""
-        min_degree = self._pattern.degree(self._plan.start_vertex)
-        return [
-            int(v)
-            for v in local.owned_vertices
-            if local.degree(int(v)) >= min_degree
-        ]
+        return local.owned_vertices[self._is_candidate(local)].tolist()
 
     def split(
         self, local: MachinePartition
     ) -> tuple[list[int], list[int]]:
         """(C1, C - C1): SM-E candidates vs distributed candidates."""
-        sme: list[int] = []
-        distributed: list[int] = []
-        for v in self.candidates(local):
-            if local.border_distance(v) >= self._span:
-                sme.append(v)
-            else:
-                distributed.append(v)
-        return sme, distributed
+        candidate = self._is_candidate(local)
+        far = local.border_distances >= self._span
+        owned = local.owned_vertices
+        return owned[candidate & far].tolist(), owned[candidate & ~far].tolist()
 
     def run(
         self,
@@ -82,10 +80,10 @@ class SingleMachineSplit:
         stats = EnumerationStats()
         enumerator = BacktrackingEnumerator(
             pattern=self._pattern,
-            adjacency=local.graph.neighbors,
+            adjacency=local.graph,
             constraints=self._constraints,
             order=self._plan.matching_order(),
-            allowed=local.is_owned,
+            allowed=local.owned_mask,
             stats=stats,
         )
         embeddings = list(enumerator.run(sme_candidates))

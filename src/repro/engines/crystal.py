@@ -50,16 +50,12 @@ def _core_general_task(cluster: Cluster, args: tuple) -> tuple:
     stats = EnumerationStats()
     enumerator = BacktrackingEnumerator(
         pattern=sub_pattern,
-        adjacency=graph.neighbors,
+        adjacency=graph,
         constraints=sub_constraints,
         order=order,
         stats=stats,
     )
-    starts = [
-        int(v)
-        for v in local.owned_vertices
-        if local.degree(int(v)) >= start_degree
-    ]
+    starts = local.owned_vertices[local.owned_degrees >= start_degree]
     seen: set[tuple[int, ...]] = set()
     found: list[dict[int, int]] = []
     for emb in enumerator.run(starts):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.cluster.cluster import Cluster
 from repro.engines.base import EnumerationEngine, RunResult
 from repro.runtime.executor import Executor
@@ -47,15 +49,12 @@ class SingleMachineEngine(EnumerationEngine):
         stats = EnumerationStats()
         enumerator = BacktrackingEnumerator(
             pattern=pattern,
-            adjacency=graph.neighbors,
+            adjacency=graph,
             constraints=constraints,
             stats=stats,
         )
-        start = enumerator.order[0]
-        min_degree = pattern.degree(start)
-        candidates = [
-            v for v in graph.vertices() if graph.degree(v) >= min_degree
-        ]
+        min_degree = pattern.degree(enumerator.order[0])
+        candidates = np.flatnonzero(graph.degrees() >= min_degree)
         embeddings = []
         count = 0
         for emb in enumerator.run(candidates):

@@ -53,6 +53,24 @@ def canonical_edge_array(
     return np.column_stack([keys // num_vertices, keys % num_vertices])
 
 
+def gather_ranges(
+    starts: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten the ranges ``[starts[i], starts[i] + counts[i])``.
+
+    Returns ``(row, flat)``: for every position in every range, in range
+    order, the index ``i`` of its range and the position itself.  With
+    ``starts``/``counts`` read off a CSR ``indptr`` this gathers many
+    neighbour lists at once: ``indices[flat]`` are the neighbours and
+    ``row`` says whose.
+    """
+    ends = np.cumsum(counts)
+    row = np.repeat(np.arange(len(counts)), counts)
+    flat = np.arange(ends[-1] if len(ends) else 0)
+    flat += np.repeat(starts - ends + counts, counts)
+    return row, flat
+
+
 def _merge_adjacency_chunk(task: tuple) -> np.ndarray:
     """Merge one vertex-range chunk of a delta CSR build.
 
@@ -83,13 +101,16 @@ class Graph:
     instead of calling the constructor directly.
     """
 
-    __slots__ = ("_indptr", "_indices", "_num_edges", "_fingerprint")
+    __slots__ = (
+        "_indptr", "_indices", "_num_edges", "_fingerprint", "_edge_keys"
+    )
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray):
         self._indptr = _frozen(np.asarray(indptr, dtype=np.int64))
         self._indices = _frozen(np.asarray(indices, dtype=np.int64))
         self._num_edges = int(len(self._indices) // 2)
         self._fingerprint: str | None = None
+        self._edge_keys: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -184,16 +205,18 @@ class Graph:
                 raise ValueError(
                     f"additions and deletions overlap on edge ({u}, {v})"
                 )
-        for u, v in add:
-            if self.has_edge(int(u), int(v)):
-                raise ValueError(
-                    f"additions: edge ({int(u)}, {int(v)}) already present"
-                )
-        for u, v in delete:
-            if not self.has_edge(int(u), int(v)):
-                raise ValueError(
-                    f"deletions: edge ({int(u)}, {int(v)}) not present"
-                )
+        present = self.has_edges(add[:, 0], add[:, 1])
+        if present.any():
+            u, v = add[np.argmax(present)]
+            raise ValueError(
+                f"additions: edge ({int(u)}, {int(v)}) already present"
+            )
+        missing = ~self.has_edges(delete[:, 0], delete[:, 1])
+        if missing.any():
+            u, v = delete[np.argmax(missing)]
+            raise ValueError(
+                f"deletions: edge ({int(u)}, {int(v)}) not present"
+            )
 
         # Directed views of the batch, sorted by (src, dst).
         add_src = np.concatenate([add[:, 0], add[:, 1]])
@@ -203,12 +226,10 @@ class Graph:
         del_src = np.concatenate([delete[:, 0], delete[:, 1]])
         del_dst = np.concatenate([delete[:, 1], delete[:, 0]])
 
-        # Mark deleted slots in the old indices array.
+        # Mark deleted slots in the old indices array: a directed entry's
+        # slot is its rank in the (sorted) edge-key array.
         keep = np.ones(len(self._indices), dtype=bool)
-        for u, v in zip(del_src, del_dst):
-            base = int(self._indptr[u])
-            offset = int(np.searchsorted(self.neighbors(int(u)), v))
-            keep[base + offset] = False
+        keep[np.searchsorted(self._keys(), del_src * np.int64(n) + del_dst)] = False
 
         degrees = self.degrees()
         add_counts = np.bincount(add_src, minlength=n)
@@ -291,6 +312,37 @@ class Graph:
         nbrs = self.neighbors(u)
         i = int(np.searchsorted(nbrs, v))
         return i < len(nbrs) and int(nbrs[i]) == v
+
+    def _keys(self) -> np.ndarray:
+        """``src * |V| + dst`` of every CSR entry (cached, read-only).
+
+        CSR order is ``(src, dst)`` order, so the array is globally
+        sorted and an entry's rank is its slot in ``indices``.
+        """
+        if self._edge_keys is None:
+            n = self.num_vertices
+            src = np.repeat(np.arange(n, dtype=np.int64), self.degrees())
+            self._edge_keys = _frozen(src * n + self._indices)
+        return self._edge_keys
+
+    def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Elementwise :meth:`has_edge` over arrays of vertex ids.
+
+        One binary search per pair in the cached edge-key array; this is
+        the membership test of the block enumeration kernel.  A pair with
+        an endpoint outside ``[0, |V|)`` is not an edge: False.
+        """
+        keys = self._keys()
+        if len(keys) == 0:
+            return np.zeros(len(us), dtype=bool)
+        n = self.num_vertices
+        vs = np.asarray(vs, dtype=np.int64)
+        wanted = np.asarray(us, dtype=np.int64) * n + vs
+        slots = np.searchsorted(keys, wanted)
+        slots[slots == len(keys)] = 0
+        # With ``vs`` in range a key is unambiguous: an out-of-range ``us``
+        # puts it below every stored key or above them all.
+        return (keys[slots] == wanted) & (vs >= 0) & (vs < n)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate each undirected edge once, as ``(u, v)`` with ``u < v``."""

@@ -9,11 +9,9 @@ A *border vertex* is an owned vertex with at least one foreign neighbour.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, gather_ranges
 
 
 class MachinePartition:
@@ -23,10 +21,11 @@ class MachinePartition:
         self._graph = graph
         self._owner = owner
         self._machine_id = machine_id
-        self._owned = np.where(owner == machine_id)[0].astype(np.int64)
-        self._owned_set = frozenset(int(v) for v in self._owned)
+        self._owned_mask = owner == machine_id
+        self._owned_mask.flags.writeable = False
+        self._owned = np.flatnonzero(self._owned_mask).astype(np.int64)
         self._border: np.ndarray | None = None
-        self._border_distance: dict[int, int] | None = None
+        self._border_distances: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -43,6 +42,17 @@ class MachinePartition:
     def owned_vertices(self) -> np.ndarray:
         """Sorted array of vertices owned here."""
         return self._owned
+
+    @property
+    def owned_mask(self) -> np.ndarray:
+        """Boolean ownership mask over all vertices (read-only)."""
+        return self._owned_mask
+
+    @property
+    def owned_degrees(self) -> np.ndarray:
+        """Degree of each of :attr:`owned_vertices`."""
+        indptr = self._graph.indptr
+        return indptr[self._owned + 1] - indptr[self._owned]
 
     def is_owned(self, v: int) -> bool:
         """True iff ``v`` resides on this machine."""
@@ -84,49 +94,60 @@ class MachinePartition:
         )
 
     # ------------------------------------------------------------------
+    def _owned_neighbors(
+        self, vertices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(row, neighbour)`` pairs over the adjacency of ``vertices``."""
+        indptr = self._graph.indptr
+        starts = indptr[vertices]
+        row, flat = gather_ranges(starts, indptr[vertices + 1] - starts)
+        return row, self._graph.indices[flat]
+
     @property
     def border_vertices(self) -> np.ndarray:
         """Owned vertices with at least one foreign neighbour (cached)."""
         if self._border is None:
-            border = [
-                int(v)
-                for v in self._owned
-                if (self._owner[self._graph.neighbors(v)] != self._machine_id).any()
-            ]
-            self._border = np.asarray(border, dtype=np.int64)
+            row, nbrs = self._owned_neighbors(self._owned)
+            foreign = np.bincount(
+                row[~self._owned_mask[nbrs]], minlength=len(self._owned)
+            )
+            self._border = self._owned[foreign > 0]
         return self._border
 
-    def border_distance(self, v: int) -> int:
-        """Paper Def. 1: hop distance from ``v`` to the nearest border vertex.
+    @property
+    def border_distances(self) -> np.ndarray:
+        """Paper Def. 1 for each of :attr:`owned_vertices` (cached).
 
-        Distances are measured inside the local partition (only hops across
-        owned vertices).  Vertices in partitions with no border at all (a
-        fully interior component) get a large sentinel distance.
+        The hop distance to the nearest border vertex, measured inside the
+        local partition (only hops across owned vertices).  Vertices that
+        reach no border (a fully interior component) get a large sentinel.
         """
-        if self._border_distance is None:
-            self._border_distance = self._compute_border_distances()
-        return self._border_distance.get(int(v), _FAR)
+        if self._border_distances is None:
+            self._border_distances = self._compute_border_distances()
+        return self._border_distances
 
-    def _compute_border_distances(self) -> dict[int, int]:
-        dist: dict[int, int] = {}
-        queue: deque[int] = deque()
-        for v in self.border_vertices:
-            dist[int(v)] = 0
-            queue.append(int(v))
-        while queue:
-            v = queue.popleft()
-            dv = dist[v] + 1
-            for w in self._graph.neighbors(v):
-                w = int(w)
-                if int(self._owner[w]) == self._machine_id and w not in dist:
-                    dist[w] = dv
-                    queue.append(w)
-        return dist
+    def border_distance(self, v: int) -> int:
+        """Scalar view of :attr:`border_distances`; the sentinel if foreign."""
+        slot = np.searchsorted(self._owned, v)
+        return int(self.border_distances[slot]) if self._owned_mask[v] else _FAR
+
+    def _compute_border_distances(self) -> np.ndarray:
+        """Level-synchronous BFS from the border across owned vertices."""
+        dist = np.full(self._graph.num_vertices, _FAR, dtype=np.int64)
+        frontier = self.border_vertices
+        depth = 0
+        while len(frontier):
+            dist[frontier] = depth
+            depth += 1
+            _, nbrs = self._owned_neighbors(frontier)
+            frontier = np.unique(
+                nbrs[self._owned_mask[nbrs] & (dist[nbrs] == _FAR)]
+            )
+        return dist[self._owned]
 
     def adjacency_bytes(self) -> int:
         """Bytes of adjacency data stored here (8 bytes per neighbour entry)."""
-        degrees = self._graph.degrees()
-        return int(degrees[self._owned].sum()) * 8
+        return int(self.owned_degrees.sum()) * 8
 
 
 _FAR = 1 << 30

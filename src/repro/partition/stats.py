@@ -45,13 +45,10 @@ def partition_report(partition: GraphPartition) -> PartitionReport:
     cut = edge_cut(graph, partition.owner)
     borders = 0
     distances: list[int] = []
-    for t in range(partition.num_machines):
-        machine = partition.machine(t)
+    for machine in partition.machines():
         borders += len(machine.border_vertices)
-        for v in machine.owned_vertices:
-            d = machine.border_distance(int(v))
-            if d < graph.num_vertices:
-                distances.append(d)
+        reached = machine.border_distances
+        distances.extend(reached[reached < graph.num_vertices].tolist())
     return PartitionReport(
         num_machines=partition.num_machines,
         balance=partition_balance(partition.owner, partition.num_machines),
@@ -75,13 +72,8 @@ def sme_share(partition: GraphPartition, pattern: Pattern) -> float:
     min_degree = min(pattern.degree(u) for u in pattern.vertices())
     local = 0
     total = 0
-    for t in range(partition.num_machines):
-        machine = partition.machine(t)
-        for v in machine.owned_vertices:
-            v = int(v)
-            if machine.degree(v) < min_degree:
-                continue
-            total += 1
-            if machine.border_distance(v) >= span:
-                local += 1
+    for machine in partition.machines():
+        candidate = machine.owned_degrees >= min_degree
+        total += int(candidate.sum())
+        local += int((candidate & (machine.border_distances >= span)).sum())
     return local / total if total else 1.0

@@ -57,9 +57,7 @@ def full_embeddings(
     if constraints is None:
         constraints = symmetry_breaking_constraints(pattern)
     return set(
-        enumerate_embeddings(
-            graph.neighbors, graph.vertices(), pattern, list(constraints)
-        )
+        enumerate_embeddings(graph, graph.vertices(), pattern, list(constraints))
     )
 
 
@@ -80,16 +78,16 @@ class IncrementalMatcher:
         if constraints is None:
             constraints = symmetry_breaking_constraints(pattern)
         self.constraints = list(constraints)
-        self._plans: list[tuple[int, int, list[int]]] = []
-        for u in pattern.vertices():
-            for v in pattern.adj(u):
-                order = compute_matching_order(pattern, prefix=[u, v])
-                self._plans.append((u, v, order))
+        self._plans = [
+            compute_matching_order(pattern, prefix=[u, v])
+            for u in pattern.vertices()
+            for v in pattern.adj(u)
+        ]
 
     # ------------------------------------------------------------------
     def matches_using(
         self,
-        adjacency: Callable[[int], np.ndarray],
+        adjacency: Graph | Callable[[int], np.ndarray],
         edges: Iterable[tuple[int, int]],
         *,
         stats: EnumerationStats | None = None,
@@ -100,38 +98,35 @@ class IncrementalMatcher:
         normalisation in :func:`repro.graph.graph.canonical_edge_array`
         guarantees this).  Each embedding is attributed to the first
         listed edge it uses, so the result contains every qualifying
-        embedding exactly once.
+        embedding exactly once, in (edge, rooting plan, DFS) order.  Each
+        rooting plan runs once, with all the edges as one seed block.
         """
         stats = stats or EnumerationStats()
-        pattern_edges = list(self.pattern.edges())
-        enumerators = [
-            (
-                u,
-                v,
-                BacktrackingEnumerator(
-                    pattern=self.pattern,
-                    adjacency=adjacency,
-                    constraints=self.constraints,
-                    order=order,
-                    stats=stats,
-                ),
-            )
-            for u, v, order in self._plans
+        seeds = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+        if len(seeds) == 0:
+            return []
+        runs = [
+            BacktrackingEnumerator(
+                self.pattern, adjacency, self.constraints, order, stats=stats
+            ).run_seeded_block(seeds)
+            for order in self._plans
         ]
-        earlier: set[tuple[int, int]] = set()
-        found: list[tuple[int, ...]] = []
-        for a, b in edges:
-            a, b = int(a), int(b)
-            for u, v, enumerator in enumerators:
-                for emb in enumerator.run_seeded({u: a, v: b}):
-                    uses_earlier = any(
-                        (min(emb[p], emb[q]), max(emb[p], emb[q])) in earlier
-                        for p, q in pattern_edges
-                    )
-                    if not uses_earlier:
-                        found.append(emb)
-            earlier.add((a, b))
-        return found
+        edge = np.concatenate([seed_index for seed_index, _ in runs])
+        plan = np.repeat(np.arange(len(runs)), [len(e) for e, _ in runs])
+        found = np.concatenate([embeddings for _, embeddings in runs])
+        # Drop rows using an edge listed before the one they grew from.
+        stride = int(max(seeds.max(), found.max(initial=0))) + 1
+        listed, first = np.unique(seeds[:, 0] * stride + seeds[:, 1], return_index=True)
+        keep = np.ones(len(found), dtype=bool)
+        for p, q in self.pattern.edges():
+            lo, hi = np.sort(found[:, [p, q]], axis=1).T
+            used = lo * stride + hi
+            slot = np.searchsorted(listed, used)
+            slot[slot == len(listed)] = 0
+            keep &= (listed[slot] != used) | (first[slot] >= edge)
+        rows = np.flatnonzero(keep)
+        rows = rows[np.lexsort((plan[rows], edge[rows]))]
+        return list(map(tuple, found[rows].tolist()))
 
     def delta(
         self,
@@ -149,12 +144,8 @@ class IncrementalMatcher:
         at added edges in the new snapshot; vanished matches at deleted
         edges in the old one.
         """
-        added = self.matches_using(
-            new_graph.neighbors, additions, stats=stats
-        )
-        removed = self.matches_using(
-            old_graph.neighbors, deletions, stats=stats
-        )
+        added = self.matches_using(new_graph, additions, stats=stats)
+        removed = self.matches_using(old_graph, deletions, stats=stats)
         return added, removed
 
     def verify_parity(

@@ -8,14 +8,19 @@ reproduction, and the guard rail for the parallel runtime.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cluster
 from repro.engines import all_engines
 from repro.engines.bigjoin import BigJoinEngine
 from repro.engines.single import SingleMachineEngine
+from repro.enumeration import EnumerationStats, backtracking, enumerate_embeddings
+from repro.enumeration.vf2 import vf2_embeddings
 from repro.graph import erdos_renyi, grid_road_network
-from repro.query import named_patterns
+from repro.query import named_patterns, symmetry_breaking_constraints
+from repro.query.pattern_gen import random_connected_pattern
 from repro.runtime import ProcessExecutor, SerialExecutor
 
 QUERIES = ["q1", "q4"]
@@ -117,3 +122,56 @@ class TestEngineBackendEquivalence:
             assert result.peak_memory == reference.peak_memory
             assert result.per_machine_time == reference.per_machine_time
             assert result.counters == reference.counters
+
+
+class TestKernelAgainstVF2:
+    """The block kernel vs the independent VF2 reference, generatively."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.integers(2, 5),
+        extra_edges=st.integers(0, 3),
+        pattern_seed=st.integers(0, 10_000),
+        graph_seed=st.integers(0, 10_000),
+        edge_prob=st.floats(0.1, 0.5),
+        owned_share=st.floats(0.3, 1.0),
+        constrained=st.booleans(),
+    )
+    def test_random_patterns_graphs_and_ownership_masks(
+        self, size, extra_edges, pattern_seed, graph_seed, edge_prob,
+        owned_share, constrained,
+    ):
+        pattern = random_connected_pattern(size, extra_edges, seed=pattern_seed)
+        graph = erdos_renyi(14, edge_prob, seed=graph_seed)
+        rng = np.random.default_rng(graph_seed)
+        mask = rng.random(graph.num_vertices) < owned_share
+        constraints = (
+            symmetry_breaking_constraints(pattern) if constrained else []
+        )
+
+        def kernel(adjacency, allowed):
+            stats = EnumerationStats()
+            found = enumerate_embeddings(
+                adjacency, graph.vertices(), pattern, constraints,
+                allowed=allowed, stats=stats,
+            )
+            return found, stats
+
+        whole = kernel(graph, mask)
+        # Seven rows per block: chunk boundaries fall inside every level,
+        # so ordering across chunks and the counter sums are exercised.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(backtracking, "ROWS_PER_BLOCK", 7)
+            chunked = kernel(graph, mask)
+            # Callable adjacency + predicate: the boundary adapters.
+            adapted = kernel(
+                lambda v: graph.neighbors(v).copy(), lambda v: bool(mask[v])
+            )
+        assert chunked == whole
+        assert adapted == whole
+        reference = vf2_embeddings(
+            graph.neighbors, graph.vertices(), pattern, constraints,
+            allowed=lambda v: bool(mask[v]),
+        )
+        assert sorted(whole[0]) == sorted(reference)
+        assert whole[1].embeddings == len(reference)

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.enumeration import BacktrackingEnumerator, enumerate_embeddings
+from repro.enumeration import (
+    BacktrackingEnumerator,
+    EnumerationStats,
+    backtracking,
+    compute_matching_order,
+    enumerate_embeddings,
+)
 from repro.graph import Graph, erdos_renyi
 from repro.query import Pattern
 from repro.query.patterns import clique, path, star, triangle
@@ -61,9 +67,80 @@ class TestAdversarialPatterns:
         b = enumerate_embeddings(g.neighbors, g.vertices(), triangle())
         assert set(a) == set(b)
 
+    def test_allowed_predicate_is_asked_once_per_start(self):
+        g = erdos_renyi(20, 0.3, seed=4)
+        asked = []
+        stats = EnumerationStats()
+        found = enumerate_embeddings(
+            g, [3, 5, 8], path(1), stats=stats,
+            allowed=lambda v: asked.append(v) or v != 5,
+        )
+        assert found == [(3,), (8,)] and asked == [3, 5, 8]
+        assert stats.candidates_scanned == 2  # charged past ``allowed`` only
+
     def test_limit_zero(self):
         g = erdos_renyi(20, 0.3, seed=4)
         enumerator = BacktrackingEnumerator(
             pattern=triangle(), adjacency=g.neighbors
         )
         assert list(enumerator.run(g.vertices(), limit=0)) in ([], )
+
+
+class TestLimit:
+    """``limit`` keeps the first ``limit`` embeddings in DFS order."""
+
+    def test_limit_zero_yields_nothing_even_when_the_first_start_matches(self):
+        # The recursive loop checked the limit only after its first yield
+        # and returned [(0, 1, 2)] here.
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        stats = EnumerationStats()
+        got = enumerate_embeddings(
+            g, g.vertices(), triangle(), limit=0, stats=stats
+        )
+        assert got == []
+        assert stats.recursive_calls == 0 and stats.embeddings == 0
+
+    @pytest.mark.parametrize("rows_per_block", [3, 2048])
+    def test_limit_k_is_a_prefix_of_the_full_list(
+        self, monkeypatch, rows_per_block
+    ):
+        monkeypatch.setattr(backtracking, "ROWS_PER_BLOCK", rows_per_block)
+        g = erdos_renyi(20, 0.3, seed=4)
+        full = enumerate_embeddings(g, g.vertices(), triangle())
+        assert len(full) > 10
+        for k in (1, 2, 7, len(full), len(full) + 5):
+            stats = EnumerationStats()
+            got = enumerate_embeddings(
+                g, g.vertices(), triangle(), limit=k, stats=stats
+            )
+            assert got == full[:k]
+            assert stats.embeddings == len(got)
+
+    def test_limit_stops_expanding_further_chunks(self, monkeypatch):
+        monkeypatch.setattr(backtracking, "ROWS_PER_BLOCK", 3)
+        g = erdos_renyi(20, 0.3, seed=4)
+        unlimited, limited = EnumerationStats(), EnumerationStats()
+        enumerate_embeddings(g, g.vertices(), triangle(), stats=unlimited)
+        enumerate_embeddings(g, g.vertices(), triangle(), limit=1, stats=limited)
+        assert 0 < limited.total_ops < unlimited.total_ops
+
+    def test_single_vertex_pattern_honours_limit_and_counts(self):
+        g = erdos_renyi(12, 0.3, seed=2)
+        stats = EnumerationStats()
+        got = enumerate_embeddings(
+            g, g.vertices(), Pattern(1, []), limit=5, stats=stats
+        )
+        assert got == [(v,) for v in range(5)]
+        assert stats.embeddings == 5
+
+    def test_run_seeded_limit(self):
+        g = erdos_renyi(20, 0.3, seed=4)
+        order = compute_matching_order(triangle(), prefix=[0, 1])
+        a, b = next(
+            (a, b) for a, b in g.edges()
+            if len(np.intersect1d(g.neighbors(a), g.neighbors(b))) >= 2
+        )
+        enumerator = BacktrackingEnumerator(triangle(), g, order=order)
+        full = list(enumerator.run_seeded({0: a, 1: b}))
+        assert list(enumerator.run_seeded({0: a, 1: b}, limit=0)) == []
+        assert list(enumerator.run_seeded({0: a, 1: b}, limit=1)) == full[:1]

@@ -1,5 +1,6 @@
 """Unit tests for the Graph core (CSR storage, builder, IO)."""
 
+import numpy as np
 import pytest
 
 from repro.graph import Graph, GraphBuilder, load_adjacency_text, save_adjacency_text
@@ -70,6 +71,44 @@ class TestGraphAccessors:
         b = Graph.from_edges(3, [(1, 2), (0, 1)])
         assert a == b
         assert hash(a) == hash(b)
+
+
+class TestHasEdges:
+    def test_matches_scalar_has_edge_on_every_pair(self):
+        g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (2, 3), (5, 6)])
+        us, vs = np.divmod(np.arange(49), 7)
+        expected = [g.has_edge(int(u), int(v)) for u, v in zip(us, vs)]
+        assert g.has_edges(us, vs).tolist() == expected
+
+    def test_edgeless_and_empty_queries(self):
+        g = Graph.from_edges(3, [])
+        assert g.has_edges(np.array([0, 1]), np.array([1, 2])).tolist() == [
+            False, False,
+        ]
+        full = Graph.from_edges(3, [(0, 1)])
+        empty = np.empty(0, dtype=np.int64)
+        assert full.has_edges(empty, empty).shape == (0,)
+
+    def test_key_index_is_frozen_and_survives_a_pickle(self):
+        import pickle
+
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+        assert g.has_edges(np.array([1]), np.array([2])).all()
+        with pytest.raises(ValueError):
+            g._keys()[0] = 7
+        clone = pickle.loads(pickle.dumps(g))
+        assert clone == g
+        assert clone.has_edges(np.array([3, 0]), np.array([4, 4])).tolist() == [
+            True, False,
+        ]
+
+    def test_out_of_range_ids_are_not_edges(self):
+        # (0, 7) has the key of (1, 0), (1, -6) that of (0, 1), ...: an
+        # id outside [0, |V|) must never alias a stored edge.
+        g = Graph.from_edges(7, [(0, 1), (0, 2), (1, 2), (2, 5), (5, 6)])
+        us = np.array([0, 0, 1, -1, 7, 1, 0, 5])
+        vs = np.array([7, 8, -6, 8, 1, 12, 1, 6])
+        assert g.has_edges(us, vs).tolist() == [False] * 6 + [True, True]
 
 
 class TestSubgraph:

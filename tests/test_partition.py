@@ -69,6 +69,20 @@ class TestPartitionView:
         )
         assert counts == grid.num_vertices
 
+    def test_mask_and_array_views_agree_with_scalar_accessors(self, partition):
+        for t in range(4):
+            m = partition.machine(t)
+            owned = m.owned_vertices
+            assert np.flatnonzero(m.owned_mask).tolist() == owned.tolist()
+            with pytest.raises(ValueError):
+                m.owned_mask[0] = True
+            assert m.border_distances.tolist() == [
+                m.border_distance(int(v)) for v in owned
+            ]
+            assert m.owned_degrees.tolist() == [
+                m.degree(int(v)) for v in owned
+            ]
+
     def test_foreign_access_raises(self, partition):
         m0 = partition.machine(0)
         foreign = [

@@ -177,6 +177,12 @@ class TestApplyBatch:
             graph.apply_batch(deletions=[(a, b)])
         with pytest.raises(ValueError, match=rf"overlap.*\({a}, {b}\)"):
             graph.apply_batch(additions=[(a, b)], deletions=[(a, b)])
+        # Among several offenders the first in canonical order is named.
+        (u2, v2), (a2, b2) = present[7], absent[7]
+        with pytest.raises(ValueError, match=rf"additions.*\({u}, {v}\)"):
+            graph.apply_batch(additions=[(v2, u2), absent[3], (u, v)])
+        with pytest.raises(ValueError, match=rf"deletions.*\({a}, {b}\)"):
+            graph.apply_batch(deletions=[(b2, a2), present[3], (a, b)])
         with pytest.raises(ValueError, match="self loops"):
             graph.apply_batch(additions=[(3, 3)])
         with pytest.raises(ValueError, match="out of range"):
@@ -237,6 +243,108 @@ class TestPrefixAndSeeded:
             list(enum.run_seeded({0: 1, 2: 3}))
         with pytest.raises(ValueError, match="at least one"):
             list(enum.run_seeded({}))
+
+    @pytest.mark.parametrize("name", sorted(PATTERNS))
+    @pytest.mark.parametrize("width", [1, 2, None])
+    def test_run_seeded_block_is_concatenated_run_seeded(
+        self, graph, name, width
+    ):
+        """One block over many seeds == per-seed calls, in rows, order
+        and counters — invalid seeds (repeated vertex, missing data
+        edge, bound-violating, under-degree) included."""
+        from repro.enumeration.backtracking import EnumerationStats
+        from repro.query.symmetry import symmetry_breaking_constraints
+
+        pattern = parse_pattern(PATTERNS[name])
+        u, v = next(iter(pattern.edges()))
+        order = compute_matching_order(pattern, prefix=[u, v])
+        full = sorted(full_embeddings(graph, pattern))
+        if width is None:  # complete seeds: real matches, and reversals
+            seeds = np.array([[f[w] for w in order] for f in full[:20]])
+            seeds = np.concatenate([seeds, seeds[:, ::-1]])
+        else:  # every tuple over matched vertices plus two of low degree
+            sample = sorted(
+                {x for f in full[:2] for x in f}
+                | set(np.argsort(graph.degrees(), kind="stable")[:2].tolist())
+            )
+            seeds = np.stack(
+                np.meshgrid(*[sample] * width, indexing="ij"), axis=-1
+            ).reshape(-1, width)
+
+        def enumerator():
+            return BacktrackingEnumerator(
+                pattern, graph,
+                constraints=list(symmetry_breaking_constraints(pattern)),
+                order=order, stats=EnumerationStats(),
+            )
+
+        one_by_one = enumerator()
+        expected = [
+            (i, emb)
+            for i, row in enumerate(seeds.tolist())
+            for emb in one_by_one.run_seeded(dict(zip(order, row)))
+        ]
+        block = enumerator()
+        seed_index, embeddings = block.run_seeded_block(seeds)
+        got = list(zip(seed_index.tolist(), map(tuple, embeddings.tolist())))
+        assert got == expected
+        assert block.stats == one_by_one.stats
+        assert embeddings.shape[1] == pattern.num_vertices
+        assert 0 < len(set(seed_index.tolist())) < len(seeds)
+
+    def test_attribution_keys_cannot_alias_across_listed_edges(self):
+        """A listed edge with a high endpoint must not be mistaken for an
+        edge of a match among low ids (edge keys are ``lo * stride + hi``:
+        with stride 6, (0, 11) and (1, 5) would collide)."""
+        g = Graph.from_edges(12, [(1, 2), (1, 5), (2, 5), (0, 11)])
+        matcher = IncrementalMatcher(parse_pattern(PATTERNS["triangle"]))
+        assert matcher.matches_using(g, [(1, 5)]) == matcher.matches_using(
+            g, [(0, 11), (1, 5)]
+        )
+        assert len(matcher.matches_using(g, [(0, 11), (1, 5)])) == 1
+
+    def test_seed_beyond_a_callable_adjacency_is_not_admitted(self):
+        """A callable adjacency is gathered into a step-local CSR sized by
+        the anchors' neighbourhoods; a seed id above that size, with no
+        data edge to its anchor, must not alias another anchor's edge."""
+        g = Graph.from_edges(7, [(0, 1), (0, 2), (1, 2), (2, 5), (5, 6)])
+        tri = parse_pattern(PATTERNS["triangle"])
+        matcher = IncrementalMatcher(tri)
+        assert matcher.matches_using(
+            lambda v: g.neighbors(v), [(0, 5), (1, 2)]
+        ) == matcher.matches_using(g, [(0, 5), (1, 2)]) == [(0, 1, 2)]
+
+        order = compute_matching_order(tri, prefix=[0, 1])
+        pairs = np.stack(np.meshgrid(range(7), range(7), indexing="ij"), -1)
+        seeds = pairs.reshape(-1, 2)
+        native = BacktrackingEnumerator(tri, g, order=order)
+        gathered = BacktrackingEnumerator(
+            tri, lambda v: g.neighbors(v).copy(), order=order
+        )
+        expected = [
+            (i, emb)
+            for i, row in enumerate(seeds.tolist())
+            for emb in native.run_seeded(dict(zip(order, row)))
+        ]
+        assert len(expected) == 6  # the triangle from each directed edge
+        for enum in (native, gathered):
+            seed_index, embeddings = enum.run_seeded_block(seeds)
+            rows = map(tuple, embeddings.tolist())
+            assert list(zip(seed_index.tolist(), rows)) == expected
+        # Past the graph itself, a later seed column has no data edge ...
+        assert list(native.run_seeded({order[0]: 0, order[1]: 7})) == []
+        # ... and a start that is no vertex fails loudly, as it always did.
+        with pytest.raises(IndexError):
+            list(native.run_seeded({order[0]: 7}))
+
+    def test_run_seeded_block_rejects_malformed_seeds(self, graph):
+        tri = parse_pattern(PATTERNS["triangle"])
+        enum = BacktrackingEnumerator(tri, graph)
+        for bad in (np.empty((3, 0)), np.zeros((2, 4)), np.zeros(3)):
+            with pytest.raises(ValueError, match="seeds must be"):
+                enum.run_seeded_block(bad)
+        seed_index, embeddings = enum.run_seeded_block(np.empty((0, 2)))
+        assert seed_index.shape == (0,) and embeddings.shape == (0, 3)
 
 
 # ----------------------------------------------------------------------
