@@ -58,21 +58,31 @@ class ForeignVertexCache:
         """Like :meth:`get` without touching hit/miss statistics."""
         return self._entries.get(v)
 
+    def make_room(self, nbytes: int) -> list[int]:
+        """Evict oldest entries until ``nbytes`` more fit the budget.
+
+        Returns the evicted vertices.  Callers that charge entries to a
+        simulated machine make room first, allocate, and only then
+        :meth:`put` — an entry must never be cached before it is paid for.
+        """
+        evicted: list[int] = []
+        if self._budget is not None:
+            while self._entries and self.bytes_used + nbytes > self._budget:
+                v, old = self._entries.popitem(last=False)
+                self.bytes_used -= self.entry_bytes(old)
+                self.evictions += 1
+                evicted.append(v)
+        return evicted
+
     def put(self, v: int, adjacency: np.ndarray) -> int:
         """Insert an adjacency list; returns bytes evicted to make room."""
         if v in self._entries:
             return 0
-        cost = self.entry_bytes(adjacency)
-        evicted = 0
-        if self._budget is not None:
-            while self._entries and self.bytes_used + cost > self._budget:
-                _, old = self._entries.popitem(last=False)
-                released = self.entry_bytes(old)
-                self.bytes_used -= released
-                evicted += released
-                self.evictions += 1
+        before = self.bytes_used
+        self.make_room(self.entry_bytes(adjacency))
+        evicted = before - self.bytes_used
         self._entries[v] = adjacency
-        self.bytes_used += cost
+        self.bytes_used += self.entry_bytes(adjacency)
         return evicted
 
     def clear(self) -> int:

@@ -169,13 +169,15 @@ class RMeefWorker:
                 service_ops=float(len(verts)),
             )
             for v in verts:
+                # Charge first: an allocation that raises must not leave
+                # the entry cached for free.
                 adjacency = graph.neighbors(v)
-                evicted = self._cache.put(v, adjacency)
-                if evicted:
-                    self._machine.free(evicted)
-                self._machine.allocate(
-                    ForeignVertexCache.entry_bytes(adjacency), "cache_bytes"
-                )
+                cost = ForeignVertexCache.entry_bytes(adjacency)
+                held = self._cache.bytes_used
+                self._cache.make_room(cost)
+                self._machine.free(held - self._cache.bytes_used)
+                self._machine.allocate(cost, "cache_bytes")
+                self._cache.put(v, adjacency)
 
     #: Allocation buffering granularity: per-node accounting calls would
     #: dominate the Python hot loop, so deltas are flushed to the simulated

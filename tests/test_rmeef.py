@@ -169,3 +169,31 @@ class TestWorkerCommunication:
         )
         if cluster.total_comm_bytes() > 0:
             assert remote_daemons > 0
+
+
+class TestCacheCharging:
+    def test_entry_is_charged_before_it_is_cached(self):
+        """Regression: a `fetchV` whose cache allocation raises must not
+        leave the vertex cached but uncharged — the split-and-retry would
+        see it as known for free, and its eviction would release bytes
+        that were never allocated."""
+        from repro.cluster.machine import SimulatedMemoryError
+        from repro.graph import powerlaw_cluster
+
+        graph = powerlaw_cluster(60, 3, 0.3, seed=7)
+        cluster = Cluster.create(graph, 4, memory_capacity=int(0.01 * 2**20))
+        worker, _ = build_worker(cluster, named_patterns()["q2"], 0)
+        machine, cache = cluster.machine(0), worker._cache
+        foreign = [
+            v for v in graph.vertices()
+            if not cluster.partition.machine(0).is_owned(v)
+        ][:3]
+        machine.allocate(machine.memory_capacity - 40)
+        with pytest.raises(SimulatedMemoryError):
+            worker._fetch_vertices(foreign)
+        # Whatever fitted was charged; the one that did not is not cached.
+        assert machine.counters["cache_bytes"] == cache.bytes_used
+        assert cache.bytes_used == sum(
+            ForeignVertexCache.entry_bytes(graph.neighbors(v)) for v in cache._entries
+        )
+        assert machine.memory_used == machine.memory_capacity - 40 + cache.bytes_used
