@@ -38,6 +38,10 @@ class ForeignVertexCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def vertices(self) -> list[int]:
+        """The cached vertices, oldest first."""
+        return list(self._entries)
+
     @staticmethod
     def entry_bytes(adjacency: np.ndarray) -> int:
         """Simulated footprint of one cached adjacency list."""

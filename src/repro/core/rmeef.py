@@ -27,19 +27,29 @@ and therefore the embedding count — is identical.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.machine import Machine, SimulatedMemoryError
 from repro.core.cache import ForeignVertexCache
-from repro.core.embedding_trie import NODE_BYTES, EmbeddingTrie, TrieNode
-from repro.core.evi import EdgeVerificationIndex
+from repro.core.embedding_trie import NODE_BYTES
+from repro.graph.graph import gather_ranges
 from repro.query.pattern import Pattern
 from repro.query.plan import ExecutionPlan
 from repro.query.symmetry import constraint_map
+
+# Frontier rows expanded per kernel step; a round goes chunk by chunk.
+ROWS_PER_CHUNK = 512
+
+#: Trie bytes reach the simulated machine in steps of this size.  The step
+#: is part of the model, not a shortcut: ``trie_bytes``, ``peak_memory``
+#: and the allocation that raises are defined by it.
+_FLUSH_BYTES = 16384
+_FLUSH_NODES = -(-_FLUSH_BYTES // NODE_BYTES)
+
+_NEVER = np.iinfo(np.int64).max  # release slot of a row that survives
 
 
 @dataclass
@@ -56,6 +66,73 @@ class _PositionInfo:
     # ... and smaller than these.
     upper_positions: list[int]
     min_degree: int
+
+
+@dataclass
+class _Level:
+    """One unit position of one chunk.
+
+    ``parent`` indexes the rows of the level above, one entry per pair that
+    reached the deferred checks; ``passed`` marks the pairs that became
+    nodes (None: all of them).
+    """
+
+    parent: np.ndarray
+    passed: np.ndarray | None
+    checks: np.ndarray | None     # deferred checks made, per pair
+    pre_ops: np.ndarray           # ops charged before the pairs, per parent row
+    block: np.ndarray             # the nodes created, one row each
+    pending: np.ndarray | None    # their undetermined edge keys (-1: none)
+
+    @property
+    def node_parent(self) -> np.ndarray:
+        return self.parent if self.passed is None else self.parent[self.passed]
+
+
+@dataclass
+class _Round:
+    """One round's frontier and the emit segment left open between chunks."""
+
+    frontier: np.ndarray
+    diff: np.ndarray              # _first_diff of the frontier, two 0s appended
+    above: np.ndarray             # nodes above the frontier over rows >= a
+    rooted: bool                  # round 0 creates its frontier rows
+    final: bool
+    width: int                    # columns once the unit is matched
+    begin: int = 0                # first row of the open segment
+    alive: int = 0                # trie nodes after the last row processed
+    prior: int = -1               # last row so far that kept leaves
+    reach: int = 0                # min diff over the rows after `prior`
+    open: list = field(default_factory=list)   # (leaves, rows, pending) pieces
+    kept: list = field(default_factory=list)   # verified next-frontier blocks
+
+    def standing(self, a) -> np.ndarray:
+        """Nodes alive when a segment starts at row ``a``: the rows not yet
+        processed and their ancestors (round 0 creates rows as it goes)."""
+        if self.rooted:
+            return np.zeros_like(a)
+        return self.above[a] + (len(self.frontier) - a)
+
+
+def _first_diff(block: np.ndarray) -> np.ndarray:
+    """Per row, the first column differing from the row before (row 0: 0)."""
+    diff = np.zeros(len(block), dtype=np.int64)
+    if len(block) > 1:
+        diff[1:] = (block[1:] != block[:-1]).argmax(axis=1)
+    return diff
+
+
+def _first_true(mask: np.ndarray) -> int:
+    """Index of the first True, or ``len(mask)``."""
+    if not len(mask):
+        return 0
+    hit = int(mask.argmax())
+    return hit if mask[hit] else len(mask)
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums."""
+    return np.cumsum(counts) - counts
 
 
 class RMeefWorker:
@@ -79,16 +156,24 @@ class RMeefWorker:
         self._machine: Machine = cluster.machine(executor_id)
         self._local = cluster.partition.machine(executor_id)
         self._cache = cache
+        self._graph = cluster.graph
+        self._degrees = self._graph.degrees()
+        self._owner = cluster.partition.owner
+        # Vertices whose adjacency is decidable here: owned or cached.
+        self._known = self._local.owned_mask.copy()
+        self._known[cache.vertices()] = True
         self._order = plan.matching_order()
         self._position = {u: q for q, u in enumerate(self._order)}
+        self._columns = [self._position[u] for u in pattern.vertices()]
         self._prefix_len = [
             len(plan.subpattern_vertices(i)) for i in range(plan.num_rounds)
         ]
         self._info = self._build_position_info(constraints)
-        # Mutable per-round state.
+        # Mutable per-group state.
         self._ops = 0
-        self._trie_bytes_outstanding = 0
-        self._trie_delta = 0
+        self._trie_delta = 0      # nodes not yet flushed to the machine
+        self._trie_charged = 0    # bytes the machine holds for the trie
+        self._oom_entry = 0
         self.embeddings_found = 0
         self.last_group_count = 0
 
@@ -136,76 +221,81 @@ class RMeefWorker:
         return infos
 
     # ------------------------------------------------------------------
-    # Adjacency access (owned / cached / fetch)
+    # Foreign adjacency: fetch, cache, known mask
     # ------------------------------------------------------------------
-    def _known_adjacency(self, v: int) -> np.ndarray | None:
-        """Adjacency if locally decidable (owned or cached), else None."""
-        if self._local.is_owned(v):
-            return self._local.graph.neighbors(v)
-        return self._cache.peek(v)
-
-    def _fetch_vertices(self, vertices: list[int]) -> None:
+    def _fetch_vertices(self, vertices) -> None:
         """Batched `fetchV`: one request per remote owner machine."""
-        need = [
-            v for v in vertices
-            if not self._local.is_owned(v) and v not in self._cache
-        ]
-        if not need:
+        vertices = np.asarray(vertices, dtype=np.int64)
+        need = vertices[~self._known[vertices]]
+        if not len(need):
             return
-        by_owner: dict[int, list[int]] = defaultdict(list)
-        for v in need:
-            by_owner[self._cluster.partition.owner_of(v)].append(v)
-        graph = self._cluster.graph
+        owners = self._owner[need]
+        graph = self._graph
         model = self._cluster.cost_model
-        for owner, verts in sorted(by_owner.items()):
-            response_bytes = sum(
-                model.adjacency_bytes(graph.degree(v)) for v in verts
-            )
+        for owner in np.unique(owners).tolist():
+            verts = need[owners == owner]
             self._cluster.network.rpc(
                 requester=self._machine,
                 responder=self._cluster.machine(owner),
                 request_bytes=len(verts) * model.bytes_per_vertex_id,
-                response_bytes=response_bytes,
+                response_bytes=int((self._degrees[verts] + 1).sum())
+                * model.bytes_per_vertex_id,
                 service_ops=float(len(verts)),
             )
-            for v in verts:
+            for v in verts.tolist():
                 # Charge first: an allocation that raises must not leave
                 # the entry cached for free.
                 adjacency = graph.neighbors(v)
                 cost = ForeignVertexCache.entry_bytes(adjacency)
                 held = self._cache.bytes_used
-                self._cache.make_room(cost)
+                self._known[self._cache.make_room(cost)] = False
                 self._machine.free(held - self._cache.bytes_used)
                 self._machine.allocate(cost, "cache_bytes")
                 self._cache.put(v, adjacency)
+                self._known[v] = True
 
-    #: Allocation buffering granularity: per-node accounting calls would
-    #: dominate the Python hot loop, so deltas are flushed to the simulated
-    #: machine in 16 KiB steps (OOM detection is delayed by at most that).
-    _FLUSH_BYTES = 16384
+    # ------------------------------------------------------------------
+    # Trie memory: the entry timeline through the flush hysteresis
+    # ------------------------------------------------------------------
+    def _feed(self, entries: np.ndarray) -> None:
+        """Account a run of signed node counts, in order.
 
-    def _alloc_trie(self, nbytes: int) -> None:
-        # Trie maintenance is real work the SM-E path does not pay:
-        # one op per node created or released.
-        self._ops += nbytes // NODE_BYTES
-        self._trie_bytes_outstanding += nbytes
-        self._trie_delta += nbytes
-        if self._trie_delta >= self._FLUSH_BYTES:
-            self._flush_trie_delta()
+        An entry is one node creation (``+1``) or one release call
+        (``-nodes``) and costs one op per node; the machine is charged
+        whenever the unflushed balance reaches a flush step.  On simulated
+        OOM the ops up to the entry that raised are kept and
+        ``self._oom_entry`` names it.
+        """
+        if not len(entries):
+            return
+        balance = np.cumsum(entries)
+        balance += self._trie_delta
+        start = 0
+        while True:
+            hit = start + _first_true(
+                np.abs(balance[start:]) >= _FLUSH_NODES
+            )
+            if hit == len(entries):
+                break
+            nodes = int(balance[hit])
+            try:
+                self._flush(nodes)
+            except SimulatedMemoryError:
+                self._ops += int(np.abs(entries[: hit + 1]).sum())
+                self._oom_entry = hit
+                raise
+            start = hit + 1
+            balance[start:] -= nodes
+        self._trie_delta = int(balance[-1]) if start < len(entries) else 0
+        self._ops += int(np.abs(entries).sum())
 
-    def _free_trie(self, nbytes: int) -> None:
-        self._ops += nbytes // NODE_BYTES
-        self._trie_bytes_outstanding -= nbytes
-        self._trie_delta -= nbytes
-        if self._trie_delta <= -self._FLUSH_BYTES:
-            self._flush_trie_delta()
-
-    def _flush_trie_delta(self) -> None:
-        if self._trie_delta > 0:
-            self._machine.allocate(self._trie_delta, "trie_bytes")
-        elif self._trie_delta < 0:
-            self._machine.free(-self._trie_delta)
-        self._trie_delta = 0
+    def _flush(self, nodes: int) -> None:
+        nbytes = nodes * NODE_BYTES
+        if nodes > 0:
+            self._machine.allocate(nbytes, "trie_bytes")
+        else:
+            self._machine.free(-nbytes)
+        self._trie_charged += nbytes
 
     # ------------------------------------------------------------------
     # Group processing
@@ -220,16 +310,13 @@ class RMeefWorker:
         (``self.last_group_count`` reports the embeddings of the last
         *successful* group, for count-only runs).
         """
+        self._trie_delta = 0
+        self._trie_charged = 0
         try:
             return self._process_group(group, collect)
         except SimulatedMemoryError:
-            # Only `outstanding - delta` has actually been charged to the
-            # machine (the rest sits in the unflushed buffer).
-            self._machine.free(
-                self._trie_bytes_outstanding - self._trie_delta
-            )
-            self._trie_bytes_outstanding = 0
-            self._trie_delta = 0
+            # Only what was flushed has been charged to the machine.
+            self._machine.free(self._trie_charged)
             self._machine.charge_ops(self._ops, "rmeef_ops")
             self._ops = 0
             raise
@@ -237,227 +324,478 @@ class RMeefWorker:
     def _process_group(
         self, group: list[int], collect: bool
     ) -> list[tuple[int, ...]]:
-        trie = EmbeddingTrie()
-        self._trie_bytes_outstanding = 0
-        results: list[tuple[int, ...]] = []
-        emitted = 0
-
-        def emit(leaves: list[TrieNode]) -> None:
-            """Stream verified final-round results out of the trie.
-
-            Final embeddings are *output*, not intermediate state, so they
-            are converted and their trie nodes freed immediately — this is
-            what keeps the per-group peak within the region-group budget.
-            """
-            nonlocal emitted
-            n = self._pattern.num_vertices
-            for leaf in leaves:
-                if collect:
-                    emb = [0] * n
-                    for q, v in enumerate(leaf.path()):
-                        emb[self._order[q]] = v
-                    results.append(tuple(emb))
-                emitted += 1
-                self._free_trie(trie.remove_leaf(leaf) * NODE_BYTES)
-
-        num_rounds = self._plan.num_rounds
-        mapping: list[int] = [-1] * self._pattern.num_vertices
+        self._emitted: list[np.ndarray] = []
+        self._emit_count = 0
+        self._collect = collect
         # Round 0: start candidates (foreign when the group was stolen).
-        self._fetch_vertices(list(group))
-        final = num_rounds == 1
-        frontier: list[TrieNode] = []
-        evi = EdgeVerificationIndex()
-        for v in sorted(group):
-            adjacency = self._known_adjacency(v)
-            if adjacency is None:
-                # The batch fetch above may have been evicted already on a
-                # memory-starved cache (or the group was stolen): re-fetch
-                # rather than silently dropping the candidate.
-                self._fetch_vertices([v])
-                adjacency = self._known_adjacency(v)
-            self._ops += 1
-            if adjacency is None or len(adjacency) < self._info[0].min_degree:
-                continue
-            root = trie.add_root(v)
-            self._alloc_trie(NODE_BYTES)
-            mapping[0] = v
-            used = {v}
-            self._expand_unit(
-                trie, evi, 0, root, 1, mapping, used, frontier
-            )
-            if root.child_count == 0:
-                self._free_trie(trie.remove_leaf(root) * NODE_BYTES)
-            if final and self._trie_bytes_outstanding > self._flush_threshold:
-                emit(self._verify_and_filter(trie, evi, frontier))
-                frontier = []
-                evi = EdgeVerificationIndex()
-        frontier = self._verify_and_filter(trie, evi, frontier)
-        if final:
-            emit(frontier)
-        # Rounds 1..l.
-        for i in range(1, num_rounds):
-            final = i == num_rounds - 1
-            evi = EdgeVerificationIndex()
-            pivot_position = self._position[self._plan.units[i].pivot]
-            self._fetch_vertices(
-                sorted({leaf.path()[pivot_position] for leaf in frontier})
-            )
-            next_frontier: list[TrieNode] = []
-            for leaf in frontier:
-                path = leaf.path()
-                for q, v in enumerate(path):
-                    mapping[q] = v
-                used = set(path)
-                start = self._prefix_len[i - 1]
-                self._expand_unit(
-                    trie, evi, i, leaf, start, mapping, used, next_frontier
-                )
-                if leaf.child_count == 0:
-                    self._free_trie(trie.remove_leaf(leaf) * NODE_BYTES)
-                if (
-                    final
-                    and self._trie_bytes_outstanding > self._flush_threshold
-                ):
-                    emit(self._verify_and_filter(trie, evi, next_frontier))
-                    next_frontier = []
-                    evi = EdgeVerificationIndex()
-            frontier = self._verify_and_filter(trie, evi, next_frontier)
-            if final:
-                emit(frontier)
+        self._fetch_vertices(group)
+        frontier = np.sort(np.asarray(group, dtype=np.int64))[:, None]
+        last = self._plan.num_rounds - 1
+        for unit in range(self._plan.num_rounds):
+            if unit:
+                pivot = self._position[self._plan.units[unit].pivot]
+                self._fetch_vertices(np.unique(frontier[:, pivot]))
+            frontier = self._round(frontier, unit, unit == last)
         self._machine.charge_ops(self._ops, "rmeef_ops")
         self._ops = 0
-        self.embeddings_found += emitted
-        self.last_group_count = emitted
-        self._free_trie(trie.memory_bytes())
-        self._flush_trie_delta()
-        return results
+        # Every node has been released by now; settle the balance.
+        self._flush(self._trie_delta)
+        self.embeddings_found += self._emit_count
+        self.last_group_count = self._emit_count
+        return [
+            row
+            for block in self._emitted
+            for row in map(tuple, block[:, self._columns].tolist())
+        ]
 
-    # ------------------------------------------------------------------
-    def _expand_unit(
-        self,
-        trie: EmbeddingTrie,
-        evi: EdgeVerificationIndex,
-        unit_index: int,
-        node: TrieNode,
-        position: int,
-        mapping: list[int],
-        used: set[int],
-        out: list[TrieNode],
-        pending: tuple = (),
-    ) -> None:
-        """Recursive leaf matching for unit ``unit_index`` (Algorithm 2).
+    def _round(self, frontier: np.ndarray, unit: int, final: bool) -> np.ndarray:
+        """Expand ``frontier`` through one unit, chunk by chunk.
 
-        ``pending`` carries the undetermined edges accumulated along the
-        current partial path; they are registered against the completed EC's
-        leaf node.
+        Returns the verified next frontier (empty after the final round,
+        whose rows are emitted segment by segment).
         """
-        info = self._info[position]
-        end = self._prefix_len[unit_index]
-        pivot_value = mapping[info.pivot_position]
-        pivot_adj = self._known_adjacency(pivot_value)
-        if pivot_adj is None:
-            # Batched at round start, but a tiny cache may have evicted the
-            # entry before use — re-fetch on demand (extra RPC, as a real
-            # cache-starved machine would pay).
-            self._fetch_vertices([pivot_value])
-            pivot_adj = self._known_adjacency(pivot_value)
-        if pivot_adj is None:  # pragma: no cover - fetch always caches one
-            raise AssertionError("pivot adjacency must be known")
-        candidates = pivot_adj
-        deferred: list[int] = []
-        for p in info.refine_positions:
-            other_adj = self._known_adjacency(mapping[p])
-            if other_adj is None:
-                deferred.append(p)
-            else:
-                self._ops += min(len(candidates), len(other_adj))
-                candidates = np.intersect1d(
-                    candidates, other_adj, assume_unique=True
-                )
-                if len(candidates) == 0:
-                    return
-        lo = -1
-        hi: int | None = None
-        for p in info.lower_positions:
-            lo = max(lo, mapping[p])
-        for p in info.upper_positions:
-            hi = mapping[p] if hi is None else min(hi, mapping[p])
-        if lo >= 0:
-            candidates = candidates[np.searchsorted(candidates, lo + 1):]
-        if hi is not None:
-            candidates = candidates[: np.searchsorted(candidates, hi)]
-        self._ops += len(candidates)
-        for v in candidates:
-            v = int(v)
-            if v in used:
-                continue
-            v_adj = self._known_adjacency(v)
-            if v_adj is not None and len(v_adj) < info.min_degree:
-                continue
-            new_pending = pending
-            ok = True
-            for p in deferred:
-                w = mapping[p]
-                if v_adj is not None:
-                    idx = int(np.searchsorted(v_adj, w))
-                    self._ops += 1
-                    if idx >= len(v_adj) or int(v_adj[idx]) != w:
-                        ok = False
-                        break
-                else:
-                    new_pending = new_pending + ((v, w),)
-            if not ok:
-                continue
-            child = trie.add_child(node, v)
-            self._alloc_trie(NODE_BYTES)
-            mapping[position] = v
-            used.add(v)
-            if position + 1 == end:
-                for edge in new_pending:
-                    evi.add(edge, child)
-                out.append(child)
-            else:
-                self._expand_unit(
-                    trie, evi, unit_index, child, position + 1,
-                    mapping, used, out, new_pending,
-                )
-                if child.child_count == 0:
-                    # Non-cascading: `node` is still being extended.
-                    self._free_trie(
-                        trie.detach_childless(child) * NODE_BYTES
-                    )
-            used.discard(v)
-            mapping[position] = -1
+        n, k = frontier.shape
+        rooted = unit == 0
+        diff = np.concatenate((_first_diff(frontier), [0, 0]))
+        # Nodes above the frontier that are ancestors of some row >= a:
+        # the k - 1 on row a's path, and those later rows open.
+        opened = np.zeros(n + 1, dtype=np.int64)
+        opened[:n] = k - 1 - diff[:n]
+        above = np.zeros(n + 1, dtype=np.int64)
+        above[:n] = (k - 1) + np.cumsum(opened[::-1])[::-1][1:]
+        state = _Round(
+            frontier, diff, above, rooted, final, self._prefix_len[unit],
+            reach=k,
+        )
+        state.alive = int(state.standing(np.int64(0)))
+        pivot_column = self._info[1 if rooted else k].pivot_position
+        c0 = 0
+        while c0 < n:
+            pivots = frontier[c0:c0 + ROWS_PER_CHUNK, pivot_column]
+            if not self._known[pivots[0]]:
+                # Fetched at round start, but a starved cache has evicted
+                # it since: fetch again on demand (an extra RPC, as a real
+                # cache-starved machine would pay).
+                self._fetch_vertices(pivots[:1])
+            # The known mask is constant up to the next pivot miss.
+            c1 = c0 + _first_true(~self._known[pivots])
+            self._chunk(state, c0, c1)
+            c0 = c1
+        if not state.kept:
+            return np.empty((0, state.width), dtype=np.int64)
+        return np.concatenate(state.kept)
 
     # ------------------------------------------------------------------
-    def _verify_and_filter(
+    # One unit position (Algorithm 2), for every row of a block
+    # ------------------------------------------------------------------
+    def _expand(
         self,
-        trie: EmbeddingTrie,
-        evi: EdgeVerificationIndex,
-        frontier: list[TrieNode],
-    ) -> list[TrieNode]:
-        """Batch `verifyE` per remote machine; drop failed ECs (Prop. 2)."""
-        if len(evi) == 0:
-            return frontier
-        failed: list[tuple[int, int]] = []
+        block: np.ndarray,
+        pending: np.ndarray | None,
+        position: int,
+        valid: np.ndarray | None,
+    ) -> _Level:
+        info = self._info[position]
+        graph, known, degrees = self._graph, self._known, self._degrees
+        rows = len(block)
+        pivots = block[:, info.pivot_position]
+        counts = degrees[pivots] if valid is None else degrees[pivots] * valid
+        row, flat = gather_ranges(graph.indptr[pivots], counts)
+        cand = graph.indices[flat]
+        pre_ops = np.zeros(rows, dtype=np.int64)
+        deferred = None
+        refine = info.refine_positions
+        if refine:
+            others = block[:, refine]
+            decided = known[others]
+            for j in range(len(refine)):
+                here = decided[:, j]
+                if not here.any():
+                    continue
+                alive = np.bincount(row, minlength=rows)
+                pre_ops += np.minimum(alive, degrees[others[:, j]]) * here
+                keep = graph.has_edges(others[row, j], cand)
+                if not here.all():
+                    keep |= ~here[row]
+                row, cand = row[keep], cand[keep]
+            if not decided.all():
+                deferred = ~decided
+        if info.lower_positions or info.upper_positions:
+            keep = np.ones(len(cand), dtype=bool)
+            if info.lower_positions:
+                keep &= cand > block[:, info.lower_positions].max(axis=1)[row]
+            if info.upper_positions:
+                keep &= cand < block[:, info.upper_positions].min(axis=1)[row]
+            row, cand = row[keep], cand[keep]
+        pre_ops += np.bincount(row, minlength=rows)
+        # Injectivity, and the degree filter where the degree is known.
+        known_cand = known[cand]
+        keep = (block[row] != cand[:, None]).all(axis=1)
+        keep &= ~(known_cand & (degrees[cand] < info.min_degree))
+        row, cand, known_cand = row[keep], cand[keep], known_cand[keep]
+        passed = checks = fresh = None
+        if deferred is not None and deferred[row].any():
+            # A known candidate settles its deferred edges itself, one
+            # check each up to the first that fails; an unknown one
+            # carries them all as undetermined edges.
+            waits = deferred[row]
+            other = others[row]
+            passed = np.ones(len(cand), dtype=bool)
+            checks = np.zeros(len(cand), dtype=np.int64)
+            for j in range(len(refine)):
+                active = np.flatnonzero(passed & waits[:, j] & known_cand)
+                checks[active] += 1
+                ok = graph.has_edges(cand[active], other[active, j])
+                passed[active[~ok]] = False
+            undetermined = waits & ~known_cand[:, None]
+            if undetermined.any():
+                mate = cand[:, None]
+                keys = (
+                    np.minimum(mate, other) * graph.num_vertices
+                    + np.maximum(mate, other)
+                )
+                fresh = np.where(undetermined, keys, -1)[passed]
+            cand = cand[passed]
+        level = _Level(row, passed, checks, pre_ops, cand, None)
+        made = level.node_parent
+        level.block = np.concatenate((block[made], cand[:, None]), axis=1)
+        if pending is None or fresh is None:
+            level.pending = fresh if pending is None else pending[made]
+        else:
+            level.pending = np.concatenate((pending[made], fresh), axis=1)
+        return level
+
+    # ------------------------------------------------------------------
+    # One chunk of frontier rows: expand, then account
+    # ------------------------------------------------------------------
+    def _chunk(self, state: _Round, c0: int, c1: int) -> None:
+        rows = c1 - c0
+        k = state.frontier.shape[1]
+        block = state.frontier[c0:c1]
+        valid = None
+        if state.rooted:
+            valid = self._degrees[block[:, 0]] >= self._info[0].min_degree
+        levels: list[_Level] = []
+        pending = None
+        for position in range(1 if state.rooted else k, state.width):
+            level = self._expand(block, pending, position, valid if not levels else None)
+            levels.append(level)
+            block, pending = level.block, level.pending
+        depth = len(levels)
+        parents = [level.node_parent for level in levels]
+        sizes = [rows] + [len(p) for p in parents]
+
+        # Bottom-up: dead ends (no descendant reached the last position)
+        # and the timeline entries per subtree (creation, descendants,
+        # detach if dead).
+        live = [np.ones(sizes[-1], dtype=bool)] * depth
+        span = [np.ones(sizes[-1], dtype=np.int64)] * depth
+        for lv in range(depth - 2, -1, -1):
+            below = parents[lv + 1]
+            live[lv] = np.bincount(below[live[lv + 1]], minlength=sizes[lv + 1]) > 0
+            span[lv] = 1 + ~live[lv] + np.bincount(
+                below, weights=span[lv + 1], minlength=sizes[lv + 1]
+            ).astype(np.int64)
+        has = np.bincount(parents[0][live[0]], minlength=rows) > 0
+        if valid is None:
+            created, childless = np.zeros(rows, dtype=np.int64), ~has
+        else:
+            created, childless = valid.astype(np.int64), valid & ~has
+        total = created + childless + np.bincount(
+            parents[0], weights=span[0], minlength=rows
+        ).astype(np.int64)
+        # The frontier row of every node, and what each row keeps alive.
+        root = parents[0]
+        left = np.bincount(root[live[0]], minlength=rows)
+        for lv in range(1, depth):
+            root = root[parents[lv]]
+            left += np.bincount(root[live[lv]], minlength=rows)
+        leaves, leaf_rows = block, root + c0
+
+        # What the trie gains or loses per row.  A row with leaves stays,
+        # with its live subtree.  A childless row goes and takes along the
+        # ancestors whose run it ends: all of those if no row of its
+        # segment has kept leaves yet (`lone`), else only the ones it does
+        # not share with the last row that did (`after`).
+        diff = state.diff
+        ends = k - 1 - diff[c0 + 1:c1 + 1]
+        since = _offsets(has)
+        reach = np.minimum.accumulate(diff[c0:c1] - since * k) + since * k
+        head = since == 0
+        reach[head] = np.minimum(reach[head], state.reach)
+        lone = created - 1 - np.maximum(ends, 0)
+        after = created - 1 - np.maximum(np.minimum(ends, k - 1 - reach), 0)
+        gain = has * (created + left)
+        net_lone = gain + childless * lone
+        net_after = gain + childless * after
+        index = np.arange(c0, c1)
+        prior = np.maximum.accumulate(np.where(has, index, state.prior))
+        prior = np.concatenate(([state.prior], prior[:-1]))
+
+        begin = state.begin
+        if state.final:
+            closes = self._boundaries(state, c0, c1, has, net_lone, net_after)
+        else:
+            closes = np.arange(rows - 1, rows)[: c1 == len(state.frontier)]
+        closing = len(closes)
+        segment = np.searchsorted(closes, np.arange(rows))
+        begins = np.concatenate(([begin], closes + (c0 + 1)))
+        cascade = np.where(prior >= begins[segment], after, lone) - created
+
+        # Leaves of the segments that close here: verify them, and count
+        # the release entries that follow each closing row.
+        removal = np.zeros(rows, dtype=np.int64)
+        rpcs: dict[int, list[tuple[int, int]]] = {}
+        done = None
+        if closing:
+            cut = int(np.searchsorted(leaf_rows, c0 + closes[-1], side="right"))
+            pieces = state.open + [
+                (leaves[:cut], leaf_rows[:cut], None if pending is None else pending[:cut])
+            ]
+            state.open = []
+            leaves, leaf_rows = leaves[cut:], leaf_rows[cut:]
+            pending = None if pending is None else pending[cut:]
+            done = np.concatenate([p[0] for p in pieces])
+            done_rows = np.concatenate([p[1] for p in pieces])
+            done_segment = segment[np.maximum(done_rows - c0, 0)]
+            failed_rank = self._verify(pieces, done_segment, rpcs)
+            failed = failed_rank >= 0
+            per_segment = np.bincount(done_segment, minlength=closing)
+            failed_per = np.bincount(done_segment[failed], minlength=closing)
+            removal[closes] = per_segment if state.final else failed_per
+        if len(leaves):
+            state.open.append((leaves, leaf_rows, pending))
+
+        # Slots: every row's entries, then the releases that follow it.
+        extent = total + removal
+        base = _offsets(extent)
+        entries = np.zeros(int(extent.sum()), dtype=np.int64)
+        entries[base[created > 0]] = 1
+        gone = np.flatnonzero(childless)
+        entries[base[gone] + total[gone] - 1] = cascade[gone]
+        slots, times = [], []
+        child_base = base + created
+        for lv, level in enumerate(levels):
+            weight = span[lv]
+            if level.passed is not None:
+                weight = np.zeros(len(level.parent), dtype=np.int64)
+                weight[level.passed] = span[lv]
+            before = _offsets(weight)
+            heads = _offsets(np.bincount(level.parent, minlength=sizes[lv]))
+            heads = np.append(before, 0)[heads]
+            when = child_base[level.parent] + before - heads[level.parent]
+            slot = when if level.passed is None else when[level.passed]
+            entries[slot] = 1
+            dead = ~live[lv]
+            entries[slot[dead] + span[lv][dead] - 1] = -1
+            slots.append(slot)
+            times.append(when)
+            child_base = slot + 1
+
+        if done is not None and len(done):
+            first = _offsets(per_segment)
+            order = np.arange(len(done)) - first[done_segment]
+            if failed.any():
+                ahead = _offsets(failed.astype(np.int64))
+                ahead -= ahead[first[done_segment]]
+                order = np.where(
+                    failed, failed_rank, failed_per[done_segment] + order - ahead
+                )
+            when = (base + total)[closes][done_segment] + order
+            if not state.final:
+                when = np.where(failed, when, _NEVER)
+            self._release(state, entries, done, done_rows, done_segment, when, closes + c0)
+            survivors = done[~failed] if failed.any() else done
+            if not state.final:
+                state.kept.append(survivors)
+            else:
+                self._emit_count += len(survivors)
+                if self._collect:
+                    self._emitted.append(survivors)
+
+        # Feed the timeline; a `verifyE` goes out where its segment closes.
+        fed = 0
+        try:
+            for s in sorted(rpcs):
+                stop = int(base[closes[s]] + total[closes[s]])
+                self._feed(entries[fed:stop])
+                fed = stop
+                self._send_verify(rpcs[s])
+            self._feed(entries[fed:])
+        except SimulatedMemoryError:
+            # Charge what the recursion had charged when this entry raised:
+            # the start candidates reached, the calls begun, and the
+            # deferred checks made, by their place in the timeline.
+            at = fed + self._oom_entry
+            self._ops += int((base <= at).sum()) if state.rooted else 0
+            self._ops += int(levels[0].pre_ops[base + created <= at].sum())
+            for lv, level in enumerate(levels):
+                if lv:
+                    self._ops += int(level.pre_ops[slots[lv - 1] < at].sum())
+                if level.checks is not None:
+                    self._ops += int(level.checks[times[lv] <= at].sum())
+            raise
+        self._ops += rows * state.rooted
+        for level in levels:
+            self._ops += int(level.pre_ops.sum())
+            if level.checks is not None:
+                self._ops += int(level.checks.sum())
+
+        # What the next chunk needs to know about this one.
+        kept_leaves = np.flatnonzero(has)
+        if len(kept_leaves):
+            state.prior = c0 + int(kept_leaves[-1])
+        state.reach = k if has[-1] else int(reach[-1])
+
+    def _boundaries(
+        self,
+        state: _Round,
+        c0: int,
+        c1: int,
+        has: np.ndarray,
+        net_lone: np.ndarray,
+        net_after: np.ndarray,
+    ) -> np.ndarray:
+        """Chunk rows after which the final round emits (Algorithm 1's
+        memory control): the trie has outgrown ``flush_threshold``."""
+        rows = c1 - c0
+        limit = self._flush_threshold
+        standing = state.standing(np.arange(c0, c1 + 1))
+        # Rows that are over the limit as a segment of their own.
+        alone = (standing[:rows] + net_lone) * NODE_BYTES > limit
+        joined = np.flatnonzero(~alone)
+        with_leaves = np.flatnonzero(has)
+        closes: list[np.ndarray] = []
+        at, alive = 0, state.alive
+        fresh = state.prior < state.begin
+        while at < rows:
+            if state.begin == c0 + at and alone[at]:
+                stop = int(joined[np.searchsorted(joined, at)]) if len(joined) and joined[-1] > at else rows
+                closes.append(np.arange(at, stop))
+            else:
+                net = net_after[at:]
+                if fresh:
+                    turn = np.searchsorted(with_leaves, at)
+                    turn = int(with_leaves[turn]) if turn < len(with_leaves) else rows
+                    net = np.concatenate((net_lone[at:turn], net_after[turn:]))
+                    fresh = turn == rows
+                level = alive + np.cumsum(net)
+                stop = at + _first_true(level * NODE_BYTES > limit)
+                if stop == rows:
+                    state.alive = int(level[-1])
+                    break
+                closes.append(np.arange(stop, stop + 1))
+                stop += 1
+            at, alive, fresh = stop, int(standing[stop]), True
+            state.begin, state.alive = c0 + at, alive
+        if c1 == len(state.frontier) and state.begin < c1:
+            closes.append(np.arange(rows - 1, rows))  # the round's last emit
+        return np.concatenate(closes) if closes else np.zeros(0, dtype=np.int64)
+
+    # ------------------------------------------------------------------
+    # verifyE: the edge verification index of Def. 5, per emit segment
+    # ------------------------------------------------------------------
+    def _verify(
+        self,
+        pieces: list[tuple],
+        segment: np.ndarray,
+        rpcs: dict[int, list[tuple[int, int]]],
+    ) -> np.ndarray:
+        """Settle the undetermined edges of the closing segments.
+
+        Fills ``rpcs[s]`` with one ``(owner, edges)`` request per machine
+        for segment ``s`` and returns, per leaf, its place among the
+        segment's failed leaves in release order — by (owner, first
+        registration) of the first failed edge it depends on, then by row
+        — or -1 if every edge it depends on exists (Prop. 2).
+        """
+        rank = np.full(len(segment), -1, dtype=np.int64)
+        holders, keys, offset = [], [], 0
+        for leaves, _, pending in pieces:
+            if pending is not None:
+                leaf, column = np.nonzero(pending >= 0)
+                holders.append(leaf + offset)
+                keys.append(pending[leaf, column])
+            offset += len(leaves)
+        if not holders:
+            return rank
+        holders, keys = np.concatenate(holders), np.concatenate(keys)
+        graph = self._graph
+        where = segment[holders]
+        for s in np.unique(where).tolist():
+            lo, hi = np.searchsorted(where, [s, s + 1])
+            holder = holders[lo:hi]
+            edges, first, inverse = np.unique(
+                keys[lo:hi], return_index=True, return_inverse=True
+            )
+            small, big = np.divmod(edges, graph.num_vertices)
+            owner = self._owner[small]
+            asked = np.lexsort((first, owner))
+            owners, counts = np.unique(owner, return_counts=True)
+            rpcs[s] = list(zip(owners.tolist(), counts.tolist()))
+            missing = ~graph.has_edges(small, big)
+            if not missing.any():
+                continue
+            place = np.full(len(edges), _NEVER)
+            place[asked] = np.arange(len(edges))
+            place[~missing] = _NEVER
+            # A leaf dies with the first failed edge it registered under.
+            starts = np.flatnonzero(np.diff(holder, prepend=-1))
+            worst = np.minimum.reduceat(place[inverse], starts)
+            dead = worst < _NEVER
+            leaf, worst = holder[starts][dead], worst[dead]
+            rank[leaf[np.lexsort((leaf, worst))]] = np.arange(len(leaf))
+        return rank
+
+    def _send_verify(self, requests: list[tuple[int, int]]) -> None:
+        """One `verifyE` per remote machine (owner of the smaller endpoint)."""
         model = self._cluster.cost_model
-        groups = evi.group_by_machine(self._cluster.partition.owner_of)
-        for owner, edges in sorted(groups.items()):
+        for owner, edges in requests:
             self._cluster.network.rpc(
                 requester=self._machine,
                 responder=self._cluster.machine(owner),
-                request_bytes=len(edges) * 2 * model.bytes_per_vertex_id,
-                response_bytes=len(edges),
-                service_ops=2.0 * len(edges),
+                request_bytes=edges * 2 * model.bytes_per_vertex_id,
+                response_bytes=edges,
+                service_ops=2.0 * edges,
             )
-            graph = self._cluster.graph
-            failed.extend(
-                edge for edge in edges if not graph.has_edge(*edge)
-            )
-        dead = evi.failed_leaves(failed)
-        dead_ids = {id(n) for n in dead}
-        for leaf in dead:
-            self._free_trie(trie.remove_leaf(leaf) * NODE_BYTES)
-        if not dead_ids:
-            return frontier
-        return [n for n in frontier if id(n) not in dead_ids]
+
+    def _release(
+        self,
+        state: _Round,
+        entries: np.ndarray,
+        leaves: np.ndarray,
+        leaf_rows: np.ndarray,
+        segment: np.ndarray,
+        when: np.ndarray,
+        closes: np.ndarray,
+    ) -> None:
+        """Write the release entries of the closing segments' leaves.
+
+        ``when`` is each leaf's slot (``_NEVER``: it survives).  Releasing
+        a leaf cascades to every ancestor left without children, so each
+        ancestor goes with the last of its leaves to go: per level, the
+        maximum slot over the run of leaves below it — unless a later
+        frontier row still hangs off it.
+        """
+        gone = when != _NEVER
+        entries[when[gone]] = -1
+        k = state.frontier.shape[1]
+        diff = _first_diff(leaves)
+        starts = np.flatnonzero(np.diff(segment, prepend=-1))
+        diff[starts] = 0
+        # Levels above the frontier outlive a segment while rows after it
+        # share them: up to the first column in which the rows between the
+        # segment's last leaf and the next segment's first row differ.
+        ends = np.append(starts[1:], len(leaves)) - 1
+        bounds = np.column_stack((leaf_rows[ends] + 1, closes[segment[ends]] + 2))
+        shared = np.full(len(closes), 0, dtype=np.int64)
+        shared[segment[ends]] = np.minimum.reduceat(state.diff, bounds.ravel())[::2]
+        for level in range(leaves.shape[1] - 2, -1, -1):
+            runs = np.flatnonzero(diff <= level)
+            when = np.maximum.reduceat(when, runs)
+            diff, segment = diff[runs], segment[runs]
+            going = when != _NEVER
+            if level < k - 1:
+                last = np.append(segment[1:] != segment[:-1], True)
+                going &= ~(last & (shared[segment] > level))
+            entries[when[going]] -= 1
