@@ -4,17 +4,15 @@ Submodules map one-to-one onto the paper's sections:
 
 - :mod:`repro.core.sme` — single-machine enumeration split (Sec. 3.1).
 - :mod:`repro.core.embedding_trie` — compact intermediate results (Sec. 5).
-- :mod:`repro.core.evi` — edge verification index (Def. 5).
 - :mod:`repro.core.cache` — foreign-vertex cache.
 - :mod:`repro.core.region` — region groups and memory estimation (Sec. 6).
 - :mod:`repro.core.rmeef` — the R-Meef expand / verify & filter rounds
-  (Sec. 3.2, Appendix B).
+  (Sec. 3.2, Appendix B), with the edge verification index of Def. 5.
 - :mod:`repro.core.rads` — engine orchestration, asynchrony and
   checkR/shareR work stealing.
 """
 
 from repro.core.embedding_trie import EmbeddingTrie, TrieNode
-from repro.core.evi import EdgeVerificationIndex
 from repro.core.cache import ForeignVertexCache
 from repro.core.region import RegionGrouper
 from repro.core.sme import SingleMachineSplit
@@ -23,7 +21,6 @@ from repro.core.rads import RADSEngine
 __all__ = [
     "EmbeddingTrie",
     "TrieNode",
-    "EdgeVerificationIndex",
     "ForeignVertexCache",
     "RegionGrouper",
     "SingleMachineSplit",

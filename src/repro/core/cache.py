@@ -8,28 +8,20 @@ some previously cached data vertices").
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
 
 class ForeignVertexCache:
-    """Byte-budgeted adjacency cache with FIFO or LRU eviction.
+    """Byte-budgeted adjacency cache with FIFO eviction.
 
-    The paper only says stale entries "may" be released; FIFO (the
-    default) matches its fetch-once-per-round access pattern, while LRU is
-    offered for workloads that revisit hot foreign hubs across rounds.
+    The paper only says stale entries "may" be released; first in, first
+    out matches R-Meef's fetch-once-per-round access pattern.
     """
 
-    def __init__(self, budget_bytes: int | None = None, policy: str = "fifo"):
-        if policy not in ("fifo", "lru"):
-            raise ValueError(f"unknown eviction policy: {policy!r}")
-        self._entries: "OrderedDict[int, np.ndarray]" = OrderedDict()
+    def __init__(self, budget_bytes: int | None = None):
+        self._entries: dict[int, np.ndarray] = {}  # insertion-ordered
         self._budget = budget_bytes
-        self._policy = policy
         self.bytes_used = 0
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
 
     def __contains__(self, v: int) -> bool:
@@ -47,19 +39,8 @@ class ForeignVertexCache:
         """Simulated footprint of one cached adjacency list."""
         return (len(adjacency) + 1) * 8
 
-    def get(self, v: int) -> np.ndarray | None:
-        """Cached adjacency of ``v`` or None."""
-        entry = self._entries.get(v)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        if self._policy == "lru":
-            self._entries.move_to_end(v)
-        return entry
-
     def peek(self, v: int) -> np.ndarray | None:
-        """Like :meth:`get` without touching hit/miss statistics."""
+        """Cached adjacency of ``v`` or None."""
         return self._entries.get(v)
 
     def make_room(self, nbytes: int) -> list[int]:
@@ -72,8 +53,8 @@ class ForeignVertexCache:
         evicted: list[int] = []
         if self._budget is not None:
             while self._entries and self.bytes_used + nbytes > self._budget:
-                v, old = self._entries.popitem(last=False)
-                self.bytes_used -= self.entry_bytes(old)
+                v = next(iter(self._entries))
+                self.bytes_used -= self.entry_bytes(self._entries.pop(v))
                 self.evictions += 1
                 evicted.append(v)
         return evicted

@@ -6,6 +6,11 @@ the ``j``-th query vertex of the matching order.  Nodes keep only a data
 vertex, a parent pointer and a child count — exactly the fields of Def. 11 —
 so removal is a cascade up the parent chain and each leaf is a unique
 result ID.
+
+This is the linked form, used for the compression tables and the store's
+round trip.  R-Meef itself (:mod:`repro.core.rmeef`) keeps the same trie as
+the rows of a block in depth-first order and only *accounts* for its nodes,
+``NODE_BYTES`` apiece.
 """
 
 from __future__ import annotations
@@ -96,37 +101,6 @@ class EmbeddingTrie:
         self.num_nodes += 1
         return node
 
-    def extend_path(self, parent: TrieNode | None, values: Iterable[int]) -> TrieNode:
-        """Append a chain of nodes below ``parent`` (root chain if None)."""
-        node = parent
-        for v in values:
-            if node is None:
-                node = self.add_root(v)
-            else:
-                node = self.add_child(node, v)
-        if node is None:
-            raise ValueError("empty path")
-        return node
-
-    def detach_childless(self, child: TrieNode) -> int:
-        """Remove exactly one childless node without cascading.
-
-        Used mid-expansion (Algorithm 2): the parent is still being extended
-        with further candidates, so its transiently-zero child count must
-        not trigger an upward cascade.
-        """
-        if child.child_count != 0:
-            raise ValueError("node still has children")
-        parent = child.parent
-        if parent is None:
-            if self._roots.get(child.v) is child:
-                del self._roots[child.v]
-        else:
-            parent.child_count -= 1
-        child.parent = None
-        self.num_nodes -= 1
-        return 1
-
     def remove_leaf(self, leaf: TrieNode) -> int:
         """Remove a result; cascades up while parents lose their last child.
 
@@ -147,24 +121,6 @@ class EmbeddingTrie:
         self.num_nodes -= removed
         return removed
 
-    # ------------------------------------------------------------------
-    def leaves_at_depth(self, depth: int) -> list[TrieNode]:
-        """All nodes at ``depth`` (a full scan; used by tests, not hot paths)."""
-        result: list[TrieNode] = []
-
-        def walk(node: TrieNode, d: int, children: dict) -> None:
-            if d == depth:
-                result.append(node)
-
-        # Without child pointers a scan requires an auxiliary index, so
-        # tests use the frontier lists maintained by R-Meef instead;
-        # this helper only works for depth 0.
-        if depth == 0:
-            return list(self._roots.values())
-        raise NotImplementedError(
-            "trie nodes store no child pointers; track frontiers externally"
-        )
-
 
 def trie_from_paths(
     paths: Iterable[tuple[int, ...]],
@@ -172,8 +128,7 @@ def trie_from_paths(
     """Build a prefix-sharing trie from root-to-leaf paths.
 
     The trie itself stores no child maps (Def. 11), so construction keeps
-    an external prefix index, exactly as the R-Meef frontier code does
-    mid-expansion.  Returns the trie and one leaf node per *distinct*
+    an external prefix index.  Returns the trie and one leaf node per *distinct*
     path, in first-seen order.  All paths must have the same length.
     """
     trie = EmbeddingTrie()

@@ -1,9 +1,10 @@
 """Model-based test: ForeignVertexCache against a reference model.
 
-A hypothesis state machine drives the cache with arbitrary put/get/clear
-sequences and checks every observable (membership, byte accounting,
-hit/miss counters, eviction order) against a straightforward Python model
-for both eviction policies.
+A hypothesis state machine drives the cache with arbitrary put/peek/clear
+sequences — through ``put`` alone and through the charge-first
+``make_room`` / ``put`` pair R-Meef uses — and checks every observable
+(membership, byte accounting, eviction count and order) against a
+straightforward Python model of first-in-first-out eviction.
 """
 
 import numpy as np
@@ -26,39 +27,39 @@ def entry_cost(degree: int) -> int:
 
 
 class CacheModel(RuleBasedStateMachine):
-    @initialize(policy=st.sampled_from(["fifo", "lru"]))
-    def setup(self, policy):
-        self.policy = policy
-        self.cache = ForeignVertexCache(budget_bytes=BUDGET, policy=policy)
+    @initialize()
+    def setup(self):
+        self.cache = ForeignVertexCache(budget_bytes=BUDGET)
         self.model: dict[int, int] = {}  # vertex -> degree, in order
-        self.hits = 0
-        self.misses = 0
+        self.evictions = 0
 
     # ------------------------------------------------------------------
-    @rule(v=st.integers(0, 14), degree=st.integers(0, 8))
-    def put(self, v, degree):
+    @rule(v=st.integers(0, 14), degree=st.integers(0, 8), charge_first=st.booleans())
+    def put(self, v, degree, charge_first):
         adjacency = np.arange(degree, dtype=np.int64)
-        self.cache.put(v, adjacency)
-        if v in self.model:
-            return  # duplicate put is a no-op
         cost = entry_cost(degree)
-        used = sum(entry_cost(d) for d in self.model.values())
-        while self.model and used + cost > BUDGET:
-            oldest = next(iter(self.model))
-            used -= entry_cost(self.model.pop(oldest))
-        self.model[v] = degree
+        expected: list[int] = []
+        if v not in self.model:
+            used = sum(entry_cost(d) for d in self.model.values())
+            while self.model and used + cost > BUDGET:
+                oldest = next(iter(self.model))
+                used -= entry_cost(self.model.pop(oldest))
+                expected.append(oldest)
+            self.model[v] = degree
+            self.evictions += len(expected)
+            if charge_first:
+                assert self.cache.make_room(cost) == expected
+                expected = []
+        released = self.cache.put(v, adjacency)  # duplicate put is a no-op
+        assert released >= 0 and (released > 0) == bool(expected)
 
     @rule(v=st.integers(0, 14))
-    def get(self, v):
-        got = self.cache.get(v)
+    def peek(self, v):
+        got = self.cache.peek(v)
         if v in self.model:
-            self.hits += 1
             assert got is not None
             assert len(got) == self.model[v]
-            if self.policy == "lru":
-                self.model[v] = self.model.pop(v)  # move to end
         else:
-            self.misses += 1
             assert got is None
 
     @rule()
@@ -86,11 +87,11 @@ class CacheModel(RuleBasedStateMachine):
         assert self.cache.bytes_used <= BUDGET or len(self.model) == 1
 
     @invariant()
-    def counters_match(self):
+    def eviction_order_matches(self):
         if not hasattr(self, "model"):
             return
-        assert self.cache.hits == self.hits
-        assert self.cache.misses == self.misses
+        assert self.cache.vertices() == list(self.model)
+        assert self.cache.evictions == self.evictions
 
 
 TestCacheModel = CacheModel.TestCase

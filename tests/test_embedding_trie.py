@@ -7,6 +7,7 @@ from repro.core.embedding_trie import (
     NODE_BYTES,
     EmbeddingTrie,
     embedding_list_bytes,
+    trie_from_paths,
     trie_nodes_for_results,
 )
 
@@ -14,53 +15,29 @@ from repro.core.embedding_trie import (
 class TestBasicOperations:
     def test_paper_example(self):
         """Example 6 / Fig. 5: three ECs sharing prefixes."""
-        trie = EmbeddingTrie()
-        leaves = [
-            trie.extend_path(None, path)
-            for path in [(0, 1, 2), (0, 1, 9), (0, 9, 11)]
-        ]
-        # v0 root shared; extend_path merges roots but not inner chains
-        # (R-Meef's expansion creates each inner node exactly once itself).
+        trie, leaves = trie_from_paths([(0, 1, 2), (0, 1, 9), (0, 9, 11)])
         assert trie.num_roots == 1
-        assert trie.num_nodes == 7
+        assert trie.num_nodes == 6  # 0; 1, 9; 2, 9, 11
         assert [leaf.path() for leaf in leaves] == [
             [0, 1, 2], [0, 1, 9], [0, 9, 11]
         ]
 
     def test_removal_cascade(self):
-        trie = EmbeddingTrie()
-        a = trie.extend_path(None, (0, 1, 2))
-        trie.extend_path(trie.add_root(0), (3,))  # second branch under root
-        assert trie.num_nodes == 4
+        trie, (a, _) = trie_from_paths([(0, 1, 2), (0, 3, 4)])
+        assert trie.num_nodes == 5
         removed = trie.remove_leaf(a)
         # Leaf 2 and its now-childless parent 1 go; the root survives
-        # because the (0, 3) branch still hangs off it.
+        # because the (0, 3, 4) branch still hangs off it.
         assert removed == 2
-        assert trie.num_nodes == 2
+        assert trie.num_nodes == 3
         assert trie.num_roots == 1
 
     def test_remove_last_result_empties_trie(self):
-        trie = EmbeddingTrie()
-        leaf = trie.extend_path(None, (3, 4, 5))
+        trie, (leaf,) = trie_from_paths([(3, 4, 5)])
         assert trie.num_nodes == 3
         assert trie.remove_leaf(leaf) == 3
         assert trie.num_nodes == 0
         assert trie.num_roots == 0
-
-    def test_detach_childless_no_cascade(self):
-        trie = EmbeddingTrie()
-        leaf = trie.extend_path(None, (1, 2, 3))
-        parent = leaf.parent
-        assert trie.detach_childless(leaf) == 1
-        # Parent survives even though it now has no children.
-        assert trie.num_nodes == 2
-        assert parent.child_count == 0
-
-    def test_detach_with_children_rejected(self):
-        trie = EmbeddingTrie()
-        leaf = trie.extend_path(None, (1, 2))
-        with pytest.raises(ValueError):
-            trie.detach_childless(leaf.parent)
 
     def test_root_dedup(self):
         trie = EmbeddingTrie()
@@ -70,19 +47,16 @@ class TestBasicOperations:
         assert trie.num_nodes == 1
 
     def test_unique_leaf_ids(self):
-        trie = EmbeddingTrie()
-        a = trie.extend_path(None, (0, 1))
-        b = trie.extend_path(trie.add_root(0), (2,))
+        trie, (a, b) = trie_from_paths([(0, 1), (0, 2)])
         assert a is not b
+        assert a.parent is b.parent
 
     def test_depth(self):
-        trie = EmbeddingTrie()
-        leaf = trie.extend_path(None, (5, 6, 7, 8))
+        _, (leaf,) = trie_from_paths([(5, 6, 7, 8)])
         assert leaf.depth() == 3
 
     def test_memory_bytes(self):
-        trie = EmbeddingTrie()
-        trie.extend_path(None, (0, 1, 2))
+        trie, _ = trie_from_paths([(0, 1, 2)])
         assert trie.memory_bytes() == 3 * NODE_BYTES
 
 
@@ -131,8 +105,6 @@ class TestTrieProperties:
             leaves.append(index[path])
         expected_nodes = len({p[: i + 1] for p in paths for i in range(3)})
         assert trie.num_nodes == expected_nodes
-        for leaf in set(map(id, leaves)):
-            pass
         for leaf in leaves:
             trie.remove_leaf(leaf)
         assert trie.num_nodes == 0

@@ -13,12 +13,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cluster
+from repro.cluster.machine import SimulatedMemoryError
+from repro.core import rmeef
+from repro.core.rads import RADSEngine
 from repro.engines import all_engines
 from repro.engines.bigjoin import BigJoinEngine
 from repro.engines.single import SingleMachineEngine
 from repro.enumeration import EnumerationStats, backtracking, enumerate_embeddings
 from repro.enumeration.vf2 import vf2_embeddings
-from repro.graph import erdos_renyi, grid_road_network
+from repro.graph import erdos_renyi, grid_road_network, powerlaw_cluster
 from repro.query import named_patterns, symmetry_breaking_constraints
 from repro.query.pattern_gen import random_connected_pattern
 from repro.runtime import ProcessExecutor, SerialExecutor
@@ -175,3 +178,94 @@ class TestKernelAgainstVF2:
         )
         assert sorted(whole[0]) == sorted(reference)
         assert whole[1].embeddings == len(reference)
+
+
+class TestRMeefAgainstVF2:
+    """RADS (SM-E + the R-Meef block kernel) vs the VF2 reference, over
+    generated patterns, graphs, cluster sizes and memory regimes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        size=st.integers(3, 5),
+        extra_edges=st.integers(0, 3),
+        pattern_seed=st.integers(0, 10_000),
+        graph_seed=st.integers(0, 10_000),
+        skewed=st.booleans(),
+        machines=st.integers(2, 4),
+        memory_mb=st.sampled_from([None, 0.05, 0.02]),
+        cache_fraction=st.sampled_from([0.35, 0.01, 0.0005]),
+    )
+    def test_generated_patterns_graphs_and_memory_regimes(
+        self, pools, size, extra_edges, pattern_seed, graph_seed, skewed,
+        machines, memory_mb, cache_fraction,
+    ):
+        pattern = random_connected_pattern(size, extra_edges, seed=pattern_seed)
+        if skewed:
+            graph = powerlaw_cluster(24, 3, 0.3, seed=graph_seed)
+        else:
+            graph = erdos_renyi(22, 0.25, seed=graph_seed)
+        capacity = None if memory_mb is None else int(memory_mb * 2**20)
+        base = Cluster.create(graph, machines, memory_capacity=capacity)
+
+        def rads(**run):
+            result = RADSEngine(cache_budget_fraction=cache_fraction).run(
+                base.fresh_copy(), pattern, **run
+            )
+            return result.to_dict()
+
+        whole = rads()
+        # A handful of rows per chunk: chunk ends fall inside emit
+        # segments, ancestor runs and known-epochs, so segment tails and
+        # cross-chunk cascades are exercised.  (Pool workers were forked
+        # earlier and keep the module's own constant.)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rmeef, "ROWS_PER_CHUNK", 3)
+            assert rads() == whole
+        parallel = {
+            workers: rads(executor=executor)
+            for workers, executor in pools.items() if workers <= 2
+        }
+        reference = parallel[1]
+        for record in parallel.values():
+            assert record == reference
+        expected = sorted(
+            vf2_embeddings(
+                graph.neighbors, graph.vertices(), pattern,
+                symmetry_breaking_constraints(pattern),
+            )
+        )
+        for record in (whole, reference):
+            if record["failed"]:
+                continue  # a genuine simulated OOM: nothing to compare
+            assert record["embedding_count"] == len(expected)
+            assert sorted(map(tuple, record["embeddings"])) == expected
+
+    def test_oom_split_and_retry_pins_ops_and_peak(self, monkeypatch):
+        """Region groups sized past the capacity split and retry; the
+        operations charged up to each simulated OOM and the memory
+        high-water mark are part of what a run reports."""
+        raised = []
+        process_group = rmeef.RMeefWorker.process_group
+
+        def counting(self, group, collect=True):
+            try:
+                return process_group(self, group, collect)
+            except SimulatedMemoryError:
+                raised.append(len(group))
+                raise
+
+        monkeypatch.setattr(rmeef.RMeefWorker, "process_group", counting)
+        graph = powerlaw_cluster(60, 3, 0.3, seed=7)
+        pattern = named_patterns()["q3"]
+        cluster = Cluster.create(graph, 4, memory_capacity=int(0.125 * 2**20))
+        result = RADSEngine(
+            results_budget_fraction=2.0, min_groups_per_machine=1
+        ).run(cluster, pattern)
+        assert not result.failed
+        assert raised and min(raised) > 1  # every OOM was split, none fatal
+        oracle = SingleMachineEngine().run(cluster.fresh_copy(), pattern)
+        assert sorted(result.embeddings) == sorted(oracle.embeddings)
+        assert result.counters["rmeef_ops"] == 66862
+        assert result.counters["trie_bytes"] == 344232
+        assert result.peak_memory == 116352
+        assert result.makespan == 0.000377575

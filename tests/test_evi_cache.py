@@ -1,51 +1,98 @@
-"""Tests for the edge verification index and the foreign-vertex cache."""
+"""Tests for the edge verification index (Def. 5, as R-Meef's block verify
+holds it) and the foreign-vertex cache."""
 
 import numpy as np
 import pytest
 
+from repro.cluster import Cluster
+from repro.cluster.costmodel import CostModel
 from repro.core.cache import ForeignVertexCache
-from repro.core.embedding_trie import EmbeddingTrie
-from repro.core.evi import EdgeVerificationIndex
+from repro.core.rmeef import RMeefWorker
+from repro.graph import Graph
+from repro.partition.partition import GraphPartition
+from repro.query import best_execution_plan
+from repro.query.patterns import triangle
 
 
 class TestEVI:
+    """A star around vertex 0 on machine 0; its neighbours 1, 2 live on
+    machine 1 and 3, 4 on machine 2, so every leaf-leaf edge of a triangle
+    rooted at 0 is undetermined there.  Only (1, 2) and (3, 4) exist."""
+
+    N = 5
+
     @pytest.fixture()
-    def leaves(self):
-        trie = EmbeddingTrie()
-        return [trie.extend_path(None, (i, i + 1)) for i in range(0, 9, 3)]
+    def worker(self):
+        graph = Graph.from_edges(
+            self.N, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)]
+        )
+        partition = GraphPartition(graph, np.array([0, 1, 1, 2, 2]))
+        cluster = Cluster(partition, CostModel(), None)
+        pattern = triangle()
+        # No symmetry breaking: both orientations of every pair show up.
+        return RMeefWorker(
+            cluster, pattern, best_execution_plan(pattern), [], 0,
+            ForeignVertexCache(),
+        )
 
-    def test_shared_edge_groups_ecs(self, leaves):
-        """Def. 5: ECs sharing an undetermined edge live under one key."""
-        evi = EdgeVerificationIndex()
-        evi.add((5, 9), leaves[0])
-        evi.add((9, 5), leaves[1])  # reversed endpoints, same edge
-        assert len(evi) == 1
-        assert len(evi.leaves_for((5, 9))) == 2
+    def key(self, a, b):
+        return min(a, b) * self.N + max(a, b)
 
-    def test_failed_leaves_dedup(self, leaves):
-        evi = EdgeVerificationIndex()
-        evi.add((1, 2), leaves[0])
-        evi.add((3, 4), leaves[0])  # same EC depends on two edges
-        evi.add((3, 4), leaves[1])
-        dead = evi.failed_leaves([(1, 2), (3, 4)])
-        assert len(dead) == 2  # leaf 0 counted once
+    def pieces(self, *edge_lists):
+        """One piece: leaf ``i`` depends on the edges of ``edge_lists[i]``."""
+        width = max(map(len, edge_lists))
+        pending = np.full((len(edge_lists), width), -1, dtype=np.int64)
+        for i, edges in enumerate(edge_lists):
+            pending[i, :len(edges)] = [self.key(*e) for e in edges]
+        leaves = np.zeros((len(edge_lists), 3), dtype=np.int64)
+        return [(leaves, np.zeros(len(edge_lists), dtype=np.int64), pending)]
 
-    def test_group_by_machine(self, leaves):
-        evi = EdgeVerificationIndex()
-        evi.add((0, 7), leaves[0])
-        evi.add((2, 9), leaves[1])
-        groups = evi.group_by_machine(lambda v: v % 2)
-        assert set(groups) == {0}
-        evi.add((1, 8), leaves[2])
-        groups = evi.group_by_machine(lambda v: v % 2)
-        assert sorted(groups) == [0, 1]
+    def test_shared_edge_groups_ecs(self, worker):
+        """Def. 5: ECs sharing an undetermined edge live under one key —
+        (5, 9) and (9, 5) are the same edge, asked once."""
+        found = worker.process_group([0])
+        assert sorted(found) == [(0, 1, 2), (0, 2, 1), (0, 3, 4), (0, 4, 3)]
+        network = worker._cluster.network
+        # 12 candidate rows, 6 distinct edges: five whose smaller endpoint
+        # machine 1 owns, one for machine 2; one round trip each.
+        assert network.messages == 4
+        assert network.bytes_sent[0].tolist() == [0, 5 * 16, 1 * 16]
+        assert network.bytes_sent[:, 0].tolist() == [0, 5, 1]
 
-    def test_contains_and_clear(self, leaves):
-        evi = EdgeVerificationIndex()
-        evi.add((4, 2), leaves[0])
-        assert (2, 4) in evi
-        evi.clear()
-        assert len(evi) == 0
+    def test_failed_leaves_dedup(self, worker):
+        """A leaf that depends on two failed edges is released once; a
+        failed edge takes every leaf that depends on it."""
+        rpcs = {}
+        rank = worker._verify(
+            self.pieces([(1, 3), (2, 3)], [(2, 3)], [(1, 2)]),
+            np.zeros(3, dtype=np.int64), rpcs,
+        )
+        assert rank.tolist() == [0, 1, -1]
+
+    def test_group_by_machine(self, worker):
+        """One request per owner of the smaller endpoint, and failed leaves
+        leave in (owner, first registration, row) order."""
+        rpcs = {}
+        rank = worker._verify(
+            self.pieces([(3, 2)], [(1, 4)], [(2, 3)], [(1, 3)], [(3, 4)]),
+            np.zeros(5, dtype=np.int64), rpcs,
+        )
+        # (2, 3) -> machine 1, first registered by leaf 0 and shared with
+        # leaf 2; (1, 4), (1, 3) -> machine 1; (3, 4) -> machine 2, exists.
+        assert rpcs == {0: [(1, 3), (2, 1)]}
+        assert rank.tolist() == [0, 2, 1, 3, -1]
+
+    def test_contains_and_clear(self, worker):
+        """Keys are orientation-free, and every emit segment starts from an
+        empty index: the same edge is asked again in the next segment."""
+        assert self.key(4, 2) == self.key(2, 4)
+        rpcs = {}
+        rank = worker._verify(
+            self.pieces([(2, 4)], [(4, 2)], [(2, 4)]),
+            np.array([0, 0, 1]), rpcs,
+        )
+        assert rpcs == {0: [(1, 1)], 1: [(1, 1)]}
+        assert rank.tolist() == [0, 1, 0]
 
 
 class TestForeignVertexCache:
@@ -54,13 +101,9 @@ class TestForeignVertexCache:
         adj = np.array([1, 2, 3], dtype=np.int64)
         cache.put(7, adj)
         assert 7 in cache
-        assert cache.get(7) is adj
-        assert cache.hits == 1
-
-    def test_miss_counted(self):
-        cache = ForeignVertexCache()
-        assert cache.get(3) is None
-        assert cache.misses == 1
+        assert cache.peek(7) is adj
+        assert cache.peek(3) is None
+        assert cache.vertices() == [7]
 
     def test_eviction_under_budget(self):
         cache = ForeignVertexCache(budget_bytes=100)
@@ -73,6 +116,15 @@ class TestForeignVertexCache:
         assert evicted == ForeignVertexCache.entry_bytes(a)
         assert 1 not in cache and 2 in cache and 3 in cache
         assert cache.evictions == 1
+
+    def test_make_room_then_put_evicts_once(self):
+        """The charge-first protocol: make room, pay, then insert."""
+        cache = ForeignVertexCache(budget_bytes=100)
+        for v in (1, 2):
+            cache.put(v, np.arange(5, dtype=np.int64))
+        assert cache.make_room(48) == [1]
+        assert cache.put(3, np.arange(5, dtype=np.int64)) == 0
+        assert cache.vertices() == [2, 3]
 
     def test_budget_respected(self):
         cache = ForeignVertexCache(budget_bytes=200)
@@ -95,43 +147,14 @@ class TestForeignVertexCache:
         assert released > 0
         assert len(cache) == 0 and cache.bytes_used == 0
 
-    def test_peek_no_stats(self):
-        cache = ForeignVertexCache()
-        cache.put(4, np.arange(2, dtype=np.int64))
-        cache.peek(4)
-        cache.peek(5)
-        assert cache.hits == 0 and cache.misses == 0
-
 
 class TestEvictionPolicies:
-    def _fill(self, cache):
+    def test_fifo_evicts_oldest_even_if_hot(self):
         # Three single-neighbour entries of 16 bytes each.
+        cache = ForeignVertexCache(budget_bytes=48)
         for v in (1, 2, 3):
             cache.put(v, np.array([v + 10], dtype=np.int64))
-
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError):
-            ForeignVertexCache(policy="mru")
-
-    def test_fifo_evicts_oldest_even_if_hot(self):
-        cache = ForeignVertexCache(budget_bytes=48, policy="fifo")
-        self._fill(cache)
-        cache.get(1)  # hot, but FIFO does not care
+        cache.peek(1)  # hot, but first in is first out
         cache.put(4, np.array([14], dtype=np.int64))
         assert 1 not in cache
         assert 2 in cache and 3 in cache and 4 in cache
-
-    def test_lru_keeps_hot_entry(self):
-        cache = ForeignVertexCache(budget_bytes=48, policy="lru")
-        self._fill(cache)
-        cache.get(1)  # refresh: 2 becomes the least recently used
-        cache.put(4, np.array([14], dtype=np.int64))
-        assert 1 in cache
-        assert 2 not in cache
-
-    def test_peek_does_not_refresh_lru(self):
-        cache = ForeignVertexCache(budget_bytes=48, policy="lru")
-        self._fill(cache)
-        cache.peek(1)
-        cache.put(4, np.array([14], dtype=np.int64))
-        assert 1 not in cache  # peek left 1 as the eviction victim

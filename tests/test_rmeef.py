@@ -197,3 +197,74 @@ class TestCacheCharging:
             ForeignVertexCache.entry_bytes(graph.neighbors(v)) for v in cache._entries
         )
         assert machine.memory_used == machine.memory_capacity - 40 + cache.bytes_used
+
+
+class TestTrieTimeline:
+    """The accounting the block kernel rebuilds: release cascades and the
+    16 KiB charging step."""
+
+    @staticmethod
+    def release(setting, frontier, leaves, leaf_rows, segment, when, closes):
+        import numpy as np
+
+        from repro.core.rmeef import _Round, _first_diff
+
+        worker, _ = build_worker(setting[1].fresh_copy(), named_patterns()["q2"], 0)
+        frontier, leaves = np.array(frontier), np.array(leaves)
+        state = _Round(
+            frontier, np.concatenate((_first_diff(frontier), [0, 0])), None,
+            rooted=frontier.shape[1] == 1, final=True, width=leaves.shape[1],
+        )
+        entries = np.zeros(len(leaves), dtype=np.int64)
+        worker._release(
+            state, entries, leaves, np.array(leaf_rows), np.array(segment),
+            np.array(when), np.array(closes),
+        )
+        return entries.tolist()
+
+    PAPER = [(0, 1, 2), (0, 1, 9), (0, 9, 11)]  # Example 6 / Fig. 5
+
+    def test_each_ancestor_goes_with_its_last_leaf(self, setting):
+        got = self.release(setting, [[0]], self.PAPER, [0, 0, 0], [0, 0, 0], [0, 1, 2], [0])
+        # 2 alone; 9 takes node 1; 11 takes node 9 and the root: 6 nodes.
+        assert got == [-1, -2, -3]
+
+    def test_release_order_moves_the_cascade(self, setting):
+        got = self.release(setting, [[0]], self.PAPER, [0, 0, 0], [0, 0, 0], [2, 0, 1], [0])
+        # (0, 1, 2) goes last and takes node 1 and the root with it.
+        assert got == [-1, -2, -3]
+        got = self.release(setting, [[0]], self.PAPER, [0, 0, 0], [0, 0, 0], [1, 2, 0], [0])
+        assert got == [-2, -1, -3]
+
+    def test_a_later_frontier_row_keeps_shared_ancestors(self, setting):
+        leaves, rows = [(0, 1, 2), (0, 1, 9)], [0, 0]
+        got = self.release(setting, [[0, 1], [0, 9]], leaves, rows, [0, 0], [0, 1], [0])
+        assert got == [-1, -2]  # row (0, 1) goes, root 0 still has (0, 9)
+        got = self.release(setting, [[0, 1], [5, 9]], leaves, rows, [0, 0], [0, 1], [0])
+        assert got == [-1, -3]
+
+    def test_a_surviving_leaf_pins_its_ancestors(self, setting):
+        from repro.core.rmeef import _NEVER
+
+        got = self.release(
+            setting, [[0]], self.PAPER, [0, 0, 0], [0, 0, 0], [_NEVER, 0, 1], [0]
+        )
+        assert got[:2] == [-1, -2]  # 9, then 11 with node 9; node 1 and root stay
+
+    def test_trie_bytes_reach_the_machine_in_16k_steps(self, setting):
+        import numpy as np
+
+        from repro.core.embedding_trie import NODE_BYTES
+
+        cluster = setting[1].fresh_copy()
+        worker, _ = build_worker(cluster, named_patterns()["q2"], 0)
+        machine = cluster.machine(0)
+        worker._feed(np.ones(682, dtype=np.int64))
+        assert machine.memory_used == 0  # 16 368 B: under the step
+        worker._feed(np.ones(1, dtype=np.int64))
+        assert machine.memory_used == 683 * NODE_BYTES
+        worker._feed(np.array([-300, -382, 5, -1]))
+        assert machine.memory_used == 683 * NODE_BYTES  # -682 nodes: held back
+        worker._feed(np.array([-5]))
+        assert machine.memory_used == 0
+        assert worker._ops == 683 + 300 + 382 + 5 + 1 + 5
