@@ -266,27 +266,27 @@ class RMeefWorker:
         OOM the ops up to the entry that raised are kept and
         ``self._oom_entry`` names it.
         """
-        if not len(entries):
-            return
+        # Running balance against the last flush; a flush needs at least
+        # `_FLUSH_NODES` entries' worth of nodes, so search window by window.
         balance = np.cumsum(entries)
-        balance += self._trie_delta
+        flushed = -self._trie_delta
         start = 0
-        while True:
-            hit = start + _first_true(
-                np.abs(balance[start:]) >= _FLUSH_NODES
-            )
-            if hit == len(entries):
-                break
-            nodes = int(balance[hit])
-            try:
-                self._flush(nodes)
-            except SimulatedMemoryError:
-                self._ops += int(np.abs(entries[: hit + 1]).sum())
-                self._oom_entry = hit
-                raise
-            start = hit + 1
-            balance[start:] -= nodes
-        self._trie_delta = int(balance[-1]) if start < len(entries) else 0
+        while start < len(entries):
+            window = balance[start:start + 4 * _FLUSH_NODES] - flushed
+            hit = start + _first_true(np.abs(window) >= _FLUSH_NODES)
+            if hit < start + len(window):
+                nodes = int(balance[hit]) - flushed
+                try:
+                    self._flush(nodes)
+                except SimulatedMemoryError:
+                    self._ops += int(np.abs(entries[: hit + 1]).sum())
+                    self._oom_entry = hit
+                    raise
+                flushed += nodes
+                hit += 1
+            start = hit
+        if len(entries):
+            self._trie_delta = int(balance[-1]) - flushed
         self._ops += int(np.abs(entries).sum())
 
     def _flush(self, nodes: int) -> None:
@@ -722,22 +722,23 @@ class RMeefWorker:
         holders, keys = np.concatenate(holders), np.concatenate(keys)
         graph = self._graph
         where = segment[holders]
-        for s in np.unique(where).tolist():
-            lo, hi = np.searchsorted(where, [s, s + 1])
+        bounds = np.flatnonzero(np.diff(where, prepend=-1, append=-1))
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             holder = holders[lo:hi]
             edges, first, inverse = np.unique(
                 keys[lo:hi], return_index=True, return_inverse=True
             )
             small, big = np.divmod(edges, graph.num_vertices)
             owner = self._owner[small]
-            asked = np.lexsort((first, owner))
-            owners, counts = np.unique(owner, return_counts=True)
-            rpcs[s] = list(zip(owners.tolist(), counts.tolist()))
+            asked = np.bincount(owner)
+            rpcs[int(where[lo])] = [
+                (m, int(asked[m])) for m in np.flatnonzero(asked).tolist()
+            ]
             missing = ~graph.has_edges(small, big)
             if not missing.any():
                 continue
             place = np.full(len(edges), _NEVER)
-            place[asked] = np.arange(len(edges))
+            place[np.lexsort((first, owner))] = np.arange(len(edges))
             place[~missing] = _NEVER
             # A leaf dies with the first failed edge it registered under.
             starts = np.flatnonzero(np.diff(holder, prepend=-1))
