@@ -1,28 +1,78 @@
 """R-Meef: region-grouped multi-round expand, verify & filter
-(paper Sec. 3.2, Algorithms 1-2, Appendix B).
+(paper Sec. 3.2, Algorithms 1-2, Appendix B) — one block kernel per round.
 
-One :class:`RMeefWorker` runs on one *executor* machine.  It processes a
-region group of start candidates through ``|PL|`` rounds; in round ``i`` the
-embeddings of ``P_{i-1}`` (stored in the embedding trie) are expanded through
-decomposition unit ``dp_i``:
+One :class:`RMeefWorker` runs on one *executor* machine and takes a region
+group of start candidates through ``|PL|`` rounds; round ``i`` expands the
+embeddings of ``P_{i-1}`` through decomposition unit ``dp_i``.  No
+intermediate result ever leaves the executor; what crosses the wire is
+`fetchV` (adjacency of foreign pivots, cached) and `verifyE` (edges neither
+endpoint of which is known locally).
 
-- the adjacency lists of foreign pivots are batch-fetched (`fetchV`) and
-  cached;
-- candidates for each leaf come from intersecting the locally-known
-  adjacency of already-matched neighbours;
-- verification edges whose endpoints both lack local adjacency become
-  *undetermined* and are registered in the edge-verification index;
-- one `verifyE` batch per remote machine then filters failed embedding
-  candidates out of the trie (cascade removal).
+**Block layout.**  A round's frontier is an ``(n, k)`` int64 array, one row
+per embedding of ``P_{i-1}``, columns in matching order, rows in depth-first
+order.  That array *is* the embedding trie of Def. 11: a level-``j`` node is
+a maximal run of rows sharing their first ``j + 1`` columns (sibling values
+are distinct, so a path names its node), which is also how
+:class:`repro.store.columnar.TrieColumns` persists it.  ``_first_diff`` —
+the first column in which a row differs from the row before — is the whole
+structure: a row opens new nodes at every level from there down.
 
-No intermediate results ever leave the executor machine.
+**One step per unit position** (:meth:`RMeefWorker._expand`): gather the
+pivot's CSR range as ``(row, candidate)`` pairs; filter them with
+:meth:`Graph.has_edges` against every refine vertex whose adjacency is
+*known* (``owned | cached``, a boolean vertex mask kept in step with the
+:class:`ForeignVertexCache`) and defer the others; apply symmetry bounds,
+injectivity and known-degree as masks; then settle the deferred edges by
+``has_edges`` where the candidate is known, or carry them as undetermined
+edge-key columns to the unit's last position.  Every stage is a stable
+filter, so blocks stay in depth-first order.
 
-Region groups are independent units of work: under the serial backend the
-RADS scheduler interleaves workers by virtual clock, while under the
-process backend (:mod:`repro.runtime`) each worker is constructed inside
-an OS worker process against a shared-memory replica of the cluster and
-drains one machine's whole queue; either way the per-group computation —
-and therefore the embedding count — is identical.
+**Counter arithmetic.**  ``rmeef_ops`` feeds the simulated clocks, so the
+recursion's count is reproduced from block shapes, not redefined: per known
+refine ``sum(min(pairs alive in the row, degree))`` (an emptied row adds
+zero — the recursion's early exit), the pairs surviving the bounds, one per
+deferred check actually made (a candidate stops at its first failed
+check), one per start candidate, and one per trie node created or released.
+
+**Entry timeline.**  Trie memory reaches the machine through a 16 KiB
+hysteresis, so the *order* of node creations and releases decides
+``trie_bytes``, ``peak_memory`` and which allocation raises.  Each chunk
+therefore rebuilds the sequence of signed node counts the recursion would
+have produced, from subtree lengths: a node's creation is ``+1`` at its
+pre-order slot; a dead end (no descendant reached the unit's last
+position) is detached ``-1`` at its post-order slot; a frontier row left
+childless, a leaf whose `verifyE` failed and an emitted leaf are released
+``-(1 + cascade)``.  The cascade is attribution: an ancestor goes with the
+last of its descendants to go — the maximum slot over its run — so one
+``np.maximum.reduceat`` per level tells each release how many ancestors it
+takes along.  The cumulative sum of the timeline runs through the
+hysteresis into the same :meth:`Machine.allocate` / :meth:`Machine.free`
+calls in the same order; when one raises, the operations charged up to
+exactly that entry are read off the same slots.
+
+**Emit boundaries.**  In the final round verified rows are output, not
+state: once the trie outgrows ``flush_threshold`` after a frontier row, the
+segment since the last emit is verified, emitted and dropped.  Alive nodes
+after row ``r`` of a segment started at ``a`` have a closed form — the rows
+not yet processed and their ancestors, plus a cumulative sum of what each
+row left behind (its live subtree, or minus itself and its cascade) — so a
+boundary is one vector comparison, and the common case of a frontier that
+is over the threshold by itself (every row its own segment) is found as
+one prefix.  One ``np.unique`` per segment that has undetermined edges is
+the EVI of Def. 5: one `verifyE` per owner of the smaller endpoint, failed
+rows released in (owner, first registration, row) order.
+
+**Chunks and known-epochs.**  A round is expanded ``ROWS_PER_CHUNK``
+frontier rows at a time, and segments that close are accounted and dropped
+before the next chunk, so the transient pair arrays stay bounded.  The
+known mask only changes at a `fetchV`, which happens at round start or at
+a row's first position when a starved cache has evicted its pivot; a chunk
+ends at such a miss, so every chunk sees one mask and the same block code
+serves a one-entry cache.
+
+Region groups are independent units of work: the serial backend interleaves
+workers by virtual clock, the process backend (:mod:`repro.runtime`) drains
+one machine's queue per OS process; the per-group computation is identical.
 """
 
 from __future__ import annotations
@@ -135,6 +185,57 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return np.cumsum(counts) - counts
 
 
+def _subtrees(
+    parents: list[np.ndarray], sizes: list[int]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per level of a chunk's expansion, bottom-up: which nodes are live
+    (some descendant reached the unit's last position; the others are
+    detached on the way back) and how many timeline entries each subtree
+    produces (its creation, its descendants', its detach if dead)."""
+    depth = len(parents)
+    live = [np.ones(sizes[-1], dtype=bool)] * depth
+    span = [np.ones(sizes[-1], dtype=np.int64)] * depth
+    for lv in range(depth - 2, -1, -1):
+        below, size = parents[lv + 1], sizes[lv + 1]
+        live[lv] = np.bincount(below[live[lv + 1]], minlength=size) > 0
+        span[lv] = 1 + ~live[lv] + np.bincount(
+            below, weights=span[lv + 1], minlength=size
+        ).astype(np.int64)
+    return live, span
+
+
+def _place(
+    entries: np.ndarray,
+    levels: list[_Level],
+    live: list[np.ndarray],
+    span: list[np.ndarray],
+    sizes: list[int],
+    child_base: np.ndarray,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Write creations (+1, pre-order) and detaches (-1, post-order) into
+    ``entries``, top-down from ``child_base`` (per frontier row, the slot
+    of its first child).  Returns per level the slot of every node and,
+    per checked pair, the slot its node takes or would have taken."""
+    slots, times = [], []
+    for lv, level in enumerate(levels):
+        weight = span[lv]
+        if level.passed is not None:
+            weight = np.zeros(len(level.parent), dtype=np.int64)
+            weight[level.passed] = span[lv]
+        before = _offsets(weight)
+        heads = _offsets(np.bincount(level.parent, minlength=sizes[lv]))
+        heads = np.append(before, 0)[heads]
+        when = child_base[level.parent] + before - heads[level.parent]
+        slot = when if level.passed is None else when[level.passed]
+        entries[slot] = 1
+        dead = ~live[lv]
+        entries[slot[dead] + span[lv][dead] - 1] = -1
+        slots.append(slot)
+        times.append(when)
+        child_base = slot + 1
+    return slots, times
+
+
 class RMeefWorker:
     """Executes region groups of query ``pattern`` on machine ``executor``."""
 
@@ -173,7 +274,10 @@ class RMeefWorker:
         self._ops = 0
         self._trie_delta = 0      # nodes not yet flushed to the machine
         self._trie_charged = 0    # bytes the machine holds for the trie
-        self._oom_entry = 0
+        self._oom_entry = 0       # entry of the last `_feed` that raised
+        self._collect = True
+        self._emitted: list[np.ndarray] = []   # final-round rows, per segment
+        self._emit_count = 0
         self.embeddings_found = 0
         self.last_group_count = 0
 
@@ -324,9 +428,7 @@ class RMeefWorker:
     def _process_group(
         self, group: list[int], collect: bool
     ) -> list[tuple[int, ...]]:
-        self._emitted: list[np.ndarray] = []
-        self._emit_count = 0
-        self._collect = collect
+        self._emitted, self._emit_count, self._collect = [], 0, collect
         # Round 0: start candidates (foreign when the group was stolen).
         self._fetch_vertices(group)
         frontier = np.sort(np.asarray(group, dtype=np.int64))[:, None]
@@ -471,43 +573,30 @@ class RMeefWorker:
     def _chunk(self, state: _Round, c0: int, c1: int) -> None:
         rows = c1 - c0
         k = state.frontier.shape[1]
-        block = state.frontier[c0:c1]
-        valid = None
-        if state.rooted:
-            valid = self._degrees[block[:, 0]] >= self._info[0].min_degree
+        block, pending = state.frontier[c0:c1], None
+        created = np.zeros(rows, dtype=np.int64)
+        if state.rooted:  # start candidates become roots if their degree allows
+            created += self._degrees[block[:, 0]] >= self._info[0].min_degree
         levels: list[_Level] = []
-        pending = None
         for position in range(1 if state.rooted else k, state.width):
-            level = self._expand(block, pending, position, valid if not levels else None)
+            level = self._expand(
+                block, pending, position,
+                created if state.rooted and not levels else None,
+            )
             levels.append(level)
             block, pending = level.block, level.pending
-        depth = len(levels)
         parents = [level.node_parent for level in levels]
         sizes = [rows] + [len(p) for p in parents]
-
-        # Bottom-up: dead ends (no descendant reached the last position)
-        # and the timeline entries per subtree (creation, descendants,
-        # detach if dead).
-        live = [np.ones(sizes[-1], dtype=bool)] * depth
-        span = [np.ones(sizes[-1], dtype=np.int64)] * depth
-        for lv in range(depth - 2, -1, -1):
-            below = parents[lv + 1]
-            live[lv] = np.bincount(below[live[lv + 1]], minlength=sizes[lv + 1]) > 0
-            span[lv] = 1 + ~live[lv] + np.bincount(
-                below, weights=span[lv + 1], minlength=sizes[lv + 1]
-            ).astype(np.int64)
+        live, span = _subtrees(parents, sizes)
         has = np.bincount(parents[0][live[0]], minlength=rows) > 0
-        if valid is None:
-            created, childless = np.zeros(rows, dtype=np.int64), ~has
-        else:
-            created, childless = valid.astype(np.int64), valid & ~has
+        childless = ~has & (created > 0) if state.rooted else ~has
         total = created + childless + np.bincount(
             parents[0], weights=span[0], minlength=rows
         ).astype(np.int64)
         # The frontier row of every node, and what each row keeps alive.
         root = parents[0]
         left = np.bincount(root[live[0]], minlength=rows)
-        for lv in range(1, depth):
+        for lv in range(1, len(levels)):
             root = root[parents[lv]]
             left += np.bincount(root[live[lv]], minlength=rows)
         leaves, leaf_rows = block, root + c0
@@ -516,38 +605,40 @@ class RMeefWorker:
         # with its live subtree.  A childless row goes and takes along the
         # ancestors whose run it ends: all of those if no row of its
         # segment has kept leaves yet (`lone`), else only the ones it does
-        # not share with the last row that did (`after`).
+        # not share with the last row that did (`after`; `reach` is the
+        # first column in which a row differs from that one).
         diff = state.diff
-        ends = k - 1 - diff[c0 + 1:c1 + 1]
+        ends = np.maximum(k - 1 - diff[c0 + 1:c1 + 1], 0)
         since = _offsets(has)
         reach = np.minimum.accumulate(diff[c0:c1] - since * k) + since * k
-        head = since == 0
-        reach[head] = np.minimum(reach[head], state.reach)
-        lone = created - 1 - np.maximum(ends, 0)
-        after = created - 1 - np.maximum(np.minimum(ends, k - 1 - reach), 0)
+        reach[since == 0] = np.minimum(reach[since == 0], state.reach)
+        lone = -1 - ends
+        after = -1 - np.maximum(np.minimum(ends, k - 1 - reach), 0)
         gain = has * (created + left)
-        net_lone = gain + childless * lone
-        net_after = gain + childless * after
-        index = np.arange(c0, c1)
-        prior = np.maximum.accumulate(np.where(has, index, state.prior))
+        prior = np.maximum.accumulate(np.where(has, np.arange(c0, c1), state.prior))
         prior = np.concatenate(([state.prior], prior[:-1]))
 
         begin = state.begin
         if state.final:
-            closes = self._boundaries(state, c0, c1, has, net_lone, net_after)
+            closes = self._boundaries(
+                state, c0, c1, has,
+                gain + childless * (created + lone),
+                gain + childless * (created + after),
+            )
+        elif c1 == len(state.frontier):
+            closes = np.array([rows - 1])   # a round is one segment
         else:
-            closes = np.arange(rows - 1, rows)[: c1 == len(state.frontier)]
-        closing = len(closes)
+            closes = np.zeros(0, dtype=np.int64)
         segment = np.searchsorted(closes, np.arange(rows))
         begins = np.concatenate(([begin], closes + (c0 + 1)))
-        cascade = np.where(prior >= begins[segment], after, lone) - created
+        cascade = np.where(prior >= begins[segment], after, lone)
 
         # Leaves of the segments that close here: verify them, and count
         # the release entries that follow each closing row.
         removal = np.zeros(rows, dtype=np.int64)
         rpcs: dict[int, list[tuple[int, int]]] = {}
-        done = None
-        if closing:
+        done = leaves[:0]
+        if len(closes):
             cut = int(np.searchsorted(leaf_rows, c0 + closes[-1], side="right"))
             pieces = state.open + [
                 (leaves[:cut], leaf_rows[:cut], None if pending is None else pending[:cut])
@@ -560,8 +651,8 @@ class RMeefWorker:
             done_segment = segment[np.maximum(done_rows - c0, 0)]
             failed_rank = self._verify(pieces, done_segment, rpcs)
             failed = failed_rank >= 0
-            per_segment = np.bincount(done_segment, minlength=closing)
-            failed_per = np.bincount(done_segment[failed], minlength=closing)
+            per_segment = np.bincount(done_segment, minlength=len(closes))
+            failed_per = np.bincount(done_segment[failed], minlength=len(closes))
             removal[closes] = per_segment if state.final else failed_per
         if len(leaves):
             state.open.append((leaves, leaf_rows, pending))
@@ -573,38 +664,26 @@ class RMeefWorker:
         entries[base[created > 0]] = 1
         gone = np.flatnonzero(childless)
         entries[base[gone] + total[gone] - 1] = cascade[gone]
-        slots, times = [], []
-        child_base = base + created
-        for lv, level in enumerate(levels):
-            weight = span[lv]
-            if level.passed is not None:
-                weight = np.zeros(len(level.parent), dtype=np.int64)
-                weight[level.passed] = span[lv]
-            before = _offsets(weight)
-            heads = _offsets(np.bincount(level.parent, minlength=sizes[lv]))
-            heads = np.append(before, 0)[heads]
-            when = child_base[level.parent] + before - heads[level.parent]
-            slot = when if level.passed is None else when[level.passed]
-            entries[slot] = 1
-            dead = ~live[lv]
-            entries[slot[dead] + span[lv][dead] - 1] = -1
-            slots.append(slot)
-            times.append(when)
-            child_base = slot + 1
+        slots, times = _place(entries, levels, live, span, sizes, base + created)
 
-        if done is not None and len(done):
-            first = _offsets(per_segment)
-            order = np.arange(len(done)) - first[done_segment]
+        if len(done):
+            # Within a segment the failed leaves go first, in `verifyE`
+            # order; in the final round the others follow, in row order.
+            first = _offsets(per_segment)[done_segment]
+            order = np.arange(len(done)) - first
             if failed.any():
                 ahead = _offsets(failed.astype(np.int64))
-                ahead -= ahead[first[done_segment]]
                 order = np.where(
-                    failed, failed_rank, failed_per[done_segment] + order - ahead
+                    failed, failed_rank,
+                    failed_per[done_segment] + order - (ahead - ahead[first]),
                 )
             when = (base + total)[closes][done_segment] + order
             if not state.final:
                 when = np.where(failed, when, _NEVER)
-            self._release(state, entries, done, done_rows, done_segment, when, closes + c0)
+            if state.final or failed.any():
+                self._release(
+                    state, entries, done, done_rows, done_segment, when, closes + c0
+                )
             survivors = done[~failed] if failed.any() else done
             if not state.final:
                 state.kept.append(survivors)
@@ -614,7 +693,7 @@ class RMeefWorker:
                     self._emitted.append(survivors)
 
         # Feed the timeline; a `verifyE` goes out where its segment closes.
-        fed = 0
+        fed, at = 0, len(entries)
         try:
             for s in sorted(rpcs):
                 stop = int(base[closes[s]] + total[closes[s]])
@@ -623,28 +702,24 @@ class RMeefWorker:
                 self._send_verify(rpcs[s])
             self._feed(entries[fed:])
         except SimulatedMemoryError:
-            # Charge what the recursion had charged when this entry raised:
-            # the start candidates reached, the calls begun, and the
-            # deferred checks made, by their place in the timeline.
             at = fed + self._oom_entry
-            self._ops += int((base <= at).sum()) if state.rooted else 0
-            self._ops += int(levels[0].pre_ops[base + created <= at].sum())
-            for lv, level in enumerate(levels):
-                if lv:
-                    self._ops += int(level.pre_ops[slots[lv - 1] < at].sum())
-                if level.checks is not None:
-                    self._ops += int(level.checks[times[lv] <= at].sum())
             raise
-        self._ops += rows * state.rooted
-        for level in levels:
-            self._ops += int(level.pre_ops.sum())
-            if level.checks is not None:
-                self._ops += int(level.checks.sum())
+        finally:
+            # What the recursion has charged, besides the entries, when
+            # entry `at` is accounted: a start candidate when its turn
+            # comes, a call's intersections and bounds when its node
+            # exists, a candidate's deferred checks before its node does.
+            if state.rooted:
+                self._ops += int((base <= at).sum())
+            begun = [base + created <= at] + [slot < at for slot in slots]
+            for level, call, when in zip(levels, begun, times):
+                self._ops += int(level.pre_ops[call].sum())
+                if level.checks is not None:
+                    self._ops += int(level.checks[when <= at].sum())
 
         # What the next chunk needs to know about this one.
-        kept_leaves = np.flatnonzero(has)
-        if len(kept_leaves):
-            state.prior = c0 + int(kept_leaves[-1])
+        if has.any():
+            state.prior = int(prior[-1]) if not has[-1] else c1 - 1
         state.reach = k if has[-1] else int(reach[-1])
 
     def _boundaries(
