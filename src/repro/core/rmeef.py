@@ -131,12 +131,9 @@ class _Level:
     passed: np.ndarray | None
     checks: np.ndarray | None     # deferred checks made, per pair
     pre_ops: np.ndarray           # ops charged before the pairs, per parent row
+    made: np.ndarray              # the parent of every node created
     block: np.ndarray             # the nodes created, one row each
     pending: np.ndarray | None    # their undetermined edge keys (-1: none)
-
-    @property
-    def node_parent(self) -> np.ndarray:
-        return self.parent if self.passed is None else self.parent[self.passed]
 
 
 @dataclass
@@ -183,6 +180,11 @@ def _first_true(mask: np.ndarray) -> int:
 def _offsets(counts: np.ndarray) -> np.ndarray:
     """Exclusive prefix sums."""
     return np.cumsum(counts) - counts
+
+
+def _join(arrays: list[np.ndarray]) -> np.ndarray:
+    """Concatenation that does not copy a single array."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _subtrees(
@@ -460,11 +462,9 @@ class RMeefWorker:
         rooted = unit == 0
         diff = np.concatenate((_first_diff(frontier), [0, 0]))
         # Nodes above the frontier that are ancestors of some row >= a:
-        # the k - 1 on row a's path, and those later rows open.
-        opened = np.zeros(n + 1, dtype=np.int64)
-        opened[:n] = k - 1 - diff[:n]
-        above = np.zeros(n + 1, dtype=np.int64)
-        above[:n] = (k - 1) + np.cumsum(opened[::-1])[::-1][1:]
+        # the k - 1 on row a's path, and those the later rows open.
+        opened = np.append(k - 1 - diff[1:n], 0)
+        above = np.append((k - 1) + np.cumsum(opened[::-1])[::-1], 0)
         state = _Round(
             frontier, diff, above, rooted, final, self._prefix_len[unit],
             reach=k,
@@ -485,7 +485,7 @@ class RMeefWorker:
             c0 = c1
         if not state.kept:
             return np.empty((0, state.width), dtype=np.int64)
-        return np.concatenate(state.kept)
+        return _join(state.kept)
 
     # ------------------------------------------------------------------
     # One unit position (Algorithm 2), for every row of a block
@@ -558,14 +558,15 @@ class RMeefWorker:
                 )
                 fresh = np.where(undetermined, keys, -1)[passed]
             cand = cand[passed]
-        level = _Level(row, passed, checks, pre_ops, cand, None)
-        made = level.node_parent
-        level.block = np.concatenate((block[made], cand[:, None]), axis=1)
+        made = row if passed is None else row[passed]
         if pending is None or fresh is None:
-            level.pending = fresh if pending is None else pending[made]
+            pending = fresh if pending is None else pending[made]
         else:
-            level.pending = np.concatenate((pending[made], fresh), axis=1)
-        return level
+            pending = np.concatenate((pending[made], fresh), axis=1)
+        return _Level(
+            row, passed, checks, pre_ops, made,
+            np.concatenate((block[made], cand[:, None]), axis=1), pending,
+        )
 
     # ------------------------------------------------------------------
     # One chunk of frontier rows: expand, then account
@@ -585,7 +586,7 @@ class RMeefWorker:
             )
             levels.append(level)
             block, pending = level.block, level.pending
-        parents = [level.node_parent for level in levels]
+        parents = [level.made for level in levels]
         sizes = [rows] + [len(p) for p in parents]
         live, span = _subtrees(parents, sizes)
         has = np.bincount(parents[0][live[0]], minlength=rows) > 0
@@ -646,8 +647,8 @@ class RMeefWorker:
             state.open = []
             leaves, leaf_rows = leaves[cut:], leaf_rows[cut:]
             pending = None if pending is None else pending[cut:]
-            done = np.concatenate([p[0] for p in pieces])
-            done_rows = np.concatenate([p[1] for p in pieces])
+            done = _join([p[0] for p in pieces])
+            done_rows = _join([p[1] for p in pieces])
             done_segment = segment[np.maximum(done_rows - c0, 0)]
             failed_rank = self._verify(pieces, done_segment, rpcs)
             failed = failed_rank >= 0
@@ -794,7 +795,7 @@ class RMeefWorker:
             offset += len(leaves)
         if not holders:
             return rank
-        holders, keys = np.concatenate(holders), np.concatenate(keys)
+        holders, keys = _join(holders), _join(keys)
         graph = self._graph
         where = segment[holders]
         bounds = np.flatnonzero(np.diff(where, prepend=-1, append=-1))

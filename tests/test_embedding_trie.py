@@ -1,6 +1,5 @@
 """Tests for the embedding trie (paper Sec. 5)."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.embedding_trie import (

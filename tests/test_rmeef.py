@@ -1,13 +1,16 @@
 """Focused tests for the R-Meef worker (trie maintenance, EVI, caching)."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import Cluster
+from repro.cluster.machine import SimulatedMemoryError
 from repro.core.cache import ForeignVertexCache
-from repro.core.rmeef import RMeefWorker
+from repro.core.embedding_trie import NODE_BYTES
+from repro.core.rmeef import _NEVER, RMeefWorker, _first_diff, _Round
 from repro.core.sme import SingleMachineSplit
 from repro.engines import SingleMachineEngine
-from repro.graph import erdos_renyi
+from repro.graph import erdos_renyi, powerlaw_cluster
 from repro.query import best_execution_plan, named_patterns
 from repro.query.symmetry import symmetry_breaking_constraints
 
@@ -177,9 +180,6 @@ class TestCacheCharging:
         leave the vertex cached but uncharged — the split-and-retry would
         see it as known for free, and its eviction would release bytes
         that were never allocated."""
-        from repro.cluster.machine import SimulatedMemoryError
-        from repro.graph import powerlaw_cluster
-
         graph = powerlaw_cluster(60, 3, 0.3, seed=7)
         cluster = Cluster.create(graph, 4, memory_capacity=int(0.01 * 2**20))
         worker, _ = build_worker(cluster, named_patterns()["q2"], 0)
@@ -205,10 +205,6 @@ class TestTrieTimeline:
 
     @staticmethod
     def release(setting, frontier, leaves, leaf_rows, segment, when, closes):
-        import numpy as np
-
-        from repro.core.rmeef import _Round, _first_diff
-
         worker, _ = build_worker(setting[1].fresh_copy(), named_patterns()["q2"], 0)
         frontier, leaves = np.array(frontier), np.array(leaves)
         state = _Round(
@@ -244,18 +240,12 @@ class TestTrieTimeline:
         assert got == [-1, -3]
 
     def test_a_surviving_leaf_pins_its_ancestors(self, setting):
-        from repro.core.rmeef import _NEVER
-
         got = self.release(
             setting, [[0]], self.PAPER, [0, 0, 0], [0, 0, 0], [_NEVER, 0, 1], [0]
         )
         assert got[:2] == [-1, -2]  # 9, then 11 with node 9; node 1 and root stay
 
     def test_trie_bytes_reach_the_machine_in_16k_steps(self, setting):
-        import numpy as np
-
-        from repro.core.embedding_trie import NODE_BYTES
-
         cluster = setting[1].fresh_copy()
         worker, _ = build_worker(cluster, named_patterns()["q2"], 0)
         machine = cluster.machine(0)
