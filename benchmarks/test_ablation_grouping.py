@@ -12,8 +12,8 @@ isolates.
 
 from conftest import run_once
 
+from repro.api.config import RunConfig
 from repro.bench.experiments import bench_graph
-from repro.bench.harness import make_cluster
 from repro.core.rads import RADSEngine
 from repro.query import paper_query
 
@@ -26,7 +26,7 @@ def run_grid():
     rows = []
     for dataset in DATASETS:
         graph = bench_graph(dataset)
-        base = make_cluster(graph, 10)
+        base = RunConfig(machines=10).make_cluster(graph)
         for qname in QUERIES:
             pattern = paper_query(qname)
             row = {"dataset": dataset, "query": qname}

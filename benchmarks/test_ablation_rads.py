@@ -8,8 +8,8 @@ it should matter most.
 
 from conftest import run_once
 
+from repro.api.config import RunConfig
 from repro.bench.experiments import bench_graph
-from repro.bench.harness import make_cluster
 from repro.core.rads import RADSEngine
 from repro.query import paper_query
 
@@ -24,7 +24,7 @@ def run_variants():
     rows = []
     for dataset_name, qname in (("roadnet", "q1"), ("dblp", "q5")):
         graph = bench_graph(dataset_name)
-        base = make_cluster(graph, 10)
+        base = RunConfig(machines=10).make_cluster(graph)
         row = {"dataset": dataset_name, "query": qname}
         counts = set()
         for label, engine in variants.items():

@@ -8,8 +8,8 @@ round position entirely, large rho cares only about the first round.
 
 from conftest import run_once
 
+from repro.api.config import RunConfig
 from repro.bench.experiments import bench_graph
-from repro.bench.harness import make_cluster
 from repro.core.rads import RADSEngine
 from repro.query import paper_query
 from repro.query.plan import best_execution_plan
@@ -21,7 +21,7 @@ DATASET = "dblp"
 
 def run_sweep():
     graph = bench_graph(DATASET)
-    base = make_cluster(graph, 10)
+    base = RunConfig(machines=10).make_cluster(graph)
     table: dict[float, dict[str, float]] = {}
     counts: dict[str, set[int]] = {q: set() for q in QUERIES}
     for rho in RHOS:

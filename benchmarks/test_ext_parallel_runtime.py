@@ -17,6 +17,7 @@ import time
 
 from conftest import run_once
 
+from repro.api.config import RunConfig
 from repro.bench.experiments import bench_graph
 from repro.bench.harness import run_query_grid
 from repro.core.rads import RADSEngine
@@ -59,9 +60,8 @@ def _grid(graph, workers: int):
         "roadnet",
         QUERIES,
         engines={"RADS": RADSEngine()},
-        num_machines=10,
+        config=RunConfig(machines=10, workers=workers),
         check_consistency=False,
-        workers=workers,
     )
 
 

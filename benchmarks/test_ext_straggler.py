@@ -8,8 +8,8 @@ that of the slowest machine".  This bench slows one of ten machines by
 
 from conftest import run_once
 
+from repro.api.config import RunConfig
 from repro.bench.experiments import bench_graph
-from repro.bench.harness import make_cluster
 from repro.core.rads import RADSEngine
 from repro.engines import PSgLEngine, SEEDEngine, TwinTwigEngine
 from repro.query import paper_query
@@ -21,7 +21,7 @@ DATASET = "dblp"
 
 def run_sweep():
     graph = bench_graph(DATASET)
-    base = make_cluster(graph, 10)
+    base = RunConfig(machines=10).make_cluster(graph)
     engines = {
         "RADS": RADSEngine,
         "PSgL": PSgLEngine,

@@ -104,8 +104,6 @@ _EXPORTS: dict[str, tuple[str, str]] = {
     "CostModel": ("repro.cluster.costmodel", "CostModel"),
     "RADSEngine": ("repro.core.rads", "RADSEngine"),
     "RunResult": ("repro.engines.base", "RunResult"),
-    "all_engines": ("repro.engines", "all_engines"),
-    "extended_engines": ("repro.engines", "extended_engines"),
     "enumerate_embeddings": (
         "repro.enumeration.backtracking", "enumerate_embeddings"
     ),

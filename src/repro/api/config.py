@@ -1,8 +1,8 @@
 """Validated run configuration shared by every entry point.
 
 :class:`RunConfig` replaces the long positional-argument tails that used
-to be threaded through ``EnumerationEngine.run`` / ``make_cluster`` /
-``run_query_grid``: one frozen, validated dataclass describes the
+to be threaded through ``EnumerationEngine.run`` and the benchmark
+harness: one frozen, validated dataclass describes the
 simulated cluster (machines, per-machine memory, partitioner, cost model,
 stragglers), the execution backend (workers) and the result mode
 (collect/limit).  Invalid values raise :class:`ConfigError` at

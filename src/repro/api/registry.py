@@ -1,12 +1,10 @@
 """Engine registry: the one place that knows every enumeration approach.
 
-Historically the repo grew three divergent engine listings
-(``engines.all_engines()``, ``engines.extended_engines()`` and an ad-hoc
-dict in ``cli.py``) plus per-call-site construction hacks (Crystal's
-prebuilt clique index, RADS's plan provider).  The registry replaces all
-of them: each engine is registered once with a canonical name, aliases,
-capability metadata and a factory, and every entry point (CLI, bench
-harness, :class:`repro.api.session.Session`) resolves engines here.
+Each engine is registered once with a canonical name, aliases,
+capability metadata and a factory (which owns construction details such
+as Crystal's prebuilt clique index or RADS's plan provider), and every
+entry point (CLI, bench harness, :class:`repro.api.session.Session`)
+resolves engines here.
 
 Lookups are case-insensitive over canonical names and aliases::
 
@@ -320,8 +318,8 @@ def register_engine(
     """Class/factory decorator registering an engine (default registry).
 
     Decorate an :class:`EnumerationEngine` subclass directly, or a factory
-    function (then pass ``engine_cls`` so introspection and the
-    ``all_engines``-style shims still see the class)::
+    function (then pass ``engine_cls`` so introspection still sees the
+    class)::
 
         @register_engine("Crystal", needs_index=True, engine_cls=CrystalEngine)
         def _make_crystal(*, graph=None, index=None, ...):
@@ -368,8 +366,8 @@ def _register_builtins(reg: EngineRegistry) -> None:
 
     Imports happen here, not at module top, to keep the import graph
     acyclic (``repro.core`` imports ``repro.engines.base`` and vice versa).
-    Registration order matches the historic ``all_engines`` /
-    ``extended_engines`` dict order so tables keep their row order.
+    Registration order is the paper's (Sec. 7 engines, then the Sec. 8
+    extensions) so tables keep their row order.
     """
     from repro.core.rads import RADSEngine
     from repro.engines.bigjoin import BigJoinEngine

@@ -25,11 +25,11 @@ the cluster and engine by hand.
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.api.config import RunConfig, normalize_collect
+from repro.api.execute import execute_once
 from repro.api.registry import (
     EngineRegistry,
     default_registry,
@@ -470,20 +470,12 @@ class Session:
         from disk without enumerating, marked by the
         ``service.store_hit`` counter.
 
-        ``trace=True`` records a span tree for this run — a
-        ``session.run`` root over the engine's per-round spans, executor
-        batches and (socket backend) shard-worker leaf spans — attached
-        as ``result.trace`` (:mod:`repro.obs.trace`).  Counts and stats
-        are bit-identical either way; a store fast-path hit carries no
-        trace (nothing ran), and persisted sets never store one.
-
-        ``profile=True`` additionally measures the run's resource
-        profile — CPU time (process and thread), peak memory, GC and
-        allocation deltas, a flame table over the span tree and, on the
-        socket backend, per-worker ``getrusage`` attribution — attached
-        as ``result.profile`` (:mod:`repro.obs.profile`).  The same
-        guarantees hold: counts and stats are bit-identical, fast-path
-        hits carry no profile, persisted sets never store one.
+        ``trace=True`` / ``profile=True`` attach the run's span tree
+        (rooted at ``session.run``) and resource profile as
+        ``result.trace`` / ``result.profile``; what they hold and what
+        they guarantee (bit-identical counts and stats, nothing on a
+        store hit, never persisted) is
+        :func:`repro.api.execute.execute_once`'s contract.
         """
         with self._lock:
             if self._pattern is None:
@@ -497,51 +489,13 @@ class Session:
                 else normalize_collect(collect)
             )
             limit = self._config.limit if limit is None else limit
-            tracer = None
-            if trace or profile:
-                # Profiled runs trace internally either way: the flame
-                # table is an aggregation over the span tree.
-                from repro.obs.trace import Tracer
-
-                tracer = Tracer()
-            profiler = None
-            if profile:
-                from repro.obs.profile import Profiler
-
-                profiler = Profiler()
-
-            def _root():
-                return (
-                    nullcontext()
-                    if tracer is None
-                    else tracer.root(
-                        "session.run",
-                        pattern=self._pattern.name,
-                        engine=engine.name,
-                    )
-                )
-
-            def _prof():
-                return nullcontext() if profiler is None else profiler
-
+            labeled = None
             if self._labeled_query is not None:
                 if collect == "store":
                     raise ValueError(
                         "collect='store' serves unlabeled queries only"
                     )
-                with _root(), _prof():
-                    result = engine.run_labeled(
-                        self.cluster(),
-                        self._labeled_graph,
-                        self._labeled_query,
-                        collect_embeddings=collect,
-                        limit=limit,
-                    )
-                if trace and tracer is not None:
-                    result.trace = tracer.tree()
-                if profiler is not None:
-                    result.profile = profiler.result(tree=tracer.tree())
-                return result
+                labeled = (self._labeled_graph, self._labeled_query, limit)
             key: tuple | None = None
             if collect == "store":
                 key = self._store_key()
@@ -549,33 +503,24 @@ class Session:
                 if served is not None:
                     return served
             try:
-                with _root(), _prof():
-                    result = engine.run(
-                        self.cluster(),
-                        self._pattern,
-                        collect_embeddings=bool(collect),
-                        executor=self._get_executor(),
-                    )
+                result = execute_once(
+                    engine,
+                    self.cluster(),
+                    self._pattern,
+                    collect=collect,
+                    executor=None if labeled else self._get_executor(),
+                    store=self._store,
+                    key=key,
+                    trace=trace,
+                    profile=profile,
+                    labeled=labeled,
+                )
             except DistributedError:
                 # Total shard-roster loss: drop the dead executor so the
                 # next run() re-dials the configured shards (healing once
                 # workers come back) instead of failing forever.
                 self._invalidate(partition=False, executor=True)
                 raise
-            if key is not None and not result.failed:
-                from repro.service.cache import copy_result
-
-                self._store.put(key, self._pattern, result)
-                result = copy_result(result)
-                result.embeddings = None
-            if trace and tracer is not None:
-                # Attached after the store write: persisted sets never
-                # carry one run's trace.
-                result.trace = tracer.tree()
-            if profiler is not None:
-                # Same discipline: the profile is this run's, never the
-                # persisted set's.
-                result.profile = profiler.result(tree=tracer.tree())
         if limit is not None and result.embeddings is not None:
             result.embeddings = result.embeddings[:limit]
         return result
@@ -633,24 +578,14 @@ class Session:
                     self._query_name if self._query_name is not None
                     else self._pattern
                 ]
-            if engines is None or isinstance(engines, (list, tuple)):
-                engines = self._registry.create_all(
-                    list(engines) if engines is not None else None,
-                    graph=self._graph,
-                    engine_kwargs=engine_kwargs,
-                    **({} if engines is not None else {"paper": True}),
-                )
-            elif engine_kwargs:
-                raise ValueError(
-                    "engine_kwargs only configures registry-built "
-                    "engines; it cannot apply to a ready engines mapping"
-                )
             try:
                 return run_query_grid(
                     self._graph,
                     dataset_name,
                     list(queries),
-                    engines=dict(engines),
+                    engines=engines,
+                    registry=self._registry,
+                    engine_kwargs=engine_kwargs,
                     config=self._config,
                     check_consistency=check_consistency,
                     executor=self._get_executor(),
@@ -688,12 +623,18 @@ class Session:
             collect="store",
         )
 
-    def _no_stored_set(self) -> LookupError:
-        return LookupError(
-            f"no stored embedding set for {self._pattern.name!r} with "
-            f"engine {self._engine_name!r} on this graph; run it with "
-            f"collect='store' first"
-        )
+    def _stored(self, op: str, **fields: Any) -> dict[str, Any]:
+        """One index scan over the current selection's stored set."""
+        with self._lock:
+            key = self._store_key()
+            found = getattr(self._store, op)(key, self._pattern, **fields)
+            if found is None:
+                raise LookupError(
+                    f"no stored embedding set for {self._pattern.name!r} "
+                    f"with engine {self._engine_name!r} on this graph; run "
+                    f"it with collect='store' first"
+                )
+            return found
 
     def page(self, *, limit: int, offset: int = 0) -> dict[str, Any]:
         """One contiguous page of the stored set's sorted leaf order.
@@ -704,14 +645,7 @@ class Session:
         ``LookupError`` until a ``run(collect="store")`` has persisted
         the set.
         """
-        with self._lock:
-            key = self._store_key()
-            page = self._store.page(
-                key, self._pattern, limit=limit, offset=offset
-            )
-            if page is None:
-                raise self._no_stored_set()
-            return page
+        return self._stored("page", limit=limit, offset=offset)
 
     def lookup(self, vertex: int) -> dict[str, Any]:
         """Every stored embedding containing data vertex ``vertex``.
@@ -719,12 +653,7 @@ class Session:
         An inverted-postings range scan over the attached store; returns
         ``{"embeddings", "count", "total", "vertex"}``.
         """
-        with self._lock:
-            key = self._store_key()
-            found = self._store.lookup(key, self._pattern, vertex)
-            if found is None:
-                raise self._no_stored_set()
-            return found
+        return self._stored("lookup", vertex=vertex)
 
     def aggregate(self, group_by: str = "root") -> dict[str, Any]:
         """Group counts over the stored set, without decompressing leaves.
@@ -734,12 +663,7 @@ class Session:
         automorphism orbit of query positions); returns ``{"group_by",
         "total", "groups"}``.
         """
-        with self._lock:
-            key = self._store_key()
-            groups = self._store.aggregate(key, self._pattern, group_by)
-            if groups is None:
-                raise self._no_stored_set()
-            return groups
+        return self._stored("aggregate", group_by=group_by)
 
     # -- serving -------------------------------------------------------
     def serve(

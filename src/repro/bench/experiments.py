@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.api.config import MIB, RunConfig
 from repro.api.registry import default_registry
 from repro.bench.datasets import DATASETS, dataset, dataset_profile
-from repro.bench.harness import GridResult, make_cluster, run_query_grid
+from repro.bench.harness import GridResult, run_query_grid
 from repro.core.embedding_trie import NODE_BYTES, embedding_list_bytes, trie_nodes_for_results
 from repro.engines import CliqueIndex
 from repro.engines.base import EnumerationEngine
@@ -33,15 +34,26 @@ BENCH_SCALE = {"roadnet": 1.0, "dblp": 1.0, "livejournal": 1.0, "uk2002": 1.0}
 #: the sparse datasets; tight enough on uk2002 that the join-based engines'
 #: intermediate results blow through it (paper Fig. 11: "TwinTwig, SEED and
 #: PSgL failed the tests of queries after q3 due to memory failure").
-FIGURE_MEMORY_CAPACITY = {
+FIGURE_MEMORY_MB = {
     "roadnet": None,
-    "dblp": 512 * 1024 * 1024,
+    "dblp": 512,
     # The paper reports the join engines "becoming impractical" (>10^4 s)
     # on LiveJournal and OOM-failing on UK2002.  Under the scaled datasets
     # both manifest as simulated OOM at these caps; RADS stays within them.
-    "livejournal": 64 * 1024 * 1024,
-    "uk2002": 48 * 1024 * 1024,
+    "livejournal": 64,
+    "uk2002": 48,
 }
+
+
+def figure_config(
+    dataset_name: str, num_machines: int = 10, workers: int = 0
+) -> RunConfig:
+    """The performance figures' cluster for one dataset."""
+    return RunConfig(
+        machines=num_machines,
+        memory_mb=FIGURE_MEMORY_MB.get(dataset_name),
+        workers=workers,
+    )
 
 
 def bench_graph(name: str):
@@ -108,9 +120,7 @@ def exp_performance(
         dataset_name,
         queries or PAPER_QUERY_NAMES,
         engines=engines,
-        num_machines=num_machines,
-        memory_capacity=FIGURE_MEMORY_CAPACITY.get(dataset_name),
-        workers=workers,
+        config=figure_config(dataset_name, num_machines, workers),
     )
 
 
@@ -157,7 +167,7 @@ def exp_scalability(
     for m in machine_counts:
         grid = run_query_grid(
             graph, dataset_name, list(queries), engines=engines,
-            num_machines=m,
+            config=RunConfig(machines=m),
             check_consistency=False,
         )
         for name in engines:
@@ -194,9 +204,7 @@ def exp_plan_effectiveness(
 ) -> list[dict[str, object]]:
     """RADS with RanS / RanM / optimized plans (paper Fig. 13)."""
     graph = bench_graph(dataset_name)
-    base = make_cluster(
-        graph, num_machines, FIGURE_MEMORY_CAPACITY.get(dataset_name)
-    )
+    base = figure_config(dataset_name, num_machines).make_cluster(graph)
     patterns = named_patterns()
     rows = []
     for qname in queries:
@@ -237,7 +245,7 @@ def exp_compression(
 ) -> list[dict[str, object]]:
     """Embedding-list vs embedding-trie bytes (paper Tables 3 and 4)."""
     graph = bench_graph(dataset_name)
-    cluster = make_cluster(graph, 1)
+    cluster = RunConfig(machines=1).make_cluster(graph)
     patterns = named_patterns()
     rows = []
     oracle = default_registry().create("Single")
@@ -279,8 +287,7 @@ def exp_clique_queries(
         dataset_name,
         CLIQUE_QUERY_NAMES,
         engines=engines,
-        num_machines=num_machines,
-        memory_capacity=FIGURE_MEMORY_CAPACITY.get(dataset_name),
+        config=figure_config(dataset_name, num_machines),
     )
 
 
@@ -321,7 +328,10 @@ def exp_robustness(
         survived: dict[str, bool] = {}
         peak: dict[str, float] = {}
         for name, engine in engines.items():
-            cluster = make_cluster(graph, num_machines, cap)
+            cluster = RunConfig(
+                machines=num_machines,
+                memory_mb=None if cap is None else cap / MIB,
+            ).make_cluster(graph)
             result = engine.run(cluster, pattern, collect_embeddings=False)
             survived[name] = not result.failed
             peak[name] = result.peak_memory / 1e6

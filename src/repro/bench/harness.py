@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.api.config import MIB, RunConfig
+from repro.api.config import RunConfig
+from repro.api.execute import execute_once
 from repro.api.registry import EngineRegistry, default_registry
 from repro.api.session import resolve_pattern
-from repro.cluster import Cluster
 from repro.engines.base import EnumerationEngine, RunResult
 from repro.graph.graph import Graph
 from repro.query.pattern import Pattern
@@ -44,48 +44,12 @@ class GridResult:
         return seen
 
 
-def _legacy_config(
-    num_machines: int,
-    memory_capacity: int | None,
-    workers: int = 0,
-    seed: int = 0,
-) -> RunConfig:
-    """RunConfig from the harness's historic knobs (capacity in bytes)."""
-    return RunConfig(
-        machines=num_machines,
-        memory_mb=(
-            None if memory_capacity is None else memory_capacity / MIB
-        ),
-        workers=workers,
-        seed=seed,
-    )
-
-
-def make_cluster(
-    graph: Graph,
-    num_machines: int,
-    memory_capacity: int | None = None,
-    seed: int = 0,
-) -> Cluster:
-    """Standard benchmark cluster: METIS-like partition, default cost model.
-
-    Thin shim over :meth:`repro.api.config.RunConfig.make_cluster`
-    (``memory_capacity`` is in bytes, the simulator's unit).
-    """
-    return _legacy_config(
-        num_machines, memory_capacity, seed=seed
-    ).make_cluster(graph)
-
-
 def run_query_grid(
     graph: Graph,
     dataset_name: str,
     queries: "list[str | Pattern]",
-    engines: Mapping[str, EnumerationEngine] | None = None,
-    num_machines: int = 10,
-    memory_capacity: int | None = None,
+    engines: "Mapping[str, EnumerationEngine] | list[str] | None" = None,
     check_consistency: bool = True,
-    workers: int = 0,
     executor: Executor | None = None,
     config: RunConfig | None = None,
     registry: EngineRegistry | None = None,
@@ -96,27 +60,27 @@ def run_query_grid(
 ) -> GridResult:
     """Run every engine on every query over a shared partition.
 
-    Engines default to the registry's paper tier (Sec. 7) — pass a
-    name -> instance mapping to race a custom line-up, or ``engine_kwargs``
-    (per canonical name) to configure the registry-built ones.  Engines
+    Engines default to the registry's paper tier (Sec. 7) — pass a list
+    of registry names or a name -> instance mapping to race a custom
+    line-up, and ``engine_kwargs`` (per canonical name) to configure the
+    registry-built ones.  Engines
     never see each other's clusters (fresh clocks/memory per run); with
     ``check_consistency`` all successful engines must report the same
     embedding count per query.
 
-    ``config`` describes the cluster/backend declaratively and supersedes
-    ``num_machines`` / ``memory_capacity`` (bytes) / ``workers``, which
-    remain as shims.  Pass a ready-made ``executor`` to share one process
+    ``config`` describes the cluster/backend declaratively (default:
+    ``RunConfig()``).  Pass a ready-made ``executor`` to share one process
     pool across grids, and/or a prebuilt ``partition`` (matching the
     graph and machine count) to skip repartitioning.  ``collect`` keeps
     full embeddings on every result (``limit`` truncates each run's
     collected list; stats/counts are unaffected) — the default counts
     only, which is what the paper tables need.
     """
-    if config is None:
-        config = _legacy_config(num_machines, memory_capacity, workers)
-    if engines is None:
+    config = config or RunConfig()
+    if engines is None or isinstance(engines, (list, tuple)):
         engines = (registry or default_registry()).create_all(
-            graph=graph, engine_kwargs=engine_kwargs, paper=True
+            None if engines is None else list(engines),
+            graph=graph, engine_kwargs=engine_kwargs, paper=True,
         )
     elif engine_kwargs:
         raise ValueError(
@@ -138,11 +102,9 @@ def run_query_grid(
             )
             counts: dict[str, int] = {}
             for ename, engine in engines.items():
-                cluster = base.fresh_copy()
-                result = engine.run(
-                    cluster, pattern,
-                    collect_embeddings=collect,
-                    executor=executor,
+                result = execute_once(
+                    engine, base.fresh_copy(), pattern,
+                    collect=collect, executor=executor,
                 )
                 if limit is not None and result.embeddings is not None:
                     result.embeddings = result.embeddings[:limit]

@@ -34,7 +34,7 @@ Prometheus-style text with ``--format text``.
 
 Queries are registered names (``q4``, human aliases like ``house``, any
 case) or edge-list DSL (``"a-b, b-c, c-a"``; ``a:0-b:1`` attaches labels
-— see ROADMAP.md for the grammar).  ``explain`` prints the engine's
+— see docs/api.md for the grammar).  ``explain`` prints the engine's
 chosen decomposition (units, matching order, symmetry-breaking
 conditions, runner-up plans, and cost estimates when ``--graph`` is
 given); with ``--json`` it emits ``QueryExplanation.to_dict()``.

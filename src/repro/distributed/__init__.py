@@ -19,7 +19,7 @@ wire format (PR 4):
 Select the backend with ``RunConfig(backend="socket", shards=[...])``,
 ``Session.backend("socket", shards=[...])``, or
 ``repro run --backend socket --shards host:port,...``.  See the
-"Distributed shards" section of ROADMAP.md for the wire schema, failure
+"Distributed shards" section of docs/api.md for the wire schema, failure
 semantics and shard lifecycle.
 """
 

@@ -33,37 +33,3 @@ def __getattr__(name: str):
 
         return RADSEngine
     raise AttributeError(name)
-
-
-def all_engines() -> dict[str, type]:
-    """Name -> engine class for the five approaches of the paper's Sec. 7.
-
-    Deprecated shim: resolve engines through
-    :func:`repro.api.default_registry` (capability filters, aliases and
-    factories) — this view keeps old imports working.
-    """
-    from repro.api.registry import default_registry
-
-    return {
-        spec.name: spec.engine_cls
-        for spec in default_registry().specs(paper=True)
-    }
-
-
-def extended_engines() -> dict[str, type]:
-    """The Sec. 7 engines plus the Sec. 8 related-work extensions.
-
-    Adds BigJoin (Ammar et al.), the Afrati-Ullman single-round multiway
-    join, and Fan et al.'s d-hop replication engine — the approaches the
-    paper discusses but does not race.
-
-    Deprecated shim over :func:`repro.api.default_registry`, like
-    :func:`all_engines`.
-    """
-    from repro.api.registry import default_registry
-
-    return {
-        spec.name: spec.engine_cls
-        for spec in default_registry()
-        if spec.paper or spec.extension
-    }

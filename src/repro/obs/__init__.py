@@ -35,7 +35,7 @@ system (PR 9):
   errors, unreplaced worker loss) behind the ``health`` op and
   ``repro health``.
 
-See the "Observability" sections of ROADMAP.md for the span, profile,
+See the "Observability" sections of docs/api.md for the span, profile,
 event and health schemas, histogram buckets, and exposition format.
 """
 

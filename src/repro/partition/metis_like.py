@@ -122,7 +122,11 @@ def _initial_partition(
             break
         seeds.append(int(rng.choice(candidates)))
     load = np.zeros(k, dtype=np.float64)
-    queues: list[deque[int]] = [deque([s]) for s in seeds]
+    # Fewer seeds than parts (k exceeds the coarse vertex count): the
+    # surplus parts stay empty.
+    queues: list[deque[int]] = [deque([s]) for s in seeds] + [
+        deque() for _ in range(k - len(seeds))
+    ]
     for p, s in enumerate(seeds):
         part[s] = p
         load[p] += coarse.vertex_weight[s]

@@ -1,6 +1,6 @@
 """Compact edge-list DSL and fluent builder for query patterns.
 
-The grammar (documented in ROADMAP.md, "Public API"):
+The grammar (documented in docs/api.md):
 
 .. code-block:: text
 

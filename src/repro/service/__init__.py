@@ -18,7 +18,7 @@ ROADMAP's march toward serving heavy traffic):
   (``repro serve`` / ``repro submit`` on the CLI;
   ``Session.serve()`` / ``repro.connect()`` in the API).
 
-See the "Service layer" section of ROADMAP.md for the wire schema, the
+See docs/protocol.md for the wire schema and docs/api.md for the
 cache-key definition and the eviction policy.
 """
 

@@ -43,6 +43,7 @@ and a capacity change should take effect immediately.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -184,6 +185,29 @@ def copy_result(result: RunResult) -> RunResult:
     return RunResult.from_dict(result.to_dict())
 
 
+def serve_copy(
+    stored: RunResult,
+    executed: Pattern,
+    requested: Pattern,
+    limit: int | None = None,
+) -> RunResult:
+    """An independent copy of ``stored`` — a run of ``executed`` — served
+    for ``requested``: renamed, embeddings remapped, at most ``limit`` of
+    them (and only those are copied and remapped: the remap permutes
+    columns row by row, so the first rows stay the first rows)."""
+    if limit is not None and stored.embeddings is not None:
+        stored = dataclasses.replace(
+            stored, embeddings=stored.embeddings[:limit]
+        )
+    served = copy_result(stored)
+    served.pattern_name = requested.name
+    if served.embeddings is not None:
+        served.embeddings = remap_embeddings(
+            served.embeddings, executed, requested
+        )
+    return served
+
+
 @dataclass
 class _Entry:
     """One cached run: the executed pattern plus its result and deadline."""
@@ -262,22 +286,27 @@ class ResultCache:
             return len(self._entries)
 
     # ------------------------------------------------------------------
-    def get(self, key: tuple, pattern: Pattern) -> RunResult | None:
+    def get(
+        self, key: tuple, pattern: Pattern, limit: int | None = None
+    ) -> RunResult | None:
         """The cached result for ``key``, served *for* ``pattern``.
 
         Returns an independent :class:`RunResult` copy whose
         ``pattern_name`` and (when collected) ``embeddings`` are remapped
         to the requested pattern, or ``None`` on a miss.  Counts, timings
         and communication stats are the stored run's, bit-identical to
-        re-running the query.
+        re-running the query.  ``limit`` serves only the first ``limit``
+        embeddings — and copies and remaps only those.
         """
         started = time.perf_counter()
         try:
-            return self._get(key, pattern)
+            return self._get(key, pattern, limit)
         finally:
             self.lookups.observe(time.perf_counter() - started)
 
-    def _get(self, key: tuple, pattern: Pattern) -> RunResult | None:
+    def _get(
+        self, key: tuple, pattern: Pattern, limit: int | None
+    ) -> RunResult | None:
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and self._expired(entry):
@@ -295,14 +324,7 @@ class ResultCache:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            stored_pattern, stored = entry.pattern, entry.result
-        served = copy_result(stored)
-        served.pattern_name = pattern.name
-        if served.embeddings is not None:
-            served.embeddings = remap_embeddings(
-                served.embeddings, stored_pattern, pattern
-            )
-        return served
+        return serve_copy(entry.result, entry.pattern, pattern, limit)
 
     def put(self, key: tuple, pattern: Pattern, result: RunResult) -> bool:
         """Store a finished run; returns False when it is not cacheable."""

@@ -33,10 +33,6 @@ class ServiceError(RuntimeError):
     """The server answered ``ok: false`` (the message is its ``error``)."""
 
 
-# Compatibility alias; the shared helper lives with the wire protocol.
-_parse_address = protocol.parse_address
-
-
 def connect(
     address: "tuple[str, int] | str | int", *, timeout: float | None = None
 ) -> "ServiceClient":
@@ -46,7 +42,7 @@ def connect(
     read (``None`` = wait forever; long enumerations need that or a
     generous value).
     """
-    return ServiceClient(_parse_address(address), timeout=timeout)
+    return ServiceClient(protocol.parse_address(address), timeout=timeout)
 
 
 class ServiceClient:

@@ -54,30 +54,32 @@ registry entry has ``distributed=False`` on the socket backend raises
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import Future
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.api.config import MIB, RunConfig, normalize_collect
+from repro.api.execute import execute_once
 from repro.api.registry import EngineRegistry, default_registry
+from repro.distributed.errors import DistributedError
 from repro.engines.base import RunResult
 from repro.enumeration.labeled import LabeledPattern
 from repro.obs import events as _events
 from repro.obs.hist import Histogram, SlowQueryLog
-from repro.obs.profile import Profiler
 from repro.obs.trace import Tracer
 from repro.query.pattern import Pattern
+from repro.service import protocol
 from repro.service.cache import (
     DEDUP_COUNTER,
     ResultCache,
     cache_key,
     config_digest,
-    copy_result,
-    remap_embeddings,
+    serve_copy,
 )
 from repro.service.tenancy import QuotaExceeded, TenantLedger, TenantQuota
 
@@ -454,11 +456,10 @@ class QueryScheduler:
         name/alias.  ``collect``/``limit`` default to the scheduler
         config's result mode; ``memory_mb`` overrides the request's
         admission estimate; ``tenant`` attributes it to a tenant's
-        quota/fair share.  Per-request overrides are validated with the
-        same rules :class:`RunConfig` enforces — a negative
-        ``memory_mb`` must not *credit* the admission budget, and a
-        negative ``limit`` must not silently serve all-but-the-last
-        embeddings — and rejected loudly here, at submit time.
+        quota/fair share.  Per-request overrides pass the same checkers
+        as the wire fields (:data:`repro.service.protocol.OPS`) — a
+        negative ``memory_mb`` must not *credit* the admission budget —
+        and are rejected loudly here, at submit time.
 
         ``collect="store"`` (needs a configured embedding store)
         persists the enumeration: a submission whose key already names a
@@ -467,59 +468,28 @@ class QueryScheduler:
         with embeddings, written to the store and served count-only
         (``ticket.store == "stored"``); pages come from :meth:`page`.
 
-        ``trace=True`` records a span tree for the execution — the
-        ``service.execute`` root, per-round engine spans, executor
-        batches and (socket backend) shard-worker leaf spans — attached
-        as ``result.trace``.  Counts and stats are bit-identical either
-        way; cache/store fast-path answers carry no trace (nothing ran).
-
-        ``profile=True`` records a resource profile for the execution —
-        CPU/memory/GC deltas, a flame table over the span tree, and
-        (socket backend) per-worker rusage attribution — attached as
-        ``result.profile``.  The same bit-identical/fast-path rules as
-        tracing apply.
+        ``trace=True`` / ``profile=True`` attach the execution's span
+        tree (rooted at ``service.execute``) and resource profile as
+        ``result.trace`` / ``result.profile`` — see
+        :func:`repro.api.execute.execute_once`; cache and store
+        fast-path answers carry neither (nothing ran).
         """
         from repro.api.session import resolve_query
 
-        if memory_mb is not None and not (
-            isinstance(memory_mb, (int, float))
-            and not isinstance(memory_mb, bool)
-            and memory_mb > 0
-        ):
-            raise ValueError(
-                f"memory_mb must be a positive number or None, "
-                f"got {memory_mb!r}"
-            )
-        if limit is not None and (
-            not isinstance(limit, int)
-            or isinstance(limit, bool)
-            or limit < 1
-        ):
-            raise ValueError(
-                f"limit must be a positive integer or None, got {limit!r}"
-            )
-        if tenant is not None and (
-            not isinstance(tenant, str) or not tenant
-        ):
-            raise ValueError(
-                f"tenant must be a non-empty string or None, got {tenant!r}"
-            )
+        protocol.check_fields(
+            "submit", memory_mb=memory_mb, limit=limit, tenant=tenant
+        )
         pattern = resolve_query(query)
         if isinstance(pattern, LabeledPattern):
             raise ValueError(
                 "the query service serves unlabeled queries; run labeled "
                 "queries through Session.run() instead"
             )
-        if self.config.backend == "socket":
-            # Enforced here, at submission time, so a non-distributed
-            # engine is rejected loudly instead of failing inside a
-            # worker thread (same rule as Session's, and the request
-            # never consumes queue or budget).
-            engine_name = self.registry.require(
-                engine, distributed=True
-            ).name
-        else:
-            engine_name = self.registry.resolve(engine).name
+        # Enforced here, at submission time (same rule as Session's): a
+        # non-distributed engine on the socket backend is rejected before
+        # it consumes queue or budget, not inside a worker thread.
+        needs = {"distributed": True} if self.config.backend == "socket" else {}
+        engine_name = self.registry.require(engine, **needs).name
         collect = (
             self.config.collect
             if collect is None
@@ -535,16 +505,9 @@ class QueryScheduler:
             self._default_cost if memory_mb is None else int(memory_mb * MIB)
         )
         if self._budget is not None and cost > self._budget:
-            with self._cond:
-                self._stats["rejected"] += 1
-            _events.emit(
-                "warning",
-                "scheduler",
-                _events.ADMISSION_REJECTED,
-                pattern=pattern.name,
-                tenant=tenant,
-                cost_bytes=cost,
-                budget_bytes=self._budget,
+            self._rejected(
+                "rejected", _events.ADMISSION_REJECTED, pattern=pattern.name,
+                tenant=tenant, cost_bytes=cost, budget_bytes=self._budget,
             )
             raise AdmissionError(
                 f"query {pattern.name!r} needs {cost} bytes but the "
@@ -557,29 +520,17 @@ class QueryScheduler:
         try:
             self._tenants.admit(tenant)
         except QuotaExceeded:
-            with self._cond:
-                self._stats["quota_rejected"] += 1
-            _events.emit(
-                "warning",
-                "scheduler",
-                _events.QUOTA_REJECTED,
-                pattern=pattern.name,
-                tenant=tenant,
+            self._rejected(
+                "quota_rejected", _events.QUOTA_REJECTED,
+                pattern=pattern.name, tenant=tenant,
             )
             raise
         tenant_budget = self._tenants.memory_bytes(tenant)
         if tenant_budget is not None and cost > tenant_budget:
             self._tenants.reject_memory(tenant)
-            with self._cond:
-                self._stats["rejected"] += 1
-            _events.emit(
-                "warning",
-                "scheduler",
-                _events.ADMISSION_REJECTED,
-                pattern=pattern.name,
-                tenant=tenant,
-                cost_bytes=cost,
-                budget_bytes=tenant_budget,
+            self._rejected(
+                "rejected", _events.ADMISSION_REJECTED, pattern=pattern.name,
+                tenant=tenant, cost_bytes=cost, budget_bytes=tenant_budget,
             )
             raise AdmissionError(
                 f"query {pattern.name!r} needs {cost} bytes but tenant "
@@ -618,34 +569,13 @@ class QueryScheduler:
             served = self.store.result_for(key, pattern)
             if served is not None:
                 ticket.store = "hit"
-                with self._cond:
-                    if self._closed:
-                        raise SchedulerClosed("scheduler is closed")
-                    self._stats["submitted"] += 1
-                    self._stats["store_hits"] += 1
-                    self._tenants.note(tenant, "submitted")
-                ticket._deliver(
-                    lambda: self._finish_result(served, ticket, hit=False)
-                )
-                self.latency.observe(self._clock() - submitted)
-                return ticket
+                return self._serve_now(ticket, served, submitted)
         # Fast path: answer from the cache without queueing.
         elif self.cache is not None:
-            served = self.cache.get(key, pattern)
+            served = self.cache.get(key, pattern, limit)
             if served is not None:
                 ticket.cache_hit = True
-                with self._cond:
-                    if self._closed:
-                        raise SchedulerClosed("scheduler is closed")
-                    self._stats["submitted"] += 1
-                    self._stats["cache_hits"] += 1
-                    self._tenants.note(tenant, "submitted")
-                    self._tenants.note(tenant, "cache_hits")
-                ticket._deliver(
-                    lambda: self._finish_result(served, ticket, hit=True)
-                )
-                self.latency.observe(self._clock() - submitted)
-                return ticket
+                return self._serve_now(ticket, served, submitted)
         with self._cond:
             if self._closed:
                 raise SchedulerClosed("scheduler is closed")
@@ -689,6 +619,29 @@ class QueryScheduler:
             )
             self._arm_timer(ticket, timeout)
             self._cond.notify()
+        return ticket
+
+    def _rejected(self, counter: str, event: str, **attrs: Any) -> None:
+        """Count and journal a submission refused at the door."""
+        with self._cond:
+            self._stats[counter] += 1
+        _events.emit("warning", "scheduler", event, **attrs)
+
+    def _serve_now(
+        self, ticket: QueryTicket, served: RunResult, submitted: float
+    ) -> QueryTicket:
+        """Deliver a store or cache hit on the submitting thread."""
+        hit = ticket.cache_hit
+        with self._cond:
+            if self._closed:
+                raise SchedulerClosed("scheduler is closed")
+            self._stats["submitted"] += 1
+            self._stats["cache_hits" if hit else "store_hits"] += 1
+            self._tenants.note(ticket.tenant, "submitted")
+            if hit:
+                self._tenants.note(ticket.tenant, "cache_hits")
+        ticket._deliver(lambda: self._finish_result(served, ticket, hit=hit))
+        self.latency.observe(self._clock() - submitted)
         return ticket
 
     def _arm_timer(self, ticket: QueryTicket, timeout: float | None) -> None:
@@ -757,23 +710,13 @@ class QueryScheduler:
         """
         if not callable(fn):
             raise TypeError(f"fn must be callable, got {fn!r}")
-        if tenant is not None and (
-            not isinstance(tenant, str) or not tenant
-        ):
-            raise ValueError(
-                f"tenant must be a non-empty string or None, got {tenant!r}"
-            )
+        protocol.check_fields("submit", tenant=tenant)
         try:
             self._tenants.admit(tenant)
         except QuotaExceeded:
-            with self._cond:
-                self._stats["quota_rejected"] += 1
-            _events.emit(
-                "warning",
-                "scheduler",
-                _events.QUOTA_REJECTED,
-                job=description,
-                tenant=tenant,
+            self._rejected(
+                "quota_rejected", _events.QUOTA_REJECTED,
+                job=description, tenant=tenant,
             )
             raise
         ticket = QueryTicket(
@@ -823,12 +766,13 @@ class QueryScheduler:
     # ------------------------------------------------------------------
     # Store serving (index scans; answered inline, never queued)
     # ------------------------------------------------------------------
-    def _store_key(
-        self, query: "str | Pattern", engine: str
-    ) -> "tuple[tuple, Pattern]":
-        """Resolve (store key, pattern) for one serve-side request."""
+    def _stored(
+        self, op: str, query: "str | Pattern", engine: str, **fields: Any
+    ) -> "dict[str, Any]":
+        """Answer one store op for (query, engine) on the current graph."""
         from repro.api.session import resolve_query
 
+        protocol.check_fields(op, **fields)
         if self.store is None:
             raise ValueError(
                 "no embedding store configured; serve with --store-dir "
@@ -850,14 +794,14 @@ class QueryScheduler:
             collect="store",
             digest=self._config_digest,
         )
-        return key, pattern
-
-    @staticmethod
-    def _no_stored_set(pattern: Pattern) -> LookupError:
-        return LookupError(
-            f"no stored set for {pattern.name!r} on the current graph; "
-            f"submit it with collect='store' first"
-        )
+        result = getattr(self.store, op)(key, pattern, **fields)
+        if result is None:
+            raise LookupError(
+                f"no stored set for {pattern.name!r} on the current graph; "
+                f"submit it with collect='store' first"
+            )
+        result["store"] = "hit"
+        return result
 
     def page(
         self,
@@ -873,36 +817,14 @@ class QueryScheduler:
         ``limit`` requested embeddings are decompressed.  Raises
         :class:`LookupError` when no set is stored for the key.
         """
-        if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
-            raise ValueError(
-                f"limit must be a positive integer, got {limit!r}"
-            )
-        if not isinstance(offset, int) or isinstance(offset, bool) or offset < 0:
-            raise ValueError(
-                f"offset must be a non-negative integer, got {offset!r}"
-            )
-        key, pattern = self._store_key(query, engine)
-        result = self.store.page(key, pattern, limit=limit, offset=offset)
-        if result is None:
-            raise self._no_stored_set(pattern)
-        result["store"] = "hit"
-        return result
+        return self._stored("page", query, engine, limit=limit, offset=offset)
 
     def lookup(
         self, query: "str | Pattern", engine: str = "RADS", *, vertex: int
     ) -> "dict[str, Any]":
         """Stored embeddings containing data vertex ``vertex``
         (inverted-postings scan)."""
-        if not isinstance(vertex, int) or isinstance(vertex, bool) or vertex < 0:
-            raise ValueError(
-                f"vertex must be a non-negative integer, got {vertex!r}"
-            )
-        key, pattern = self._store_key(query, engine)
-        result = self.store.lookup(key, pattern, vertex)
-        if result is None:
-            raise self._no_stored_set(pattern)
-        result["store"] = "hit"
-        return result
+        return self._stored("lookup", query, engine, vertex=vertex)
 
     def aggregate(
         self,
@@ -916,25 +838,13 @@ class QueryScheduler:
         ``group_by``: ``"root"``, ``"vertex"`` or ``"orbit"`` — see
         :meth:`repro.store.EmbeddingStore.aggregate`.
         """
-        from repro.store.columnar import AGGREGATE_MODES
-
-        if group_by not in AGGREGATE_MODES:
-            raise ValueError(
-                f"group_by must be one of {', '.join(AGGREGATE_MODES)}, "
-                f"got {group_by!r}"
-            )
-        key, pattern = self._store_key(query, engine)
-        result = self.store.aggregate(key, pattern, group_by)
-        if result is None:
-            raise self._no_stored_set(pattern)
-        result["store"] = "hit"
-        return result
+        return self._stored("aggregate", query, engine, group_by=group_by)
 
     # ------------------------------------------------------------------
     # Worker side
     # ------------------------------------------------------------------
     def _worker(self) -> None:
-        engines: dict[str, Any] = {}
+        engines: "OrderedDict[tuple, Any]" = OrderedDict()
         # The executor rides in a one-slot holder: for the socket
         # backend it is built lazily inside _execute's failure guard, so
         # a shard roster dying after the init-time probe fails the
@@ -1076,20 +986,15 @@ class QueryScheduler:
     def _execute(
         self,
         execution: _Execution,
-        engines: dict[Any, Any],
+        engines: "OrderedDict[tuple, Any]",
         holder: list[Any],
     ) -> None:
         if execution.job is not None:
             self._execute_job(execution)
             return
-        stored_mode = False
-        # A profiled run always carries a tracer — the flame table is an
-        # aggregation of the span tree — but the tree is only *attached*
-        # to the result when tracing was actually requested.
-        tracer = (
-            Tracer() if (execution.traced or execution.profiled) else None
-        )
-        profiler = Profiler() if execution.profiled else None
+        # Made here, not in execute_once: the slow-query log wants the
+        # trace id even when only a profile was asked for.
+        tracer = Tracer() if execution.traced or execution.profiled else None
         try:
             # Construction is inside the guard too: a failing engine
             # factory, executor (dead shard roster) or partition/cluster
@@ -1099,61 +1004,39 @@ class QueryScheduler:
                 holder[0] = self.config.make_executor(
                     registry=self.shard_registry
                 )
-            executor = holder[0]
             # Engines hold a graph reference, so the per-worker cache is
             # keyed by (engine, snapshot fingerprint) — a rebind must not
             # serve a new version through an engine built over the old
-            # one.  key[0] is the pinned snapshot's fingerprint.  Bounded:
-            # a long ingest history must not pin every old graph alive.
+            # one.  key[0] is the pinned snapshot's fingerprint.  Bounded
+            # (oldest out): a long ingest history must not pin every old
+            # graph alive.
             engine_key = (execution.engine, execution.key[0])
             engine = engines.get(engine_key)
             if engine is None:
                 if len(engines) >= 8:
-                    engines.clear()
+                    engines.popitem(last=False)
                 engine = self.registry.create(
                     execution.engine, graph=execution.graph
                 )
                 engines[engine_key] = engine
-            cluster = self.config.make_cluster(
-                execution.graph, partition=execution.partition
+            # Persisting inside the guard as well: an unwritable store
+            # must fail the waiting tickets, not unwind the worker.
+            raw = execute_once(
+                engine,
+                self.config.make_cluster(
+                    execution.graph, partition=execution.partition
+                ),
+                execution.pattern,
+                collect=execution.collect,
+                executor=holder[0],
+                store=self.store,
+                key=execution.key,
+                trace=execution.traced,
+                profile=execution.profiled,
+                root="service.execute",
+                tracer=tracer,
             )
-            root = (
-                nullcontext()
-                if tracer is None
-                else tracer.root(
-                    "service.execute",
-                    pattern=execution.pattern.name,
-                    engine=execution.engine,
-                )
-            )
-            prof = nullcontext() if profiler is None else profiler
-            with root, prof:
-                raw = engine.run(
-                    cluster,
-                    execution.pattern,
-                    collect_embeddings=bool(execution.collect),
-                    executor=executor,
-                )
-            if execution.collect == "store" and not raw.failed:
-                # Persist inside the guard: an unwritable store must
-                # fail the waiting tickets, not unwind the worker.  The
-                # served copies carry counts only — embeddings live in
-                # the store and are paged from there.
-                self.store.put(execution.key, execution.pattern, raw)
-                stored_mode = True
-                raw = copy_result(raw)
-                raw.embeddings = None
-            if execution.traced and tracer is not None:
-                # Attached after the store write: persisted sets never
-                # carry one request's trace.
-                raw.trace = tracer.tree()
-            if profiler is not None:
-                # Same discipline for the profile (and the flame table
-                # folds the span tree whether or not it was attached).
-                raw.profile = profiler.result(tree=tracer.tree())
         except BaseException as exc:  # noqa: BLE001 - forwarded to waiters
-            from repro.distributed.errors import DistributedError
-
             if isinstance(exc, DistributedError) and holder[0] is not None:
                 # The roster died under this executor: drop it so the
                 # next claim reconnects (and heals once workers return).
@@ -1161,27 +1044,10 @@ class QueryScheduler:
                     holder[0].close()
                 finally:
                     holder[0] = None
-            with self._cond:
-                # Seal before failing: later identical submissions must
-                # start a fresh execution, not attach to this dead one.
-                self._inflight.pop(execution.key, None)
-                requests = list(execution.requests)
-            # Count only tickets this failure actually resolved — ones
-            # already timed out or cancelled are in those counters.
-            failed = 0
-            for ticket in requests:
-                if ticket._fail(exc):
-                    failed += 1
-                    self._tenants.note(ticket.tenant, "failed")
-            with self._cond:
-                self._stats["failed"] += failed
+            self._fail_all(execution, exc)
             return
-        with self._cond:
-            # Seal the follower list: a dedup submission can only attach
-            # while the key is in ``_inflight``, so popping it here (under
-            # the lock) guarantees everyone appended is delivered below.
-            self._inflight.pop(execution.key, None)
-            requests = list(execution.requests)
+        requests = self._seal(execution)
+        stored_mode = execution.collect == "store" and not raw.failed
         if self.cache is not None and execution.collect != "store":
             # Fault counters (distributed.*) describe how *this*
             # execution was transported, not the result: strip them from
@@ -1189,15 +1055,16 @@ class QueryScheduler:
             # not inherit phantom faults.  The current requesters, whose
             # run did experience the fault, still see them (served from
             # ``raw`` below).
-            cached = raw
-            if any(k.startswith("distributed.") for k in raw.counters):
-                cached = copy_result(raw)
-                cached.counters = {
-                    key: value
-                    for key, value in cached.counters.items()
-                    if not key.startswith("distributed.")
-                }
-            self.cache.put(execution.key, execution.pattern, cached)
+            healthy = {
+                key: value
+                for key, value in raw.counters.items()
+                if not key.startswith("distributed.")
+            }
+            self.cache.put(
+                execution.key,
+                execution.pattern,
+                dataclasses.replace(raw, counters=healthy),  # put() copies
+            )
         now = self._clock()
         delivered = 0
         for ticket in requests:
@@ -1214,7 +1081,11 @@ class QueryScheduler:
             if stored_mode:
                 ticket.store = "stored"
             if ticket._deliver(
-                lambda t=ticket: self._serve_copy(raw, execution.pattern, t)
+                lambda t=ticket: self._finish_result(
+                    serve_copy(raw, execution.pattern, t.pattern, t.limit),
+                    t,
+                    hit=False,
+                )
             ):
                 delivered += 1
                 self._tenants.note(ticket.tenant, "completed")
@@ -1233,27 +1104,37 @@ class QueryScheduler:
             "trace": raw.trace,
         })
 
+    def _seal(self, execution: _Execution) -> list[QueryTicket]:
+        """Close the follower list; everyone on it gets the outcome.
+
+        A dedup submission can only attach while the key is in
+        ``_inflight``, so popping it here (under the lock) guarantees
+        later identical submissions start a fresh execution.
+        """
+        with self._cond:
+            self._inflight.pop(execution.key, None)
+            return list(execution.requests)
+
+    def _fail_all(self, execution: _Execution, exc: BaseException) -> None:
+        # Count only tickets this failure actually resolved — ones
+        # already timed out or cancelled are in those counters.
+        failed = 0
+        for ticket in self._seal(execution):
+            if ticket._fail(exc):
+                failed += 1
+                self._tenants.note(ticket.tenant, "failed")
+        with self._cond:
+            self._stats["failed"] += failed
+
     def _execute_job(self, execution: _Execution) -> None:
         """Run an opaque job on this worker; deliver its return value."""
         try:
             value = execution.job()
         except BaseException as exc:  # noqa: BLE001 - forwarded to waiter
-            with self._cond:
-                self._inflight.pop(execution.key, None)
-                requests = list(execution.requests)
-            failed = 0
-            for ticket in requests:
-                if ticket._fail(exc):
-                    failed += 1
-                    self._tenants.note(ticket.tenant, "failed")
-            with self._cond:
-                self._stats["failed"] += failed
+            self._fail_all(execution, exc)
             return
-        with self._cond:
-            self._inflight.pop(execution.key, None)
-            requests = list(execution.requests)
         delivered = 0
-        for ticket in requests:
+        for ticket in self._seal(execution):
             if ticket._deliver(lambda value=value: value):
                 delivered += 1
                 self._tenants.note(ticket.tenant, "completed")
@@ -1263,24 +1144,11 @@ class QueryScheduler:
     # ------------------------------------------------------------------
     # Result shaping
     # ------------------------------------------------------------------
-    def _serve_copy(
-        self, raw: RunResult, executed: Pattern, ticket: QueryTicket
-    ) -> RunResult:
-        """An independent RunResult for one requester of an execution."""
-        served = copy_result(raw)
-        served.pattern_name = ticket.pattern.name
-        if served.embeddings is not None:
-            served.embeddings = remap_embeddings(
-                served.embeddings, executed, ticket.pattern
-            )
-        return self._finish_result(served, ticket, hit=False)
-
     def _finish_result(
         self, served: RunResult, ticket: QueryTicket, *, hit: bool
     ) -> RunResult:
-        """Apply the request's limit and counter annotations in place."""
-        if ticket.limit is not None and served.embeddings is not None:
-            served.embeddings = served.embeddings[: ticket.limit]
+        """Apply the request's counter annotations in place (its limit
+        was applied when the copy was cut: ``cache.get`` / ``serve_copy``)."""
         if self.cache is not None:
             self.cache.annotate(served, hit=hit)
         served.counters[DEDUP_COUNTER] = 1 if ticket.deduped else 0

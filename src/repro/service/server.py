@@ -16,10 +16,6 @@ With ``log_path`` every served result/explanation record — and every
 delivered streaming delta record — is appended to a JSONL request log
 (via :func:`repro.api.results.append_record_jsonl`), replayable with
 :func:`repro.api.results.read_records_jsonl`.
-
-This transport is deliberately minimal — newline-framed JSON over TCP —
-because it is also the first cut of the socket layer the ROADMAP's
-distributed-shards work will ride on.
 """
 
 from __future__ import annotations
@@ -29,11 +25,13 @@ import socketserver
 import threading
 import time
 from concurrent.futures import CancelledError
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.api.config import RunConfig
 from repro.api.registry import EngineRegistry, default_registry
+from repro.api.results import append_record_jsonl
 from repro.distributed.registry import ShardRegistry
+from repro.obs import events as _events
 from repro.service import protocol
 from repro.service.cache import ResultCache
 from repro.service.scheduler import QueryScheduler, ServiceTimeout
@@ -46,6 +44,13 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.store import EmbeddingStore
 
 __all__ = ["QueryServer"]
+
+
+class _Reply(NamedTuple):
+    """A handler's result plus extra top-level response keys."""
+
+    result: Any
+    extra: "dict[str, Any]" = {}
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -197,11 +202,10 @@ class QueryServer:
         # Observability: the process-wide event journal (optionally
         # mirrored to a JSONL sink) and the SLO health engine evaluated
         # over _metrics() on demand by the ``health`` op.
-        from repro.obs.events import journal as _journal
         from repro.obs.health import HealthEngine
 
         if events_path is not None:
-            _journal().set_sink(events_path)
+            _events.journal().set_sink(events_path)
         self.health = HealthEngine()
         self.streams = ContinuousQueryManager(
             graph,
@@ -292,8 +296,6 @@ class QueryServer:
         and the superseded version's now-unreachable result-cache entries
         are reclaimed by fingerprint.
         """
-        from repro.obs import events as _events
-
         _events.emit(
             "info",
             "streaming",
@@ -333,52 +335,29 @@ class QueryServer:
         push: Any = None,
         attached: "list[str] | None" = None,
     ) -> dict[str, Any]:
+        """Answer one request: table lookup, validate, call ``_op_<name>``.
+
+        Handlers receive the clean keyword arguments of
+        :func:`protocol.validate` and return the response's ``result``
+        (or a :class:`_Reply` to add response keys); a refusal is a
+        :class:`protocol.ProtocolError` whose message is the error line.
+        """
         request_id = message.get("id")
-        op = message.get("op")
-        try:
-            if op == "submit":
-                return self._op_submit(request_id, message)
-            if op == "explain":
-                return self._op_explain(request_id, message)
-            if op == "stats":
-                return protocol.ok_response(
-                    request_id, "stats", self.scheduler.stats()
-                )
-            if op == "ping":
-                return protocol.ok_response(
-                    request_id,
-                    "pong",
-                    {"version": protocol.PROTOCOL_VERSION},
-                )
-            if op == "shutdown":
-                return protocol.ok_response(request_id, "bye", None)
-            if op == "announce":
-                return self._op_announce(request_id, message)
-            if op == "metrics":
-                return self._op_metrics(request_id, message)
-            if op == "events":
-                return self._op_events(request_id, message)
-            if op == "health":
-                return self._op_health(request_id, message)
-            if op == "register":
-                return self._op_register(request_id, message, push, attached)
-            if op == "unregister":
-                return self._op_unregister(request_id, message)
-            if op == "ingest":
-                return self._op_ingest(request_id, message)
-            if op == "poll":
-                return self._op_poll(request_id, message)
-            if op == "page":
-                return self._op_page(request_id, message)
-            if op == "lookup":
-                return self._op_lookup(request_id, message)
-            if op == "aggregate":
-                return self._op_aggregate(request_id, message)
+        name = message.get("op")
+        op = protocol.OPS.get(name) if isinstance(name, str) else None
+        if op is None:
             return protocol.error_response(
                 request_id,
-                f"unknown op {op!r}; expected one of "
+                f"unknown op {name!r}; expected one of "
                 f"{', '.join(protocol.OPS)}",
             )
+        kwargs = protocol.validate(name, message)
+        if isinstance(kwargs, str):
+            return protocol.error_response(request_id, kwargs)
+        if name == "register":
+            kwargs.update(sink=push, attached=attached)
+        try:
+            reply = getattr(self, f"_op_{name}")(**kwargs)
         except ServiceTimeout as exc:
             return protocol.error_response(request_id, f"timeout: {exc}")
         except CancelledError:
@@ -386,273 +365,116 @@ class QueryServer:
             return protocol.error_response(
                 request_id, "request cancelled (server shutting down?)"
             )
+        except protocol.ProtocolError as exc:
+            return protocol.error_response(request_id, str(exc))
         except Exception as exc:
             # Whatever an engine (or a third-party plugin) raised: the
             # connection must answer, not die — AdmissionError,
             # UnknownEngineError/UnknownQueryError, SchedulerClosed,
-            # type errors from malformed fields, plugin bugs, all of it.
+            # plugin bugs, all of it.
             return protocol.error_response(
                 request_id, f"{type(exc).__name__}: {exc}"
             )
+        if not isinstance(reply, _Reply):
+            reply = _Reply(reply)
+        if op.logged and self._log_path is not None:
+            self._log_served(name, kwargs, reply.result)
+        return {
+            **protocol.ok_response(request_id, op.kind, reply.result),
+            **reply.extra,
+        }
 
-    @staticmethod
-    def _bad_field(name: str, expected: str, value: Any) -> str:
-        return (
-            f"invalid {name!r} field: expected {expected}, got {value!r}"
-        )
-
-    def _validate_submit(self, message: dict[str, Any]) -> "str | None":
-        """The first malformed submit field as an error message, or None.
-
-        Checked up front, naming the offending field, so a typed client
-        bug ("priority": "high") gets a protocol error it can act on —
-        not a generic coercion traceback — and the connection stays
-        serviceable.
-        """
-        query = message.get("query")
-        if not isinstance(query, str) or not query:
-            return "submit needs a 'query' (name or pattern DSL)"
-        engine = message.get("engine")
-        if engine is not None and not isinstance(engine, str):
-            return self._bad_field("engine", "an engine name string", engine)
-        priority = message.get("priority")
-        if priority is not None and (
-            not isinstance(priority, int) or isinstance(priority, bool)
-        ):
-            return self._bad_field("priority", "an integer", priority)
-        timeout = message.get("timeout")
-        if timeout is not None and (
-            not isinstance(timeout, (int, float))
-            or isinstance(timeout, bool)
-            or timeout <= 0
-        ):
-            return self._bad_field(
-                "timeout", "a positive number of seconds", timeout
-            )
-        collect = message.get("collect")
-        if collect is not None and not (
-            isinstance(collect, bool) or collect == "store"
-        ):
-            return self._bad_field(
-                "collect", "a boolean or 'store'", collect
-            )
-        limit = message.get("limit")
-        if limit is not None and (
-            not isinstance(limit, int)
-            or isinstance(limit, bool)
-            or limit < 1
-        ):
-            return self._bad_field("limit", "a positive integer", limit)
-        memory_mb = message.get("memory_mb")
-        if memory_mb is not None and (
-            not isinstance(memory_mb, (int, float))
-            or isinstance(memory_mb, bool)
-            or memory_mb <= 0
-        ):
-            return self._bad_field(
-                "memory_mb", "a positive number of MiB", memory_mb
-            )
-        tenant = message.get("tenant")
-        if tenant is not None and (
-            not isinstance(tenant, str) or not tenant
-        ):
-            return self._bad_field(
-                "tenant", "a non-empty tenant name string", tenant
-            )
-        trace = message.get("trace")
-        if trace is not None and not isinstance(trace, bool):
-            return self._bad_field("trace", "a boolean", trace)
-        profile = message.get("profile")
-        if profile is not None and not isinstance(profile, bool):
-            return self._bad_field("profile", "a boolean", profile)
-        return None
-
-    def _op_submit(
-        self, request_id: Any, message: dict[str, Any]
-    ) -> dict[str, Any]:
-        problem = self._validate_submit(message)
-        if problem is not None:
-            return protocol.error_response(request_id, problem)
-        ticket = self.scheduler.submit(
-            str(message["query"]),
-            str(message.get("engine") or "RADS"),
-            priority=message.get("priority") or 0,
-            timeout=message.get("timeout"),
-            collect=message.get("collect"),
-            limit=message.get("limit"),
-            memory_mb=message.get("memory_mb"),
-            tenant=message.get("tenant"),
-            trace=bool(message.get("trace", False)),
-            profile=bool(message.get("profile", False)),
-        )
-        result = ticket.result()
+    def _op_submit(self, *, query: str, engine: str, **options: Any):
+        ticket = self.scheduler.submit(query, engine, **options)
+        record = ticket.result().to_dict()
         cache = (
             "hit" if ticket.cache_hit
             else "dedup" if ticket.deduped
             else "miss"
         )
-        record = result.to_dict()
-        self._log_record(record)
-        return protocol.ok_response(
-            request_id, "result", record, cache=cache, store=ticket.store
-        )
+        return _Reply(record, {"cache": cache, "store": ticket.store})
 
-    def _op_explain(
-        self, request_id: Any, message: dict[str, Any]
-    ) -> dict[str, Any]:
+    def _op_explain(self, *, query: str, engine: str, estimates: bool):
         from repro.api.session import resolve_query
 
-        query = message.get("query")
-        if not query:
-            return protocol.error_response(
-                request_id, "explain needs a 'query' (name or pattern DSL)"
-            )
-        engine_name = self.registry.resolve(
-            str(message.get("engine", "RADS"))
-        ).name
+        engine_name = self.registry.resolve(engine).name
         with self._explain_lock:
-            engine = self._explain_engines.get(engine_name)
-            if engine is None:
-                engine = self.registry.create(engine_name, graph=self.graph)
-                self._explain_engines[engine_name] = engine
+            built = self._explain_engines.get(engine_name)
+            if built is None:
+                built = self.registry.create(engine_name, graph=self.graph)
+                self._explain_engines[engine_name] = built
             # explain() is analytical and engine state is untouched, but
             # engines are not thread-safe in general: hold the lock.
-            explanation = engine.explain(
-                resolve_query(str(query)),
-                graph=self.graph if message.get("estimates", True) else None,
+            explanation = built.explain(
+                resolve_query(query),
+                graph=self.graph if estimates else None,
             )
-        record = explanation.to_dict()
-        self._log_record(record)
-        return protocol.ok_response(request_id, "explanation", record)
+        return explanation.to_dict()
+
+    def _op_stats(self):
+        return self.scheduler.stats()
+
+    def _op_ping(self):
+        return {"version": protocol.PROTOCOL_VERSION}
+
+    def _op_shutdown(self):
+        return None  # the connection handler stops the server on "bye"
 
     def _op_announce(
-        self, request_id: Any, message: dict[str, Any]
-    ) -> dict[str, Any]:
-        address = message.get("address")
-        if not isinstance(address, str) or not address:
-            return protocol.error_response(
-                request_id,
-                self._bad_field(
-                    "address", "a 'host:port' worker address", address
-                ),
-            )
-        try:
-            host, port = protocol.parse_address(address)
-        except ValueError as exc:
-            return protocol.error_response(
-                request_id, f"invalid 'address' field: {exc}"
-            )
-        canonical = f"{host}:{port}"
-        if message.get("withdraw"):
-            known = self.shard_registry.withdraw(canonical)
+        self, *, address: str, withdraw: Any, graphs: Any, workers: Any,
+        pid: Any,
+    ):
+        if withdraw:
+            known = self.shard_registry.withdraw(address)
             if known:
-                from repro.obs import events as _events
-
-                _events.emit(
-                    "info",
-                    "registry",
-                    _events.WORKER_LEFT,
-                    address=canonical,
-                    roster=len(self.shard_registry),
-                )
-            return protocol.ok_response(
-                request_id,
-                "withdrawn",
+                self._roster_event(_events.WORKER_LEFT, address)
+            return _Reply(
                 {
-                    "address": canonical,
+                    "address": address,
                     "known": known,
                     "roster": len(self.shard_registry),
                     "version": self.shard_registry.version(),
                 },
-            )
-        graphs = message.get("graphs") or ()
-        if not isinstance(graphs, (list, tuple)) or not all(
-            isinstance(g, str) for g in graphs
-        ):
-            return protocol.error_response(
-                request_id,
-                self._bad_field(
-                    "graphs", "a list of graph fingerprints", graphs
-                ),
+                {"kind": "withdrawn"},
             )
         before = self.shard_registry.version()
         version = self.shard_registry.announce(
-            canonical,
-            graphs=graphs,
-            workers=message.get("workers"),
-            pid=message.get("pid"),
+            address, graphs=graphs, workers=workers, pid=pid
         )
         if version != before:
             # A version advance means a *new* roster member (re-announces
             # refresh in place); that join is the transition the health
             # engine's worker_loss rule clears on.
-            from repro.obs import events as _events
-
-            _events.emit(
-                "info",
-                "registry",
-                _events.WORKER_JOINED,
-                address=canonical,
-                roster=len(self.shard_registry),
-                rejoined=self.shard_registry.announces(canonical) > 1,
+            self._roster_event(
+                _events.WORKER_JOINED, address,
+                rejoined=self.shard_registry.announces(address) > 1,
             )
         stale_after = self.shard_registry.stale_after
-        return protocol.ok_response(
-            request_id,
-            "announced",
-            {
-                "address": canonical,
-                "roster": len(self.shard_registry),
-                "version": version,
-                # The re-announce cadence that keeps the entry fresh.
-                "interval": (
-                    None if stale_after is None else stale_after / 3.0
-                ),
-            },
+        return {
+            "address": address,
+            "roster": len(self.shard_registry),
+            "version": version,
+            # The re-announce cadence that keeps the entry fresh.
+            "interval": None if stale_after is None else stale_after / 3.0,
+        }
+
+    def _roster_event(self, kind: str, address: str, **attrs: Any) -> None:
+        _events.emit(
+            "info", "registry", kind, address=address,
+            roster=len(self.shard_registry), **attrs,
         )
 
     # -- streaming / continuous queries --------------------------------
     def _op_register(
-        self,
-        request_id: Any,
-        message: dict[str, Any],
-        push: Any,
-        attached: "list[str] | None",
-    ) -> dict[str, Any]:
-        query = message.get("query")
-        if not isinstance(query, str) or not query:
-            return protocol.error_response(
-                request_id, "register needs a 'query' (name or pattern DSL)"
-            )
-        tenant = message.get("tenant")
-        if tenant is not None and (
-            not isinstance(tenant, str) or not tenant
-        ):
-            return protocol.error_response(
-                request_id,
-                self._bad_field(
-                    "tenant", "a non-empty tenant name string", tenant
-                ),
-            )
-        collect = message.get("collect")
-        if collect is not None and not isinstance(collect, bool):
-            return protocol.error_response(
-                request_id, self._bad_field("collect", "a boolean", collect)
-            )
-        wants_push = message.get("push")
-        if wants_push is not None and not isinstance(wants_push, bool):
-            return protocol.error_response(
-                request_id, self._bad_field("push", "a boolean", wants_push)
-            )
-        watch = self.streams.register(
-            query,
-            tenant=tenant,
-            collect=True if collect is None else collect,
-        )
-        if wants_push and push is not None:
+        self, *, query: str, tenant: "str | None", collect: bool,
+        push: bool, sink: Any, attached: "list[str] | None",
+    ):
+        watch = self.streams.register(query, tenant=tenant, collect=collect)
+        pushing = push and sink is not None
+        if pushing:
             self.streams.attach_push(
                 watch.id,
-                lambda record, send=push, watch_id=watch.id: send({
+                lambda record, send=sink, watch_id=watch.id: send({
                     "kind": "delta",
                     "ok": True,
                     "watch": watch_id,
@@ -662,329 +484,86 @@ class QueryServer:
             if attached is not None:
                 attached.append(watch.id)
         current = self.streams.current
-        return protocol.ok_response(
-            request_id,
-            "registered",
-            {
-                "watch": watch.id,
-                "pattern": watch.pattern.name,
-                "version": current.version,
-                "fingerprint": current.fingerprint,
-                "push": bool(wants_push and push is not None),
-            },
-        )
+        return {
+            "watch": watch.id,
+            "pattern": watch.pattern.name,
+            "version": current.version,
+            "fingerprint": current.fingerprint,
+            "push": pushing,
+        }
 
-    def _op_unregister(
-        self, request_id: Any, message: dict[str, Any]
-    ) -> dict[str, Any]:
-        watch_id = message.get("watch")
-        if not isinstance(watch_id, str) or not watch_id:
-            return protocol.error_response(
-                request_id,
-                self._bad_field("watch", "a watch id string", watch_id),
-            )
-        known = self.streams.unregister(watch_id)
-        return protocol.ok_response(
-            request_id, "unregistered", {"watch": watch_id, "known": known}
-        )
+    def _op_unregister(self, *, watch: str):
+        return {"watch": watch, "known": self.streams.unregister(watch)}
 
-    @staticmethod
-    def _edge_batch(value: Any, name: str) -> "list[tuple[int, int]] | str":
-        """Parse one ingest edge list; an error string when malformed."""
-        if value is None:
-            return []
-        if not isinstance(value, (list, tuple)):
-            return QueryServer._bad_field(
-                name, "a list of [u, v] vertex pairs", value
-            )
-        edges = []
-        for item in value:
-            if (
-                not isinstance(item, (list, tuple))
-                or len(item) != 2
-                or not all(
-                    isinstance(x, int) and not isinstance(x, bool)
-                    for x in item
-                )
-            ):
-                return QueryServer._bad_field(
-                    name, "a list of [u, v] vertex pairs", item
-                )
-            edges.append((int(item[0]), int(item[1])))
-        return edges
-
-    def _op_ingest(
-        self, request_id: Any, message: dict[str, Any]
-    ) -> dict[str, Any]:
-        additions = self._edge_batch(message.get("additions"), "additions")
-        if isinstance(additions, str):
-            return protocol.error_response(request_id, additions)
-        deletions = self._edge_batch(message.get("deletions"), "deletions")
-        if isinstance(deletions, str):
-            return protocol.error_response(request_id, deletions)
+    def _op_ingest(self, *, additions: Any, deletions: Any):
         if not additions and not deletions:
-            return protocol.error_response(
-                request_id,
-                "ingest needs 'additions' and/or 'deletions' edge lists",
+            raise protocol.ProtocolError(
+                "ingest needs 'additions' and/or 'deletions' edge lists"
             )
         try:
-            report = self.streams.ingest(additions, deletions)
+            return self.streams.ingest(additions, deletions)
         except ValueError as exc:
             # Batch validation: names the offending field/edge.
-            return protocol.error_response(
-                request_id, f"invalid ingest batch: {exc}"
-            )
-        return protocol.ok_response(request_id, "ingested", report)
+            raise protocol.ProtocolError(
+                f"invalid ingest batch: {exc}"
+            ) from exc
 
-    def _op_poll(
-        self, request_id: Any, message: dict[str, Any]
-    ) -> dict[str, Any]:
-        watch_id = message.get("watch")
-        if not isinstance(watch_id, str) or not watch_id:
-            return protocol.error_response(
-                request_id,
-                self._bad_field("watch", "a watch id string", watch_id),
-            )
-        wait = message.get("wait")
-        if wait is not None and (
-            not isinstance(wait, (int, float))
-            or isinstance(wait, bool)
-            or wait <= 0
-        ):
-            return protocol.error_response(
-                request_id,
-                self._bad_field(
-                    "wait", "a positive number of seconds", wait
-                ),
-            )
+    def _op_poll(self, *, watch: str, wait: "float | None"):
         try:
-            watch = self.streams.get(watch_id)
+            found = self.streams.get(watch)
         except KeyError:
-            return protocol.error_response(
-                request_id, f"unknown 'watch' id {watch_id!r}"
-            )
-        records = watch.poll(wait=wait)
-        return protocol.ok_response(
-            request_id,
-            "deltas",
-            {
-                "watch": watch_id,
-                "deltas": [record.to_dict() for record in records],
-                "dropped": watch.dropped,
-            },
-        )
+            raise protocol.ProtocolError(
+                f"unknown 'watch' id {watch!r}"
+            ) from None
+        records = found.poll(wait=wait)
+        return {
+            "watch": watch,
+            "deltas": [record.to_dict() for record in records],
+            "dropped": found.dropped,
+        }
 
     # -- embedding store (page / lookup / aggregate) --------------------
-    def _store_query(
-        self, message: dict[str, Any], op: str
-    ) -> "tuple[str, str] | str":
-        """Validated (query, engine) for a store op; error string if bad."""
-        query = message.get("query")
-        if not isinstance(query, str) or not query:
-            return f"{op} needs a 'query' (name or pattern DSL)"
-        engine = message.get("engine")
-        if engine is not None and not isinstance(engine, str):
-            return self._bad_field("engine", "an engine name string", engine)
-        return query, str(engine or "RADS")
-
-    def _op_page(
-        self, request_id: Any, message: dict[str, Any]
-    ) -> dict[str, Any]:
-        parsed = self._store_query(message, "page")
-        if isinstance(parsed, str):
-            return protocol.error_response(request_id, parsed)
-        query, engine = parsed
-        limit = message.get("limit")
-        if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
-            return protocol.error_response(
-                request_id,
-                self._bad_field("limit", "a positive integer", limit),
-            )
-        offset = message.get("offset", 0)
-        if (
-            not isinstance(offset, int)
-            or isinstance(offset, bool)
-            or offset < 0
-        ):
-            return protocol.error_response(
-                request_id,
-                self._bad_field("offset", "a non-negative integer", offset),
-            )
+    def _store_read(self, read: Any, **request: Any):
         try:
-            result = self.scheduler.page(
-                query, engine, limit=limit, offset=offset
-            )
+            return read(**request)
         except LookupError as exc:
-            return protocol.error_response(request_id, str(exc))
-        self._log_store_read("page", query, engine, result)
-        return protocol.ok_response(request_id, "page", result)
+            # Nothing stored for the key (and, historically, an unknown
+            # query or engine name too): the message is the whole answer.
+            raise protocol.ProtocolError(str(exc)) from exc
 
-    def _op_lookup(
-        self, request_id: Any, message: dict[str, Any]
-    ) -> dict[str, Any]:
-        parsed = self._store_query(message, "lookup")
-        if isinstance(parsed, str):
-            return protocol.error_response(request_id, parsed)
-        query, engine = parsed
-        vertex = message.get("vertex")
-        if (
-            not isinstance(vertex, int)
-            or isinstance(vertex, bool)
-            or vertex < 0
-        ):
-            return protocol.error_response(
-                request_id,
-                self._bad_field(
-                    "vertex", "a non-negative data vertex id", vertex
-                ),
-            )
-        try:
-            result = self.scheduler.lookup(query, engine, vertex=vertex)
-        except LookupError as exc:
-            return protocol.error_response(request_id, str(exc))
-        self._log_store_read("lookup", query, engine, result)
-        return protocol.ok_response(request_id, "lookup", result)
+    def _op_page(self, **request: Any):
+        return self._store_read(self.scheduler.page, **request)
 
-    def _op_aggregate(
-        self, request_id: Any, message: dict[str, Any]
-    ) -> dict[str, Any]:
-        from repro.store.columnar import AGGREGATE_MODES
+    def _op_lookup(self, **request: Any):
+        return self._store_read(self.scheduler.lookup, **request)
 
-        parsed = self._store_query(message, "aggregate")
-        if isinstance(parsed, str):
-            return protocol.error_response(request_id, parsed)
-        query, engine = parsed
-        group_by = message.get("group_by", "root")
-        if group_by not in AGGREGATE_MODES:
-            return protocol.error_response(
-                request_id,
-                self._bad_field(
-                    "group_by",
-                    f"one of {', '.join(AGGREGATE_MODES)}",
-                    group_by,
-                ),
-            )
-        try:
-            result = self.scheduler.aggregate(
-                query, engine, group_by=str(group_by)
-            )
-        except LookupError as exc:
-            return protocol.error_response(request_id, str(exc))
-        self._log_store_read("aggregate", query, engine, result)
-        return protocol.ok_response(request_id, "aggregate", result)
+    def _op_aggregate(self, **request: Any):
+        return self._store_read(self.scheduler.aggregate, **request)
 
-    def _log_store_read(
-        self, kind: str, query: str, engine: str, result: dict[str, Any]
-    ) -> None:
-        """Append a served store read to the request log (replayable —
-        ``record_from_dict`` passes these ``kind``-tagged dicts through).
-        """
-        if self._log_path is None:
-            return
-        record = dict(result)
-        # Embedding pages can be large; the log keeps the read's shape
-        # (query, engine, counts, disposition), not the payload rows.
-        record.pop("embeddings", None)
-        record.update(kind=kind, query=query, engine=engine)
-        self._log_record(record)
-
-    def _op_metrics(
-        self, request_id: Any, message: dict[str, Any]
-    ) -> dict[str, Any]:
-        """The ``metrics`` op: structured JSON, or Prometheus-style text.
-
-        ``format: "text"`` renders the same snapshot through
-        :func:`repro.obs.expo.render_text` and returns it as a string
-        result (one ``repro_*`` sample per line).
-        """
-        fmt = message.get("format")
-        if fmt not in (None, "json", "text"):
-            return protocol.error_response(
-                request_id,
-                self._bad_field("format", "'json' or 'text'", fmt),
-            )
+    def _op_metrics(self, *, format: "str | None"):
+        """Structured JSON, or (``format: "text"``) the same snapshot as
+        Prometheus-style exposition text, one ``repro_*`` sample a line."""
         payload: Any = self._metrics()
-        if fmt == "text":
+        if format == "text":
             from repro.obs.expo import render_text
 
             payload = render_text(payload)
-        return protocol.ok_response(request_id, "metrics", payload)
+        return payload
 
-    def _op_events(
-        self, request_id: Any, message: dict[str, Any]
-    ) -> dict[str, Any]:
-        """The ``events`` op: filtered slice of the event journal.
-
-        Optional filters: ``level`` (minimum severity), ``component``,
-        ``since`` (strictly-greater sequence cursor — pass the last
-        ``seq`` you saw to poll incrementally), ``limit`` (newest N).
-        """
-        from repro.obs import events as _events
-
-        level = message.get("level")
-        if level is not None and level not in _events.LEVELS:
-            return protocol.error_response(
-                request_id,
-                self._bad_field(
-                    "level", f"one of {', '.join(_events.LEVELS)}", level
-                ),
-            )
-        component = message.get("component")
-        if component is not None and (
-            not isinstance(component, str) or not component
-        ):
-            return protocol.error_response(
-                request_id,
-                self._bad_field(
-                    "component", "a component name string", component
-                ),
-            )
-        since = message.get("since")
-        if since is not None and (
-            not isinstance(since, int)
-            or isinstance(since, bool)
-            or since < 0
-        ):
-            return protocol.error_response(
-                request_id,
-                self._bad_field(
-                    "since", "a non-negative sequence number", since
-                ),
-            )
-        limit = message.get("limit")
-        if limit is not None and (
-            not isinstance(limit, int) or isinstance(limit, bool) or limit < 1
-        ):
-            return protocol.error_response(
-                request_id,
-                self._bad_field("limit", "a positive integer", limit),
-            )
+    def _op_events(self, **filters: Any):
         journal = _events.journal()
-        records = journal.snapshot(
-            level=level, component=component, since=since, limit=limit
-        )
-        return protocol.ok_response(
-            request_id,
-            "events",
-            {
-                "events": records,
-                "last_seq": journal.last_seq,
-                "capacity": journal.capacity,
-            },
-        )
+        return {
+            "events": journal.snapshot(**filters),
+            "last_seq": journal.last_seq,
+            "capacity": journal.capacity,
+        }
 
-    def _op_health(
-        self, request_id: Any, message: dict[str, Any]
-    ) -> dict[str, Any]:
-        """The ``health`` op: the SLO verdict over the live metrics."""
-        verdict = self.health.evaluate(self._metrics())
-        return protocol.ok_response(request_id, "health", verdict)
+    def _op_health(self):
+        return self.health.evaluate(self._metrics())
 
     def _metrics(self) -> dict[str, Any]:
         """Structured service counters for the ``metrics`` op."""
-        from repro.obs.events import journal
-
-        _journal = journal()
+        _journal = _events.journal()
         scheduler = self.scheduler.stats()
         cache = scheduler.pop("cache", None)
         store = scheduler.pop("store", None)
@@ -1016,11 +595,24 @@ class QueryServer:
         }
 
     # ------------------------------------------------------------------
+    def _log_served(
+        self, op: str, kwargs: dict[str, Any], result: dict[str, Any]
+    ) -> None:
+        """Append a served record to the request log (replayable —
+        ``record_from_dict`` passes ``kind``-tagged store reads through).
+        """
+        if op in ("page", "lookup", "aggregate"):
+            # Embedding pages can be large; the log keeps the read's shape
+            # (query, engine, counts, disposition), not the payload rows.
+            result = {k: v for k, v in result.items() if k != "embeddings"}
+            result.update(
+                kind=op, query=kwargs["query"], engine=kwargs["engine"]
+            )
+        self._log_record(result)
+
     def _log_record(self, record: dict[str, Any]) -> None:
         if self._log_path is None:
             return
-        from repro.api.results import append_record_jsonl
-
         # Logged on a copy: the wall-clock stamp is a property of the
         # *log line* (when the server served it), not of the record the
         # response carries — responses stay byte-identical to PR 8.
@@ -1038,8 +630,6 @@ def wait_until_serving(
     Convenience for scripts that background ``repro serve`` and need a
     readiness gate sturdier than sleeping.
     """
-    import time
-
     deadline = time.monotonic() + timeout
     last_error: Exception | None = None
     while time.monotonic() < deadline:

@@ -21,11 +21,16 @@ from repro.api import (
     result_to_json,
     write_results_jsonl,
 )
-from repro.bench.harness import make_cluster, run_query_grid
-from repro.engines import all_engines
+from repro.bench.harness import run_query_grid
 from repro.engines.base import RunResult
 from repro.graph import erdos_renyi
 from repro.query import paper_query
+
+#: The five engines of the paper's Sec. 7, name -> class.
+PAPER_ENGINES = {
+    spec.name: spec.engine_cls
+    for spec in default_registry().specs(paper=True)
+}
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +111,7 @@ class TestRegistry:
 
     def test_create_all_capability_selection(self):
         engines = default_registry().create_all(paper=True)
-        assert list(engines) == list(all_engines())
+        assert list(engines) == list(PAPER_ENGINES)
 
     def test_create_all_engine_kwargs_accept_aliases(self, graph):
         engines = default_registry().create_all(
@@ -168,17 +173,6 @@ class TestRegistry:
         reg = EngineRegistry()
         with pytest.raises(TypeError, match="engine_cls"):
             register_engine("Mine", registry=reg)(lambda graph=None: None)
-
-    def test_shims_delegate_to_registry(self):
-        from repro.engines import extended_engines
-
-        reg = default_registry()
-        assert all_engines() == {
-            s.name: s.engine_cls for s in reg.specs(paper=True)
-        }
-        assert set(extended_engines()) == {
-            s.name for s in reg if s.paper or s.extension
-        }
 
 
 # ----------------------------------------------------------------------
@@ -299,11 +293,11 @@ class TestSession:
         with pytest.raises(TypeError, match="needs a Graph"):
             Session(object())
 
-    @pytest.mark.parametrize("engine_name", sorted(all_engines()))
+    @pytest.mark.parametrize("engine_name", sorted(PAPER_ENGINES))
     def test_parity_with_direct_calls_q4(self, graph, engine_name):
         """Acceptance: Session stats == hand-wired stats, all five engines."""
-        direct = all_engines()[engine_name]().run(
-            make_cluster(graph, 3), paper_query("q4"),
+        direct = PAPER_ENGINES[engine_name]().run(
+            RunConfig(machines=3).make_cluster(graph), paper_query("q4"),
             collect_embeddings=False,
         )
         via_session = (
@@ -326,10 +320,10 @@ class TestSession:
         """Acceptance: the workers=2 backend reports bit-identical stats."""
         serial = {
             name: cls().run(
-                make_cluster(graph, 3), paper_query("q4"),
+                RunConfig(machines=3).make_cluster(graph), paper_query("q4"),
                 collect_embeddings=False,
             )
-            for name, cls in all_engines().items()
+            for name, cls in PAPER_ENGINES.items()
         }
         with repro.open(graph).with_cluster(machines=3) \
                 .with_workers(2).query("q4") as session:
@@ -421,7 +415,7 @@ class TestSession:
         reference = run_query_grid(
             graph, "t", ["q2", "triangle"],
             engines=default_registry().create_all(["RADS", "PSgL"]),
-            num_machines=3,
+            config=RunConfig(machines=3),
         )
         assert grid.results == reference.results
 

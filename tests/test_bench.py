@@ -3,12 +3,12 @@
 
 import pytest
 
+from repro.api.config import RunConfig
 from repro.bench.datasets import DATASETS, dataset, dataset_profile
 from repro.bench.harness import (
     format_comm_table,
     format_count_table,
     format_time_table,
-    make_cluster,
     run_query_grid,
 )
 from repro.core.rads import RADSEngine
@@ -48,7 +48,7 @@ class TestHarness:
             "dblp-mini",
             ["q1", "q2"],
             engines={"RADS": RADSEngine(), "PSgL": PSgLEngine()},
-            num_machines=3,
+            config=RunConfig(machines=3),
         )
 
     def test_grid_complete(self, grid):
@@ -78,7 +78,7 @@ class TestHarness:
                 assert grid.get(e, q).makespan > 0
 
     def test_make_cluster_machines(self):
-        cluster = make_cluster(dataset("dblp", 0.12), 5)
+        cluster = RunConfig(machines=5).make_cluster(dataset("dblp", 0.12))
         assert cluster.num_machines == 5
 
     def test_oom_recorded_not_raised(self):
@@ -86,7 +86,6 @@ class TestHarness:
         grid = run_query_grid(
             graph, "lj-mini", ["q5"],
             engines={"PSgL": PSgLEngine()},
-            num_machines=3,
-            memory_capacity=64 * 1024,
+            config=RunConfig(machines=3, memory_mb=1 / 16),
         )
         assert grid.get("PSgL", "q5").failed

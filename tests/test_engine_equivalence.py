@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api.registry import default_registry
 from repro.cluster import Cluster
 from repro.cluster.machine import SimulatedMemoryError
 from repro.core import rmeef
 from repro.core.rads import RADSEngine
-from repro.engines import all_engines
 from repro.engines.bigjoin import BigJoinEngine
 from repro.engines.single import SingleMachineEngine
 from repro.enumeration import EnumerationStats, backtracking, enumerate_embeddings
@@ -44,7 +44,10 @@ def equivalence_cluster(er_graph):
 
 
 def _engines():
-    classes = dict(all_engines())
+    classes = {
+        spec.name: spec.engine_cls
+        for spec in default_registry().specs(paper=True)
+    }
     classes["BigJoin"] = BigJoinEngine
     return classes
 
@@ -80,7 +83,7 @@ class TestEngineBackendEquivalence:
     def test_seeded_graphs_rads_counts_stable(self, pools):
         """RADS counts match the oracle on more seeds/topologies, and the
         process backend reproduces them at every worker count."""
-        rads_cls = all_engines()["RADS"]
+        rads_cls = RADSEngine
         graphs = [
             erdos_renyi(70, 0.09, seed=29),
             grid_road_network(9, 9, extra_edge_prob=0.15, seed=2),
@@ -110,7 +113,7 @@ class TestEngineBackendEquivalence:
         """Reported stats (not just counts) are bit-identical no matter
         how many workers execute the batch."""
         pattern = named_patterns()["q4"]
-        rads_cls = all_engines()["RADS"]
+        rads_cls = RADSEngine
         runs = {
             workers: rads_cls().run(
                 equivalence_cluster.fresh_copy(), pattern,

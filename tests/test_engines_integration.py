@@ -3,6 +3,7 @@ single-machine oracle on every query and graph family."""
 
 import pytest
 
+from repro.api.registry import default_registry
 from repro.cluster import Cluster
 from repro.engines import (
     CrystalEngine,
@@ -10,7 +11,6 @@ from repro.engines import (
     SEEDEngine,
     SingleMachineEngine,
     TwinTwigEngine,
-    all_engines,
 )
 from repro.core.rads import RADSEngine
 from repro.engines import MultiwayJoinEngine, ReplicationEngine
@@ -66,12 +66,12 @@ class TestCommunityGraph:
 
 class TestEngineRegistry:
     def test_all_engines_listed(self):
-        reg = all_engines()
-        assert sorted(reg) == ["Crystal", "PSgL", "RADS", "SEED", "TwinTwig"]
+        paper = [spec.name for spec in default_registry().specs(paper=True)]
+        assert sorted(paper) == ["Crystal", "PSgL", "RADS", "SEED", "TwinTwig"]
 
     def test_names_match(self):
-        for name, cls in all_engines().items():
-            assert cls.name == name
+        for spec in default_registry().specs(paper=True):
+            assert spec.engine_cls.name == spec.name
 
 
 class TestRunResult:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.config import RunConfig
 from repro.bench import experiments as X
 from repro.bench.harness import run_query_grid
 from repro.bench.datasets import dataset
@@ -61,7 +62,7 @@ class TestExperimentHelpers:
             run_query_grid(
                 graph, "x", ["q1"],
                 engines={"RADS": RADSEngine(), "Broken": BrokenEngine()},
-                num_machines=2,
+                config=RunConfig(machines=2),
             )
 
 

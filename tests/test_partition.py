@@ -57,6 +57,28 @@ class TestMetisLikePartitioner:
         assert partition_balance(owner, 3) < 1.5
 
 
+class TestMoreMachinesThanVertices:
+    """The paper's claim is the same answer under any partition — also a
+    degenerate one with more machines than vertices (empty parts)."""
+
+    @pytest.mark.parametrize("partitioner", ["metis", "hash", "labelprop"])
+    def test_rads_triangle_count_is_partition_independent(self, partitioner):
+        import repro
+
+        # Two triangles joined by an edge, 6 vertices, 8 machines.
+        graph = Graph.from_edges(
+            6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
+        )
+        config = repro.RunConfig(machines=8, partitioner=partitioner)
+        owner = config.make_partition(graph).owner
+        assert len(owner) == 6 and 0 <= owner.min() and owner.max() < 8
+        result = (
+            repro.open(graph).with_config(config)
+            .engine("rads").query("triangle").run()
+        )
+        assert not result.failed and result.embedding_count == 2
+
+
 class TestPartitionView:
     @pytest.fixture()
     def partition(self, grid):

@@ -168,6 +168,20 @@ class TestResultCache:
         (emb,) = served.embeddings
         assert emb[0] == 11 and set(emb) == {10, 11, 12}
 
+    def test_limit_serves_the_first_rows_of_the_full_remap(self):
+        cache = ResultCache()
+        p = repro.pattern("a-b, b-c")
+        q = repro.pattern("a-b, a-c").copy_with_name("star")
+        rows = [(10 + 3 * i, 11 + 3 * i, 12 + 3 * i) for i in range(50)]
+        cache.put(("k",), p, _result(embeddings=rows))
+        full = cache.get(("k",), q)
+        page = cache.get(("k",), q, limit=7)
+        assert page.embeddings == full.embeddings[:7]
+        assert page.embedding_count == full.embedding_count
+        # The stored entry is untouched by the sliced serve.
+        assert cache.get(("k",), q) == full
+        assert cache.get(("k",), q, limit=500) == full
+
     def test_annotate_surfaces_counters(self):
         cache = ResultCache()
         p = triangle()
@@ -565,6 +579,22 @@ class TestSchedulerResults:
             )
         assert limited.embeddings == full.embeddings[:3]
         assert limited.counters["service.cache_hit"] == 1
+
+    def test_limited_hit_for_a_rewrite_is_the_head_of_the_full_remap(
+        self, graph
+    ):
+        rewrite = shuffled(repro.resolve_query("q1"), seed=5)
+        with QueryScheduler(
+            graph, RunConfig(machines=3), threads=1
+        ) as scheduler:
+            scheduler.run("q1", "rads", collect=True)
+            full = scheduler.run(rewrite, "rads", collect=True)
+            ticket = scheduler.submit(rewrite, "rads", collect=True, limit=4)
+            page = ticket.result(60)
+        assert ticket.cache_hit
+        assert len(full.embeddings) > 4
+        assert page.embeddings == full.embeddings[:4]
+        assert page.embedding_count == full.embedding_count
 
     def test_cache_disabled(self, graph):
         with QueryScheduler(

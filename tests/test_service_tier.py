@@ -11,8 +11,9 @@ and stats-accounting fixes that rode along:
 - ``ResultCache`` sweeps TTL-expired entries (as ``expirations``) before
   LRU-evicting live ones;
 - ``stats()["queued"]`` counts live queued work, not raw heap entries;
-- malformed submit protocol fields get an error naming the field and
-  the connection stays serviceable.
+- malformed protocol fields get an error naming the field and the
+  connection stays serviceable (``tests/test_protocol_table.py``, one
+  case per op, field and bad value, generated from the op table).
 """
 
 from __future__ import annotations
@@ -292,6 +293,38 @@ class TestSubmitValidation:
         assert stats["queued"] == 0
 
 
+class TestWorkerEngineCache:
+    def test_a_ninth_engine_evicts_only_the_oldest(self, graph):
+        """Each worker keeps 8 engines; building a ninth used to drop all
+        of them, so the other seven warm ones were rebuilt on next use."""
+        built: list[str] = []
+
+        def factory(name):
+            def make(**kwargs):
+                built.append(name)
+                return _GatedEngine()
+            return make
+
+        registry = EngineRegistry()
+        names = [f"E{i}" for i in range(9)]
+        for name in names:
+            registry.register(EngineSpec(
+                name=name, engine_cls=_GatedEngine, factory=factory(name),
+            ))
+        _GatedEngine.gates = {}
+        with QueryScheduler(
+            graph, RunConfig(machines=2), registry, threads=1, cache=False
+        ) as scheduler:
+            for name in names:
+                scheduler.run("triangle", name)
+            assert built == names
+            for name in names[1:]:  # still warm
+                scheduler.run("triangle", name)
+            assert built == names
+            scheduler.run("triangle", "E0")  # the one that was evicted
+            assert built == names + ["E0"]
+
+
 # ----------------------------------------------------------------------
 # Cache eviction ordering (the bugfix: sweep expired before evicting)
 # ----------------------------------------------------------------------
@@ -569,35 +602,6 @@ def server(graph):
 
 
 class TestProtocolValidation:
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("priority", "high"),
-            ("memory_mb", "8"),
-            ("limit", 0),
-            ("collect", "yes"),
-            ("tenant", ""),
-            ("timeout", -1),
-            ("engine", 7),
-        ],
-    )
-    def test_malformed_field_names_the_field_and_keeps_the_socket(
-        self, server, field, value
-    ):
-        with socket.create_connection(server.address, timeout=10) as sock:
-            stream = sock.makefile("rwb")
-            assert protocol.read_message(stream)["kind"] == "hello"
-            protocol.write_message(stream, {
-                "op": "submit", "id": 1, "query": "triangle", field: value,
-            })
-            response = protocol.read_message(stream)
-            assert response["id"] == 1 and not response["ok"]
-            assert field in response["error"]
-            assert repr(value) in response["error"]
-            # The connection survives for the next request.
-            protocol.write_message(stream, {"op": "ping", "id": 2})
-            assert protocol.read_message(stream)["kind"] == "pong"
-
     def test_announce_op_round_trip(self, server):
         with socket.create_connection(server.address, timeout=10) as sock:
             stream = sock.makefile("rwb")
