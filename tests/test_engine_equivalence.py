@@ -272,3 +272,43 @@ class TestRMeefAgainstVF2:
         assert result.counters["trie_bytes"] == 344232
         assert result.peak_memory == 116352
         assert result.makespan == 0.000377575
+
+
+class TestBigJoinAgainstVF2:
+    """BigJoin vs the VF2 reference over generated patterns, graphs and
+    cluster sizes: the count and the collected set."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        size=st.integers(2, 5),
+        extra_edges=st.integers(0, 3),
+        pattern_seed=st.integers(0, 10_000),
+        graph_seed=st.integers(0, 10_000),
+        skewed=st.booleans(),
+        machines=st.integers(2, 4),
+    )
+    def test_generated_patterns_graphs_and_cluster_sizes(
+        self, size, extra_edges, pattern_seed, graph_seed, skewed, machines
+    ):
+        pattern = random_connected_pattern(size, extra_edges, seed=pattern_seed)
+        if skewed:
+            graph = powerlaw_cluster(24, 3, 0.3, seed=graph_seed)
+        else:
+            graph = erdos_renyi(22, 0.25, seed=graph_seed)
+        base = Cluster.create(graph, machines)
+        expected = sorted(
+            vf2_embeddings(
+                graph.neighbors, graph.vertices(), pattern,
+                symmetry_breaking_constraints(pattern),
+            )
+        )
+        collected = BigJoinEngine().run(base.fresh_copy(), pattern)
+        counted = BigJoinEngine().run(
+            base.fresh_copy(), pattern, collect_embeddings=False
+        )
+        assert sorted(collected.embeddings) == expected
+        assert collected.embedding_count == len(expected)
+        assert counted.embedding_count == len(expected)
+        assert counted.embeddings is None
+        assert counted.counters == collected.counters
+        assert counted.makespan == collected.makespan
