@@ -291,6 +291,9 @@ class ShardCoordinator:
         sock = socket.create_connection(
             shard.address, timeout=self.connect_timeout
         )
+        # A batch is many small writes answered by small writes: Nagle on
+        # either end waits out the peer's delayed ACK (~40 ms a batch).
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         shard.sock = sock
         shard.rfile = sock.makefile("rb")
         shard.wfile = sock.makefile("wb")

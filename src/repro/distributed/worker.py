@@ -390,6 +390,8 @@ class _Handler(socketserver.StreamRequestHandler):
     """One coordinator connection: hello, then the read loop."""
 
     server: "_TCPServer"
+    #: TCP_NODELAY — see :meth:`ShardCoordinator._connect`.
+    disable_nagle_algorithm = True
 
     def handle(self) -> None:  # pragma: no cover - exercised via sockets
         worker = self.server.worker

@@ -54,6 +54,7 @@ class ServiceClient:
         self.address = address
         self._sock = socket.create_connection(address, timeout=timeout)
         self._sock.settimeout(timeout)
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rfile = self._sock.makefile("rb")
         self._wfile = self._sock.makefile("wb")
         self._next_id = 1

@@ -57,6 +57,9 @@ class _Handler(socketserver.StreamRequestHandler):
     """One connection: hello, then a request/response loop until EOF."""
 
     server: "_TCPServer"
+    #: TCP_NODELAY: push lines and then the reply are two writes, and the
+    #: second would wait out the client's delayed ACK (~40 ms an ingest).
+    disable_nagle_algorithm = True
 
     def handle(self) -> None:  # pragma: no cover - exercised via sockets
         front = self.server.front

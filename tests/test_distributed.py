@@ -416,6 +416,53 @@ class TestHandshake:
             server.close()
 
 
+class TestNoDelay:
+    """Both protocols answer small writes with small writes; with Nagle on
+    either end each exchange can wait out the peer's delayed ACK (~40 ms
+    a batch, or a push-mode ingest), so every endpoint sets TCP_NODELAY."""
+
+    @staticmethod
+    def _accepted(monkeypatch, handler_cls) -> list:
+        """Record the server-side socket of every accepted connection."""
+        accepted: list[socket.socket] = []
+        setup = handler_cls.setup
+
+        def recording(self):
+            setup(self)
+            accepted.append(self.connection)
+
+        monkeypatch.setattr(handler_cls, "setup", recording)
+        return accepted
+
+    @staticmethod
+    def _nodelay(sock: socket.socket) -> bool:
+        return bool(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+    def test_both_ends_of_a_shard_connection(self, monkeypatch):
+        from repro.distributed import worker as worker_module
+
+        accepted = self._accepted(monkeypatch, worker_module._Handler)
+        with ShardWorker() as worker:
+            with ShardCoordinator(
+                [worker.address], heartbeat_interval=None
+            ) as coordinator:
+                (shard,) = coordinator.live_shards()
+                assert self._nodelay(shard.sock)
+                assert [self._nodelay(s) for s in accepted] == [True]
+
+    def test_both_ends_of_a_service_connection(self, er_graph, monkeypatch):
+        from repro.service import server as server_module
+
+        accepted = self._accepted(monkeypatch, server_module._Handler)
+        server = repro.open(er_graph).serve(port=0)
+        try:
+            with repro.connect(server.address) as client:
+                assert self._nodelay(client._sock)
+                assert [self._nodelay(s) for s in accepted] == [True]
+        finally:
+            server.close()
+
+
 class TestWorkerDaemon:
     def test_ping_stats_and_polite_stop(self, er_graph):
         worker = ShardWorker(graph=er_graph).start()
