@@ -10,17 +10,22 @@ the owner of each matched neighbour in turn, narrowing its candidate set
 locally, so prefixes (plus their shrinking candidate sets) are shuffled at
 every hop — like the paper says: "it still needs to shuffle and exchange
 intermediate results, and therefore synchronization before that".
+
+A machine's prefixes are an ``(n, q)`` int64 block and its in-flight set
+is ``(prefixes, counts, candidates)``: row ``i``'s candidates, ascending,
+are the next ``counts[i]`` entries of the flat ``candidates`` array (both
+are ``None`` before the first hop).  Those arrays are what a task takes
+and returns, so they are also what crosses a process or socket boundary.
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
 
 import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.engines.base import EnumerationEngine
 from repro.enumeration.backtracking import compute_matching_order
+from repro.graph.graph import gather_ranges
 from repro.query.pattern import Pattern
 from repro.query.symmetry import constraint_map
 from repro.runtime.executor import Executor
@@ -28,72 +33,100 @@ from repro.runtime.executor import Executor
 
 def _intersect_task(cluster: Cluster, args: tuple) -> tuple:
     """Narrow candidate sets at one hop owner (independent task)."""
-    t, routed_t, hop, prefix_width = args
+    t, (prefixes, counts, cands), hop, prefix_width = args
     graph = cluster.graph
-    model = cluster.cost_model
     machine = cluster.machine(t)
-    prefix_bytes = model.embedding_bytes(prefix_width)
-    ops = 0
-    narrowed = []
-    for prefix, cands in routed_t:
-        adjacency = graph.neighbors(prefix[hop])
-        if cands is None:
-            cands = adjacency
-        else:
-            ops += min(len(cands), len(adjacency))
-            cands = np.intersect1d(cands, adjacency, assume_unique=True)
-        if len(cands):
-            narrowed.append((prefix, cands))
+    prefix_bytes = cluster.cost_model.embedding_bytes(prefix_width)
+    arrived = len(prefixes) * prefix_bytes
+    anchors = prefixes[:, hop]
+    starts = graph.indptr[anchors]
+    degrees = graph.indptr[anchors + 1] - starts
+    if cands is None:  # first hop: the hop vertex's adjacency, unfiltered
+        ops = 0
+        counts = degrees
+        cands = graph.indices[gather_ranges(starts, degrees)[1]]
+    else:
+        arrived += len(cands) * 8
+        ops = int(np.minimum(counts, degrees).sum())
+        row = np.repeat(np.arange(len(prefixes)), counts)
+        keep = graph.has_edges(anchors[row], cands)
+        cands = cands[keep]
+        counts = np.bincount(row[keep], minlength=len(prefixes))
+    alive = counts > 0
+    prefixes, counts = prefixes[alive], counts[alive]
     machine.charge_ops(ops, "intersect_ops")
     machine.allocate(
-        sum(len(c) * 8 for _, c in narrowed)
-        + len(narrowed) * prefix_bytes,
-        "prefix_bytes",
+        len(cands) * 8 + len(prefixes) * prefix_bytes, "prefix_bytes"
     )
-    machine.free(
-        sum(0 if c is None else len(c) * 8 for _, c in routed_t)
-        + len(routed_t) * prefix_bytes
-    )
-    return t, narrowed
+    machine.free(arrived)
+    return t, (prefixes, counts, cands)
 
 
 def _extend_task(cluster: Cluster, args: tuple) -> tuple:
     """Materialise extensions at one machine (independent task)."""
     (
-        t, inflight_t, q, min_degree, lower_positions, upper_positions,
+        t, (prefixes, counts, cands), q, min_degree,
+        lower_positions, upper_positions,
     ) = args
-    graph = cluster.graph
+    indptr = cluster.graph.indptr
     model = cluster.cost_model
     machine = cluster.machine(t)
-    ops = 0
-    extended: list[tuple[int, ...]] = []
-    for prefix, cands in inflight_t:
-        lo, hi = -1, None
-        for p in lower_positions:
-            lo = max(lo, prefix[p])
-        for p in upper_positions:
-            hi = prefix[p] if hi is None else min(hi, prefix[p])
-        if lo >= 0:
-            cands = cands[np.searchsorted(cands, lo + 1):]
-        if hi is not None:
-            cands = cands[: np.searchsorted(cands, hi)]
-        for v in cands:
-            v = int(v)
-            ops += 1
-            if v in prefix:
-                continue
-            if graph.degree(v) < min_degree:
-                continue
-            extended.append(prefix + (v,))
-    machine.charge_ops(ops, "extend_ops")
-    machine.free(
-        sum(len(c) * 8 for _, c in inflight_t)
-        + len(inflight_t) * model.embedding_bytes(q)
-    )
+    row = np.repeat(np.arange(len(prefixes)), counts)
+    keep = np.ones(len(cands), dtype=bool)
+    if lower_positions:
+        keep &= cands > prefixes[:, lower_positions].max(axis=1)[row]
+    if upper_positions:
+        keep &= cands < prefixes[:, upper_positions].min(axis=1)[row]
+    row, bounded = row[keep], cands[keep]
+    parents = prefixes[row]
+    keep = (parents != bounded[:, None]).all(axis=1)
+    keep &= indptr[bounded + 1] - indptr[bounded] >= min_degree
+    extended = np.concatenate((parents[keep], bounded[keep, None]), axis=1)
+    machine.charge_ops(len(bounded), "extend_ops")
+    machine.free(len(cands) * 8 + len(prefixes) * model.embedding_bytes(q))
     machine.allocate(
         len(extended) * model.embedding_bytes(q + 1), "prefix_bytes"
     )
     return t, extended
+
+
+def _route(
+    inflight: list[tuple], owner: np.ndarray, hop: int, prefix_bytes: int
+) -> tuple[list[tuple], np.ndarray]:
+    """Send every in-flight row to the owner of its ``hop`` vertex.
+
+    Returns each destination's in-flight set — rows in source-machine,
+    then row order — and the ``payload[src, dst]`` byte matrix of the
+    shuffle that moves them.
+    """
+    num_machines = len(inflight)
+    blocks, counts, cands = zip(*inflight)
+    prefixes = np.concatenate(blocks)
+    src = np.repeat(np.arange(num_machines), [len(b) for b in blocks])
+    dst = owner[prefixes[:, hop]]
+    order = np.argsort(dst, kind="stable")
+    prefixes = prefixes[order]
+    rows = np.searchsorted(dst[order], np.arange(num_machines + 1))
+    nbytes = np.full(len(prefixes), prefix_bytes, dtype=np.int64)
+    if counts[0] is None:
+        routed = [
+            (prefixes[lo:hi], None, None) for lo, hi in zip(rows, rows[1:])
+        ]
+    else:
+        counts = np.concatenate(counts)
+        nbytes += counts * 8
+        starts = np.cumsum(counts) - counts
+        counts = counts[order]
+        cands = np.concatenate(cands)[gather_ranges(starts[order], counts)[1]]
+        ends = np.concatenate(([0], np.cumsum(counts)))[rows]
+        routed = [
+            (prefixes[lo:hi], counts[lo:hi], cands[a:b])
+            for lo, hi, a, b in zip(rows, rows[1:], ends, ends[1:])
+        ]
+    payload = np.zeros((num_machines, num_machines), dtype=np.int64)
+    moved = src != dst
+    np.add.at(payload, (src[moved], dst[moved]), nbytes[moved])
+    return routed, payload
 
 
 class BigJoinEngine(EnumerationEngine):
@@ -134,44 +167,25 @@ class BigJoinEngine(EnumerationEngine):
 
         # Seed prefixes at the owners of candidate first vertices.
         start_degree = pattern.degree(order[0])
-        prefixes: dict[int, list[tuple[int, ...]]] = defaultdict(list)
+        prefixes: list[np.ndarray] = []
         for t in range(num_machines):
             local = partition.machine(t)
             machine = cluster.machine(t)
-            seeds = [
-                (int(v),)
-                for v in local.owned_vertices
-                if local.degree(int(v)) >= start_degree
-            ]
+            seeds = local.owned_vertices[local.owned_degrees >= start_degree]
             machine.charge_ops(len(local.owned_vertices), "seed_ops")
             machine.allocate(len(seeds) * 8, "prefix_bytes")
-            prefixes[t] = seeds
+            prefixes.append(seeds[:, None])
 
         for q in range(1, n):
-            hops = backward[q]
-            # Items in flight: (prefix, candidate array or None).
-            inflight: dict[int, list[tuple[tuple[int, ...], np.ndarray | None]]]
-            inflight = {
-                t: [(p, None) for p in prefixes[t]] for t in range(num_machines)
-            }
+            inflight = [(block, None, None) for block in prefixes]
             for t in range(num_machines):
                 cluster.machine(t).free(
                     len(prefixes[t]) * model.embedding_bytes(q)
                 )
-            for hop_index, hop in enumerate(hops):
-                routed: dict[int, list[tuple[tuple[int, ...], np.ndarray | None]]]
-                routed = defaultdict(list)
-                payload = np.zeros(
-                    (num_machines, num_machines), dtype=np.int64
+            for hop in backward[q]:
+                routed, payload = _route(
+                    inflight, partition.owner, hop, model.embedding_bytes(q)
                 )
-                prefix_bytes = model.embedding_bytes(q)
-                for t in range(num_machines):
-                    for prefix, cands in inflight[t]:
-                        dst = partition.owner_of(prefix[hop])
-                        routed[dst].append((prefix, cands))
-                        if dst != t:
-                            extra = 0 if cands is None else len(cands) * 8
-                            payload[t, dst] += prefix_bytes + extra
                 cluster.network.shuffle(cluster.machines, payload)
                 # Intersect locally at the owners of this hop's vertex —
                 # one independent task per machine.
@@ -191,25 +205,15 @@ class BigJoinEngine(EnumerationEngine):
                 )
                 for t in range(num_machines)
             ]
-            next_prefixes: dict[int, list[tuple[int, ...]]] = defaultdict(list)
             for t, extended in executor.run_tasks(
                 cluster, _extend_task, extend_args
             ):
-                next_prefixes[t] = extended
+                prefixes[t] = extended
             cluster.barrier()
-            prefixes = next_prefixes
 
-        inverse = [0] * n
-        for q, u in enumerate(order):
-            inverse[u] = q
-        results: list[tuple[int, ...]] = []
-        count = 0
-        for t in range(num_machines):
-            count += len(prefixes[t])
-            if collect:
-                results.extend(
-                    tuple(p[inverse[u]] for u in range(n))
-                    for p in prefixes[t]
-                )
-        self._count = count
-        return results
+        found = np.concatenate(prefixes)
+        self._count = len(found)
+        if not collect:
+            return []
+        # Columns are in extension order; the result is in pattern order.
+        return list(map(tuple, found[:, np.argsort(order)].tolist()))
