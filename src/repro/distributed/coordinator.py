@@ -122,7 +122,7 @@ class _Batch:
     def __init__(
         self,
         token: str,
-        ctx_data: str,
+        ctx_data: bytes,
         tasks: Sequence[Any],
         shard_names: Sequence[str],
         trace: "dict[str, str] | None" = None,
@@ -524,7 +524,7 @@ class ShardCoordinator:
         # — the ownership map is O(|V|) and a shipped graph is the whole
         # CSR.  Scoped to this call so the coordinator never retains a
         # second full-graph encoding between binds.
-        packed: dict[str, str] = {}
+        packed: dict[str, bytes] = {}
         for shard in self.live_shards():
             if shard.bound_key == key:
                 continue
@@ -542,7 +542,7 @@ class ShardCoordinator:
         shard: _Shard,
         cluster: "Cluster",
         fingerprint: str,
-        packed: dict[str, str],
+        packed: dict[str, bytes],
     ) -> None:
         data = packed.get("data")
         if data is None:

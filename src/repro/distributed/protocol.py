@@ -1,80 +1,24 @@
-"""Coordinator <-> shard-worker wire protocol.
+"""Coordinator <-> shard-worker wire protocol (version 2).
 
-The transport reuses the query service's JSON-lines framing verbatim
-(:mod:`repro.service.protocol`: one UTF-8 JSON object per line, versioned
-hello on connect) and rides binary simulation payloads — cluster-state
-snapshots, task functions/arguments, :class:`~repro.runtime.delta.ClusterDelta`
-records — inside it as base64-encoded pickles.  JSON keeps the framing,
-versioning and error reporting debuggable with ``nc``; pickle keeps the
-payloads exactly the objects the in-process backends already exchange, so
-the socket backend is bit-identical to the process pool by construction.
+JSON lines, as on the query service (:mod:`repro.service.protocol`: one
+UTF-8 JSON object per line, versioned hello on connect), so ``nc`` can
+still say hello, ping and shut a worker down.  A message holding
+``bytes`` fields — :func:`pack`-ed pickles of cluster snapshots, task
+arguments, :class:`~repro.runtime.delta.ClusterDelta` records — goes out
+as its JSON header line carrying ``"blobs": [[field, nbytes], ...]``
+followed by the raw bytes; :func:`read_message` puts the fields back.
+Header lines and declared blobs are capped at ``MAX_FRAME_BYTES``.
 
-On connect the **worker** greets with one hello line::
-
-    {"kind": "hello", "version": 1, "role": "shard-worker",
-     "graphs": ["<fingerprint>", ...], "workers": 0, "pid": 12345}
-
-Requests (coordinator -> worker) then follow; every response echoes
-``id`` and carries ``ok``::
-
-    {"op": "bind", "id": 1, "fingerprint": "<sha256>",
-     "data": "<b64 pickle {owner, cost_model, memory_capacity}>",
-     "graph": "<b64 pickle Graph, only when shipping>"}
-    {"op": "task", "id": 2, "batch": "batch-7",
-     "data": "<b64 pickle args>",
-     "ctx": "<b64 pickle (base, fn), first task per connection only>",
-     "trace": {"trace_id": "...", "parent": "..."},  # traced runs only
-     "profile": true}                        # profiled runs only
-    {"op": "ping", "id": 3}
-    {"op": "stats", "id": 4}
-    {"op": "shutdown", "id": 5}
-
-    {"id": 1, "ok": true, "kind": "bound",
-     "result": {"fingerprint": "...", "cached_graph": true}}
-    {"id": 1, "ok": false, "error": "...", "code": "need-graph",
-     "have": ["<fingerprint>", ...]}         # re-bind with the graph
-    {"id": 2, "ok": true, "kind": "delta",
-     "data": "<b64 pickle (status, payload, delta)>",
-     "spans": [{...}],                       # traced runs only
-     "usage": [{...}]}                       # profiled runs only
-    {"id": n, "ok": false, "error": "human-readable message"}
-
-Tracing (PR 9): a traced run's ``task`` messages carry the JSON-safe
-``trace`` propagation context (:func:`repro.obs.trace.wire_context` —
-the trace id plus the coordinator-side batch span to parent on); the
-worker times each task and ships the finished span dict(s) back in the
-``spans`` list beside the delta payload, where the coordinator folds
-them into the live trace.  Untraced runs carry neither field, so the
-wire bytes of the default path are unchanged.
-
-Profiling (PR 10): a profiled run's ``task`` messages carry
-``profile: true``; the worker measures its own ``getrusage`` delta
-across the task and ships the JSON-safe row back in the ``usage`` list
-(:func:`repro.obs.profile.worker_usage` — shard address, pid, execution
-mode, utime/stime, maxrss), which the coordinator accumulates for the
-executor to fold into the active profiler.  Unprofiled runs carry
-neither field.
-
-A worker answers ``task`` responses in completion order (its process pool
-may finish them out of order); the coordinator matches on ``id``.  A
-``bind`` is a barrier: it is answered only once every in-flight task on
-that connection has drained.  The batch-shared context — the cluster-state
-snapshot and the task function — rides on the *first* task message each
-connection sees for a ``batch`` token and is cached for the rest: the
-snapshot grows with the simulated machine count, so shipping it per task
-would make a batch's wire bytes quadratic in cluster size.
-
-Security note: task payloads are **pickles executed on the worker** — the
-shard protocol assumes a trusted cluster (the same trust the process-pool
-backend places in ``fork``).  Do not expose worker ports beyond it.
+``docs/worker-protocol.md`` has the messages, the ordering rules and the
+trust note (task payloads are pickles **executed on the worker**).
 """
 
 from __future__ import annotations
 
-import base64
 import pickle
-from typing import Any
+from typing import Any, BinaryIO
 
+from repro.service import protocol as _lines
 from repro.service.protocol import (
     ProtocolError,
     decode,
@@ -82,8 +26,6 @@ from repro.service.protocol import (
     error_response,
     ok_response,
     parse_address,
-    read_message,
-    write_message,
 )
 
 __all__ = [
@@ -104,7 +46,7 @@ __all__ = [
 
 #: Bumped on incompatible wire changes; echoed in the worker hello and
 #: checked by the coordinator before any bind.
-WORKER_PROTOCOL_VERSION = 1
+WORKER_PROTOCOL_VERSION = 2
 
 #: Operations a shard worker dispatches on.
 WORKER_OPS = ("bind", "task", "ping", "stats", "shutdown")
@@ -114,16 +56,59 @@ WORKER_OPS = ("bind", "task", "ping", "stats", "shutdown")
 WORKER_ROLE = "shard-worker"
 
 
-def pack(obj: Any) -> str:
-    """Pickle ``obj`` and wrap it for the JSON envelope (base64 text)."""
-    return base64.b64encode(
-        pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    ).decode("ascii")
+def pack(obj: Any) -> bytes:
+    """Pickle ``obj``: a ``bytes`` field for :func:`write_message`."""
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def unpack(text: str) -> Any:
+def unpack(data: bytes) -> Any:
     """Inverse of :func:`pack` (raises :class:`ProtocolError` on garbage)."""
     try:
-        return pickle.loads(base64.b64decode(text))
+        return pickle.loads(data)
     except Exception as exc:  # pickle raises a zoo of exception types
         raise ProtocolError(f"undecodable binary payload: {exc}") from exc
+
+
+def write_message(stream: BinaryIO, message: dict[str, Any]) -> None:
+    """Send one message — header line, then its ``bytes`` fields — and flush."""
+    blobs = {k: v for k, v in message.items() if isinstance(v, bytes)}
+    if blobs:
+        message = {k: v for k, v in message.items() if k not in blobs}
+        message["blobs"] = [[k, len(v)] for k, v in blobs.items()]
+    stream.write(b"".join((encode(message), *blobs.values())))
+    stream.flush()
+
+
+def read_message(stream: BinaryIO) -> dict[str, Any] | None:
+    """The next message with its blobs attached, or None at EOF.
+
+    A declared length is checked against ``MAX_FRAME_BYTES`` before
+    anything is allocated; EOF inside a frame is a :class:`ProtocolError`.
+    """
+    message = _lines.read_message(stream)
+    if not message or "blobs" not in message:
+        return message
+    declared = message.pop("blobs")
+    if not isinstance(declared, list):
+        raise ProtocolError(f"malformed 'blobs' declaration: {declared!r}")
+    for entry in declared:
+        if not (
+            isinstance(entry, list) and len(entry) == 2
+            and isinstance(entry[0], str)
+            and type(entry[1]) is int and entry[1] >= 0
+        ):
+            raise ProtocolError(f"malformed 'blobs' declaration: {entry!r}")
+        field, nbytes = entry
+        if nbytes > _lines.MAX_FRAME_BYTES:
+            raise ProtocolError(
+                f"blob {field!r} declares {nbytes} bytes, over the "
+                f"{_lines.MAX_FRAME_BYTES}-byte frame limit"
+            )
+        data = stream.read(nbytes)
+        if len(data) != nbytes:
+            raise ProtocolError(
+                f"connection closed inside blob {field!r} "
+                f"({len(data)} of {nbytes} bytes)"
+            )
+        message[field] = data
+    return message

@@ -7,6 +7,8 @@ and may carry an ``id``; the response echoes the ``id`` and carries
 field is checked before the op runs: the first malformed one is named in
 the error and the connection stays serviceable.  An optional field that
 is absent or ``null`` takes its default (the exceptions say "not null").
+A line that is not a JSON object, or is longer than ``MAX_FRAME_BYTES``
+(256 MiB), is answered with an error line and the connection closes.
 
 The ops, their fields and their checks are declared once, in
 :data:`OPS`; ``docs/protocol.md`` is this text plus that table
@@ -26,6 +28,11 @@ from repro.store.columnar import AGGREGATE_MODES
 
 #: Bumped on incompatible wire changes; checked in the client hello.
 PROTOCOL_VERSION = 1
+
+#: The longest line (and, on the shard protocol, the largest binary blob)
+#: a peer may send.  Lengths are the peer's word: a reader refuses past
+#: this before it allocates, answers with an error line and hangs up.
+MAX_FRAME_BYTES = 1 << 28
 
 
 class ProtocolError(RuntimeError):
@@ -375,9 +382,13 @@ def decode(line: "bytes | str") -> dict[str, Any]:
 
 def read_message(stream: BinaryIO) -> dict[str, Any] | None:
     """The next message from a socket file, or None at EOF."""
-    line = stream.readline()
+    line = stream.readline(MAX_FRAME_BYTES + 1)
     if not line:
         return None
+    if len(line) > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"protocol line exceeds the {MAX_FRAME_BYTES}-byte frame limit"
+        )
     if not line.strip():
         return {}
     return decode(line)

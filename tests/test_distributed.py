@@ -11,10 +11,13 @@ for non-distributed engines are covered alongside.
 
 from __future__ import annotations
 
+import dataclasses
+import io
 import json
 import socket
 import threading
 
+import numpy as np
 import pytest
 
 import repro
@@ -22,6 +25,7 @@ from repro.api import CapabilityError, RunConfig, default_registry
 from repro.api.config import ConfigError
 from repro.cluster import Cluster
 from repro.core.rads import RADSEngine
+from repro.engines.bigjoin import BigJoinEngine
 from repro.distributed import (
     DistributedError,
     ShardCoordinator,
@@ -33,6 +37,7 @@ from repro.distributed import protocol as dproto
 from repro.graph import erdos_renyi
 from repro.query import named_patterns
 from repro.runtime import SerialExecutor
+from repro.runtime.delta import capture_state, compute_delta
 from repro.service import QueryScheduler
 from repro.service.cache import cache_key, config_digest
 
@@ -382,7 +387,8 @@ class TestHandshake:
             worker.close()
 
     def test_version_mismatch_rejected(self):
-        """An endpoint speaking a different protocol version is refused."""
+        """A version 1 (base64-in-JSON) worker is refused by this
+        coordinator before any bind."""
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.bind(("127.0.0.1", 0))
         listener.listen(1)
@@ -390,7 +396,7 @@ class TestHandshake:
         def impostor():
             conn, _ = listener.accept()
             conn.sendall((json.dumps({
-                "kind": "hello", "version": 999,
+                "kind": "hello", "version": 1,
                 "role": dproto.WORKER_ROLE,
             }) + "\n").encode())
             conn.recv(1)
@@ -399,12 +405,29 @@ class TestHandshake:
         thread = threading.Thread(target=impostor, daemon=True)
         thread.start()
         try:
-            with pytest.raises(DistributedError, match="version mismatch"):
+            with pytest.raises(
+                DistributedError,
+                match="version mismatch.*worker speaks 1, coordinator 2",
+            ):
                 ShardCoordinator(
                     [listener.getsockname()], heartbeat_interval=None
                 )
         finally:
             listener.close()
+
+    def test_version_1_coordinator_refuses_this_worker(self, monkeypatch):
+        """... and the other way round: the hello says 2, which is all a
+        version 1 coordinator reads before it gives up."""
+        with ShardWorker() as worker:
+            hello = worker._hello()
+            assert hello["version"] == 2
+            monkeypatch.setattr(worker, "_hello", lambda: hello)
+            monkeypatch.setattr(dproto, "WORKER_PROTOCOL_VERSION", 1)
+            with pytest.raises(
+                DistributedError,
+                match="version mismatch.*worker speaks 2, coordinator 1",
+            ):
+                ShardCoordinator([worker.address], heartbeat_interval=None)
 
     def test_wrong_role_rejected(self, er_graph):
         """Pointing the coordinator at a query server is a loud error."""
@@ -629,8 +652,200 @@ class TestWorkerDaemon:
     def test_pack_unpack_roundtrip(self):
         payload = {"base": (1, 2.5), "arr": [(0, 1), (2, 3)]}
         assert dproto.unpack(dproto.pack(payload)) == payload
-        with pytest.raises(dproto.ProtocolError):
-            dproto.unpack("not base64 pickle!")
+        for garbage in (b"not a pickle!", b"", dproto.pack(payload)[:-3]):
+            with pytest.raises(dproto.ProtocolError, match="undecodable"):
+                dproto.unpack(garbage)
+
+
+def _same(a, b) -> bool:
+    """Structural equality that looks inside arrays and dataclasses."""
+    if isinstance(a, np.ndarray):
+        return (
+            isinstance(b, np.ndarray) and a.dtype == b.dtype
+            and a.shape == b.shape and bool((a == b).all())
+        )
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and _same(vars(a), vars(b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return (
+            type(a) is type(b) and len(a) == len(b)
+            and all(map(_same, a, b))
+        )
+    return a == b
+
+
+class TestWire:
+    """Version 2 framing: a JSON header line, then the raw blobs."""
+
+    def test_what_crosses_the_wire_round_trips(self, er_graph):
+        cluster = Cluster.create(er_graph, 3)
+        base = capture_state(cluster)
+        cluster.machine(1).charge_ops(7, "some_ops")
+        cluster.network.record(0, 2, 64)
+        block = (
+            np.arange(12, dtype=np.int64).reshape(4, 3),
+            np.array([2, 0, 1, 3]),
+            np.arange(6, dtype=np.int64),
+        )
+        for payload in (
+            compute_delta(cluster, base),
+            (base, _echo_task),
+            block,
+            (0, block, 1, 3),
+            er_graph,
+        ):
+            assert _same(dproto.unpack(dproto.pack(payload)), payload)
+
+    def test_blobs_follow_the_header_line(self):
+        message = {"op": "task", "id": 7, "data": b"\x00\n\xff", "ctx": b""}
+        stream = io.BytesIO()
+        dproto.write_message(stream, message)
+        header, _, rest = stream.getvalue().partition(b"\n")
+        assert json.loads(header) == {
+            "op": "task", "id": 7, "blobs": [["data", 3], ["ctx", 0]],
+        }
+        assert rest == b"\x00\n\xff"
+        stream.seek(0)
+        assert dproto.read_message(stream) == message
+        assert dproto.read_message(stream) is None
+
+    def test_a_message_without_bytes_is_a_plain_line(self):
+        """hello / ping / stats / shutdown / errors stay ``nc``-able."""
+        for message in (
+            {"op": "ping", "id": 3},
+            dproto.error_response(4, "no"),
+            ShardWorker()._hello(),
+        ):
+            stream = io.BytesIO()
+            dproto.write_message(stream, message)
+            assert stream.getvalue() == dproto.encode(message)
+            stream.seek(0)
+            assert dproto.read_message(stream) == message
+
+    @pytest.mark.parametrize("declared", [
+        "data", [["data"]], [["data", "3"]], [["data", -1]],
+        [["data", True]], [[3, 3]],
+    ])
+    def test_malformed_blob_declarations_are_refused(self, declared):
+        line = dproto.encode({"id": 1, "blobs": declared})
+        with pytest.raises(dproto.ProtocolError, match="malformed 'blobs'"):
+            dproto.read_message(io.BytesIO(line + b"abc"))
+
+    def test_a_declared_length_is_checked_before_it_is_read(self):
+        class NoRead(io.BytesIO):
+            def read(self, *args):  # pragma: no cover - must not happen
+                raise AssertionError("allocated for an over-limit blob")
+
+        line = dproto.encode({"id": 1, "blobs": [["data", 2**40]]})
+        with pytest.raises(dproto.ProtocolError, match="frame limit"):
+            dproto.read_message(NoRead(line))
+
+    def test_eof_inside_a_frame_is_a_protocol_error(self):
+        line = dproto.encode({"id": 1, "blobs": [["data", 100]]})
+        with pytest.raises(dproto.ProtocolError, match="10 of 100 bytes"):
+            dproto.read_message(io.BytesIO(line + b"x" * 10))
+
+
+class TestBoundedFrames:
+    """A worker refuses what is past the cap or cut short, says so where
+    a line can still be written, and hangs up; for a coordinator a frame
+    cut short is a lost worker."""
+
+    @staticmethod
+    def _refused(worker: ShardWorker, sent: bytes, eof: bool = False) -> dict:
+        with socket.create_connection(worker.address, timeout=10) as sock:
+            stream = sock.makefile("rwb")
+            assert dproto.read_message(stream)["kind"] == "hello"
+            stream.write(sent)
+            stream.flush()
+            if eof:  # our half only: the answer can still be written
+                sock.shutdown(socket.SHUT_WR)
+            answer = dproto.read_message(stream)
+            assert dproto.read_message(stream) is None  # hung up
+        return answer
+
+    def test_worker_refuses_an_overlong_line(self, monkeypatch):
+        monkeypatch.setattr(dproto._lines, "MAX_FRAME_BYTES", 4096)
+        with ShardWorker() as worker:
+            answer = self._refused(worker, b"x" * (2 * 4096) + b"\n")
+        assert not answer["ok"]
+        assert "4096-byte frame limit" in answer["error"]
+
+    def test_worker_refuses_an_over_limit_blob(self):
+        header = {"op": "task", "id": 1, "blobs": [["data", 2**40]]}
+        with ShardWorker() as worker:
+            answer = self._refused(worker, dproto.encode(header))
+        assert not answer["ok"]
+        assert f"over the {dproto._lines.MAX_FRAME_BYTES}-byte" in answer["error"]
+
+    def test_worker_refuses_a_frame_cut_short(self):
+        header = {"op": "task", "id": 1, "blobs": [["data", 100]]}
+        with ShardWorker() as worker:
+            answer = self._refused(
+                worker, dproto.encode(header) + b"x" * 10, eof=True
+            )
+        assert not answer["ok"]
+        assert "closed inside blob 'data'" in answer["error"]
+
+    def test_a_frame_cut_short_is_a_lost_worker_and_a_resubmit(self, er_graph):
+        """A shard that dies mid-frame: its tasks go to the survivor and
+        the run reports what the serial backend reports."""
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+
+        def half_a_frame():
+            conn, _ = listener.accept()
+            rfile, wfile = conn.makefile("rb"), conn.makefile("wb")
+            dproto.write_message(wfile, ShardWorker()._hello())
+            while True:
+                message = dproto.read_message(rfile)
+                if message is None:
+                    break
+                if message["op"] == "bind":
+                    dproto.write_message(wfile, dproto.ok_response(
+                        message["id"], "bound", {}
+                    ))
+                    continue
+                header = dproto.ok_response(message["id"], "delta", None)
+                header["blobs"] = [["data", 100]]
+                wfile.write(dproto.encode(header) + b"x" * 10)
+                wfile.flush()
+                conn.shutdown(socket.SHUT_WR)
+                # Closing on unread tasks would reset the connection and
+                # could take the half frame with it: drain to EOF first.
+                while dproto.read_message(rfile) is not None:
+                    pass
+                break
+            conn.close()
+
+        thread = threading.Thread(target=half_a_frame, daemon=True)
+        thread.start()
+        pattern = named_patterns()["q4"]
+        cluster = Cluster.create(er_graph, 3)
+        try:
+            with ShardWorker() as worker, SocketExecutor(
+                [listener.getsockname(), worker.address],
+                heartbeat_interval=None,
+            ) as executor:
+                serial = BigJoinEngine().run(
+                    cluster.fresh_copy(), pattern, collect_embeddings=False
+                )
+                recovered = BigJoinEngine().run(
+                    cluster.fresh_copy(), pattern,
+                    collect_embeddings=False, executor=executor,
+                )
+                obituary = executor.coordinator._roster_obituary()
+        finally:
+            listener.close()
+        thread.join(10)
+        assert not thread.is_alive()
+        assert "ProtocolError: connection closed inside blob" in obituary
+        assert recovered.counters.pop("distributed.lost_workers") == 1
+        assert recovered.counters.pop("distributed.resubmits") > 0
+        assert _stats(recovered) == _stats(serial)
 
 
 class TestConfigAndCapabilities:

@@ -708,6 +708,30 @@ class TestServerClient:
         assert response["ok"] is False
         assert "malformed" in response["error"]
 
+    def test_overlong_line_is_refused_at_the_cap_and_hangs_up(
+        self, server, monkeypatch
+    ):
+        """A line of twice the frame cap: the reader stops at the cap
+        (nothing past it is buffered), names the limit and closes."""
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 4096)
+        with socket.create_connection(server.address, timeout=10) as sock:
+            stream = sock.makefile("rwb")
+            assert protocol.read_message(stream)["kind"] == "hello"
+            stream.write(b"x" * (2 * 4096) + b"\n")
+            stream.flush()
+            response = protocol.read_message(stream)
+            assert response["ok"] is False
+            assert "4096-byte frame limit" in response["error"]
+            assert protocol.read_message(stream) is None  # hung up
+
+    def test_client_closes_on_an_overlong_line(self, server, monkeypatch):
+        with connect(server.address, timeout=10) as client:
+            client.submit("triangle", engine="rads", collect=True)
+            monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 512)
+            with pytest.raises(protocol.ProtocolError, match="512-byte"):
+                client.submit("triangle", engine="rads", collect=True)
+            assert client._sock.fileno() == -1
+
     def test_bad_field_type_gets_error_response_not_a_dead_socket(
         self, server
     ):
