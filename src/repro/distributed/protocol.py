@@ -16,12 +16,12 @@ trust note (task payloads are pickles **executed on the worker**).
 from __future__ import annotations
 
 import pickle
+from operator import index
 from typing import Any, BinaryIO
 
 from repro.service import protocol as _lines
 from repro.service.protocol import (
     ProtocolError,
-    decode,
     encode,
     error_response,
     ok_response,
@@ -33,7 +33,6 @@ __all__ = [
     "WORKER_OPS",
     "WORKER_PROTOCOL_VERSION",
     "WORKER_ROLE",
-    "decode",
     "encode",
     "error_response",
     "ok_response",
@@ -88,20 +87,14 @@ def read_message(stream: BinaryIO) -> dict[str, Any] | None:
     message = _lines.read_message(stream)
     if not message or "blobs" not in message:
         return message
-    declared = message.pop("blobs")
-    if not isinstance(declared, list):
-        raise ProtocolError(f"malformed 'blobs' declaration: {declared!r}")
-    for entry in declared:
-        if not (
-            isinstance(entry, list) and len(entry) == 2
-            and isinstance(entry[0], str)
-            and type(entry[1]) is int and entry[1] >= 0
-        ):
-            raise ProtocolError(f"malformed 'blobs' declaration: {entry!r}")
-        field, nbytes = entry
-        if nbytes > _lines.MAX_FRAME_BYTES:
+    try:
+        declared = [(str(f), index(n)) for f, n in message.pop("blobs")]
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed 'blobs' declaration: {exc}") from exc
+    for field, nbytes in declared:
+        if not 0 <= nbytes <= _lines.MAX_FRAME_BYTES:
             raise ProtocolError(
-                f"blob {field!r} declares {nbytes} bytes, over the "
+                f"blob {field!r} declares {nbytes} bytes, outside the "
                 f"{_lines.MAX_FRAME_BYTES}-byte frame limit"
             )
         data = stream.read(nbytes)

@@ -156,14 +156,10 @@ class BigJoinEngine(EnumerationEngine):
         order = compute_matching_order(pattern)
         position = {u: q for q, u in enumerate(order)}
         smaller, greater = constraint_map(constraints, pattern.num_vertices)
-        n = pattern.num_vertices
-        backward: list[list[int]] = [
-            sorted(
-                position[w] for w in pattern.adj(order[q])
-                if position[w] < q
-            )
-            for q in range(n)
-        ]
+
+        def matched(vertices, q: int) -> list[int]:
+            """Columns of the pattern ``vertices`` matched before ``q``."""
+            return sorted(position[w] for w in vertices if position[w] < q)
 
         # Seed prefixes at the owners of candidate first vertices.
         start_degree = pattern.degree(order[0])
@@ -176,13 +172,13 @@ class BigJoinEngine(EnumerationEngine):
             machine.allocate(len(seeds) * 8, "prefix_bytes")
             prefixes.append(seeds[:, None])
 
-        for q in range(1, n):
+        for q, u in enumerate(order[1:], start=1):
             inflight = [(block, None, None) for block in prefixes]
             for t in range(num_machines):
                 cluster.machine(t).free(
                     len(prefixes[t]) * model.embedding_bytes(q)
                 )
-            for hop in backward[q]:
+            for hop in matched(pattern.adj(u), q):
                 routed, payload = _route(
                     inflight, partition.owner, hop, model.embedding_bytes(q)
                 )
@@ -196,17 +192,14 @@ class BigJoinEngine(EnumerationEngine):
                 ):
                     inflight[t] = narrowed
             # Materialise extensions, one independent task per machine.
-            u = order[q]
-            extend_args = [
-                (
-                    t, inflight[t], q, pattern.degree(u),
-                    [position[w] for w in greater[u] if position[w] < q],
-                    [position[w] for w in smaller[u] if position[w] < q],
-                )
-                for t in range(num_machines)
-            ]
+            bounds = matched(greater[u], q), matched(smaller[u], q)
             for t, extended in executor.run_tasks(
-                cluster, _extend_task, extend_args
+                cluster,
+                _extend_task,
+                [
+                    (t, inflight[t], q, pattern.degree(u), *bounds)
+                    for t in range(num_machines)
+                ],
             ):
                 prefixes[t] = extended
             cluster.barrier()

@@ -86,19 +86,6 @@ class ServiceClient:
             raise
 
     # ------------------------------------------------------------------
-    def _read(self) -> "dict[str, Any] | None":
-        """The next line from the server, or None at EOF.
-
-        An over-long or undecodable line closes the connection: the peer
-        is not speaking the protocol, and the rest of an over-long line
-        is still in the stream.
-        """
-        try:
-            return protocol.read_message(self._rfile)
-        except protocol.ProtocolError:
-            self.close()
-            raise
-
     def _call(self, op: str, **fields: Any) -> dict[str, Any]:
         request_id = self._next_id
         self._next_id += 1
@@ -108,7 +95,7 @@ class ServiceClient:
         )
         protocol.write_message(self._wfile, message)
         while True:
-            response = self._read()
+            response = protocol.read_message(self._rfile)
             if response is None:
                 raise ServiceError(
                     f"server at {self.address} closed the connection"
@@ -430,7 +417,7 @@ class Subscription:
                 if message.get("watch") == self.watch:
                     del self.client._pushed[i]
                     return DeltaRecord.from_dict(message["result"])
-            message = self.client._read()
+            message = protocol.read_message(self.client._rfile)
             if message is None:
                 raise StopIteration
             if "id" not in message and message.get("kind") == "delta":
