@@ -10,8 +10,13 @@ This script sweeps the simulated memory cap downwards with one
 `repro.api` session per cap (``memory_mb`` is a RunConfig knob) and
 reports, for each engine, whether it survives and what its peak usage was.
 
-Run:  python examples/memory_robustness.py
+Run:  python examples/memory_robustness.py [scale]
+
+``scale`` (default 0.2) sizes the UK2002-like graph; the story is the same
+at 0.1, which is what the smoke test runs.
 """
+
+import sys
 
 import repro
 from repro.bench.datasets import uk2002_like
@@ -20,8 +25,8 @@ from repro.bench.datasets import uk2002_like
 CAPS = [None, 32, 4, 1]
 
 
-def main() -> None:
-    graph = uk2002_like(scale=0.2)
+def main(scale: float = 0.2) -> None:
+    graph = uk2002_like(scale=scale)
     pattern = "q6"  # triangle-free: no Crystal index shortcut
     print(f"graph: {graph}; query: {pattern}\n")
 
@@ -53,4 +58,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(*map(float, sys.argv[1:2]))

@@ -12,15 +12,12 @@ Submodules map one-to-one onto the paper's sections:
   checkR/shareR work stealing.
 """
 
-from repro.core.embedding_trie import EmbeddingTrie, TrieNode
 from repro.core.cache import ForeignVertexCache
 from repro.core.region import RegionGrouper
 from repro.core.sme import SingleMachineSplit
 from repro.core.rads import RADSEngine
 
 __all__ = [
-    "EmbeddingTrie",
-    "TrieNode",
     "ForeignVertexCache",
     "RegionGrouper",
     "SingleMachineSplit",

@@ -10,28 +10,22 @@ endpoint of which is known locally).
 
 **Block layout.**  A round's frontier is an ``(n, k)`` int64 array, one row
 per embedding of ``P_{i-1}``, columns in matching order, rows in depth-first
-order.  That array *is* the embedding trie of Def. 11: a level-``j`` node is
-a maximal run of rows sharing their first ``j + 1`` columns (sibling values
-are distinct, so a path names its node), which is also how
-:class:`repro.store.columnar.TrieColumns` persists it.  ``_first_diff`` —
-the first column in which a row differs from the row before — is the whole
-structure: a row opens new nodes at every level from there down.
+order — the block of :mod:`repro.enumeration.block`, which owns the step
+(gather, membership filter and its cost, bounds, injectivity, append) and
+``first_diff``, the Def. 11 trie such a block is.
 
-**One step per unit position** (:meth:`RMeefWorker._expand`): gather the
-pivot's CSR range as ``(row, candidate)`` pairs; filter them with
-:meth:`Graph.has_edges` against every refine vertex whose adjacency is
-*known* (``owned | cached``, a boolean vertex mask kept in step with the
-:class:`ForeignVertexCache`) and defer the others; apply symmetry bounds,
-injectivity and known-degree as masks; then settle the deferred edges by
-``has_edges`` where the candidate is known, or carry them as undetermined
-edge-key columns to the unit's last position.  Every stage is a stable
-filter, so blocks stay in depth-first order.
+**One step per unit position** (:meth:`RMeefWorker._expand`) adds what is
+R-Meef's: the pivot is the anchor; a refine vertex filters only where its
+adjacency is *known* (``owned | cached``, a boolean vertex mask kept in step
+with the :class:`ForeignVertexCache`) and is deferred elsewhere; the degree
+filter applies to known candidates; and the deferred edges are settled by
+``has_edges`` where the candidate is known, or carried as undetermined
+edge-key columns to the unit's last position.
 
 **Counter arithmetic.**  ``rmeef_ops`` feeds the simulated clocks, so the
-recursion's count is reproduced from block shapes, not redefined: per known
-refine ``sum(min(pairs alive in the row, degree))`` (an emptied row adds
-zero — the recursion's early exit), the pairs surviving the bounds, one per
-deferred check actually made (a candidate stops at its first failed
+recursion's count is reproduced from block shapes, not redefined: the
+membership cost over the known refines, the pairs surviving the bounds, one
+per deferred check actually made (a candidate stops at its first failed
 check), one per start candidate, and one per trie node created or released.
 
 **Entry timeline.**  Trie memory reaches the machine through a 16 KiB
@@ -62,7 +56,7 @@ one prefix.  One ``np.unique`` per segment that has undetermined edges is
 the EVI of Def. 5: one `verifyE` per owner of the smaller endpoint, failed
 rows released in (owner, first registration, row) order.
 
-**Chunks and known-epochs.**  A round is expanded ``ROWS_PER_CHUNK``
+**Chunks and known-epochs.**  A round is expanded ``ROWS_PER_BLOCK``
 frontier rows at a time, and segments that close are accounted and dropped
 before the next chunk, so the transient pair arrays stay bounded.  The
 known mask only changes at a `fetchV`, which happens at round start or at
@@ -81,17 +75,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+import repro.enumeration.block as kernel
 from repro.cluster.cluster import Cluster
 from repro.cluster.machine import Machine, SimulatedMemoryError
 from repro.core.cache import ForeignVertexCache
 from repro.core.embedding_trie import NODE_BYTES
-from repro.graph.graph import gather_ranges
 from repro.query.pattern import Pattern
 from repro.query.plan import ExecutionPlan
 from repro.query.symmetry import constraint_map
-
-# Frontier rows expanded per kernel step; a round goes chunk by chunk.
-ROWS_PER_CHUNK = 512
 
 #: Trie bytes reach the simulated machine in steps of this size.  The step
 #: is part of the model, not a shortcut: ``trie_bytes``, ``peak_memory``
@@ -141,7 +132,7 @@ class _Round:
     """One round's frontier and the emit segment left open between chunks."""
 
     frontier: np.ndarray
-    diff: np.ndarray              # _first_diff of the frontier, two 0s appended
+    diff: np.ndarray              # first_diff of the frontier, two 0s appended
     above: np.ndarray             # nodes above the frontier over rows >= a
     rooted: bool                  # round 0 creates its frontier rows
     final: bool
@@ -159,14 +150,6 @@ class _Round:
         if self.rooted:
             return np.zeros_like(a)
         return self.above[a] + (len(self.frontier) - a)
-
-
-def _first_diff(block: np.ndarray) -> np.ndarray:
-    """Per row, the first column differing from the row before (row 0: 0)."""
-    diff = np.zeros(len(block), dtype=np.int64)
-    if len(block) > 1:
-        diff[1:] = (block[1:] != block[:-1]).argmax(axis=1)
-    return diff
 
 
 def _first_true(mask: np.ndarray) -> int:
@@ -460,7 +443,7 @@ class RMeefWorker:
         """
         n, k = frontier.shape
         rooted = unit == 0
-        diff = np.concatenate((_first_diff(frontier), [0, 0]))
+        diff = np.concatenate((kernel.first_diff(frontier), [0, 0]))
         # Nodes above the frontier that are ancestors of some row >= a:
         # the k - 1 on row a's path, and those the later rows open.
         opened = np.append(k - 1 - diff[1:n], 0)
@@ -473,7 +456,7 @@ class RMeefWorker:
         pivot_column = self._info[1 if rooted else k].pivot_position
         c0 = 0
         while c0 < n:
-            pivots = frontier[c0:c0 + ROWS_PER_CHUNK, pivot_column]
+            pivots = frontier[c0:c0 + kernel.ROWS_PER_BLOCK, pivot_column]
             if not self._known[pivots[0]]:
                 # Fetched at round start, but a starved cache has evicted
                 # it since: fetch again on demand (an extra RPC, as a real
@@ -499,40 +482,21 @@ class RMeefWorker:
     ) -> _Level:
         info = self._info[position]
         graph, known, degrees = self._graph, self._known, self._degrees
-        rows = len(block)
         pivots = block[:, info.pivot_position]
         counts = degrees[pivots] if valid is None else degrees[pivots] * valid
-        row, flat = gather_ranges(graph.indptr[pivots], counts)
-        cand = graph.indices[flat]
-        pre_ops = np.zeros(rows, dtype=np.int64)
-        deferred = None
+        row, cand = kernel.neighbors(graph, pivots, counts)
         refine = info.refine_positions
-        if refine:
-            others = block[:, refine]
-            decided = known[others]
-            for j in range(len(refine)):
-                here = decided[:, j]
-                if not here.any():
-                    continue
-                alive = np.bincount(row, minlength=rows)
-                pre_ops += np.minimum(alive, degrees[others[:, j]]) * here
-                keep = graph.has_edges(others[row, j], cand)
-                if not here.all():
-                    keep |= ~here[row]
-                row, cand = row[keep], cand[keep]
-            if not decided.all():
-                deferred = ~decided
-        if info.lower_positions or info.upper_positions:
-            keep = np.ones(len(cand), dtype=bool)
-            if info.lower_positions:
-                keep &= cand > block[:, info.lower_positions].max(axis=1)[row]
-            if info.upper_positions:
-                keep &= cand < block[:, info.upper_positions].min(axis=1)[row]
-            row, cand = row[keep], cand[keep]
-        pre_ops += np.bincount(row, minlength=rows)
+        others = block[:, refine]
+        decided = known[others]
+        row, cand, pre_ops = kernel.member(graph, others, row, cand, decided)
+        deferred = None if decided.all() else ~decided
+        row, cand = kernel.bounded(
+            block, row, cand, info.lower_positions, info.upper_positions
+        )
+        pre_ops += np.bincount(row, minlength=len(block))
         # Injectivity, and the degree filter where the degree is known.
         known_cand = known[cand]
-        keep = (block[row] != cand[:, None]).all(axis=1)
+        keep = kernel.injective(block, row, cand)
         keep &= ~(known_cand & (degrees[cand] < info.min_degree))
         row, cand, known_cand = row[keep], cand[keep], known_cand[keep]
         passed = checks = fresh = None
@@ -565,7 +529,7 @@ class RMeefWorker:
             pending = np.concatenate((pending[made], fresh), axis=1)
         return _Level(
             row, passed, checks, pre_ops, made,
-            np.concatenate((block[made], cand[:, None]), axis=1), pending,
+            kernel.append(block, made, cand), pending,
         )
 
     # ------------------------------------------------------------------
@@ -857,7 +821,7 @@ class RMeefWorker:
         gone = when != _NEVER
         entries[when[gone]] = -1
         k = state.frontier.shape[1]
-        diff = _first_diff(leaves)
+        diff = kernel.first_diff(leaves)
         starts = np.flatnonzero(np.diff(segment, prepend=-1))
         diff[starts] = 0
         # Levels above the frontier outlive a segment while rows after it

@@ -91,10 +91,9 @@ class SingleMachineSplit:
         # Benchmarks read this to report the SM-E share of the result set.
         machine.counters["sme_embeddings"] += len(embeddings)
         if estimator is not None and sme_candidates:
-            order = self._plan.matching_order()
-            ordered = [
-                tuple(emb[u] for u in order) for emb in embeddings
-            ]
+            ordered = np.asarray(embeddings, dtype=np.int64).reshape(
+                -1, self._pattern.num_vertices
+            )[:, self._plan.matching_order()]
             estimator.calibrate(
                 trie_nodes_for_results(ordered), len(sme_candidates)
             )

@@ -16,12 +16,15 @@ is ``(prefixes, counts, candidates)``: row ``i``'s candidates, ascending,
 are the next ``counts[i]`` entries of the flat ``candidates`` array (both
 are ``None`` before the first hop).  Those arrays are what a task takes
 and returns, so they are also what crosses a process or socket boundary.
+The step on them is :mod:`repro.enumeration.block`'s; routing between hop
+owners and the byte accounting are BigJoin's own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+import repro.enumeration.block as kernel
 from repro.cluster.cluster import Cluster
 from repro.engines.base import EnumerationEngine
 from repro.enumeration.backtracking import compute_matching_order
@@ -39,19 +42,15 @@ def _intersect_task(cluster: Cluster, args: tuple) -> tuple:
     prefix_bytes = cluster.cost_model.embedding_bytes(prefix_width)
     arrived = len(prefixes) * prefix_bytes
     anchors = prefixes[:, hop]
-    starts = graph.indptr[anchors]
-    degrees = graph.indptr[anchors + 1] - starts
     if cands is None:  # first hop: the hop vertex's adjacency, unfiltered
         ops = 0
-        counts = degrees
-        cands = graph.indices[gather_ranges(starts, degrees)[1]]
+        row, cands = kernel.neighbors(graph, anchors)
     else:
         arrived += len(cands) * 8
-        ops = int(np.minimum(counts, degrees).sum())
         row = np.repeat(np.arange(len(prefixes)), counts)
-        keep = graph.has_edges(anchors[row], cands)
-        cands = cands[keep]
-        counts = np.bincount(row[keep], minlength=len(prefixes))
+        row, cands, cost = kernel.member(graph, anchors[:, None], row, cands)
+        ops = int(cost.sum())
+    counts = np.bincount(row, minlength=len(prefixes))
     alive = counts > 0
     prefixes, counts = prefixes[alive], counts[alive]
     machine.charge_ops(ops, "intersect_ops")
@@ -72,16 +71,12 @@ def _extend_task(cluster: Cluster, args: tuple) -> tuple:
     model = cluster.cost_model
     machine = cluster.machine(t)
     row = np.repeat(np.arange(len(prefixes)), counts)
-    keep = np.ones(len(cands), dtype=bool)
-    if lower_positions:
-        keep &= cands > prefixes[:, lower_positions].max(axis=1)[row]
-    if upper_positions:
-        keep &= cands < prefixes[:, upper_positions].min(axis=1)[row]
-    row, bounded = row[keep], cands[keep]
-    parents = prefixes[row]
-    keep = (parents != bounded[:, None]).all(axis=1)
+    row, bounded = kernel.bounded(
+        prefixes, row, cands, lower_positions, upper_positions
+    )
+    keep = kernel.injective(prefixes, row, bounded)
     keep &= indptr[bounded + 1] - indptr[bounded] >= min_degree
-    extended = np.concatenate((parents[keep], bounded[keep, None]), axis=1)
+    extended = kernel.append(prefixes, row[keep], bounded[keep])
     machine.charge_ops(len(bounded), "extend_ops")
     machine.free(len(cands) * 8 + len(prefixes) * model.embedding_bytes(q))
     machine.allocate(

@@ -1,37 +1,20 @@
-"""Frontier-at-a-time subgraph enumeration: one vectorised block kernel.
+"""Frontier-at-a-time subgraph enumeration over the shared block step.
 
-**Block layout.**  A level's partial embeddings are an ``(n, k)`` int64
-array, one row each, columns in *matching order* (column ``i`` is the
-image of ``order[i]``), beside an ``(n,)`` tag array naming the seed each
-row descends from.  One step (:meth:`BacktrackingEnumerator._expand`)
-produces the ``k + 1``-column block of all one-vertex extensions: gather
-the CSR range of each row's lowest-degree backward neighbour as ``(row,
-candidate)`` pairs (``np.repeat`` + offset arithmetic); filter them by
-:meth:`Graph.has_edges` against each further backward neighbour in
-stable degree order (a ``searchsorted`` in the sorted edge-key array);
-then apply symmetry bounds, injectivity, the ``allowed`` mask and the
-minimum degree as boolean masks.
+The step itself — block layout, ordering guarantee, counter arithmetic —
+is :mod:`repro.enumeration.block`; this module owns what is the
+backtracker's: per row the backward neighbours are intersected in stable
+degree order (smallest list first, as a recursive matcher would), seeds are
+admitted without charge, and :class:`EnumerationStats` feeds the simulated
+cost model — ``recursive_calls`` += rows entering a step, ``intersections``
++= the membership cost, ``candidates_scanned`` += pairs surviving the
+bounds (and start candidates passing ``allowed``), ``embeddings`` +=
+complete rows yielded.
 
-**Ordering guarantee.**  Pairs are generated row by row, candidates
-ascending, and every later stage is a stable filter, so rows are always
-in depth-first order: output equals a recursive backtracker's as an
-ordered list.  Blocks above ``ROWS_PER_BLOCK`` rows are cut into row
-chunks, each taken to full depth before the next: memory stays bounded
-(depth x ``ROWS_PER_BLOCK`` x max degree pairs) and order is kept.
-
-**Counter arithmetic.**  :class:`EnumerationStats` feeds the simulated
-cost model, so the recursion's counters are reproduced from block
-shapes: ``recursive_calls`` += rows entering a step; ``intersections``
-+= ``sum(min(pairs alive in the row, degree of the next neighbour))``
-per membership round (an emptied row adds zero — the recursion's early
-exit); ``candidates_scanned`` += pairs surviving the bounds (and start
-candidates passing ``allowed``); ``embeddings`` += complete rows yielded.
-
-**Inputs.**  Natively ``adjacency`` is a :class:`Graph` and ``allowed`` a
-boolean vertex mask.  A bound ``graph.neighbors`` stands for its graph;
-any other ``v -> sorted array`` callable is gathered, once per step and
-distinct vertex, into a step-local CSR, and an ``allowed`` predicate is
-asked once per distinct candidate — the same block code runs either way.
+**Inputs.**  ``adjacency`` is a :class:`Graph` (a bound ``graph.neighbors``
+stands for its graph) and ``allowed`` a boolean mask over the data
+vertices: ``(|V|,)`` for every position, or ``(k, |V|)`` with one row per
+position of the matching order (the labeled matcher's candidate sets).
+Seed and start-candidate ids outside ``[0, |V|)`` are a ``ValueError``.
 ``limit`` keeps the first ``limit`` rows in depth-first order: expansion
 stops with the chunk that reaches it, and the work counters cover the
 chunks actually expanded.
@@ -40,15 +23,13 @@ chunks actually expanded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.graph.graph import Graph, gather_ranges
+import repro.enumeration.block as kernel
+from repro.graph.graph import Graph
 from repro.query.pattern import Pattern
-
-# Rows expanded per kernel step; larger blocks go depth-first in chunks.
-ROWS_PER_BLOCK = 2048
 
 
 @dataclass
@@ -126,25 +107,15 @@ def compute_matching_order(
     return order
 
 
-def _gathered_graph(adjacency: Callable, vertices: np.ndarray) -> Graph:
-    """Step-local CSR of ``vertices``' adjacency, rows by id (O(max id) a step)."""
-    ids = np.unique(vertices)
-    lists = [np.asarray(adjacency(v), dtype=np.int64) for v in ids.tolist()]
-    indices = np.concatenate(lists + [np.empty(0, dtype=np.int64)])
-    counts = np.zeros(max(ids.max(initial=0), indices.max(initial=0)) + 1, int)
-    counts[ids] = [len(nbrs) for nbrs in lists]
-    return Graph(np.concatenate(([0], np.cumsum(counts))), indices)
-
-
 @dataclass
 class BacktrackingEnumerator:
-    """Reusable enumerator bound to a pattern and an adjacency source."""
+    """Reusable enumerator bound to a pattern and a data graph."""
 
     pattern: Pattern
-    adjacency: Graph | Callable[[int], np.ndarray]
+    adjacency: Graph
     constraints: list[tuple[int, int]] = field(default_factory=list)
     order: list[int] | None = None
-    allowed: np.ndarray | Callable[[int], bool] | None = None
+    allowed: np.ndarray | None = None
     stats: EnumerationStats = field(default_factory=EnumerationStats)
 
     def __post_init__(self) -> None:
@@ -170,79 +141,33 @@ class BacktrackingEnumerator:
             raise ValueError("order vertex without an earlier neighbour")
         self._degree = [self.pattern.degree(u) for u in self.order]
         self._columns = [position[u] for u in self.pattern.vertices()]
-        # Natively a Graph; a bound ``graph.neighbors`` stands for its graph.
-        source = self.adjacency
-        if getattr(source, "__func__", None) is Graph.neighbors:
-            source = source.__self__
-        self._graph = source if isinstance(source, Graph) else None
-
-    def _csr(self, vertices: np.ndarray) -> Graph:
-        """A graph holding (at least) the adjacency of ``vertices``."""
-        if self._graph is not None:
-            return self._graph
-        return _gathered_graph(self.adjacency, vertices)
-
-    def _allowed(self, vertices: np.ndarray) -> np.ndarray:
-        if isinstance(self.allowed, np.ndarray):
-            return self.allowed[vertices]
-        distinct, inverse = np.unique(vertices, return_inverse=True)
-        verdicts = [bool(self.allowed(v)) for v in distinct.tolist()]
-        return np.array(verdicts, dtype=bool)[inverse]
-
-    def _candidates(self, block: np.ndarray, position: int, given=None):
-        """``(row, candidate)`` pairs adjacent to every backward neighbour."""
-        anchors = block[:, self._backward[position]]
-        csr = self._csr(anchors)
-        starts = csr.indptr[anchors]
-        degrees = csr.indptr[anchors + 1] - starts
-        if anchors.shape[1] > 1:
-            by_degree = np.argsort(degrees, axis=1, kind="stable")
-            lane = np.arange(len(block))[:, None]
-            anchors = anchors[lane, by_degree]
-            starts = starts[lane, by_degree]
-            degrees = degrees[lane, by_degree]
-        gathered = given is None
-        if gathered:  # anchor 0's neighbours; the other anchors filter them
-            row, flat = gather_ranges(starts[:, 0], degrees[:, 0])
-            cand = csr.indices[flat]
-        else:  # seed admission: one proposed candidate a row, nothing charged
-            row, cand = np.arange(len(block)), given
-        for j in range(int(gathered), anchors.shape[1]):
-            if gathered:
-                alive = np.bincount(row, minlength=len(block))
-                self.stats.intersections += int(np.minimum(alive, degrees[:, j]).sum())
-            keep = csr.has_edges(anchors[row, j], cand)
-            row, cand = row[keep], cand[keep]
-        return row, cand
-
-    def _bounded(self, block, row, cand, position: int):
-        """Pairs satisfying the symmetry-breaking bounds of ``position``."""
-        lower, upper = self._lower[position], self._upper[position]
-        if not lower and not upper:
-            return row, cand
-        keep = np.ones(len(cand), dtype=bool)
-        if lower:
-            keep &= cand > block[:, lower].max(axis=1)[row]
-        if upper:
-            keep &= cand < block[:, upper].min(axis=1)[row]
-        return row[keep], cand[keep]
-
-    def _matched(self, block, tags, row, cand, position: int, charge=False):
-        """The next block: injective, allowed pairs of sufficient degree."""
-        parents = block[row]
-        keep = (parents != cand[:, None]).all(axis=1)
+        graph = self.adjacency
+        if getattr(graph, "__func__", None) is Graph.neighbors:
+            graph = graph.__self__
+        if not isinstance(graph, Graph):
+            raise TypeError(f"adjacency must be a Graph, got {graph!r}")
+        self._graph = graph
+        self._masks = None
         if self.allowed is not None:
-            keep &= self._allowed(cand)
-        # Degrees are read for the survivors only: an adjacency callable
-        # may not know the vertices that ``allowed`` rejects.
-        kept = np.flatnonzero(keep)
+            if not isinstance(self.allowed, np.ndarray):
+                raise TypeError(
+                    f"allowed must be a boolean vertex mask, got {self.allowed!r}"
+                )
+            self._masks = np.broadcast_to(
+                self.allowed, (len(self.order), graph.num_vertices)
+            )
+
+    def _step(self, block, tags, row, cand, position: int, charge=False):
+        """The next block: injective, allowed pairs of sufficient degree."""
+        keep = kernel.injective(block, row, cand)
+        if self._masks is not None:
+            keep &= self._masks[position, cand]
         if charge:  # where the recursion charged a start candidate
-            self.stats.candidates_scanned += len(kept)
-        live = cand[kept]
-        indptr = self._csr(live).indptr
-        kept = kept[indptr[live + 1] - indptr[live] >= self._degree[position]]
-        matched = np.concatenate((parents[kept], cand[kept, None]), axis=1)
-        return matched, tags[row[kept]]
+            self.stats.candidates_scanned += int(keep.sum())
+        indptr = self._graph.indptr
+        keep &= indptr[cand + 1] - indptr[cand] >= self._degree[position]
+        row = row[keep]
+        return kernel.append(block, row, cand[keep]), tags[row]
 
     def _expand(self, block, tags) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Complete blocks below ``block`` in DFS order, chunk by chunk."""
@@ -250,13 +175,22 @@ class BacktrackingEnumerator:
         if position == len(self.order):
             yield block, tags
             return
-        for lo in range(0, len(block), ROWS_PER_BLOCK):
-            chunk = block[lo:lo + ROWS_PER_BLOCK]
+        graph = self._graph
+        lower, upper = self._lower[position], self._upper[position]
+        for lo in range(0, len(block), kernel.ROWS_PER_BLOCK):
+            chunk = block[lo:lo + kernel.ROWS_PER_BLOCK]
             self.stats.recursive_calls += len(chunk)
-            row, cand = self._candidates(chunk, position)
-            row, cand = self._bounded(chunk, row, cand, position)
+            anchors = chunk[:, self._backward[position]]
+            if anchors.shape[1] > 1:  # smallest list first, ties in pattern order
+                degrees = graph.indptr[anchors + 1] - graph.indptr[anchors]
+                by_degree = np.argsort(degrees, axis=1, kind="stable")
+                anchors = np.take_along_axis(anchors, by_degree, axis=1)
+            row, cand = kernel.neighbors(graph, anchors[:, 0])
+            row, cand, cost = kernel.member(graph, anchors[:, 1:], row, cand)
+            self.stats.intersections += int(cost.sum())
+            row, cand = kernel.bounded(chunk, row, cand, lower, upper)
             self.stats.candidates_scanned += len(cand)
-            yield from self._expand(*self._matched(chunk, tags[lo:], row, cand, position))
+            yield from self._expand(*self._step(chunk, tags[lo:], row, cand, position))
 
     def _emit(
         self, seeds: np.ndarray, limit: int | None = None, charge=False
@@ -268,11 +202,22 @@ class BacktrackingEnumerator:
         ``allowed``, degree — but charges no counter (``charge``: except
         the seeds passing ``allowed``, for :meth:`run`'s start column).
         """
+        graph = self._graph
+        outside = seeds[(seeds < 0) | (seeds >= graph.num_vertices)]
+        if outside.size:
+            raise ValueError(
+                f"vertex id {outside[0]} outside [0, {graph.num_vertices})"
+            )
         block, tags = seeds[:, :0], np.arange(len(seeds))
         for position in range(seeds.shape[1]):
-            row, cand = self._candidates(block, position, seeds[tags, position])
-            row, cand = self._bounded(block, row, cand, position)
-            block, tags = self._matched(block, tags, row, cand, position, charge)
+            row, cand = np.arange(len(block)), seeds[tags, position]
+            for column in self._backward[position]:
+                keep = graph.has_edges(block[row, column], cand)
+                row, cand = row[keep], cand[keep]
+            row, cand = kernel.bounded(
+                block, row, cand, self._lower[position], self._upper[position]
+            )
+            block, tags = self._step(block, tags, row, cand, position, charge)
         if limit is not None and limit <= 0:
             return
         for rows, row_tags in self._expand(block, tags):
@@ -341,12 +286,12 @@ class BacktrackingEnumerator:
 
 
 def enumerate_embeddings(
-    adjacency: Graph | Callable[[int], np.ndarray],
+    adjacency: Graph,
     vertices: Iterable[int],
     pattern: Pattern,
     constraints: list[tuple[int, int]] | None = None,
     order: list[int] | None = None,
-    allowed: np.ndarray | Callable[[int], bool] | None = None,
+    allowed: np.ndarray | None = None,
     limit: int | None = None,
     stats: EnumerationStats | None = None,
 ) -> list[tuple[int, ...]]:

@@ -12,7 +12,9 @@ filters apply:
 
 The matching order follows TurboIso's candidate-cardinality heuristic:
 start from the query vertex with the fewest surviving candidates, then
-grow connectivity-first, preferring small candidate sets.
+grow connectivity-first, preferring small candidate sets.  Enumeration is
+the unlabeled block kernel with the candidate sets as its per-position
+``allowed`` mask.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.enumeration.backtracking import EnumerationStats
+import repro.enumeration.block as kernel
+from repro.enumeration.backtracking import BacktrackingEnumerator, EnumerationStats
 from repro.graph.labeled import LabeledGraph
 from repro.query.pattern import Pattern
 
@@ -103,28 +106,23 @@ def candidate_sets(
 ) -> dict[int, np.ndarray]:
     """Per-query-vertex candidate arrays after label/degree/NLF filtering."""
     pattern = query.pattern
+    graph, labels = data.graph, data.labels
+    degrees = graph.degrees()
     out: dict[int, np.ndarray] = {}
     for u in pattern.vertices():
         base = data.vertices_with_label(query.label(u))
-        min_degree = pattern.degree(u)
-        survivors = [
-            int(v) for v in base if data.degree(int(v)) >= min_degree
-        ]
         if stats is not None:
             stats.candidates_scanned += len(base)
-        if use_nlf and survivors:
-            needed = query.neighborhood_label_frequency(u)
-            survivors = [
-                v
-                for v in survivors
-                if _nlf_dominates(data.neighborhood_label_frequency(v), needed)
-            ]
-        out[u] = np.asarray(sorted(survivors), dtype=np.int64)
+        survivors = base[degrees[base] >= pattern.degree(u)]
+        if use_nlf:
+            for label, needed in query.neighborhood_label_frequency(u).items():
+                row, nbrs = kernel.neighbors(graph, survivors)
+                have = np.bincount(
+                    row[labels[nbrs] == label], minlength=len(survivors)
+                )
+                survivors = survivors[have >= needed]
+        out[u] = survivors
     return out
-
-
-def _nlf_dominates(have: Counter[int], need: Counter[int]) -> bool:
-    return all(have.get(lbl, 0) >= cnt for lbl, cnt in need.items())
 
 
 def labeled_matching_order(
@@ -153,7 +151,7 @@ def labeled_matching_order(
 
 @dataclass
 class LabeledEnumerator:
-    """Backtracking matcher over a labeled graph and labeled pattern."""
+    """Block-kernel matcher over a labeled graph and labeled pattern."""
 
     data: LabeledGraph
     query: LabeledPattern
@@ -167,16 +165,13 @@ class LabeledEnumerator:
         self._order = labeled_matching_order(
             self.query.pattern, self._candidates
         )
-        pattern = self.query.pattern
-        position = {u: i for i, u in enumerate(self._order)}
-        self._backward = [
-            [w for w in pattern.adj(u) if position[w] < i]
-            for i, u in enumerate(self._order)
-        ]
-        self._candidate_sets = {
-            u: frozenset(int(v) for v in arr)
-            for u, arr in self._candidates.items()
-        }
+        masks = np.zeros((len(self._order), self.data.num_vertices), dtype=bool)
+        for position, u in enumerate(self._order):
+            masks[position, self._candidates[u]] = True
+        self._kernel = BacktrackingEnumerator(
+            self.query.pattern, self.data.graph, order=self._order,
+            allowed=masks, stats=self.stats,
+        )
 
     # ------------------------------------------------------------------
     def candidates(self, u: int) -> np.ndarray:
@@ -184,60 +179,14 @@ class LabeledEnumerator:
         return self._candidates[u]
 
     def run(self, limit: int | None = None) -> Iterator[tuple[int, ...]]:
-        """Yield labeled embeddings as canonical tuples ``emb[u] = v``."""
-        pattern = self.query.pattern
-        n = pattern.num_vertices
-        order = self._order
-        mapping: dict[int, int] = {}
-        used: set[int] = set()
-        emitted = 0
+        """Yield labeled embeddings as canonical tuples ``emb[u] = v``.
 
-        def extend(position: int) -> Iterator[tuple[int, ...]]:
-            nonlocal emitted
-            self.stats.recursive_calls += 1
-            u = order[position]
-            allowed = self._candidate_sets[u]
-            backward = self._backward[position]
-            arrays = sorted(
-                (self.data.neighbors(mapping[w]) for w in backward), key=len
-            )
-            cands = arrays[0]
-            for arr in arrays[1:]:
-                self.stats.intersections += min(len(cands), len(arr))
-                cands = np.intersect1d(cands, arr, assume_unique=True)
-            self.stats.candidates_scanned += len(cands)
-            for v in cands:
-                v = int(v)
-                if v in used or v not in allowed:
-                    continue
-                mapping[u] = v
-                used.add(v)
-                if position + 1 == n:
-                    self.stats.embeddings += 1
-                    emitted += 1
-                    yield tuple(mapping[w] for w in range(n))
-                else:
-                    yield from extend(position + 1)
-                used.discard(v)
-                del mapping[u]
-                if limit is not None and emitted >= limit:
-                    return
-
-        start = order[0]
-        for v0 in self._candidates[start]:
-            v0 = int(v0)
-            mapping[start] = v0
-            used.add(v0)
-            if n == 1:
-                self.stats.embeddings += 1
-                emitted += 1
-                yield (v0,)
-            else:
-                yield from extend(1)
-            used.discard(v0)
-            del mapping[start]
-            if limit is not None and emitted >= limit:
-                return
+        The start vertex's candidates enter as seeds: `candidate_sets`
+        has already charged them.
+        """
+        starts = self._candidates[self._order[0]]
+        for _, rows in self._kernel._emit(starts[:, None], limit):
+            yield from map(tuple, rows.tolist())
 
 
 def labeled_embeddings(

@@ -126,11 +126,6 @@ class MachinePartition:
             self._border_distances = self._compute_border_distances()
         return self._border_distances
 
-    def border_distance(self, v: int) -> int:
-        """Scalar view of :attr:`border_distances`; the sentinel if foreign."""
-        slot = np.searchsorted(self._owned, v)
-        return int(self.border_distances[slot]) if self._owned_mask[v] else _FAR
-
     def _compute_border_distances(self) -> np.ndarray:
         """Level-synchronous BFS from the border across owned vertices."""
         dist = np.full(self._graph.num_vertices, _FAR, dtype=np.int64)

@@ -30,12 +30,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.embedding_trie import (
-    NODE_BYTES,
-    EmbeddingTrie,
-    TrieNode,
-    trie_from_paths,
-)
+from repro.core.embedding_trie import NODE_BYTES
+from repro.enumeration.block import first_diff
 
 __all__ = ["TrieColumns"]
 
@@ -91,28 +87,19 @@ class TrieColumns:
         # np.unique(axis=0) both sorts lexicographically and drops
         # duplicate rows — the two invariants the layout needs.
         rows = np.unique(rows, axis=0)
-        n = rows.shape[0]
+        # A sorted row opens a node at every level from its first_diff on:
+        # level j's nodes are the distinct (j+1)-prefixes.
+        diff = first_diff(rows)
         values: list[np.ndarray] = []
         parents: list[np.ndarray] = []
-        # node_of[i] = index (at the current level) of the node owning
-        # sorted leaf i; level j nodes are the distinct (j+1)-prefixes.
-        prev_node_of = np.zeros(n, dtype=np.int64)
+        # node_of[i] = index (at the level above) of the node owning row i.
+        node_of = np.zeros(len(rows), dtype=np.int64)
         for level in range(num_vertices):
-            prefix = rows[:, : level + 1]
-            if n == 0:
-                starts = np.zeros(0, dtype=np.int64)
-                node_of = np.zeros(0, dtype=np.int64)
-            else:
-                new = np.ones(n, dtype=bool)
-                new[1:] = np.any(prefix[1:] != prefix[:-1], axis=1)
-                node_of = np.cumsum(new, dtype=np.int64) - 1
-                starts = np.flatnonzero(new)
+            new = diff <= level
+            starts = np.flatnonzero(new)
             values.append(np.ascontiguousarray(rows[starts, level]))
-            if level == 0:
-                parents.append(np.zeros(len(starts), dtype=np.int64))
-            else:
-                parents.append(np.ascontiguousarray(prev_node_of[starts]))
-            prev_node_of = node_of
+            parents.append(np.ascontiguousarray(node_of[starts]))
+            node_of = np.cumsum(new, dtype=np.int64) - 1
         return cls(values, parents)
 
     @classmethod
@@ -302,11 +289,6 @@ class TrieColumns:
         return {
             str(int(v)): int(c) for v, c in zip(uniq, sums) if int(c) != 0
         }
-
-    # -- trie round trip ------------------------------------------------
-    def to_trie(self) -> "tuple[EmbeddingTrie, list[TrieNode]]":
-        """Rebuild a linked :class:`EmbeddingTrie` (plus its leaves)."""
-        return trie_from_paths(self.decompress_all())
 
     def __len__(self) -> int:
         return self.leaf_count

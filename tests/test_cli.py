@@ -146,6 +146,11 @@ class TestCommands:
         ]) == 0
         out = capsys.readouterr().out
         assert "labeled embeddings" in out
+        assert main([
+            "labeled", "--graph", path, "--query", "path3",
+            "--query-labels", "0,0,0", "--num-labels", "1", "--limit", "0",
+        ]) == 0
+        assert capsys.readouterr().out.startswith("0 labeled embeddings")
 
     def test_labeled_rejects_bad_label_count(self, graph_file):
         path, _ = graph_file

@@ -1,62 +1,41 @@
-"""Tests for the embedding trie (paper Sec. 5)."""
+"""Tests for the embedding trie's node accounting (paper Sec. 5)."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.embedding_trie import (
     NODE_BYTES,
-    EmbeddingTrie,
     embedding_list_bytes,
-    trie_from_paths,
     trie_nodes_for_results,
 )
+from repro.store import TrieColumns
+
+
+def prefix_set_size(results) -> int:
+    """Reference count: one node per distinct non-empty prefix."""
+    return len({emb[:i] for emb in results for i in range(1, len(emb) + 1)})
 
 
 class TestBasicOperations:
     def test_paper_example(self):
         """Example 6 / Fig. 5: three ECs sharing prefixes."""
-        trie, leaves = trie_from_paths([(0, 1, 2), (0, 1, 9), (0, 9, 11)])
-        assert trie.num_roots == 1
-        assert trie.num_nodes == 6  # 0; 1, 9; 2, 9, 11
-        assert [leaf.path() for leaf in leaves] == [
-            [0, 1, 2], [0, 1, 9], [0, 9, 11]
-        ]
-
-    def test_removal_cascade(self):
-        trie, (a, _) = trie_from_paths([(0, 1, 2), (0, 3, 4)])
-        assert trie.num_nodes == 5
-        removed = trie.remove_leaf(a)
-        # Leaf 2 and its now-childless parent 1 go; the root survives
-        # because the (0, 3, 4) branch still hangs off it.
-        assert removed == 2
-        assert trie.num_nodes == 3
-        assert trie.num_roots == 1
-
-    def test_remove_last_result_empties_trie(self):
-        trie, (leaf,) = trie_from_paths([(3, 4, 5)])
-        assert trie.num_nodes == 3
-        assert trie.remove_leaf(leaf) == 3
-        assert trie.num_nodes == 0
-        assert trie.num_roots == 0
+        paths = [(0, 1, 2), (0, 1, 9), (0, 9, 11)]
+        assert trie_nodes_for_results(paths) == 6  # 0; 1, 9; 2, 9, 11
+        columns = TrieColumns.from_embeddings(paths, 3)
+        assert [len(level) for level in columns.values] == [1, 2, 3]
+        assert columns.decompress_all() == paths
 
     def test_root_dedup(self):
-        trie = EmbeddingTrie()
-        r1 = trie.add_root(7)
-        r2 = trie.add_root(7)
-        assert r1 is r2
-        assert trie.num_nodes == 1
+        assert trie_nodes_for_results([(7,), (7,)]) == 1
+        assert trie_nodes_for_results([(7, 1), (7, 2), (7, 1)]) == 3
 
     def test_unique_leaf_ids(self):
-        trie, (a, b) = trie_from_paths([(0, 1), (0, 2)])
-        assert a is not b
-        assert a.parent is b.parent
-
-    def test_depth(self):
-        _, (leaf,) = trie_from_paths([(5, 6, 7, 8)])
-        assert leaf.depth() == 3
+        columns = TrieColumns.from_embeddings([(0, 1), (0, 2)], 2)
+        assert columns.leaf_count == 2
+        assert columns.parents[1].tolist() == [0, 0]  # two leaves, one parent
 
     def test_memory_bytes(self):
-        trie, _ = trie_from_paths([(0, 1, 2)])
-        assert trie.memory_bytes() == 3 * NODE_BYTES
+        columns = TrieColumns.from_embeddings([(0, 1, 2)], 3)
+        assert columns.memory_bytes() == 3 * NODE_BYTES
 
 
 class TestCompressionAccounting:
@@ -75,60 +54,15 @@ class TestCompressionAccounting:
 
 
 class TestTrieProperties:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         paths=st.lists(
             st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
-            min_size=1, max_size=20, unique=True,
+            min_size=1, max_size=30,
         )
     )
-    def test_insert_then_remove_all_is_empty(self, paths):
-        """Inserting distinct results then removing them empties the trie."""
-        trie = EmbeddingTrie()
-        # Insert with prefix sharing via a manual prefix map (the R-Meef
-        # expansion guarantees sibling uniqueness; we emulate it here).
-        index: dict[tuple, object] = {}
-        leaves = []
-        for path in paths:
-            node = None
-            for i, v in enumerate(path):
-                key = path[: i + 1]
-                if key in index:
-                    node = index[key]
-                else:
-                    node = (
-                        trie.add_root(v) if node is None
-                        else trie.add_child(node, v)
-                    )
-                    index[key] = node
-            leaves.append(index[path])
-        expected_nodes = len({p[: i + 1] for p in paths for i in range(3)})
-        assert trie.num_nodes == expected_nodes
-        for leaf in leaves:
-            trie.remove_leaf(leaf)
-        assert trie.num_nodes == 0
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        paths=st.lists(
-            st.tuples(st.integers(0, 3), st.integers(0, 3)),
-            min_size=1, max_size=10, unique=True,
-        )
-    )
-    def test_paths_roundtrip(self, paths):
-        trie = EmbeddingTrie()
-        index: dict[tuple, object] = {}
-        leaves = {}
-        for path in paths:
-            node = None
-            for i, v in enumerate(path):
-                key = path[: i + 1]
-                if key not in index:
-                    index[key] = (
-                        trie.add_root(v) if node is None
-                        else trie.add_child(node, v)
-                    )
-                node = index[key]
-            leaves[path] = node
-        for path, leaf in leaves.items():
-            assert tuple(leaf.path()) == path
+    def test_node_counts_agree_on_unsorted_input_with_duplicates(self, paths):
+        """The array count, the columnar layout and the set of prefixes."""
+        expected = prefix_set_size(paths)
+        assert trie_nodes_for_results(paths) == expected
+        assert TrieColumns.from_embeddings(paths, 3).node_count == expected

@@ -19,7 +19,7 @@ from repro.core import rmeef
 from repro.core.rads import RADSEngine
 from repro.engines.bigjoin import BigJoinEngine
 from repro.engines.single import SingleMachineEngine
-from repro.enumeration import EnumerationStats, backtracking, enumerate_embeddings
+from repro.enumeration import EnumerationStats, block, enumerate_embeddings
 from repro.enumeration.vf2 import vf2_embeddings
 from repro.graph import erdos_renyi, grid_road_network, powerlaw_cluster
 from repro.query import named_patterns, symmetry_breaking_constraints
@@ -155,26 +155,23 @@ class TestKernelAgainstVF2:
             symmetry_breaking_constraints(pattern) if constrained else []
         )
 
-        def kernel(adjacency, allowed):
+        def kernel(allowed):
             stats = EnumerationStats()
             found = enumerate_embeddings(
-                adjacency, graph.vertices(), pattern, constraints,
+                graph, graph.vertices(), pattern, constraints,
                 allowed=allowed, stats=stats,
             )
             return found, stats
 
-        whole = kernel(graph, mask)
+        whole = kernel(mask)
         # Seven rows per block: chunk boundaries fall inside every level,
         # so ordering across chunks and the counter sums are exercised.
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(backtracking, "ROWS_PER_BLOCK", 7)
-            chunked = kernel(graph, mask)
-            # Callable adjacency + predicate: the boundary adapters.
-            adapted = kernel(
-                lambda v: graph.neighbors(v).copy(), lambda v: bool(mask[v])
-            )
+            patch.setattr(block, "ROWS_PER_BLOCK", 7)
+            chunked = kernel(mask)
         assert chunked == whole
-        assert adapted == whole
+        # One mask row per position is the same filter spelt per position.
+        assert kernel(np.tile(mask, (pattern.num_vertices, 1))) == whole
         reference = vf2_embeddings(
             graph.neighbors, graph.vertices(), pattern, constraints,
             allowed=lambda v: bool(mask[v]),
@@ -222,7 +219,7 @@ class TestRMeefAgainstVF2:
         # cross-chunk cascades are exercised.  (Pool workers were forked
         # earlier and keep the module's own constant.)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(rmeef, "ROWS_PER_CHUNK", 3)
+            patch.setattr(block, "ROWS_PER_BLOCK", 3)
             assert rads() == whole
         parallel = {
             workers: rads(executor=executor)

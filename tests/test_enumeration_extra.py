@@ -6,7 +6,7 @@ import pytest
 from repro.enumeration import (
     BacktrackingEnumerator,
     EnumerationStats,
-    backtracking,
+    block,
     compute_matching_order,
     enumerate_embeddings,
 )
@@ -60,23 +60,43 @@ class TestAdversarialPatterns:
         with pytest.raises(ValueError):
             enumerate_embeddings(g.neighbors, g.vertices(), bad)
 
-    def test_adjacency_returning_copies_is_fine(self):
+    def test_a_callable_that_is_not_a_graph_is_a_type_error(self):
         g = erdos_renyi(25, 0.2, seed=3)
-        copying = lambda v: np.array(g.neighbors(v))
-        a = enumerate_embeddings(copying, g.vertices(), triangle())
-        b = enumerate_embeddings(g.neighbors, g.vertices(), triangle())
-        assert set(a) == set(b)
+        with pytest.raises(TypeError, match="adjacency must be a Graph"):
+            enumerate_embeddings(lambda v: g.neighbors(v), g.vertices(), triangle())
+        with pytest.raises(TypeError, match="allowed must be a boolean"):
+            enumerate_embeddings(g, g.vertices(), triangle(), allowed=lambda v: True)
+        # A bound ``neighbors`` stands for its graph.
+        assert enumerate_embeddings(
+            g.neighbors, g.vertices(), triangle()
+        ) == enumerate_embeddings(g, g.vertices(), triangle())
 
-    def test_allowed_predicate_is_asked_once_per_start(self):
+    def test_start_candidates_are_charged_past_allowed_only(self):
         g = erdos_renyi(20, 0.3, seed=4)
-        asked = []
         stats = EnumerationStats()
         found = enumerate_embeddings(
             g, [3, 5, 8], path(1), stats=stats,
-            allowed=lambda v: asked.append(v) or v != 5,
+            allowed=np.arange(g.num_vertices) != 5,
         )
-        assert found == [(3,), (8,)] and asked == [3, 5, 8]
-        assert stats.candidates_scanned == 2  # charged past ``allowed`` only
+        assert found == [(3,), (8,)]
+        assert stats.candidates_scanned == 2
+
+    @pytest.mark.parametrize("bad", [-2, 30])
+    def test_ids_outside_the_graph_are_rejected_where_seeds_enter(self, bad):
+        # Negative ids used to alias through numpy indexing (``indptr[-2]``
+        # is vertex 28's range) and come back *inside* embeddings; ids past
+        # the end died with a bare IndexError inside the kernel.
+        g = erdos_renyi(30, 0.3, seed=4)
+        enumerator = BacktrackingEnumerator(triangle(), g)
+        first, second = enumerator.order[:2]
+        with pytest.raises(ValueError, match=f"vertex id {bad} outside"):
+            list(enumerator.run([1, bad]))
+        with pytest.raises(ValueError, match=f"vertex id {bad} outside"):
+            list(enumerator.run_seeded({first: bad}))
+        with pytest.raises(ValueError, match=f"vertex id {bad} outside"):
+            list(enumerator.run_seeded({first: 1, second: bad}))
+        with pytest.raises(ValueError, match=f"vertex id {bad} outside"):
+            enumerator.run_seeded_block(np.array([[bad, 1], [2, 3]]))
 
     def test_limit_zero(self):
         g = erdos_renyi(20, 0.3, seed=4)
@@ -104,7 +124,7 @@ class TestLimit:
     def test_limit_k_is_a_prefix_of_the_full_list(
         self, monkeypatch, rows_per_block
     ):
-        monkeypatch.setattr(backtracking, "ROWS_PER_BLOCK", rows_per_block)
+        monkeypatch.setattr(block, "ROWS_PER_BLOCK", rows_per_block)
         g = erdos_renyi(20, 0.3, seed=4)
         full = enumerate_embeddings(g, g.vertices(), triangle())
         assert len(full) > 10
@@ -117,7 +137,7 @@ class TestLimit:
             assert stats.embeddings == len(got)
 
     def test_limit_stops_expanding_further_chunks(self, monkeypatch):
-        monkeypatch.setattr(backtracking, "ROWS_PER_BLOCK", 3)
+        monkeypatch.setattr(block, "ROWS_PER_BLOCK", 3)
         g = erdos_renyi(20, 0.3, seed=4)
         unlimited, limited = EnumerationStats(), EnumerationStats()
         enumerate_embeddings(g, g.vertices(), triangle(), stats=unlimited)

@@ -123,7 +123,7 @@ def compute() -> dict:
                 stats = EnumerationStats()
                 found = enumerate_embeddings(
                     graph.neighbors, local.owned_vertices, pattern, cons,
-                    order=plan.matching_order(), allowed=local.is_owned,
+                    order=plan.matching_order(), allowed=local.owned_mask,
                     stats=stats,
                 )
                 out["owned"][f"{gname}/{qname}/m{t}"] = _record(found, stats)

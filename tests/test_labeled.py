@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.enumeration import enumerate_embeddings, labeled_embeddings
+from repro.enumeration import block, enumerate_embeddings, labeled_embeddings
 from repro.enumeration.backtracking import EnumerationStats
 from repro.enumeration.labeled import (
     LabeledPattern,
@@ -157,7 +157,10 @@ class TestLabeledEnumeration:
         g = erdos_renyi(60, 0.2, seed=9)
         lg = LabeledGraph(g, [0] * g.num_vertices)
         lp = LabeledPattern(triangle(), [0, 0, 0])
-        assert len(labeled_embeddings(lg, lp, limit=4)) == 4
+        full = labeled_embeddings(lg, lp)
+        assert labeled_embeddings(lg, lp, limit=4) == full[:4]
+        # The recursive loop tested the limit only after its first yield.
+        assert labeled_embeddings(lg, lp, limit=0) == []
 
     def test_stats_counted(self):
         g = erdos_renyi(50, 0.15, seed=3)
@@ -185,7 +188,17 @@ class TestLabeledEnumeration:
         rng = np.random.default_rng(label_seed + 1)
         qlabels = [int(x) for x in rng.integers(0, num_labels, size=3)]
         lp = LabeledPattern(triangle(), qlabels)
-        assert set(labeled_embeddings(lg, lp)) == brute_force(lg, lp)
+        whole = EnumerationStats()
+        found = labeled_embeddings(lg, lp, stats=whole)
+        assert len(found) == len(set(found))
+        assert set(found) == brute_force(lg, lp)
+        # One and seven rows per block: chunk ends inside every level.
+        for rows_per_block in (1, 7):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(block, "ROWS_PER_BLOCK", rows_per_block)
+                chunked = EnumerationStats()
+                assert labeled_embeddings(lg, lp, stats=chunked) == found
+            assert chunked == whole
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000))

@@ -7,9 +7,10 @@ from repro.cluster import Cluster
 from repro.cluster.machine import SimulatedMemoryError
 from repro.core.cache import ForeignVertexCache
 from repro.core.embedding_trie import NODE_BYTES
-from repro.core.rmeef import _NEVER, RMeefWorker, _first_diff, _Round
+from repro.core.rmeef import _NEVER, RMeefWorker, _Round
 from repro.core.sme import SingleMachineSplit
 from repro.engines import SingleMachineEngine
+from repro.enumeration.block import first_diff
 from repro.graph import erdos_renyi, powerlaw_cluster
 from repro.query import best_execution_plan, named_patterns
 from repro.query.symmetry import symmetry_breaking_constraints
@@ -208,7 +209,7 @@ class TestTrieTimeline:
         worker, _ = build_worker(setting[1].fresh_copy(), named_patterns()["q2"], 0)
         frontier, leaves = np.array(frontier), np.array(leaves)
         state = _Round(
-            frontier, np.concatenate((_first_diff(frontier), [0, 0])), None,
+            frontier, np.concatenate((first_diff(frontier), [0, 0])), None,
             rooted=frontier.shape[1] == 1, final=True, width=leaves.shape[1],
         )
         entries = np.zeros(len(leaves), dtype=np.int64)

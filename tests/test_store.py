@@ -19,11 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.api import RunConfig, read_records_jsonl, record_from_dict
-from repro.core.embedding_trie import (
-    NODE_BYTES,
-    trie_from_paths,
-    trie_nodes_for_results,
-)
+from repro.core.embedding_trie import NODE_BYTES, trie_nodes_for_results
 from repro.engines.base import RunResult
 from repro.graph import erdos_renyi
 from repro.query.pattern_gen import random_connected_pattern
@@ -143,7 +139,7 @@ class TestTrieColumns:
 
 
 # ----------------------------------------------------------------------
-# Flatten/rebuild round-trips against the Sec. 5 trie (property tests)
+# Flatten/rebuild round-trips against the Sec. 5 trie as a set of prefixes
 # ----------------------------------------------------------------------
 class TestTrieRoundTrip:
     def _check_round_trip(self, embeddings, num_vertices):
@@ -152,30 +148,23 @@ class TestTrieRoundTrip:
         assert rows == sorted(set(map(tuple, embeddings)))
         if not rows:
             return
-        trie, leaves = trie_from_paths(rows)
-        # Leaf paths survive the round trip, in leaf order.
-        assert [tuple(leaf.path()) for leaf in leaves] == rows
-        # Node and byte accounting agree with the pointer trie.
-        assert trie.num_nodes == columns.node_count
-        assert trie.memory_bytes() == columns.memory_bytes()
-        # Child counts agree level by level (as multisets: the pointer
-        # trie has no inherent sibling order).
-        nodes = {}
-        for leaf in leaves:
-            node, depth = leaf, columns.depth - 1
-            while node is not None and id(node) not in nodes:
-                nodes[id(node)] = (node, depth)
-                node, depth = node.parent, depth - 1
-        by_depth = defaultdict(list)
-        for node, depth in nodes.values():
-            by_depth[depth].append(node.child_count)
+        # Node and byte accounting agree with the set of prefixes.
+        children = defaultdict(set)
+        for row in rows:
+            for depth in range(columns.depth):
+                children[row[:depth]].add(row[depth])
+        assert columns.node_count == sum(map(len, children.values()))
+        assert columns.memory_bytes() == columns.node_count * NODE_BYTES
+        # Child counts agree level by level, in sorted-prefix order.
         for level in range(columns.depth - 1):
-            want = np.bincount(
-                np.asarray(columns.parents[level + 1]),
-                minlength=len(columns.values[level]),
+            want = [
+                len(kids) for prefix, kids in sorted(children.items())
+                if len(prefix) == level + 1
+            ]
+            got = np.bincount(
+                columns.parents[level + 1], minlength=len(columns.values[level])
             )
-            assert sorted(by_depth[level]) == sorted(want.tolist())
-        assert set(by_depth[columns.depth - 1]) <= {0}
+            assert got.tolist() == want
 
     @settings(max_examples=30, deadline=None)
     @given(

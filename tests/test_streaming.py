@@ -303,39 +303,32 @@ class TestPrefixAndSeeded:
         )
         assert len(matcher.matches_using(g, [(0, 11), (1, 5)])) == 1
 
-    def test_seed_beyond_a_callable_adjacency_is_not_admitted(self):
-        """A callable adjacency is gathered into a step-local CSR sized by
-        the anchors' neighbourhoods; a seed id above that size, with no
-        data edge to its anchor, must not alias another anchor's edge."""
+    def test_a_seed_block_equals_its_seeds_one_by_one(self):
+        """Every vertex pair as a seed, most of them not edges: only the
+        triangle's directed edges are admitted, and the block run equals
+        the concatenation of the one-seed runs."""
         g = Graph.from_edges(7, [(0, 1), (0, 2), (1, 2), (2, 5), (5, 6)])
         tri = parse_pattern(PATTERNS["triangle"])
         matcher = IncrementalMatcher(tri)
-        assert matcher.matches_using(
-            lambda v: g.neighbors(v), [(0, 5), (1, 2)]
-        ) == matcher.matches_using(g, [(0, 5), (1, 2)]) == [(0, 1, 2)]
+        assert matcher.matches_using(g, [(0, 5), (1, 2)]) == [(0, 1, 2)]
 
         order = compute_matching_order(tri, prefix=[0, 1])
         pairs = np.stack(np.meshgrid(range(7), range(7), indexing="ij"), -1)
         seeds = pairs.reshape(-1, 2)
-        native = BacktrackingEnumerator(tri, g, order=order)
-        gathered = BacktrackingEnumerator(
-            tri, lambda v: g.neighbors(v).copy(), order=order
-        )
+        enum = BacktrackingEnumerator(tri, g, order=order)
         expected = [
             (i, emb)
             for i, row in enumerate(seeds.tolist())
-            for emb in native.run_seeded(dict(zip(order, row)))
+            for emb in enum.run_seeded(dict(zip(order, row)))
         ]
         assert len(expected) == 6  # the triangle from each directed edge
-        for enum in (native, gathered):
-            seed_index, embeddings = enum.run_seeded_block(seeds)
-            rows = map(tuple, embeddings.tolist())
-            assert list(zip(seed_index.tolist(), rows)) == expected
-        # Past the graph itself, a later seed column has no data edge ...
-        assert list(native.run_seeded({order[0]: 0, order[1]: 7})) == []
-        # ... and a start that is no vertex fails loudly, as it always did.
-        with pytest.raises(IndexError):
-            list(native.run_seeded({order[0]: 7}))
+        seed_index, embeddings = enum.run_seeded_block(seeds)
+        rows = map(tuple, embeddings.tolist())
+        assert list(zip(seed_index.tolist(), rows)) == expected
+        # A seed that is no vertex fails loudly, in either column.
+        for seed in ({order[0]: 7}, {order[0]: 0, order[1]: 7}):
+            with pytest.raises(ValueError, match="vertex id 7 outside"):
+                list(enum.run_seeded(seed))
 
     def test_run_seeded_block_rejects_malformed_seeds(self, graph):
         tri = parse_pattern(PATTERNS["triangle"])
