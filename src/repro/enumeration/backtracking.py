@@ -149,7 +149,7 @@ class BacktrackingEnumerator:
         self._graph = graph
         self._masks = None
         if self.allowed is not None:
-            if not isinstance(self.allowed, np.ndarray):
+            if getattr(self.allowed, "dtype", None) != bool:
                 raise TypeError(
                     f"allowed must be a boolean vertex mask, got {self.allowed!r}"
                 )

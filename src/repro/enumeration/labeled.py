@@ -115,12 +115,12 @@ def candidate_sets(
             stats.candidates_scanned += len(base)
         survivors = base[degrees[base] >= pattern.degree(u)]
         if use_nlf:
+            row, nbrs = kernel.neighbors(graph, survivors)
+            keep = np.ones(len(survivors), dtype=bool)
             for label, needed in query.neighborhood_label_frequency(u).items():
-                row, nbrs = kernel.neighbors(graph, survivors)
-                have = np.bincount(
-                    row[labels[nbrs] == label], minlength=len(survivors)
-                )
-                survivors = survivors[have >= needed]
+                have = np.bincount(row[labels[nbrs] == label], minlength=len(keep))
+                keep &= have >= needed
+            survivors = survivors[keep]
         out[u] = survivors
     return out
 

@@ -34,10 +34,11 @@ from repro.query.symmetry import constraint_map
 class VF2Enumerator:
     """Serial VF2-style enumerator bound to a pattern and adjacency source.
 
-    Parameters mirror :class:`BacktrackingEnumerator`: ``adjacency`` maps a
-    data vertex to its sorted neighbour array, ``allowed`` optionally
-    restricts matchable data vertices, and ``constraints`` are
-    symmetry-breaking pairs ``(u, u')`` requiring ``f(u) < f(u')``.
+    ``adjacency`` maps a data vertex to its sorted neighbour array,
+    ``allowed`` is an optional predicate restricting matchable data
+    vertices (the block kernel takes a ``Graph`` and a mask instead), and
+    ``constraints`` are symmetry-breaking pairs ``(u, u')`` requiring
+    ``f(u) < f(u')``.
     """
 
     pattern: Pattern

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.graph import Graph, gather_ranges
+import repro.enumeration.block as kernel
+from repro.graph.graph import Graph
 
 
 class MachinePartition:
@@ -94,20 +95,11 @@ class MachinePartition:
         )
 
     # ------------------------------------------------------------------
-    def _owned_neighbors(
-        self, vertices: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(row, neighbour)`` pairs over the adjacency of ``vertices``."""
-        indptr = self._graph.indptr
-        starts = indptr[vertices]
-        row, flat = gather_ranges(starts, indptr[vertices + 1] - starts)
-        return row, self._graph.indices[flat]
-
     @property
     def border_vertices(self) -> np.ndarray:
         """Owned vertices with at least one foreign neighbour (cached)."""
         if self._border is None:
-            row, nbrs = self._owned_neighbors(self._owned)
+            row, nbrs = kernel.neighbors(self._graph, self._owned)
             foreign = np.bincount(
                 row[~self._owned_mask[nbrs]], minlength=len(self._owned)
             )
@@ -134,7 +126,7 @@ class MachinePartition:
         while len(frontier):
             dist[frontier] = depth
             depth += 1
-            _, nbrs = self._owned_neighbors(frontier)
+            _, nbrs = kernel.neighbors(self._graph, frontier)
             frontier = np.unique(
                 nbrs[self._owned_mask[nbrs] & (dist[nbrs] == _FAR)]
             )

@@ -29,7 +29,7 @@ which is what :func:`verify_parity` asserts.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -87,7 +87,7 @@ class IncrementalMatcher:
     # ------------------------------------------------------------------
     def matches_using(
         self,
-        adjacency: Graph | Callable[[int], np.ndarray],
+        adjacency: Graph,
         edges: Iterable[tuple[int, int]],
         *,
         stats: EnumerationStats | None = None,
