@@ -60,7 +60,7 @@ class TestAdversarialPatterns:
         with pytest.raises(ValueError):
             enumerate_embeddings(g.neighbors, g.vertices(), bad)
 
-    def test_a_callable_that_is_not_a_graph_is_a_type_error(self):
+    def test_a_callable_adjacency_is_a_type_error(self):
         g = erdos_renyi(25, 0.2, seed=3)
         with pytest.raises(TypeError, match="adjacency must be a Graph"):
             enumerate_embeddings(lambda v: g.neighbors(v), g.vertices(), triangle())
@@ -71,7 +71,7 @@ class TestAdversarialPatterns:
             g.neighbors, g.vertices(), triangle()
         ) == enumerate_embeddings(g, g.vertices(), triangle())
 
-    def test_start_candidates_are_charged_past_allowed_only(self):
+    def test_starts_are_charged_past_allowed_only(self):
         g = erdos_renyi(20, 0.3, seed=4)
         stats = EnumerationStats()
         found = enumerate_embeddings(
