@@ -82,7 +82,7 @@ class TestAdversarialPatterns:
         assert stats.candidates_scanned == 2
 
     @pytest.mark.parametrize("bad", [-2, 30])
-    def test_ids_outside_the_graph_are_rejected_where_seeds_enter(self, bad):
+    def test_seed_ids_outside_the_graph_raise(self, bad):
         # Negative ids used to alias through numpy indexing (``indptr[-2]``
         # is vertex 28's range) and come back *inside* embeddings; ids past
         # the end died with a bare IndexError inside the kernel.
