@@ -12,7 +12,7 @@ Subcommands cover the library's workflows end to end::
     python -m repro serve --graph road.npz --port 7463 [--threads 4]
     python -m repro submit --port 7463 --query q4 [--engine rads] [--json]
     python -m repro metrics --port 7463 [--format text] [--watch]
-    python -m repro worker --port 7471 [--graph road.npz] [--workers 2]
+    python -m repro worker --port 7471 [--graph road.npz]
 
 ``worker`` starts a :mod:`repro.distributed` shard daemon; point
 ``enumerate``/``run`` (or ``serve``) at a roster of them with
@@ -285,6 +285,24 @@ def _cmd_labeled(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_daemon(daemon, ready, stopped: str) -> int:
+    """Serve until a shutdown op or Ctrl-C, between two parseable lines.
+
+    ``ready(bound)`` words the readiness line around the bound
+    ``host:port`` (scripts wait for that line / read the port from it).
+    """
+    host, port = daemon.address
+    print(ready(f"{host}:{port}"), flush=True)
+    try:
+        daemon.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        daemon.close()
+    print(stopped)
+    return 0
+
+
 def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.distributed.worker import ShardWorker
 
@@ -293,29 +311,19 @@ def _cmd_worker(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             graph=args.graph,
-            workers=args.workers,
             announce=args.announce,
             announce_interval=args.announce_interval,
         )
     # OSError covers the bind failures (port in use, bad host).
     except (ValueError, OSError) as exc:
         raise SystemExit(str(exc))
-    host, port = worker.address
     held = worker.fingerprints()
-    # One parseable readiness line (scripts wait for it / read the port).
-    print(
-        f"worker serving on {host}:{port}"
+    return _run_daemon(
+        worker,
+        lambda bound: f"worker serving on {bound}"
         + (f" graph {held[0][:12]}" if held else ""),
-        flush=True,
+        "worker stopped",
     )
-    try:
-        worker.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        worker.close()
-    print("worker stopped")
-    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -369,17 +377,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # DistributedError an unreachable --shards roster.
     except (ValueError, OSError, DistributedError) as exc:
         raise SystemExit(str(exc))
-    host, port = server.address
-    # One parseable readiness line (scripts wait for it / read the port).
-    print(f"serving {graph} from {args.graph} on {host}:{port}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
-    print("server stopped")
-    return 0
+    return _run_daemon(
+        server,
+        lambda bound: f"serving {graph} from {args.graph} on {bound}",
+        "server stopped",
+    )
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
@@ -1182,9 +1184,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="preload this graph so coordinators never "
                              "ship it (otherwise graphs are shipped once "
                              "and cached by fingerprint)")
-    worker.add_argument("--workers", type=int, default=0,
-                        help="OS processes executing tasks on this shard "
-                             "(0 = inline serial)")
     worker.add_argument("--announce", default=None,
                         help="announce this worker to a query server's "
                              "elastic shard roster (host:port of a "

@@ -5,8 +5,8 @@ This package is the socket-transport counterpart of :mod:`repro.runtime`
 wire format (PR 4):
 
 - :class:`~repro.distributed.worker.ShardWorker` — a long-lived daemon
-  (``repro worker --port P``) holding the CSR graph + ownership map
-  locally and executing cluster tasks in its own process pool.
+  (``repro worker --port P``, one per core) holding the CSR graph +
+  ownership map locally and executing cluster tasks inline.
 - :class:`~repro.distributed.coordinator.ShardCoordinator` — roster
   management: versioned handshakes, graph shipping cached by
   ``Graph.fingerprint()``, heartbeats, per-shard in-flight windows, and

@@ -36,6 +36,7 @@ from repro.distributed import protocol
 from repro.distributed.errors import DistributedError
 from repro.obs import events as _events
 from repro.runtime.delta import capture_state
+from repro.service.transport import dial
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.cluster.cluster import Cluster
@@ -287,39 +288,28 @@ class ShardCoordinator:
             self._counters[counter] += amount
 
     def _connect(self, shard: _Shard) -> None:
-        """TCP connect + handshake verification (version and role)."""
-        sock = socket.create_connection(
-            shard.address, timeout=self.connect_timeout
+        """TCP connect + handshake verification (role, then version)."""
+        shard.sock, shard.rfile, shard.wfile, shard.hello = dial(
+            shard.address,
+            timeout=self.connect_timeout,
+            role=protocol.WORKER_ROLE,
+            version=protocol.WORKER_PROTOCOL_VERSION,
         )
-        # A batch is many small writes answered by small writes: Nagle on
-        # either end waits out the peer's delayed ACK (~40 ms a batch).
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        shard.sock = sock
-        shard.rfile = sock.makefile("rb")
-        shard.wfile = sock.makefile("wb")
-        hello = protocol.read_message(shard.rfile)
-        if not hello or hello.get("kind") != "hello":
-            shard.close()
-            raise protocol.ProtocolError(
-                f"no hello from {shard.name}; is that a repro shard worker?"
-            )
-        if hello.get("role") != protocol.WORKER_ROLE:
-            shard.close()
-            raise protocol.ProtocolError(
-                f"{shard.name} is a {hello.get('role', 'unknown')!r} "
-                f"endpoint, not a shard worker"
-            )
-        if hello.get("version") != protocol.WORKER_PROTOCOL_VERSION:
-            shard.close()
-            raise protocol.ProtocolError(
-                f"protocol version mismatch at {shard.name}: worker speaks "
-                f"{hello.get('version')}, coordinator "
-                f"{protocol.WORKER_PROTOCOL_VERSION}"
-            )
-        sock.settimeout(self.task_timeout)
-        shard.hello = hello
+        shard.sock.settimeout(self.task_timeout)
         shard.alive = True
+        shard.bound_key = None  # a fresh connection has nothing bound
         shard.last_error = None
+
+    def _join(self, shard: _Shard, **attrs: Any) -> None:
+        """Connect an announced shard; one not reachable yet is no fault."""
+        try:
+            self._connect(shard)
+            _events.emit(
+                "info", "coordinator", _events.WORKER_JOINED,
+                address=shard.name, **attrs,
+            )
+        except (OSError, protocol.ProtocolError) as exc:
+            self._lose(shard, exc, count=False)
 
     def _lose(
         self,
@@ -419,35 +409,14 @@ class ShardCoordinator:
                     )
                     shard.announces_seen = entry["announces"]
                     self._shards.append(shard)
-                    try:
-                        self._connect(shard)
-                        _events.emit(
-                            "info",
-                            "coordinator",
-                            _events.WORKER_JOINED,
-                            address=shard.name,
-                        )
-                    except (OSError, protocol.ProtocolError) as exc:
-                        self._lose(shard, exc, count=False)
+                    self._join(shard)
                 elif not shard.alive and (
                     entry["announces"] > shard.announces_seen
                 ):
                     shard.announces_seen = entry["announces"]
                     with shard.lock:
                         shard.close()
-                        try:
-                            self._connect(shard)
-                            shard.bound_key = None
-                            shard.last_error = None
-                            _events.emit(
-                                "info",
-                                "coordinator",
-                                _events.WORKER_JOINED,
-                                address=shard.name,
-                                rejoined=True,
-                            )
-                        except (OSError, protocol.ProtocolError) as exc:
-                            self._lose(shard, exc, count=False)
+                        self._join(shard, rejoined=True)
                 elif shard.alive:
                     shard.announces_seen = max(
                         shard.announces_seen, entry["announces"]
@@ -801,7 +770,7 @@ class ShardCoordinator:
                                     batch.usage.extend(worker_usage)
                     else:
                         # The worker is healthy but the task failed there
-                        # (pool crash, unserializable result).  Surfaced
+                        # (malformed task, unserializable result).  Surfaced
                         # in task order, like the process backend; never
                         # resubmitted (a poison task would cascade).
                         triple = (

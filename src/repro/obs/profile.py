@@ -326,10 +326,7 @@ def worker_usage(
     """One task's JSON-safe usage row from a :func:`task_rusage` baseline.
 
     ``utime``/``stime`` are the worker process's CPU delta across the
-    task.  In ``pool`` mode the task body ran in a child process, so the
-    parent-side delta covers dispatch/serialization only — the row is
-    still shipped (wall attribution per shard stays right) with ``mode``
-    marking the caveat.
+    task, which ran in that process (``mode`` says so: ``"inline"``).
     """
     row: dict[str, Any] = {
         "shard": shard,

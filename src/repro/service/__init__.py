@@ -44,8 +44,9 @@ from repro.service.scheduler import (
     SchedulerClosed,
     ServiceTimeout,
 )
-from repro.service.server import QueryServer, wait_until_serving
+from repro.service.server import QueryServer
 from repro.service.tenancy import TenantLedger, TenantQuota
+from repro.service.transport import wait_until_serving
 
 __all__ = [
     "AdmissionError",

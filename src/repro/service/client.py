@@ -19,12 +19,12 @@ which is where cross-client caching and dedup happen).
 
 from __future__ import annotations
 
-import socket
 from typing import Any
 
 from repro.engines.base import RunResult
 from repro.query.explain import QueryExplanation
 from repro.service import protocol
+from repro.service.transport import dial
 
 __all__ = ["ServiceClient", "ServiceError", "Subscription", "connect"]
 
@@ -52,11 +52,17 @@ class ServiceClient:
         self, address: tuple[str, int], *, timeout: float | None = None
     ):
         self.address = address
-        self._sock = socket.create_connection(address, timeout=timeout)
-        self._sock.settimeout(timeout)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._rfile = self._sock.makefile("rb")
-        self._wfile = self._sock.makefile("wb")
+        try:
+            self._sock, self._rfile, self._wfile, self.hello = dial(
+                address,
+                timeout=timeout,
+                role=None,
+                version=protocol.PROTOCOL_VERSION,
+            )
+        except protocol.ProtocolError as exc:
+            # Not a query server (or not this version of one): callers
+            # catch the client's error type, as for any other refusal.
+            raise ServiceError(str(exc)) from exc
         self._next_id = 1
         #: Cache disposition of the most recent submit: hit/miss/dedup.
         self.last_cache: str | None = None
@@ -67,23 +73,6 @@ class ServiceClient:
         #: (push-mode watches share the connection); drained by
         #: :class:`Subscription`.
         self._pushed: list[dict[str, Any]] = []
-        try:
-            self.hello = protocol.read_message(self._rfile)
-            if self.hello is None or self.hello.get("kind") != "hello":
-                raise ServiceError(
-                    f"no protocol hello from {address}; is that a repro "
-                    f"query server?"
-                )
-            if self.hello.get("version") != protocol.PROTOCOL_VERSION:
-                raise ServiceError(
-                    f"protocol version mismatch: server speaks "
-                    f"{self.hello.get('version')}, client "
-                    f"{protocol.PROTOCOL_VERSION}"
-                )
-        except BaseException:
-            # Don't leak the connected socket/fds behind the exception.
-            self.close()
-            raise
 
     # ------------------------------------------------------------------
     def _call(self, op: str, **fields: Any) -> dict[str, Any]:

@@ -1,8 +1,8 @@
 """The socket front end: a long-running query service over one graph.
 
-:class:`QueryServer` binds a TCP socket and speaks the JSON-lines
-protocol of :mod:`repro.service.protocol`; every connection gets its own
-handler thread (``ThreadingTCPServer``), and all connections share one
+:class:`QueryServer` is a :class:`~repro.service.transport.LineDaemon`
+speaking the JSON-lines protocol of :mod:`repro.service.protocol`; every
+connection gets its own handler thread, and all connections share one
 :class:`~repro.service.scheduler.QueryScheduler` — so the priority queue,
 admission budget, in-flight deduplication and result cache apply across
 clients, which is the whole point of a serving layer.
@@ -20,8 +20,7 @@ delivered streaming delta record — is appended to a JSONL request log
 
 from __future__ import annotations
 
-import socket
-import socketserver
+import contextlib
 import threading
 import time
 from concurrent.futures import CancelledError
@@ -35,6 +34,7 @@ from repro.obs import events as _events
 from repro.service import protocol
 from repro.service.cache import ResultCache
 from repro.service.scheduler import QueryScheduler, ServiceTimeout
+from repro.service.transport import LineDaemon
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from typing import Mapping
@@ -53,74 +53,12 @@ class _Reply(NamedTuple):
     extra: "dict[str, Any]" = {}
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    """One connection: hello, then a request/response loop until EOF."""
-
-    server: "_TCPServer"
-    #: TCP_NODELAY: push lines and then the reply are two writes, and the
-    #: second would wait out the client's delayed ACK (~40 ms an ingest).
-    disable_nagle_algorithm = True
-
-    def handle(self) -> None:  # pragma: no cover - exercised via sockets
-        front = self.server.front
-        # Responses and pushed delta lines share this connection; the
-        # lock keeps their JSON-lines framing from interleaving.
-        write_lock = threading.Lock()
-
-        def send(message: dict) -> None:
-            with write_lock:
-                protocol.write_message(self.wfile, message)
-
-        #: Watch ids whose push sink is this connection (detached on EOF).
-        attached: list[str] = []
-        try:
-            try:
-                send(front._hello())
-            except OSError:
-                # e.g. a readiness probe that connected and hung up.
-                return
-            while True:
-                try:
-                    message = protocol.read_message(self.rfile)
-                except (protocol.ProtocolError, OSError) as exc:
-                    try:
-                        send(protocol.error_response(None, str(exc)))
-                    except OSError:
-                        pass
-                    return
-                if message is None:
-                    return
-                if not message:  # blank keep-alive line
-                    continue
-                response = front._dispatch(
-                    message, push=send, attached=attached
-                )
-                try:
-                    send(response)
-                except OSError:
-                    return
-                if response.get("kind") == "bye":
-                    front._request_shutdown()
-                    return
-        finally:
-            for watch_id in attached:
-                front.streams.detach_push(watch_id)
-
-
-class _TCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    front: "QueryServer"
-
-
-class QueryServer:
+class QueryServer(LineDaemon):
     """JSON-lines TCP server over one :class:`QueryScheduler`.
 
-    ``port=0`` binds an ephemeral port; read the actual one from
-    :attr:`address`.  Use :meth:`start` for a background server (tests,
-    notebooks) or :meth:`serve_forever` to block (the CLI); either way
-    :meth:`close` — or a client ``shutdown`` op — stops the accept loop
-    and the scheduler.
+    Binding, :attr:`address`, :meth:`start` / :meth:`serve_forever` and
+    :meth:`close` are :class:`LineDaemon`'s; closing — by the owner or a
+    client ``shutdown`` op — also stops the scheduler.
     """
 
     def __init__(
@@ -178,7 +116,7 @@ class QueryServer:
         self._started = time.monotonic()
         # Bind before building the scheduler: a bind failure (port in
         # use) must not strand live worker threads / process pools.
-        self._tcp = _TCPServer((host, int(port)), _Handler)
+        super().__init__(host, port, name="repro-query-server")
         try:
             self.scheduler = QueryScheduler(
                 graph,
@@ -221,70 +159,22 @@ class QueryServer:
         self._log_lock = threading.Lock()
         self._explain_engines: dict[str, Any] = {}
         self._explain_lock = threading.Lock()
-        self._tcp.front = self
-        self._thread: threading.Thread | None = None
-        self._closed = False
-        #: True once a serve loop was launched; close() must only call
-        #: _tcp.shutdown() then — shutdown() waits on an event that only
-        #: serve_forever() sets, so it would hang for a never-started
-        #: server (e.g. Session.serve(start=False) closed unused).
-        self._serving = False
-        # close() can race: the shutdown op runs it on a daemon thread
-        # while the owning `with server:` exits.  Serialize the whole
-        # teardown so the loser blocks until the winner has fully closed.
-        self._close_lock = threading.Lock()
 
-    # ------------------------------------------------------------------
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound ``(host, port)`` — resolves ephemeral ports."""
-        return self._tcp.server_address[:2]
+    def _teardown(self) -> None:
+        super()._teardown()
+        self.scheduler.close()
 
-    def start(self) -> "QueryServer":
-        """Serve on a daemon thread; returns immediately."""
-        if self._thread is None:
-            self._serving = True
-            self._thread = threading.Thread(
-                target=self._tcp.serve_forever,
-                name="repro-query-server",
-                daemon=True,
+    @contextlib.contextmanager
+    def _connection(self, send: Any, sock: Any):
+        #: Watch ids whose push sink is this connection (detached on EOF).
+        attached: list[str] = []
+        try:
+            yield lambda message: self._dispatch(
+                message, push=send, attached=attached
             )
-            self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Block serving requests until :meth:`close` or a shutdown op."""
-        self._serving = True
-        self._tcp.serve_forever()
-
-    def close(self) -> None:
-        """Stop accepting, release the socket, stop the scheduler.
-
-        Idempotent and thread-safe: concurrent callers (the ``shutdown``
-        op's daemon thread vs. the owner's context exit) serialize, and
-        every caller returns only once the teardown has fully finished.
-        """
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-            if self._serving:
-                self._tcp.shutdown()
-            self._tcp.server_close()
-            if self._thread is not None:
-                self._thread.join()
-                self._thread = None
-            self.scheduler.close()
-
-    def _request_shutdown(self) -> None:
-        """Shutdown initiated from a handler thread (the ``shutdown`` op)."""
-        threading.Thread(target=self.close, daemon=True).start()
-
-    def __enter__(self) -> "QueryServer":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+        finally:
+            for watch_id in attached:
+                self.streams.detach_push(watch_id)
 
     # ------------------------------------------------------------------
     # Protocol dispatch (one call per request line)
@@ -623,26 +513,3 @@ class QueryServer:
         entry.setdefault("ts", time.time())
         with self._log_lock:
             append_record_jsonl(entry, self._log_path)
-
-
-def wait_until_serving(
-    address: tuple[str, int], timeout: float = 10.0
-) -> None:
-    """Block until a server accepts connections at ``address`` (or raise).
-
-    Convenience for scripts that background ``repro serve`` and need a
-    readiness gate sturdier than sleeping.
-    """
-    deadline = time.monotonic() + timeout
-    last_error: Exception | None = None
-    while time.monotonic() < deadline:
-        try:
-            with socket.create_connection(address, timeout=1.0):
-                return
-        except OSError as exc:
-            last_error = exc
-            time.sleep(0.05)
-    raise TimeoutError(
-        f"no query server answering at {address} after {timeout}s: "
-        f"{last_error}"
-    )

@@ -53,7 +53,7 @@ def _echo_task(cluster, args):
 
 
 def _unpicklable_task(cluster, args):
-    """Runs fine, but its result cannot survive the pool round trip."""
+    """Runs fine, but its result cannot be pickled for the way back."""
     return lambda: None
 
 
@@ -433,7 +433,10 @@ class TestHandshake:
         """Pointing the coordinator at a query server is a loud error."""
         server = repro.open(er_graph).serve(port=0)
         try:
-            with pytest.raises(DistributedError, match="not a shard worker"):
+            with pytest.raises(
+                DistributedError,
+                match="is a 'unknown' endpoint, not a shard worker",
+            ):
                 ShardCoordinator([server.address], heartbeat_interval=None)
         finally:
             server.close()
@@ -445,16 +448,18 @@ class TestNoDelay:
     a batch, or a push-mode ingest), so every endpoint sets TCP_NODELAY."""
 
     @staticmethod
-    def _accepted(monkeypatch, handler_cls) -> list:
-        """Record the server-side socket of every accepted connection."""
+    def _accepted(monkeypatch) -> list:
+        """Record the daemon-side socket of every accepted connection."""
+        from repro.service import transport
+
         accepted: list[socket.socket] = []
-        setup = handler_cls.setup
+        setup = transport._Handler.setup
 
         def recording(self):
             setup(self)
             accepted.append(self.connection)
 
-        monkeypatch.setattr(handler_cls, "setup", recording)
+        monkeypatch.setattr(transport._Handler, "setup", recording)
         return accepted
 
     @staticmethod
@@ -462,9 +467,7 @@ class TestNoDelay:
         return bool(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
 
     def test_both_ends_of_a_shard_connection(self, monkeypatch):
-        from repro.distributed import worker as worker_module
-
-        accepted = self._accepted(monkeypatch, worker_module._Handler)
+        accepted = self._accepted(monkeypatch)
         with ShardWorker() as worker:
             with ShardCoordinator(
                 [worker.address], heartbeat_interval=None
@@ -474,9 +477,7 @@ class TestNoDelay:
                 assert [self._nodelay(s) for s in accepted] == [True]
 
     def test_both_ends_of_a_service_connection(self, er_graph, monkeypatch):
-        from repro.service import server as server_module
-
-        accepted = self._accepted(monkeypatch, server_module._Handler)
+        accepted = self._accepted(monkeypatch)
         server = repro.open(er_graph).serve(port=0)
         try:
             with repro.connect(server.address) as client:
@@ -508,34 +509,11 @@ class TestWorkerDaemon:
         worker.close()
         assert not stop_worker((host, port))
 
-    def test_process_pool_worker_bit_identical(self, er_graph):
-        worker = ShardWorker(workers=2).start()
-        try:
-            executor = SocketExecutor(
-                [worker.address], heartbeat_interval=None
-            )
-            cluster = Cluster.create(er_graph, 3)
-            pattern = named_patterns()["q2"]
-            serial = RADSEngine().run(
-                cluster.fresh_copy(), pattern, collect_embeddings=False
-            )
-            pooled = RADSEngine().run(
-                cluster.fresh_copy(), pattern,
-                collect_embeddings=False, executor=executor,
-            )
-            assert _stats(pooled) == _stats(serial)
-            executor.close()
-        finally:
-            worker.close()
-
-    def test_pool_result_transport_failure_is_per_task(self, er_graph):
-        """A result that dies in transit must not kill the daemon pool.
-
-        The failure is answered on the task's id (no coordinator stall,
-        no false shard burial) and the pool keeps serving — mirrors
-        ProcessExecutor, which resets only on BrokenProcessPool.
-        """
-        worker = ShardWorker(workers=2).start()
+    def test_an_unpicklable_result_is_a_per_task_error(self, er_graph):
+        """A result that cannot be sent back is answered on the task's id
+        (no coordinator stall, no false shard burial) and the connection
+        keeps serving."""
+        worker = ShardWorker().start()
         try:
             coordinator = ShardCoordinator(
                 [worker.address], heartbeat_interval=None
@@ -543,6 +521,7 @@ class TestWorkerDaemon:
             cluster = Cluster.create(er_graph, 2)
             bad = coordinator.run_batch(cluster, _unpicklable_task, [0])
             assert bad[0][0] == "transport_error"
+            assert "not serializable" in str(bad[0][1])
             good = coordinator.run_batch(cluster, _echo_task, ["ok"])
             assert good[0][0] == "ok" and good[0][1] == ("echo", "ok")
             assert coordinator.live_shards()

@@ -256,7 +256,7 @@ class TestDistributedProfile:
             assert row["tasks"] >= 1
             assert row["utime"] >= 0.0 and row["stime"] >= 0.0
             assert row["pid"] > 0
-            assert row["mode"] in ("inline", "pool")
+            assert row["mode"] == "inline"
         # Busiest-first ordering.
         cpu = [row["utime"] + row["stime"] for row in workers]
         assert cpu == sorted(cpu, reverse=True)

@@ -698,16 +698,6 @@ class TestServerClient:
         dispositions = sorted(cache for _, cache in results)
         assert dispositions.count("miss") == 1
 
-    def test_malformed_line_gets_error_response(self, server):
-        with socket.create_connection(server.address, timeout=10) as sock:
-            stream = sock.makefile("rwb")
-            assert protocol.read_message(stream)["kind"] == "hello"
-            stream.write(b"this is not json\n")
-            stream.flush()
-            response = protocol.read_message(stream)
-        assert response["ok"] is False
-        assert "malformed" in response["error"]
-
     def test_overlong_line_is_refused_at_the_cap_and_hangs_up(
         self, server, monkeypatch
     ):
@@ -747,18 +737,6 @@ class TestServerClient:
             protocol.write_message(stream, {"op": "ping", "id": 2})
             assert protocol.read_message(stream)["kind"] == "pong"
 
-    def test_bind_failure_leaves_no_scheduler_threads(self, graph):
-        with socket.socket() as taken:
-            taken.bind(("127.0.0.1", 0))
-            taken.listen(1)
-            port = taken.getsockname()[1]
-            with pytest.raises(OSError):
-                QueryServer(graph, RunConfig(machines=2), port=port)
-        assert not [
-            t for t in threading.enumerate()
-            if t.name.startswith("repro-query-") and t.is_alive()
-        ]
-
     def test_unknown_op(self, server):
         with socket.create_connection(server.address, timeout=10) as sock:
             stream = sock.makefile("rwb")
@@ -771,15 +749,6 @@ class TestServerClient:
 
 
 class TestSessionServe:
-    def test_close_of_a_never_started_server_returns(self, graph):
-        server = repro.open(graph).with_cluster(machines=2).serve(
-            port=0, threads=1, start=False
-        )
-        closer = threading.Thread(target=server.close)
-        closer.start()
-        closer.join(10)
-        assert not closer.is_alive(), "close() hung on an unstarted server"
-
     def test_session_serve_and_shutdown_op(self, graph):
         session = repro.open(graph).with_cluster(machines=3)
         server = session.serve(port=0, threads=2)
