@@ -1,5 +1,7 @@
 """Tests for region grouping and memory estimation (paper Sec. 6, Alg. 3)."""
 
+import sys
+
 import pytest
 
 from repro.core.embedding_trie import NODE_BYTES
@@ -92,6 +94,41 @@ class TestRegionGrouper:
             # A group that spans both ends must have been forced by exhaustion.
             if len(group) > 2:
                 assert len(sides) == 1
+
+
+class TestGroupingCost:
+    """An addition costs O(degree), not O(|remaining|): counted, not timed."""
+
+    @staticmethod
+    def _calls_per_candidate(graph, k: int) -> float:
+        """Python + C calls per candidate (what ``perf`` counts per pass)."""
+        calls = 0
+
+        def tick(frame, event, arg):
+            nonlocal calls
+            calls += event in ("call", "c_call")
+
+        def run():
+            make_grouper(graph, budget=40 * 4 * NODE_BYTES).groups(list(range(k)))
+
+        run()  # warm: imports and numpy's dispatch caches
+        sys.setprofile(tick)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+        return calls / k
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the per-candidate loop rescans `remaining` twice per addition",
+    )
+    def test_calls_per_candidate_do_not_grow_with_candidates(self):
+        graph = grid_road_network(120, 120, extra_edge_prob=0.04, seed=0)
+        small = self._calls_per_candidate(graph, 1000)
+        large = self._calls_per_candidate(graph, 4000)
+        print(f"calls per candidate: {small:.0f} at 1000, {large:.0f} at 4000")
+        assert large <= 1.5 * small
 
 
 class TestRandomGroupingStrategy:
