@@ -64,6 +64,23 @@ def _process_group_splitting(
     return worker.last_group_count
 
 
+def _steal(cluster: Cluster, thief: int, victims: list[int], queues) -> list[int]:
+    """``thief`` takes the next group of the most backlogged of ``victims``."""
+    # checkR: broadcast probe for unprocessed group counts.
+    cluster.network.broadcast(cluster.machine(thief), cluster.machines, nbytes=8)
+    victim = max(victims, key=lambda t: len(queues[t]))
+    group = queues[victim].popleft()
+    # shareR: the stolen group's candidate ids cross the wire.
+    cluster.network.rpc(
+        requester=cluster.machine(thief),
+        responder=cluster.machine(victim),
+        request_bytes=8,
+        response_bytes=len(group) * cluster.cost_model.bytes_per_vertex_id,
+        service_ops=float(len(group)),
+    )
+    return group
+
+
 def _phase1_task(cluster: Cluster, args: tuple) -> tuple:
     """SM-E split + region grouping for one machine (independent unit)."""
     (
@@ -77,20 +94,16 @@ def _phase1_task(cluster: Cluster, args: tuple) -> tuple:
     embeddings: list[tuple[int, ...]] = []
     sme_count = 0
     if enable_sme:
-        sme = split.run(local, machine, estimator)
-        sme_count = len(sme.embeddings)
-        if collect:
-            embeddings = sme.embeddings
+        sme = split.run(local, machine, estimator, collect)
+        sme_count, embeddings = sme.count, sme.embeddings
         distributed = sme.distributed_candidates
     else:
         distributed = split.candidates(local)
     machine.charge_ops(len(distributed), "grouping_ops")
-    total_estimate = sum(
-        estimator.estimate_bytes(local.degree(v)) for v in distributed
-    )
+    total_estimate = int(estimator.estimate_many(local.graph.degrees()[distributed]).sum())
     budget = min(results_budget, max(1.0, total_estimate / min_groups))
     grouper = RegionGrouper(
-        adjacency=local.graph.neighbors,
+        graph=local.graph,
         estimator=estimator,
         budget_bytes=budget,
         seed=seed + t,
@@ -210,45 +223,39 @@ class RADSEngine(EnumerationEngine):
                     results.extend(embeddings)
                 queues[t] = deque(groups)
 
-        # Phase 2: process region groups.  A parallel backend trades the
-        # clock-driven steal schedule for an up-front deterministic
-        # rebalance, making every machine's queue an independent task.
-        if executor.parallel:
-            with self.round_span(
-                "r-meef",
-                groups=sum(len(q) for q in queues.values()),
-                schedule="prebalanced",
-            ):
-                self._prebalance(cluster, queues)
-                for t, count, found in executor.run_tasks(
-                    cluster,
-                    _phase2_task,
-                    [
-                        (
-                            t, pattern, plan, constraints, collect,
-                            int(cache_budget), results_budget / 2,
-                            list(queues[t]),
-                        )
-                        for t in range(cluster.num_machines)
-                        if queues[t]
-                    ],
-                ):
-                    self._count += count
-                    if collect:
-                        results.extend(found)
-            return results
-
-        # Serial backend (asynchronous simulation): always advance the
-        # machine with the smallest clock, stealing when idle.
+        # Phase 2: process region groups.  The serial backend (asynchronous
+        # simulation) always advances the machine with the smallest clock,
+        # stealing when idle; a parallel backend trades that clock-driven
+        # schedule for an up-front deterministic rebalance, making every
+        # machine's queue an independent task.
         with self.round_span(
             "r-meef",
             groups=sum(len(q) for q in queues.values()),
-            schedule="steal",
+            schedule="prebalanced" if executor.parallel else "steal",
         ):
-            self._run_steal_loop(
-                cluster, pattern, plan, constraints, collect,
-                cache_budget, results_budget, queues, results,
-            )
+            if not executor.parallel:
+                self._run_steal_loop(
+                    cluster, pattern, plan, constraints, collect,
+                    cache_budget, results_budget, queues, results,
+                )
+                return results
+            self._prebalance(cluster, queues)
+            for t, count, found in executor.run_tasks(
+                cluster,
+                _phase2_task,
+                [
+                    (
+                        t, pattern, plan, constraints, collect,
+                        int(cache_budget), results_budget / 2,
+                        list(queues[t]),
+                    )
+                    for t in range(cluster.num_machines)
+                    if queues[t]
+                ],
+            ):
+                self._count += count
+                if collect:
+                    results.extend(found)
         return results
 
     def _run_steal_loop(
@@ -273,7 +280,6 @@ class RADSEngine(EnumerationEngine):
             for t in range(cluster.num_machines)
         }
         done: set[int] = set()
-        model = cluster.cost_model
         while len(done) < cluster.num_machines:
             # The paper's "executor machine": the one whose clock is
             # furthest behind (careful: distinct from the `executor`
@@ -296,36 +302,13 @@ class RADSEngine(EnumerationEngine):
                 if not victims:
                     done.add(active)
                     continue
-                # checkR: broadcast probe for unprocessed group counts.
-                cluster.network.broadcast(
-                    cluster.machine(active),
-                    cluster.machines,
-                    nbytes=8,
-                )
-                victim = max(victims, key=lambda t: len(queues[t]))
-                group = queues[victim].popleft()
-                # shareR: the stolen group's candidate ids cross the wire.
-                cluster.network.rpc(
-                    requester=cluster.machine(active),
-                    responder=cluster.machine(victim),
-                    request_bytes=8,
-                    response_bytes=len(group) * model.bytes_per_vertex_id,
-                    service_ops=float(len(group)),
-                )
+                group = _steal(cluster, active, victims, queues)
             else:
                 done.add(active)
                 continue
-            self._run_group(workers[active], group, collect, results)
-
-    def _run_group(
-        self,
-        worker: RMeefWorker,
-        group: list[int],
-        collect: bool,
-        results: list[tuple[int, ...]],
-    ) -> None:
-        """Process one region group with OOM split-and-retry (serial path)."""
-        self._count += _process_group_splitting(worker, group, collect, results)
+            self._count += _process_group_splitting(
+                workers[active], group, collect, results
+            )
 
     def _prebalance(
         self, cluster: Cluster, queues: dict[int, deque[list[int]]]
@@ -342,23 +325,9 @@ class RADSEngine(EnumerationEngine):
         """
         if not self._enable_work_stealing:
             return
-        model = cluster.cost_model
         while True:
             idle = [t for t in sorted(queues) if not queues[t]]
             victims = [t for t in sorted(queues) if len(queues[t]) >= 2]
             if not idle or not victims:
                 return
-            thief = idle[0]
-            victim = max(victims, key=lambda t: len(queues[t]))
-            cluster.network.broadcast(
-                cluster.machine(thief), cluster.machines, nbytes=8
-            )
-            group = queues[victim].popleft()
-            cluster.network.rpc(
-                requester=cluster.machine(thief),
-                responder=cluster.machine(victim),
-                request_bytes=8,
-                response_bytes=len(group) * model.bytes_per_vertex_id,
-                service_ops=float(len(group)),
-            )
-            queues[thief].append(group)
+            queues[idle[0]].append(_steal(cluster, idle[0], victims, queues))

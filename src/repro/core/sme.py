@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.machine import Machine
-from repro.core.embedding_trie import trie_nodes_for_results
 from repro.core.region import MemoryEstimator
 from repro.enumeration.backtracking import (
     BacktrackingEnumerator,
     EnumerationStats,
 )
+from repro.enumeration.block import first_diff
 from repro.partition.partition import MachinePartition
 from repro.query.pattern import Pattern
 from repro.query.plan import ExecutionPlan
@@ -27,9 +27,10 @@ from repro.query.plan import ExecutionPlan
 
 @dataclass
 class SMEResult:
-    """Output of the SM-E phase on one machine."""
+    """Output of the SM-E phase on one machine (no ``embeddings`` when count-only)."""
 
     embeddings: list[tuple[int, ...]]
+    count: int
     local_candidates: list[int]
     distributed_candidates: list[int]
     stats: EnumerationStats
@@ -68,13 +69,15 @@ class SingleMachineSplit:
         local: MachinePartition,
         machine: Machine,
         estimator: MemoryEstimator | None = None,
+        collect: bool = True,
     ) -> SMEResult:
         """Enumerate all embeddings rooted at C1 locally; charge the clock.
 
         Prop. 1 guarantees these embeddings involve only owned vertices, so
         the enumerator is restricted to the owned subgraph.  When an
         ``estimator`` is supplied it is calibrated with the average trie
-        cost per start vertex (Sec. 6).
+        cost per start vertex (Sec. 6).  The kernel's blocks are counted as
+        they are; tuples are made only when ``collect`` asks for them.
         """
         sme_candidates, distributed = self.split(local)
         stats = EnumerationStats()
@@ -86,19 +89,22 @@ class SingleMachineSplit:
             allowed=local.owned_mask,
             stats=stats,
         )
-        embeddings = list(enumerator.run(sme_candidates))
+        rows = np.concatenate([
+            np.empty((0, self._pattern.num_vertices), dtype=np.int64),
+            *enumerator.run_blocks(sme_candidates),
+        ])
         machine.charge_ops(stats.total_ops, "sme_ops")
         # Benchmarks read this to report the SM-E share of the result set.
-        machine.counters["sme_embeddings"] += len(embeddings)
+        machine.counters["sme_embeddings"] += len(rows)
         if estimator is not None and sme_candidates:
-            ordered = np.asarray(embeddings, dtype=np.int64).reshape(
-                -1, self._pattern.num_vertices
-            )[:, self._plan.matching_order()]
-            estimator.calibrate(
-                trie_nodes_for_results(ordered), len(sme_candidates)
-            )
+            # Depth-first in matching order the block is its own trie (Def. 11):
+            # a row opens a node per column from where it leaves the row before.
+            ordered = rows[:, self._plan.matching_order()]
+            nodes = int((ordered.shape[1] - first_diff(ordered)).sum())
+            estimator.calibrate(nodes, len(sme_candidates))
         return SMEResult(
-            embeddings=embeddings,
+            embeddings=list(map(tuple, rows.tolist())) if collect else [],
+            count=len(rows),
             local_candidates=sme_candidates,
             distributed_candidates=distributed,
             stats=stats,

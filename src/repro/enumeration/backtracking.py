@@ -228,10 +228,10 @@ class BacktrackingEnumerator:
                 if limit <= 0:
                     return
 
-    def run(
+    def run_blocks(
         self, start_candidates: Iterable[int], limit: int | None = None
-    ) -> Iterator[tuple[int, ...]]:
-        """Yield embeddings as tuples ``emb[u] = v`` (indexed by vertex id).
+    ) -> Iterator[np.ndarray]:
+        """Embeddings as ``(r, |V_P|)`` arrays, ``rows[:, u] = v``, in order.
 
         ``start_candidates`` are tried for ``order[0]`` in the order
         given; they are validated against ``allowed`` and the degree
@@ -241,6 +241,13 @@ class BacktrackingEnumerator:
             start_candidates = list(start_candidates)
         starts = np.asarray(start_candidates, dtype=np.int64).reshape(-1)
         for _, rows in self._emit(starts[:, None], limit, charge=True):
+            yield rows
+
+    def run(
+        self, start_candidates: Iterable[int], limit: int | None = None
+    ) -> Iterator[tuple[int, ...]]:
+        """:meth:`run_blocks`, row by row as tuples ``emb[u] = v``."""
+        for rows in self.run_blocks(start_candidates, limit):
             yield from map(tuple, rows.tolist())
 
     def run_seeded(

@@ -80,21 +80,6 @@ class MachinePartition:
         return self._graph.degree(v)
 
     # ------------------------------------------------------------------
-    def can_verify_edge(self, u: int, v: int) -> bool:
-        """True iff edge existence is decidable locally (an endpoint owned)."""
-        return self.is_owned(u) or self.is_owned(v)
-
-    def verify_edge(self, u: int, v: int) -> bool:
-        """Local edge test (daemon `verifyE` handler uses this)."""
-        if self.is_owned(u):
-            return self._graph.has_edge(u, v)
-        if self.is_owned(v):
-            return self._graph.has_edge(v, u)
-        raise KeyError(
-            f"edge ({u},{v}) is undetermined on machine {self._machine_id}"
-        )
-
-    # ------------------------------------------------------------------
     @property
     def border_vertices(self) -> np.ndarray:
         """Owned vertices with at least one foreign neighbour (cached)."""

@@ -7,6 +7,7 @@ adjacency is a tuple of frozensets.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from typing import Iterable, Iterator
 
@@ -194,8 +195,9 @@ class Pattern:
         return f"Pattern({self.name}, |V|={self.num_vertices}, |E|={self.num_edges})"
 
 
-def _canonical_permutation(pattern: "Pattern") -> list[int]:
-    """``perm[u]`` = canonical id of vertex ``u``.
+@functools.lru_cache(maxsize=1024)
+def _canonical_permutation(pattern: "Pattern") -> tuple[int, ...]:
+    """``perm[u]`` = canonical id of vertex ``u`` (memoised: patterns hash by structure).
 
     Canonical position ``i`` must host a vertex of the ``i``-th smallest
     invariant class (degree, then sorted neighbour degrees); within that
@@ -205,7 +207,7 @@ def _canonical_permutation(pattern: "Pattern") -> list[int]:
     """
     n = pattern.num_vertices
     if n == 0:
-        return []
+        return ()
     invariant = {
         u: (
             pattern.degree(u),
@@ -251,4 +253,4 @@ def _canonical_permutation(pattern: "Pattern") -> list[int]:
     perm = [0] * n
     for position, vertex in enumerate(best_placement):
         perm[vertex] = position
-    return perm
+    return tuple(perm)

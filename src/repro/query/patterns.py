@@ -15,6 +15,8 @@ borrowed from the Crystal paper).
 
 from __future__ import annotations
 
+import functools
+
 from repro.query.pattern import Pattern
 
 
@@ -175,36 +177,44 @@ def clique_query(name: str) -> Pattern:
     return CLIQUE_QUERIES[name]
 
 
+#: Every accepted name -> pattern, built once (patterns are immutable).
+_CATALOGUE: dict[str, Pattern] = {
+    **PAPER_QUERIES,
+    **CLIQUE_QUERIES,
+    "triangle": triangle(),
+    "path3": path(3),
+    "path4": path(4),
+    "star3": star(3),
+    "k5": clique(5),
+    "running_example": running_example(),
+}
+# Human aliases: each paper/clique query is also reachable under its
+# pattern's structural name ("q4" <-> "house").
+for _query in (*PAPER_QUERIES.values(), *CLIQUE_QUERIES.values()):
+    _CATALOGUE.setdefault(_query.name, _query)
+
+
 def named_patterns() -> dict[str, Pattern]:
     """All registered patterns, keyed by every accepted name.
 
     The paper's opaque ids (``q4``, ``cq1``) and the patterns' human
     names (``house``, ``k4``) are both keys, mapping to the same objects
-    — ``named_patterns()["house"] == named_patterns()["q4"]``.
+    — ``named_patterns()["house"] == named_patterns()["q4"]`` — in a dict
+    of the caller's own.
 
     >>> from repro.query.patterns import named_patterns
     >>> named_patterns()["house"] is named_patterns()["q4"]
     True
     """
-    extra = {
-        "triangle": triangle(),
-        "path3": path(3),
-        "path4": path(4),
-        "star3": star(3),
-        "k5": clique(5),
-        "running_example": running_example(),
-    }
-    catalogue = {**PAPER_QUERIES, **CLIQUE_QUERIES, **extra}
-    # Human aliases: each paper/clique query is also reachable under its
-    # pattern's structural name ("q4" <-> "house").
-    for queries in (PAPER_QUERIES, CLIQUE_QUERIES):
-        for query in queries.values():
-            catalogue.setdefault(query.name, query)
-    return catalogue
+    return dict(_CATALOGUE)
 
 
-#: Lazily built canonical-key -> preferred registered name map.
-_CANONICAL_NAMES: dict[tuple, str] | None = None
+@functools.cache
+def _canonical_names() -> dict[tuple, str]:
+    """Canonical key -> preferred registered name."""
+    # Reversed insertion order, so earlier (paper-id) keys overwrite
+    # later aliases and win the lookup.
+    return {q.canonical_key(): name for name, q in reversed(list(_CATALOGUE.items()))}
 
 
 def find_named(pattern: Pattern) -> str | None:
@@ -219,12 +229,4 @@ def find_named(pattern: Pattern) -> str | None:
     >>> find_named(house().relabel({0: 4, 1: 3, 2: 2, 3: 1, 4: 0}))
     'q4'
     """
-    global _CANONICAL_NAMES
-    if _CANONICAL_NAMES is None:
-        mapping: dict[tuple, str] = {}
-        # Reversed insertion order, so earlier (paper-id) keys overwrite
-        # later aliases and win the lookup.
-        for name, query in reversed(list(named_patterns().items())):
-            mapping[query.canonical_key()] = name
-        _CANONICAL_NAMES = mapping
-    return _CANONICAL_NAMES.get(pattern.canonical_key())
+    return _canonical_names().get(pattern.canonical_key())

@@ -158,21 +158,5 @@ class TestPartitionView:
             else:
                 assert m0.border_distances[slot] == expected
 
-    def test_verify_edge(self, partition, grid):
-        m0 = partition.machine(0)
-        v = int(m0.owned_vertices[0])
-        w = int(grid.neighbors(v)[0])
-        assert m0.can_verify_edge(v, w)
-        assert m0.verify_edge(v, w)
-
-    def test_verify_foreign_edge_raises(self, partition):
-        m0 = partition.machine(0)
-        foreign = [
-            v for v in range(partition.graph.num_vertices)
-            if not m0.is_owned(v)
-        ]
-        with pytest.raises(KeyError):
-            m0.verify_edge(foreign[0], foreign[1])
-
     def test_adjacency_bytes(self, partition):
         assert partition.machine(0).adjacency_bytes() > 0

@@ -2,6 +2,7 @@
 
 import sys
 
+import numpy as np
 import pytest
 
 from repro.core.embedding_trie import NODE_BYTES
@@ -17,7 +18,7 @@ def graph():
 def make_grouper(graph, budget, seed=0, estimator=None):
     estimator = estimator or MemoryEstimator(num_unit_leaves=2)
     estimator.calibrate(trie_nodes=400, start_vertices=100)  # 4 nodes/vertex
-    return RegionGrouper(graph.neighbors, estimator, budget, seed=seed)
+    return RegionGrouper(graph, estimator, budget, seed=seed)
 
 
 class TestMemoryEstimator:
@@ -38,6 +39,17 @@ class TestMemoryEstimator:
         est = MemoryEstimator(2)
         est.calibrate(trie_nodes=0, start_vertices=0)
         assert est.estimate_bytes(degree=3) == 9 * NODE_BYTES
+
+    @pytest.mark.parametrize("calibrated", [True, False])
+    def test_estimate_many_is_the_scalar_per_entry(self, calibrated):
+        est = MemoryEstimator(3)
+        if calibrated:
+            est.calibrate(trie_nodes=1000, start_vertices=7)
+        degrees = np.array([0, 5, 1, 5, 2000, 0, 17], dtype=np.int64)
+        assert est.estimate_many(degrees).tolist() == [
+            est.estimate_bytes(int(d)) for d in degrees
+        ]
+        assert est.estimate_many(degrees[:0]).tolist() == []
 
 
 class TestRegionGrouper:
@@ -71,12 +83,31 @@ class TestRegionGrouper:
         assert a == b
 
     def test_proximity_definition(self, graph):
-        """Eq. 5: fraction of v's neighbours inside the group neighbourhood."""
-        grouper = make_grouper(graph, budget=1e9)
-        v = 13
-        nbrs = {int(w) for w in graph.neighbors(v)}
-        assert grouper.proximity(v, nbrs) == 1.0
-        assert grouper.proximity(v, set()) == 0.0
+        """Eq. 5 decides who joins: with room for two, the first group's
+        second member is the frontier vertex sharing the largest fraction
+        of its neighbours with the first (smallest id on a tie)."""
+
+        def proximity(v: int, group_neighbours: set[int]) -> float:
+            adj = graph.neighbors(v).tolist()
+            return sum(w in group_neighbours for w in adj) / len(adj)
+
+        def runner_up(first: int) -> int:
+            near = set(graph.neighbors(first).tolist())
+            frontier = [
+                v for v in range(graph.num_vertices)
+                if v != first
+                and (v in near or near & set(graph.neighbors(v).tolist()))
+            ]
+            return max(frontier, key=lambda v: (proximity(v, near), -v))
+
+        for seed in range(8):
+            grouper = make_grouper(graph, budget=2 * 4 * NODE_BYTES, seed=seed)
+            a, b = grouper.groups(list(range(graph.num_vertices)))[0]
+            assert runner_up(a) == b or runner_up(b) == a
+
+    def test_rejects_an_adjacency_callable(self, graph):
+        with pytest.raises(TypeError, match="graph must be a Graph"):
+            RegionGrouper(graph.neighbors, MemoryEstimator(2), 1e9)
 
     def test_grouping_prefers_nearby_vertices(self):
         """Two far-apart grid clusters should not interleave in one group."""
@@ -86,7 +117,7 @@ class TestRegionGrouper:
         est = MemoryEstimator(2)
         est.calibrate(trie_nodes=800, start_vertices=100)  # 8 nodes/vertex
         grouper = RegionGrouper(
-            graph.neighbors, est, budget_bytes=8 * 8 * NODE_BYTES, seed=1
+            graph, est, budget_bytes=8 * 8 * NODE_BYTES, seed=1
         )
         groups = grouper.groups(left + right)
         for group in groups:
@@ -119,10 +150,6 @@ class TestGroupingCost:
             sys.setprofile(None)
         return calls / k
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the per-candidate loop rescans `remaining` twice per addition",
-    )
     def test_calls_per_candidate_do_not_grow_with_candidates(self):
         graph = grid_road_network(120, 120, extra_edge_prob=0.04, seed=0)
         small = self._calls_per_candidate(graph, 1000)
@@ -134,15 +161,13 @@ class TestGroupingCost:
 class TestRandomGroupingStrategy:
     @pytest.fixture()
     def graph(self):
-        from repro.graph import erdos_renyi
-
         return erdos_renyi(80, 0.08, seed=13)
 
     def _grouper(self, graph, strategy, budget=10_000.0):
         estimator = MemoryEstimator(2)
         estimator.calibrate(trie_nodes=50, start_vertices=10)
         return RegionGrouper(
-            adjacency=graph.neighbors,
+            graph=graph,
             estimator=estimator,
             budget_bytes=budget,
             seed=5,

@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import region
 from repro.core.region import MemoryEstimator, RegionGrouper
 from repro.graph import (
     community_graph,
@@ -72,10 +73,12 @@ def _groups(graph, candidates, calibrated, min_groups, strategy, max_probe):
         estimator.calibrate(trie_nodes=400, start_vertices=100)
     total = sum(estimator.estimate_bytes(graph.degree(v)) for v in candidates)
     grouper = RegionGrouper(
-        graph.neighbors, estimator, max(1.0, total / min_groups),
-        seed=11, max_probe=max_probe, strategy=strategy,
+        graph, estimator, max(1.0, total / min_groups),
+        seed=11, strategy=strategy,
     )
-    groups = grouper.groups(candidates)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(region, "MAX_PROBE", max_probe)
+        groups = grouper.groups(candidates)
     return groups, int(grouper._rng.integers(1 << 30))
 
 

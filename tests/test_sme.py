@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster
+from repro.core.embedding_trie import trie_nodes_for_results
 from repro.core.region import MemoryEstimator
 from repro.core.sme import SingleMachineSplit
 from repro.graph import grid_road_network
@@ -99,3 +100,35 @@ class TestProposition1:
         # After calibration the estimate is embedding-driven, not the
         # degree fallback.
         assert estimator.estimate_bytes(3) == estimator.estimate_bytes(100)
+
+    def test_calibration_is_the_trie_of_the_results(self, setting):
+        """The block counted as it stands equals the sorted-set count."""
+        cluster, pattern, plan, cons = setting
+        for t in range(cluster.num_machines):
+            estimator = MemoryEstimator(2)
+            result = SingleMachineSplit(pattern, plan, cons).run(
+                cluster.partition.machine(t), cluster.fresh_copy().machine(t), estimator
+            )
+            order = plan.matching_order()
+            nodes = trie_nodes_for_results(
+                [tuple(emb[u] for u in order) for emb in result.embeddings]
+            )
+            assert result.embeddings
+            assert estimator._calibrated == nodes / len(result.local_candidates)
+
+    def test_count_only_makes_no_tuples_and_changes_nothing_else(self, setting):
+        cluster, pattern, plan, cons = setting
+        records = []
+        for collect in (True, False):
+            fresh = cluster.fresh_copy()
+            estimator = MemoryEstimator(2)
+            result = SingleMachineSplit(pattern, plan, cons).run(
+                fresh.partition.machine(0), fresh.machine(0), estimator, collect
+            )
+            assert len(result.embeddings) == (result.count if collect else 0)
+            records.append((
+                result.count, result.stats, result.distributed_candidates,
+                estimator._calibrated, fresh.machine(0).clock,
+                dict(fresh.machine(0).counters),
+            ))
+        assert records[0] == records[1] and records[0][0] > 0
