@@ -132,10 +132,11 @@ class RegionGrouper:
             enters the frontier, in `remaining`'s order."""
             remaining.discard(v)
             frontier.discard(v)
-            lo, hi = pair_ends[rank(v)], pair_ends[rank(v) + 1]
+            i = rank(v)
+            lo, hi = pair_ends[i], pair_ends[i + 1]
             np.add.at(shared, two[lo:hi], fresh[via[lo:hi]])
             touched.append(two[lo:hi])
-            lo, hi = ends[rank(v)], ends[rank(v) + 1]
+            lo, hi = ends[i], ends[i + 1]
             fresh[nbr[lo:hi]] = 0
             touched.append(nbr[lo:hi])
             hits = [w for w in adj_list[lo:hi] if w in remaining]
