@@ -4,19 +4,63 @@ Both engines follow the same MapReduce skeleton: compute per-machine
 instances of each decomposition unit locally, then run multi-round hash
 joins where *both* join sides are shuffled by join key — the intermediate
 result explosion and synchronisation delay the paper attributes to them.
+
+**Relation layout.**  A relation is one ``(n, k)`` int64 array per machine
+plus a schema, the tuple of the ``k`` query vertices its columns match.
+Unit instances, routed slices and join outputs are such arrays: what a
+task takes and returns, hence what crosses a process or socket boundary.
+A Python tuple is built only by the final gather, only under ``collect``.
+
+**Ordering guarantee.**  Every stage emits, as an ordered list, what a
+tuple-at-a-time implementation would.  Unit instances come depth-first:
+owned vertices ascending, then each further column's neighbours ascending
+(:mod:`repro.enumeration.block` steps, stable masks).  A reducer receives
+its rows in source-machine order, then source row order, and emits by key
+in order of the key's first appearance in its left input, then left row
+order, then right row order.  The final gather is ``block[:, perm]`` per
+machine in machine order, ``perm`` putting columns in query-vertex order.
+
+**Accounting.**  The simulated numbers count what the tuple loop did.
+
+- ``unit_ops``: one per owned vertex; per star level one per neighbour
+  scanned; per clique level ``|C| + sum(min(|C|, deg(w)) for w in C)``
+  over each partial clique's common-neighbour set ``C`` (its sorted-list
+  intersections).  Symmetry pairs only filter finished instances.
+- ``shuffle_ops``: one per row leaving the map side.  ``join_ops``: one
+  per (left, right) pair sharing a key, whether or not it survives.
+- Memory is claimed ``ALLOC_CHUNK`` rows at a time as rows are produced,
+  the remainder at the end (:func:`_claim`): an over-capacity run raises
+  at the allocation the loop raised at, before ``charge_ops``.  Real work
+  goes a chunk at a time (``ROWS_PER_BLOCK`` rows of a unit level,
+  ``_PAIRS_PER_CHUNK`` pairs of a join), so it stops within one chunk.
+- Shuffle bytes are *grouped by key* (the paper, Exp-1: "the grouped
+  intermediate results of TwinTwig and SEED significantly reduced the cost
+  of network traffic"): a source ships each distinct key once and each row
+  only its non-key columns.  A star joined on its pivot alone is
+  *star-compressed*: its rows ship nothing, each distinct centre ships one
+  adjacency list.
+- **The left-sent-key quirk.**  A star-compressed right key ships its
+  adjacency list only when the left side of the same source has not
+  already sent that key: the loop charged key and adjacency together at a
+  key's first sighting, and saw the left side first.  Kept: every reported
+  communication volume includes it.
+
+Rows are routed by :func:`tuple_hash`, CPython's tuple hash in uint64
+arithmetic: where a key goes is a tested statement, not a hidden builtin.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
+import repro.enumeration.block as kernel
 from repro.cluster.cluster import Cluster
+from repro.cluster.machine import Machine
+from repro.graph.graph import gather_ranges
 from repro.obs.trace import span as _obs_span
 from repro.query.pattern import Pattern
-from repro.query.symmetry import constraint_map
 from repro.runtime.executor import Executor, SerialExecutor
 
 #: Allocation granularity while materialising tuples: memory is claimed in
@@ -24,134 +68,224 @@ from repro.runtime.executor import Executor, SerialExecutor
 #: everything first.
 ALLOC_CHUNK = 4096
 
+#: Pairs a reducer materialises at a time (the kernel's row budget times a
+#: typical fan-out): the transient arrays stay in the tens of megabytes.
+_PAIRS_PER_CHUNK = 32 * kernel.ROWS_PER_BLOCK
 
-def _instances_task(cluster: Cluster, args: tuple) -> list[tuple[int, ...]]:
-    """Generate one machine's instances of one unit (independent task)."""
-    t, unit, pattern, constraints = args
-    runner = DistributedJoinRunner(cluster, pattern, constraints)
-    if unit.kind == "clique" and len(unit.vertices) > 2:
-        return runner.clique_instances(t, unit)
-    return runner.star_instances(t, unit)
+_XXPRIME_1 = np.uint64(11400714785074694791)
+_XXPRIME_2 = np.uint64(14029467366897019727)
+_XXPRIME_5 = np.uint64(2870177450012600261)
+
+
+def tuple_hash(block: np.ndarray) -> np.ndarray:
+    """The builtin hash of ``tuple(row)`` for every row of ``block``, as int64.
+
+    CPython >= 3.8 on a 64-bit build (xxHash lanes; an id is its own hash):
+    exact for non-negative ids below ``2**61 - 1``.  The result is the
+    signed view, so ``% machines`` lands where Python's ``%`` does.
+    """
+    acc = np.full(len(block), _XXPRIME_5, dtype=np.uint64)
+    high = np.empty_like(acc)
+    for column in range(block.shape[1]):
+        np.multiply(block[:, column].astype(np.uint64), _XXPRIME_2, out=high)
+        acc += high
+        np.left_shift(acc, np.uint64(31), out=high)  # rotate left by 31
+        acc >>= np.uint64(33)
+        acc |= high
+        acc *= _XXPRIME_1
+    acc += np.uint64(block.shape[1]) ^ (_XXPRIME_5 ^ np.uint64(3527539))
+    acc[acc == np.uint64(2**64 - 1)] = 1546275796
+    return acc.view(np.int64)
+
+
+def _claim(machine: Machine, claimed: int, rows: int, row_bytes: int, counter: str) -> int:
+    """Replay the loop's allocations up to ``rows`` rows produced: one
+    ``ALLOC_CHUNK`` claim per multiple crossed.  Returns the rows claimed."""
+    while rows - claimed >= ALLOC_CHUNK:
+        machine.allocate(ALLOC_CHUNK * row_bytes, counter)
+        claimed += ALLOC_CHUNK
+    return claimed
+
+
+def _ordered(block: np.ndarray, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """Mask of the rows with ``row[i] < row[j]`` for every pair."""
+    keep = np.ones(len(block), dtype=bool)
+    for i, j in pairs:
+        keep &= block[:, i] < block[:, j]
+    return keep
+
+
+def _key_codes(keys: np.ndarray) -> np.ndarray:
+    """One integer per row of ``keys``, equal exactly where the rows are.
+
+    Columns are folded in mixed radix, re-ranking first wherever the next
+    fold could overflow.  The narrowest unsigned dtype is returned: numpy
+    sorts 16-bit codes by radix, in linear time.
+    """
+    codes = keys[:, 0]
+    for column in keys.T[1:]:
+        span = int(column.max(initial=0)) + 1
+        if int(codes.max(initial=0)) >= 2**63 // span:
+            codes = np.unique(codes, return_inverse=True)[1]
+        codes = codes * span + column
+    return codes.astype(np.min_scalar_type(int(codes.max(initial=0))))
+
+
+def _instances_task(cluster: Cluster, args: tuple) -> np.ndarray:
+    """Generate one machine's instances of one unit (independent task).
+
+    Blocks are expanded depth-first, ``ROWS_PER_BLOCK`` rows at a time, so
+    finished instances arrive — and claim memory — in the loop's order.
+    """
+    t, unit, clique, min_degree, pairs = args
+    graph = cluster.graph
+    local = cluster.partition.machine(t)
+    machine = cluster.machine(t)
+    width = len(unit.vertices)
+    row_bytes = cluster.cost_model.embedding_bytes(width)
+    seeds = local.owned_vertices[local.owned_degrees >= min_degree]
+    ops = len(local.owned_vertices)
+    found = [np.empty((0, width), dtype=np.int64)]
+    rows = claimed = 0
+    stack = [seeds[:, None]]
+    while stack:
+        block = stack.pop()
+        if block.shape[1] == width:
+            block = block[_ordered(block, pairs)]
+            found.append(block)
+            rows += len(block)
+            claimed = _claim(machine, claimed, rows, row_bytes, "unit_bytes")
+        elif len(block) > kernel.ROWS_PER_BLOCK:
+            stack.extend(
+                block[lo:lo + kernel.ROWS_PER_BLOCK]
+                for lo in reversed(range(0, len(block), kernel.ROWS_PER_BLOCK))
+            )
+        else:
+            row, cand = kernel.neighbors(graph, block[:, 0])
+            if clique:
+                # Candidates: the common neighbours of every chosen member.
+                row, cand, _ = kernel.member(graph, block[:, 1:], row, cand)
+                common = np.bincount(row, minlength=len(block))[row]
+                degree = graph.indptr[cand + 1] - graph.indptr[cand]
+                ops += len(cand) + int(np.minimum(common, degree).sum())
+            else:
+                ops += len(cand)
+                keep = kernel.injective(block, row, cand)
+                row, cand = row[keep], cand[keep]
+            stack.append(kernel.append(block, row, cand))
+    machine.allocate((rows - claimed) * row_bytes, "unit_bytes")
+    machine.charge_ops(ops, "unit_ops")
+    return np.concatenate(found)
+
+
+def _split(block: np.ndarray, dst: np.ndarray, parts: int) -> list[np.ndarray]:
+    """``block``'s rows per destination, each part in row order."""
+    # A small dtype takes numpy's radix sort.
+    order = np.argsort(dst.astype(np.min_scalar_type(parts)), kind="stable")
+    bounds = np.searchsorted(dst[order], np.arange(parts + 1))
+    routed = np.take(block, order, axis=0)
+    return [routed[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _shuffle_map_task(cluster: Cluster, args: tuple) -> tuple:
-    """Group one source machine's tuples by join key (independent task).
+    """Route one source machine's rows by join key (independent task).
 
-    The map side of the shuffle: both sides' tuples are grouped by hash
-    of the join key per destination machine, and the per-destination
-    payload bytes are metered (grouped once per distinct key, the paper's
-    Exp-1 compression).  Each task reads only source machine ``t``'s
-    tuples and charges only machine ``t`` (single-writer discipline), so
-    the map loops run on any execution backend.
+    Returns each side as one slice per destination, and the bytes metered
+    per destination (module docstring).  Reads only machine ``t``'s rows
+    and charges only machine ``t``: the single-writer discipline.
     """
-    (
-        t, left_t, right_t, left_vertices, right_vertices, shared,
-        star_compressed, num_machines,
-    ) = args
+    t, left, right, left_key, right_key, star_compressed = args
     model = cluster.cost_model
+    num_machines = cluster.num_machines
+    indptr = cluster.graph.indptr
+    keys = np.concatenate((left[:, left_key], right[:, right_key]))
+    dst = tuple_hash(keys) % num_machines
+    # Per row its non-key columns; per distinct key, at its first row (left
+    # rows come first), the key and a compressed star's adjacency list.
+    nbytes = np.repeat(
+        [
+            model.embedding_bytes(left.shape[1] - len(left_key)),
+            0 if star_compressed
+            else model.embedding_bytes(right.shape[1] - len(right_key)),
+        ],
+        [len(left), len(right)],
+    )
+    first = np.unique(_key_codes(keys), return_index=True)[1]
+    nbytes[first] += model.embedding_bytes(len(left_key))
+    if star_compressed:
+        fresh = first[first >= len(left)]
+        centres = keys[fresh, 0]
+        nbytes[fresh] += model.adjacency_bytes(
+            indptr[centres + 1] - indptr[centres]
+        )
+    payload = np.zeros(num_machines, dtype=np.int64)
+    np.add.at(payload, dst, nbytes)
     machine = cluster.machine(t)
-    left_pos = {u: i for i, u in enumerate(left_vertices)}
-    right_pos = {u: i for i, u in enumerate(right_vertices)}
-    key_bytes = model.embedding_bytes(len(shared))
-    lpayload = model.embedding_bytes(len(left_vertices) - len(shared))
-    rpayload = model.embedding_bytes(len(right_vertices) - len(shared))
-    lbytes = model.embedding_bytes(len(left_vertices))
-    rbytes = model.embedding_bytes(len(right_vertices))
-
-    def key_of(tup: tuple[int, ...], pos: dict[int, int]) -> tuple[int, ...]:
-        return tuple(tup[pos[u]] for u in shared)
-
-    grouped_left: dict[int, dict[tuple, list[tuple[int, ...]]]] = (
-        defaultdict(lambda: defaultdict(list))
-    )
-    grouped_right: dict[int, dict[tuple, list[tuple[int, ...]]]] = (
-        defaultdict(lambda: defaultdict(list))
-    )
-    row = np.zeros(num_machines, dtype=np.int64)
-    sent_keys: set[tuple[tuple, int]] = set()
-    for tup in left_t:
-        key = key_of(tup, left_pos)
-        dst = hash(key) % num_machines
-        grouped_left[dst][key].append(tup)
-        row[dst] += lpayload
-        if (key, dst) not in sent_keys:
-            sent_keys.add((key, dst))
-            row[dst] += key_bytes
-    for tup in right_t:
-        key = key_of(tup, right_pos)
-        dst = hash(key) % num_machines
-        grouped_right[dst][key].append(tup)
-        if not star_compressed:
-            row[dst] += rpayload
-        if (key, dst) not in sent_keys:
-            sent_keys.add((key, dst))
-            row[dst] += key_bytes
-            if star_compressed:
-                # A star side joined on its pivot ships in *compressed*
-                # form: one adjacency list per centre instead of deg^2
-                # materialised tuples.
-                centre = tup[0]
-                row[dst] += model.adjacency_bytes(
-                    cluster.graph.degree(centre)
-                )
-    machine.charge_ops(len(left_t) + len(right_t), "shuffle_ops")
-    machine.free(len(left_t) * lbytes + len(right_t) * rbytes)
+    machine.charge_ops(len(keys), "shuffle_ops")
+    machine.free(model.embedding_bytes(left.size + right.size))
     return (
-        t,
-        {dst: dict(groups) for dst, groups in grouped_left.items()},
-        {dst: dict(groups) for dst, groups in grouped_right.items()},
-        row,
+        _split(left, dst[:len(left)], num_machines),
+        _split(right, dst[len(left):], num_machines),
+        payload,
     )
 
 
-def _join_reduce_task(cluster: Cluster, args: tuple) -> list[tuple[int, ...]]:
-    """Local hash join at one reducer (independent task)."""
-    (
-        t, lefts_by_key, rights_by_key, left_width, right_width,
-        new_right, right_pos, out_pairs, out_width,
-    ) = args
-    model = cluster.cost_model
+def _join_reduce_task(cluster: Cluster, args: tuple) -> np.ndarray:
+    """Local sort-merge join at one reducer (independent task).
+
+    Output order: key by first appearance in ``left``, then left row
+    order, then right row order.  Left rows are joined a chunk of pairs
+    at a time, so the cross product is never materialised whole.
+    """
+    t, lefts, rights, left_key, right_key, new_columns, out_pairs = args
+    left, right = np.concatenate(lefts), np.concatenate(rights)
     machine = cluster.machine(t)
-    out_bytes = model.embedding_bytes(out_width)
-    joined: list[tuple[int, ...]] = []
-    ops = 0
-    allocated = 0
-    for key, lefts in lefts_by_key.items():
-        rights = rights_by_key.get(key)
-        if not rights:
-            continue
-        for ltup in lefts:
-            lset = set(ltup)
-            for rtup in rights:
-                ops += 1
-                extension: list[int] = []
-                ok = True
-                for u in new_right:
-                    value = rtup[right_pos[u]]
-                    if value in lset or value in extension:
-                        ok = False
-                        break
-                    extension.append(value)
-                if not ok:
-                    continue
-                candidate = ltup + tuple(extension)
-                if not ConstraintChecker.ok_tuple(candidate, out_pairs):
-                    continue
-                joined.append(candidate)
-                if len(joined) - allocated >= ALLOC_CHUNK:
-                    machine.allocate(ALLOC_CHUNK * out_bytes, "joined_bytes")
-                    allocated += ALLOC_CHUNK
-    machine.allocate((len(joined) - allocated) * out_bytes, "joined_bytes")
+    out_width = left.shape[1] + len(new_columns)
+    out_bytes = cluster.cost_model.embedding_bytes(out_width)
+    codes = _key_codes(np.concatenate((left[:, left_key], right[:, right_key])))
+    left_codes, right_codes = codes[:len(left)], codes[len(left):]
+    # The right side as a table: distinct keys ascending, each key's rows
+    # together in arrival order.  Left rows without a key in it drop out.
+    right_order = np.argsort(right_codes, kind="stable")
+    table, right_starts, run_rights = np.unique(
+        right_codes[right_order], return_index=True, return_counts=True
+    )
+    slot = np.searchsorted(table, left_codes)
+    matched = np.flatnonzero(slot < len(table))
+    matched = matched[table[slot[matched]] == left_codes[matched]]
+    slot = slot[matched].astype(np.min_scalar_type(len(table)))
+    run_lefts = np.bincount(slot, minlength=len(table))
+    ops = int((run_lefts * run_rights).sum())
+    # Matched left rows key by key, and the keys by first left appearance.
+    by_key = matched[np.argsort(slot, kind="stable")]
+    left_starts = np.cumsum(run_lefts) - run_lefts
+    live = np.flatnonzero(run_lefts)
+    live = live[np.argsort(by_key[left_starts[live]])]
+    of_live, at = gather_ranges(left_starts[live], run_lefts[live])
+    key = live[of_live]  # of each matched left row, in output order
+    # Chunks end where the running pair count crosses a multiple of the
+    # budget, so one holds under a budget of pairs plus one row's.
+    pairs = (np.cumsum(run_rights[key]) - 1) // _PAIRS_PER_CHUNK
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(pairs)) + 1, [len(at)]))
+    joined = [np.empty((0, out_width), dtype=np.int64)]
+    rows = claimed = 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        row, right_at = gather_ranges(right_starts[key[lo:hi]], run_rights[key[lo:hi]])
+        left_rows = np.take(left, by_key[at[lo:hi]][row], axis=0)
+        right_rows = np.take(right, right_order[right_at], axis=0)[:, new_columns]
+        out = np.concatenate((left_rows, right_rows), axis=1)
+        keep = _ordered(out, out_pairs)
+        for j in range(left.shape[1], out_width):  # injectivity
+            for i in range(j):
+                keep &= out[:, i] != out[:, j]
+        joined.append(np.take(out, np.flatnonzero(keep), axis=0))
+        rows += len(joined[-1])
+        claimed = _claim(machine, claimed, rows, out_bytes, "joined_bytes")
+    machine.allocate((rows - claimed) * out_bytes, "joined_bytes")
     machine.charge_ops(ops, "join_ops")
     # Inputs grouped at this reducer are released after the join.
-    grouped = (
-        sum(len(v) for v in lefts_by_key.values())
-        * model.embedding_bytes(left_width)
-        + sum(len(v) for v in rights_by_key.values())
-        * model.embedding_bytes(right_width)
-    )
-    machine.free(grouped)
-    return joined
+    machine.free(cluster.cost_model.embedding_bytes(left.size + right.size))
+    return np.concatenate(joined)
 
 
 @dataclass
@@ -173,9 +307,6 @@ class ConstraintChecker:
 
     def __init__(self, pattern: Pattern, constraints: list[tuple[int, int]]):
         self._constraints = constraints
-        self._smaller, self._greater = constraint_map(
-            constraints, pattern.num_vertices
-        )
         self._pair_cache: dict[tuple[int, ...], list[tuple[int, int]]] = {}
 
     def pairs(self, vertices: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -194,10 +325,7 @@ class ConstraintChecker:
     @staticmethod
     def ok_tuple(tup: tuple[int, ...], pairs: list[tuple[int, int]]) -> bool:
         """Check the compiled pairs against a concrete tuple."""
-        for i, j in pairs:
-            if tup[i] >= tup[j]:
-                return False
-        return True
+        return all(tup[i] < tup[j] for i, j in pairs)
 
 
 class DistributedJoinRunner:
@@ -214,259 +342,130 @@ class DistributedJoinRunner:
         self.pattern = pattern
         self.checker = ConstraintChecker(pattern, constraints)
         self.executor = executor or SerialExecutor()
-        self._constraints = constraints
-        self._model = cluster.cost_model
 
-    # ------------------------------------------------------------------
-    # Unit instance generation
-    # ------------------------------------------------------------------
-    def star_instances(
-        self, machine_id: int, star: JoinUnit
-    ) -> list[tuple[int, ...]]:
-        """Instances of a star unit from this machine's owned vertices.
+    def _unit_task(self, machine_id: int, unit: JoinUnit, clique: bool) -> tuple:
+        return (
+            machine_id, unit, clique, self.pattern.degree(unit.pivot),
+            self.checker.pairs(unit.vertices),
+        )
 
-        The star centre is matched to owned vertices; leaves come from the
-        (local) adjacency list.  Memory is allocated in chunks so that an
-        explosion hits the simulated capacity quickly.
-        """
-        local = self.cluster.partition.machine(machine_id)
-        machine = self.cluster.machine(machine_id)
-        pivot, leaves = star.vertices[0], star.vertices[1:]
-        tuple_bytes = self._model.embedding_bytes(len(star.vertices))
-        min_degree = self.pattern.degree(pivot)
-        pairs = self.checker.pairs(star.vertices)
-        instances: list[tuple[int, ...]] = []
-        ops = 0
-        allocated = 0
+    def star_instances(self, machine_id: int, star: JoinUnit) -> np.ndarray:
+        """Instances of a star unit: the centre is matched to this machine's
+        owned vertices, the leaves come from the (local) adjacency list."""
+        return _instances_task(
+            self.cluster, self._unit_task(machine_id, star, False)
+        )
 
-        def note_instance(inst: tuple[int, ...]) -> None:
-            nonlocal allocated
-            if not self.checker.ok_tuple(inst, pairs):
-                return
-            instances.append(inst)
-            if len(instances) - allocated >= ALLOC_CHUNK:
-                machine.allocate(ALLOC_CHUNK * tuple_bytes, "unit_bytes")
-                allocated += ALLOC_CHUNK
-
-        for v in local.owned_vertices:
-            v = int(v)
-            adjacency = local.neighbors(v)
-            ops += 1
-            if len(adjacency) < min_degree:
-                continue
-
-            def descend(idx: int, chosen: tuple[int, ...]) -> None:
-                nonlocal ops
-                if idx == len(leaves):
-                    note_instance((v,) + chosen)
-                    return
-                for w in adjacency:
-                    w = int(w)
-                    ops += 1
-                    if w == v or w in chosen:
-                        continue
-                    descend(idx + 1, chosen + (w,))
-
-            descend(0, ())
-        machine.allocate((len(instances) - allocated) * tuple_bytes, "unit_bytes")
-        machine.charge_ops(ops, "unit_ops")
-        return instances
-
-    def clique_instances(
-        self, machine_id: int, unit: JoinUnit
-    ) -> list[tuple[int, ...]]:
+    def clique_instances(self, machine_id: int, unit: JoinUnit) -> np.ndarray:
         """Instances of a clique unit anchored at owned vertices.
 
         SEED's star-clique-preserved storage replicates the edges among a
-        vertex's neighbours, so a machine can list cliques around its owned
-        vertices without communication.  The anchor (first unit vertex) is
-        matched to owned vertices; remaining clique members are enumerated
-        from the intersection of all previously matched members' adjacency.
+        vertex's neighbours, so a machine lists the cliques around its owned
+        vertices without communication: each further member comes from the
+        common neighbours of all members matched so far.
         """
-        local = self.cluster.partition.machine(machine_id)
-        machine = self.cluster.machine(machine_id)
-        graph = self.cluster.graph
-        k = len(unit.vertices)
-        tuple_bytes = self._model.embedding_bytes(k)
-        min_degree = self.pattern.degree(unit.pivot)
-        pairs = self.checker.pairs(unit.vertices)
-        instances: list[tuple[int, ...]] = []
-        ops = 0
-        allocated = 0
+        return _instances_task(
+            self.cluster, self._unit_task(machine_id, unit, True)
+        )
 
-        def note_instance(inst: tuple[int, ...]) -> None:
-            nonlocal allocated
-            if not self.checker.ok_tuple(inst, pairs):
-                return
-            instances.append(inst)
-            if len(instances) - allocated >= ALLOC_CHUNK:
-                machine.allocate(ALLOC_CHUNK * tuple_bytes, "unit_bytes")
-                allocated += ALLOC_CHUNK
+    def _instances(self, unit: JoinUnit) -> list[np.ndarray]:
+        """Every machine's instances of ``unit``, one task per machine."""
+        clique = unit.kind == "clique" and len(unit.vertices) > 2
+        per_machine = self.executor.run_tasks(
+            self.cluster,
+            _instances_task,
+            [
+                self._unit_task(t, unit, clique)
+                for t in range(self.cluster.num_machines)
+            ],
+        )
+        self.cluster.barrier()
+        return per_machine
 
-        for v in local.owned_vertices:
-            v = int(v)
-            adjacency = local.neighbors(v)
-            ops += 1
-            if len(adjacency) < min_degree:
-                continue
-
-            def descend(idx: int, chosen: tuple[int, ...], common: np.ndarray) -> None:
-                nonlocal ops
-                if idx == k:
-                    note_instance(chosen)
-                    return
-                ops += len(common)
-                for w in common:
-                    w = int(w)
-                    if w in chosen:
-                        continue
-                    nxt = np.intersect1d(
-                        common, graph.neighbors(w), assume_unique=True
-                    )
-                    ops += min(len(common), graph.degree(w))
-                    descend(idx + 1, chosen + (w,), nxt)
-
-            descend(1, (v,), adjacency)
-        machine.allocate((len(instances) - allocated) * tuple_bytes, "unit_bytes")
-        machine.charge_ops(ops, "unit_ops")
-        return instances
-
-    # ------------------------------------------------------------------
-    # Hash join rounds
-    # ------------------------------------------------------------------
     def join_round(
         self,
-        left: dict[int, list[tuple[int, ...]]],
+        left: list[np.ndarray],
         left_vertices: tuple[int, ...],
-        right: dict[int, list[tuple[int, ...]]],
+        right: list[np.ndarray],
         right_unit: JoinUnit,
-    ) -> tuple[dict[int, list[tuple[int, ...]]], tuple[int, ...]]:
+    ) -> tuple[list[np.ndarray], tuple[int, ...]]:
         """One MapReduce join: shuffle both sides by key, join locally.
 
         Returns the partitioned result and its query-vertex schema.
+        Consumes ``left`` and ``right``: both lists are emptied once routed,
+        so the reduce holds one copy of each relation, not two.
         """
         cluster = self.cluster
         num_machines = cluster.num_machines
-        model = self._model
         right_vertices = right_unit.vertices
         shared = tuple(v for v in right_vertices if v in left_vertices)
         if not shared:
             raise ValueError("join units must share at least one vertex")
-        right_pos = {u: i for i, u in enumerate(right_vertices)}
-        out_vertices = left_vertices + tuple(
-            v for v in right_vertices if v not in left_vertices
-        )
-        new_right = [v for v in right_vertices if v not in left_vertices]
+        left_key = [left_vertices.index(v) for v in shared]
+        right_key = [right_vertices.index(v) for v in shared]
+        new_columns = [i for i, v in enumerate(right_vertices) if v not in left_vertices]
+        out_vertices = left_vertices + tuple(right_vertices[i] for i in new_columns)
+        star_compressed = right_unit.kind == "star" and shared == (right_unit.pivot,)
 
-        # Shuffle phase: both sides routed by hash of the join key.  Tuples
-        # are *grouped by key* before hitting the wire, so each distinct key
-        # is shipped once and tuples carry only their non-key columns (the
-        # paper, Exp-1: "the grouped intermediate results of TwinTwig and
-        # SEED significantly reduced the cost of network traffic").  The
-        # map-side grouping is per-source-machine independent, so it runs
-        # as one task per source machine on the active execution backend;
-        # merging in task (= machine) order reproduces the exact key and
-        # tuple orders of the historic coordinator-side loop.
-        star_compressed = (
-            right_unit.kind == "star" and shared == (right_unit.pivot,)
-        )
-        shuffled_left: dict[int, dict[tuple, list[tuple[int, ...]]]] = {
-            t: defaultdict(list) for t in range(num_machines)
-        }
-        shuffled_right: dict[int, dict[tuple, list[tuple[int, ...]]]] = {
-            t: defaultdict(list) for t in range(num_machines)
-        }
-        payload = np.zeros((num_machines, num_machines), dtype=np.int64)
-        for t, grouped_left, grouped_right, row in self.executor.run_tasks(
+        # Shuffle phase: one map task per source machine; a reducer's
+        # input is its slices concatenated in source-machine order.
+        mapped = self.executor.run_tasks(
             cluster,
             _shuffle_map_task,
             [
-                (
-                    t, left[t], right[t], left_vertices, right_vertices,
-                    shared, star_compressed, num_machines,
-                )
-                for t in range(num_machines)
-            ],
-        ):
-            for dst, groups in grouped_left.items():
-                for key, items in groups.items():
-                    shuffled_left[dst][key].extend(items)
-            for dst, groups in grouped_right.items():
-                for key, items in groups.items():
-                    shuffled_right[dst][key].extend(items)
-            payload[t, :] = row
-        for t in range(num_machines):
-            incoming = (
-                sum(len(v) for v in shuffled_left[t].values())
-                * model.embedding_bytes(len(left_vertices))
-                + sum(len(v) for v in shuffled_right[t].values())
-                * model.embedding_bytes(len(right_vertices))
-            )
-            cluster.machine(t).allocate(incoming, "grouped_bytes")
-        cluster.network.shuffle(cluster.machines, payload)
-
-        # Reduce phase: local hash join with injectivity + constraints —
-        # one independent task per reducer.
-        out_pairs = self.checker.pairs(out_vertices)
-        reduced = self.executor.run_tasks(
-            cluster,
-            _join_reduce_task,
-            [
-                (
-                    t, dict(shuffled_left[t]), dict(shuffled_right[t]),
-                    len(left_vertices), len(right_vertices),
-                    new_right, right_pos, out_pairs, len(out_vertices),
-                )
+                (t, left[t], right[t], left_key, right_key, star_compressed)
                 for t in range(num_machines)
             ],
         )
-        result = dict(enumerate(reduced))
+        lefts, rights, payload = zip(*mapped)
+        del mapped
+        left.clear()
+        right.clear()
+        lefts, rights = list(zip(*lefts)), list(zip(*rights))  # per reducer
+        for t in range(num_machines):
+            arrived = sum(part.size for part in lefts[t] + rights[t])
+            cluster.machine(t).allocate(
+                cluster.cost_model.embedding_bytes(arrived), "grouped_bytes"
+            )
+        cluster.network.shuffle(cluster.machines, np.stack(payload))
+
+        # Reduce phase: local join with injectivity + constraints — one
+        # independent task per reducer.
+        out_pairs = self.checker.pairs(out_vertices)
+        result = self.executor.run_tasks(
+            cluster,
+            _join_reduce_task,
+            [
+                (t, lefts[t], rights[t], left_key, right_key, new_columns, out_pairs)
+                for t in range(num_machines)
+            ],
+        )
         cluster.barrier()
         return result, out_vertices
 
-    # ------------------------------------------------------------------
     def run_units(
-        self,
-        units: list[JoinUnit],
-        collect: bool,
+        self, units: list[JoinUnit], collect: bool
     ) -> tuple[list[tuple[int, ...]], int]:
         """Left-deep evaluation of the unit sequence; returns (results, count)."""
-        cluster = self.cluster
-        num_machines = cluster.num_machines
-
-        def instances_of(unit: JoinUnit) -> dict[int, list[tuple[int, ...]]]:
-            per_machine = dict(
-                enumerate(
-                    self.executor.run_tasks(
-                        cluster,
-                        _instances_task,
-                        [
-                            (t, unit, self.pattern, self._constraints)
-                            for t in range(num_machines)
-                        ],
-                    )
-                )
-            )
-            cluster.barrier()
-            return per_machine
-
-        with _obs_span("round.unit", unit=0, kind=units[0].kind):
-            current = instances_of(units[0])
+        with _obs_span("round.unit", unit=0, kind=units[0].kind) as span:
+            current = self._instances(units[0])
+            rows = sum(map(len, current))
+            span.set(rows_left=0, rows_right=rows, rows_out=rows)
         current_vertices = units[0].vertices
         for index, unit in enumerate(units[1:], start=1):
-            with _obs_span("round.join", unit=index, kind=unit.kind):
-                right = instances_of(unit)
+            with _obs_span("round.join", unit=index, kind=unit.kind) as span:
+                right = self._instances(unit)
+                span.set(
+                    rows_left=sum(map(len, current)),
+                    rows_right=sum(map(len, right)),
+                )
                 current, current_vertices = self.join_round(
                     current, current_vertices, right, unit
                 )
+                span.set(rows_out=sum(map(len, current)))
         # Gather final embeddings (canonical tuples indexed by query vertex).
-        n = self.pattern.num_vertices
-        pos = {u: i for i, u in enumerate(current_vertices)}
-        results: list[tuple[int, ...]] = []
-        count = 0
-        for t in range(num_machines):
-            count += len(current[t])
-            if collect:
-                for tup in current[t]:
-                    results.append(tuple(tup[pos[u]] for u in range(n)))
-        return results, count
+        count = sum(map(len, current))
+        if not collect:
+            return [], count
+        found = np.concatenate(current)[:, np.argsort(current_vertices)]
+        return list(map(tuple, found.tolist())), count

@@ -37,10 +37,6 @@ def twintwig_decomposition(pattern: Pattern) -> list[JoinUnit]:
             candidates = [v for v in sorted(covered) if uncovered_incident(v)]
         else:
             candidates = sorted(pattern.vertices())
-        if not candidates:
-            # Disconnected leftover cannot happen for connected patterns,
-            # but fall back to any endpoint just in case.
-            candidates = sorted({v for e in remaining for v in e})
         pivot = max(candidates, key=lambda v: (len(uncovered_incident(v)), -v))
         incident = uncovered_incident(pivot)
         # Prefer closing edges into the covered region first.
@@ -108,10 +104,6 @@ def cost_oriented_decomposition(
                 cost = star_cost(pivot, take)
                 if best is None or cost < best[0]:
                     best = (cost, pivot, list(take))
-        if best is None:
-            # Disconnected leftovers cannot occur for connected patterns.
-            pivot = next(iter(remaining))[0]
-            best = (0.0, pivot, [e for e in remaining if pivot in e][:2])
         _, pivot, take = best
         leaves = tuple((a if b == pivot else b) for a, b in take)
         units.append(

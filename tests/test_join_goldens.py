@@ -187,7 +187,6 @@ def _python_calls(run) -> int:
     return calls
 
 
-@pytest.mark.xfail(strict=True, reason="the tuple loop calls per tuple")
 def test_calls_per_run_do_not_grow_with_the_graph():
     """TwinTwig x q1 on 4x the communities: 4x the tuples, the same calls
     (chunk loops aside) — what no per-tuple Python can satisfy."""
