@@ -262,16 +262,16 @@ def _join_reduce_task(cluster: Cluster, args: tuple) -> np.ndarray:
     live = np.flatnonzero(run_lefts)
     live = live[np.argsort(by_key[left_starts[live]])]
     of_live, at = gather_ranges(left_starts[live], run_lefts[live])
-    key = live[of_live]  # of each matched left row, in output order
+    left_at, key = by_key[at], live[of_live]  # left rows in output order
     # Chunks end where the running pair count crosses a multiple of the
     # budget, so one holds under a budget of pairs plus one row's.
     pairs = (np.cumsum(run_rights[key]) - 1) // _PAIRS_PER_CHUNK
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(pairs)) + 1, [len(at)]))
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(pairs)) + 1, [len(key)]))
     joined = [np.empty((0, out_width), dtype=np.int64)]
     rows = claimed = 0
     for lo, hi in zip(bounds, bounds[1:]):
         row, right_at = gather_ranges(right_starts[key[lo:hi]], run_rights[key[lo:hi]])
-        left_rows = np.take(left, by_key[at[lo:hi]][row], axis=0)
+        left_rows = np.take(left, left_at[lo:hi][row], axis=0)
         right_rows = np.take(right, right_order[right_at], axis=0)[:, new_columns]
         out = np.concatenate((left_rows, right_rows), axis=1)
         keep = _ordered(out, out_pairs)
@@ -449,22 +449,19 @@ class DistributedJoinRunner:
         """Left-deep evaluation of the unit sequence; returns (results, count)."""
         with _obs_span("round.unit", unit=0, kind=units[0].kind) as span:
             current = self._instances(units[0])
-            rows = sum(map(len, current))
-            span.set(rows_left=0, rows_right=rows, rows_out=rows)
+            count = sum(map(len, current))
+            span.set(rows_left=0, rows_right=count, rows_out=count)
         current_vertices = units[0].vertices
         for index, unit in enumerate(units[1:], start=1):
             with _obs_span("round.join", unit=index, kind=unit.kind) as span:
                 right = self._instances(unit)
-                span.set(
-                    rows_left=sum(map(len, current)),
-                    rows_right=sum(map(len, right)),
-                )
+                span.set(rows_left=count, rows_right=sum(map(len, right)))
                 current, current_vertices = self.join_round(
                     current, current_vertices, right, unit
                 )
-                span.set(rows_out=sum(map(len, current)))
+                count = sum(map(len, current))
+                span.set(rows_out=count)
         # Gather final embeddings (canonical tuples indexed by query vertex).
-        count = sum(map(len, current))
         if not collect:
             return [], count
         found = np.concatenate(current)[:, np.argsort(current_vertices)]
