@@ -12,8 +12,8 @@ reports, for each engine, whether it survives and what its peak usage was.
 
 Run:  python examples/memory_robustness.py [scale]
 
-``scale`` (default 0.2) sizes the UK2002-like graph; the story is the same
-at 0.1, which is what the smoke test runs.
+``scale`` (default 0.2, which is what the smoke test runs) sizes the
+UK2002-like graph; the story is the same at 0.1.
 """
 
 import sys

@@ -16,8 +16,9 @@ is ``(prefixes, counts, candidates)``: row ``i``'s candidates, ascending,
 are the next ``counts[i]`` entries of the flat ``candidates`` array (both
 are ``None`` before the first hop).  Those arrays are what a task takes
 and returns, so they are also what crosses a process or socket boundary.
-The step on them is :mod:`repro.enumeration.block`'s; routing between hop
-owners and the byte accounting are BigJoin's own.
+The step on them — and the split by destination that routes them between
+hop owners — is :mod:`repro.enumeration.block`'s; the byte accounting is
+BigJoin's own.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import repro.enumeration.block as kernel
 from repro.cluster.cluster import Cluster
 from repro.engines.base import EnumerationEngine
 from repro.enumeration.backtracking import compute_matching_order
-from repro.graph.graph import gather_ranges
 from repro.query.pattern import Pattern
 from repro.query.symmetry import constraint_map
 from repro.runtime.executor import Executor
@@ -99,29 +99,24 @@ def _route(
     prefixes = np.concatenate(blocks)
     src = np.repeat(np.arange(num_machines), [len(b) for b in blocks])
     dst = owner[prefixes[:, hop]]
-    order = np.argsort(dst, kind="stable")
-    prefixes = prefixes[order]
-    rows = np.searchsorted(dst[order], np.arange(num_machines + 1))
     nbytes = np.full(len(prefixes), prefix_bytes, dtype=np.int64)
+    routed = [kernel.split(prefixes, dst, num_machines)]
     if counts[0] is None:
-        routed = [
-            (prefixes[lo:hi], None, None) for lo, hi in zip(rows, rows[1:])
-        ]
+        routed += [[None] * num_machines] * 2
     else:
         counts = np.concatenate(counts)
         nbytes += counts * 8
-        starts = np.cumsum(counts) - counts
-        counts = counts[order]
-        cands = np.concatenate(cands)[gather_ranges(starts[order], counts)[1]]
-        ends = np.concatenate(([0], np.cumsum(counts)))[rows]
-        routed = [
-            (prefixes[lo:hi], counts[lo:hi], cands[a:b])
-            for lo, hi, a, b in zip(rows, rows[1:], ends, ends[1:])
+        # A row's candidates travel with it: same destination, same order.
+        routed += [
+            kernel.split(counts, dst, num_machines),
+            kernel.split(
+                np.concatenate(cands), np.repeat(dst, counts), num_machines
+            ),
         ]
     payload = np.zeros((num_machines, num_machines), dtype=np.int64)
     moved = src != dst
     np.add.at(payload, (src[moved], dst[moved]), nbytes[moved])
-    return routed, payload
+    return list(zip(*routed)), payload
 
 
 class BigJoinEngine(EnumerationEngine):

@@ -14,143 +14,152 @@ The index is many times larger than the graph (Table 2) and is charged to
 simulated disk I/O; intermediate results are charged in compressed form
 (core embeddings + bud candidate sets), which is why Crystal holds up on
 dense graphs until the core itself explodes.
+
+**Layout.**  A machine's core embeddings are an ``(n, |core|)`` int64
+block, columns in ascending core-vertex order; that block is what the core
+task returns and the bud task takes.  A bud's candidate sets are one flat
+array with a count per core row (the VCBC form: never a cross product);
+decompression appends one bud column at a time, so full embeddings are
+``(m, |V_P|)`` blocks with schema ``core + buds``, permuted to pattern
+order — and turned into tuples — only by the final gather under
+``collect``.
+
+**Ordering guarantee.**  Machines in order; core rows as the core path
+yields them (single vertex: owned vertices ascending; index: index order,
+each clique's permutations lexicographic by position; general: the
+backtracking kernel's depth-first order, a projected row kept at its first
+appearance); below a core row, buds in ``bud_order``, candidates
+ascending.
+
+**Accounting** (what the row-at-a-time loop charged).  Per core row and
+bud, on the candidate set *before* the bud's degree filter: an
+index-served bud (clique attachment) costs ``|C| // 8 + 1`` ops and
+``(|C| + |att|) * 8`` disk bytes, any other the sum of its attachment
+vertices' degrees.  ``candidate_bytes`` counts the filtered sets.  A row
+whose bud ``i`` comes out empty is dead: it pays nothing for later buds,
+keeps what it was charged for earlier ones, and is not decompressed.
+Decompression costs one op per (partial row, candidate) pair, injective or
+not; symmetry breaking filters finished rows only.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
+import repro.enumeration.block as kernel
 from repro.cluster.cluster import Cluster
 from repro.engines.base import EnumerationEngine
-from repro.engines.join_common import ConstraintChecker
+from repro.engines.join_common import ConstraintChecker, key_codes
 from repro.enumeration.backtracking import (
     BacktrackingEnumerator,
     EnumerationStats,
     compute_matching_order,
 )
 from repro.graph.cliques import maximal_cliques
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, gather_ranges
 from repro.query.pattern import Pattern
 from repro.runtime.executor import Executor
 
+#: Full rows one decompression chunk may reach (an upper bound: the
+#: product of a core row's candidate counts).
+_ROWS_PER_CHUNK = 32 * kernel.ROWS_PER_BLOCK
 
-def _core_general_task(cluster: Cluster, args: tuple) -> tuple:
+
+def _core_general_task(cluster: Cluster, args: tuple) -> np.ndarray:
     """Enumerate one machine's core embeddings via backtracking
     (the general, index-free path — independent per machine)."""
-    (
-        t, sub_pattern, sub_constraints, order, core_list, remap,
-        start_degree,
-    ) = args
-    graph = cluster.graph
+    t, sub_pattern, sub_constraints, order, core_columns, start_degree = args
     local = cluster.partition.machine(t)
     machine = cluster.machine(t)
-    model = cluster.cost_model
     stats = EnumerationStats()
     enumerator = BacktrackingEnumerator(
         pattern=sub_pattern,
-        adjacency=graph,
+        adjacency=cluster.graph,
         constraints=sub_constraints,
         order=order,
         stats=stats,
     )
     starts = local.owned_vertices[local.owned_degrees >= start_degree]
-    seen: set[tuple[int, ...]] = set()
-    found: list[dict[int, int]] = []
-    for emb in enumerator.run(starts):
-        key = tuple(emb[remap[u]] for u in core_list)
-        if key in seen:
-            continue
-        seen.add(key)
-        found.append(dict(zip(core_list, key)))
+    rows = np.concatenate([
+        np.empty((0, sub_pattern.num_vertices), dtype=np.int64),
+        *enumerator.run_blocks(starts),
+    ])[:, core_columns]
+    # Distinct projections, each where it first appeared.
+    found = rows[np.sort(np.unique(key_codes(rows), return_index=True)[1])]
     machine.charge_ops(stats.total_ops, "core_ops")
-    machine.allocate(len(found) * len(core_list) * 8, "core_bytes")
+    machine.allocate(found.size * 8, "core_bytes")
     # Reading adjacency beyond owned vertices is an index/HDFS scan.
-    machine.advance(model.disk_time(stats.candidates_scanned * 8))
-    return t, found
+    machine.advance(cluster.cost_model.disk_time(stats.candidates_scanned * 8))
+    return found
 
 
 def _bud_combine_task(cluster: Cluster, args: tuple) -> tuple:
     """Attach bud candidates to one machine's core embeddings and
-    decompress into full embeddings (independent per machine)."""
-    (
-        t, core_embs_t, bud_order, att_lists, clique_flags, bud_degrees,
-        all_pairs, num_vertices, collect,
-    ) = args
+    decompress into full embeddings (independent per machine).
+
+    ``buds`` holds, per bud in order, its attachment's core columns,
+    whether the clique index serves it, and its pattern degree.  Returns
+    the count and, under ``collect``, the ``core + buds`` block.
+    """
+    t, core, buds, pairs, collect = args
     graph = cluster.graph
-    model = cluster.cost_model
+    indptr = graph.indptr
     machine = cluster.machine(t)
-    results: list[tuple[int, ...]] = []
-    count = 0
-    ops = 0
-    disk_bytes = 0
-    cand_bytes = 0
-    for core_emb in core_embs_t:
-        bud_cands: list[np.ndarray] = []
-        dead = False
-        for i, u in enumerate(bud_order):
-            att = att_lists[i]
-            arrays = sorted(
-                (graph.neighbors(core_emb[w]) for w in att), key=len
+    found = [np.empty((0, core.shape[1] + len(buds)), dtype=np.int64)]
+    count = ops = disk_bytes = cand_bytes = 0
+    for lo in range(0, len(core), kernel.ROWS_PER_BLOCK):
+        chunk = core[lo:lo + kernel.ROWS_PER_BLOCK]
+        live = np.arange(len(chunk))  # rows no bud has emptied yet
+        crystals = []  # per bud: each chunk row's range of the flat candidates
+        for columns, indexed, min_degree in buds:
+            anchors = chunk[live][:, columns]
+            degrees = indptr[anchors + 1] - indptr[anchors]
+            anchors = np.take_along_axis(  # smallest list first
+                anchors, np.argsort(degrees, axis=1, kind="stable"), axis=1
             )
-            cands = arrays[0]
-            for arr in arrays[1:]:
-                cands = np.intersect1d(cands, arr, assume_unique=True)
-            if clique_flags[i]:
-                # Index lookup: pay only for streaming the entry.
-                disk_bytes += (len(cands) + len(att)) * 8
-                ops += len(cands) // 8 + 1
+            row, cand = kernel.neighbors(graph, anchors[:, 0])
+            row, cand, _ = kernel.member(graph, anchors[:, 1:], row, cand)
+            if indexed:  # index lookup: pay only for streaming the entry
+                sizes = np.bincount(row, minlength=len(live))
+                disk_bytes += (len(cand) + anchors.size) * 8
+                ops += int((sizes // 8 + 1).sum())
             else:
-                ops += sum(len(a) for a in arrays)
-            degree_u = bud_degrees[i]
-            cands = cands[
-                np.fromiter(
-                    (graph.degree(int(v)) >= degree_u for v in cands),
-                    dtype=bool,
-                    count=len(cands),
-                )
-            ] if len(cands) else cands
-            if len(cands) == 0:
-                dead = True
-                break
-            bud_cands.append(cands)
-            cand_bytes += len(cands) * 8
-        if dead:
-            continue
-        # Combine buds (decompression): injectivity + constraints.
-        base = [0] * num_vertices
-        for u, v in core_emb.items():
-            base[u] = v
-        core_values = set(core_emb.values())
-
-        def combine(idx: int) -> None:
-            nonlocal count, ops
-            if idx == len(bud_order):
-                tup = tuple(base)
-                if ConstraintChecker.ok_tuple(tup, all_pairs):
-                    count += 1
-                    if collect:
-                        results.append(tup)
-                return
-            u = bud_order[idx]
-            for v in bud_cands[idx]:
-                v = int(v)
-                ops += 1
-                if v in core_values:
-                    continue
-                if any(base[w] == v for w in bud_order[:idx]):
-                    continue
-                base[u] = v
-                combine(idx + 1)
-            base[u] = 0
-
-        combine(0)
+                ops += int(degrees.sum())
+            keep = indptr[cand + 1] - indptr[cand] >= min_degree
+            row, cand = row[keep], cand[keep]
+            cand_bytes += len(cand) * 8
+            counts = np.zeros(len(chunk), dtype=np.int64)
+            counts[live] = np.bincount(row, minlength=len(live))
+            crystals.append((np.cumsum(counts) - counts, counts, cand))
+            live = live[counts[live] > 0]
+        # Decompress the surviving rows, a bounded number of full rows at
+        # a time: chunks end where the running bound crosses a multiple.
+        bound = np.ones(len(live), dtype=np.int64)
+        for _, counts, _ in crystals:
+            bound *= counts[live]
+        crossed = np.diff((np.cumsum(bound) - 1) // _ROWS_PER_CHUNK)
+        ends = np.concatenate(([0], np.flatnonzero(crossed) + 1, [len(live)]))
+        for a, b in zip(ends, ends[1:]):
+            origin = live[a:b]
+            block = chunk[origin]
+            for starts, counts, cands in crystals:
+                row, at = gather_ranges(starts[origin], counts[origin])
+                ops += len(at)
+                keep = kernel.injective(block, row, cands[at])
+                row = row[keep]
+                block = kernel.append(block, row, cands[at[keep]])
+                origin = origin[row]
+            block = block[kernel.ordered(block, pairs)]
+            count += len(block)
+            if collect:
+                found.append(block)
     machine.charge_ops(ops, "crystal_ops")
-    machine.advance(model.disk_time(disk_bytes))
+    machine.advance(cluster.cost_model.disk_time(disk_bytes))
     machine.allocate(cand_bytes, "candidate_bytes")
     machine.free(cand_bytes)
-    return t, count, results
+    return count, np.concatenate(found)
 
 
 #: Per-entry on-disk overhead of the index: besides the member ids, Crystal
@@ -161,47 +170,58 @@ INDEX_ENTRY_OVERHEAD = 64
 
 
 class CliqueIndex:
-    """Offline index of all data-graph cliques up to ``max_size``."""
+    """Offline index of all data-graph cliques up to ``max_size``.
+
+    ``complete`` is false when ``max_entries`` stopped construction: the
+    index then holds *some* cliques of each size, and nothing may read it
+    as all of them.
+    """
 
     def __init__(self, graph: Graph, max_size: int = 4,
                  max_entries: int = 5_000_000):
         self._graph = graph
         self.max_size = max_size
-        self._by_size: dict[int, list[tuple[int, ...]]] = {
-            2: [tuple(e) for e in graph.edges()]
+        self.complete = True
+        v, w = kernel.neighbors(graph, np.arange(graph.num_vertices))
+        distinct: dict[int, set[tuple[int, ...]]] = {
+            k: set() for k in range(3, max_size + 1)
         }
-        if max_size >= 3:
-            seen: dict[int, set[tuple[int, ...]]] = {
-                k: set() for k in range(3, max_size + 1)
-            }
-            total = 0
-            for clique in maximal_cliques(graph):
-                for k in range(3, min(max_size, len(clique)) + 1):
-                    for sub in combinations(clique, k):
-                        if sub not in seen[k]:
-                            seen[k].add(sub)
-                            total += 1
-                            if total >= max_entries:
-                                break
-                    if total >= max_entries:
-                        break
-                if total >= max_entries:
+        subsets = (
+            sub
+            for clique in (maximal_cliques(graph) if max_size >= 3 else ())
+            for k in range(3, min(max_size, len(clique)) + 1)
+            for sub in combinations(clique, k)
+        )
+        entries = 0
+        for sub in subsets:
+            if sub not in distinct[len(sub)]:
+                distinct[len(sub)].add(sub)
+                entries += 1
+                if entries >= max_entries:
+                    self.complete = False
                     break
-            for k in range(3, max_size + 1):
-                self._by_size[k] = sorted(seen[k])
+        #: size -> the ``(count, size)`` array of cliques, rows ascending.
+        self._by_size: dict[int, np.ndarray] = {
+            2: np.stack((v, w), axis=1)[v < w],
+            **{
+                k: np.array(sorted(subs), dtype=np.int64).reshape(-1, k)
+                for k, subs in distinct.items()
+            },
+        }
 
     @property
     def graph(self) -> Graph:
         """The indexed data graph."""
         return self._graph
 
-    def cliques(self, size: int) -> list[tuple[int, ...]]:
-        """All cliques of exactly ``size`` vertices."""
-        return self._by_size.get(size, [])
+    def cliques(self, size: int) -> np.ndarray:
+        """The indexed cliques of exactly ``size`` vertices, one sorted
+        clique per row, rows in lexicographic order."""
+        return self._by_size.get(size, np.empty((0, size), dtype=np.int64))
 
     def count(self, size: int) -> int:
         """Number of indexed cliques of ``size``."""
-        return len(self._by_size.get(size, []))
+        return len(self.cliques(size))
 
     def size_bytes(self) -> int:
         """Simulated on-disk footprint of the index (ids + postings)."""
@@ -221,6 +241,11 @@ def minimum_vertex_covers(pattern: Pattern, size: int) -> list[frozenset[int]]:
     return covers
 
 
+def _is_clique(pattern: Pattern, vertices) -> bool:
+    """True iff ``vertices`` are pairwise adjacent in ``pattern``."""
+    return all(pattern.has_edge(a, b) for a, b in combinations(vertices, 2))
+
+
 def choose_core(pattern: Pattern) -> tuple[frozenset[int], list[int]]:
     """Pick a core (vertex cover) plus the bud list, Crystal-style.
 
@@ -235,31 +260,13 @@ def choose_core(pattern: Pattern) -> tuple[frozenset[int], list[int]]:
     for size in (mvc_size, min(mvc_size + 1, pattern.num_vertices)):
         candidates.extend(minimum_vertex_covers(pattern, size))
 
-    def is_clique(subset: frozenset[int]) -> bool:
-        return all(
-            pattern.has_edge(a, b) for a, b in combinations(sorted(subset), 2)
-        )
-
-    def connected(subset: frozenset[int]) -> bool:
-        members = sorted(subset)
-        if not members:
-            return False
-        seen = {members[0]}
-        stack = [members[0]]
-        while stack:
-            v = stack.pop()
-            for w in pattern.adj(v):
-                if w in subset and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(subset)
-
     def score(cover: frozenset[int]) -> tuple:
         buds = [u for u in pattern.vertices() if u not in cover]
         clique_buds = sum(
-            1 for u in buds if is_clique(pattern.adj(u) & cover)
+            1 for u in buds if _is_clique(pattern, pattern.adj(u) & cover)
         )
-        return (clique_buds, connected(cover), -len(cover), tuple(sorted(cover)))
+        connected = _induced_pattern(pattern, cover)[0].is_connected()
+        return (clique_buds, connected, -len(cover), tuple(sorted(cover)))
 
     core = max(candidates, key=score)
     buds = [u for u in pattern.vertices() if u not in core]
@@ -296,99 +303,78 @@ class CrystalEngine(EnumerationEngine):
         self,
         cluster: Cluster,
         pattern: Pattern,
-        core: frozenset[int],
+        core_list: list[int],
         checker: ConstraintChecker,
         index: CliqueIndex,
         executor: Executor,
-    ) -> dict[int, list[dict[int, int]]]:
-        """Distinct core embeddings per machine (keyed by anchor owner)."""
+    ) -> list[np.ndarray]:
+        """Distinct core embeddings per machine (at the anchor's owner),
+        columns in ``core_list`` order."""
         graph = cluster.graph
         partition = cluster.partition
-        model = cluster.cost_model
-        core_list = sorted(core)
-        pairs = checker.pairs(tuple(core_list))
+        machines = range(cluster.num_machines)
+        width = len(core_list)
+        degrees = np.array([pattern.degree(u) for u in core_list])
 
-        def is_clique_core() -> bool:
-            return all(
-                pattern.has_edge(a, b) for a, b in combinations(core_list, 2)
+        def local_cores(t: int, rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
+            """Machine ``t`` scanned ``rows`` and holds those under ``keep``."""
+            cluster.machine(t).charge_ops(len(rows), "core_ops")
+            cluster.machine(t).allocate(int(keep.sum()) * width * 8, "core_bytes")
+            return rows[keep]
+
+        if width == 1:
+            return [
+                local_cores(
+                    t, local.owned_vertices[:, None],
+                    local.owned_degrees >= degrees[0],
+                )
+                for t, local in enumerate(partition.machines())
+            ]
+        if (
+            _is_clique(pattern, core_list)
+            and width <= index.max_size
+            and index.complete
+        ):
+            # Fast path: core instances come straight off the clique index,
+            # each at the owner of its smallest vertex, in every order.
+            instances = index.cliques(width)
+            home = partition.owner[instances[:, 0]]
+            orders = np.array(list(permutations(range(width))))
+            pairs = checker.pairs(tuple(core_list))
+            load_time = cluster.cost_model.disk_time(
+                instances.size * 8 / cluster.num_machines
             )
-
-        per_machine: dict[int, list[dict[int, int]]] = {
-            t: [] for t in range(cluster.num_machines)
-        }
-        if len(core_list) == 1:
-            u = core_list[0]
-            min_degree = pattern.degree(u)
-            for t in range(cluster.num_machines):
-                local = partition.machine(t)
-                machine = cluster.machine(t)
-                found = [
-                    {u: int(v)}
-                    for v in local.owned_vertices
-                    if local.degree(int(v)) >= min_degree
-                ]
-                machine.charge_ops(len(local.owned_vertices), "core_ops")
-                machine.allocate(len(found) * 8, "core_bytes")
-                per_machine[t] = found
-            return per_machine
-        if is_clique_core() and len(core_list) <= index.max_size:
-            # Fast path: core instances come straight off the clique index.
-            instances = index.cliques(len(core_list))
-            load_bytes = len(instances) * len(core_list) * 8
-            degrees = [pattern.degree(u) for u in core_list]
-            buckets: dict[int, list[tuple[int, ...]]] = {
-                t: [] for t in range(cluster.num_machines)
-            }
-            for inst in instances:
-                buckets[partition.owner_of(min(inst))].append(inst)
-            for t in range(cluster.num_machines):
-                machine = cluster.machine(t)
-                machine.advance(model.disk_time(load_bytes / cluster.num_machines))
-                ops = 0
-                found = []
-                for inst in buckets[t]:
-                    for perm in _permutations(inst):
-                        ops += 1
-                        if any(
-                            graph.degree(perm[i]) < degrees[i]
-                            for i in range(len(core_list))
-                        ):
-                            continue
-                        if checker.ok_tuple(perm, pairs):
-                            found.append(dict(zip(core_list, perm)))
-                machine.charge_ops(ops, "core_ops")
-                machine.allocate(len(found) * len(core_list) * 8, "core_bytes")
-                per_machine[t] = found
-            return per_machine
+            found = []
+            for t in machines:
+                cluster.machine(t).advance(load_time)
+                rows = instances[home == t][:, orders].reshape(-1, width)
+                keep = (graph.degrees()[rows] >= degrees).all(axis=1)
+                found.append(local_cores(t, rows, keep & kernel.ordered(rows, pairs)))
+            return found
         # General path: enumerate a connected superset S of the core with
         # plain backtracking, project to the core, deduplicate.
-        s_vertices = _connecting_superset(pattern, core)
+        s_vertices = _connecting_superset(pattern, core_list)
         sub_pattern, remap = _induced_pattern(pattern, s_vertices)
         # pairs() returns positional pairs over the sorted vertex tuple;
         # positions in a sorted list coincide with the dense relabelling.
-        sorted_s = sorted(s_vertices)
-        sub_constraints = [
-            (remap[sorted_s[i]], remap[sorted_s[j]])
-            for i, j in checker.pairs(tuple(sorted_s))
-        ]
+        sub_constraints = checker.pairs(tuple(sorted(s_vertices)))
         core_start = max(
             (remap[u] for u in core_list),
             key=lambda u: sub_pattern.degree(u),
         )
         order = compute_matching_order(sub_pattern, start=core_start)
-        for t, found in executor.run_tasks(
+        return executor.run_tasks(
             cluster,
             _core_general_task,
             [
                 (
-                    t, sub_pattern, sub_constraints, order, core_list,
-                    remap, sub_pattern.degree(core_start),
+                    t, sub_pattern, sub_constraints, order,
+                    [remap[u] for u in core_list],
+                    sub_pattern.degree(core_start),
                 )
-                for t in range(cluster.num_machines)
+                for t in machines
             ],
-        ):
-            per_machine[t] = found
-        return per_machine
+        )
 
     # ------------------------------------------------------------------
     def _execute(
@@ -407,88 +393,60 @@ class CrystalEngine(EnumerationEngine):
             )
         checker = ConstraintChecker(pattern, constraints)
         core, buds = choose_core(pattern)
+        core_list = sorted(core)
         core_embs = self._core_embeddings(
-            cluster, pattern, core, checker, index, executor
+            cluster, pattern, core_list, checker, index, executor
         )
         cluster.barrier()
 
-        # Order buds: clique-attached first (cheap index lookups prune most).
         def attachment(u: int) -> list[int]:
             return sorted(pattern.adj(u) & core)
 
-        def is_clique_attachment(u: int) -> bool:
-            att = attachment(u)
-            return len(att) >= 2 and all(
-                pattern.has_edge(a, b) for a, b in combinations(att, 2)
-            )
+        def indexed(u: int) -> bool:
+            """A clique attachment: the bud's candidates are an index entry."""
+            return len(attachment(u)) >= 2 and _is_clique(pattern, attachment(u))
 
-        bud_order = sorted(
-            buds, key=lambda u: (not is_clique_attachment(u), -len(attachment(u)))
-        )
+        # Order buds: clique-attached first (cheap index lookups prune most).
         # Bud-bud pattern edges cannot exist (buds are an independent set).
-        all_pairs = checker.pairs(tuple(range(pattern.num_vertices)))
-        results: list[tuple[int, ...]] = []
-        count = 0
-        for t, machine_count, found in executor.run_tasks(
+        bud_order = sorted(
+            buds, key=lambda u: (not indexed(u), -len(attachment(u)))
+        )
+        schema = (*core_list, *bud_order)
+        bud_args = [
+            (
+                [core_list.index(w) for w in attachment(u)],
+                indexed(u), pattern.degree(u),
+            )
+            for u in bud_order
+        ]
+        counts, blocks = zip(*executor.run_tasks(
             cluster,
             _bud_combine_task,
             [
-                (
-                    t, core_embs[t], bud_order,
-                    [attachment(u) for u in bud_order],
-                    [is_clique_attachment(u) for u in bud_order],
-                    [pattern.degree(u) for u in bud_order],
-                    all_pairs, pattern.num_vertices, collect,
-                )
+                (t, core_embs[t], bud_args, checker.pairs(schema), collect)
                 for t in range(cluster.num_machines)
             ],
-        ):
-            count += machine_count
-            results.extend(found)
+        ))
         # One MapReduce round shuffles the compressed representation when
         # assembling final output (core embeddings + candidate sets).
         payload = np.zeros(
             (cluster.num_machines, cluster.num_machines), dtype=np.int64
         )
         for t in range(cluster.num_machines):
-            nbytes = len(core_embs[t]) * len(core) * 8
             dst = (t + 1) % cluster.num_machines
             if dst != t:
-                payload[t, dst] = nbytes
+                payload[t, dst] = core_embs[t].size * 8
         cluster.network.shuffle(cluster.machines, payload)
-        self._count = count
-        return results
+        self._count = sum(counts)
+        # Columns are core then buds; the result is in pattern order.
+        found = np.concatenate(blocks)[:, np.argsort(schema)]
+        return list(map(tuple, found.tolist()))
 
 
-def _permutations(values: tuple[int, ...]):
-    """itertools.permutations, localised for the hot loop."""
-    from itertools import permutations as _perms
-
-    return _perms(values)
-
-
-def _connecting_superset(pattern: Pattern, core: frozenset[int]) -> set[int]:
+def _connecting_superset(pattern: Pattern, core: list[int]) -> set[int]:
     """Core plus the fewest buds needed to make the set connected."""
     s = set(core)
-
-    def components(subset: set[int]) -> int:
-        seen: set[int] = set()
-        parts = 0
-        for v in sorted(subset):
-            if v in seen:
-                continue
-            parts += 1
-            stack = [v]
-            seen.add(v)
-            while stack:
-                x = stack.pop()
-                for w in pattern.adj(x):
-                    if w in subset and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        return parts
-
-    while components(s) > 1:
+    while not _induced_pattern(pattern, s)[0].is_connected():
         outside = [u for u in pattern.vertices() if u not in s]
         best = max(
             outside,

@@ -1,6 +1,8 @@
-"""Shared machinery for the join-based baselines (TwinTwig, SEED).
+"""Shared machinery for the join-based baselines (TwinTwig, SEED) — and the
+relation helpers the other baselines borrow: :func:`claim` (Multiway,
+Replication), :func:`key_codes` and :class:`ConstraintChecker` (Crystal).
 
-Both engines follow the same MapReduce skeleton: compute per-machine
+TwinTwig and SEED follow the same MapReduce skeleton: compute per-machine
 instances of each decomposition unit locally, then run multi-round hash
 joins where *both* join sides are shuffled by join key — the intermediate
 result explosion and synchronisation delay the paper attributes to them.
@@ -29,7 +31,7 @@ machine in machine order, ``perm`` putting columns in query-vertex order.
 - ``shuffle_ops``: one per row leaving the map side.  ``join_ops``: one
   per (left, right) pair sharing a key, whether or not it survives.
 - Memory is claimed ``ALLOC_CHUNK`` rows at a time as rows are produced,
-  the remainder at the end (:func:`_claim`): an over-capacity run raises
+  the remainder at the end (:func:`claim`): an over-capacity run raises
   at the allocation the loop raised at, before ``charge_ops``.  Real work
   goes a chunk at a time (``ROWS_PER_BLOCK`` rows of a unit level,
   ``_PAIRS_PER_CHUNK`` pairs of a join), so it stops within one chunk.
@@ -98,7 +100,7 @@ def tuple_hash(block: np.ndarray) -> np.ndarray:
     return acc.view(np.int64)
 
 
-def _claim(machine: Machine, claimed: int, rows: int, row_bytes: int, counter: str) -> int:
+def claim(machine: Machine, claimed: int, rows: int, row_bytes: int, counter: str) -> int:
     """Replay the loop's allocations up to ``rows`` rows produced: one
     ``ALLOC_CHUNK`` claim per multiple crossed.  Returns the rows claimed."""
     while rows - claimed >= ALLOC_CHUNK:
@@ -107,15 +109,7 @@ def _claim(machine: Machine, claimed: int, rows: int, row_bytes: int, counter: s
     return claimed
 
 
-def _ordered(block: np.ndarray, pairs: list[tuple[int, int]]) -> np.ndarray:
-    """Mask of the rows with ``row[i] < row[j]`` for every pair."""
-    keep = np.ones(len(block), dtype=bool)
-    for i, j in pairs:
-        keep &= block[:, i] < block[:, j]
-    return keep
-
-
-def _key_codes(keys: np.ndarray) -> np.ndarray:
+def key_codes(keys: np.ndarray) -> np.ndarray:
     """One integer per row of ``keys``, equal exactly where the rows are.
 
     Columns are folded in mixed radix, re-ranking first wherever the next
@@ -151,10 +145,10 @@ def _instances_task(cluster: Cluster, args: tuple) -> np.ndarray:
     while stack:
         block = stack.pop()
         if block.shape[1] == width:
-            block = block[_ordered(block, pairs)]
+            block = block[kernel.ordered(block, pairs)]
             found.append(block)
             rows += len(block)
-            claimed = _claim(machine, claimed, rows, row_bytes, "unit_bytes")
+            claimed = claim(machine, claimed, rows, row_bytes, "unit_bytes")
         elif len(block) > kernel.ROWS_PER_BLOCK:
             stack.extend(
                 block[lo:lo + kernel.ROWS_PER_BLOCK]
@@ -176,15 +170,6 @@ def _instances_task(cluster: Cluster, args: tuple) -> np.ndarray:
     machine.allocate((rows - claimed) * row_bytes, "unit_bytes")
     machine.charge_ops(ops, "unit_ops")
     return np.concatenate(found)
-
-
-def _split(block: np.ndarray, dst: np.ndarray, parts: int) -> list[np.ndarray]:
-    """``block``'s rows per destination, each part in row order."""
-    # A small dtype takes numpy's radix sort.
-    order = np.argsort(dst.astype(np.min_scalar_type(parts)), kind="stable")
-    bounds = np.searchsorted(dst[order], np.arange(parts + 1))
-    routed = np.take(block, order, axis=0)
-    return [routed[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _shuffle_map_task(cluster: Cluster, args: tuple) -> tuple:
@@ -210,7 +195,7 @@ def _shuffle_map_task(cluster: Cluster, args: tuple) -> tuple:
         ],
         [len(left), len(right)],
     )
-    first = np.unique(_key_codes(keys), return_index=True)[1]
+    first = np.unique(key_codes(keys), return_index=True)[1]
     nbytes[first] += model.embedding_bytes(len(left_key))
     if star_compressed:
         fresh = first[first >= len(left)]
@@ -224,8 +209,8 @@ def _shuffle_map_task(cluster: Cluster, args: tuple) -> tuple:
     machine.charge_ops(len(keys), "shuffle_ops")
     machine.free(model.embedding_bytes(left.size + right.size))
     return (
-        _split(left, dst[:len(left)], num_machines),
-        _split(right, dst[len(left):], num_machines),
+        kernel.split(left, dst[:len(left)], num_machines),
+        kernel.split(right, dst[len(left):], num_machines),
         payload,
     )
 
@@ -242,7 +227,7 @@ def _join_reduce_task(cluster: Cluster, args: tuple) -> np.ndarray:
     machine = cluster.machine(t)
     out_width = left.shape[1] + len(new_columns)
     out_bytes = cluster.cost_model.embedding_bytes(out_width)
-    codes = _key_codes(np.concatenate((left[:, left_key], right[:, right_key])))
+    codes = key_codes(np.concatenate((left[:, left_key], right[:, right_key])))
     left_codes, right_codes = codes[:len(left)], codes[len(left):]
     # The right side as a table: distinct keys ascending, each key's rows
     # together in arrival order.  Left rows without a key in it drop out.
@@ -274,13 +259,13 @@ def _join_reduce_task(cluster: Cluster, args: tuple) -> np.ndarray:
         left_rows = np.take(left, left_at[lo:hi][row], axis=0)
         right_rows = np.take(right, right_order[right_at], axis=0)[:, new_columns]
         out = np.concatenate((left_rows, right_rows), axis=1)
-        keep = _ordered(out, out_pairs)
+        keep = kernel.ordered(out, out_pairs)
         for j in range(left.shape[1], out_width):  # injectivity
             for i in range(j):
                 keep &= out[:, i] != out[:, j]
         joined.append(np.take(out, np.flatnonzero(keep), axis=0))
         rows += len(joined[-1])
-        claimed = _claim(machine, claimed, rows, out_bytes, "joined_bytes")
+        claimed = claim(machine, claimed, rows, out_bytes, "joined_bytes")
     machine.allocate((rows - claimed) * out_bytes, "joined_bytes")
     machine.charge_ops(ops, "join_ops")
     # Inputs grouped at this reducer are released after the join.
@@ -321,11 +306,6 @@ class ConstraintChecker:
             ]
             self._pair_cache[vertices] = cached
         return cached
-
-    @staticmethod
-    def ok_tuple(tup: tuple[int, ...], pairs: list[tuple[int, int]]) -> bool:
-        """Check the compiled pairs against a concrete tuple."""
-        return all(tup[i] < tup[j] for i, j in pairs)
 
 
 class DistributedJoinRunner:

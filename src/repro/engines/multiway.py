@@ -17,33 +17,64 @@ scalability problem when the query pattern is complex".
 Each potential embedding is assembled at exactly one reducer (the point
 whose coordinates are the hashes of all its data vertices), so the global
 result needs no deduplication.
+
+**Relation layout.**  With ``c_u(v) = _mix(v) mod b_u`` the coordinate of
+data vertex ``v`` on query vertex ``u``'s axis, the relation delivered to
+point ``p`` for the query edge ``(a, b)`` is the directed data edges
+``(x, y)`` with ``c_a(x) = p_a`` and ``c_b(y) = p_b``.  The map phase counts
+those tuples as ``(edges, copies)`` arrays of point ids; a reducer reads
+every relation into ``u`` as one CSR — the data graph's, restricted to
+neighbours with ``c_u = p_u`` — so a vertex's row *is* its partner set.
+Partial matches are ``(n, q)`` int64 blocks in matching order, a point's
+taken level by level (a reducer holds its input and output whole, as the
+loop did); a tuple is built only by the final gather, only under
+``collect``.
+
+**Ordering guarantee.**  Reducer points ascending; within a point
+depth-first, candidates ascending (:mod:`repro.enumeration.block`: pairs
+row by row, stable filters).  This order dates from PR 22: the loop it
+replaced iterated a ``set[int]`` of candidates, so its list was in CPython's
+set iteration order, and pinning that was worth nothing — every counter
+below is order-free.  The goldens pin the sorted list.
+
+**Accounting.**  ``map_ops``: one per adjacency entry scanned at the
+owner (the ``w < v`` half-edges it skips included), one per tuple sent.
+``relation_bytes``: ``tuple_bytes`` per tuple at the receiving machine,
+allocated in machine order before the shuffle.  ``reduce_ops``: per point,
+one per start candidate, then per partial match entering a position the
+size of its *smallest* partner set — the pairs generated, what the loop
+scanned — whether or not a candidate survives.  ``result_bytes`` is
+claimed ``ALLOC_CHUNK`` embeddings at a time per point
+(:func:`repro.engines.join_common.claim`), so a capped run dies at the
+allocation the loop died at, before that point's ops are charged.  Only
+points that received a tuple run.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 
 import numpy as np
 
+import repro.enumeration.block as kernel
 from repro.cluster.cluster import Cluster
 from repro.engines.base import EnumerationEngine
-from repro.runtime.executor import Executor
+from repro.engines.join_common import claim
 from repro.enumeration.backtracking import compute_matching_order
+from repro.graph.graph import gather_ranges
 from repro.query.pattern import Pattern
 from repro.query.symmetry import constraint_map
+from repro.runtime.executor import Executor
 
 #: Mixing constant (Knuth multiplicative hashing) so vertex ids spread
 #: evenly over the tiny share moduli.
 _HASH_MULTIPLIER = 2654435761
 _HASH_MASK = (1 << 32) - 1
 
-#: Allocation granularity for reducer-side results.
-ALLOC_CHUNK = 4096
 
-
-def _mix(v: int) -> int:
-    """Deterministic 32-bit hash of a vertex id."""
+def _mix(v):
+    """Deterministic 32-bit hash of a vertex id, or of an int64 array of
+    them (a wrapped product keeps its low 32 bits)."""
     return (v * _HASH_MULTIPLIER) & _HASH_MASK
 
 
@@ -90,31 +121,14 @@ def compute_shares(pattern: Pattern, num_reducers: int) -> tuple[int, ...]:
     return best
 
 
-class _ReducerState:
-    """Relations delivered to one reducer point."""
-
-    __slots__ = ("adjacency", "tuples")
-
-    def __init__(self) -> None:
-        # Directed lookup: (a, b) -> v -> partners w with R_ab(v, w).
-        self.adjacency: dict[tuple[int, int], dict[int, set[int]]] = (
-            defaultdict(lambda: defaultdict(set))
-        )
-        self.tuples = 0
-
-    def add(self, qa: int, qb: int, v: int, w: int) -> None:
-        """Record the delivered tuple ``R_{qa,qb}(v, w)``."""
-        self.adjacency[(qa, qb)][v].add(w)
-        self.adjacency[(qb, qa)][w].add(v)
-        self.tuples += 1
-
-
 class MultiwayJoinEngine(EnumerationEngine):
     """Afrati-Ullman single-round hypercube multiway join."""
 
     name = "Multiway"
 
     def __init__(self, shares: tuple[int, ...] | None = None):
+        if shares is not None and min(shares) < 1:
+            raise ValueError("share vector entries must be positive")
         self._fixed_shares = shares
         self.last_shares: tuple[int, ...] | None = None
         self.last_replicated_tuples: int = 0
@@ -128,14 +142,18 @@ class MultiwayJoinEngine(EnumerationEngine):
         collect: bool,
         executor: Executor,
     ) -> list[tuple[int, ...]]:
-        num_machines = cluster.num_machines
-        shares = self._fixed_shares or compute_shares(pattern, num_machines)
+        shares = self._fixed_shares or compute_shares(
+            pattern, cluster.num_machines
+        )
         if len(shares) != pattern.num_vertices:
             raise ValueError("share vector length must match pattern size")
         self.last_shares = shares
-        reducers = self._map_phase(cluster, pattern, shares)
+        # Per query vertex, every data vertex's coordinate on its axis.
+        hashed = _mix(np.arange(cluster.graph.num_vertices))
+        coords = [hashed % b for b in shares]
+        delivered = self._map_phase(cluster, pattern, shares, coords)
         return self._reduce_phase(
-            cluster, pattern, constraints, reducers, collect
+            cluster, pattern, constraints, shares, coords, delivered, collect
         )
 
     # ------------------------------------------------------------------
@@ -146,73 +164,54 @@ class MultiwayJoinEngine(EnumerationEngine):
         cluster: Cluster,
         pattern: Pattern,
         shares: tuple[int, ...],
-    ) -> dict[int, _ReducerState]:
-        """Replicate data edges to reducer points; returns reducer states.
+        coords: list[np.ndarray],
+    ) -> np.ndarray:
+        """Replicate data edges to reducer points; returns the tuples
+        delivered per point.
 
         Reducer point ``p`` (row-major index over the share grid) runs on
         machine ``p % num_machines``.  Each undirected data edge is mapped
-        exactly once, from the machine owning its smaller endpoint.
+        exactly once, from the machine owning its smaller endpoint (an
+        edge can reside on two machines), in both orientations.
         """
-        partition = cluster.partition
-        model = cluster.cost_model
+        graph = cluster.graph
         num_machines = cluster.num_machines
-        grid = list(itertools.product(*(range(b) for b in shares)))
-        point_index = {coords: i for i, coords in enumerate(grid)}
-        query_edges = list(pattern.edges())
         k = pattern.num_vertices
-        tuple_bytes = 2 * model.bytes_per_vertex_id + 2  # pair + relation tag
-
-        free_dims: dict[tuple[int, int], list[int]] = {
-            (a, b): [u for u in range(k) if u not in (a, b)]
-            for a, b in query_edges
-        }
-
-        reducers: dict[int, _ReducerState] = defaultdict(_ReducerState)
-        payload = np.zeros((num_machines, num_machines), dtype=np.int64)
-        received: np.ndarray = np.zeros(num_machines, dtype=np.int64)
-        replicated = 0
-
+        strides = [int(np.prod(shares[u + 1:])) for u in range(k)]
+        # A tuple on the wire: the pair plus its relation tag.
+        tuple_bytes = 2 * cluster.cost_model.bytes_per_vertex_id + 2
+        v, w = kernel.neighbors(graph, np.arange(graph.num_vertices))
+        owner = cluster.partition.owner
+        ops = np.bincount(owner[v], minlength=num_machines)
+        v, w = v[w >= v], w[w >= v]
+        delivered = np.zeros(int(np.prod(shares)), dtype=np.int64)
+        sent = np.zeros(num_machines * num_machines, dtype=np.int64)
+        for a, b in pattern.edges():
+            free = [u for u in range(k) if u not in (a, b)]
+            # One copy per combination of the other coordinates.
+            copies = np.array([
+                sum(c * strides[u] for c, u in zip(rest, free))
+                for rest in itertools.product(*(range(shares[u]) for u in free))
+            ])
+            for x, y in ((v, w), (w, v)):
+                points = copies + (
+                    coords[a][x] * strides[a] + coords[b][y] * strides[b]
+                )[:, None]
+                delivered += np.bincount(points.ravel(), minlength=len(delivered))
+                route = owner[v][:, None] * num_machines + points % num_machines
+                sent += np.bincount(route.ravel(), minlength=len(sent))
+        sent = sent.reshape(num_machines, num_machines)
         for t in range(num_machines):
-            local = partition.machine(t)
-            machine = cluster.machine(t)
-            ops = 0
-            for v in local.owned_vertices:
-                v = int(v)
-                for w in local.neighbors(v):
-                    w = int(w)
-                    ops += 1
-                    if w < v:
-                        # Each undirected edge is mapped exactly once, by
-                        # the machine owning its smaller endpoint (an edge
-                        # can reside on two machines).
-                        continue
-                    for a, b in query_edges:
-                        for qa, qb, x, y in ((a, b, v, w), (a, b, w, v)):
-                            ca = _mix(x) % shares[qa]
-                            cb = _mix(y) % shares[qb]
-                            for rest in itertools.product(
-                                *(range(shares[u]) for u in free_dims[(a, b)])
-                            ):
-                                coords = [0] * k
-                                coords[qa] = ca
-                                coords[qb] = cb
-                                for u, c in zip(free_dims[(a, b)], rest):
-                                    coords[u] = c
-                                point = point_index[tuple(coords)]
-                                dst = point % num_machines
-                                reducers[point].add(qa, qb, x, y)
-                                replicated += 1
-                                ops += 1
-                                payload[t, dst] += tuple_bytes
-                                received[dst] += tuple_bytes
-            machine.charge_ops(ops, "map_ops")
+            cluster.machine(t).charge_ops(int(ops[t] + sent[t].sum()), "map_ops")
         # Reducer inputs are materialised at their host machines; the
         # blow-up with complex patterns is exactly what OOMs here.
         for dst in range(num_machines):
-            cluster.machine(dst).allocate(int(received[dst]), "relation_bytes")
-        cluster.network.shuffle(cluster.machines, payload)
-        self.last_replicated_tuples = replicated
-        return reducers
+            cluster.machine(dst).allocate(
+                int(sent[:, dst].sum()) * tuple_bytes, "relation_bytes"
+            )
+        cluster.network.shuffle(cluster.machines, sent * tuple_bytes)
+        self.last_replicated_tuples = int(sent.sum())
+        return delivered
 
     # ------------------------------------------------------------------
     # Reduce phase
@@ -222,94 +221,75 @@ class MultiwayJoinEngine(EnumerationEngine):
         cluster: Cluster,
         pattern: Pattern,
         constraints: list[tuple[int, int]],
-        reducers: dict[int, _ReducerState],
+        shares: tuple[int, ...],
+        coords: list[np.ndarray],
+        delivered: np.ndarray,
         collect: bool,
     ) -> list[tuple[int, ...]]:
         """Enumerate embeddings inside each reducer's delivered relations."""
-        num_machines = cluster.num_machines
-        model = cluster.cost_model
+        graph = cluster.graph
         order = compute_matching_order(pattern)
         position = {u: q for q, u in enumerate(order)}
         n = pattern.num_vertices
         smaller, greater = constraint_map(constraints, n)
-        backward: list[list[int]] = [
-            [w for w in pattern.adj(order[q]) if position[w] < q]
-            for q in range(n)
+
+        def matched(vertices, q: int) -> list[int]:
+            """Columns of the pattern ``vertices`` matched before ``q``."""
+            return [position[w] for w in vertices if position[w] < q]
+
+        # Per query vertex u and coordinate c of its axis, the CSR of the
+        # data graph restricted to neighbours at c — ``(starts, counts,
+        # partners)``: the relation a point with ``p_u = c`` holds for every
+        # query edge into u, a vertex's row its partner set.
+        source = np.repeat(np.arange(graph.num_vertices), graph.degrees())
+
+        def relation(u: int, c: int) -> tuple:
+            here = coords[u][graph.indices] == c
+            counts = np.bincount(source[here], minlength=graph.num_vertices)
+            return np.cumsum(counts) - counts, counts, graph.indices[here]
+
+        relations = [
+            [relation(u, c) for c in range(b)] for u, b in enumerate(shares)
         ]
         start = order[0]
-        start_edge = (start, min(pattern.adj(start)))
-        emb_bytes = model.embedding_bytes(n)
-
-        results: list[tuple[int, ...]] = []
+        start_partner = min(pattern.adj(start))
+        emb_bytes = cluster.cost_model.embedding_bytes(n)
+        found = [np.empty((0, n), dtype=np.int64)]
         count = 0
-        for point, state in sorted(reducers.items()):
-            t = point % num_machines
-            machine = cluster.machine(t)
-            ops = 0
-            found: list[tuple[int, ...]] = []
-            allocated = 0
-            mapping: dict[int, int] = {}
-            used: set[int] = set()
-
-            def bounds_ok(u: int, v: int) -> bool:
-                for w in greater[u]:
-                    if w in mapping and mapping[w] >= v:
-                        return False
-                for w in smaller[u]:
-                    if w in mapping and mapping[w] <= v:
-                        return False
-                return True
-
-            def extend(q: int) -> None:
-                nonlocal ops, count, allocated
-                u = order[q]
-                partners = [
-                    state.adjacency[(w, u)].get(mapping[w], _EMPTY)
-                    for w in backward[q]
-                ]
-                cands = min(partners, key=len)
-                for v in cands:
-                    ops += 1
-                    if v in used:
-                        continue
-                    if any(v not in p for p in partners):
-                        continue
-                    if not bounds_ok(u, v):
-                        continue
-                    mapping[u] = v
-                    used.add(v)
-                    if q + 1 == n:
-                        count += 1
-                        found.append(tuple(mapping[x] for x in range(n)))
-                        if len(found) - allocated >= ALLOC_CHUNK:
-                            machine.allocate(
-                                ALLOC_CHUNK * emb_bytes, "result_bytes"
-                            )
-                            allocated += ALLOC_CHUNK
-                    else:
-                        extend(q + 1)
-                    used.discard(v)
-                    del mapping[u]
-
-            start_candidates = state.adjacency.get(start_edge, {})
-            for v0 in sorted(start_candidates):
-                ops += 1
-                if not bounds_ok(start, v0):
-                    continue
-                mapping[start] = v0
-                used.add(v0)
-                extend(1)
-                used.discard(v0)
-                del mapping[start]
-            machine.allocate(
-                max(0, len(found) - allocated) * emb_bytes, "result_bytes"
-            )
+        for point in np.flatnonzero(delivered):
+            at = np.unravel_index(point, shares)
+            machine = cluster.machine(point % cluster.num_machines)
+            block = np.flatnonzero(
+                (coords[start] == at[start])
+                & (relations[start_partner][at[start_partner]][1] > 0)
+            )[:, None]
+            ops = len(block)
+            for q, u in enumerate(order[1:], start=1):
+                starts, counts, partners = relations[u][at[u]]
+                anchors = block[:, matched(pattern.adj(u), q)]
+                anchors = np.take_along_axis(  # smallest partner set first
+                    anchors, counts[anchors].argsort(axis=1, kind="stable"), axis=1
+                )
+                row, flat = gather_ranges(
+                    starts[anchors[:, 0]], counts[anchors[:, 0]]
+                )
+                ops += len(flat)
+                row, cand, _ = kernel.member(
+                    graph, anchors[:, 1:], row, partners[flat]
+                )
+                row, cand = kernel.bounded(
+                    block, row, cand, matched(greater[u], q), matched(smaller[u], q)
+                )
+                keep = kernel.injective(block, row, cand)
+                block = kernel.append(block, row[keep], cand[keep])
+            claimed = claim(machine, 0, len(block), emb_bytes, "result_bytes")
+            machine.allocate((len(block) - claimed) * emb_bytes, "result_bytes")
             machine.charge_ops(ops, "reduce_ops")
+            count += len(block)
             if collect:
-                results.extend(found)
+                found.append(block)
         cluster.barrier()
         self._count = count
-        return results
-
-
-_EMPTY: frozenset[int] = frozenset()
+        # Columns are in matching order; the result is in pattern order.
+        found = np.concatenate(found)[:, np.argsort(order)]
+        return list(map(tuple, found.tolist()))

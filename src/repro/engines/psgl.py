@@ -8,17 +8,38 @@ Faithful to the paper's characterisation (Sec. 8): no joins, but partial
 matches are shuffled at every step, results are stored uncompressed, and
 there is no memory control.
 
-Each superstep's expansion and verification loops are independent
-per-machine units of work submitted through the execution backend; the
-shuffles between them stay on the coordinating thread.
+Each superstep's expansion and verification are independent per-machine
+tasks submitted through the execution backend; the shuffles between them
+stay on the coordinating thread.
+
+**Layout.**  A machine's partial matches are an ``(n, q)`` int64 block,
+columns in expansion order; a candidate message is a row of the
+``(m, q + 1)`` block whose last column is the proposed vertex.  A task
+takes one block and returns one slice per destination machine
+(:func:`repro.enumeration.block.split`) plus the bytes bound for each —
+what crosses a process or socket boundary.  Tuples are built only by the
+final gather, only under ``collect``.
+
+**Ordering guarantee.**  A receiver's rows arrive in source-machine, then
+source row order; expansion pairs each row with its anchor's neighbours
+ascending, and every later stage is a stable filter — the list the
+message-at-a-time loop produced.
+
+**Accounting.**  ``expand_ops``: one per neighbour scanned, injective or
+not.  ``verify_ops``: one per message, plus one per backward-edge check
+*up to a message's first miss* (checks in column order; the degree filter
+and the symmetry bounds are free and come first).  Expansion meters every
+message's bytes, those staying on their machine included; verification
+meters only the rows that move (the network charges neither diagonal).
+Receivers allocate what arrives, in machine order, before the shuffle: a
+capped run dies at the allocation the loop died at.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 
+import repro.enumeration.block as kernel
 from repro.cluster.cluster import Cluster
 from repro.engines.base import EnumerationEngine
 from repro.enumeration.backtracking import compute_matching_order
@@ -27,7 +48,7 @@ from repro.query.symmetry import constraint_map
 from repro.runtime.executor import Executor
 
 
-def _seed_task(cluster: Cluster, args: tuple) -> tuple:
+def _seed_task(cluster: Cluster, args: tuple) -> np.ndarray:
     """Superstep-0 seeding at one owner machine (independent task).
 
     Each seed routes to the owner of its own vertex — which is exactly
@@ -37,91 +58,86 @@ def _seed_task(cluster: Cluster, args: tuple) -> tuple:
     t, start_degree = args
     local = cluster.partition.machine(t)
     machine = cluster.machine(t)
-    seeds = [
-        (int(v),)
-        for v in local.owned_vertices
-        if local.degree(int(v)) >= start_degree
-    ]
+    seeds = local.owned_vertices[local.owned_degrees >= start_degree]
     machine.charge_ops(len(local.owned_vertices), "seed_ops")
     machine.allocate(len(seeds) * 8, "partials_bytes")
-    return t, seeds
+    return seeds[:, None]
+
+
+def _routed(cluster: Cluster, block: np.ndarray, dst: np.ndarray) -> tuple:
+    """``block`` as one slice per destination machine, and the bytes of
+    the rows bound for each."""
+    row_bytes = cluster.cost_model.embedding_bytes(block.shape[1])
+    nbytes = np.bincount(dst, minlength=cluster.num_machines) * row_bytes
+    return kernel.split(block, dst, cluster.num_machines), nbytes
 
 
 def _expand_task(cluster: Cluster, args: tuple) -> tuple:
-    """Superstep expansion at one anchor owner (independent task)."""
-    t, partials_t, q, anchor = args
-    graph = cluster.graph
-    partition = cluster.partition
-    model = cluster.cost_model
+    """Superstep expansion at one anchor owner (independent task).
+
+    No pruning at the source beyond injectivity: PSgL ships the raw
+    candidate expansion and verifies at the owner of the candidate vertex
+    (this lack of compression or early filtering is exactly what the paper
+    blames for PSgL's traffic, Exp-2).
+    """
+    t, partials, anchor = args
     machine = cluster.machine(t)
-    tuple_bytes = model.embedding_bytes(q + 1)
-    msgs: dict[int, list[tuple[tuple[int, ...], int]]] = defaultdict(list)
-    row = np.zeros(cluster.num_machines, dtype=np.int64)
-    ops = 0
-    for partial in partials_t:
-        anchor_value = partial[anchor]
-        for v in graph.neighbors(anchor_value):
-            v = int(v)
-            ops += 1
-            if v in partial:
-                continue
-            # No further pruning at the source: PSgL ships the raw
-            # candidate expansion and verifies at the owner of the
-            # candidate vertex (this lack of compression or early
-            # filtering is exactly what the paper blames for PSgL's
-            # traffic, Exp-2).
-            dst = partition.owner_of(v)
-            msgs[dst].append((partial, v))
-            row[dst] += tuple_bytes
-    machine.charge_ops(ops, "expand_ops")
-    machine.free(len(partials_t) * model.embedding_bytes(q))
-    return t, dict(msgs), row
+    row, cand = kernel.neighbors(cluster.graph, partials[:, anchor])
+    keep = kernel.injective(partials, row, cand)
+    candidates = kernel.append(partials, row[keep], cand[keep])
+    machine.charge_ops(len(cand), "expand_ops")
+    machine.free(cluster.cost_model.embedding_bytes(partials.size))
+    return _routed(cluster, candidates, cluster.partition.owner[cand[keep]])
 
 
 def _verify_task(cluster: Cluster, args: tuple) -> tuple:
-    """Superstep verification at one candidate owner (independent task)."""
+    """Superstep verification at one candidate owner (independent task).
+
+    The last column of ``candidates`` is the proposed vertex, adjacent to
+    its row's anchor by construction; ``check_backs`` are the other
+    backward columns, tested in order, a row leaving at its first miss.
+    """
     (
-        t, msgs_t, q, n, min_degree, check_backs,
+        t, candidates, min_degree, check_backs,
         lower_positions, upper_positions, anchor_next,
     ) = args
     graph = cluster.graph
-    partition = cluster.partition
-    model = cluster.cost_model
     machine = cluster.machine(t)
-    tuple_bytes = model.embedding_bytes(q + 1)
-    nxt: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-    row = np.zeros(cluster.num_machines, dtype=np.int64)
-    ops = 0
-    for partial, v in msgs_t:
-        ops += 1
-        adjacency = graph.neighbors(v)
-        if len(adjacency) < min_degree:
-            continue
-        if any(partial[p] >= v for p in lower_positions):
-            continue
-        if any(partial[p] <= v for p in upper_positions):
-            continue
-        ok = True
-        for back in check_backs:
-            w = partial[back]
-            idx = int(np.searchsorted(adjacency, w))
-            ops += 1
-            if idx >= len(adjacency) or int(adjacency[idx]) != w:
-                ok = False
-                break
-        if not ok:
-            continue
-        extended = partial + (v,)
-        if q + 1 < n:
-            dst = partition.owner_of(extended[anchor_next])
-            nxt[dst].append(extended)
-            if dst != t:
-                row[dst] += tuple_bytes
-        else:
-            nxt[t].append(extended)
+    cand = candidates[:, -1]
+    alive = np.flatnonzero(graph.indptr[cand + 1] - graph.indptr[cand] >= min_degree)
+    alive, _ = kernel.bounded(
+        candidates, alive, cand[alive], lower_positions, upper_positions
+    )
+    ops = len(candidates)
+    for back in check_backs:
+        ops += len(alive)
+        alive = alive[graph.has_edges(cand[alive], candidates[alive, back])]
+    extended = candidates[alive]
     machine.charge_ops(ops, "verify_ops")
-    machine.free(len(msgs_t) * tuple_bytes)
-    return t, dict(nxt), row
+    machine.free(cluster.cost_model.embedding_bytes(candidates.size))
+    if anchor_next is None:  # complete: results stay where they were verified
+        dst = np.full(len(extended), t)
+    else:
+        dst = cluster.partition.owner[extended[:, anchor_next]]
+    parts, nbytes = _routed(cluster, extended, dst)
+    nbytes[t] = 0
+    return parts, nbytes
+
+
+def _exchange(
+    cluster: Cluster, executor: Executor, task, tasks: list[tuple]
+) -> list[np.ndarray]:
+    """Run one task per machine and deliver what they route: each receiver's
+    rows in source-machine, then source row order.  Receivers hold the
+    incoming volume before it moves (PSgL's memory Achilles heel)."""
+    parts, nbytes = zip(*executor.run_tasks(cluster, task, tasks))
+    arrived = [np.concatenate(slices) for slices in zip(*parts)]
+    for t, block in enumerate(arrived):
+        cluster.machine(t).allocate(
+            cluster.cost_model.embedding_bytes(block.size), "partials_bytes"
+        )
+    cluster.network.shuffle(cluster.machines, np.stack(nbytes))
+    return arrived
 
 
 class PSgLEngine(EnumerationEngine):
@@ -165,78 +181,37 @@ class PSgLEngine(EnumerationEngine):
         # one independent routing task per owner machine (the expansion of
         # position 1 happens at the anchor owner, which for seeds is the
         # seed vertex itself, so no bytes hit the wire here).
-        start_degree = pattern.degree(order[0])
-        partials: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-        for t, seeds in executor.run_tasks(
+        partials = executor.run_tasks(
             cluster,
             _seed_task,
-            [(t, start_degree) for t in range(num_machines)],
-        ):
-            partials[t] = seeds
+            [(t, pattern.degree(order[0])) for t in range(num_machines)],
+        )
 
-        model = cluster.cost_model
         for q in range(1, n):
-            tuple_bytes = model.embedding_bytes(q + 1)
-            candidate_msgs: dict[int, list[tuple[tuple[int, ...], int]]] = (
-                defaultdict(list)
+            u = order[q]
+            # Expansion at the anchor owners, then verification at the
+            # candidate owners and routing onward.
+            candidates = _exchange(
+                cluster, executor, _expand_task,
+                [(t, partials[t], anchors[q]) for t in range(num_machines)],
             )
-            shuffle_bytes = np.zeros((num_machines, num_machines), dtype=np.int64)
-            # Expansion at the anchor owners.
-            for t, msgs, row in executor.run_tasks(
-                cluster,
-                _expand_task,
+            partials = _exchange(
+                cluster, executor, _verify_task,
                 [
-                    (t, partials[t], q, anchors[q])
+                    (
+                        t, candidates[t], pattern.degree(u),
+                        [b for b in backward[q] if b != anchors[q]],
+                        [position[w] for w in greater[u] if position[w] < q],
+                        [position[w] for w in smaller[u] if position[w] < q],
+                        anchors[q + 1] if q + 1 < n else None,
+                    )
                     for t in range(num_machines)
                 ],
-            ):
-                for dst, items in msgs.items():
-                    candidate_msgs[dst].extend(items)
-                shuffle_bytes[t, :] = row
-            # Receivers must hold the incoming candidate volume in memory
-            # before verification (this is PSgL's memory Achilles heel).
-            for t in range(num_machines):
-                cluster.machine(t).allocate(
-                    len(candidate_msgs[t]) * tuple_bytes, "partials_bytes"
-                )
-            cluster.network.shuffle(cluster.machines, shuffle_bytes)
-            # Verification at the candidate owners, then routing onward.
-            u = order[q]
-            verify_args = [
-                (
-                    t, candidate_msgs[t], q, n, pattern.degree(u),
-                    [b for b in backward[q] if b != anchors[q]],
-                    [position[w] for w in greater[u] if position[w] < q],
-                    [position[w] for w in smaller[u] if position[w] < q],
-                    anchors[q + 1] if q + 1 < n else None,
-                )
-                for t in range(num_machines)
-            ]
-            next_partials: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-            forward_bytes = np.zeros((num_machines, num_machines), dtype=np.int64)
-            for t, nxt, row in executor.run_tasks(
-                cluster, _verify_task, verify_args
-            ):
-                for dst, items in nxt.items():
-                    next_partials[dst].extend(items)
-                forward_bytes[t, :] = row
-            for t in range(num_machines):
-                cluster.machine(t).allocate(
-                    len(next_partials[t]) * model.embedding_bytes(q + 1),
-                    "partials_bytes",
-                )
-            cluster.network.shuffle(cluster.machines, forward_bytes)
-            partials = next_partials
+            )
 
-        results: list[tuple[int, ...]] = []
-        count = 0
-        inverse = [0] * n
-        for q, u in enumerate(order):
-            inverse[u] = q
-        for t in range(num_machines):
-            count += len(partials[t])
-            if collect:
-                for partial in partials[t]:
-                    results.append(tuple(partial[inverse[u]] for u in range(n)))
-        self._count = count
-        return results
+        found = np.concatenate(partials)
+        self._count = len(found)
+        if not collect:
+            return []
+        # Columns are in expansion order; the result is in pattern order.
+        return list(map(tuple, found[:, np.argsort(order)].tolist()))

@@ -29,13 +29,11 @@ import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.engines.base import EnumerationEngine
+from repro.engines.join_common import claim
 from repro.runtime.executor import Executor
 from repro.enumeration.backtracking import EnumerationStats
 from repro.enumeration.vf2 import VF2Enumerator
 from repro.query.pattern import Pattern
-
-#: Result-buffer allocation granularity.
-ALLOC_CHUNK = 4096
 
 
 class ReplicationEngine(EnumerationEngine):
@@ -156,19 +154,14 @@ class ReplicationEngine(EnumerationEngine):
                 allowed=lambda v: local.is_owned(v) or v in visible,
                 stats=stats,
             )
-            found = 0
-            allocated = 0
+            found = claimed = 0
             start_owned = (int(v) for v in local.owned_vertices)
             for embedding in enumerator.run(start_owned):
                 found += 1
                 if collect:
                     results.append(embedding)
-                if found - allocated >= ALLOC_CHUNK:
-                    machine.allocate(ALLOC_CHUNK * emb_bytes, "result_bytes")
-                    allocated += ALLOC_CHUNK
-            machine.allocate(
-                max(0, found - allocated) * emb_bytes, "result_bytes"
-            )
+                claimed = claim(machine, claimed, found, emb_bytes, "result_bytes")
+            machine.allocate((found - claimed) * emb_bytes, "result_bytes")
             machine.charge_ops(stats.total_ops, "vf2_ops")
             count += found
         self._count = count

@@ -1,10 +1,14 @@
 """One block step of expand -> verify -> filter (paper Sec. 3.2, Alg. 2).
 
-Every block engine — the backtracking kernel (SM-E, the oracle, streaming,
-the labeled matcher), R-Meef's rounds and BigJoin's extension — extends
-many partial embeddings by one query vertex with the functions below.
-They are pure functions of arrays and charge nothing: each caller keeps its
-own accounting (``EnumerationStats``, ``rmeef_ops``, ``intersect_ops``).
+Every engine extends many partial embeddings by one query vertex with the
+functions below: the backtracking kernel (SM-E, the oracle, streaming, the
+labeled matcher, Crystal's general core path), R-Meef's rounds, BigJoin's
+extension, ``join_common``'s unit instances (TwinTwig, SEED), PSgL's
+supersteps, Multiway's reducers, Crystal's buds, and the partitioner's
+border scan.  They are pure functions of arrays and charge nothing: each
+caller keeps its own accounting (``EnumerationStats``, ``rmeef_ops``,
+``intersect_ops``, ``unit_ops``, ``verify_ops``, ``reduce_ops``,
+``crystal_ops``).
 
 **Block layout.**  Partial embeddings are the rows of an ``(n, k)`` int64
 array, columns in matching order.  A step works on ``(row, cand)`` pairs —
@@ -40,7 +44,8 @@ import numpy as np
 
 from repro.graph.graph import Graph, gather_ranges
 
-#: Rows expanded per step by the backtracking kernel and by R-Meef.
+#: Rows expanded per step by the backtracking kernel, R-Meef, the join
+#: baselines' unit instances and Crystal's buds.
 ROWS_PER_BLOCK = 2048
 
 
@@ -119,6 +124,25 @@ def injective(block: np.ndarray, row: np.ndarray, cand: np.ndarray) -> np.ndarra
 def append(block: np.ndarray, row: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """The next block: row ``row[i]`` extended by ``cand[i]``."""
     return np.concatenate((block[row], cand[:, None]), axis=1)
+
+
+def ordered(block: np.ndarray, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """Mask of the rows with ``row[i] < row[j]`` for every positional pair
+    (symmetry breaking on finished rows)."""
+    keep = np.ones(len(block), dtype=bool)
+    for i, j in pairs:
+        keep &= block[:, i] < block[:, j]
+    return keep
+
+
+def split(block: np.ndarray, dst: np.ndarray, parts: int) -> list[np.ndarray]:
+    """``block``'s rows per destination ``dst[i]`` in ``[0, parts)``, each
+    part in row order: how every engine routes rows to machines."""
+    # A small dtype takes numpy's radix sort.
+    order = np.argsort(dst.astype(np.min_scalar_type(parts)), kind="stable")
+    bounds = np.searchsorted(dst[order], np.arange(parts + 1))
+    routed = np.take(block, order, axis=0)
+    return [routed[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def first_diff(block: np.ndarray) -> np.ndarray:

@@ -195,7 +195,6 @@ def test_the_catalogue_reaches_every_core_path():
     assert paths["q4"] == paths["cq4"] == paths["square"] == "general"
 
 
-@pytest.mark.xfail(strict=True, reason="one Python iteration per tuple")
 @pytest.mark.parametrize("ename", ["multiway", "crystal-index", "psgl"])
 def test_calls_per_run_do_not_grow_with_the_graph(ename):
     """``q4`` on twice the vertices: about twice the tuples, and at most

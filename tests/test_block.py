@@ -80,3 +80,16 @@ class TestBlockStep:
         rows = np.array([[0, 1, 2], [0, 1, 9], [0, 9, 11], [3, 4, 5]])
         assert block.first_diff(rows).tolist() == [0, 2, 1, 0]
         assert block.first_diff(rows[:0]).tolist() == []
+
+    def test_ordered_masks_rows_by_positional_pairs(self):
+        rows = np.array([[1, 2, 0, 5], [2, 1, 0, 5], [1, 2, 3, 3]])
+        assert block.ordered(rows, [(0, 1)]).tolist() == [True, False, True]
+        assert block.ordered(rows, [(0, 1), (2, 3)]).tolist() == [True, False, False]
+        assert block.ordered(rows, []).all()
+
+    def test_split_routes_rows_in_order_per_destination(self):
+        rows = np.arange(12).reshape(6, 2)
+        dst = np.array([2, 0, 2, 3, 0, 2])
+        parts = block.split(rows, dst, 4)
+        assert [p[:, 0].tolist() for p in parts] == [[2, 8], [], [0, 4, 10], [6]]
+        assert [p.tolist() for p in block.split(dst, dst, 4)] == [[0, 0], [], [2, 2, 2], [3]]

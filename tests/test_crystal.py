@@ -10,7 +10,7 @@ from repro.engines.crystal import (
     choose_core,
     minimum_vertex_covers,
 )
-from repro.graph import community_graph, erdos_renyi
+from repro.graph import community_graph, erdos_renyi, powerlaw_cluster
 from repro.query.patterns import PAPER_QUERIES, CLIQUE_QUERIES
 
 
@@ -79,6 +79,8 @@ class TestCliqueIndex:
     def test_entry_cap(self, graph):
         index = CliqueIndex(graph, max_size=4, max_entries=10)
         assert index.count(3) + index.count(4) <= 12
+        assert not index.complete
+        assert CliqueIndex(graph, max_size=4).complete
 
 
 class TestCrystalEngine:
@@ -93,6 +95,22 @@ class TestCrystalEngine:
         ).embeddings
         result = engine.run(cluster.fresh_copy(), pattern)
         assert set(result.embeddings) == set(expected)
+
+    def test_truncated_index_is_not_read_as_all_cliques(self):
+        """``max_entries`` stops construction early: the core's fast path
+        would take the entries it holds for every clique and undercount."""
+        graph = powerlaw_cluster(150, 5, 0.3, seed=3)
+        cluster = Cluster.create(graph, 4)
+        pattern = CLIQUE_QUERIES["cq1"]
+        expected = SingleMachineEngine().run(
+            cluster.fresh_copy(), pattern, collect_embeddings=False
+        )
+        index = CliqueIndex(graph, max_size=4, max_entries=10)
+        result = CrystalEngine(index).run(
+            cluster.fresh_copy(), pattern, collect_embeddings=False
+        )
+        assert not result.failed
+        assert result.embedding_count == expected.embedding_count == 132
 
     def test_disk_time_charged_for_index(self):
         graph = community_graph(6, 8, intra_prob=0.6, seed=7)

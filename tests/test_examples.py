@@ -9,14 +9,12 @@ import pytest
 EXAMPLES = sorted(
     (pathlib.Path(__file__).parent.parent / "examples").glob("*.py")
 )
-# Scripts that take a scale run the smoke test below their default.
-ARGS = {"memory_robustness.py": ["0.1"]}
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)
 def test_example_runs(script):
     proc = subprocess.run(
-        [sys.executable, str(script), *ARGS.get(script.name, [])],
+        [sys.executable, str(script)],
         capture_output=True,
         text=True,
         timeout=600,

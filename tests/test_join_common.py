@@ -9,7 +9,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.engines import SingleMachineEngine, join_common
-from repro.engines.join_common import _key_codes, tuple_hash
+from repro.engines.join_common import key_codes, tuple_hash
 from repro.engines.seed import SEEDEngine
 from repro.engines.twintwig import TwinTwigEngine
 from repro.graph import community_graph, grid_road_network, powerlaw_cluster
@@ -72,7 +72,7 @@ class TestKeyCodes:
         rng = np.random.default_rng(width)
         keys = rng.integers(0, high, size=(400, width))
         keys = keys[rng.integers(0, 40, size=3000)]  # 40 keys, repeated
-        codes = _key_codes(keys)
+        codes = key_codes(keys)
         same_rows = (keys[:, None, :] == keys[None, :, :]).all(axis=2)
         assert ((codes[:, None] == codes[None, :]) == same_rows).all()
         assert codes.dtype.kind == "u"
@@ -99,13 +99,13 @@ def test_an_over_capacity_join_stops_within_a_chunk(monkeypatch):
     """Fail-fast, counted: under a cap the reducers claim memory for a few
     chunks and raise, instead of joining every chunk and failing after."""
     claims = []
-    claim = join_common._claim
+    claim = join_common.claim
 
     def counted(*args):
         claims.append(args)
         return claim(*args)
 
-    monkeypatch.setattr(join_common, "_claim", counted)
+    monkeypatch.setattr(join_common, "claim", counted)
     graph = powerlaw_cluster(120, 4, seed=45)
     pattern = PAPER_QUERIES["q5"]
     fits = TwinTwigEngine().run(

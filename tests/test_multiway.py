@@ -104,6 +104,11 @@ class TestMultiwayCorrectness:
         with pytest.raises(ValueError):
             engine.run(er_cluster.fresh_copy(), triangle())
 
+    @pytest.mark.parametrize("shares", [(0, 1, 1), (2, -1, 2)])
+    def test_non_positive_share_rejected_at_construction(self, shares):
+        with pytest.raises(ValueError, match="share vector entries must be positive"):
+            MultiwayJoinEngine(shares=shares)
+
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000), machines=st.integers(2, 7))
     def test_property_triangles_random(self, seed, machines):
@@ -145,26 +150,6 @@ class TestMultiwayCosts:
         assert engine.last_replicated_tuples == per_edge * graph.num_edges
 
 
-class TestReducerState:
-    def test_directed_lookup_both_ways(self):
-        from repro.engines.multiway import _ReducerState
-
-        state = _ReducerState()
-        state.add(0, 1, 10, 20)
-        assert 20 in state.adjacency[(0, 1)][10]
-        assert 10 in state.adjacency[(1, 0)][20]
-        assert state.tuples == 1
-
-    def test_duplicate_tuples_kept_once_in_sets(self):
-        from repro.engines.multiway import _ReducerState
-
-        state = _ReducerState()
-        state.add(0, 1, 10, 20)
-        state.add(0, 1, 10, 20)
-        assert state.adjacency[(0, 1)][10] == {20}
-        assert state.tuples == 2  # delivery count still reflects traffic
-
-
 class TestHashMixing:
     def test_mix_deterministic_and_spread(self):
         from repro.engines.multiway import _mix
@@ -172,3 +157,12 @@ class TestHashMixing:
         values = {_mix(v) % 2 for v in range(16)}
         assert values == {0, 1}  # both buckets hit
         assert _mix(7) == _mix(7)
+
+    @pytest.mark.parametrize(
+        "ids", [np.arange(10_000), 2**31 + np.arange(-500, 500)]
+    )
+    def test_vectorised_mix_equals_the_scalar_formula(self, ids):
+        from repro.engines.multiway import _mix
+
+        scalar = [(int(v) * 2654435761) & 0xFFFFFFFF for v in ids]
+        assert _mix(ids).tolist() == scalar

@@ -78,12 +78,6 @@ class TestConstraintChecker:
         pairs = checker.pairs((1, 3))
         assert pairs == [(0, 1)]  # only (1,3) is fully inside the schema
 
-    def test_ok_tuple(self):
-        checker = ConstraintChecker(ALL_QUERIES["q1"], [(0, 1)])
-        pairs = checker.pairs((0, 1, 2, 3))
-        assert checker.ok_tuple((1, 2, 0, 5), pairs)
-        assert not checker.ok_tuple((2, 1, 0, 5), pairs)
-
     def test_pairs_cached(self):
         checker = ConstraintChecker(ALL_QUERIES["q1"], [(0, 1)])
         assert checker.pairs((0, 1)) is checker.pairs((0, 1))
