@@ -116,9 +116,7 @@ def _bud_combine_task(cluster: Cluster, args: tuple) -> tuple:
         for columns, indexed, min_degree in buds:
             anchors = chunk[live][:, columns]
             degrees = indptr[anchors + 1] - indptr[anchors]
-            anchors = np.take_along_axis(  # smallest list first
-                anchors, np.argsort(degrees, axis=1, kind="stable"), axis=1
-            )
+            anchors = kernel.smallest_first(anchors, degrees)
             row, cand = kernel.neighbors(graph, anchors[:, 0])
             row, cand, _ = kernel.member(graph, anchors[:, 1:], row, cand)
             if indexed:  # index lookup: pay only for streaming the entry
@@ -310,7 +308,6 @@ class CrystalEngine(EnumerationEngine):
     ) -> list[np.ndarray]:
         """Distinct core embeddings per machine (at the anchor's owner),
         columns in ``core_list`` order."""
-        graph = cluster.graph
         partition = cluster.partition
         machines = range(cluster.num_machines)
         width = len(core_list)
@@ -344,11 +341,12 @@ class CrystalEngine(EnumerationEngine):
             load_time = cluster.cost_model.disk_time(
                 instances.size * 8 / cluster.num_machines
             )
+            data_degrees = cluster.graph.degrees()
             found = []
             for t in machines:
                 cluster.machine(t).advance(load_time)
                 rows = instances[home == t][:, orders].reshape(-1, width)
-                keep = (graph.degrees()[rows] >= degrees).all(axis=1)
+                keep = (data_degrees[rows] >= degrees).all(axis=1)
                 found.append(local_cores(t, rows, keep & kernel.ordered(rows, pairs)))
             return found
         # General path: enumerate a connected superset S of the core with

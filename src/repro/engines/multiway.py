@@ -183,7 +183,9 @@ class MultiwayJoinEngine(EnumerationEngine):
         v, w = kernel.neighbors(graph, np.arange(graph.num_vertices))
         owner = cluster.partition.owner
         ops = np.bincount(owner[v], minlength=num_machines)
-        v, w = v[w >= v], w[w >= v]
+        once = w >= v
+        v, w = v[once], w[once]
+        source = owner[v][:, None] * num_machines
         delivered = np.zeros(int(np.prod(shares)), dtype=np.int64)
         sent = np.zeros(num_machines * num_machines, dtype=np.int64)
         for a, b in pattern.edges():
@@ -198,7 +200,7 @@ class MultiwayJoinEngine(EnumerationEngine):
                     coords[a][x] * strides[a] + coords[b][y] * strides[b]
                 )[:, None]
                 delivered += np.bincount(points.ravel(), minlength=len(delivered))
-                route = owner[v][:, None] * num_machines + points % num_machines
+                route = source + points % num_machines
                 sent += np.bincount(route.ravel(), minlength=len(sent))
         sent = sent.reshape(num_machines, num_machines)
         for t in range(num_machines):
@@ -267,9 +269,7 @@ class MultiwayJoinEngine(EnumerationEngine):
             for q, u in enumerate(order[1:], start=1):
                 starts, counts, partners = relations[u][at[u]]
                 anchors = block[:, matched(pattern.adj(u), q)]
-                anchors = np.take_along_axis(  # smallest partner set first
-                    anchors, counts[anchors].argsort(axis=1, kind="stable"), axis=1
-                )
+                anchors = kernel.smallest_first(anchors, counts[anchors])
                 row, flat = gather_ranges(
                     starts[anchors[:, 0]], counts[anchors[:, 0]]
                 )

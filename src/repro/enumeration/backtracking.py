@@ -181,10 +181,9 @@ class BacktrackingEnumerator:
             chunk = block[lo:lo + kernel.ROWS_PER_BLOCK]
             self.stats.recursive_calls += len(chunk)
             anchors = chunk[:, self._backward[position]]
-            if anchors.shape[1] > 1:  # smallest list first, ties in pattern order
-                degrees = graph.indptr[anchors + 1] - graph.indptr[anchors]
-                by_degree = np.argsort(degrees, axis=1, kind="stable")
-                anchors = np.take_along_axis(anchors, by_degree, axis=1)
+            anchors = kernel.smallest_first(  # ties in pattern order
+                anchors, graph.indptr[anchors + 1] - graph.indptr[anchors]
+            )
             row, cand = kernel.neighbors(graph, anchors[:, 0])
             row, cand, cost = kernel.member(graph, anchors[:, 1:], row, cand)
             self.stats.intersections += int(cost.sum())

@@ -63,6 +63,14 @@ def neighbors(
     return row, graph.indices[flat]
 
 
+def smallest_first(anchors: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``anchors`` (``(n, a)``) with each row's columns by ascending ``sizes``,
+    ties in column order: the order a matcher intersects its lists in."""
+    if anchors.shape[1] < 2:
+        return anchors
+    return np.take_along_axis(anchors, np.argsort(sizes, axis=1, kind="stable"), axis=1)
+
+
 def member(
     graph: Graph,
     others: np.ndarray,
