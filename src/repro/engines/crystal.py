@@ -32,10 +32,10 @@ appearance); below a core row, buds in ``bud_order``, candidates
 ascending.
 
 **Accounting** (what the row-at-a-time loop charged).  Per core row and
-bud, on the candidate set *before* the bud's degree filter: an
+bud, with ``C`` the common neighbours of the attachment's images: an
 index-served bud (clique attachment) costs ``|C| // 8 + 1`` ops and
 ``(|C| + |att|) * 8`` disk bytes, any other the sum of its attachment
-vertices' degrees.  ``candidate_bytes`` counts the filtered sets.  A row
+vertices' degrees.  ``candidate_bytes`` counts the sets.  A row
 whose bud ``i`` comes out empty is dead: it pays nothing for later buds,
 keeps what it was charged for earlier ones, and is not decompressed.
 Decompression costs one op per (partial row, candidate) pair, injective or
@@ -99,9 +99,11 @@ def _bud_combine_task(cluster: Cluster, args: tuple) -> tuple:
     """Attach bud candidates to one machine's core embeddings and
     decompress into full embeddings (independent per machine).
 
-    ``buds`` holds, per bud in order, its attachment's core columns,
-    whether the clique index serves it, and its pattern degree.  Returns
-    the count and, under ``collect``, the ``core + buds`` block.
+    ``buds`` holds, per bud in order, its attachment's core columns and
+    whether the clique index serves it.  (A bud's pattern degree is its
+    attachment's size, which every common neighbour of the attachment has:
+    there is no degree filter to apply.)  Returns the count and, under
+    ``collect``, the ``core + buds`` block.
     """
     t, core, buds, pairs, collect = args
     graph = cluster.graph
@@ -113,7 +115,7 @@ def _bud_combine_task(cluster: Cluster, args: tuple) -> tuple:
         chunk = core[lo:lo + kernel.ROWS_PER_BLOCK]
         live = np.arange(len(chunk))  # rows no bud has emptied yet
         crystals = []  # per bud: each chunk row's range of the flat candidates
-        for columns, indexed, min_degree in buds:
+        for columns, indexed in buds:
             anchors = chunk[live][:, columns]
             degrees = indptr[anchors + 1] - indptr[anchors]
             anchors = kernel.smallest_first(anchors, degrees)
@@ -125,8 +127,6 @@ def _bud_combine_task(cluster: Cluster, args: tuple) -> tuple:
                 ops += int((sizes // 8 + 1).sum())
             else:
                 ops += int(degrees.sum())
-            keep = indptr[cand + 1] - indptr[cand] >= min_degree
-            row, cand = row[keep], cand[keep]
             cand_bytes += len(cand) * 8
             counts = np.zeros(len(chunk), dtype=np.int64)
             counts[live] = np.bincount(row, minlength=len(live))
@@ -411,10 +411,7 @@ class CrystalEngine(EnumerationEngine):
         )
         schema = (*core_list, *bud_order)
         bud_args = [
-            (
-                [core_list.index(w) for w in attachment(u)],
-                indexed(u), pattern.degree(u),
-            )
+            ([core_list.index(w) for w in attachment(u)], indexed(u))
             for u in bud_order
         ]
         counts, blocks = zip(*executor.run_tasks(
