@@ -47,6 +47,8 @@ CATALOGUE = {**PAPER_QUERIES, **CLIQUE_QUERIES}
 SMALL = {"triangle": triangle(), "square": square(), "q4": PAPER_QUERIES["q4"]}
 ENGINES = {"rads": RADSEngine, "single": SingleMachineEngine, "crystal": CrystalEngine}
 ENGINE_QUERIES = ["q1", "q2", "q4", "q5"]
+# Rooted at touched edges: every rooted plan of a watch, attribution included.
+ROOTED = [f"q{i}" for i in range(1, 7)] + list(CLIQUE_QUERIES)
 
 
 def _record(embeddings, stats: EnumerationStats) -> dict:
@@ -89,10 +91,46 @@ def _batches(graph, rounds: int = 4):
         graph = new
 
 
+def _rooted_batches(graph):
+    """Edge lists the first-touched-edge attribution has to get right.
+
+    ``listed``: present edges around the two largest hubs, in descending
+    order (every edge after the first follows one it shares embeddings
+    with), one of them twice, then a non-edge and a self-loop pair.
+    ``star``: a delta whose additions share a hub and whose deletions share
+    another.  ``wide``: 32 additions and 32 deletions, the widest seed block
+    a stream sees.
+    """
+    rng = np.random.default_rng(23)
+    n = graph.num_vertices
+    present = list(graph.edges())
+    hub, second = np.argsort(-graph.degrees(), kind="stable")[:2].tolist()
+    around = sorted(
+        (e for e in present if hub in e or second in e), reverse=True
+    )[:7]
+    absent = [
+        (u, v) for u in range(n) for v in range(u + 1, n)
+        if not graph.has_edge(u, v)
+    ]
+    listed = around + [around[1], absent[0], (hub, hub)]
+    yield "listed", listed, [], graph, graph
+
+    additions = [e for e in absent if hub in e][:4][::-1]
+    deletions = [e for e in present if second in e and hub not in e][:4][::-1]
+    yield "star", additions, deletions, graph, graph.apply_batch(additions, deletions)
+
+    picks = rng.permutation(len(present))[:32]
+    deletions = [present[i] for i in picks]
+    picks = rng.permutation(len(absent))[:32]
+    additions = [absent[i] for i in picks]
+    yield "wide", additions, deletions, graph, graph.apply_batch(additions, deletions)
+
+
 def compute() -> dict:
     """Every golden section, keyed ``graph/query/...``."""
     out: dict[str, dict] = {
         "enumerate": {}, "sme": {}, "owned": {}, "delta": {}, "engines": {},
+        "rooted": {},
     }
     for gname, make in GRAPHS.items():
         graph = make()
@@ -151,6 +189,17 @@ def compute() -> dict:
                 record["removed"] = _record(removed, stats)
                 del record["removed"]["stats"]
                 out["delta"][f"{gname}/{wname}/b{i}"] = record
+
+        for qname in ROOTED:
+            matcher = IncrementalMatcher(CATALOGUE[qname])
+            for case, additions, deletions, old, new in _rooted_batches(graph):
+                stats = EnumerationStats()
+                added = matcher.matches_using(new, additions, stats=stats)
+                record = _record(added, stats)
+                stats = EnumerationStats()
+                removed = matcher.matches_using(old, deletions, stats=stats)
+                record["removed"] = _record(removed, stats)
+                out["rooted"][f"{gname}/{qname}/{case}"] = record
     return out
 
 
@@ -160,7 +209,7 @@ def computed():
 
 
 @pytest.mark.parametrize(
-    "section", ["enumerate", "sme", "owned", "delta", "engines"]
+    "section", ["enumerate", "sme", "owned", "delta", "engines", "rooted"]
 )
 def test_counters_and_order_match_parent(computed, section):
     golden = json.loads(GOLDENS.read_text())[section]
