@@ -82,7 +82,7 @@ from repro.core.cache import ForeignVertexCache
 from repro.core.embedding_trie import NODE_BYTES
 from repro.query.pattern import Pattern
 from repro.query.plan import ExecutionPlan
-from repro.query.symmetry import constraint_map
+from repro.query.symmetry import bound_columns
 
 #: Trie bytes reach the simulated machine in steps of this size.  The step
 #: is part of the model, not a shortcut: ``trie_bytes``, ``peak_memory``
@@ -102,9 +102,8 @@ class _PositionInfo:
     pivot_position: int
     # Earlier positions adjacent in the pattern (excluding the pivot).
     refine_positions: list[int]
-    # Symmetry breaking: f(here) must be greater than these positions' images.
+    # Symmetry breaking (``bound_columns``): above / below these positions' images.
     lower_positions: list[int]
-    # ... and smaller than these.
     upper_positions: list[int]
     min_degree: int
 
@@ -273,7 +272,7 @@ class RMeefWorker:
         self, constraints: list[tuple[int, int]]
     ) -> list[_PositionInfo]:
         pattern, plan = self._pattern, self._plan
-        smaller, greater = constraint_map(constraints, pattern.num_vertices)
+        lower, upper = bound_columns(constraints, self._order)
         unit_of: dict[int, int] = {}
         for i, unit in enumerate(plan.units):
             for leaf in unit.leaves:
@@ -293,18 +292,10 @@ class RMeefWorker:
                 for w in pattern.adj(u)
                 if self._position[w] < q and w != pivot
             ]
-            lower = [
-                self._position[w] for w in greater[u] if self._position[w] < q
-            ]
-            upper = [
-                self._position[w] for w in smaller[u] if self._position[w] < q
-            ]
-            # Constraints whose partner comes later are handled at the
-            # partner's position.
             infos.append(
                 _PositionInfo(
                     u, unit_index, pivot_position, sorted(refine),
-                    lower, upper, pattern.degree(u),
+                    lower[q], upper[q], pattern.degree(u),
                 )
             )
         return infos

@@ -30,7 +30,7 @@ from repro.cluster.cluster import Cluster
 from repro.engines.base import EnumerationEngine
 from repro.enumeration.backtracking import compute_matching_order
 from repro.query.pattern import Pattern
-from repro.query.symmetry import constraint_map
+from repro.query.symmetry import bound_columns
 from repro.runtime.executor import Executor
 
 
@@ -145,11 +145,7 @@ class BigJoinEngine(EnumerationEngine):
         num_machines = cluster.num_machines
         order = compute_matching_order(pattern)
         position = {u: q for q, u in enumerate(order)}
-        smaller, greater = constraint_map(constraints, pattern.num_vertices)
-
-        def matched(vertices, q: int) -> list[int]:
-            """Columns of the pattern ``vertices`` matched before ``q``."""
-            return sorted(position[w] for w in vertices if position[w] < q)
+        lower, upper = bound_columns(constraints, order)
 
         # Seed prefixes at the owners of candidate first vertices.
         start_degree = pattern.degree(order[0])
@@ -168,7 +164,7 @@ class BigJoinEngine(EnumerationEngine):
                 cluster.machine(t).free(
                     len(prefixes[t]) * model.embedding_bytes(q)
                 )
-            for hop in matched(pattern.adj(u), q):
+            for hop in sorted(position[w] for w in pattern.adj(u) if position[w] < q):
                 routed, payload = _route(
                     inflight, partition.owner, hop, model.embedding_bytes(q)
                 )
@@ -182,12 +178,11 @@ class BigJoinEngine(EnumerationEngine):
                 ):
                     inflight[t] = narrowed
             # Materialise extensions, one independent task per machine.
-            bounds = matched(greater[u], q), matched(smaller[u], q)
             for t, extended in executor.run_tasks(
                 cluster,
                 _extend_task,
                 [
-                    (t, inflight[t], q, pattern.degree(u), *bounds)
+                    (t, inflight[t], q, pattern.degree(u), lower[q], upper[q])
                     for t in range(num_machines)
                 ],
             ):

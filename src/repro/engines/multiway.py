@@ -63,7 +63,7 @@ from repro.engines.join_common import claim
 from repro.enumeration.backtracking import compute_matching_order
 from repro.graph.graph import gather_ranges
 from repro.query.pattern import Pattern
-from repro.query.symmetry import constraint_map
+from repro.query.symmetry import bound_columns
 from repro.runtime.executor import Executor
 
 #: Mixing constant (Knuth multiplicative hashing) so vertex ids spread
@@ -233,11 +233,7 @@ class MultiwayJoinEngine(EnumerationEngine):
         order = compute_matching_order(pattern)
         position = {u: q for q, u in enumerate(order)}
         n = pattern.num_vertices
-        smaller, greater = constraint_map(constraints, n)
-
-        def matched(vertices, q: int) -> list[int]:
-            """Columns of the pattern ``vertices`` matched before ``q``."""
-            return [position[w] for w in vertices if position[w] < q]
+        lower, upper = bound_columns(constraints, order)
 
         # Per query vertex u and coordinate c of its axis, the CSR of the
         # data graph restricted to neighbours at c — ``(starts, counts,
@@ -268,7 +264,7 @@ class MultiwayJoinEngine(EnumerationEngine):
             ops = len(block)
             for q, u in enumerate(order[1:], start=1):
                 starts, counts, partners = relations[u][at[u]]
-                anchors = block[:, matched(pattern.adj(u), q)]
+                anchors = block[:, [position[w] for w in pattern.adj(u) if position[w] < q]]
                 anchors = kernel.smallest_first(anchors, counts[anchors])
                 row, flat = gather_ranges(
                     starts[anchors[:, 0]], counts[anchors[:, 0]]
@@ -278,7 +274,7 @@ class MultiwayJoinEngine(EnumerationEngine):
                     graph, anchors[:, 1:], row, partners[flat]
                 )
                 row, cand = kernel.bounded(
-                    block, row, cand, matched(greater[u], q), matched(smaller[u], q)
+                    block, row, cand, lower[q], upper[q]
                 )
                 keep = kernel.injective(block, row, cand)
                 block = kernel.append(block, row[keep], cand[keep])

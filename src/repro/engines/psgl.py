@@ -44,7 +44,7 @@ from repro.cluster.cluster import Cluster
 from repro.engines.base import EnumerationEngine
 from repro.enumeration.backtracking import compute_matching_order
 from repro.query.pattern import Pattern
-from repro.query.symmetry import constraint_map
+from repro.query.symmetry import bound_columns
 from repro.runtime.executor import Executor
 
 
@@ -164,7 +164,7 @@ class PSgLEngine(EnumerationEngine):
         num_machines = cluster.num_machines
         order = compute_matching_order(pattern)
         position = {u: q for q, u in enumerate(order)}
-        smaller, greater = constraint_map(constraints, pattern.num_vertices)
+        lower, upper = bound_columns(constraints, order)
         n = pattern.num_vertices
 
         # Expansion anchor per position: the most recently matched pattern
@@ -201,8 +201,7 @@ class PSgLEngine(EnumerationEngine):
                     (
                         t, candidates[t], pattern.degree(u),
                         [b for b in backward[q] if b != anchors[q]],
-                        [position[w] for w in greater[u] if position[w] < q],
-                        [position[w] for w in smaller[u] if position[w] < q],
+                        lower[q], upper[q],
                         anchors[q + 1] if q + 1 < n else None,
                     )
                     for t in range(num_machines)

@@ -7,6 +7,7 @@ RADS runs on each machine's interior (paper Sec. 3.1).
 from repro.enumeration.backtracking import (
     BacktrackingEnumerator,
     EnumerationStats,
+    MatchingTables,
     compute_matching_order,
     enumerate_embeddings,
 )
@@ -21,6 +22,7 @@ from repro.enumeration.labeled import (
 __all__ = [
     "BacktrackingEnumerator",
     "EnumerationStats",
+    "MatchingTables",
     "compute_matching_order",
     "enumerate_embeddings",
     "VF2Enumerator",

@@ -10,6 +10,20 @@ cost model — ``recursive_calls`` += rows entering a step, ``intersections``
 bounds (and start candidates passing ``allowed``), ``embeddings`` +=
 complete rows yielded.
 
+**Tables.**  :class:`MatchingTables` compiles ``P`` matching orders of one
+pattern into what a step needs per position — backward anchor columns,
+lower / upper bound columns, degree floor — and the permutation back to
+pattern-vertex columns: a function of ``(pattern, constraints, orders)``
+only, run over any snapshot.  With ``P > 1`` (streaming's ``2 |E_P|``
+rooted plans) every ``(seed, order)`` pair is a row of the seed block, tagged
+``seed * P + order``: a level is one step whatever ``P`` is, and rows come
+out in ``(seed, order, depth-first)`` order.  Where every order agrees on a
+position (always, with the one order of a :class:`BacktrackingEnumerator`)
+its table is the plain column list and the step the untagged one; elsewhere
+a table has a row per order, looked up by tag: anchors padded to the widest
+list under a ``real`` mask — ``block.member``'s ``decided``, so a padded
+anchor filters nothing and charges nothing — and bounds as column masks.
+
 **Inputs.**  ``adjacency`` is a :class:`Graph` (a bound ``graph.neighbors``
 stands for its graph) and ``allowed`` a boolean mask over the data
 vertices: ``(|V|,)`` for every position, or ``(k, |V|)`` with one row per
@@ -30,6 +44,7 @@ import numpy as np
 import repro.enumeration.block as kernel
 from repro.graph.graph import Graph
 from repro.query.pattern import Pattern
+from repro.query.symmetry import bound_columns
 
 
 @dataclass
@@ -107,9 +122,154 @@ def compute_matching_order(
     return order
 
 
+def _table(entries: list, tagged=np.array):
+    """One position's table: ``entries[0]`` where every order agrees, else
+    ``tagged(entries)``, a row per order."""
+    return entries[0] if entries.count(entries[0]) == len(entries) else tagged(entries)
+
+
+class MatchingTables:
+    """The block kernel over ``P`` matching orders of one pattern (module docstring)."""
+
+    def __init__(
+        self, pattern: Pattern, constraints: list[tuple[int, int]], orders: list[list[int]]
+    ):
+        if any(set(order) != set(pattern.vertices()) for order in orders):
+            raise ValueError("order must cover all pattern vertices")
+        self.orders = orders
+        places = [{u: i for i, u in enumerate(order)} for order in orders]
+        backward = [
+            [[at[w] for w in pattern.adj(u) if at[w] < i] for i, u in enumerate(order)]
+            for order, at in zip(orders, places)
+        ]
+        if not all(all(plan[1:]) for plan in backward):
+            raise ValueError("order vertex without an earlier neighbour")
+        bounds = [bound_columns(constraints, order) for order in orders]
+        # Per position: anchor columns, which of them are real (None: all),
+        # lower bound columns, upper bound columns, degree floor.
+        self._steps = []
+        for q in range(pattern.num_vertices):
+            anchors = [plan[q] for plan in backward]
+            sizes = [[len(columns)] for columns in anchors]
+            width = max(sizes)[0]
+            self._steps.append((
+                _table(anchors, lambda lists: np.array(
+                    [columns + [0] * (width - len(columns)) for columns in lists]
+                )),
+                np.arange(width) < np.array(sizes) if min(sizes)[0] < width else None,
+                *(
+                    _table([plan[side][q] for plan in bounds], lambda lists: np.array(
+                        [np.isin(range(q), columns) for columns in lists]
+                    ))
+                    for side in (0, 1)
+                ),
+                _table([pattern.degree(order[q]) for order in orders]),
+            ))
+        self._columns = _table([[at[u] for u in pattern.vertices()] for at in places])
+
+    def _step(self, run, block, tags, position: int, cand=None, charge=False):
+        """The next block — ``block``'s rows one position deeper — and its tags.
+
+        Candidates are gathered from each row's smallest backward neighbourhood
+        and charged; or handed in, one per row (``cand``: a seed column), and
+        admitted by the same checks — data edges to the backward neighbours,
+        bounds, injectivity, ``allowed``, degree — uncharged (``charge``: except
+        those passing ``allowed``, where the recursion charged a start candidate).
+        """
+        graph, masks, stats = run
+        tables = self._steps[position]
+        if len(self.orders) > 1:  # per row, by the order it follows
+            plans = tags % len(self.orders)
+            tables = [t[plans] if isinstance(t, np.ndarray) else t for t in tables]
+        anchors, real, lower, upper, degree = tables
+        if isinstance(anchors, list):
+            anchors = block[:, anchors]
+        else:
+            anchors = np.take_along_axis(block, anchors, axis=1)
+        sizes = graph.indptr[anchors + 1] - graph.indptr[anchors]
+        if real is not None:
+            sizes[~real] = np.iinfo(np.int64).max  # padding sorts last
+        anchors = kernel.smallest_first(anchors, sizes)  # ties in pattern order
+        gathered = cand is None
+        if gathered:
+            stats.recursive_calls += len(block)
+            row, cand = kernel.neighbors(graph, anchors[:, 0])
+            anchors, real = anchors[:, 1:], None if real is None else real[:, 1:]
+        else:
+            row = np.arange(len(block))
+        row, cand, cost = kernel.member(graph, anchors, row, cand, real)
+        row, cand = kernel.bounded(block, row, cand, lower, upper)
+        if gathered:
+            stats.intersections += int(cost.sum())
+            stats.candidates_scanned += len(cand)
+        keep = kernel.injective(block, row, cand)
+        if masks is not None:
+            keep &= masks[position, cand]
+        if charge:
+            stats.candidates_scanned += int(keep.sum())
+        if isinstance(degree, np.ndarray):
+            degree = degree[row]
+        keep &= graph.indptr[cand + 1] - graph.indptr[cand] >= degree
+        row = row[keep]
+        return kernel.append(block, row, cand[keep]), tags[row]
+
+    def _expand(self, run, block, tags) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Complete blocks below ``block`` in DFS order, chunk by chunk."""
+        position = block.shape[1]
+        if position == len(self.orders[0]):
+            yield block, tags
+            return
+        for lo in range(0, len(block), kernel.ROWS_PER_BLOCK):
+            hi = lo + kernel.ROWS_PER_BLOCK
+            yield from self._expand(run, *self._step(run, block[lo:hi], tags[lo:hi], position))
+
+    def emit(
+        self, adjacency: Graph, stats: EnumerationStats, seeds: np.ndarray,
+        allowed: np.ndarray | None = None, limit: int | None = None, charge=False,
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``(seed index, embeddings by pattern vertex)`` blocks below ``seeds``,
+        whose column ``j`` is the image of every order's position ``j``."""
+        bound = getattr(adjacency, "__func__", None) is Graph.neighbors
+        graph = adjacency.__self__ if bound else adjacency
+        if not isinstance(graph, Graph):
+            raise TypeError(f"adjacency must be a Graph, got {adjacency!r}")
+        masks = None
+        if allowed is not None:
+            if getattr(allowed, "dtype", None) != bool:
+                raise TypeError(f"allowed must be a boolean vertex mask, got {allowed!r}")
+            masks = np.broadcast_to(allowed, (len(self.orders[0]), graph.num_vertices))
+        outside = seeds[(seeds < 0) | (seeds >= graph.num_vertices)]
+        if outside.size:
+            raise ValueError(f"vertex id {outside[0]} outside [0, {graph.num_vertices})")
+        count, run = len(self.orders), (graph, masks, stats)
+        seeds = np.repeat(seeds, count, axis=0) if count > 1 else seeds
+        block, tags = seeds[:, :0], np.arange(len(seeds))
+        for position in range(seeds.shape[1]):
+            block, tags = self._step(run, block, tags, position, seeds[tags, position], charge)
+        if limit is not None and limit <= 0:
+            return
+        for rows, tags in self._expand(run, block, tags):
+            rows, tags = rows[:limit], tags[:limit]
+            stats.embeddings += len(rows)
+            if count > 1:
+                yield tags // count, np.take_along_axis(rows, self._columns[tags % count], axis=1)
+            else:
+                yield tags, rows[:, self._columns]
+            if limit is not None:
+                limit -= len(rows)
+                if limit <= 0:
+                    return
+
+    def block(self, adjacency, stats, seeds, allowed=None) -> tuple[np.ndarray, np.ndarray]:
+        """Everything :meth:`emit` yields, as one ``(seed index, embeddings)`` pair."""
+        empty = np.empty((0, len(self.orders[0])), dtype=np.int64)
+        tags, rows = zip((empty[:, 0], empty), *self.emit(adjacency, stats, seeds, allowed))
+        return np.concatenate(tags), np.concatenate(rows)
+
+
 @dataclass
 class BacktrackingEnumerator:
-    """Reusable enumerator bound to a pattern and a data graph."""
+    """One matching order of a pattern bound to a data graph."""
 
     pattern: Pattern
     adjacency: Graph
@@ -121,111 +281,7 @@ class BacktrackingEnumerator:
     def __post_init__(self) -> None:
         if self.order is None:
             self.order = compute_matching_order(self.pattern)
-        if set(self.order) != set(self.pattern.vertices()):
-            raise ValueError("order must cover all pattern vertices")
-        position = {u: i for i, u in enumerate(self.order)}
-        # Per position, the columns a candidate must exceed / stay below.
-        self._lower: list[list[int]] = [[] for _ in self.order]
-        self._upper: list[list[int]] = [[] for _ in self.order]
-        for a, b in self.constraints:  # f(a) < f(b)
-            if position[a] < position[b]:
-                self._lower[position[b]].append(position[a])
-            else:
-                self._upper[position[a]].append(position[b])
-        # Columns of the backward pattern neighbours per position.
-        self._backward = [
-            [position[w] for w in self.pattern.adj(u) if position[w] < i]
-            for i, u in enumerate(self.order)
-        ]
-        if not all(self._backward[1:]):
-            raise ValueError("order vertex without an earlier neighbour")
-        self._degree = [self.pattern.degree(u) for u in self.order]
-        self._columns = [position[u] for u in self.pattern.vertices()]
-        graph = self.adjacency
-        if getattr(graph, "__func__", None) is Graph.neighbors:
-            graph = graph.__self__
-        if not isinstance(graph, Graph):
-            raise TypeError(f"adjacency must be a Graph, got {graph!r}")
-        self._graph = graph
-        self._masks = None
-        if self.allowed is not None:
-            if getattr(self.allowed, "dtype", None) != bool:
-                raise TypeError(
-                    f"allowed must be a boolean vertex mask, got {self.allowed!r}"
-                )
-            self._masks = np.broadcast_to(
-                self.allowed, (len(self.order), graph.num_vertices)
-            )
-
-    def _step(self, block, tags, row, cand, position: int, charge=False):
-        """The next block: injective, allowed pairs of sufficient degree."""
-        keep = kernel.injective(block, row, cand)
-        if self._masks is not None:
-            keep &= self._masks[position, cand]
-        if charge:  # where the recursion charged a start candidate
-            self.stats.candidates_scanned += int(keep.sum())
-        indptr = self._graph.indptr
-        keep &= indptr[cand + 1] - indptr[cand] >= self._degree[position]
-        row = row[keep]
-        return kernel.append(block, row, cand[keep]), tags[row]
-
-    def _expand(self, block, tags) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Complete blocks below ``block`` in DFS order, chunk by chunk."""
-        position = block.shape[1]
-        if position == len(self.order):
-            yield block, tags
-            return
-        graph = self._graph
-        lower, upper = self._lower[position], self._upper[position]
-        for lo in range(0, len(block), kernel.ROWS_PER_BLOCK):
-            chunk = block[lo:lo + kernel.ROWS_PER_BLOCK]
-            self.stats.recursive_calls += len(chunk)
-            anchors = chunk[:, self._backward[position]]
-            anchors = kernel.smallest_first(  # ties in pattern order
-                anchors, graph.indptr[anchors + 1] - graph.indptr[anchors]
-            )
-            row, cand = kernel.neighbors(graph, anchors[:, 0])
-            row, cand, cost = kernel.member(graph, anchors[:, 1:], row, cand)
-            self.stats.intersections += int(cost.sum())
-            row, cand = kernel.bounded(chunk, row, cand, lower, upper)
-            self.stats.candidates_scanned += len(cand)
-            yield from self._expand(*self._step(chunk, tags[lo:], row, cand, position))
-
-    def _emit(
-        self, seeds: np.ndarray, limit: int | None = None, charge=False
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """``(seed index, embeddings by pattern vertex)`` blocks below ``seeds``.
-
-        Seed column ``j`` is admitted like a kernel candidate for position
-        ``j`` — data edges to its backward neighbours, bounds, injectivity,
-        ``allowed``, degree — but charges no counter (``charge``: except
-        the seeds passing ``allowed``, for :meth:`run`'s start column).
-        """
-        graph = self._graph
-        outside = seeds[(seeds < 0) | (seeds >= graph.num_vertices)]
-        if outside.size:
-            raise ValueError(
-                f"vertex id {outside[0]} outside [0, {graph.num_vertices})"
-            )
-        block, tags = seeds[:, :0], np.arange(len(seeds))
-        for position in range(seeds.shape[1]):
-            row, cand = np.arange(len(block)), seeds[tags, position]
-            for column in self._backward[position]:
-                keep = graph.has_edges(block[row, column], cand)
-                row, cand = row[keep], cand[keep]
-            row, cand = kernel.bounded(
-                block, row, cand, self._lower[position], self._upper[position]
-            )
-            block, tags = self._step(block, tags, row, cand, position, charge)
-        if limit is not None and limit <= 0:
-            return
-        for rows, row_tags in self._expand(block, tags):
-            self.stats.embeddings += len(rows[:limit])
-            yield row_tags[:limit], rows[:limit, self._columns]
-            if limit is not None:
-                limit -= len(rows)
-                if limit <= 0:
-                    return
+        self._tables = MatchingTables(self.pattern, self.constraints, [self.order])
 
     def run_blocks(
         self, start_candidates: Iterable[int], limit: int | None = None
@@ -238,8 +294,10 @@ class BacktrackingEnumerator:
         """
         if not isinstance(start_candidates, np.ndarray):
             start_candidates = list(start_candidates)
-        starts = np.asarray(start_candidates, dtype=np.int64).reshape(-1)
-        for _, rows in self._emit(starts[:, None], limit, charge=True):
+        starts = np.asarray(start_candidates, dtype=np.int64).reshape(-1, 1)
+        for _, rows in self._tables.emit(
+            self.adjacency, self.stats, starts, self.allowed, limit, charge=True
+        ):
             yield rows
 
     def run(
@@ -267,7 +325,7 @@ class BacktrackingEnumerator:
         if set(prefix) != set(seed):
             raise ValueError(f"seed must cover the first {len(seed)} order vertices {prefix}")
         seeds = np.array([[seed[u] for u in prefix]], dtype=np.int64)
-        for _, rows in self._emit(seeds, limit):
+        for _, rows in self._tables.emit(self.adjacency, self.stats, seeds, self.allowed, limit):
             yield from map(tuple, rows.tolist())
 
     def run_seeded_block(self, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,17 +336,14 @@ class BacktrackingEnumerator:
         ``(r, |V_P|)`` array indexed by pattern vertex and, per row, the
         index of the seed it extends.  Rows and counters equal the
         concatenation of :meth:`run_seeded` over the seeds in order
-        (invalid seeds add nothing), at one fixed numpy cost per level
-        instead of one per seed — how streaming roots a batch's edges.
+        (invalid seeds add nothing), at one step per level, not one per seed.
         """
         seeds = np.asarray(seeds, dtype=np.int64)
         if seeds.ndim != 2 or not 1 <= seeds.shape[1] <= len(self.order):
             raise ValueError(
                 f"seeds must be an (m, k) array of order-prefix images, 1 <= k <= {len(self.order)}"
             )
-        empty = np.empty((0, len(self.order)), dtype=np.int64)
-        tags, rows = zip((empty[:, 0], empty), *self._emit(seeds))
-        return np.concatenate(tags), np.concatenate(rows)
+        return self._tables.block(self.adjacency, self.stats, seeds, self.allowed)
 
 
 def enumerate_embeddings(

@@ -109,18 +109,26 @@ def bounded(
     block: np.ndarray,
     row: np.ndarray,
     cand: np.ndarray,
-    lower: list[int],
-    upper: list[int],
+    lower: list[int] | np.ndarray,
+    upper: list[int] | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pairs above every ``lower`` column and below every ``upper`` column
-    of their row (the symmetry-breaking bounds of one position)."""
-    if not lower and not upper:
+    of their row (the symmetry-breaking bounds of one position): each a list
+    of columns, or — rows of several matching orders in one block — an
+    ``(n, k)`` mask of the columns that bind each row."""
+    if not len(lower) and not len(upper):
         return row, cand
+
+    def extreme(columns, reduce, free):  # per pair, over what binds its row
+        if isinstance(columns, list):
+            return reduce(block[:, columns], axis=1)[row]
+        return reduce(np.where(columns, block, free), axis=1, initial=free)[row]
+
     keep = np.ones(len(cand), dtype=bool)
-    if lower:
-        keep &= cand > block[:, lower].max(axis=1)[row]
-    if upper:
-        keep &= cand < block[:, upper].min(axis=1)[row]
+    if len(lower):
+        keep &= cand > extreme(lower, np.ndarray.max, -1)
+    if len(upper):
+        keep &= cand < extreme(upper, np.ndarray.min, np.iinfo(np.int64).max)
     return row[keep], cand[keep]
 
 

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 import repro.enumeration.block as kernel
-from repro.enumeration.backtracking import BacktrackingEnumerator, EnumerationStats
+from repro.enumeration.backtracking import EnumerationStats, MatchingTables
 from repro.graph.labeled import LabeledGraph
 from repro.query.pattern import Pattern
 
@@ -165,13 +165,10 @@ class LabeledEnumerator:
         self._order = labeled_matching_order(
             self.query.pattern, self._candidates
         )
-        masks = np.zeros((len(self._order), self.data.num_vertices), dtype=bool)
+        self._masks = np.zeros((len(self._order), self.data.num_vertices), dtype=bool)
         for position, u in enumerate(self._order):
-            masks[position, self._candidates[u]] = True
-        self._kernel = BacktrackingEnumerator(
-            self.query.pattern, self.data.graph, order=self._order,
-            allowed=masks, stats=self.stats,
-        )
+            self._masks[position, self._candidates[u]] = True
+        self._tables = MatchingTables(self.query.pattern, [], [self._order])
 
     # ------------------------------------------------------------------
     def candidates(self, u: int) -> np.ndarray:
@@ -184,8 +181,8 @@ class LabeledEnumerator:
         The start vertex's candidates enter as seeds: `candidate_sets`
         has already charged them.
         """
-        starts = self._candidates[self._order[0]]
-        for _, rows in self._kernel._emit(starts[:, None], limit):
+        starts = self._candidates[self._order[0]][:, None]
+        for _, rows in self._tables.emit(self.data.graph, self.stats, starts, self._masks, limit):
             yield from map(tuple, rows.tolist())
 
 

@@ -27,7 +27,6 @@ from repro.enumeration.backtracking import (
     compute_matching_order,
 )
 from repro.query.pattern import Pattern
-from repro.query.symmetry import constraint_map
 
 
 @dataclass
@@ -54,7 +53,6 @@ class VF2Enumerator:
         if set(self.order) != set(self.pattern.vertices()):
             raise ValueError("order must cover all pattern vertices")
         position = {u: i for i, u in enumerate(self.order)}
-        self._position = position
         n = self.pattern.num_vertices
         # Pattern neighbours matched before / after each position.
         self._backward = [
@@ -65,9 +63,9 @@ class VF2Enumerator:
             sum(1 for w in self.pattern.adj(u) if position[w] > i)
             for i, u in enumerate(self.order)
         ]
-        smaller, greater = constraint_map(self.constraints, n)
-        self._smaller = smaller
-        self._greater = greater
+        # Per vertex, the vertices whose image must be greater / smaller.
+        self._smaller = [[v for w, v in self.constraints if w == u] for u in range(n)]
+        self._greater = [[w for w, v in self.constraints if v == u] for u in range(n)]
 
     # ------------------------------------------------------------------
     def _neighbor_set(self, v: int) -> set[int]:

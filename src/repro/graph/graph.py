@@ -33,14 +33,15 @@ def canonical_edge_array(
 ) -> np.ndarray:
     """Normalise an edge iterable to a ``(k, 2)`` int64 array, ``u < v``.
 
-    Shared by :meth:`Graph.apply_batch` and the streaming delta matcher
-    so both agree on the canonical orientation and deduplication of a
-    batch.  ``field`` names the offending argument in error messages.
+    Shared by :meth:`Graph.from_edges`, :meth:`Graph.apply_batch` and the
+    streaming ingest, so all agree on the canonical orientation and
+    deduplication.  ``field`` names the offending argument in error messages.
     """
-    edge_list = list(edges)
-    if not edge_list:
+    if not isinstance(edges, np.ndarray):  # an array is taken as it is
+        edges = list(edges)
+    arr = np.asarray(edges, dtype=np.int64)
+    if len(arr) == 0:
         return np.empty((0, 2), dtype=np.int64)
-    arr = np.asarray(edge_list, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"{field} must be (u, v) pairs")
     if (arr[:, 0] == arr[:, 1]).any():
@@ -123,23 +124,7 @@ class Graph:
 
         Self loops are rejected; duplicate edges are collapsed.
         """
-        edge_list = list(edges)
-        if not edge_list:
-            return cls(np.zeros(num_vertices + 1, dtype=np.int64),
-                       np.empty(0, dtype=np.int64))
-        arr = np.asarray(edge_list, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("edges must be (u, v) pairs")
-        if (arr[:, 0] == arr[:, 1]).any():
-            raise ValueError("self loops are not allowed")
-        if arr.min() < 0 or arr.max() >= num_vertices:
-            raise ValueError("edge endpoint out of range")
-        # Symmetrise, deduplicate.
-        lo = np.minimum(arr[:, 0], arr[:, 1])
-        hi = np.maximum(arr[:, 0], arr[:, 1])
-        keys = lo * num_vertices + hi
-        _, unique_idx = np.unique(keys, return_index=True)
-        lo, hi = lo[unique_idx], hi[unique_idx]
+        lo, hi = canonical_edge_array(edges, num_vertices).T
         src = np.concatenate([lo, hi])
         dst = np.concatenate([hi, lo])
         order = np.lexsort((dst, src))
@@ -152,21 +137,9 @@ class Graph:
     @classmethod
     def from_adjacency(cls, adjacency: Sequence[Iterable[int]]) -> "Graph":
         """Build from a sequence of per-vertex neighbour iterables."""
-        edges = [
-            (u, v)
-            for u, neighbours in enumerate(adjacency)
-            for v in neighbours
-            if u < v
-        ]
-        # Edges listed only once above would drop (u, v) with u > v that
-        # lack the mirror entry, so collect both directions explicitly.
-        extra = [
-            (v, u)
-            for u, neighbours in enumerate(adjacency)
-            for v in neighbours
-            if u > v
-        ]
-        return cls.from_edges(len(adjacency), edges + extra)
+        return cls.from_edges(len(adjacency), [
+            (u, v) for u, neighbours in enumerate(adjacency) for v in neighbours if u != v
+        ])
 
     def apply_batch(
         self,

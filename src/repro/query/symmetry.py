@@ -90,18 +90,19 @@ def satisfies_constraints(
     return all(embedding[u] < embedding[v] for u, v in constraints)
 
 
-def constraint_map(
-    constraints: list[tuple[int, int]], num_vertices: int
+def bound_columns(
+    constraints: list[tuple[int, int]], order: list[int]
 ) -> tuple[list[list[int]], list[list[int]]]:
-    """Index constraints by vertex for incremental checking.
-
-    Returns ``(smaller_than, greater_than)`` where ``smaller_than[u]`` lists
-    vertices whose image must be **greater** than ``f(u)`` (i.e. u < them),
-    and ``greater_than[u]`` lists vertices whose image must be smaller.
-    """
-    smaller: list[list[int]] = [[] for _ in range(num_vertices)]
-    greater: list[list[int]] = [[] for _ in range(num_vertices)]
-    for u, v in constraints:
-        smaller[u].append(v)
-        greater[v].append(u)
-    return smaller, greater
+    """Constraints as ``(lower, upper)`` bounds per position of a matching order:
+    the earlier columns whose images a candidate for position ``q`` must exceed
+    (``lower[q]``) and stay below (``upper[q]``) — ``block.bounded``'s arguments.
+    A constraint binds where the later of its two vertices is matched."""
+    position = {u: q for q, u in enumerate(order)}
+    lower: list[list[int]] = [[] for _ in order]
+    upper: list[list[int]] = [[] for _ in order]
+    for u, v in constraints:  # f(u) < f(v)
+        if position[u] < position[v]:
+            lower[position[v]].append(position[u])
+        else:
+            upper[position[u]].append(position[v])
+    return lower, upper

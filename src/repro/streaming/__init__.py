@@ -9,8 +9,8 @@ vertical slice on top of that model without breaking it:
   service, cache, and shard workers key on ``(fingerprint, version)``
   while in-flight queries keep reading the snapshot they started on.
 - :mod:`repro.streaming.incremental` — delta embeddings (new + vanished
-  matches) per batch, enumerated only from the touched edges by rooting
-  the existing backtracking machinery at each one.
+  matches) per batch, enumerated only from the touched edges: one tagged
+  seed block per watch through the backtracking kernel.
 - :mod:`repro.streaming.records` — the ``DeltaRecord`` JSONL kind, so
   delta streams replay through :func:`repro.api.results.read_records_jsonl`.
 - :mod:`repro.streaming.continuous` — ``ContinuousQueryManager`` ties it

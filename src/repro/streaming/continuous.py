@@ -17,12 +17,14 @@ path), deltas are computed inline and no quotas apply.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from collections import deque
 from typing import Callable, Iterable
 
-from repro.enumeration.backtracking import EnumerationStats
+import numpy as np
+
 from repro.graph.graph import Graph, canonical_edge_array
 from repro.query.pattern import Pattern
 from repro.streaming.incremental import IncrementalMatcher
@@ -255,36 +257,23 @@ class ContinuousQueryManager:
         Batches serialise — versions form a linear history.
         """
         with self._lock:
-            old, new = self._versions.apply_batch(
-                additions, deletions, executor=executor
-            )
+            # Canonical once: the arrays are the batch and every watch's seed block.
+            n = self.current.graph.num_vertices
+            add = canonical_edge_array(additions, n, field="additions")
+            delete = canonical_edge_array(deletions, n, field="deletions")
+            old, new = self._versions.apply_batch(add, delete, executor=executor)
             if self._on_rebind is not None:
                 self._on_rebind(old, new)
-            n = new.graph.num_vertices
-            add = [
-                (int(u), int(v))
-                for u, v in canonical_edge_array(
-                    additions, n, field="additions"
-                )
-            ]
-            delete = [
-                (int(u), int(v))
-                for u, v in canonical_edge_array(
-                    deletions, n, field="deletions"
-                )
-            ]
             batch = {"additions": len(add), "deletions": len(delete)}
             watches = list(self._watches.values())
             report: dict = dict(new.describe())
             report["batch"] = batch
             report["watches"] = {}
-            jobs: list[tuple[Watch, object]] = []
+            jobs: list[tuple[Watch, Callable[[], DeltaRecord]]] = []
             for watch in watches:
-                def compute(
-                    watch: Watch = watch,
-                ) -> DeltaRecord:
-                    return self._compute(watch, old, new, add, delete, batch)
-
+                compute = functools.partial(
+                    self._compute, watch, old, new, add, delete, batch
+                )
                 if self._scheduler is not None:
                     from repro.service.tenancy import QuotaExceeded
 
@@ -312,15 +301,11 @@ class ContinuousQueryManager:
                             "error": str(exc),
                         }
                         continue
-                    jobs.append((watch, ticket))
-                else:
-                    jobs.append((watch, compute))
+                    compute = functools.partial(ticket.result, timeout)
+                jobs.append((watch, compute))
             for watch, job in jobs:
                 try:
-                    if hasattr(job, "result"):
-                        record = job.result(timeout)
-                    else:
-                        record = job()
+                    record = job()
                 except Exception as exc:
                     report["watches"][watch.id] = {
                         "failed": True,
@@ -343,29 +328,30 @@ class ContinuousQueryManager:
         watch: Watch,
         old: GraphVersion,
         new: GraphVersion,
-        add: list[tuple[int, int]],
-        delete: list[tuple[int, int]],
+        add: np.ndarray,
+        delete: np.ndarray,
         batch: dict,
     ) -> DeltaRecord:
-        stats = EnumerationStats()
-        added, removed = watch.matcher.delta(
-            old.graph, new.graph, add, delete, stats=stats
-        )
-        if self._verify:
-            watch.matcher.verify_parity(old.graph, new.graph, added, removed)
-        return DeltaRecord(
+        added = watch.matcher.block_using(new.graph, add)
+        removed = watch.matcher.block_using(old.graph, delete)
+        record = DeltaRecord(
             pattern_name=watch.pattern.name,
             pattern=str(watch.pattern),
             version=new.version,
             graph_fingerprint=new.fingerprint,
             added_count=len(added),
             removed_count=len(removed),
-            added=added if watch.collect else None,
-            removed=removed if watch.collect else None,
             batch=batch,
             watch=watch.id,
             tenant=watch.tenant,
         )
+        if watch.collect or self._verify:  # tuples only for who reads them
+            lists = [list(map(tuple, rows.tolist())) for rows in (added, removed)]
+            if self._verify:
+                watch.matcher.verify_parity(old.graph, new.graph, *lists)
+            if watch.collect:
+                record.added, record.removed = lists
+        return record
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

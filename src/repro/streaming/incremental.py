@@ -11,15 +11,20 @@ batch may add edges and delete edges but never both for the same edge
 
 So the delta is exactly "matches using a touched edge", enumerated in
 the appropriate snapshot: additions against ``new``, deletions against
-``old``.  To find matches using edge ``{a, b}`` we root the existing
-backtracking enumerator there: for every *directed* pattern edge
-``(u, v)`` we build a matching order with prefix ``[u, v]`` and seed
-``f(u) = a, f(v) = b`` (``a < b`` canonical).  An embedding ``f`` using
-``{a, b}`` maps exactly one pattern edge onto it in exactly one
-orientation, so across the ``2 |E_P|`` rooting plans it is produced
-exactly once per touched edge it uses.  Double counting across edges is
-removed by attributing each embedding to the *first* touched edge it
-uses (later roots skip embeddings containing an earlier edge).
+``old``.  To find matches using edge ``{a, b}`` the backtracking kernel is
+rooted there: for every *directed* pattern edge ``(u, v)`` there is a
+matching order with prefix ``[u, v]``, seeded ``f(u) = a, f(v) = b``
+(``a < b`` canonical).  An embedding ``f`` using ``{a, b}`` maps exactly
+one pattern edge onto it in exactly one orientation, so across the
+``2 |E_P|`` rooting plans it is produced exactly once per touched edge it
+uses.  Double counting across edges is removed by attributing each
+embedding to the *first* touched edge it uses.
+
+The plans are compiled once, at construction, into one
+:class:`~repro.enumeration.backtracking.MatchingTables`; a batch side is
+then *one* seed block — a row per (touched edge, plan), the plan looked up
+from the row's tag — so a call costs ``|V_P|`` kernel steps however many
+plans the pattern has, and binding a snapshot compiles nothing.
 
 Symmetry-breaking constraints are passed through unchanged — they are
 inequalities on data vertices, independent of which snapshot is being
@@ -34,8 +39,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.enumeration.backtracking import (
-    BacktrackingEnumerator,
     EnumerationStats,
+    MatchingTables,
     compute_matching_order,
     enumerate_embeddings,
 )
@@ -62,12 +67,7 @@ def full_embeddings(
 
 
 class IncrementalMatcher:
-    """Delta embeddings for one registered pattern.
-
-    Rooting plans (one matching order per directed pattern edge) are
-    computed once at construction; each :meth:`matches_using` call then
-    costs only the neighbourhood exploration around the touched edges.
-    """
+    """Delta embeddings for one registered pattern (compiled at construction)."""
 
     def __init__(
         self,
@@ -78,13 +78,41 @@ class IncrementalMatcher:
         if constraints is None:
             constraints = symmetry_breaking_constraints(pattern)
         self.constraints = list(constraints)
-        self._plans = [
+        self._edges = np.array(list(pattern.edges()))
+        if not len(self._edges):
+            raise ValueError("a continuous query needs a pattern edge to root at")
+        self._tables = MatchingTables(pattern, self.constraints, [
             compute_matching_order(pattern, prefix=[u, v])
             for u in pattern.vertices()
             for v in pattern.adj(u)
-        ]
+        ])
 
     # ------------------------------------------------------------------
+    def block_using(
+        self,
+        adjacency: Graph,
+        edges: "Iterable[tuple[int, int]] | np.ndarray",
+        *,
+        stats: EnumerationStats | None = None,
+    ) -> np.ndarray:
+        """:meth:`matches_using` as an ``(r, |V_P|)`` array, ``rows[:, u] = v``;
+        ``edges`` (a list or an ``(m, 2)`` array) is the seed block as it is."""
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        seeds = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
+        if len(seeds) == 0:
+            return np.empty((0, self.pattern.num_vertices), dtype=np.int64)
+        edge, found = self._tables.block(adjacency, stats or EnumerationStats(), seeds)
+        # Drop rows using an edge listed before the one they grew from.
+        stride = int(max(seeds.max(), found.max(initial=0))) + 1
+        listed, first = np.unique(seeds[:, 0] * stride + seeds[:, 1], return_index=True)
+        ends = np.sort(found[:, self._edges], axis=2)
+        used = ends[..., 0] * stride + ends[..., 1]
+        slot = np.searchsorted(listed, used)
+        slot[slot == len(listed)] = 0
+        keep = (listed[slot] != used) | (first[slot] >= edge[:, None])
+        return found[keep.all(axis=1)]
+
     def matches_using(
         self,
         adjacency: Graph,
@@ -94,39 +122,12 @@ class IncrementalMatcher:
     ) -> list[tuple[int, ...]]:
         """Constraint-satisfying embeddings using >= 1 of ``edges``.
 
-        ``edges`` must be canonical ``(a, b)`` with ``a < b`` (the batch
-        normalisation in :func:`repro.graph.graph.canonical_edge_array`
-        guarantees this).  Each embedding is attributed to the first
-        listed edge it uses, so the result contains every qualifying
-        embedding exactly once, in (edge, rooting plan, DFS) order.  Each
-        rooting plan runs once, with all the edges as one seed block.
+        ``edges`` are ``(a, b)`` pairs in either orientation.  Each embedding
+        is attributed to the first listed edge it uses, so the result holds
+        every qualifying embedding exactly once, in (edge, rooting plan, DFS)
+        order — the order the block comes out in.
         """
-        stats = stats or EnumerationStats()
-        seeds = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
-        if len(seeds) == 0:
-            return []
-        runs = [
-            BacktrackingEnumerator(
-                self.pattern, adjacency, self.constraints, order, stats=stats
-            ).run_seeded_block(seeds)
-            for order in self._plans
-        ]
-        edge = np.concatenate([seed_index for seed_index, _ in runs])
-        plan = np.repeat(np.arange(len(runs)), [len(e) for e, _ in runs])
-        found = np.concatenate([embeddings for _, embeddings in runs])
-        # Drop rows using an edge listed before the one they grew from.
-        stride = int(max(seeds.max(), found.max(initial=0))) + 1
-        listed, first = np.unique(seeds[:, 0] * stride + seeds[:, 1], return_index=True)
-        keep = np.ones(len(found), dtype=bool)
-        for p, q in self.pattern.edges():
-            lo, hi = np.sort(found[:, [p, q]], axis=1).T
-            used = lo * stride + hi
-            slot = np.searchsorted(listed, used)
-            slot[slot == len(listed)] = 0
-            keep &= (listed[slot] != used) | (first[slot] >= edge)
-        rows = np.flatnonzero(keep)
-        rows = rows[np.lexsort((plan[rows], edge[rows]))]
-        return list(map(tuple, found[rows].tolist()))
+        return list(map(tuple, self.block_using(adjacency, edges, stats=stats).tolist()))
 
     def delta(
         self,
@@ -137,13 +138,9 @@ class IncrementalMatcher:
         *,
         stats: EnumerationStats | None = None,
     ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-        """``(added, removed)`` embeddings for one applied batch.
-
-        ``additions``/``deletions`` are the canonical edge batches that
-        turned ``old_graph`` into ``new_graph``.  New matches are rooted
-        at added edges in the new snapshot; vanished matches at deleted
-        edges in the old one.
-        """
+        """``(added, removed)`` embeddings for the batch that turned ``old_graph``
+        into ``new_graph``: new matches are rooted at added edges in the new
+        snapshot, vanished matches at deleted edges in the old one."""
         added = self.matches_using(new_graph, additions, stats=stats)
         removed = self.matches_using(old_graph, deletions, stats=stats)
         return added, removed

@@ -67,6 +67,24 @@ class TestBlockStep:
         for got, want in zip(plain, masked):
             assert got.tolist() == want.tolist()
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), width=st.integers(0, 4))
+    def test_bounds_as_per_row_masks_equal_bounds_as_column_lists(self, seed, width):
+        # Rows of several matching orders in one block: each row is bound by
+        # its own columns; a row no column binds keeps every pair.
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, 30, size=(8, width))
+        row, cand = np.repeat(np.arange(8), 5), rng.integers(0, 30, size=40)
+        lower, upper = rng.random((2, 8, width)) < 0.4
+        got = block.bounded(rows, row, cand, lower, upper)
+        keep = [
+            all(c > rows[r, j] for j in np.flatnonzero(lower[r]))
+            and all(c < rows[r, j] for j in np.flatnonzero(upper[r]))
+            for r, c in zip(row.tolist(), cand.tolist())
+        ]
+        assert got[0].tolist() == row[keep].tolist()
+        assert got[1].tolist() == cand[keep].tolist()
+
     def test_counts_cap_the_neighbours_taken_per_row(self):
         graph = erdos_renyi(16, 0.35, seed=3)
         anchors = np.array([0, 1, 2])

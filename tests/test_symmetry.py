@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.query import Pattern, automorphisms, orbits, symmetry_breaking_constraints
 from repro.query.patterns import (
+    PAPER_QUERIES,
     clique,
     domino,
     k33,
@@ -13,7 +14,7 @@ from repro.query.patterns import (
     star,
     triangle,
 )
-from repro.query.symmetry import satisfies_constraints
+from repro.query.symmetry import bound_columns, satisfies_constraints
 
 
 class TestAutomorphisms:
@@ -112,3 +113,30 @@ class TestSymmetryFactorProperty:
             graph.neighbors, graph.vertices(), pattern, cons
         )
         assert len(free) == len(constrained) * len(automorphisms(pattern))
+
+
+class TestBoundColumns:
+    """Constraints compiled per position of a matching order, once for every kernel."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_bounds_hold_at_every_position_iff_the_constraints_hold(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        pattern = rng.choice(list(PAPER_QUERIES.values()))
+        constraints = symmetry_breaking_constraints(pattern)
+        k = pattern.num_vertices
+        order = rng.sample(range(k), k)
+        lower, upper = bound_columns(constraints, order)
+        assert sum(map(len, lower)) + sum(map(len, upper)) == len(constraints)
+        assert all(c < q for q in range(k) for c in lower[q] + upper[q])
+        for _ in range(20):
+            row = rng.sample(range(3 * k), k)  # images, in matching order
+            embedding = tuple(row[order.index(u)] for u in range(k))
+            bounded = all(
+                all(row[c] < row[q] for c in lower[q])
+                and all(row[q] < row[c] for c in upper[q])
+                for q in range(k)
+            )
+            assert bounded == satisfies_constraints(embedding, constraints)
