@@ -1,5 +1,7 @@
 """Focused tests for the R-Meef worker (trie maintenance, EVI, caching)."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from repro.core.rmeef import _NEVER, RMeefWorker, _Round
 from repro.core.sme import SingleMachineSplit
 from repro.engines import SingleMachineEngine
 from repro.enumeration.block import first_diff
-from repro.graph import erdos_renyi, powerlaw_cluster
+from repro.graph import erdos_renyi, grid_road_network, powerlaw_cluster
 from repro.query import best_execution_plan, named_patterns
 from repro.query.symmetry import symmetry_breaking_constraints
 
@@ -259,3 +261,66 @@ class TestTrieTimeline:
         worker._feed(np.array([-5]))
         assert machine.memory_used == 0
         assert worker._ops == 683 + 300 + 382 + 5 + 1 + 5
+
+
+class TestChunkCost:
+    """What a chunk pays besides expansion: counted, not timed.
+
+    A chunk's accounting is two sums unless the 16 KiB hysteresis can be
+    reached inside it; the entry timeline (``_place`` / ``_release``) is
+    built only there.
+    """
+
+    #: Calls per ``_chunk`` outside ``_expand`` measured on the commit
+    #: before the closed-form sums, when every chunk built its timeline.
+    TIMELINE_EVERYWHERE = {"q1": 11465 / 36, "q4": 15917 / 34}
+
+    @staticmethod
+    def _profile(graph, qname: str, memory_mb=None) -> dict[str, float]:
+        """``sys.setprofile`` counts of one RADS run, after a warm one."""
+        from repro.core.rads import RADSEngine
+
+        chunk, expand = RMeefWorker._chunk.__code__, RMeefWorker._expand.__code__
+        depth = {chunk: 0, expand: 0}
+        seen = {"chunks": 0, "calls": 0, "_place": 0, "_release": 0}
+
+        def tick(frame, event, arg):
+            code = frame.f_code
+            if event in ("call", "return") and code in depth:
+                depth[code] += 1 if event == "call" else -1
+                seen["chunks"] += event == "call" and code is chunk
+            elif event in ("call", "c_call") and depth[chunk] and not depth[expand]:
+                seen["calls"] += 1
+                if event == "call" and code.co_name in seen:
+                    seen[code.co_name] += 1
+
+        capacity = None if memory_mb is None else int(memory_mb * 2**20)
+        base = Cluster.create(graph, 4, memory_capacity=capacity)
+
+        def run():
+            RADSEngine().run(
+                base.fresh_copy(), named_patterns()[qname], collect_embeddings=False
+            )
+
+        run()  # warm: imports and numpy's dispatch caches
+        sys.setprofile(tick)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+        seen["per_chunk"] = seen["calls"] / seen["chunks"]
+        return seen
+
+    @pytest.mark.xfail(strict=True, reason="every chunk builds its timeline")
+    @pytest.mark.parametrize("qname", ["q1", "q4"])
+    def test_a_road_grid_chunk_pays_for_two_sums_not_a_timeline(self, qname):
+        graph = grid_road_network(62, 62, extra_edge_prob=0.04, seed=0)
+        seen = self._profile(graph, qname)
+        print(f"{qname}: {seen}")
+        assert seen["chunks"] > 20
+        assert seen["_place"] == seen["_release"] == 0
+        assert seen["per_chunk"] <= 0.6 * self.TIMELINE_EVERYWHERE[qname]
+
+    def test_the_order_path_stays_exercised(self):
+        seen = self._profile(powerlaw_cluster(40, 5, 0.3, seed=5), "q4", memory_mb=0.25)
+        assert seen["_place"] > 0 and seen["_release"] > 0
