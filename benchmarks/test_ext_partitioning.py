@@ -15,8 +15,7 @@ from repro.cluster import Cluster
 from repro.core.rads import RADSEngine
 from repro.partition.label_propagation import LabelPropagationPartitioner
 from repro.partition.metis_like import MetisLikePartitioner
-from repro.partition.partitioner import HashPartitioner
-from repro.partition.stats import partition_report
+from repro.partition.partitioner import HashPartitioner, edge_cut
 from repro.query import paper_query
 
 DATASETS = ["roadnet", "dblp"]
@@ -37,7 +36,8 @@ def run_grid():
         counts = set()
         for label, factory in PARTITIONERS.items():
             cluster = Cluster.create(graph, 10, partitioner=factory())
-            report = partition_report(cluster.partition)
+            partition = cluster.partition
+            borders = sum(len(m.border_vertices) for m in partition.machines())
             result = RADSEngine().run(
                 cluster, pattern, collect_embeddings=False
             )
@@ -45,8 +45,8 @@ def run_grid():
             counts.add(result.embedding_count)
             sme = result.counters.get("sme_embeddings", 0)
             row[label] = {
-                "cut": report.edge_cut_fraction,
-                "border": report.border_fraction,
+                "cut": edge_cut(graph, partition.owner) / max(1, graph.num_edges),
+                "border": borders / max(1, graph.num_vertices),
                 "time": result.makespan,
                 "comm": result.total_comm_bytes,
                 "sme": sme,

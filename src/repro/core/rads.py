@@ -168,8 +168,10 @@ class RADSEngine(EnumerationEngine):
         self.last_plan: ExecutionPlan | None = None
 
     # ------------------------------------------------------------------
-    def execution_plan(self, pattern: Pattern) -> ExecutionPlan:
+    def execution_plan(self, pattern: Pattern, plans=None) -> ExecutionPlan:
         """The plan the configured ``plan_provider`` would execute."""
+        if self._plan_provider is best_execution_plan:
+            return best_execution_plan(pattern, plans=plans)
         return self._plan_provider(pattern)
 
     def _explain_extras(self, pattern: Pattern) -> dict:

@@ -27,11 +27,24 @@ recursion's count is reproduced from block shapes, not redefined: the
 membership cost over the known refines, the pairs surviving the bounds, one
 per deferred check actually made (a candidate stops at its first failed
 check), one per start candidate, and one per trie node created or released.
+The last two come from conservation, on every chunk: with ``made`` the nodes
+a chunk creates and ``delta`` the change in live nodes across it, its
+entries sum to ``delta`` and their sizes to ``2 * made - delta`` — and
+``delta`` is a closed form: the per-row gains while a round continues, the
+trie the verified next frontier is when it ends, the emit boundaries'
+running count in the final round.
 
 **Entry timeline.**  Trie memory reaches the machine through a 16 KiB
 hysteresis, so the *order* of node creations and releases decides
-``trie_bytes``, ``peak_memory`` and which allocation raises.  Each chunk
-therefore rebuilds the sequence of signed node counts the recursion would
+``trie_bytes``, ``peak_memory`` and which allocation raises — and nothing
+else reads it.  A chunk therefore builds the sequence only where a flush
+can see it.  The certificate (:func:`_within_step`) is an interval around
+the nodes the machine holds: live nodes peak inside some row, at most at
+its creations over what the rows before it left, and never fall below the
+count before the chunk less everything it releases (nor below zero); with
+both ends inside the step no entry flushes, so none raises, and the chunk
+is its two sums, its `verifyE` requests sent in segment order.  Elsewhere
+the chunk rebuilds the sequence of signed node counts the recursion would
 have produced, from subtree lengths: a node's creation is ``+1`` at its
 pre-order slot; a dead end (no descendant reached the unit's last
 position) is detached ``-1`` at its post-order slot; a frontier row left
@@ -97,8 +110,6 @@ _NEVER = np.iinfo(np.int64).max  # release slot of a row that survives
 class _PositionInfo:
     """Static per-matching-order-position expansion metadata."""
 
-    vertex: int
-    unit_index: int
     pivot_position: int
     # Earlier positions adjacent in the pattern (excluding the pivot).
     refine_positions: list[int]
@@ -142,6 +153,7 @@ class _Round:
     reach: int = 0                # min diff over the rows after `prior`
     open: list = field(default_factory=list)   # (leaves, rows, pending) pieces
     kept: list = field(default_factory=list)   # verified next-frontier blocks
+    next: tuple | None = None     # the verified next frontier and its first_diff
 
     def standing(self, a) -> np.ndarray:
         """Nodes alive when a segment starts at row ``a``: the rows not yet
@@ -169,18 +181,16 @@ def _join(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _subtrees(
-    parents: list[np.ndarray], sizes: list[int]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _subtrees(parents: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per level of a chunk's expansion, bottom-up: which nodes are live
     (some descendant reached the unit's last position; the others are
     detached on the way back) and how many timeline entries each subtree
     produces (its creation, its descendants', its detach if dead)."""
     depth = len(parents)
-    live = [np.ones(sizes[-1], dtype=bool)] * depth
-    span = [np.ones(sizes[-1], dtype=np.int64)] * depth
+    live = [np.ones(len(parents[-1]), dtype=bool)] * depth
+    span = [np.ones(len(parents[-1]), dtype=np.int64)] * depth
     for lv in range(depth - 2, -1, -1):
-        below, size = parents[lv + 1], sizes[lv + 1]
+        below, size = parents[lv + 1], len(parents[lv])
         live[lv] = np.bincount(below[live[lv + 1]], minlength=size) > 0
         span[lv] = 1 + ~live[lv] + np.bincount(
             below, weights=span[lv + 1], minlength=size
@@ -188,12 +198,17 @@ def _subtrees(
     return live, span
 
 
+def _within_step(low: int, high: int) -> bool:
+    """The certificate: a balance that stays in ``[low, high]`` nodes of
+    what the machine holds never reaches a flush step."""
+    return -_FLUSH_NODES < low and high < _FLUSH_NODES
+
+
 def _place(
     entries: np.ndarray,
     levels: list[_Level],
     live: list[np.ndarray],
     span: list[np.ndarray],
-    sizes: list[int],
     child_base: np.ndarray,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Write creations (+1, pre-order) and detaches (-1, post-order) into
@@ -207,7 +222,7 @@ def _place(
             weight = np.zeros(len(level.parent), dtype=np.int64)
             weight[level.passed] = span[lv]
         before = _offsets(weight)
-        heads = _offsets(np.bincount(level.parent, minlength=sizes[lv]))
+        heads = _offsets(np.bincount(level.parent, minlength=len(child_base)))
         heads = np.append(before, 0)[heads]
         when = child_base[level.parent] + before - heads[level.parent]
         slot = when if level.passed is None else when[level.passed]
@@ -262,7 +277,6 @@ class RMeefWorker:
         self._collect = True
         self._emitted: list[np.ndarray] = []   # final-round rows, per segment
         self._emit_count = 0
-        self.embeddings_found = 0
         self.last_group_count = 0
 
     # ------------------------------------------------------------------
@@ -271,32 +285,17 @@ class RMeefWorker:
     def _build_position_info(
         self, constraints: list[tuple[int, int]]
     ) -> list[_PositionInfo]:
-        pattern, plan = self._pattern, self._plan
+        pattern, position = self._pattern, self._position
         lower, upper = bound_columns(constraints, self._order)
-        unit_of: dict[int, int] = {}
-        for i, unit in enumerate(plan.units):
-            for leaf in unit.leaves:
-                unit_of[leaf] = i
-        infos: list[_PositionInfo] = []
-        for q, u in enumerate(self._order):
-            if q == 0:
-                infos.append(
-                    _PositionInfo(u, 0, -1, [], [], [], pattern.degree(u))
-                )
-                continue
-            unit_index = unit_of[u]
-            pivot = plan.units[unit_index].pivot
-            pivot_position = self._position[pivot]
-            refine = [
-                self._position[w]
-                for w in pattern.adj(u)
-                if self._position[w] < q and w != pivot
-            ]
+        pivot_of = {leaf: unit.pivot for unit in self._plan.units for leaf in unit.leaves}
+        infos = [_PositionInfo(-1, [], [], [], pattern.degree(self._order[0]))]
+        for q, u in enumerate(self._order[1:], 1):
+            pivot = pivot_of[u]
+            refine = sorted(
+                position[w] for w in pattern.adj(u) if position[w] < q and w != pivot
+            )
             infos.append(
-                _PositionInfo(
-                    u, unit_index, pivot_position, sorted(refine),
-                    lower[q], upper[q], pattern.degree(u),
-                )
+                _PositionInfo(position[pivot], refine, lower[q], upper[q], pattern.degree(u))
             )
         return infos
 
@@ -341,10 +340,9 @@ class RMeefWorker:
         """Account a run of signed node counts, in order.
 
         An entry is one node creation (``+1``) or one release call
-        (``-nodes``) and costs one op per node; the machine is charged
-        whenever the unflushed balance reaches a flush step.  On simulated
-        OOM the ops up to the entry that raised are kept and
-        ``self._oom_entry`` names it.
+        (``-nodes``); the machine is charged whenever the unflushed balance
+        reaches a flush step.  On simulated OOM ``self._oom_entry`` names
+        the entry that raised.
         """
         # Running balance against the last flush; a flush needs at least
         # `_FLUSH_NODES` entries' worth of nodes, so search window by window.
@@ -359,7 +357,6 @@ class RMeefWorker:
                 try:
                     self._flush(nodes)
                 except SimulatedMemoryError:
-                    self._ops += int(np.abs(entries[: hit + 1]).sum())
                     self._oom_entry = hit
                     raise
                 flushed += nodes
@@ -367,7 +364,6 @@ class RMeefWorker:
             start = hit
         if len(entries):
             self._trie_delta = int(balance[-1]) - flushed
-        self._ops += int(np.abs(entries).sum())
 
     def _flush(self, nodes: int) -> None:
         nbytes = nodes * NODE_BYTES
@@ -408,17 +404,17 @@ class RMeefWorker:
         # Round 0: start candidates (foreign when the group was stolen).
         self._fetch_vertices(group)
         frontier = np.sort(np.asarray(group, dtype=np.int64))[:, None]
+        diff = kernel.first_diff(frontier)
         last = self._plan.num_rounds - 1
         for unit in range(self._plan.num_rounds):
             if unit:
                 pivot = self._position[self._plan.units[unit].pivot]
                 self._fetch_vertices(np.unique(frontier[:, pivot]))
-            frontier = self._round(frontier, unit, unit == last)
+            frontier, diff = self._round(frontier, diff, unit, unit == last)
         self._machine.charge_ops(self._ops, "rmeef_ops")
         self._ops = 0
         # Every node has been released by now; settle the balance.
         self._flush(self._trie_delta)
-        self.embeddings_found += self._emit_count
         self.last_group_count = self._emit_count
         return [
             row
@@ -426,15 +422,18 @@ class RMeefWorker:
             for row in map(tuple, block[:, self._columns].tolist())
         ]
 
-    def _round(self, frontier: np.ndarray, unit: int, final: bool) -> np.ndarray:
-        """Expand ``frontier`` through one unit, chunk by chunk.
+    def _round(
+        self, frontier: np.ndarray, diff: np.ndarray, unit: int, final: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Expand ``frontier`` (``diff``: its ``first_diff``) through one
+        unit, chunk by chunk.
 
-        Returns the verified next frontier (empty after the final round,
-        whose rows are emitted segment by segment).
+        Returns the verified next frontier and its ``first_diff`` (empty
+        after the final round, whose rows are emitted segment by segment).
         """
         n, k = frontier.shape
         rooted = unit == 0
-        diff = np.concatenate((kernel.first_diff(frontier), [0, 0]))
+        diff = np.concatenate((diff, [0, 0]))
         # Nodes above the frontier that are ancestors of some row >= a:
         # the k - 1 on row a's path, and those the later rows open.
         opened = np.append(k - 1 - diff[1:n], 0)
@@ -457,9 +456,8 @@ class RMeefWorker:
             c1 = c0 + _first_true(~self._known[pivots])
             self._chunk(state, c0, c1)
             c0 = c1
-        if not state.kept:
-            return np.empty((0, state.width), dtype=np.int64)
-        return _join(state.kept)
+        empty = np.empty((0, state.width), dtype=np.int64)
+        return state.next or (empty, empty[:, 0])
 
     # ------------------------------------------------------------------
     # One unit position (Algorithm 2), for every row of a block
@@ -541,21 +539,17 @@ class RMeefWorker:
             )
             levels.append(level)
             block, pending = level.block, level.pending
-        parents = [level.made for level in levels]
-        sizes = [rows] + [len(p) for p in parents]
-        live, span = _subtrees(parents, sizes)
-        has = np.bincount(parents[0][live[0]], minlength=rows) > 0
-        childless = ~has & (created > 0) if state.rooted else ~has
-        total = created + childless + np.bincount(
-            parents[0], weights=span[0], minlength=rows
+        # The frontier row of every node, and what each row keeps alive:
+        # its nodes of the trie the leaves are.
+        roots = [levels[0].made]
+        for level in levels[1:]:
+            roots.append(roots[-1][level.made])
+        leaves, leaf_rows = block, roots[-1] + c0
+        left = np.bincount(
+            roots[-1], state.width - np.maximum(kernel.first_diff(leaves), k), rows
         ).astype(np.int64)
-        # The frontier row of every node, and what each row keeps alive.
-        root = parents[0]
-        left = np.bincount(root[live[0]], minlength=rows)
-        for lv in range(1, len(levels)):
-            root = root[parents[lv]]
-            left += np.bincount(root[live[lv]], minlength=rows)
-        leaves, leaf_rows = block, root + c0
+        has = left > 0
+        childless = ~has & (created > 0) if state.rooted else ~has
 
         # What the trie gains or loses per row.  A row with leaves stays,
         # with its live subtree.  A childless row goes and takes along the
@@ -574,7 +568,7 @@ class RMeefWorker:
         prior = np.maximum.accumulate(np.where(has, np.arange(c0, c1), state.prior))
         prior = np.concatenate(([state.prior], prior[:-1]))
 
-        begin = state.begin
+        begin, before = state.begin, state.alive
         if state.final:
             closes = self._boundaries(
                 state, c0, c1, has,
@@ -588,12 +582,11 @@ class RMeefWorker:
         segment = np.searchsorted(closes, np.arange(rows))
         begins = np.concatenate(([begin], closes + (c0 + 1)))
         cascade = np.where(prior >= begins[segment], after, lone)
+        net = gain + childless * (created + cascade)
 
-        # Leaves of the segments that close here: verify them, and count
-        # the release entries that follow each closing row.
-        removal = np.zeros(rows, dtype=np.int64)
-        rpcs: dict[int, list[tuple[int, int]]] = {}
-        done = leaves[:0]
+        # Leaves of the segments that close here: verify them, emit or
+        # keep the survivors.
+        rpcs: list[tuple[int, list[tuple[int, int]]]] = []
         if len(closes):
             cut = int(np.searchsorted(leaf_rows, c0 + closes[-1], side="right"))
             pieces = state.open + [
@@ -605,73 +598,99 @@ class RMeefWorker:
             done = _join([p[0] for p in pieces])
             done_rows = _join([p[1] for p in pieces])
             done_segment = segment[np.maximum(done_rows - c0, 0)]
-            failed_rank = self._verify(pieces, done_segment, rpcs)
-            failed = failed_rank >= 0
-            per_segment = np.bincount(done_segment, minlength=len(closes))
-            failed_per = np.bincount(done_segment[failed], minlength=len(closes))
-            removal[closes] = per_segment if state.final else failed_per
-        if len(leaves):
-            state.open.append((leaves, leaf_rows, pending))
-
-        # Slots: every row's entries, then the releases that follow it.
-        extent = total + removal
-        base = _offsets(extent)
-        entries = np.zeros(int(extent.sum()), dtype=np.int64)
-        entries[base[created > 0]] = 1
-        gone = np.flatnonzero(childless)
-        entries[base[gone] + total[gone] - 1] = cascade[gone]
-        slots, times = _place(entries, levels, live, span, sizes, base + created)
-
-        if len(done):
-            # Within a segment the failed leaves go first, in `verifyE`
-            # order; in the final round the others follow, in row order.
-            first = _offsets(per_segment)[done_segment]
-            order = np.arange(len(done)) - first
-            if failed.any():
-                ahead = _offsets(failed.astype(np.int64))
-                order = np.where(
-                    failed, failed_rank,
-                    failed_per[done_segment] + order - (ahead - ahead[first]),
-                )
-            when = (base + total)[closes][done_segment] + order
-            if not state.final:
-                when = np.where(failed, when, _NEVER)
-            if state.final or failed.any():
-                self._release(
-                    state, entries, done, done_rows, done_segment, when, closes + c0
-                )
-            survivors = done[~failed] if failed.any() else done
+            failed, missed = self._verify(pieces, done_segment, rpcs)
+            survivors = done[~failed] if missed else done
             if not state.final:
                 state.kept.append(survivors)
             else:
                 self._emit_count += len(survivors)
                 if self._collect:
                     self._emitted.append(survivors)
+        if len(leaves):
+            state.open.append((leaves, leaf_rows, pending))
+        if not state.final and len(closes):
+            # The round ends: what stays is the trie its verified rows are.
+            frontier = _join(state.kept)
+            state.next = frontier, kernel.first_diff(frontier)
+            state.alive = frontier.size - int(state.next[1].sum())
+        elif not state.final:
+            state.alive += int(net.sum())
 
-        # Feed the timeline; a `verifyE` goes out where its segment closes.
-        fed, at = 0, len(entries)
-        try:
-            for s in sorted(rpcs):
-                stop = int(base[closes[s]] + total[closes[s]])
-                self._feed(entries[fed:stop])
-                fed = stop
-                self._send_verify(rpcs[s])
-            self._feed(entries[fed:])
-        except SimulatedMemoryError:
-            at = fed + self._oom_entry
-            raise
-        finally:
-            # What the recursion has charged, besides the entries, when
-            # entry `at` is accounted: a start candidate when its turn
-            # comes, a call's intersections and bounds when its node
-            # exists, a candidate's deferred checks before its node does.
-            if state.rooted:
-                self._ops += int((base <= at).sum())
-            begun = [base + created <= at] + [slot < at for slot in slots]
-            for level, call, when in zip(levels, begun, times):
-                self._ops += int(level.pre_ops[call].sum())
-                if level.checks is not None:
-                    self._ops += int(level.checks[when <= at].sum())
+        # Conservation gives the chunk's two sums; `climb` bounds, per row,
+        # the live nodes over `before` while the row is expanded.
+        made = int(created.sum()) + sum(map(len, roots))
+        delta = state.alive - before
+        held = self._trie_charged // NODE_BYTES
+        climb = _offsets(net) + created + np.bincount(_join(roots), minlength=rows)
+        if _within_step(
+            max(before - (made - delta), 0) - held, before + int(climb.max()) - held
+        ):
+            self._trie_delta += delta
+            for _, requests in rpcs:
+                self._send_verify(requests)
+        else:
+            # The hysteresis can be reached: the order of entries decides.
+            assert before == self._trie_delta + held
+            live, span = _subtrees([level.made for level in levels])
+            total = created + childless + np.bincount(
+                roots[0], weights=span[0], minlength=rows
+            ).astype(np.int64)
+            # Slots: every row's entries, then the releases that follow it.
+            removal = np.zeros(rows, dtype=np.int64)
+            if len(closes):
+                per_segment = np.bincount(done_segment, minlength=len(closes))
+                removal[closes] = per_segment if state.final else np.bincount(
+                    done_segment[failed], minlength=len(closes)
+                )
+            extent = total + removal
+            base = _offsets(extent)
+            entries = np.zeros(int(extent.sum()), dtype=np.int64)
+            entries[base[created > 0]] = 1
+            gone = np.flatnonzero(childless)
+            entries[base[gone] + total[gone] - 1] = cascade[gone]
+            slots, times = _place(entries, levels, live, span, base + created)
+            if len(closes) and len(done) and (state.final or missed):
+                # Within a segment the failed leaves go first, in `verifyE`
+                # order; in the final round the others follow, in row order.
+                rank = self._release_rank(missed, len(done))
+                turn = np.empty(len(done), dtype=np.int64)
+                turn[np.lexsort((rank, done_segment))] = np.arange(len(done))
+                when = ((base + total)[closes] - _offsets(per_segment))[done_segment] + turn
+                if not state.final:
+                    when = np.where(failed, when, _NEVER)
+                self._release(
+                    state, entries, done, done_rows, done_segment, when, closes + c0
+                )
+            assert entries.sum() == delta and np.abs(entries).sum() == 2 * made - delta
+            # Feed the timeline; a `verifyE` goes out where its segment closes.
+            fed = 0
+            try:
+                for s, requests in rpcs:
+                    stop = int(base[closes[s]] + total[closes[s]])
+                    self._feed(entries[fed:stop])
+                    fed = stop
+                    self._send_verify(requests)
+                self._feed(entries[fed:])
+            except SimulatedMemoryError:
+                # What the recursion has charged when entry `at` raises: the
+                # entries so far, a start candidate when its turn comes, a
+                # call's intersections and bounds when its node exists, a
+                # candidate's deferred checks before its node does.
+                at = fed + self._oom_entry
+                self._ops += int(np.abs(entries[:at + 1]).sum())
+                if state.rooted:
+                    self._ops += int((base <= at).sum())
+                begun = [base + created <= at] + [slot < at for slot in slots]
+                for level, call, when in zip(levels, begun, times):
+                    self._ops += int(level.pre_ops[call].sum())
+                    if level.checks is not None:
+                        self._ops += int(level.checks[when <= at].sum())
+                raise
+        self._ops += 2 * made - delta + rows * state.rooted
+        for level in levels:
+            self._ops += int(level.pre_ops.sum())
+            if level.checks is not None:
+                self._ops += int(level.checks.sum())
 
         # What the next chunk needs to know about this one.
         if has.any():
@@ -721,6 +740,7 @@ class RMeefWorker:
             state.begin, state.alive = c0 + at, alive
         if c1 == len(state.frontier) and state.begin < c1:
             closes.append(np.arange(rows - 1, rows))  # the round's last emit
+            state.alive = 0                           # leaves nothing behind
         return np.concatenate(closes) if closes else np.zeros(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
@@ -730,17 +750,17 @@ class RMeefWorker:
         self,
         pieces: list[tuple],
         segment: np.ndarray,
-        rpcs: dict[int, list[tuple[int, int]]],
-    ) -> np.ndarray:
+        rpcs: list[tuple[int, list[tuple[int, int]]]],
+    ) -> tuple[np.ndarray, list[tuple]]:
         """Settle the undetermined edges of the closing segments.
 
-        Fills ``rpcs[s]`` with one ``(owner, edges)`` request per machine
-        for segment ``s`` and returns, per leaf, its place among the
-        segment's failed leaves in release order — by (owner, first
-        registration) of the first failed edge it depends on, then by row
-        — or -1 if every edge it depends on exists (Prop. 2).
+        Appends ``(s, [(owner, edges), ...])`` — one request per machine —
+        for every segment ``s`` that has such edges, and returns the mask
+        of the leaves that depend on an edge that does not exist (Prop. 2)
+        with, per segment that has one, what :meth:`_release_rank` needs.
         """
-        rank = np.full(len(segment), -1, dtype=np.int64)
+        failed = np.zeros(len(segment), dtype=bool)
+        missed: list[tuple] = []
         holders, keys, offset = [], [], 0
         for leaves, _, pending in pieces:
             if pending is not None:
@@ -748,36 +768,44 @@ class RMeefWorker:
                 holders.append(leaf + offset)
                 keys.append(pending[leaf, column])
             offset += len(leaves)
-        if not holders:
-            return rank
+        if not sum(map(len, holders)):
+            return failed, missed
         holders, keys = _join(holders), _join(keys)
         graph = self._graph
         where = segment[holders]
-        bounds = np.flatnonzero(np.diff(where, prepend=-1, append=-1))
-        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            holder = holders[lo:hi]
-            edges, first, inverse = np.unique(
-                keys[lo:hi], return_index=True, return_inverse=True
-            )
+        bounds = [0, *(np.flatnonzero(where[1:] != where[:-1]) + 1).tolist(), len(where)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            edges = np.unique(keys[lo:hi])
             small, big = np.divmod(edges, graph.num_vertices)
-            owner = self._owner[small]
-            asked = np.bincount(owner)
-            rpcs[int(where[lo])] = [
-                (m, int(asked[m])) for m in np.flatnonzero(asked).tolist()
-            ]
+            asked = np.bincount(self._owner[small])
+            rpcs.append((
+                int(where[lo]),
+                [(m, int(asked[m])) for m in np.flatnonzero(asked).tolist()],
+            ))
             missing = ~graph.has_edges(small, big)
-            if not missing.any():
-                continue
+            if missing.any():
+                lost = missing[np.searchsorted(edges, keys[lo:hi])]
+                failed[holders[lo:hi][lost]] = True
+                missed.append((holders[lo:hi], keys[lo:hi], missing))
+        return failed, missed
+
+    def _release_rank(self, missed: list[tuple], leaves: int) -> np.ndarray:
+        """Per leaf, what its segment's failed leaves are released by, rows
+        breaking ties: (owner, first registration) of the first failed edge
+        it depends on, as one number — ``_NEVER`` if it has none."""
+        worst = np.full(leaves, _NEVER)
+        for holder, keys, missing in missed:
+            edges, first, inverse = np.unique(
+                keys, return_index=True, return_inverse=True
+            )
+            owner = self._owner[edges // self._graph.num_vertices]
             place = np.full(len(edges), _NEVER)
             place[np.lexsort((first, owner))] = np.arange(len(edges))
             place[~missing] = _NEVER
             # A leaf dies with the first failed edge it registered under.
             starts = np.flatnonzero(np.diff(holder, prepend=-1))
-            worst = np.minimum.reduceat(place[inverse], starts)
-            dead = worst < _NEVER
-            leaf, worst = holder[starts][dead], worst[dead]
-            rank[leaf[np.lexsort((leaf, worst))]] = np.arange(len(leaf))
-        return rank
+            worst[holder[starts]] = np.minimum.reduceat(place[inverse], starts)
+        return worst
 
     def _send_verify(self, requests: list[tuple[int, int]]) -> None:
         """One `verifyE` per remote machine (owner of the smaller endpoint)."""

@@ -160,17 +160,18 @@ class EnumerationEngine(ABC):
         return _obs_span(f"round.{name}", engine=self.name, **attributes)
 
     # -- inspection ----------------------------------------------------
-    def execution_plan(self, pattern: Pattern):
+    def execution_plan(self, pattern: Pattern, plans=None):
         """The decomposition this engine would run ``pattern`` with.
 
         The default is the paper's three-heuristic choice
-        (:func:`repro.query.plan.best_execution_plan`); engines with their
+        (:func:`repro.query.plan.best_execution_plan`, over ``plans`` if
+        the caller has enumerated the plan space); engines with their
         own planner (RADS's ``plan_provider``) override this so
         :meth:`explain` reports the plan they would actually execute.
         """
         from repro.query.plan import best_execution_plan
 
-        return best_execution_plan(pattern)
+        return best_execution_plan(pattern, plans=plans)
 
     def _explain_extras(self, pattern: Pattern) -> dict[str, Any]:
         """Engine-specific structure surfaced in :meth:`explain`."""
@@ -186,13 +187,16 @@ class EnumerationEngine(ABC):
         through JSON and ``str()`` pretty-prints the plan.
         """
         from repro.query.explain import explain_query
+        from repro.query.plan import enumerate_execution_plans
 
         pattern = getattr(query, "pattern", query)
+        plans = enumerate_execution_plans(pattern)
         return explain_query(
             query,
             engine=self.name,
             graph=graph,
-            plan=self.execution_plan(pattern),
+            plan=self.execution_plan(pattern, plans),
+            plans=plans,
             extras=self._explain_extras(pattern),
             notes=self.explain_note,
         )

@@ -265,6 +265,7 @@ def explain_query(
     engine: str = "",
     graph: "Graph | None" = None,
     plan: ExecutionPlan | None = None,
+    plans: list[ExecutionPlan] | None = None,
     labels: "tuple[int, ...] | None" = None,
     extras: dict[str, Any] | None = None,
     notes: str = "",
@@ -274,15 +275,17 @@ def explain_query(
 
     ``query`` is a :class:`Pattern` or ``LabeledPattern``; ``plan``
     overrides the default :func:`best_execution_plan` choice (engines pass
-    their own provider's plan); ``graph`` enables the per-round cost-model
+    their own provider's plan, and the plan space as ``plans`` where they
+    enumerated it to choose); ``graph`` enables the per-round cost-model
     estimates; ``extras`` carries engine-specific structure.
     """
     pattern = query
     if hasattr(query, "pattern") and hasattr(query, "labels"):
         pattern = query.pattern
         labels = tuple(query.labels) if labels is None else labels
+    candidates = enumerate_execution_plans(pattern) if plans is None else plans
     if plan is None:
-        plan = best_execution_plan(pattern)
+        plan = best_execution_plan(pattern, plans=candidates)
     estimates: list[tuple[float | None, float | None]] = [
         (None, None)
     ] * len(plan.units)
@@ -314,7 +317,6 @@ def explain_query(
             zip(plan.units, estimates)
         )
     ]
-    candidates = enumerate_execution_plans(pattern)
     scores = [score_plan(p) for p in candidates]
     plan_space: dict[str, Any] = {
         "num_plans": len(candidates),

@@ -238,9 +238,13 @@ def score_plan(plan: ExecutionPlan, rho: float = 1.0) -> float:
     return total
 
 
-def best_execution_plan(pattern: Pattern, rho: float = 1.0) -> ExecutionPlan:
-    """Apply the paper's rules: min rounds, min span(dp0.piv), max score."""
-    plans = enumerate_execution_plans(pattern)
+def best_execution_plan(
+    pattern: Pattern, rho: float = 1.0, plans: list[ExecutionPlan] | None = None
+) -> ExecutionPlan:
+    """Apply the paper's rules: min rounds, min span(dp0.piv), max score —
+    over ``plans`` where the caller has enumerated the plan space already."""
+    if plans is None:
+        plans = enumerate_execution_plans(pattern)
     if not plans:
         raise ValueError("no execution plan found")
     min_span = min(pattern.span(p.start_vertex) for p in plans)

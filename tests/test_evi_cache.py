@@ -7,7 +7,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.cluster.costmodel import CostModel
 from repro.core.cache import ForeignVertexCache
-from repro.core.rmeef import RMeefWorker
+from repro.core.rmeef import _NEVER, RMeefWorker
 from repro.graph import Graph
 from repro.partition.partition import GraphPartition
 from repro.query import best_execution_plan
@@ -47,6 +47,19 @@ class TestEVI:
         leaves = np.zeros((len(edge_lists), 3), dtype=np.int64)
         return [(leaves, np.zeros(len(edge_lists), dtype=np.int64), pending)]
 
+    @staticmethod
+    def verify(worker, pieces, segment):
+        """``(requests per segment, release rank per leaf or -1)``: the
+        failed mask of ``_verify`` and, as a chunk that builds its timeline
+        orders them, the failed leaves' places within their segment."""
+        rpcs = []
+        failed, missed = worker._verify(pieces, segment, rpcs)
+        worst = worker._release_rank(missed, len(segment))
+        assert (worst < _NEVER).tolist() == failed.tolist()
+        turn = np.empty(len(segment), dtype=np.int64)
+        turn[np.lexsort((worst, segment))] = np.arange(len(segment))
+        return dict(rpcs), np.where(failed, turn - np.searchsorted(segment, segment), -1)
+
     def test_shared_edge_groups_ecs(self, worker):
         """Def. 5: ECs sharing an undetermined edge live under one key —
         (5, 9) and (9, 5) are the same edge, asked once."""
@@ -62,20 +75,18 @@ class TestEVI:
     def test_failed_leaves_dedup(self, worker):
         """A leaf that depends on two failed edges is released once; a
         failed edge takes every leaf that depends on it."""
-        rpcs = {}
-        rank = worker._verify(
-            self.pieces([(1, 3), (2, 3)], [(2, 3)], [(1, 2)]),
-            np.zeros(3, dtype=np.int64), rpcs,
+        _, rank = self.verify(
+            worker, self.pieces([(1, 3), (2, 3)], [(2, 3)], [(1, 2)]),
+            np.zeros(3, dtype=np.int64),
         )
         assert rank.tolist() == [0, 1, -1]
 
     def test_group_by_machine(self, worker):
         """One request per owner of the smaller endpoint, and failed leaves
         leave in (owner, first registration, row) order."""
-        rpcs = {}
-        rank = worker._verify(
-            self.pieces([(3, 2)], [(1, 4)], [(2, 3)], [(1, 3)], [(3, 4)]),
-            np.zeros(5, dtype=np.int64), rpcs,
+        rpcs, rank = self.verify(
+            worker, self.pieces([(3, 2)], [(1, 4)], [(2, 3)], [(1, 3)], [(3, 4)]),
+            np.zeros(5, dtype=np.int64),
         )
         # (2, 3) -> machine 1, first registered by leaf 0 and shared with
         # leaf 2; (1, 4), (1, 3) -> machine 1; (3, 4) -> machine 2, exists.
@@ -86,10 +97,8 @@ class TestEVI:
         """Keys are orientation-free, and every emit segment starts from an
         empty index: the same edge is asked again in the next segment."""
         assert self.key(4, 2) == self.key(2, 4)
-        rpcs = {}
-        rank = worker._verify(
-            self.pieces([(2, 4)], [(4, 2)], [(2, 4)]),
-            np.array([0, 0, 1]), rpcs,
+        rpcs, rank = self.verify(
+            worker, self.pieces([(2, 4)], [(4, 2)], [(2, 4)]), np.array([0, 0, 1])
         )
         assert rpcs == {0: [(1, 1)], 1: [(1, 1)]}
         assert rank.tolist() == [0, 1, 0]

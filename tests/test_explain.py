@@ -144,6 +144,28 @@ class TestEngineExplain:
         assert [r.pivot for r in ex.rounds] == [u.pivot for u in plan.units]
         assert ex.extras["grouping"] == "proximity"
 
+    @pytest.mark.parametrize("engine", ["rads", "twintwig"])
+    def test_one_explain_enumerates_the_plan_space_once(
+        self, graph, engine, monkeypatch
+    ):
+        import repro.query.plan as planning
+
+        seen = []
+        enumerate_plans = planning.enumerate_execution_plans
+
+        def counted(pattern, *args, **kwargs):
+            seen.append(pattern)
+            return enumerate_plans(pattern, *args, **kwargs)
+
+        monkeypatch.setattr(planning, "enumerate_execution_plans", counted)
+        monkeypatch.setattr("repro.query.explain.enumerate_execution_plans", counted)
+        session = repro.open(graph).engine(engine).query("q4")
+        explained = session.explain(with_estimates=False)
+        assert len(seen) == 1
+        assert explained == explain_query(house(), engine=explained.engine,
+                                          extras=explained.extras, notes=explained.notes)
+        assert len(seen) == 2
+
     def test_engine_specific_extras(self, graph):
         session = repro.open(graph).query("q4")
         assert "join_units" in session.engine("twintwig").explain().extras

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import grid_road_network, erdos_renyi
 from repro.partition import GraphPartition, HashPartitioner, MetisLikePartitioner
-from repro.partition.stats import partition_report, sme_share
+from partition_stats import partition_report, sme_share
 from repro.query import paper_query
 from repro.query.pattern_gen import (
     book,
