@@ -107,7 +107,7 @@ class RunResult:
             per_machine_time=[float(t) for t in data["per_machine_time"]],
             embeddings=(
                 None if embeddings is None
-                else [tuple(int(v) for v in emb) for emb in embeddings]
+                else [tuple(map(int, emb)) for emb in embeddings]
             ),
             failed=bool(data.get("failed", False)),
             failure=data.get("failure"),

@@ -17,11 +17,9 @@ Counters accumulate in two distinct layers, distinguishable by the dot:
 
 The names are spelled literally rather than imported from their owning
 modules: this module must stay importable from anywhere (including the
-modules that own the constants) without cycles — the same reason
-``repro.service.scheduler`` mirrors ``STORE_HIT_COUNTER`` instead of
-importing :mod:`repro.store`.  ``tests/test_counter_registry.py`` pins
-each literal to its source-of-truth constant, so the two spellings
-cannot drift.
+modules that own the constants) without cycles.
+``tests/test_counter_registry.py`` pins each literal to its
+source-of-truth constant, so the two spellings cannot drift.
 """
 
 from __future__ import annotations

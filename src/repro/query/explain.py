@@ -16,7 +16,8 @@ Entry points: :meth:`repro.api.session.Session.explain`,
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import copy
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.query.pattern import Pattern
@@ -108,27 +109,30 @@ class QueryExplanation:
 
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
-        """JSON-safe dict form (tuples become lists; from_dict inverts)."""
-        data = asdict(self)
-        data["rounds"] = [
-            {
-                **asdict(unit),
-                "leaves": list(unit.leaves),
-                "star_edges": [list(e) for e in unit.star_edges],
-                "sibling_edges": [list(e) for e in unit.sibling_edges],
-                "cross_edges": [list(e) for e in unit.cross_edges],
-            }
-            for unit in self.rounds
-        ]
-        data["symmetry_conditions"] = [
-            list(c) for c in self.symmetry_conditions
-        ]
-        data["alternatives"] = [
-            {**asdict(alt), "pivots": list(alt.pivots)}
-            for alt in self.alternatives
-        ]
-        data["labels"] = None if self.labels is None else list(self.labels)
-        return data
+        """JSON-safe dict form sharing nothing mutable (from_dict inverts)."""
+        return {
+            **vars(self),  # every field, in field order; containers below
+            "rounds": [
+                {
+                    **vars(unit),
+                    "leaves": list(unit.leaves),
+                    "star_edges": [list(e) for e in unit.star_edges],
+                    "sibling_edges": [list(e) for e in unit.sibling_edges],
+                    "cross_edges": [list(e) for e in unit.cross_edges],
+                }
+                for unit in self.rounds
+            ],
+            "matching_order": list(self.matching_order),
+            "symmetry_conditions": [list(c) for c in self.symmetry_conditions],
+            "plan_space": copy.deepcopy(self.plan_space),
+            "alternatives": [
+                {**vars(alt), "pivots": list(alt.pivots)}
+                for alt in self.alternatives
+            ],
+            "labels": None if self.labels is None else list(self.labels),
+            "graph_summary": copy.deepcopy(self.graph_summary),
+            "extras": copy.deepcopy(self.extras),
+        }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "QueryExplanation":

@@ -67,6 +67,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 #: Counter names merged into served ``RunResult.counters``.
 HIT_COUNTER = "service.cache_hit"
 DEDUP_COUNTER = "service.dedup"
+STORE_HIT_COUNTER = "service.store_hit"
 
 
 def config_digest(config: "RunConfig") -> str:
@@ -612,6 +613,7 @@ class ResultCache:
 __all__ = [
     "DEDUP_COUNTER",
     "HIT_COUNTER",
+    "STORE_HIT_COUNTER",
     "ResultCache",
     "cache_key",
     "config_digest",

@@ -76,17 +76,13 @@ from repro.query.pattern import Pattern
 from repro.service import protocol
 from repro.service.cache import (
     DEDUP_COUNTER,
+    STORE_HIT_COUNTER,
     ResultCache,
     cache_key,
     config_digest,
     serve_copy,
 )
 from repro.service.tenancy import QuotaExceeded, TenantLedger, TenantQuota
-
-#: Mirrors :data:`repro.store.STORE_HIT_COUNTER`.  Spelled out here (and
-#: asserted equal in the store module) because importing it would make
-#: ``repro.store`` <-> ``repro.service`` circular at import time.
-STORE_HIT_COUNTER = "service.store_hit"
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from typing import Mapping

@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import CancelledError
 from typing import TYPE_CHECKING, Any, NamedTuple
 
@@ -44,6 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.store import EmbeddingStore
 
 __all__ = ["QueryServer"]
+
+#: Explain answers memoised per graph version (the result cache's LRU size).
+EXPLAIN_MEMO_SIZE = 128
 
 
 class _Reply(NamedTuple):
@@ -158,6 +162,8 @@ class QueryServer(LineDaemon):
         self._log_path = log_path
         self._log_lock = threading.Lock()
         self._explain_engines: dict[str, Any] = {}
+        #: (engine name, query text, estimates) -> explain answer (LRU).
+        self._explain_memo: "OrderedDict[tuple, Any]" = OrderedDict()
         self._explain_lock = threading.Lock()
 
     def _teardown(self) -> None:
@@ -184,10 +190,10 @@ class QueryServer(LineDaemon):
 
         In-flight queries keep their pinned snapshot (scheduler
         executions capture graph + partition at submit); everything that
-        serves *new* requests — the scheduler's graph, the explain-engine
-        cache, the hello/metrics fingerprints — moves to the new version,
-        and the superseded version's now-unreachable result-cache entries
-        are reclaimed by fingerprint.
+        serves *new* requests — the scheduler's graph, the explain
+        engines and memoised answers, the hello/metrics fingerprints —
+        moves to the new version, and the superseded version's
+        now-unreachable result-cache entries are reclaimed by fingerprint.
         """
         _events.emit(
             "info",
@@ -201,6 +207,7 @@ class QueryServer(LineDaemon):
         self.graph = new.graph
         with self._explain_lock:
             self._explain_engines.clear()
+            self._explain_memo.clear()
         if self.scheduler.cache is not None:
             self.scheduler.cache.evict_graph(old.fingerprint)
         if self.store is not None:
@@ -291,18 +298,26 @@ class QueryServer(LineDaemon):
         from repro.api.session import resolve_query
 
         engine_name = self.registry.resolve(engine).name
+        key = (engine_name, query, estimates)
         with self._explain_lock:
+            answer = self._explain_memo.get(key)
+            if answer is not None:
+                self._explain_memo.move_to_end(key)
+                return answer
             built = self._explain_engines.get(engine_name)
             if built is None:
                 built = self.registry.create(engine_name, graph=self.graph)
                 self._explain_engines[engine_name] = built
             # explain() is analytical and engine state is untouched, but
             # engines are not thread-safe in general: hold the lock.
-            explanation = built.explain(
+            answer = built.explain(
                 resolve_query(query),
                 graph=self.graph if estimates else None,
-            )
-        return explanation.to_dict()
+            ).to_dict()
+            self._explain_memo[key] = answer
+            if len(self._explain_memo) > EXPLAIN_MEMO_SIZE:
+                self._explain_memo.popitem(last=False)
+        return answer
 
     def _op_stats(self):
         return self.scheduler.stats()

@@ -64,7 +64,7 @@ class TrieColumns:
         #: so leaf count == node count at the last level.
         self.leaf_count = int(values[-1].shape[0])
         self._build_ranges()
-        self._postings: "list[np.ndarray] | None" = None
+        self._postings: "list[tuple[np.ndarray, np.ndarray]] | None" = None
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -148,11 +148,13 @@ class TrieColumns:
             # last child's end; every node has >= 1 child by construction
             self.leaf_end[level] = self.leaf_end[level + 1][last - 1]
 
-    def _level_postings(self) -> "list[np.ndarray]":
-        """Per-level stable argsort of node values (inverted postings)."""
+    def _level_postings(self) -> "list[tuple[np.ndarray, np.ndarray]]":
+        """Per level, the node values sorted and their stable argsort
+        (inverted postings: ``sorted[i] == values[order[i]]``)."""
         if self._postings is None:
+            orders = [np.argsort(vals, kind="stable") for vals in self.values]
             self._postings = [
-                np.argsort(vals, kind="stable") for vals in self.values
+                (vals[order], order) for vals, order in zip(self.values, orders)
             ]
         return self._postings
 
@@ -179,7 +181,7 @@ class TrieColumns:
         for level in range(self.depth - 1, -1, -1):
             out[:, level] = self.values[level][node]
             node = self.parents[level][node]
-        return [tuple(int(x) for x in row) for row in out]
+        return list(map(tuple, out.tolist()))
 
     def decompress_range(self, offset: int, limit: "int | None" = None):
         """One contiguous page of the sorted leaf order."""
@@ -197,44 +199,30 @@ class TrieColumns:
         return self.decompress_range(0)
 
     # -- index scans ----------------------------------------------------
-    def _ranges_for_vertex(self, level: int, vertex: int):
-        """(begin, end) leaf-range arrays of level nodes matching vertex."""
-        order = self._level_postings()[level]
-        vals = self.values[level][order]
-        lo = int(np.searchsorted(vals, vertex, side="left"))
-        hi = int(np.searchsorted(vals, vertex, side="right"))
-        nodes = order[lo:hi]
-        return self.leaf_begin[level][nodes], self.leaf_end[level][nodes]
-
     def lookup_leaves(self, vertex: int) -> np.ndarray:
         """Sorted leaf ids of embeddings containing data vertex ``vertex``.
 
         Embeddings are injective (subgraph isomorphism), so a vertex
         appears at most once per embedding and per-level node ranges are
-        pairwise disjoint — the union is a plain concatenation.
+        pairwise disjoint — the union is a plain concatenation, expanded
+        for all ranges at once (a range is a run of consecutive leaf ids).
         """
-        pieces: list[np.ndarray] = []
-        for level in range(self.depth):
-            begins, ends = self._ranges_for_vertex(level, vertex)
-            for b, e in zip(begins.tolist(), ends.tolist()):
-                pieces.append(np.arange(b, e, dtype=np.int64))
-        if not pieces:
-            return np.zeros(0, dtype=np.int64)
-        leaves = np.concatenate(pieces)
+        nodes = [
+            order[vals.searchsorted(vertex, "left"):
+                  vals.searchsorted(vertex, "right")]
+            for vals, order in self._level_postings()
+        ]
+        begins = np.concatenate([b[n] for b, n in zip(self.leaf_begin, nodes)])
+        ends = np.concatenate([e[n] for e, n in zip(self.leaf_end, nodes)])
+        lengths = ends - begins
+        leaves = np.arange(int(lengths.sum()), dtype=np.int64)
+        leaves += np.repeat(begins - (np.cumsum(lengths) - lengths), lengths)
         leaves.sort()
         return leaves
 
     def lookup(self, vertex: int) -> "list[tuple[int, ...]]":
         """Embeddings containing ``vertex``, in sorted leaf order."""
         return self.decompress_leaves(self.lookup_leaves(int(vertex)))
-
-    def contain_count(self, vertex: int) -> int:
-        """How many embeddings contain ``vertex`` (index ranges only)."""
-        total = 0
-        for level in range(self.depth):
-            begins, ends = self._ranges_for_vertex(level, int(vertex))
-            total += int((ends - begins).sum())
-        return total
 
     def aggregate(
         self, group_by: str, *, orbits: "Sequence[Sequence[int]] | None" = None
@@ -254,8 +242,8 @@ class TrieColumns:
         if group_by == "root":
             sizes = self.leaf_end[0] - self.leaf_begin[0]
             return {
-                str(int(v)): int(c)
-                for v, c in zip(self.values[0], sizes)
+                str(v): c
+                for v, c in zip(self.values[0].tolist(), sizes.tolist())
             }
         if group_by == "vertex":
             return self._vertex_counts(range(self.depth))
@@ -287,7 +275,9 @@ class TrieColumns:
         uniq, inverse = np.unique(vertices, return_inverse=True)
         sums = np.bincount(inverse, weights=counts, minlength=len(uniq))
         return {
-            str(int(v)): int(c) for v, c in zip(uniq, sums) if int(c) != 0
+            str(v): c
+            for v, c in zip(uniq.tolist(), sums.astype(np.int64).tolist())
+            if c != 0
         }
 
     def __len__(self) -> int:

@@ -37,6 +37,7 @@ from repro.engines.base import RunResult
 from repro.query.isomorphism import find_isomorphism
 from repro.query.pattern import Pattern
 from repro.service.cache import (
+    STORE_HIT_COUNTER,
     _key_record,
     copy_result,
     key_digest,
@@ -49,11 +50,6 @@ __all__ = ["EmbeddingStore", "StoredSet", "STORE_FORMAT"]
 #: Version tag written into every stored set; bumped on layout changes
 #: (a mismatching file is treated as a miss, never misread).
 STORE_FORMAT = 1
-
-#: Counter merged into served ``RunResult.counters`` on a store hit.
-#: The scheduler spells out its own copy (importing either way would be
-#: circular at import time); keep the two literals in lockstep.
-STORE_HIT_COUNTER = "service.store_hit"
 
 #: Filename prefix length taken from the graph fingerprint (hex chars).
 _FP_PREFIX = 16
@@ -330,14 +326,6 @@ class EmbeddingStore:
         served.counters[STORE_HIT_COUNTER] = 1
         return served
 
-    def _remap(
-        self,
-        stored: StoredSet,
-        pattern: Pattern,
-        rows: "list[tuple[int, ...]]",
-    ) -> "list[tuple[int, ...]]":
-        return remap_embeddings(rows, stored.pattern, pattern)
-
     def _mapping(self, stored: StoredSet, pattern: Pattern) -> "list[int]":
         """requested-position -> stored-level mapping (identity if equal)."""
         if stored.pattern == pattern:
@@ -367,7 +355,7 @@ class EmbeddingStore:
         with self._lock:
             self.pages += 1
         return {
-            "embeddings": self._remap(stored, pattern, rows),
+            "embeddings": remap_embeddings(rows, stored.pattern, pattern),
             "total": stored.columns.leaf_count,
             "offset": offset,
             "limit": limit,
@@ -384,7 +372,7 @@ class EmbeddingStore:
         with self._lock:
             self.lookups += 1
         return {
-            "embeddings": self._remap(stored, pattern, rows),
+            "embeddings": remap_embeddings(rows, stored.pattern, pattern),
             "count": len(rows),
             "total": stored.columns.leaf_count,
             "vertex": int(vertex),

@@ -24,7 +24,6 @@ from repro.obs.counters import (
     unknown_counters,
 )
 from repro.service import cache as service_cache
-from repro.service import scheduler as service_scheduler
 from repro.service.scheduler import QueryScheduler
 from repro.store import STORE_HIT_COUNTER
 
@@ -37,8 +36,7 @@ class TestRegistryPinsSourceConstants:
         assert service_cache.DEDUP_COUNTER in SERVICE_COUNTERS
 
     def test_store_hit_spelling_is_shared_and_registered(self):
-        # scheduler mirrors the store's constant; all three must agree.
-        assert STORE_HIT_COUNTER == service_scheduler.STORE_HIT_COUNTER
+        # One spelling (repro.service.cache), re-exported by repro.store.
         assert STORE_HIT_COUNTER in SERVICE_COUNTERS
 
     def test_distributed_fault_counters_are_registered(self):

@@ -1,6 +1,7 @@
 """First-class explain(): QueryExplanation content and serialization."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -101,6 +102,56 @@ class TestSerialization:
         assert payload["symmetry_conditions"] == [
             list(c) for c in symmetry_breaking_constraints(triangle())
         ]
+
+
+def asdict_reference(ex: QueryExplanation) -> dict:
+    """The ``dataclasses.asdict`` spelling of ``to_dict`` (the reference
+    the field-by-field one is held to)."""
+    data = asdict(ex)
+    data["rounds"] = [
+        {
+            **asdict(unit),
+            "leaves": list(unit.leaves),
+            "star_edges": [list(e) for e in unit.star_edges],
+            "sibling_edges": [list(e) for e in unit.sibling_edges],
+            "cross_edges": [list(e) for e in unit.cross_edges],
+        }
+        for unit in ex.rounds
+    ]
+    data["symmetry_conditions"] = [list(c) for c in ex.symmetry_conditions]
+    data["alternatives"] = [
+        {**asdict(alt), "pivots": list(alt.pivots)} for alt in ex.alternatives
+    ]
+    data["labels"] = None if ex.labels is None else list(ex.labels)
+    return data
+
+
+class TestToDictParity:
+    @pytest.mark.parametrize("with_graph", [False, True])
+    def test_every_engine_and_catalogue_query_matches_asdict(
+        self, graph, with_graph
+    ):
+        registry = default_registry()
+        patterns = {p.name: p for p in named_patterns().values()}
+        for spec in registry.specs():
+            engine = registry.create(spec.name, graph=graph)
+            for pattern in patterns.values():
+                ex = engine.explain(
+                    pattern, graph=graph if with_graph else None
+                )
+                want = json.dumps(asdict_reference(ex), sort_keys=True)
+                data = ex.to_dict()
+                assert json.dumps(data, sort_keys=True) == want, (
+                    spec.name, pattern.name
+                )
+                # The record is the caller's: mutating it (nested
+                # containers included) leaves the explanation alone.
+                data["plan_space"]["num_plans"] = -1
+                data["extras"]["injected"] = True
+                for value in data["extras"].values():
+                    if isinstance(value, list):
+                        value.append("injected")
+                assert json.dumps(ex.to_dict(), sort_keys=True) == want
 
 
 class TestEngineExplain:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -746,6 +747,119 @@ class TestServerClient:
         assert response["id"] == 7
         assert not response["ok"]
         assert "unknown op" in response["error"]
+
+
+class TestExplainMemo:
+    """The server keeps explain answers per (engine, query text,
+    estimates) until the graph changes."""
+
+    @staticmethod
+    def explain(server, query="q4", estimates=True):
+        response = server._dispatch({
+            "op": "explain", "id": 1, "query": query, "engine": "rads",
+            "estimates": estimates,
+        })
+        assert response["ok"], response
+        return response["result"]
+
+    @staticmethod
+    def count_planning(monkeypatch) -> list:
+        import repro.query.plan as planning
+
+        calls: list = []
+        real = planning.enumerate_execution_plans
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(planning, "enumerate_execution_plans", counted)
+        return calls
+
+    def test_repeat_does_not_replan_and_equals_a_fresh_answer(
+        self, server, monkeypatch
+    ):
+        first = self.explain(server)
+        calls = self.count_planning(monkeypatch)
+        again = self.explain(server)
+        assert calls == []
+        fresh = server.registry.create("rads", graph=server.graph).explain(
+            repro.resolve_query("q4"), graph=server.graph
+        ).to_dict()
+        assert again == first == fresh
+        assert len(calls) == 1  # the fresh answer planned; the repeat not
+        # A different estimates flag is a different answer.
+        assert self.explain(server, estimates=False)["graph_summary"] is None
+        assert len(calls) == 2
+
+    def test_ingest_drops_the_memo(self, graph, server):
+        assert (
+            self.explain(server)["graph_summary"]["num_edges"]
+            == graph.num_edges
+        )
+        u, v = next(
+            (u, v)
+            for u in range(graph.num_vertices)
+            for v in range(u + 1, graph.num_vertices)
+            if not graph.has_edge(u, v)
+        )
+        response = server._dispatch(
+            {"op": "ingest", "id": 2, "additions": [[u, v]]}
+        )
+        assert response["ok"], response
+        assert (
+            self.explain(server)["graph_summary"]["num_edges"]
+            == graph.num_edges + 1
+        )
+
+    def test_lru_evicts_the_oldest_query_text(self, server, monkeypatch):
+        from repro.service.server import EXPLAIN_MEMO_SIZE
+
+        texts = [
+            f"a{i}-b{i}, b{i}-c{i}, c{i}-a{i}"
+            for i in range(EXPLAIN_MEMO_SIZE + 1)
+        ]
+        for text in texts:
+            self.explain(server, text, estimates=False)
+        assert len(server._explain_memo) == EXPLAIN_MEMO_SIZE
+        calls = self.count_planning(monkeypatch)
+        self.explain(server, texts[1], estimates=False)  # still kept
+        assert calls == []
+        self.explain(server, texts[0], estimates=False)  # evicted
+        assert len(calls) == 1
+
+    def test_concurrent_explains_keep_the_memo_consistent(self, server):
+        from repro.service.server import EXPLAIN_MEMO_SIZE
+
+        texts = [f"a{i}-b{i}, b{i}-c{i}, a{i}-c{i}" for i in range(160)]
+        errors: list = []
+
+        def worker(offset: int) -> None:
+            try:
+                for text in texts[offset::2]:
+                    answer = self.explain(server, text, estimates=False)
+                    assert answer["pattern_dsl"] == (
+                        repro.resolve_query(text).to_dsl()
+                    )
+            except BaseException as exc:  # re-raised below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i % 2,))
+                for i in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+        assert len(server._explain_memo) == EXPLAIN_MEMO_SIZE
 
 
 class TestSessionServe:

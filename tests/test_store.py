@@ -11,6 +11,7 @@ protocol ops, and the disk-tier fix to ``ResultCache.evict_graph``.
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -95,13 +96,40 @@ class TestTrieColumns:
                 )
         assert columns.decompress_range(1) == want[1:]
 
+    #: Hub-heavy: vertex HUB closes 300 embeddings, so it owns 300
+    #: deepest-level nodes, and opens or sits inside a few more.
+    HUB = 7
+    HUB_EMBS = (
+        [(10 + i, 400 + i, 7) for i in range(300)]
+        + [(7, 1, 2), (7, 2, 1), (1, 7, 3), (3, 1, 2)]
+    )
+
     def test_lookup_matches_brute_force(self):
-        columns = TrieColumns.from_embeddings(self.EMBS, 3)
-        want = sorted(set(self.EMBS))
-        for vertex in range(13):
-            expect = [emb for emb in want if vertex in emb]
-            assert columns.lookup(vertex) == expect
-            assert columns.contain_count(vertex) == len(expect)
+        for embs in (self.EMBS, self.HUB_EMBS):
+            columns = TrieColumns.from_embeddings(embs, 3)
+            want = sorted(set(embs))
+            vertices = {v for emb in want for v in emb} | {-1, 13, 10_000}
+            containing = columns.aggregate("vertex")
+            for vertex in sorted(vertices):
+                expect = [emb for emb in want if vertex in emb]
+                assert columns.lookup(vertex) == expect
+                assert containing.get(str(vertex), 0) == len(expect)
+        # However many ranges match, they are expanded at once.
+        hub = TrieColumns.from_embeddings(self.HUB_EMBS, 3)
+        arange_calls = 0
+
+        def count(frame, event, arg):
+            nonlocal arange_calls
+            if event == "c_call" and arg is np.arange:
+                arange_calls += 1
+
+        sys.setprofile(count)
+        try:
+            leaves = hub.lookup_leaves(self.HUB)
+        finally:
+            sys.setprofile(None)
+        assert len(leaves) == 303
+        assert arange_calls <= 1
 
     def test_aggregate_root_and_vertex_match_brute_force(self):
         columns = TrieColumns.from_embeddings(self.EMBS, 3)
