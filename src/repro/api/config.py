@@ -179,7 +179,7 @@ class RunConfig:
     @staticmethod
     def _normalize_shard(shard: Any) -> str:
         """One shard address as a canonical ``host:port`` string."""
-        from repro.service.protocol import parse_address
+        from repro.service.protocol import format_address, parse_address
 
         try:
             host, port = parse_address(
@@ -189,7 +189,7 @@ class RunConfig:
             raise ConfigError(
                 f"invalid shard address {shard!r}: {exc}"
             ) from exc
-        return f"{host}:{port}"
+        return format_address(host, port)
 
     # ------------------------------------------------------------------
     @property

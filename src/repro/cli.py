@@ -291,8 +291,9 @@ def _run_daemon(daemon, ready, stopped: str) -> int:
     ``ready(bound)`` words the readiness line around the bound
     ``host:port`` (scripts wait for that line / read the port from it).
     """
-    host, port = daemon.address
-    print(ready(f"{host}:{port}"), flush=True)
+    from repro.service.protocol import format_address
+
+    print(ready(format_address(*daemon.address)), flush=True)
     try:
         daemon.serve_forever()
     except KeyboardInterrupt:

@@ -71,7 +71,11 @@ rows released in (owner, first registration, row) order.
 
 **Chunks and known-epochs.**  A round is expanded ``ROWS_PER_BLOCK``
 frontier rows at a time, and segments that close are accounted and dropped
-before the next chunk, so the transient pair arrays stay bounded.  The
+before the next chunk.  That bounds the frontier rows a chunk starts from,
+not the pairs below them: a unit with several leaf positions expands all
+of them inside one chunk, and an edge between two foreign leaves is
+deferred to `verifyE`, so a hub's chunk can grow like its degree to the
+power of the leaf count.  The
 known mask only changes at a `fetchV`, which happens at round start or at
 a row's first position when a starved cache has evicted its pivot; a chunk
 ends at such a miss, so every chunk sees one mask and the same block code

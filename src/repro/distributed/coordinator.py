@@ -36,6 +36,7 @@ from repro.distributed import protocol
 from repro.distributed.errors import DistributedError
 from repro.obs import events as _events
 from repro.runtime.delta import capture_state
+from repro.service.protocol import format_address
 from repro.service.transport import dial
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -77,8 +78,7 @@ class _Shard:
 
     @property
     def name(self) -> str:
-        host, port = self.address
-        return f"{host}:{port}"
+        return format_address(*self.address)
 
     def next_id(self) -> int:
         self._next_id += 1

@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from repro.service.protocol import parse_address
+from repro.service.protocol import format_address, parse_address
 
 __all__ = ["ShardRegistry"]
 
@@ -96,8 +96,7 @@ class ShardRegistry:
         A new address is a membership edit (version bump); a re-announce
         refreshes the entry's timestamp and advertised state in place.
         """
-        host, port = parse_address(address)
-        name = f"{host}:{port}"
+        name = format_address(*parse_address(address))
         now = self._clock()
         with self._lock:
             entry = self._entries.get(name)
@@ -115,8 +114,7 @@ class ShardRegistry:
 
     def withdraw(self, address: "tuple[str, int] | str | int") -> bool:
         """Remove a worker from the book (polite scale-down, not a fault)."""
-        host, port = parse_address(address)
-        name = f"{host}:{port}"
+        name = format_address(*parse_address(address))
         with self._lock:
             if self._entries.pop(name, None) is None:
                 return False

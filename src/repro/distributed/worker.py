@@ -50,7 +50,7 @@ from repro.obs.profile import task_rusage, worker_usage
 from repro.obs.trace import remote_span
 from repro.partition.partition import GraphPartition
 from repro.runtime.executor import execute_task
-from repro.service.protocol import PROTOCOL_VERSION
+from repro.service.protocol import PROTOCOL_VERSION, format_address
 from repro.service.transport import LineDaemon, acknowledged
 
 __all__ = ["ShardWorker", "stop_worker"]
@@ -90,7 +90,7 @@ class _Connection:
         self.connection = connection
         self._send = send
         #: This shard's name in span and usage rows.
-        self._shard = "%s:%d" % worker.address
+        self._shard = format_address(*worker.address)
         self._queue: "queue.Queue[Any]" = queue.Queue()
         # Replica clusters by bind key, LRU-capped.
         self._replicas: dict[tuple, Cluster] = {}
@@ -343,10 +343,9 @@ class ShardWorker(LineDaemon):
         """One announce-protocol exchange with the query server."""
         if self._announce is None:
             return False
-        host, port = self.address
         return acknowledged(
             self._announce,
-            {"op": "announce", "id": 1, "address": f"{host}:{port}", **fields},
+            {"op": "announce", "id": 1, "address": format_address(*self.address), **fields},
             timeout=10.0,
             role=None,
             version=PROTOCOL_VERSION,

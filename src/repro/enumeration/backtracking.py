@@ -11,18 +11,28 @@ bounds (and start candidates passing ``allowed``), ``embeddings`` +=
 complete rows yielded.
 
 **Tables.**  :class:`MatchingTables` compiles ``P`` matching orders of one
-pattern into what a step needs per position — backward anchor columns,
-lower / upper bound columns, degree floor — and the permutation back to
+pattern into one int64 table per position, a row per order — the backward
+anchor columns padded with column 0 to the widest list, each anchor's size
+offset (0, or ``_ABSENT`` for padding, so a padded anchor sorts after every
+real list, filters nothing and charges nothing), the lower and upper bound
+columns as 0/1 masks, the degree floor — and the permutation back to
 pattern-vertex columns: a function of ``(pattern, constraints, orders)``
 only, run over any snapshot.  With ``P > 1`` (streaming's ``2 |E_P|``
-rooted plans) every ``(seed, order)`` pair is a row of the seed block, tagged
-``seed * P + order``: a level is one step whatever ``P`` is, and rows come
-out in ``(seed, order, depth-first)`` order.  Where every order agrees on a
-position (always, with the one order of a :class:`BacktrackingEnumerator`)
-its table is the plain column list and the step the untagged one; elsewhere
-a table has a row per order, looked up by tag: anchors padded to the widest
-list under a ``real`` mask — ``block.member``'s ``decided``, so a padded
-anchor filters nothing and charges nothing — and bounds as column masks.
+rooted plans) every ``(seed, order)`` pair is a row of the seed block,
+tagged ``seed * P + order``: a level is one step whatever ``P`` is, and
+rows come out in ``(seed, order, depth-first)`` order.
+
+**One fused step.**  A gathered level is one function,
+:meth:`MatchingTables._step`, that pays numpy's dispatch once per array
+operation: the table read once, by one fancy index on ``tags % P``; anchors
+by one fancy index; their sizes from the graph's cached degree array; the
+smallest list gathered; each further anchor one ``searchsorted`` on the
+sentinel-terminated edge keys (ids from the CSR need no range check); the
+bounds; then injectivity, degree and ``allowed`` as one mask over one
+``block[row]`` gather that is also the next block.  A seed block's ``k``
+prefix columns are admitted in one pass, :meth:`MatchingTables._admit`:
+data edges to the backward neighbours, bounds, injectivity, ``allowed`` and
+degree build a single mask, and the rows it keeps are the first block.
 
 **Inputs.**  ``adjacency`` is a :class:`Graph` (a bound ``graph.neighbors``
 stands for its graph) and ``allowed`` a boolean mask over the data
@@ -42,9 +52,12 @@ from typing import Iterable, Iterator
 import numpy as np
 
 import repro.enumeration.block as kernel
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, gather_ranges
 from repro.query.pattern import Pattern
 from repro.query.symmetry import bound_columns
+
+#: An absent (padding) anchor's size offset: it sorts after every real list.
+_ABSENT = 1 << 62
 
 
 @dataclass
@@ -122,10 +135,13 @@ def compute_matching_order(
     return order
 
 
-def _table(entries: list, tagged=np.array):
-    """One position's table: ``entries[0]`` where every order agrees, else
-    ``tagged(entries)``, a row per order."""
-    return entries[0] if entries.count(entries[0]) == len(entries) else tagged(entries)
+def _row(anchors: list[int], width: int, lower: list[int], upper: list[int], q: int, degree: int):
+    """One order's table row at position ``q`` (see :class:`MatchingTables`)."""
+    pad = width - len(anchors)
+    return [
+        *anchors, *[0] * pad, *[0] * len(anchors), *[_ABSENT] * pad,
+        *(c in lower for c in range(q)), *(c in upper for c in range(q)), degree,
+    ]
 
 
 class MatchingTables:
@@ -145,90 +161,112 @@ class MatchingTables:
         if not all(all(plan[1:]) for plan in backward):
             raise ValueError("order vertex without an earlier neighbour")
         bounds = [bound_columns(constraints, order) for order in orders]
-        # Per position: anchor columns, which of them are real (None: all),
-        # lower bound columns, upper bound columns, degree floor.
+        # Per position: the table, the anchor width, and where in a row the
+        # lower / upper bound masks are (None: no order bounds that side).
         self._steps = []
         for q in range(pattern.num_vertices):
-            anchors = [plan[q] for plan in backward]
-            sizes = [[len(columns)] for columns in anchors]
-            width = max(sizes)[0]
-            self._steps.append((
-                _table(anchors, lambda lists: np.array(
-                    [columns + [0] * (width - len(columns)) for columns in lists]
-                )),
-                np.arange(width) < np.array(sizes) if min(sizes)[0] < width else None,
-                *(
-                    _table([plan[side][q] for plan in bounds], lambda lists: np.array(
-                        [np.isin(range(q), columns) for columns in lists]
-                    ))
-                    for side in (0, 1)
-                ),
-                _table([pattern.degree(order[q]) for order in orders]),
-            ))
-        self._columns = _table([[at[u] for u in pattern.vertices()] for at in places])
+            width = max(len(plan[q]) for plan in backward)
+            table = np.array([
+                _row(plan[q], width, lower[q], upper[q], q, pattern.degree(order[q]))
+                for plan, (lower, upper), order in zip(backward, bounds, orders)
+            ], dtype=np.int64).reshape(len(orders), -1)
+            sides = (slice(2 * width, 2 * width + q), slice(2 * width + q, 2 * width + 2 * q))
+            self._steps.append(
+                (table, width, *(side if table[:, side].any() else None for side in sides))
+            )
+        self._columns = np.array([[at[u] for u in pattern.vertices()] for at in places])
 
-    def _step(self, run, block, tags, position: int, cand=None, charge=False):
-        """The next block — ``block``'s rows one position deeper — and its tags.
-
-        Candidates are gathered from each row's smallest backward neighbourhood
-        and charged; or handed in, one per row (``cand``: a seed column), and
-        admitted by the same checks — data edges to the backward neighbours,
-        bounds, injectivity, ``allowed``, degree — uncharged (``charge``: except
-        those passing ``allowed``, where the recursion charged a start candidate).
-        """
+    def _step(self, run, block, tags):
+        """The next block — ``block``'s rows one position deeper — and its tags:
+        each row's candidates gathered from its smallest backward neighbourhood,
+        then narrowed and charged in one pass (module docstring)."""
         graph, masks, stats = run
-        tables = self._steps[position]
-        if len(self.orders) > 1:  # per row, by the order it follows
-            plans = tags % len(self.orders)
-            tables = [t[plans] if isinstance(t, np.ndarray) else t for t in tables]
-        anchors, real, lower, upper, degree = tables
-        if isinstance(anchors, list):
-            anchors = block[:, anchors]
-        else:
-            anchors = np.take_along_axis(block, anchors, axis=1)
-        sizes = graph.indptr[anchors + 1] - graph.indptr[anchors]
-        if real is not None:
-            sizes[~real] = np.iinfo(np.int64).max  # padding sorts last
-        anchors = kernel.smallest_first(anchors, sizes)  # ties in pattern order
-        gathered = cand is None
-        if gathered:
-            stats.recursive_calls += len(block)
-            row, cand = kernel.neighbors(graph, anchors[:, 0])
-            anchors, real = anchors[:, 1:], None if real is None else real[:, 1:]
-        else:
-            row = np.arange(len(block))
-        row, cand, cost = kernel.member(graph, anchors, row, cand, real)
-        row, cand = kernel.bounded(block, row, cand, lower, upper)
-        if gathered:
-            stats.intersections += int(cost.sum())
-            stats.candidates_scanned += len(cand)
-        keep = kernel.injective(block, row, cand)
+        degrees, keys, n = graph.degrees(), graph.edge_keys(), graph.num_vertices
+        rows, position = block.shape
+        table, width, lower, upper = self._steps[position]
+        table = table[tags % len(self.orders)]
+        span = np.arange(rows)[:, None]
+        anchors = block[span, table[:, :width]]
+        sizes = degrees[anchors] + table[:, width:2 * width]
+        if width > 1:  # smallest list first, ties in pattern order
+            order = sizes.argsort(axis=1, kind="stable")
+            anchors, sizes = anchors[span, order], sizes[span, order]
+        stats.recursive_calls += rows
+        row, flat = gather_ranges(graph.indptr[anchors[:, 0]], sizes[:, 0])
+        cand, alive, cost = graph.indices[flat], sizes[:, 0], 0
+        for j in range(1, width):
+            if j > 1:
+                alive = np.bincount(row, minlength=rows)
+            real = sizes[:, j] < _ABSENT
+            cost += (np.minimum(alive, sizes[:, j]) * real).sum()
+            wanted = anchors[row, j] * n + cand
+            keep = (keys[keys.searchsorted(wanted)] == wanted) | ~real[row]
+            row, cand = row[keep], cand[keep]
+        stats.intersections += int(cost)
+        keep = kernel.within(
+            block, row, cand,
+            None if lower is None else table[:, lower],
+            None if upper is None else table[:, upper],
+        )
+        if keep is not None:
+            row, cand = row[keep], cand[keep]
+        stats.candidates_scanned += cand.size
+        mates = block[row]
+        keep = (mates != cand[:, None]).all(axis=1) & (degrees[cand] >= table[row, -1])
         if masks is not None:
             keep &= masks[position, cand]
-        if charge:
-            stats.candidates_scanned += int(keep.sum())
-        if isinstance(degree, np.ndarray):
-            degree = degree[row]
-        keep &= graph.indptr[cand + 1] - graph.indptr[cand] >= degree
-        row = row[keep]
-        return kernel.append(block, row, cand[keep]), tags[row]
+        cand = cand[keep]
+        return np.concatenate((mates[keep], cand[:, None]), axis=1), tags[row[keep]]
+
+    def _admit(self, run, seeds, charge=False):
+        """The rows of ``seeds`` that are partial embeddings of their order and
+        their tags, in one pass (module docstring); with ``P > 1`` a row per
+        ``(seed, order)`` pair, tagged ``seed * P + order``."""
+        graph, masks, stats = run
+        degrees, keys, n = graph.degrees(), graph.edge_keys(), graph.num_vertices
+        count = len(self.orders)
+        if count > 1:
+            seeds = seeds.repeat(count, axis=0)
+        tags = np.arange(seeds.shape[0])
+        plans, keep = tags % count, tags >= 0
+        for position in range(seeds.shape[1]):
+            table, width, lower, upper = self._steps[position]
+            table, column, prefix = table[plans], seeds[:, position], seeds[:, :position]
+            if position:
+                wanted = seeds[tags[:, None], table[:, :width]] * n + column[:, None]
+                found = keys[keys.searchsorted(wanted)] == wanted
+                keep &= (found | (table[:, width:2 * width] > 0)).all(axis=1)
+                keep &= (prefix != column[:, None]).all(axis=1)
+                inside = kernel.within(
+                    prefix, tags, column,
+                    None if lower is None else table[:, lower],
+                    None if upper is None else table[:, upper],
+                )
+                if inside is not None:
+                    keep &= inside
+            if masks is not None:
+                keep &= masks[position, column]
+            if charge:  # the start candidates past `allowed`
+                stats.candidates_scanned += int(keep.sum())
+            keep &= degrees[column] >= table[:, -1]
+        return seeds[keep], tags[keep]
 
     def _expand(self, run, block, tags) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Complete blocks below ``block`` in DFS order, chunk by chunk."""
-        position = block.shape[1]
-        if position == len(self.orders[0]):
+        if block.shape[1] == len(self.orders[0]):
             yield block, tags
             return
         for lo in range(0, len(block), kernel.ROWS_PER_BLOCK):
             hi = lo + kernel.ROWS_PER_BLOCK
-            yield from self._expand(run, *self._step(run, block[lo:hi], tags[lo:hi], position))
+            yield from self._expand(run, *self._step(run, block[lo:hi], tags[lo:hi]))
 
     def emit(
         self, adjacency: Graph, stats: EnumerationStats, seeds: np.ndarray,
         allowed: np.ndarray | None = None, limit: int | None = None, charge=False,
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """``(seed index, embeddings by pattern vertex)`` blocks below ``seeds``,
-        whose column ``j`` is the image of every order's position ``j``."""
+        whose column ``j`` is the image of every order's position ``j``.
+        ``charge``: the seeds are start candidates (one column)."""
         bound = getattr(adjacency, "__func__", None) is Graph.neighbors
         graph = adjacency.__self__ if bound else adjacency
         if not isinstance(graph, Graph):
@@ -242,19 +280,14 @@ class MatchingTables:
         if outside.size:
             raise ValueError(f"vertex id {outside[0]} outside [0, {graph.num_vertices})")
         count, run = len(self.orders), (graph, masks, stats)
-        seeds = np.repeat(seeds, count, axis=0) if count > 1 else seeds
-        block, tags = seeds[:, :0], np.arange(len(seeds))
-        for position in range(seeds.shape[1]):
-            block, tags = self._step(run, block, tags, position, seeds[tags, position], charge)
+        block, tags = self._admit(run, seeds, charge)
         if limit is not None and limit <= 0:
             return
         for rows, tags in self._expand(run, block, tags):
             rows, tags = rows[:limit], tags[:limit]
             stats.embeddings += len(rows)
-            if count > 1:
-                yield tags // count, np.take_along_axis(rows, self._columns[tags % count], axis=1)
-            else:
-                yield tags, rows[:, self._columns]
+            span = np.arange(len(rows))[:, None]
+            yield tags // count, rows[span, self._columns[tags % count]]
             if limit is not None:
                 limit -= len(rows)
                 if limit <= 0:

@@ -14,9 +14,21 @@ caller keeps its own accounting (``EnumerationStats``, ``rmeef_ops``,
 array, columns in matching order.  A step works on ``(row, cand)`` pairs —
 candidate ``cand[i]`` proposed for row ``row[i]`` — produced by
 :func:`neighbors` from the CSR range of one anchor column, narrowed by
-:func:`member` (one :meth:`Graph.has_edges` per further anchor column),
-:func:`bounded` (symmetry-breaking bounds) and the :func:`injective` mask,
-and turned into the ``(m, k + 1)`` block by :func:`append`.
+:func:`member` (one binary search in :meth:`Graph.edge_keys` per further
+anchor column), :func:`bounded` (symmetry-breaking bounds) and the
+:func:`injective` mask, and turned into the ``(m, k + 1)`` block by
+:func:`append`.
+
+**Dispatch.**  On blocks of tens of rows a step costs numpy's per-call
+overhead, not work, so each helper pays it once per array operation:
+ndarray methods rather than the ``np.*`` wrappers, degrees and edge keys
+from the arrays :class:`Graph` caches, and no re-validation — every id a
+step sees came out of the CSR or out of a seed block already checked to be
+in range, so membership is ``keys[keys.searchsorted(k)] == k`` on the
+sentinel-terminated key array, with no clamp and no range check
+(:meth:`Graph.has_edges` keeps both, for ids from anywhere).
+:class:`~repro.enumeration.backtracking.MatchingTables` fuses a whole step
+into one function on the same terms.
 
 **Ordering guarantee.**  Pairs are generated row by row, candidates
 ascending, and every later stage is a stable filter, so a block whose rows
@@ -48,6 +60,8 @@ from repro.graph.graph import Graph, gather_ranges
 #: baselines' unit instances and Crystal's buds.
 ROWS_PER_BLOCK = 2048
 
+_TOP = np.iinfo(np.int64).max
+
 
 def neighbors(
     graph: Graph, anchors: np.ndarray, counts: np.ndarray | None = None
@@ -58,7 +72,7 @@ def neighbors(
     """
     starts = graph.indptr[anchors]
     if counts is None:
-        counts = graph.indptr[anchors + 1] - starts
+        counts = graph.degrees()[anchors]
     row, flat = gather_ranges(starts, counts)
     return row, graph.indices[flat]
 
@@ -68,7 +82,8 @@ def smallest_first(anchors: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     ties in column order: the order a matcher intersects its lists in."""
     if anchors.shape[1] < 2:
         return anchors
-    return np.take_along_axis(anchors, np.argsort(sizes, axis=1, kind="stable"), axis=1)
+    rows = np.arange(anchors.shape[0])[:, None]
+    return anchors[rows, sizes.argsort(axis=1, kind="stable")]
 
 
 def member(
@@ -86,23 +101,51 @@ def member(
     nothing is charged.  Returns ``(row, cand, cost)`` with the per-row
     intersection cost of the module docstring.
     """
-    rows = len(others)
+    rows = others.shape[0]
     cost = np.zeros(rows, dtype=np.int64)
+    degrees, keys, n = graph.degrees(), graph.edge_keys(), graph.num_vertices
     for j in range(others.shape[1]):
         if decided is not None and not decided[:, j].any():
             continue
         column = others[:, j]
-        charge = np.minimum(
-            np.bincount(row, minlength=rows),
-            graph.indptr[column + 1] - graph.indptr[column],
-        )
-        keep = graph.has_edges(column[row], cand)
+        charge = np.minimum(np.bincount(row, minlength=rows), degrees[column])
+        wanted = column[row] * n + cand
+        keep = keys[keys.searchsorted(wanted)] == wanted
         if decided is not None:
             charge *= decided[:, j]
             keep |= ~decided[row, j]
         cost += charge
         row, cand = row[keep], cand[keep]
     return row, cand, cost
+
+
+def within(
+    block: np.ndarray,
+    row: np.ndarray,
+    cand: np.ndarray,
+    lower: list[int] | np.ndarray | None,
+    upper: list[int] | np.ndarray | None,
+) -> np.ndarray | None:
+    """Mask of the pairs above every ``lower`` column and below every
+    ``upper`` column of their row (the symmetry-breaking bounds of one
+    position), or ``None`` where nothing binds.  Each side is a list of
+    columns, ``None``, or — rows of several matching orders in one block —
+    an ``(n, k)`` 0/1 or boolean mask of the columns that bind each row."""
+    keep = None
+    if lower is not None and len(lower):
+        if isinstance(lower, list):
+            floor = block[:, lower].max(1) + 1
+        else:  # one above the largest bound image, 0 where none binds
+            floor = ((block + 1) * lower).max(1, initial=0)
+        keep = cand >= floor[row]
+    if upper is not None and len(upper):
+        if isinstance(upper, list):
+            ceiling = block[:, upper].min(1)
+        else:  # the smallest bound image, _TOP where none binds
+            ceiling = ((block - _TOP) * upper).min(1, initial=0) + _TOP
+        below = cand < ceiling[row]
+        keep = below if keep is None else keep & below
+    return keep
 
 
 def bounded(
@@ -112,24 +155,9 @@ def bounded(
     lower: list[int] | np.ndarray,
     upper: list[int] | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs above every ``lower`` column and below every ``upper`` column
-    of their row (the symmetry-breaking bounds of one position): each a list
-    of columns, or — rows of several matching orders in one block — an
-    ``(n, k)`` mask of the columns that bind each row."""
-    if not len(lower) and not len(upper):
-        return row, cand
-
-    def extreme(columns, reduce, free):  # per pair, over what binds its row
-        if isinstance(columns, list):
-            return reduce(block[:, columns], axis=1)[row]
-        return reduce(np.where(columns, block, free), axis=1, initial=free)[row]
-
-    keep = np.ones(len(cand), dtype=bool)
-    if len(lower):
-        keep &= cand > extreme(lower, np.ndarray.max, -1)
-    if len(upper):
-        keep &= cand < extreme(upper, np.ndarray.min, np.iinfo(np.int64).max)
-    return row[keep], cand[keep]
+    """The pairs :func:`within` their row's bounds."""
+    keep = within(block, row, cand, lower, upper)
+    return (row, cand) if keep is None else (row[keep], cand[keep])
 
 
 def injective(block: np.ndarray, row: np.ndarray, cand: np.ndarray) -> np.ndarray:

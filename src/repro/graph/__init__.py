@@ -19,12 +19,6 @@ from repro.graph.labeled import (
     label_by_degree_buckets,
     label_randomly,
 )
-from repro.graph.interop import (
-    graph_from_networkx,
-    graph_to_networkx,
-    pattern_from_networkx,
-    pattern_to_networkx,
-)
 from repro.graph.generators import (
     community_graph,
     erdos_renyi,
@@ -51,10 +45,6 @@ __all__ = [
     "LabeledGraph",
     "label_by_degree_buckets",
     "label_randomly",
-    "graph_from_networkx",
-    "graph_to_networkx",
-    "pattern_from_networkx",
-    "pattern_to_networkx",
     "grid_road_network",
     "erdos_renyi",
     "preferential_attachment",

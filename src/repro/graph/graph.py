@@ -65,11 +65,9 @@ def gather_ranges(
     neighbour lists at once: ``indices[flat]`` are the neighbours and
     ``row`` says whose.
     """
-    ends = np.cumsum(counts)
-    row = np.repeat(np.arange(len(counts)), counts)
-    flat = np.arange(ends[-1] if len(ends) else 0)
-    flat += np.repeat(starts - ends + counts, counts)
-    return row, flat
+    ends = counts.cumsum()
+    row = np.arange(counts.size).repeat(counts)
+    return row, np.arange(row.size) + (starts - ends + counts)[row]
 
 
 def _merge_adjacency_chunk(task: tuple) -> np.ndarray:
@@ -103,7 +101,8 @@ class Graph:
     """
 
     __slots__ = (
-        "_indptr", "_indices", "_num_edges", "_fingerprint", "_edge_keys"
+        "_indptr", "_indices", "_num_edges", "_fingerprint", "_edge_keys",
+        "_degrees",
     )
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray):
@@ -112,6 +111,7 @@ class Graph:
         self._num_edges = int(len(self._indices) // 2)
         self._fingerprint: str | None = None
         self._edge_keys: np.ndarray | None = None
+        self._degrees: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -202,7 +202,7 @@ class Graph:
         # Mark deleted slots in the old indices array: a directed entry's
         # slot is its rank in the (sorted) edge-key array.
         keep = np.ones(len(self._indices), dtype=bool)
-        keep[np.searchsorted(self._keys(), del_src * np.int64(n) + del_dst)] = False
+        keep[self.edge_keys().searchsorted(del_src * np.int64(n) + del_dst)] = False
 
         degrees = self.degrees()
         add_counts = np.bincount(add_src, minlength=n)
@@ -277,8 +277,10 @@ class Graph:
         return int(self._indptr[v + 1] - self._indptr[v])
 
     def degrees(self) -> np.ndarray:
-        """Degree array for all vertices."""
-        return np.diff(self._indptr)
+        """Degree array for all vertices (cached, read-only)."""
+        if self._degrees is None:
+            self._degrees = _frozen(np.diff(self._indptr))
+        return self._degrees
 
     def has_edge(self, u: int, v: int) -> bool:
         """True iff the undirected edge ``(u, v)`` exists."""
@@ -286,36 +288,35 @@ class Graph:
         i = int(np.searchsorted(nbrs, v))
         return i < len(nbrs) and int(nbrs[i]) == v
 
-    def _keys(self) -> np.ndarray:
-        """``src * |V| + dst`` of every CSR entry (cached, read-only).
+    def edge_keys(self) -> np.ndarray:
+        """``src * |V| + dst`` of every CSR entry, then one sentinel above
+        them all (cached, read-only).
 
-        CSR order is ``(src, dst)`` order, so the array is globally
-        sorted and an entry's rank is its slot in ``indices``.
+        CSR order is ``(src, dst)`` order, so the keys ascend and an
+        entry's rank is its slot in ``indices``.  For ids in range a key
+        looks itself up as ``keys[keys.searchsorted(key)] == key``: the
+        sentinel ends every search inside the array, so there is no clamp.
         """
         if self._edge_keys is None:
             n = self.num_vertices
-            src = np.repeat(np.arange(n, dtype=np.int64), self.degrees())
-            self._edge_keys = _frozen(src * n + self._indices)
+            src = np.arange(n, dtype=np.int64).repeat(self.degrees())
+            self._edge_keys = _frozen(
+                np.append(src * n + self._indices, np.iinfo(np.int64).max)
+            )
         return self._edge_keys
 
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Elementwise :meth:`has_edge` over arrays of vertex ids.
 
-        One binary search per pair in the cached edge-key array; this is
-        the membership test of the block enumeration kernel.  A pair with
-        an endpoint outside ``[0, |V|)`` is not an edge: False.
+        One binary search per pair in :meth:`edge_keys`.  A pair with an
+        endpoint outside ``[0, |V|)`` is not an edge: False.
         """
-        keys = self._keys()
-        if len(keys) == 0:
-            return np.zeros(len(us), dtype=bool)
-        n = self.num_vertices
+        keys, n = self.edge_keys(), self.num_vertices
+        us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        wanted = np.asarray(us, dtype=np.int64) * n + vs
-        slots = np.searchsorted(keys, wanted)
-        slots[slots == len(keys)] = 0
-        # With ``vs`` in range a key is unambiguous: an out-of-range ``us``
-        # puts it below every stored key or above them all.
-        return (keys[slots] == wanted) & (vs >= 0) & (vs < n)
+        wanted = us * n + vs
+        found = keys[keys.searchsorted(wanted)] == wanted
+        return found & (us >= 0) & (us < n) & (vs >= 0) & (vs < n)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate each undirected edge once, as ``(u, v)`` with ``u < v``."""

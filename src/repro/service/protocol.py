@@ -101,8 +101,7 @@ def one_of(*choices: Any, expected: "str | None" = None) -> Checker:
 
 
 def _canonical_address(value: str) -> str:
-    host, port = parse_address(value)
-    return f"{host}:{port}"
+    return format_address(*parse_address(value))
 
 
 query = Checker(
@@ -420,6 +419,12 @@ def parse_address(address: "tuple[str, int] | str | int") -> tuple[str, int]:
             f"'host:port' or a port number"
         )
     return host or "127.0.0.1", int(port)
+
+
+def format_address(host: str, port: int) -> str:
+    """``"host:port"``: the one spelling of an address, which
+    :func:`parse_address` reads back."""
+    return f"{host}:{port}"
 
 
 def error_response(request_id: Any, message: str) -> dict[str, Any]:

@@ -217,8 +217,7 @@ def dial(
     is a :class:`ProtocolError` that names it; either way nothing is
     left open.
     """
-    host, port = address
-    name = f"{host}:{port}"
+    name = protocol.format_address(*address)
     peer, dialer = (
         ("query server", "client") if role is None
         else (role.replace("-", " "), "coordinator")

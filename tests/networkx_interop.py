@@ -1,9 +1,8 @@
-"""NetworkX interoperability.
+"""NetworkX interoperability, kept beside its test (``test_interop.py``).
 
-Downstream users usually have graphs in `networkx` form; these helpers
-convert both ways without copying more than the edge list.  NetworkX is a
-soft dependency of this module only — the rest of the package never
-imports it.
+Graphs in `networkx` form convert both ways without copying more than the
+edge list.  NetworkX is a dependency of this module only — the package
+never imports it.
 """
 
 from __future__ import annotations

@@ -95,7 +95,7 @@ class TestHasEdges:
         g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
         assert g.has_edges(np.array([1]), np.array([2])).all()
         with pytest.raises(ValueError):
-            g._keys()[0] = 7
+            g.edge_keys()[0] = 7
         clone = pickle.loads(pickle.dumps(g))
         assert clone == g
         assert clone.has_edges(np.array([3, 0]), np.array([4, 4])).tolist() == [

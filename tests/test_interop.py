@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.enumeration import enumerate_embeddings
 from repro.graph import erdos_renyi
-from repro.graph.interop import (
+from networkx_interop import (
     graph_from_networkx,
     graph_to_networkx,
     pattern_from_networkx,

@@ -282,14 +282,18 @@ class TestChunkCost:
 
         chunk, expand = RMeefWorker._chunk.__code__, RMeefWorker._expand.__code__
         depth = {chunk: 0, expand: 0}
-        seen = {"chunks": 0, "calls": 0, "_place": 0, "_release": 0}
+        seen = {"chunks": 0, "calls": 0, "_place": 0, "_release": 0,
+                "expands": 0, "expand_calls": 0}
 
         def tick(frame, event, arg):
             code = frame.f_code
             if event in ("call", "return") and code in depth:
                 depth[code] += 1 if event == "call" else -1
                 seen["chunks"] += event == "call" and code is chunk
-            elif event in ("call", "c_call") and depth[chunk] and not depth[expand]:
+                seen["expands"] += event == "call" and code is expand
+            elif event in ("call", "c_call") and depth[expand]:
+                seen["expand_calls"] += 1
+            elif event in ("call", "c_call") and depth[chunk]:
                 seen["calls"] += 1
                 if event == "call" and code.co_name in seen:
                     seen[code.co_name] += 1
@@ -309,6 +313,7 @@ class TestChunkCost:
         finally:
             sys.setprofile(None)
         seen["per_chunk"] = seen["calls"] / seen["chunks"]
+        seen["per_expand"] = seen["expand_calls"] / seen["expands"]
         return seen
 
     @pytest.mark.parametrize("qname", ["q1", "q4"])
@@ -316,9 +321,19 @@ class TestChunkCost:
         graph = grid_road_network(62, 62, extra_edge_prob=0.04, seed=0)
         seen = self._profile(graph, qname)
         print(f"{qname}: {seen}")
-        assert seen["chunks"] > 20
+        assert seen["chunks"] > 20 and seen["expands"] >= seen["chunks"]
         assert seen["_place"] == seen["_release"] == 0
         assert seen["per_chunk"] <= 0.6 * self.TIMELINE_EVERYWHERE[qname]
+
+    #: Calls per ``_expand`` on the commit before the wrapper-free helpers.
+    EXPAND_BEFORE = {"q1": 66.4, "q4": 67.4}
+
+    @pytest.mark.parametrize("qname", ["q1", "q4"])
+    def test_an_expand_pays_numpy_dispatch_once_per_array_op(self, qname):
+        graph = grid_road_network(62, 62, extra_edge_prob=0.04, seed=0)
+        seen = self._profile(graph, qname)
+        assert seen["expands"] > 20
+        assert seen["per_expand"] <= 0.75 * self.EXPAND_BEFORE[qname]
 
     def test_the_order_path_stays_exercised(self):
         seen = self._profile(powerlaw_cluster(40, 5, 0.3, seed=5), "q4", memory_mb=0.25)

@@ -2,8 +2,9 @@
 
 ``IncrementalMatcher.matches_using`` roots one matching order at every
 directed pattern edge (``2 |E_P|`` plans).  Counted, not timed: what a call
-costs in kernel steps — each step ends in one ``block.append`` — must be
-the pattern's vertex count, whatever the number of plans, and nothing on
+costs in kernel steps — one admission of the seed block, then one
+``MatchingTables._step`` per level — must be at most the pattern's vertex
+count, whatever the number of plans, and nothing on
 the ingest path may compile an enumerator once the watch is registered.
 And differential: the per-plan loop the block replaced lives on here as the
 reference, for ordered lists and all four counters.
@@ -17,15 +18,15 @@ import numpy as np
 import pytest
 
 import repro
-import repro.enumeration.block as kernel
 from repro.enumeration.backtracking import (
     BacktrackingEnumerator,
     EnumerationStats,
+    MatchingTables,
     compute_matching_order,
 )
 from repro.graph import erdos_renyi, grid_road_network, powerlaw_cluster
 from repro.query.patterns import CLIQUE_QUERIES, PAPER_QUERIES, square, star, triangle
-from repro.query.symmetry import symmetry_breaking_constraints
+from repro.query.symmetry import bound_columns, symmetry_breaking_constraints
 from repro.streaming.incremental import IncrementalMatcher
 
 WATCHES = {"triangle": triangle(), "square": square(), "q4": PAPER_QUERIES["q4"]}
@@ -58,13 +59,43 @@ class TestRootedCost:
         pattern = WATCHES[name]
         matcher = IncrementalMatcher(pattern)
         edges = list(graph.edges())[:32]
-        steps, gathers = _calls(
+        steps, admissions = _calls(
             lambda: matcher.matches_using(graph, edges),
-            kernel.append.__code__, kernel.neighbors.__code__,
+            MatchingTables._step.__code__, MatchingTables._admit.__code__,
         )
         plans = 2 * len(list(pattern.edges()))
-        print(f"{name}: {plans} plans, {steps} steps ({gathers} gathers)")
-        assert gathers <= steps <= pattern.num_vertices
+        print(f"{name}: {plans} plans, {admissions} admission + {steps} steps")
+        assert admissions == 1
+        assert 1 <= steps + admissions <= pattern.num_vertices
+
+    #: ``call`` + ``c_call`` events per gathered step on q4 rooted at 32
+    #: edges of this grid, on the commit before the fused step.
+    STEP_CALLS_BEFORE = 120.3
+
+    def test_a_gathered_step_pays_numpy_dispatch_once(self, graph):
+        step = MatchingTables._step.__code__
+        inside, seen = [], {"steps": 0, "calls": 0}
+
+        def tick(frame, event, arg):
+            if frame.f_code is step and event in ("call", "return"):
+                if event == "call":  # a seed column handed in is an admission
+                    inside.append(frame.f_locals.get("cand") is None)
+                    seen["steps"] += inside[-1]
+                else:
+                    inside.pop()
+            elif inside and inside[-1] and event in ("call", "c_call"):
+                seen["calls"] += 1
+
+        matcher = IncrementalMatcher(PAPER_QUERIES["q4"])
+        edges = list(graph.edges())[:32]
+        matcher.matches_using(graph, edges)
+        sys.setprofile(tick)
+        try:
+            matcher.matches_using(graph, edges)
+        finally:
+            sys.setprofile(None)
+        assert seen["steps"] >= 1
+        assert seen["calls"] / seen["steps"] <= 0.5 * self.STEP_CALLS_BEFORE
 
     def test_an_ingest_compiles_nothing(self, graph):
         session = repro.open(graph)
@@ -105,6 +136,84 @@ def per_plan_loop(pattern, constraints, graph, edges, stats):
         )
     ]
     return [row for _, _, row in sorted(found, key=lambda item: item[:2])]
+
+
+def per_position_admission(tables, pattern, constraints, graph, seeds, allowed, charge):
+    """What the step did with a seed column handed in, one position at a
+    time: data edges to the backward neighbours, bounds, injectivity and
+    ``allowed`` (charged as start candidates under ``charge``), then degree."""
+    stats, admitted, tags = EnumerationStats(), [], []
+    orders = tables.orders
+    masks = None if allowed is None else np.broadcast_to(
+        allowed, (pattern.num_vertices, graph.num_vertices))
+    for tag, row in enumerate(np.repeat(seeds, len(orders), axis=0).tolist()):
+        order = orders[tag % len(orders)]
+        lower, upper = bound_columns(constraints, order)
+        for p, v in enumerate(row):
+            ok = (
+                all(graph.has_edge(row[a], v) for a in range(p)
+                    if order[a] in pattern.adj(order[p]))
+                and all(v > row[c] for c in lower[p])
+                and all(v < row[c] for c in upper[p])
+                and v not in row[:p]
+                and (masks is None or masks[p, v])
+            )
+            stats.candidates_scanned += charge and ok
+            if not (ok and graph.degree(v) >= pattern.degree(order[p])):
+                break
+        else:
+            admitted.append(row)
+            tags.append(tag)
+    return admitted, tags, stats
+
+
+class TestOnePassAdmission:
+    """A seed block's prefix columns are admitted in one pass; the
+    per-position admission it replaced is the reference."""
+
+    GRAPH = staticmethod(lambda: erdos_renyi(30, 0.15, seed=8))
+
+    def check(self, tables, pattern, constraints, graph, seeds, allowed=None, charge=False):
+        seeds = np.asarray(seeds, dtype=np.int64)
+        want = per_position_admission(
+            tables, pattern, constraints, graph, seeds, allowed, charge)
+        stats = EnumerationStats()
+        masks = None if allowed is None else np.broadcast_to(
+            allowed, (pattern.num_vertices, graph.num_vertices))
+        block, tags = tables._admit((graph, masks, stats), seeds, charge)
+        assert (block.tolist(), tags.tolist(), stats) == want
+        return want
+
+    @pytest.mark.parametrize("name", WATCHES)
+    def test_rooted_seeds(self, name):
+        graph, pattern = self.GRAPH(), WATCHES[name]
+        matcher = IncrementalMatcher(pattern)
+        present = np.array(list(graph.edges()))
+        low = [e for e in present.tolist() if min(graph.degree(v) for v in e) < 3]
+        absent = [(u, v) for u in range(9) for v in range(u + 1, 30)
+                  if not graph.has_edge(u, v)][:4]
+        seeds = [*present[:10].tolist(), *absent, (4, 4), present[3], present[3],
+                 *present[:4, ::-1].tolist(), *low[:3]]
+        assert low
+        allowed = np.ones(graph.num_vertices, dtype=bool)
+        allowed[present[5]] = False
+        for mask in (None, allowed):
+            admitted, _, _ = self.check(
+                matcher._tables, pattern, matcher.constraints, graph, seeds, mask)
+            assert 0 < len(admitted) < len(seeds) * 2 * len(list(pattern.edges()))
+
+    def test_three_columns_and_start_candidates(self):
+        graph, pattern = self.GRAPH(), PAPER_QUERIES["q4"]
+        constraints = symmetry_breaking_constraints(pattern)
+        enumerator = BacktrackingEnumerator(pattern, graph, constraints)
+        rng = np.random.default_rng(5)
+        allowed = rng.random(graph.num_vertices) < 0.7
+        self.check(enumerator._tables, pattern, constraints, graph,
+                   rng.integers(0, graph.num_vertices, (200, 3)), allowed)
+        starts = [*range(graph.num_vertices), 3, 3]
+        _, _, stats = self.check(enumerator._tables, pattern, constraints, graph,
+                                 np.array(starts)[:, None], allowed, charge=True)
+        assert 0 < stats.candidates_scanned < len(starts)
 
 
 class TestTaggedBlockEqualsThePerPlanLoop:

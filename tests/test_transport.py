@@ -320,6 +320,16 @@ class TestDaemonCommands:
         assert printed == [f"{ready}\nserver stopped\n"]
 
 
+@pytest.mark.parametrize("address, spelled", [
+    ("h:7000", "h:7000"), (7001, "127.0.0.1:7001"), (("h", 7002), "h:7002"),
+    ("::1:8000", "::1:8000"),
+])
+def test_format_address_inverts_parse_address(address, spelled):
+    host, port = protocol.parse_address(address)
+    assert protocol.format_address(host, port) == spelled
+    assert protocol.parse_address(spelled) == (host, port)
+
+
 def test_wait_until_serving_says_where_nothing_answered():
     with socket.socket() as unused:
         unused.bind(("127.0.0.1", 0))
