@@ -17,9 +17,9 @@ Subcommands cover the library's workflows end to end::
 ``worker`` starts a :mod:`repro.distributed` shard daemon; point
 ``enumerate``/``run`` (or ``serve``) at a roster of them with
 ``--backend socket --shards host:port,host:port`` to execute a query's
-independent per-machine work across hosts.  Counts and stats are
-bit-identical to the serial backend; a shard dying mid-run is survived
-(``distributed.resubmits`` in the result counters).
+independent per-machine work across hosts.  Counts match the serial
+backend, stats too except RADS's (its parallel phase-2 schedule differs);
+a dead shard is survived (``distributed.resubmits`` in the result counters).
 
 ``serve`` starts the :mod:`repro.service` query server (concurrent
 scheduler + canonical-pattern result cache) over one graph; ``submit``
@@ -51,8 +51,8 @@ Engine and query names are resolved case-insensitively through
 work too); ``--json`` emits the run's :meth:`RunResult.to_dict` record as
 one JSON document for downstream tooling.  ``--workers N`` runs the
 simulated machines' independent work on ``N`` OS processes (the
-:mod:`repro.runtime` process-pool backend); results are identical to the
-default serial execution.
+:mod:`repro.runtime` process-pool backend); counts are identical to the
+default serial execution, and so are stats for every engine but RADS.
 
 Graphs are read by extension: ``.npz`` (binary CSR), ``.edges`` (SNAP edge
 list) or ``.adj`` (adjacency text).
@@ -62,7 +62,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import time
 from typing import Sequence
 
 from repro.api import (
@@ -74,6 +76,7 @@ from repro.api import (
     resolve_query,
 )
 from repro.api import load_graph as _api_load_graph
+from repro.api.config import BACKEND_NAMES
 from repro.bench.datasets import DATASETS, dataset
 from repro.distributed.errors import DistributedError
 from repro.graph.graph import Graph
@@ -82,8 +85,11 @@ from repro.graph.io import (
     save_binary,
     save_edge_list,
 )
+from repro.obs.events import LEVELS
 from repro.query import best_execution_plan
 from repro.query.plan_stats import estimate_plan, plan_space_summary
+from repro.service.client import ServiceError, connect
+from repro.service.protocol import format_address
 
 
 def load_graph(path: str) -> Graph:
@@ -92,22 +98,8 @@ def load_graph(path: str) -> Graph:
         return _api_load_graph(path)
     except ValueError as exc:
         raise SystemExit(str(exc))
-
-
-def _resolve_query(name: str):
-    """Pattern for ``name`` (name or DSL), or a helpful SystemExit."""
-    try:
-        return resolve_pattern(name)
-    except UnknownQueryError as exc:
-        raise SystemExit(str(exc))
-
-
-def _resolve_query_maybe_labeled(name: str):
-    """Pattern or LabeledPattern for ``name``, or a helpful SystemExit."""
-    try:
-        return resolve_query(name)
-    except UnknownQueryError as exc:
-        raise SystemExit(str(exc))
+    except OSError as exc:
+        raise SystemExit(f"cannot read graph {path}: {exc.strerror or exc}")
 
 
 def save_graph(graph: Graph, path: str) -> int:
@@ -159,7 +151,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     # ValueError covers ConfigError, CapabilityError (label-incapable
     # or non-distributed engine) and the labeled-query-on-unlabeled-graph
     # complaint — all user input problems deserving a one-line message.
-    except (ValueError, UnknownEngineError, UnknownQueryError) as exc:
+    except ValueError as exc:
         raise SystemExit(str(exc))
     try:
         with session:
@@ -189,7 +181,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    pattern = _resolve_query(args.query)
+    pattern = resolve_pattern(args.query)
     plan = best_execution_plan(pattern)
     print(f"query {pattern.name}: |V|={pattern.num_vertices} "
           f"|E|={pattern.num_edges}")
@@ -214,11 +206,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    query = _resolve_query_maybe_labeled(args.query)
-    try:
-        engine = default_registry().create(args.engine)
-    except UnknownEngineError as exc:
-        raise SystemExit(str(exc))
+    query = resolve_query(args.query)
+    engine = default_registry().create(args.engine)
     graph = load_graph(args.graph) if args.graph else None
     explanation = engine.explain(query, graph=graph)
     if args.json:
@@ -234,7 +223,7 @@ def _cmd_labeled(args: argparse.Namespace) -> int:
     from repro.graph.labeled import label_randomly
 
     graph = load_graph(args.graph)
-    query = _resolve_query_maybe_labeled(args.query)
+    query = resolve_query(args.query)
     data = label_randomly(graph, args.num_labels, seed=args.label_seed)
     if isinstance(query, LabeledPattern):
         # Labels came through the DSL ("a:0-b:1, ..."); --query-labels
@@ -291,8 +280,6 @@ def _run_daemon(daemon, ready, stopped: str) -> int:
     ``ready(bound)`` words the readiness line around the bound
     ``host:port`` (scripts wait for that line / read the port from it).
     """
-    from repro.service.protocol import format_address
-
     print(ready(format_address(*daemon.address)), flush=True)
     try:
         daemon.serve_forever()
@@ -386,58 +373,43 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceError, connect
-
-    try:
-        client = connect((args.host, args.port))
-    except OSError as exc:
-        raise SystemExit(
-            f"cannot connect to a query server at "
-            f"{args.host}:{args.port}: {exc}"
-        )
-    with client:
-        try:
-            if args.ping:
-                client.ping()
-                print("pong")
-                return 0
-            if args.stats:
-                print(json.dumps(client.stats(), sort_keys=True))
-                return 0
-            if args.metrics:
-                print(json.dumps(client.metrics(), sort_keys=True))
-                return 0
-            if args.shutdown:
-                client.shutdown()
-                print("shutdown requested")
-                return 0
-            if not args.query:
-                raise SystemExit(
-                    "submit needs --query (or --ping/--stats/"
-                    "--metrics/--shutdown)"
-                )
-            if args.store and args.show > 0:
-                raise SystemExit(
-                    "--store submissions keep embeddings in the server's "
-                    "store; read them back with 'repro page' / "
-                    "'repro lookup' instead of --show"
-                )
-            result = client.submit(
-                args.query,
-                engine=args.engine,
-                priority=args.priority,
-                timeout=args.timeout,
-                collect="store" if args.store
-                else True if args.show > 0 else None,
-                limit=args.show if args.show > 0 else None,
-                tenant=args.tenant,
-                trace=args.trace,
-                profile=args.profile,
+    with _client(args) as client:
+        if args.ping:
+            client.ping()
+            print("pong")
+            return 0
+        if args.stats or args.metrics:
+            counters = client.stats() if args.stats else client.metrics()
+            print(json.dumps(counters, sort_keys=True))
+            return 0
+        if args.shutdown:
+            client.shutdown()
+            print("shutdown requested")
+            return 0
+        if not args.query:
+            raise SystemExit(
+                "submit needs --query (or --ping/--stats/"
+                "--metrics/--shutdown)"
             )
-        except ServiceError as exc:
-            raise SystemExit(str(exc))
-        cache = client.last_cache
-        store = client.last_store
+        if args.store and args.show > 0:
+            raise SystemExit(
+                "--store submissions keep embeddings in the server's "
+                "store; read them back with 'repro page' / "
+                "'repro lookup' instead of --show"
+            )
+        result = client.submit(
+            args.query,
+            engine=args.engine,
+            priority=args.priority,
+            timeout=args.timeout,
+            collect="store" if args.store
+            else True if args.show > 0 else None,
+            limit=args.show if args.show > 0 else None,
+            tenant=args.tenant,
+            trace=args.trace,
+            profile=args.profile,
+        )
+        cache, store = client.last_cache, client.last_store
     if args.json:
         payload = result.to_dict()
         # Only cap when the user asked for a preview; a server configured
@@ -535,153 +507,109 @@ def _render_profile(profile: dict) -> None:
         )
 
 
+def _client(args: argparse.Namespace, timeout: "float | None" = None):
+    """A client of the server at ``--host``/``--port``, or a one-line exit."""
+    try:
+        return connect((args.host, args.port), timeout=timeout)
+    except OSError as exc:
+        raise SystemExit(
+            f"cannot connect to a query server at "
+            f"{format_address(args.host, args.port)}: {exc}"
+        )
+
+
+def _polls(args: argparse.Namespace, again: bool, count: "int | None" = None):
+    """Yield each poll's index: one poll, or (``again``) one every
+    ``--interval`` seconds until ``count`` polls (``None``: forever)."""
+    polls, limit = 0, count if again else 1
+    while limit is None or polls < limit:
+        if polls:
+            time.sleep(args.interval)
+        yield polls
+        polls += 1
+
+
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.service.client import ServiceError
-
-    remaining = args.count if args.watch else 1
-    first = True
-    with _connect_or_exit(args) as client:
-        while remaining is None or remaining > 0:
-            if not first:
-                time.sleep(args.interval)
-            first = False
-            try:
-                payload = client.metrics(
-                    format="text" if args.format == "text" else None
-                )
-            except ServiceError as exc:
-                raise SystemExit(str(exc))
-            if isinstance(payload, str):
-                print(payload, end="" if payload.endswith("\n") else "\n",
-                      flush=True)
-            else:
-                print(json.dumps(payload, sort_keys=True), flush=True)
-            if remaining is not None:
-                remaining -= 1
+    with _client(args) as client:
+        for _ in _polls(args, args.watch, args.count):
+            payload = client.metrics(
+                format="text" if args.format == "text" else None
+            )
+            if not isinstance(payload, str):
+                payload = json.dumps(payload, sort_keys=True)
+            print(payload, end="" if payload.endswith("\n") else "\n",
+                  flush=True)
     return 0
 
 
 def _cmd_events(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.service.client import ServiceError
-
-    with _connect_or_exit(args) as client:
-        cursor = args.since
-        first = True
+    cursor = args.since
+    with _client(args) as client:
         try:
-            return _events_loop(args, client, cursor, first, time)
+            for poll in _polls(args, args.follow):
+                payload = client.events(
+                    level=args.level,
+                    component=args.component,
+                    since=cursor,
+                    limit=None if poll else args.limit,
+                )
+                for record in payload["events"]:
+                    if args.json:
+                        print(json.dumps(record, sort_keys=True), flush=True)
+                        continue
+                    stamp = time.strftime(
+                        "%H:%M:%S", time.localtime(record["ts"])
+                    )
+                    extras = "".join(
+                        f" {key}={value}"
+                        for key, value in sorted(record.items())
+                        if key not in (
+                            "ts", "seq", "level", "component", "kind"
+                        )
+                    )
+                    print(
+                        f"{stamp} [{record['level']:<7}] "
+                        f"{record['component']}: {record['kind']}{extras}",
+                        flush=True,
+                    )
+                cursor = payload["last_seq"]
         except BrokenPipeError:
             # Downstream (e.g. `| grep -q`) closed the pipe mid-stream:
             # a normal way to stop tailing, not an error.
-            return 0
-        except ServiceError as exc:
-            raise SystemExit(str(exc))
-
-
-def _events_loop(args, client, cursor, first, time) -> int:
-    while True:
-        if not first:
-            time.sleep(args.interval)
-        payload = client.events(
-            level=args.level,
-            component=args.component,
-            since=cursor,
-            limit=args.limit if first else None,
-        )
-        for record in payload["events"]:
-            if args.json:
-                print(json.dumps(record, sort_keys=True), flush=True)
-            else:
-                stamp = time.strftime(
-                    "%H:%M:%S", time.localtime(record["ts"])
-                )
-                extras = "".join(
-                    f" {key}={value}"
-                    for key, value in sorted(record.items())
-                    if key not in (
-                        "ts", "seq", "level", "component", "kind"
-                    )
-                )
-                print(
-                    f"{stamp} [{record['level']:<7}] "
-                    f"{record['component']}: {record['kind']}{extras}",
-                    flush=True,
-                )
-        cursor = payload["last_seq"]
-        first = False
-        if not args.follow:
-            return 0
+            pass
+    return 0
 
 
 def _cmd_health(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.service.client import ServiceError
-
-    status = "ok"
-    with _connect_or_exit(args) as client:
-        first = True
-        while True:
-            if not first:
-                time.sleep(args.interval)
-            first = False
-            try:
-                verdict = client.health()
-            except ServiceError as exc:
-                raise SystemExit(str(exc))
-            status = verdict["status"]
+    with _client(args) as client:
+        for _ in _polls(args, args.watch):
+            verdict = client.health()
             if args.json:
                 print(json.dumps(verdict, sort_keys=True), flush=True)
-            else:
-                firing = verdict["firing"]
-                line = f"health: {status}"
-                if firing:
-                    line += f"  firing: {', '.join(firing)}"
-                print(line, flush=True)
-                for rule in verdict["rules"]:
-                    if not rule["firing"]:
-                        continue
-                    evidence = "".join(
-                        f" {key}={value}"
-                        for key, value in sorted(rule["evidence"].items())
-                    )
-                    print(
-                        f"  {rule['name']} ({rule['severity']}):{evidence}",
-                        flush=True,
-                    )
-            if not args.watch:
-                break
-    return 0 if status == "ok" else 1
-
-
-def _connect_or_exit(args: argparse.Namespace):
-    from repro.service.client import connect
-
-    try:
-        return connect((args.host, args.port))
-    except OSError as exc:
-        raise SystemExit(
-            f"cannot connect to a query server at "
-            f"{args.host}:{args.port}: {exc}"
-        )
+                continue
+            firing = verdict["firing"]
+            line = f"health: {verdict['status']}"
+            if firing:
+                line += f"  firing: {', '.join(firing)}"
+            print(line, flush=True)
+            for rule in verdict["rules"]:
+                if not rule["firing"]:
+                    continue
+                evidence = "".join(
+                    f" {key}={value}"
+                    for key, value in sorted(rule["evidence"].items())
+                )
+                print(
+                    f"  {rule['name']} ({rule['severity']}):{evidence}",
+                    flush=True,
+                )
+    return 0 if verdict["status"] == "ok" else 1
 
 
 def _cmd_page(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceError
-
-    with _connect_or_exit(args) as client:
-        try:
-            page = client.page(
-                args.query,
-                engine=args.engine,
-                limit=args.limit,
-                offset=args.offset,
-            )
-        except ServiceError as exc:
-            raise SystemExit(str(exc))
+    with _client(args) as client:
+        page = client.page(args.query, engine=args.engine,
+                           limit=args.limit, offset=args.offset)
     if args.json:
         print(json.dumps(page, sort_keys=True))
         return 0
@@ -696,15 +624,9 @@ def _cmd_page(args: argparse.Namespace) -> int:
 
 
 def _cmd_lookup(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceError
-
-    with _connect_or_exit(args) as client:
-        try:
-            found = client.lookup(
-                args.query, engine=args.engine, vertex=args.vertex
-            )
-        except ServiceError as exc:
-            raise SystemExit(str(exc))
+    with _client(args) as client:
+        found = client.lookup(args.query, engine=args.engine,
+                              vertex=args.vertex)
     if args.json:
         print(json.dumps(found, sort_keys=True))
         return 0
@@ -736,26 +658,13 @@ def _parse_edge_spec(spec: str, *, option: str) -> list[tuple[int, int]]:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceError, connect
-
     additions = _parse_edge_spec(args.add or "", option="--add")
     deletions = _parse_edge_spec(args.delete or "", option="--delete")
     if not additions and not deletions:
         raise SystemExit("ingest needs --add and/or --delete edge lists")
-    try:
-        client = connect((args.host, args.port))
-    except OSError as exc:
-        raise SystemExit(
-            f"cannot connect to a query server at "
-            f"{args.host}:{args.port}: {exc}"
-        )
-    with client:
-        try:
-            report = client.ingest(
-                additions=additions or None, deletions=deletions or None
-            )
-        except ServiceError as exc:
-            raise SystemExit(str(exc))
+    with _client(args) as client:
+        report = client.ingest(additions=additions or None,
+                               deletions=deletions or None)
     if args.json:
         print(json.dumps(report, sort_keys=True))
         return 0
@@ -778,17 +687,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_subscribe(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceError, connect
-
-    try:
-        client = connect((args.host, args.port), timeout=args.timeout)
-    except OSError as exc:
-        raise SystemExit(
-            f"cannot connect to a query server at "
-            f"{args.host}:{args.port}: {exc}"
-        )
     delivered = 0
-    with client:
+    with _client(args, timeout=args.timeout) as client:
         try:
             with client.subscribe(
                 args.query, tenant=args.tenant,
@@ -812,13 +712,12 @@ def _cmd_subscribe(args: argparse.Namespace) -> int:
                     if args.count and delivered >= args.count:
                         break
         except (ServiceError, TimeoutError) as exc:
-            if delivered:
-                # The stream already produced what it produced; a timeout
-                # after N deltas is an exit condition, not a failure.
-                return 0
-            raise SystemExit(str(exc))
+            # The stream already produced what it produced; a timeout
+            # after N deltas is an exit condition, not a failure.
+            if not delivered:
+                raise SystemExit(str(exc))
         except KeyboardInterrupt:
-            return 0
+            pass
     return 0
 
 
@@ -836,6 +735,25 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _port(text: str) -> int:
+    """argparse type: a TCP port number, 0-65535."""
+    if text.isdecimal() and int(text) <= 65535:
+        return int(text)
+    raise argparse.ArgumentTypeError(
+        f"expected a TCP port in 0..65535, got {text!r}"
+    )
+
+
+def _seconds(text: str) -> float:
+    """argparse type: a finite, non-negative number of seconds."""
+    value = float(text)  # ValueError: argparse's "invalid ... value"
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected non-negative seconds, got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -843,6 +761,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="RADS distributed subgraph enumeration (VLDB 2019 reproduction)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The address of a running `repro serve`, shared by its clients.
+    server = argparse.ArgumentParser(add_help=False)
+    server.add_argument("--host", default="127.0.0.1")
+    server.add_argument("--port", type=_port, default=7463)
 
     gen = sub.add_parser("generate", help="write a synthetic dataset")
     gen.add_argument("--dataset", choices=sorted(DATASETS), required=True)
@@ -865,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "(0 = serial, the default); embedding counts "
                            "are identical for every worker count")
     enum.add_argument("--backend", default="auto",
-                      choices=["auto", "serial", "process", "socket"],
+                      choices=BACKEND_NAMES,
                       help="execution backend (auto derives from "
                            "--workers; socket dispatches to remote "
                            "`repro worker` daemons and needs --shards)")
@@ -925,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--graph", required=True)
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=7463,
+    serve.add_argument("--port", type=_port, default=7463,
                        help="TCP port (0 = pick an ephemeral port; the "
                             "readiness line prints the bound address)")
     serve.add_argument("--machines", type=int, default=10)
@@ -936,7 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="OS processes per scheduler worker thread's "
                             "executor (0 = serial)")
     serve.add_argument("--backend", default="auto",
-                       choices=["auto", "serial", "process", "socket"],
+                       choices=BACKEND_NAMES,
                        help="execution backend for every scheduler "
                             "worker thread (socket fans served queries "
                             "out to --shards)")
@@ -982,10 +904,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(func=_cmd_serve)
 
     submit = sub.add_parser(
-        "submit", help="submit a query to a running repro serve instance"
+        "submit", parents=[server],
+        help="submit a query to a running repro serve instance",
     )
-    submit.add_argument("--host", default="127.0.0.1")
-    submit.add_argument("--port", type=int, default=7463)
     submit.add_argument("--query", default=None,
                         help="registered name or edge-list DSL")
     submit.add_argument("--engine", default="RADS")
@@ -1027,19 +948,17 @@ def build_parser() -> argparse.ArgumentParser:
     submit.set_defaults(func=_cmd_submit)
 
     metrics = sub.add_parser(
-        "metrics",
+        "metrics", parents=[server],
         help="print live service metrics from a running repro serve "
              "instance (histograms, slow queries, tenants, shards)",
     )
-    metrics.add_argument("--host", default="127.0.0.1")
-    metrics.add_argument("--port", type=int, default=7463)
     metrics.add_argument("--format", choices=("json", "text"),
                          default="json",
                          help="json: one document per poll; text: "
                               "Prometheus-style exposition lines")
     metrics.add_argument("--watch", action="store_true",
                          help="poll repeatedly instead of printing once")
-    metrics.add_argument("--interval", type=float, default=2.0,
+    metrics.add_argument("--interval", type=_seconds, default=2.0,
                          help="seconds between --watch polls (default 2)")
     metrics.add_argument("--count", type=int, default=None,
                          help="stop --watch after N polls "
@@ -1047,14 +966,12 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.set_defaults(func=_cmd_metrics)
 
     events = sub.add_parser(
-        "events",
+        "events", parents=[server],
         help="print the service's structured event journal (worker "
              "losses, resubmits, quota rejections, cache faults, ...)",
     )
-    events.add_argument("--host", default="127.0.0.1")
-    events.add_argument("--port", type=int, default=7463)
     events.add_argument("--level", default=None,
-                        choices=("debug", "info", "warning", "error"),
+                        choices=LEVELS,
                         help="minimum severity to include")
     events.add_argument("--component", default=None,
                         help="only events from this component "
@@ -1068,22 +985,20 @@ def build_parser() -> argparse.ArgumentParser:
     events.add_argument("--follow", action="store_true",
                         help="keep polling for new events (seq cursor; "
                              "Ctrl-C to stop)")
-    events.add_argument("--interval", type=float, default=2.0,
+    events.add_argument("--interval", type=_seconds, default=2.0,
                         help="seconds between --follow polls (default 2)")
     events.add_argument("--json", action="store_true",
                         help="one JSON event record per line")
     events.set_defaults(func=_cmd_events)
 
     health = sub.add_parser(
-        "health",
+        "health", parents=[server],
         help="evaluate the service's SLO health rules (exit 0 = ok, "
              "1 = degraded/critical)",
     )
-    health.add_argument("--host", default="127.0.0.1")
-    health.add_argument("--port", type=int, default=7463)
     health.add_argument("--watch", action="store_true",
                         help="poll repeatedly instead of printing once")
-    health.add_argument("--interval", type=float, default=2.0,
+    health.add_argument("--interval", type=_seconds, default=2.0,
                         help="seconds between --watch polls (default 2)")
     health.add_argument("--json", action="store_true",
                         help="emit the full verdict (rules + evidence) "
@@ -1091,12 +1006,10 @@ def build_parser() -> argparse.ArgumentParser:
     health.set_defaults(func=_cmd_health)
 
     page = sub.add_parser(
-        "page",
+        "page", parents=[server],
         help="page a stored embedding set (submit --store first); "
              "served from the on-disk trie index, no re-enumeration",
     )
-    page.add_argument("--host", default="127.0.0.1")
-    page.add_argument("--port", type=int, default=7463)
     page.add_argument("--query", required=True,
                       help="registered name or edge-list DSL (isomorphic "
                            "rewrites of the stored query work)")
@@ -1111,12 +1024,10 @@ def build_parser() -> argparse.ArgumentParser:
     page.set_defaults(func=_cmd_page)
 
     lookup = sub.add_parser(
-        "lookup",
+        "lookup", parents=[server],
         help="stored embeddings containing a data vertex "
              "(inverted-postings scan over a stored set)",
     )
-    lookup.add_argument("--host", default="127.0.0.1")
-    lookup.add_argument("--port", type=int, default=7463)
     lookup.add_argument("--query", required=True,
                         help="registered name or edge-list DSL")
     lookup.add_argument("--engine", default="RADS")
@@ -1131,12 +1042,10 @@ def build_parser() -> argparse.ArgumentParser:
     lookup.set_defaults(func=_cmd_lookup)
 
     ingest = sub.add_parser(
-        "ingest",
+        "ingest", parents=[server],
         help="apply one edge batch (additions/deletions) to a running "
              "repro serve instance",
     )
-    ingest.add_argument("--host", default="127.0.0.1")
-    ingest.add_argument("--port", type=int, default=7463)
     ingest.add_argument("--add", default=None,
                         help="edges to add: comma-separated u-v pairs, "
                              "e.g. '0-5,2-7'")
@@ -1148,12 +1057,10 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.set_defaults(func=_cmd_ingest)
 
     subscribe = sub.add_parser(
-        "subscribe",
+        "subscribe", parents=[server],
         help="register a continuous query and stream its delta "
              "embeddings as batches are ingested",
     )
-    subscribe.add_argument("--host", default="127.0.0.1")
-    subscribe.add_argument("--port", type=int, default=7463)
     subscribe.add_argument("--query", required=True,
                            help="registered name or edge-list DSL")
     subscribe.add_argument("--tenant", default=None,
@@ -1178,7 +1085,7 @@ def build_parser() -> argparse.ArgumentParser:
              "--backend socket)",
     )
     worker.add_argument("--host", default="127.0.0.1")
-    worker.add_argument("--port", type=int, default=7471,
+    worker.add_argument("--port", type=_port, default=7471,
                         help="TCP port (0 = pick an ephemeral port; the "
                              "readiness line prints the bound address)")
     worker.add_argument("--graph", default=None,
@@ -1198,7 +1105,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    # Server refusals and unknown names: a one-line message, exit 1.
+    except (ServiceError, UnknownQueryError, UnknownEngineError) as exc:
+        raise SystemExit(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

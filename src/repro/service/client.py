@@ -373,8 +373,7 @@ class ServiceClient:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        host, port = self.address
-        return f"ServiceClient({host}:{port})"
+        return f"ServiceClient({protocol.format_address(*self.address)})"
 
 
 class Subscription:

@@ -360,3 +360,72 @@ class TestExplainCommand:
                 "enumerate", "--graph", path,
                 "--query", "a:0-b:1, b-c:0, c-a", "--engine", "single",
             ])
+
+
+class TestInputChecks:
+    """Bad paths and numbers end in one line, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--query", "q4"],
+        ["profile"],
+        ["serve"],
+        ["plan", "--query", "q4"],
+        ["labeled", "--query", "q2", "--query-labels", "0,0,0"],
+        ["explain", "--query", "q4"],
+    ])
+    def test_missing_graph_file_names_the_path(self, tmp_path, argv):
+        missing = str(tmp_path / "missing.npz")
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--graph", missing])
+        assert isinstance(excinfo.value.code, str)
+        assert missing in excinfo.value.code
+
+    @pytest.mark.parametrize("port", ["70000", "-1", "http"])
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--graph", "g.npz"],
+        ["worker"],
+        ["submit", "--ping"],
+        ["metrics"],
+        ["events"],
+        ["health"],
+        ["page", "--query", "q4"],
+        ["lookup", "--query", "q4", "--vertex", "0"],
+        ["ingest", "--add", "0-1"],
+        ["subscribe", "--query", "q4"],
+    ])
+    def test_out_of_range_port_is_a_usage_error(self, capsys, argv, port):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--port", port])
+        assert excinfo.value.code == 2
+        assert "--port" in capsys.readouterr().err
+
+    def test_port_bounds_are_inclusive(self):
+        from repro.cli import build_parser
+
+        for port in ("0", "65535"):
+            args = build_parser().parse_args(["submit", "--port", port])
+            assert args.port == int(port)
+
+    @pytest.fixture(scope="class")
+    def live_port(self):
+        """A running server, so a bad interval would reach the sleep."""
+        from repro.api.config import RunConfig
+        from repro.service.server import QueryServer
+
+        server = QueryServer(erdos_renyi(20, 0.2, seed=3), RunConfig(machines=2))
+        with server.start():
+            yield str(server.address[1])
+
+    @pytest.mark.parametrize("interval", ["-1", "nan", "inf", "soon"])
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--watch", "--count", "2"],
+        ["events", "--follow"],
+        ["health", "--watch"],
+    ])
+    def test_bad_interval_is_a_usage_error(
+        self, capsys, live_port, argv, interval
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--port", live_port, "--interval", interval])
+        assert excinfo.value.code == 2
+        assert "--interval" in capsys.readouterr().err

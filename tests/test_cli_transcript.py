@@ -55,7 +55,19 @@ PARSER = Path(__file__).parent / "data" / "cli_parser.json"
 #: (subcommand, dest) -> the type name that intentionally replaced the
 #: captured one: every ``--port`` is range-checked (0-65535) and every
 #: ``--interval`` refuses negative seconds at parse time.
-PARSER_FIXES: dict[tuple[str, str], str] = {}
+PARSER_FIXES = {
+    **{
+        (command, "port"): "_port"
+        for command in (
+            "serve", "worker", "submit", "metrics", "events", "health",
+            "page", "lookup", "ingest", "subscribe",
+        )
+    },
+    **{
+        (command, "interval"): "_seconds"
+        for command in ("metrics", "events", "health")
+    },
+}
 
 CLIENTS = (
     "submit", "metrics", "events", "health", "page", "lookup", "ingest",
