@@ -762,9 +762,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # The address of a running `repro serve`, shared by its clients.
-    server = argparse.ArgumentParser(add_help=False)
-    server.add_argument("--host", default="127.0.0.1")
-    server.add_argument("--port", type=_port, default=7463)
+    address = argparse.ArgumentParser(add_help=False)
+    address.add_argument("--host", default="127.0.0.1")
+    address.add_argument("--port", type=_port, default=7463)
 
     gen = sub.add_parser("generate", help="write a synthetic dataset")
     gen.add_argument("--dataset", choices=sorted(DATASETS), required=True)
@@ -904,7 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(func=_cmd_serve)
 
     submit = sub.add_parser(
-        "submit", parents=[server],
+        "submit", parents=[address],
         help="submit a query to a running repro serve instance",
     )
     submit.add_argument("--query", default=None,
@@ -948,7 +948,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.set_defaults(func=_cmd_submit)
 
     metrics = sub.add_parser(
-        "metrics", parents=[server],
+        "metrics", parents=[address],
         help="print live service metrics from a running repro serve "
              "instance (histograms, slow queries, tenants, shards)",
     )
@@ -966,7 +966,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.set_defaults(func=_cmd_metrics)
 
     events = sub.add_parser(
-        "events", parents=[server],
+        "events", parents=[address],
         help="print the service's structured event journal (worker "
              "losses, resubmits, quota rejections, cache faults, ...)",
     )
@@ -992,7 +992,7 @@ def build_parser() -> argparse.ArgumentParser:
     events.set_defaults(func=_cmd_events)
 
     health = sub.add_parser(
-        "health", parents=[server],
+        "health", parents=[address],
         help="evaluate the service's SLO health rules (exit 0 = ok, "
              "1 = degraded/critical)",
     )
@@ -1006,7 +1006,7 @@ def build_parser() -> argparse.ArgumentParser:
     health.set_defaults(func=_cmd_health)
 
     page = sub.add_parser(
-        "page", parents=[server],
+        "page", parents=[address],
         help="page a stored embedding set (submit --store first); "
              "served from the on-disk trie index, no re-enumeration",
     )
@@ -1024,7 +1024,7 @@ def build_parser() -> argparse.ArgumentParser:
     page.set_defaults(func=_cmd_page)
 
     lookup = sub.add_parser(
-        "lookup", parents=[server],
+        "lookup", parents=[address],
         help="stored embeddings containing a data vertex "
              "(inverted-postings scan over a stored set)",
     )
@@ -1042,7 +1042,7 @@ def build_parser() -> argparse.ArgumentParser:
     lookup.set_defaults(func=_cmd_lookup)
 
     ingest = sub.add_parser(
-        "ingest", parents=[server],
+        "ingest", parents=[address],
         help="apply one edge batch (additions/deletions) to a running "
              "repro serve instance",
     )
@@ -1057,7 +1057,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.set_defaults(func=_cmd_ingest)
 
     subscribe = sub.add_parser(
-        "subscribe", parents=[server],
+        "subscribe", parents=[address],
         help="register a continuous query and stream its delta "
              "embeddings as batches are ingested",
     )

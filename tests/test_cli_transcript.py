@@ -191,11 +191,12 @@ def _invoke(argv: list[str]) -> dict:
 
 
 def _ingest_when_watched(server, batch: dict) -> threading.Thread:
-    """Apply one batch once a watch is registered (a subscriber is up)."""
+    """Apply one batch once a new watch is registered (a subscriber is up)."""
+    known = len(server.streams.stats()["watches"])
 
     def run():
         deadline = time.monotonic() + 30
-        while not server.streams.stats()["watches"]:
+        while len(server.streams.stats()["watches"]) <= known:
             if time.monotonic() > deadline:
                 return
             time.sleep(0.005)
@@ -245,6 +246,7 @@ def run_transcript(script=SCRIPT) -> list[dict]:
                     record = _invoke(argv)
                     if feeder is not None:
                         feeder.join(timeout=30)
+                        assert not feeder.is_alive(), label
                     records.append({
                         "label": label,
                         "argv": template,
