@@ -255,6 +255,14 @@ def stub_registry():
     _StubEngine.barrier = None
 
 
+def _await_running(scheduler, count=1, timeout=10.0):
+    """Block until ``count`` executions hold worker threads."""
+    deadline = time.monotonic() + timeout
+    while scheduler.stats()["running"] < count:
+        assert time.monotonic() < deadline, "no execution started"
+        time.sleep(0.01)
+
+
 class TestScheduler:
     def test_sustains_eight_concurrent_in_flight_queries(
         self, graph, stub_registry
@@ -504,6 +512,71 @@ class TestScheduler:
         assert blocker.result(1).embedding_count == 5
         assert queued.result(1).embedding_count == 3
         assert rider.result(1).embedding_count == 3
+
+    def test_escalated_execution_queues_behind_its_new_priority(
+        self, graph, stub_registry
+    ):
+        """A rider raising a queued execution's priority re-queues it
+        behind the work already waiting at that priority."""
+        _StubEngine.gate = gate = threading.Event()
+        with QueryScheduler(
+            graph, RunConfig(machines=2), stub_registry, threads=1
+        ) as scheduler:
+            blocker = scheduler.submit(cycle(7), "stub")
+            _await_running(scheduler)
+            low = scheduler.submit(cycle(4), "stub")
+            high = scheduler.submit(cycle(5), "stub", priority=5)
+            rider = scheduler.submit(cycle(4), "stub", priority=5)
+            assert rider.deduped
+            gate.set()
+            for ticket in (blocker, low, high, rider):
+                ticket.result(30)
+        assert _StubEngine.executed == ["cycle7", "cycle5", "cycle4"]
+
+    def test_job_priority_orders_against_queued_queries(
+        self, graph, stub_registry
+    ):
+        _StubEngine.gate = gate = threading.Event()
+
+        def job():
+            with _StubEngine.lock:
+                _StubEngine.executed.append("job")
+            return "done"
+
+        with QueryScheduler(
+            graph, RunConfig(machines=2), stub_registry, threads=1
+        ) as scheduler:
+            blocker = scheduler.submit(cycle(7), "stub")
+            _await_running(scheduler)
+            query = scheduler.submit(cycle(4), "stub")
+            ticket = scheduler.submit_job(job, priority=5)
+            gate.set()
+            assert ticket.result(30) == "done"
+            blocker.result(30)
+            query.result(30)
+        assert _StubEngine.executed == ["cycle7", "job", "cycle4"]
+
+    def test_drain_close_counts_a_cancelled_queued_request(
+        self, graph, stub_registry
+    ):
+        _StubEngine.gate = gate = threading.Event()
+        scheduler = QueryScheduler(
+            graph, RunConfig(machines=2), stub_registry, threads=1
+        )
+        blocker = scheduler.submit(cycle(5), "stub")
+        _await_running(scheduler)
+        doomed = scheduler.submit(triangle(), "stub")
+        assert doomed.cancel()
+        gate.set()
+        closer = threading.Thread(
+            target=scheduler.close, kwargs={"cancel_pending": False}
+        )
+        closer.start()
+        closer.join(30)
+        assert not closer.is_alive(), "drain close deadlocked"
+        assert blocker.result(1).embedding_count == 5
+        assert scheduler.stats()["cancelled"] == 1
+        assert "triangle" not in _StubEngine.executed
 
     def test_submit_after_close_raises(self, graph, stub_registry):
         scheduler = QueryScheduler(
