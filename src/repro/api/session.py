@@ -681,7 +681,6 @@ class Session:
         tenants: Any = None,
         default_quota: Any = None,
         shard_registry: Any = None,
-        slow_log: int = 16,
         events_path: str | None = None,
         start: bool = True,
     ) -> "QueryServer":
@@ -705,10 +704,8 @@ class Session:
         neither is given a store attached with :meth:`with_store` is
         shared with the server.
 
-        ``slow_log`` sizes the server's slow-query ring (the worst N by
-        latency, surfaced in ``metrics``); ``events_path`` mirrors every
-        event-journal record to a JSONL file (replayable with
-        :func:`repro.api.results.read_records_jsonl`).
+        ``events_path`` mirrors every event-journal record to a JSONL
+        file (replayable with :func:`repro.api.results.read_records_jsonl`).
         """
         from repro.service.server import QueryServer
 
@@ -734,7 +731,6 @@ class Session:
                 tenants=tenants,
                 default_quota=default_quota,
                 shard_registry=shard_registry,
-                slow_log=slow_log,
                 events_path=events_path,
             )
         return server.start() if start else server

@@ -357,7 +357,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             memory_budget_mb=args.memory_budget_mb,
             log_path=args.log,
             default_quota=default_quota,
-            slow_log=args.slow_log,
             events_path=args.events_log,
             start=False,
         )
@@ -894,9 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="append every served result/explanation to "
                             "this JSONL request log (replayable via "
                             "repro.api.results.read_records_jsonl)")
-    serve.add_argument("--slow-log", type=int, default=16,
-                       help="slow-query log depth: keep the worst N "
-                            "requests by latency in metrics (default 16)")
     serve.add_argument("--events-log", default=None,
                        help="append every event-journal record (worker "
                             "losses, resubmits, quota rejections, ...) "

@@ -348,12 +348,12 @@ def validate(op: str, message: Mapping[str, Any]) -> "dict[str, Any] | str":
         return str(exc)
 
 
-def check_fields(op: str, **values: Any) -> None:
-    """Raise ``ValueError`` for the first of ``values`` that ``op``'s
-    table refuses — the library-side twin of :func:`validate`
+def check_fields(op: str, **values: Any) -> dict[str, Any]:
+    """``values`` cleaned as :func:`validate` cleans them (``None`` reads
+    as the default); ``ValueError`` for the first that ``op``'s table
+    refuses — the library-side twin of :func:`validate`
     (:class:`QueryScheduler` methods take the same fields as keywords)."""
-    for field_name in values:
-        _clean(op, field_name, values)
+    return {f: _clean(op, f, values) for f in values}
 
 
 # ----------------------------------------------------------------------

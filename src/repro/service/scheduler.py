@@ -9,7 +9,9 @@ bit-identical to a standalone ``Session.run()``).
 
 Serving features, each deterministic and independently testable:
 
-- **Priorities** — higher ``priority`` runs first; ties are FIFO.
+- **Priorities** — higher ``priority`` runs first; ties are FIFO.  A
+  dedup rider that raises a queued execution's priority re-queues it
+  behind the work already waiting at that priority.
 - **Admission control** — every request reserves an estimated memory
   footprint (default: the worst case of its simulated cluster,
   ``machines x memory_mb``) against a host budget derived from
@@ -55,7 +57,6 @@ registry entry has ``distributed=False`` on the socket backend raises
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import itertools
 import threading
 import time
@@ -237,6 +238,7 @@ class _Execution:
         *,
         graph: "Graph | None" = None,
         partition: Any = None,
+        seq: int,
         job: "Callable[[], Any] | None" = None,
         submitted_at: float = 0.0,
     ):
@@ -261,13 +263,10 @@ class _Execution:
         #: The tenant whose budget/fair share the execution runs under
         #: (the primary's; dedup riders from other tenants ride free).
         self.tenant = ticket.tenant
-        #: Highest priority pushed to the heap so far; a dedup rider with
-        #: a higher priority re-pushes the execution (the old heap entry
-        #: goes stale and is skipped via ``claimed``/priority mismatch).
-        self.heap_priority = ticket.priority
-        #: Set once a worker takes (or drops) this execution; stale heap
-        #: entries left behind by priority escalation check it.
-        self.claimed = False
+        #: Queue order: highest ``priority`` first, then fair share, then
+        #: ``seq`` (redrawn when a rider raises the priority).
+        self.priority = ticket.priority
+        self.seq = seq
 
 
 class QueryScheduler:
@@ -305,9 +304,6 @@ class QueryScheduler:
         registry the roster may start empty — the startup probe is
         skipped and submissions fail with ``DistributedError`` until a
         worker announces.
-    slow_log:
-        Depth of the slow-query ring: the N slowest executions are kept
-        (with their trace ids) for the ``metrics`` op.
 
     Deadlines (``submit(timeout=...)``) are wall-clock
     (:func:`time.monotonic`) throughout — both the queue-side expiry
@@ -329,7 +325,6 @@ class QueryScheduler:
         default_quota: "TenantQuota | None" = None,
         shard_registry: "ShardRegistry | None" = None,
         store: "EmbeddingStore | None" = None,
-        slow_log: int = 16,
     ):
         if threads < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
@@ -391,7 +386,9 @@ class QueryScheduler:
         self._reserved = 0
         # -- queue ------------------------------------------------------
         self._cond = threading.Condition()
-        self._heap: list[tuple[int, int, _Execution]] = []
+        #: Unclaimed executions, in submission order.
+        self._queue: dict[tuple, _Execution] = {}
+        #: Queued and running executions, by key, for deduplication.
         self._inflight: dict[tuple, _Execution] = {}
         self._seq = itertools.count()
         self._closed = False
@@ -413,12 +410,12 @@ class QueryScheduler:
         self._max_in_flight = 0
         # -- observability ---------------------------------------------
         # End-to-end submit->deliver latency (fast-path hits included),
-        # queue wait (submit->claim, queued executions only) and the
+        # queue wait (submit->claim, queued executions only) and the 16
         # slowest executions with their span trees; surfaced through
         # observability() / the server's ``metrics`` op.
         self.latency = Histogram("latency")
         self.queue_wait = Histogram("queue_wait")
-        self.slow_queries = SlowQueryLog(slow_log)
+        self.slow_queries = SlowQueryLog(16)
         self._workers = [
             threading.Thread(
                 target=self._worker, name=f"repro-query-{i}", daemon=True
@@ -472,9 +469,10 @@ class QueryScheduler:
         """
         from repro.api.session import resolve_query
 
-        protocol.check_fields(
-            "submit", memory_mb=memory_mb, limit=limit, tenant=tenant
-        )
+        priority = protocol.check_fields(
+            "submit", priority=priority, timeout=timeout,
+            memory_mb=memory_mb, limit=limit, tenant=tenant,
+        )["priority"]
         pattern = resolve_query(query)
         if isinstance(pattern, LabeledPattern):
             raise ValueError(
@@ -513,14 +511,7 @@ class QueryScheduler:
         # shapes *request* rate (cache hits and dedup riders are requests
         # too), and a request that can never fit the tenant's own memory
         # budget must fail loudly now, not wait forever at claim time.
-        try:
-            self._tenants.admit(tenant)
-        except QuotaExceeded:
-            self._rejected(
-                "quota_rejected", _events.QUOTA_REJECTED,
-                pattern=pattern.name, tenant=tenant,
-            )
-            raise
+        self._admit(tenant, pattern=pattern.name)
         tenant_budget = self._tenants.memory_bytes(tenant)
         if tenant_budget is not None and cost > tenant_budget:
             self._tenants.reject_memory(tenant)
@@ -573,49 +564,60 @@ class QueryScheduler:
                 ticket.cache_hit = True
                 return self._serve_now(ticket, served, submitted)
         with self._cond:
-            if self._closed:
-                raise SchedulerClosed("scheduler is closed")
-            self._stats["submitted"] += 1
-            self._tenants.note(tenant, "submitted")
+            self._count_submitted(tenant)
             running = self._inflight.get(key)
-            if running is not None:
-                # Deduplicate: ride the in-flight execution.  A rider
-                # with a higher priority escalates the queued execution
-                # (re-push; the old heap entry goes stale).
+            if running is None:
+                self._enqueue(
+                    key, ticket, cost, graph=graph, partition=partition,
+                    submitted_at=submitted,
+                )
+            else:
+                # Deduplicate: ride the in-flight execution.
                 ticket.deduped = True
                 running.requests.append(ticket)
                 self._stats["deduped"] += 1
                 self._tenants.note(tenant, "deduped")
-                if ticket.trace and not running.claimed:
-                    # A traced rider upgrades the shared execution; all
-                    # followers then share the primary run's span tree.
-                    running.traced = True
-                if ticket.profile and not running.claimed:
-                    # Same escalation for a profiled rider.
-                    running.profiled = True
-                if not running.claimed and priority > running.heap_priority:
-                    running.heap_priority = priority
-                    heapq.heappush(
-                        self._heap, (-priority, next(self._seq), running)
-                    )
-                    self._cond.notify()
-                self._arm_timer(ticket, timeout)
-                return ticket
-            execution = _Execution(
-                key,
-                ticket,
-                cost,
-                graph=graph,
-                partition=partition,
-                submitted_at=submitted,
-            )
-            self._inflight[key] = execution
-            heapq.heappush(
-                self._heap, (-priority, next(self._seq), execution)
-            )
+                if key in self._queue:
+                    # A rider asking for a span tree or a profile upgrades
+                    # the shared execution (every follower shares them);
+                    # one with a higher priority re-queues it behind the
+                    # work already waiting at that priority.
+                    running.traced |= ticket.trace
+                    running.profiled |= ticket.profile
+                    if priority > running.priority:
+                        running.priority = priority
+                        running.seq = next(self._seq)
+                        self._cond.notify()
             self._arm_timer(ticket, timeout)
-            self._cond.notify()
         return ticket
+
+    def _count_submitted(self, tenant: "str | None") -> None:
+        """Count one accepted submission (caller holds the lock)."""
+        if self._closed:
+            raise SchedulerClosed("scheduler is closed")
+        self._stats["submitted"] += 1
+        self._tenants.note(tenant, "submitted")
+
+    def _enqueue(
+        self, key: tuple, ticket: QueryTicket, cost: int, **pinned: Any
+    ) -> None:
+        """Queue a new execution for ``ticket`` (caller holds the lock)."""
+        execution = _Execution(
+            key, ticket, cost, seq=next(self._seq), **pinned
+        )
+        self._inflight[key] = self._queue[key] = execution
+        self._cond.notify()
+
+    def _admit(self, tenant: "str | None", **attrs: Any) -> None:
+        """Take one of ``tenant``'s rate tokens, or count, journal and
+        raise the :class:`QuotaExceeded`."""
+        try:
+            self._tenants.admit(tenant)
+        except QuotaExceeded:
+            self._rejected(
+                "quota_rejected", _events.QUOTA_REJECTED, **attrs, tenant=tenant
+            )
+            raise
 
     def _rejected(self, counter: str, event: str, **attrs: Any) -> None:
         """Count and journal a submission refused at the door."""
@@ -629,11 +631,8 @@ class QueryScheduler:
         """Deliver a store or cache hit on the submitting thread."""
         hit = ticket.cache_hit
         with self._cond:
-            if self._closed:
-                raise SchedulerClosed("scheduler is closed")
-            self._stats["submitted"] += 1
+            self._count_submitted(ticket.tenant)
             self._stats["cache_hits" if hit else "store_hits"] += 1
-            self._tenants.note(ticket.tenant, "submitted")
             if hit:
                 self._tenants.note(ticket.tenant, "cache_hits")
         ticket._deliver(lambda: self._finish_result(served, ticket, hit=hit))
@@ -658,12 +657,7 @@ class QueryScheduler:
             return
 
         def expire() -> None:
-            if ticket._fail(ServiceTimeout(
-                f"query {ticket.pattern.name!r} was not served within "
-                f"{timeout}s"
-            )):
-                with self._cond:
-                    self._stats["timeouts"] += 1
+            if self._time_out(ticket, f"was not served within {timeout}s"):
                 _events.emit(
                     "warning",
                     "scheduler",
@@ -676,6 +670,17 @@ class QueryScheduler:
         ticket._timer = timer = threading.Timer(timeout, expire)
         timer.daemon = True
         timer.start()
+
+    def _time_out(self, ticket: QueryTicket, why: str) -> bool:
+        """Fail ``ticket`` with :class:`ServiceTimeout`; count it if
+        that resolved it (a canceller or deliverer may have won)."""
+        if not ticket._fail(
+            ServiceTimeout(f"query {ticket.pattern.name!r} {why}")
+        ):
+            return False
+        with self._cond:
+            self._stats["timeouts"] += 1
+        return True
 
     def run(
         self,
@@ -706,15 +711,10 @@ class QueryScheduler:
         """
         if not callable(fn):
             raise TypeError(f"fn must be callable, got {fn!r}")
-        protocol.check_fields("submit", tenant=tenant)
-        try:
-            self._tenants.admit(tenant)
-        except QuotaExceeded:
-            self._rejected(
-                "quota_rejected", _events.QUOTA_REJECTED,
-                job=description, tenant=tenant,
-            )
-            raise
+        priority = protocol.check_fields(
+            "submit", priority=priority, tenant=tenant
+        )["priority"]
+        self._admit(tenant, job=description)
         ticket = QueryTicket(
             Pattern(1, [], name=description),
             "job",
@@ -724,19 +724,11 @@ class QueryScheduler:
             tenant=tenant,
         )
         with self._cond:
-            if self._closed:
-                raise SchedulerClosed("scheduler is closed")
-            self._stats["submitted"] += 1
-            self._tenants.note(tenant, "submitted")
-            key = ("job", next(self._seq))
-            execution = _Execution(
-                key, ticket, 0, job=fn, submitted_at=self._clock()
+            self._count_submitted(tenant)
+            self._enqueue(
+                ("job", next(self._seq)), ticket, 0, job=fn,
+                submitted_at=self._clock(),
             )
-            self._inflight[key] = execution
-            heapq.heappush(
-                self._heap, (-priority, next(self._seq), execution)
-            )
-            self._cond.notify()
         return ticket
 
     def rebind_graph(self, graph: "Graph", *, partition: Any = None) -> None:
@@ -890,8 +882,8 @@ class QueryScheduler:
         """Drop dead tickets from ``execution``; True while any remain.
 
         Requests that died while queued (timeout / cancel) are counted
-        here; an execution left with no live waiters is skippable.
-        Caller holds the lock.
+        here; :meth:`_claim` drops an execution left with no live
+        waiters.  Caller holds the lock.
         """
         live: list[QueryTicket] = []
         for ticket in execution.requests:
@@ -899,14 +891,9 @@ class QueryScheduler:
                 self._stats["cancelled"] += 1
             elif ticket.done():
                 pass  # the deadline timer already failed it
-            elif ticket._expired(now) and ticket._fail(
-                ServiceTimeout(
-                    f"query {ticket.pattern.name!r} timed out after "
-                    f"waiting in the service queue"
-                )
-            ):
-                self._stats["timeouts"] += 1
-            else:
+            elif not (ticket._expired(now) and self._time_out(
+                ticket, "timed out after waiting in the service queue"
+            )):
                 live.append(ticket)
         execution.requests = live
         return bool(live)
@@ -914,64 +901,37 @@ class QueryScheduler:
     def _claim(self) -> _Execution | None:
         """Pick the next runnable execution (holding the lock), or None.
 
-        Strictly priority-ordered against the *global* budget: when the
-        chosen execution does not fit the remaining budget the worker
-        waits instead of bypassing it, so a large request cannot be
-        starved by a stream of small ones (progress is guaranteed
-        because no admitted request costs more than the whole budget).
-        Within the topmost priority that has any runnable work, tenants
-        are weighted fair-shared: the candidate whose tenant holds the
-        least reserved bytes per unit weight claims first (FIFO within a
-        tenant), and a tenant over its own memory budget is skipped —
-        deferred until its running work releases, without blocking other
-        tenants (that deferral is the one sanctioned bypass).
+        One pass over the queue: executions whose waiters all died are
+        dropped; of those whose tenant has headroom under its own memory
+        budget, the highest priority wins, then the tenant holding the
+        least reserved bytes per unit weight, then the earliest ``seq``
+        (FIFO).  A tenant over its budget is deferred until its running
+        work releases, without blocking other tenants — the one
+        sanctioned bypass.  The *global* budget is strict: when the
+        winner does not fit what remains, the worker waits instead of
+        claiming something smaller, so a large request cannot be starved
+        by a stream of small ones (progress is guaranteed because no
+        admitted request costs more than the whole budget).
         """
         now = self._clock()
-        # Reap resolved entries off the head first (claimed executions,
-        # pre-escalation duplicates, executions whose waiters all died)
-        # so the heap does not accumulate garbage across claims.
-        while self._heap:
-            neg_priority, _seq, execution = self._heap[0]
-            if execution.claimed or -neg_priority != execution.heap_priority:
-                heapq.heappop(self._heap)
-                continue
+        for key, execution in list(self._queue.items()):
             if not self._prune(execution, now):
-                heapq.heappop(self._heap)
-                execution.claimed = True
-                self._inflight.pop(execution.key, None)
-                continue
-            break
-        # Scan in priority order for the fair-share winner of the
-        # topmost priority with tenant headroom.  The winner may sit
-        # below tenant-blocked entries; it is claimed in place (its heap
-        # entry goes stale and is reaped by the loop above later).
-        best: "tuple[tuple[float, int], _Execution] | None" = None
-        top_priority: int | None = None
-        for neg_priority, seq, execution in sorted(self._heap):
-            if execution.claimed or -neg_priority != execution.heap_priority:
-                continue
-            if top_priority is not None and -neg_priority != top_priority:
-                break
-            if not self._prune(execution, now):
-                execution.claimed = True
-                self._inflight.pop(execution.key, None)
-                continue
-            if not self._tenants.has_headroom(
-                execution.tenant, execution.cost
-            ):
-                continue  # deferred: over its own budget, others proceed
-            top_priority = -neg_priority
-            rank = (self._tenants.fair_key(execution.tenant), seq)
-            if best is None or rank < best[0]:
-                best = (rank, execution)
-        if best is None:
-            return None
-        execution = best[1]
-        if self._budget is not None and (
-            self._reserved + execution.cost > self._budget
+                del self._queue[key]
+                self._inflight.pop(key, None)
+                self._cond.notify_all()  # a draining close() may be waiting
+        ready = [
+            e for e in self._queue.values()
+            if self._tenants.has_headroom(e.tenant, e.cost)
+        ]
+        execution = min(ready, default=None, key=lambda e: (
+            -e.priority, self._tenants.fair_key(e.tenant), e.seq
+        ))
+        if execution is None or (
+            self._budget is not None
+            and self._reserved + execution.cost > self._budget
         ):
             return None
-        execution.claimed = True
+        del self._queue[execution.key]
         self._reserved += execution.cost
         self._tenants.reserve(execution.tenant, execution.cost)
         self._running += 1
@@ -1062,32 +1022,26 @@ class QueryScheduler:
                 dataclasses.replace(raw, counters=healthy),  # put() copies
             )
         now = self._clock()
-        delivered = 0
-        for ticket in requests:
+
+        def deliver(ticket: QueryTicket) -> bool:
             if ticket._expired(now):
-                if ticket._fail(
-                    ServiceTimeout(
-                        f"query {ticket.pattern.name!r} finished after "
-                        f"its deadline"
-                    )
-                ):
-                    with self._cond:
-                        self._stats["timeouts"] += 1
-                continue
+                self._time_out(ticket, "finished after its deadline")
+                return False
             if stored_mode:
                 ticket.store = "stored"
-            if ticket._deliver(
-                lambda t=ticket: self._finish_result(
-                    serve_copy(raw, execution.pattern, t.pattern, t.limit),
-                    t,
+            return ticket._deliver(
+                lambda: self._finish_result(
+                    serve_copy(
+                        raw, execution.pattern, ticket.pattern, ticket.limit
+                    ),
+                    ticket,
                     hit=False,
                 )
-            ):
-                delivered += 1
-                self._tenants.note(ticket.tenant, "completed")
-        with self._cond:
-            self._stats["completed"] += delivered
-            if stored_mode:
+            )
+
+        self._settle(requests, deliver, "completed")
+        if stored_mode:
+            with self._cond:
                 self._stats["store_stored"] += 1
         duration = now - execution.submitted_at
         self.latency.observe(duration)
@@ -1111,16 +1065,27 @@ class QueryScheduler:
             self._inflight.pop(execution.key, None)
             return list(execution.requests)
 
-    def _fail_all(self, execution: _Execution, exc: BaseException) -> None:
-        # Count only tickets this failure actually resolved — ones
-        # already timed out or cancelled are in those counters.
-        failed = 0
-        for ticket in self._seal(execution):
-            if ticket._fail(exc):
-                failed += 1
-                self._tenants.note(ticket.tenant, "failed")
+    def _settle(
+        self,
+        requests: list[QueryTicket],
+        resolve: Callable[[QueryTicket], bool],
+        counter: str,
+    ) -> None:
+        """Resolve each ticket; count under ``counter`` only the ones
+        ``resolve`` won — tickets already timed out or cancelled are in
+        those counters."""
+        settled = 0
+        for ticket in requests:
+            if resolve(ticket):
+                settled += 1
+                self._tenants.note(ticket.tenant, counter)
         with self._cond:
-            self._stats["failed"] += failed
+            self._stats[counter] += settled
+
+    def _fail_all(self, execution: _Execution, exc: BaseException) -> None:
+        self._settle(
+            self._seal(execution), lambda ticket: ticket._fail(exc), "failed"
+        )
 
     def _execute_job(self, execution: _Execution) -> None:
         """Run an opaque job on this worker; deliver its return value."""
@@ -1129,13 +1094,11 @@ class QueryScheduler:
         except BaseException as exc:  # noqa: BLE001 - forwarded to waiter
             self._fail_all(execution, exc)
             return
-        delivered = 0
-        for ticket in self._seal(execution):
-            if ticket._deliver(lambda value=value: value):
-                delivered += 1
-                self._tenants.note(ticket.tenant, "completed")
-        with self._cond:
-            self._stats["completed"] += delivered
+        self._settle(
+            self._seal(execution),
+            lambda ticket: ticket._deliver(lambda: value),
+            "completed",
+        )
 
     # ------------------------------------------------------------------
     # Result shaping
@@ -1160,18 +1123,12 @@ class QueryScheduler:
         """JSON-safe snapshot of scheduler (and cache) counters."""
         with self._cond:
             snapshot: dict[str, Any] = dict(self._stats)
-            # Count live queued work, not raw heap entries: the heap
-            # also holds stale duplicates left by priority escalation,
-            # claimed executions awaiting reap, and executions whose
-            # waiters all timed out or cancelled.
-            queued = {
-                id(execution)
-                for neg_priority, _seq, execution in self._heap
-                if not execution.claimed
-                and -neg_priority == execution.heap_priority
-                and any(not ticket.done() for ticket in execution.requests)
-            }
-            snapshot["queued"] = len(queued)
+            # Live queued work: executions whose waiters all timed out or
+            # cancelled stay queued until the next claim drops them.
+            snapshot["queued"] = sum(
+                any(not ticket.done() for ticket in execution.requests)
+                for execution in self._queue.values()
+            )
             snapshot["running"] = self._running
             snapshot["max_in_flight"] = self._max_in_flight
             snapshot["threads"] = self._threads
@@ -1211,38 +1168,20 @@ class QueryScheduler:
             if self._closed:
                 return
             if cancel_pending:
-                for _, _, execution in self._heap:
-                    if execution.claimed:
-                        continue  # running, or a stale duplicate entry
-                    execution.claimed = True
+                for key, execution in self._queue.items():
                     for ticket in execution.requests:
                         if ticket.cancel():
                             self._stats["cancelled"] += 1
-                    self._inflight.pop(execution.key, None)
-                self._heap.clear()
+                    self._inflight.pop(key, None)
+                self._queue.clear()
             else:
-                while self._has_pending_work():
+                # Workers notify whenever they finish or drop queued work.
+                while self._queue or self._running:
                     self._cond.wait()
             self._closed = True
             self._cond.notify_all()
         for worker in self._workers:
             worker.join()
-
-    def _has_pending_work(self) -> bool:
-        """True while real work remains (caller holds the lock).
-
-        Prunes stale heap entries (claimed executions, pre-escalation
-        duplicates) on the way: workers popping those do not notify, so
-        a drain that merely checked ``self._heap`` could wait forever on
-        entries nobody will announce.
-        """
-        while self._heap:
-            neg_priority, _seq, execution = self._heap[0]
-            if execution.claimed or -neg_priority != execution.heap_priority:
-                heapq.heappop(self._heap)
-                continue
-            return True
-        return self._running > 0
 
     def __enter__(self) -> "QueryScheduler":
         return self

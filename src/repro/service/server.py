@@ -85,7 +85,6 @@ class QueryServer(LineDaemon):
         default_quota: "TenantQuota | None" = None,
         shard_registry: "ShardRegistry | None" = None,
         verify_deltas: bool = False,
-        slow_log: int = 16,
         events_path: "str | None" = None,
     ):
         self.graph = graph
@@ -134,7 +133,6 @@ class QueryServer(LineDaemon):
                 default_quota=default_quota,
                 shard_registry=self.shard_registry,
                 store=store,
-                slow_log=slow_log,
             )
         except BaseException:
             self._tcp.server_close()

@@ -6,11 +6,12 @@ server over the same directory serves byte-identical results), the
 per-tenant quota/fair-share accounting, and the submit/field validation
 and stats-accounting fixes that rode along:
 
-- ``submit()`` rejects malformed ``memory_mb``/``limit``/``tenant``
-  overrides loudly at submit time;
+- ``submit()`` rejects malformed ``memory_mb``/``limit``/``tenant``/
+  ``priority``/``timeout`` overrides loudly at submit time, before any
+  state changes;
 - ``ResultCache`` sweeps TTL-expired entries (as ``expirations``) before
   LRU-evicting live ones;
-- ``stats()["queued"]`` counts live queued work, not raw heap entries;
+- ``stats()["queued"]`` counts live queued work only;
 - malformed protocol fields get an error naming the field and the
   connection stays serviceable (``tests/test_protocol_table.py``, one
   case per op, field and bad value, generated from the op table).
@@ -291,6 +292,35 @@ class TestSubmitValidation:
         stats = scheduler.stats()
         assert stats["submitted"] == 0
         assert stats["queued"] == 0
+
+    @pytest.mark.parametrize("field, value", [
+        ("priority", "high"), ("priority", 1.5), ("priority", True),
+        ("timeout", -1), ("timeout", 0), ("timeout", "5"),
+    ])
+    def test_bad_priority_or_timeout_leaves_no_ghost(
+        self, scheduler, field, value
+    ):
+        with pytest.raises(ValueError, match=field):
+            scheduler.submit("triangle", "gated", **{field: value})
+        stats = scheduler.stats()
+        assert stats["submitted"] == 0
+        assert stats["queued"] == 0
+        # Nothing in flight for the key: the same query runs, undeduped.
+        ticket = scheduler.submit("triangle", "gated")
+        assert ticket.result(30).embedding_count == 3
+        assert not ticket.deduped
+
+    @pytest.mark.parametrize("priority", ["high", 1.5, True])
+    def test_bad_job_priority_is_rejected(self, scheduler, priority):
+        with pytest.raises(ValueError, match="priority"):
+            scheduler.submit_job(lambda: None, priority=priority)
+        assert scheduler.stats()["submitted"] == 0
+
+    def test_null_priority_reads_as_the_default(self, scheduler):
+        """As on the wire, where a null field means its default."""
+        ticket = scheduler.submit("triangle", "gated", priority=None)
+        assert ticket.result(30).embedding_count == 3
+        assert scheduler.submit_job(lambda: "ok", priority=None).result(30) == "ok"
 
 
 class TestWorkerEngineCache:
