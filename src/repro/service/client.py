@@ -87,7 +87,8 @@ class ServiceClient:
             response = protocol.read_message(self._rfile)
             if response is None:
                 raise ServiceError(
-                    f"server at {self.address} closed the connection"
+                    f"server at {protocol.format_address(*self.address)} "
+                    f"closed the connection"
                 )
             if "id" not in response and response.get("kind") == "delta":
                 # An unsolicited push-mode delta interleaved with this
@@ -101,8 +102,9 @@ class ServiceClient:
             # unusable — close rather than hand back wrong answers.
             self.close()
             raise ServiceError(
-                f"out-of-sync response from {self.address}: expected "
-                f"id {request_id}, got {response['id']}; connection closed"
+                f"out-of-sync response from "
+                f"{protocol.format_address(*self.address)}: expected id "
+                f"{request_id}, got {response['id']}; connection closed"
             )
         if not response.get("ok"):
             raise ServiceError(response.get("error") or "unknown error")

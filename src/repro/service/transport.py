@@ -289,5 +289,6 @@ def wait_until_serving(
             last_error = exc
             time.sleep(0.05)
     raise TimeoutError(
-        f"nothing answering at {address} after {timeout}s: {last_error}"
+        f"nothing answering at {protocol.format_address(*address)} after "
+        f"{timeout}s: {last_error}"
     )

@@ -935,6 +935,38 @@ class TestExplainMemo:
         assert len(server._explain_memo) == EXPLAIN_MEMO_SIZE
 
 
+class TestClientErrors:
+    """A broken peer is named by its ``host:port``, never a tuple."""
+
+    @pytest.mark.parametrize("reply, error", [
+        (None, "server at {} closed the connection"),
+        ({"id": 99, "ok": True}, "out-of-sync response from {}: expected"),
+    ])
+    def test_errors_spell_the_address(self, reply, error):
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+
+            def peer():
+                conn, _ = listener.accept()
+                with conn, conn.makefile("rwb") as stream:
+                    protocol.write_message(stream, {
+                        "kind": "hello", "version": protocol.PROTOCOL_VERSION,
+                    })
+                    stream.readline()  # drained, so closing sends a FIN
+                    if reply is not None:
+                        protocol.write_message(stream, reply)
+
+            thread = threading.Thread(target=peer, daemon=True)
+            thread.start()
+            spelled = protocol.format_address(*listener.getsockname())
+            with connect(listener.getsockname(), timeout=10) as client:
+                with pytest.raises(ServiceError) as raised:
+                    client.ping()
+            thread.join(10)
+        assert str(raised.value).startswith(error.format(spelled))
+
+
 class TestSessionServe:
     def test_session_serve_and_shutdown_op(self, graph):
         session = repro.open(graph).with_cluster(machines=3)
