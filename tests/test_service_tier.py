@@ -20,7 +20,9 @@ and stats-accounting fixes that rode along:
 from __future__ import annotations
 
 import json
+import random
 import socket
+import sys
 import threading
 import time
 
@@ -503,6 +505,50 @@ class TestQueuedStat:
             assert scheduler.stats()["queued"] == 0
             gate.set()
             blocker.result(30)
+
+
+class TestQueueStress:
+    def test_every_ticket_is_resolved_and_counted_once(
+        self, graph, gated_registry
+    ):
+        """Four workers, priorities, tenants (one over budget), riders,
+        jobs and deadlines, with the switch interval shortened: a lost
+        update to the queue, the reservations or a counter shows."""
+        from repro.query.pattern_gen import cycle
+
+        rng = random.Random(5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            scheduler = QueryScheduler(
+                graph, RunConfig(machines=2, memory_mb=10), gated_registry,
+                threads=4, memory_budget_mb=60, cache=False,
+                tenants={"a": TenantQuota(memory_mb=20)},
+            )
+            tickets = [
+                scheduler.submit(
+                    cycle(rng.randint(3, 9)), "gated",
+                    priority=rng.randint(-1, 1),
+                    tenant=rng.choice([None, "a", "b"]),
+                    timeout=rng.choice([None, 0.005]),
+                )
+                if rng.random() < 0.9
+                else scheduler.submit_job(
+                    lambda: "job", priority=rng.randint(-1, 1)
+                )
+                for _ in range(200)
+            ]
+            scheduler.close(cancel_pending=False)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(ticket.done() for ticket in tickets)
+        stats = scheduler.stats()
+        assert stats["submitted"] == len(tickets)
+        assert stats["completed"] + stats["timeouts"] == stats["submitted"]
+        assert stats["queued"] == stats["running"] == 0
+        assert stats["reserved_bytes"] == 0
+        for tenant in stats["tenants"].values():
+            assert tenant["reserved_bytes"] == tenant["running"] == 0
 
 
 class TestTenantScheduler:
