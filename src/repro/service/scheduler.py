@@ -599,11 +599,11 @@ class QueryScheduler:
         self._tenants.note(tenant, "submitted")
 
     def _enqueue(
-        self, key: tuple, ticket: QueryTicket, cost: int, **pinned: Any
+        self, key: tuple, ticket: QueryTicket, cost: int, **fields: Any
     ) -> None:
         """Queue a new execution for ``ticket`` (caller holds the lock)."""
         execution = _Execution(
-            key, ticket, cost, seq=next(self._seq), **pinned
+            key, ticket, cost, seq=next(self._seq), **fields
         )
         self._inflight[key] = self._queue[key] = execution
         self._cond.notify()
