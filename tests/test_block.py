@@ -1,6 +1,9 @@
 """The shared block step against a per-row Python reference."""
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.enumeration import block
@@ -111,3 +114,98 @@ class TestBlockStep:
         parts = block.split(rows, dst, 4)
         assert [p[:, 0].tolist() for p in parts] == [[2, 8], [], [0, 4, 10], [6]]
         assert [p.tolist() for p in block.split(dst, dst, 4)] == [[0, 0], [], [2, 2, 2], [3]]
+
+
+def rowwise_injective(block, row, cand):
+    """Injectivity as whole gathered rows: ``(pairs, k)`` then a row reduction."""
+    return (block[row] != cand[:, None]).all(axis=1)
+
+
+def rowwise_append(block, row, cand):
+    """The next block as a gather of whole rows and a concatenate."""
+    return np.concatenate((block[row], cand[:, None]), axis=1)
+
+
+def rowwise_within(block, row, cand, lower, upper):
+    """List-form bounds from ``(n, len(columns))`` fancy-indexed blocks."""
+    keep = None
+    if lower:
+        keep = cand >= (block[:, lower].max(1) + 1)[row]
+    if upper:
+        below = cand < block[:, upper].min(1)[row]
+        keep = below if keep is None else keep & below
+    return keep
+
+
+def same(got, want):
+    assert type(got) is type(want)
+    if want is not None:
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tolist() == want.tolist()
+
+
+class TestColumnSpellings:
+    """``injective``, ``append`` and list-form ``within`` against the row-wise
+    spellings: same values, shape and dtype for every width, zero pairs and
+    rows proposed many times over."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        rows=st.integers(1, 12),
+        width=st.integers(0, 7),
+        pairs=st.integers(0, 40),
+        dtypes=st.sampled_from([(np.int64, np.int64), (np.int32, np.int64),
+                                (np.int64, np.int32), (np.int32, np.int32)]),
+        lower=st.sets(st.integers(0, 6)),
+        upper=st.sets(st.integers(0, 6)),
+    )
+    def test_equal_the_rowwise_reference(
+        self, seed, rows, width, pairs, dtypes, lower, upper
+    ):
+        rng = np.random.default_rng(seed)
+        # A small id range makes candidates collide with their row often.
+        data = rng.integers(0, 9, size=(rows, width)).astype(dtypes[0])
+        row = rng.integers(0, rows, size=pairs)
+        cand = rng.integers(0, 9, size=pairs).astype(dtypes[1])
+        same(block.injective(data, row, cand), rowwise_injective(data, row, cand))
+        same(block.append(data, row, cand), rowwise_append(data, row, cand))
+        lower = sorted(c for c in lower if c < width)
+        upper = sorted(c for c in upper if c < width)
+        same(block.within(data, row, cand, lower, upper),
+             rowwise_within(data, row, cand, lower, upper))
+
+
+def peak_bytes_per_pair(fn, *args) -> float:
+    """``tracemalloc`` peak of one call, after a warm one, per pair."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / len(args[1])
+
+
+class TestPairMemory:
+    """A pair filter or block build holds no ``(pairs, k)`` temporary beyond
+    its output: it works one column at a time."""
+
+    PAIRS, WIDTH = 100_000, 6
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        rng = np.random.default_rng(7)
+        data = rng.integers(0, 5_000, size=(2_000, self.WIDTH))
+        return data, rng.integers(0, 2_000, size=self.PAIRS), rng.integers(0, 5_000, size=self.PAIRS)
+
+    @pytest.mark.xfail(strict=True, reason="injective gathers whole rows")
+    def test_injective_holds_a_mask_and_one_column(self, pairs):
+        assert peak_bytes_per_pair(block.injective, *pairs) <= 18
+
+    @pytest.mark.xfail(strict=True, reason="append gathers whole rows, then copies them")
+    def test_append_holds_its_output_and_one_column(self, pairs):
+        output = 8 * (self.WIDTH + 1)
+        assert peak_bytes_per_pair(block.append, *pairs) <= output + 9
