@@ -28,10 +28,12 @@ operation: the table read once, by one fancy index on ``tags % P``; anchors
 by one fancy index; their sizes from the graph's cached degree array; the
 smallest list gathered; each further anchor one ``searchsorted`` on the
 sentinel-terminated edge keys (ids from the CSR need no range check); the
-bounds; then injectivity, degree and ``allowed`` as one mask over one
-``block[row]`` gather that is also the next block.  A seed block's ``k``
-prefix columns are admitted in one pass, :meth:`MatchingTables._admit`:
-data edges to the backward neighbours, bounds, injectivity, ``allowed`` and
+bounds; then injectivity (:func:`~repro.enumeration.block.injective`),
+degree and ``allowed`` as one mask over the pairs, and the pairs it keeps
+appended column by column into the next block
+(:func:`~repro.enumeration.block.append`).  A seed block's ``k`` prefix
+columns are admitted in one pass, :meth:`MatchingTables._admit`: data
+edges to the backward neighbours, bounds, injectivity, ``allowed`` and
 degree build a single mask, and the rows it keeps are the first block.
 
 **Inputs.**  ``adjacency`` is a :class:`Graph` (a bound ``graph.neighbors``
@@ -211,12 +213,11 @@ class MatchingTables:
         if keep is not None:
             row, cand = row[keep], cand[keep]
         stats.candidates_scanned += cand.size
-        mates = block[row]
-        keep = (mates != cand[:, None]).all(axis=1) & (degrees[cand] >= table[row, -1])
+        keep = kernel.injective(block, row, cand) & (degrees[cand] >= table[row, -1])
         if masks is not None:
             keep &= masks[position, cand]
-        cand = cand[keep]
-        return np.concatenate((mates[keep], cand[:, None]), axis=1), tags[row[keep]]
+        row = row[keep]
+        return kernel.append(block, row, cand[keep]), tags[row]
 
     def _admit(self, run, seeds, charge=False):
         """The rows of ``seeds`` that are partial embeddings of their order and
@@ -236,7 +237,7 @@ class MatchingTables:
                 wanted = seeds[tags[:, None], table[:, :width]] * n + column[:, None]
                 found = keys[keys.searchsorted(wanted)] == wanted
                 keep &= (found | (table[:, width:2 * width] > 0)).all(axis=1)
-                keep &= (prefix != column[:, None]).all(axis=1)
+                keep &= kernel.injective(prefix, tags, column)
                 inside = kernel.within(
                     prefix, tags, column,
                     None if lower is None else table[:, lower],

@@ -26,7 +26,13 @@ from the arrays :class:`Graph` caches, and no re-validation — every id a
 step sees came out of the CSR or out of a seed block already checked to be
 in range, so membership is ``keys[keys.searchsorted(k)] == k`` on the
 sentinel-terminated key array, with no clamp and no range check
-(:meth:`Graph.has_edges` keeps both, for ids from anywhere).
+(:meth:`Graph.has_edges` keeps both, for ids from anywhere).  A pair
+filter or block build works one column at a time: :func:`injective` ands
+``block[:, j][row] != cand`` per column and :func:`append` writes each
+gathered column into one preallocated output, so neither holds a
+``(pairs, k)`` temporary beyond the block it returns; :func:`within`'s
+column lists take their max / min the same way.  (Its ``(n, k)`` mask
+form is over block rows, not pairs.)
 :class:`~repro.enumeration.backtracking.MatchingTables` fuses a whole step
 into one function on the same terms.
 
@@ -46,8 +52,12 @@ recursion's early exit.  The pairs surviving :func:`bounded` are the
 candidates a matcher scans; rows entering a step are its calls.
 
 Blocks above ``ROWS_PER_BLOCK`` rows are expanded in row chunks, each taken
-to full depth before the next, so the transient pair arrays stay bounded
-(depth x ``ROWS_PER_BLOCK`` x max degree) and order is kept.
+to full depth before the next, and order is kept.  The backtracking kernel
+re-chunks at every level, so its transient pair arrays stay bounded
+(depth x ``ROWS_PER_BLOCK`` x max degree).  R-Meef chunks frontier rows
+only: a unit with several leaf positions expands all of them inside one
+chunk, whose pairs are not bounded that way (see "Chunks and known-epochs"
+in :mod:`repro.core.rmeef`).
 """
 
 from __future__ import annotations
@@ -134,13 +144,18 @@ def within(
     keep = None
     if lower is not None and len(lower):
         if isinstance(lower, list):
-            floor = block[:, lower].max(1) + 1
+            floor = block[:, lower[0]]
+            for j in lower[1:]:
+                floor = np.maximum(floor, block[:, j])
+            floor = floor + 1
         else:  # one above the largest bound image, 0 where none binds
             floor = ((block + 1) * lower).max(1, initial=0)
         keep = cand >= floor[row]
     if upper is not None and len(upper):
         if isinstance(upper, list):
-            ceiling = block[:, upper].min(1)
+            ceiling = block[:, upper[0]]
+            for j in upper[1:]:
+                ceiling = np.minimum(ceiling, block[:, j])
         else:  # the smallest bound image, _TOP where none binds
             ceiling = ((block - _TOP) * upper).min(1, initial=0) + _TOP
         below = cand < ceiling[row]
@@ -162,12 +177,20 @@ def bounded(
 
 def injective(block: np.ndarray, row: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """Mask of the pairs whose candidate is not already in their row."""
-    return (block[row] != cand[:, None]).all(axis=1)
+    keep = np.ones(cand.shape, dtype=bool)
+    for j in range(block.shape[1]):
+        keep &= block[:, j][row] != cand
+    return keep
 
 
 def append(block: np.ndarray, row: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """The next block: row ``row[i]`` extended by ``cand[i]``."""
-    return np.concatenate((block[row], cand[:, None]), axis=1)
+    k = block.shape[1]
+    out = np.empty((cand.shape[0], k + 1), dtype=np.result_type(block, cand))
+    for j in range(k):
+        out[:, j] = block[:, j][row]
+    out[:, k] = cand
+    return out
 
 
 def ordered(block: np.ndarray, pairs: list[tuple[int, int]]) -> np.ndarray:

@@ -201,11 +201,9 @@ class TestPairMemory:
         data = rng.integers(0, 5_000, size=(2_000, self.WIDTH))
         return data, rng.integers(0, 2_000, size=self.PAIRS), rng.integers(0, 5_000, size=self.PAIRS)
 
-    @pytest.mark.xfail(strict=True, reason="injective gathers whole rows")
     def test_injective_holds_a_mask_and_one_column(self, pairs):
         assert peak_bytes_per_pair(block.injective, *pairs) <= 18
 
-    @pytest.mark.xfail(strict=True, reason="append gathers whole rows, then copies them")
     def test_append_holds_its_output_and_one_column(self, pairs):
         output = 8 * (self.WIDTH + 1)
         assert peak_bytes_per_pair(block.append, *pairs) <= output + 9
