@@ -75,7 +75,11 @@ before the next chunk.  That bounds the frontier rows a chunk starts from,
 not the pairs below them: a unit with several leaf positions expands all
 of them inside one chunk, and an edge between two foreign leaves is
 deferred to `verifyE`, so a hub's chunk can grow like its degree to the
-power of the leaf count.  The
+power of the leaf count.  A chunk computes its leaves' ``first_diff``
+once: it sizes what each row keeps alive, and travels with the leaves
+still open in a segment, so the timeline's release cascade reads it
+instead of deriving it again (only where two chunks' leaves meet is the
+entry recomputed, from those two rows).  The
 known mask only changes at a `fetchV`, which happens at round start or at
 a row's first position when a starved cache has evicted its pivot; a chunk
 ends at such a miss, so every chunk sees one mask and the same block code
@@ -156,6 +160,7 @@ class _Round:
     prior: int = -1               # last row so far that kept leaves
     reach: int = 0                # min diff over the rows after `prior`
     open: list = field(default_factory=list)   # (leaves, rows, pending) pieces
+    diffs: list = field(default_factory=list)  # first_diff of each open piece
     kept: list = field(default_factory=list)   # verified next-frontier blocks
     next: tuple | None = None     # the verified next frontier and its first_diff
 
@@ -548,9 +553,9 @@ class RMeefWorker:
         roots = [levels[0].made]
         for level in levels[1:]:
             roots.append(roots[-1][level.made])
-        leaves, leaf_rows = block, roots[-1] + c0
+        leaves, leaf_rows, leaf_diff = block, roots[-1] + c0, kernel.first_diff(block)
         left = np.bincount(
-            roots[-1], state.width - np.maximum(kernel.first_diff(leaves), k), rows
+            roots[-1], state.width - np.maximum(leaf_diff, k), rows
         ).astype(np.int64)
         has = left > 0
         childless = ~has & (created > 0) if state.rooted else ~has
@@ -596,22 +601,22 @@ class RMeefWorker:
             pieces = state.open + [
                 (leaves[:cut], leaf_rows[:cut], None if pending is None else pending[:cut])
             ]
-            state.open = []
-            leaves, leaf_rows = leaves[cut:], leaf_rows[cut:]
+            diffs = state.diffs + [leaf_diff[:cut]]
+            state.open, state.diffs = [], []
+            leaves, leaf_rows, leaf_diff = leaves[cut:], leaf_rows[cut:], leaf_diff[cut:]
             pending = None if pending is None else pending[cut:]
             done = _join([p[0] for p in pieces])
             done_rows = _join([p[1] for p in pieces])
             done_segment = segment[np.maximum(done_rows - c0, 0)]
             failed, missed = self._verify(pieces, done_segment, rpcs)
-            survivors = done[~failed] if missed else done
-            if not state.final:
-                state.kept.append(survivors)
-            else:
-                self._emit_count += len(survivors)
-                if self._collect:
-                    self._emitted.append(survivors)
+            if state.final:  # counted; gathered only to be collected
+                self._emit_count += len(done) - int(failed.sum())
+            if self._collect or not state.final:
+                survivors = done[~failed] if missed else done
+                (self._emitted if state.final else state.kept).append(survivors)
         if len(leaves):
             state.open.append((leaves, leaf_rows, pending))
+            state.diffs.append(leaf_diff)
         if not state.final and len(closes):
             # The round ends: what stays is the trie its verified rows are.
             frontier = _join(state.kept)
@@ -662,8 +667,16 @@ class RMeefWorker:
                 when = ((base + total)[closes] - _offsets(per_segment))[done_segment] + turn
                 if not state.final:
                     when = np.where(failed, when, _NEVER)
+                # The leaves' first_diff, a copy `_release` may write: each
+                # piece's own, and at a seam the two rows that meet there.
+                diff = np.concatenate(diffs)
+                if len(diffs) > 1:
+                    seams = np.cumsum([len(d) for d in diffs[:-1]])
+                    seams = seams[seams < len(done)]
+                    diff[seams] = (done[seams] != done[seams - 1]).argmax(axis=1)
                 self._release(
-                    state, entries, done, done_rows, done_segment, when, closes + c0
+                    state, entries, done, done_rows, done_segment, when, closes + c0,
+                    diff, per_segment,
                 )
             assert entries.sum() == delta and np.abs(entries).sum() == 2 * made - delta
             # Feed the timeline; a `verifyE` goes out where its segment closes.
@@ -832,10 +845,14 @@ class RMeefWorker:
         segment: np.ndarray,
         when: np.ndarray,
         closes: np.ndarray,
+        diff: np.ndarray,
+        per_segment: np.ndarray,
     ) -> None:
         """Write the release entries of the closing segments' leaves.
 
-        ``when`` is each leaf's slot (``_NEVER``: it survives).  Releasing
+        ``when`` is each leaf's slot (``_NEVER``: it survives), ``diff`` the
+        leaves' ``first_diff`` (overwritten) and ``per_segment`` how many
+        leaves each closing segment holds.  Releasing
         a leaf cascades to every ancestor left without children, so each
         ancestor goes with the last of its leaves to go: per level, the
         maximum slot over the run of leaves below it — unless a later
@@ -844,16 +861,16 @@ class RMeefWorker:
         gone = when != _NEVER
         entries[when[gone]] = -1
         k = state.frontier.shape[1]
-        diff = kernel.first_diff(leaves)
-        starts = np.flatnonzero(np.diff(segment, prepend=-1))
+        present = np.flatnonzero(per_segment)
+        starts = _offsets(per_segment)[present]
         diff[starts] = 0
         # Levels above the frontier outlive a segment while rows after it
         # share them: up to the first column in which the rows between the
         # segment's last leaf and the next segment's first row differ.
-        ends = np.append(starts[1:], len(leaves)) - 1
-        bounds = np.column_stack((leaf_rows[ends] + 1, closes[segment[ends]] + 2))
-        shared = np.full(len(closes), 0, dtype=np.int64)
-        shared[segment[ends]] = np.minimum.reduceat(state.diff, bounds.ravel())[::2]
+        ends = starts + per_segment[present] - 1
+        bounds = np.column_stack((leaf_rows[ends] + 1, closes[present] + 2))
+        shared = np.zeros(len(closes), dtype=np.int64)
+        shared[present] = np.minimum.reduceat(state.diff, bounds.ravel())[::2]
         for level in range(leaves.shape[1] - 2, -1, -1):
             runs = np.flatnonzero(diff <= level)
             when = np.maximum.reduceat(when, runs)

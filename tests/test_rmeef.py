@@ -218,6 +218,7 @@ class TestTrieTimeline:
         worker._release(
             state, entries, leaves, np.array(leaf_rows), np.array(segment),
             np.array(when), np.array(closes),
+            first_diff(leaves), np.bincount(segment, minlength=len(closes)),
         )
         return entries.tolist()
 
