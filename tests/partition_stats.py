@@ -1,5 +1,6 @@
 """Partition quality reports, including the SM-E potential of Sec. 3.1
-(test infrastructure: ``test_pattern_gen_stats.py`` is its user).
+(test infrastructure, like ``strategies.py``: ``test_pattern_gen_stats.py``
+is its user).
 
 Partition quality drives RADS more directly than any other engine: the
 fraction of candidates whose border distance reaches the query span decides

@@ -1,9 +1,10 @@
-"""Pattern generators and a catalogue of classic motifs.
+"""Pattern generators and a catalogue of classic motifs (test
+infrastructure: imported as ``from strategies import ...``).
 
 Random connected patterns power the property-based tests (and fuzzing
 engines against the oracle); the parametric families (cycles, wheels,
-books, complete bipartite) extend the fixed paper query set when users
-want to stress specific plan shapes.
+books, complete bipartite) extend the fixed paper query set when a test
+wants to stress specific plan shapes.
 """
 
 from __future__ import annotations

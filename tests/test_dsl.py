@@ -12,7 +12,7 @@ from repro.query.dsl import (
 )
 from repro.query.isomorphism import are_isomorphic
 from repro.query.pattern import Pattern
-from repro.query.pattern_gen import cycle, random_connected_pattern, wheel
+from strategies import cycle, random_connected_pattern, wheel
 from repro.query.patterns import (
     find_named,
     house,

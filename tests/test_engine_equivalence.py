@@ -23,7 +23,7 @@ from repro.enumeration import EnumerationStats, block, enumerate_embeddings
 from repro.enumeration.vf2 import vf2_embeddings
 from repro.graph import erdos_renyi, grid_road_network, powerlaw_cluster
 from repro.query import named_patterns, symmetry_breaking_constraints
-from repro.query.pattern_gen import random_connected_pattern
+from strategies import random_connected_pattern
 from repro.runtime import ProcessExecutor, SerialExecutor
 
 QUERIES = ["q1", "q4"]

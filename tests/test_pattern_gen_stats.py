@@ -7,7 +7,7 @@ from repro.graph import grid_road_network, erdos_renyi
 from repro.partition import GraphPartition, HashPartitioner, MetisLikePartitioner
 from partition_stats import partition_report, sme_share
 from repro.query import paper_query
-from repro.query.pattern_gen import (
+from strategies import (
     book,
     complete_bipartite,
     cycle,

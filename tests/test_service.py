@@ -18,7 +18,7 @@ from repro.cli import main as cli_main
 from repro.engines.base import EnumerationEngine, RunResult
 from repro.graph import erdos_renyi
 from repro.query.explain import QueryExplanation
-from repro.query.pattern_gen import cycle
+from strategies import cycle
 from repro.service import (
     AdmissionError,
     QueryScheduler,

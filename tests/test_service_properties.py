@@ -1,6 +1,6 @@
 """Property tests: cache hits for isomorphic rewrites are always correct.
 
-For random connected patterns (the :mod:`repro.query.pattern_gen`
+For random connected patterns (the ``tests/strategies.py``
 generators), any isomorphic rewrite of a previously served query must hit
 the :class:`repro.service.ResultCache` and come back with *identical*
 counts — and, when embeddings are collected, with tuples that are (a)
@@ -18,7 +18,7 @@ import pytest
 from repro.api import RunConfig
 from repro.graph import erdos_renyi
 from repro.query.pattern import Pattern
-from repro.query.pattern_gen import random_connected_pattern
+from strategies import random_connected_pattern
 from repro.service import QueryScheduler
 
 

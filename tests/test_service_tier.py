@@ -485,7 +485,7 @@ class TestQueuedStat:
         self, graph, gated_registry
     ):
         _GatedEngine.gates["cycle3"] = gate = threading.Event()
-        from repro.query.pattern_gen import cycle
+        from strategies import cycle
 
         with QueryScheduler(
             graph, RunConfig(machines=2), gated_registry, threads=1
@@ -514,7 +514,7 @@ class TestQueueStress:
         """Four workers, priorities, tenants (one over budget), riders,
         jobs and deadlines, with the switch interval shortened: a lost
         update to the queue, the reservations or a counter shows."""
-        from repro.query.pattern_gen import cycle
+        from strategies import cycle
 
         rng = random.Random(5)
         interval = sys.getswitchinterval()
@@ -555,7 +555,7 @@ class TestTenantScheduler:
     def test_rate_limited_tenant_is_rejected_loudly(
         self, graph, gated_registry
     ):
-        from repro.query.pattern_gen import cycle
+        from strategies import cycle
 
         with QueryScheduler(
             graph,
@@ -575,7 +575,7 @@ class TestTenantScheduler:
         assert stats["tenants"]["metered"]["rejected_rate"] == 1
 
     def test_cache_hits_consume_rate_tokens_too(self, graph, gated_registry):
-        from repro.query.pattern_gen import cycle
+        from strategies import cycle
 
         with QueryScheduler(
             graph,
@@ -610,7 +610,7 @@ class TestTenantScheduler:
     def test_over_budget_tenant_is_deferred_without_blocking_others(
         self, graph, gated_registry
     ):
-        from repro.query.pattern_gen import cycle
+        from strategies import cycle
 
         _GatedEngine.gates["cycle3"] = gate = threading.Event()
         config = RunConfig(machines=2, memory_mb=10)  # 20 MiB per query
@@ -640,7 +640,7 @@ class TestTenantScheduler:
     def test_fair_share_prefers_the_less_loaded_tenant(
         self, graph, gated_registry
     ):
-        from repro.query.pattern_gen import cycle
+        from strategies import cycle
 
         _GatedEngine.gates["cycle3"] = g1 = threading.Event()
         _GatedEngine.gates["cycle4"] = g2 = threading.Event()

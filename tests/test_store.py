@@ -23,7 +23,7 @@ from repro.api import RunConfig, read_records_jsonl, record_from_dict
 from repro.core.embedding_trie import NODE_BYTES, trie_nodes_for_results
 from repro.engines.base import RunResult
 from repro.graph import erdos_renyi
-from repro.query.pattern_gen import random_connected_pattern
+from strategies import random_connected_pattern
 from repro.service import QueryScheduler, QueryServer, ResultCache, connect
 from repro.service.cache import cache_key, key_digest
 from repro.store import (
