@@ -7,6 +7,7 @@ them by reference.
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.cluster.machine import SimulatedMemoryError
 from repro.core.rads import RADSEngine
+from repro.distributed import ShardWorker, SocketExecutor
 from repro.engines import TwinTwigEngine
 from repro.graph import erdos_renyi
 from repro.query import named_patterns
@@ -56,8 +58,12 @@ def graph_probe_task(cluster, args):
 
 
 def oom_task(cluster, args):
+    """Machine ``t`` does some work, then runs out of memory; task 0
+    instead returns a payload no wire can carry."""
     t = args
     cluster.machine(t).charge_ops(5.0, "pre_oom_ops")
+    if t == 0:
+        return threading.Lock()
     cluster.machine(t).allocate(1 << 40, "huge")
     return t
 
@@ -160,16 +166,47 @@ class TestDeterministicMerge:
         ]
 
 
+@pytest.fixture(scope="module")
+def shard():
+    """One in-process shard worker (serial task execution)."""
+    worker = ShardWorker().start()
+    yield worker
+    worker.close()
+
+
+@pytest.fixture(params=["serial", "process", "socket"])
+def backend(request, pool2):
+    if request.param == "serial":
+        yield SerialExecutor()
+    elif request.param == "process":
+        yield pool2
+    else:
+        shard = request.getfixturevalue("shard")
+        with SocketExecutor([shard.address], heartbeat_interval=None) as ex:
+            yield ex
+
+
 class TestFailurePropagation:
-    def test_oom_surfaces_with_partial_state(self, small_cluster, pool2):
+    def test_oom_surfaces_with_partial_state(self, small_cluster, backend):
         capped = Cluster(small_cluster.partition, small_cluster.cost_model, 1024)
         with pytest.raises(SimulatedMemoryError) as excinfo:
-            pool2.run_tasks(capped, oom_task, [1, 2])
+            backend.run_tasks(capped, oom_task, [1, 2])
         assert excinfo.value.machine_id == 1
         # The failing task's work up to the OOM is merged (serial parity);
         # the second task never happened as far as the cluster is concerned.
         assert capped.machine(1).counters["pre_oom_ops"] == 5
         assert capped.machine(2).counters["pre_oom_ops"] == 0
+        if backend.parallel:
+            # A transport error at task 0 merges nothing and wins over
+            # task 1's OOM, whose partial delta is discarded.
+            capped = Cluster(
+                small_cluster.partition, small_cluster.cost_model, 1024
+            )
+            with pytest.raises(Exception) as excinfo:
+                backend.run_tasks(capped, oom_task, [0, 1])
+            assert not isinstance(excinfo.value, SimulatedMemoryError)
+            assert capped.machine(0).counters["pre_oom_ops"] == 0
+            assert capped.machine(1).counters["pre_oom_ops"] == 0
 
     def test_oom_in_serial_matches(self, small_cluster):
         capped = Cluster(small_cluster.partition, small_cluster.cost_model, 1024)

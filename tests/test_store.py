@@ -10,7 +10,6 @@ protocol ops, and the disk-tier fix to ``ResultCache.evict_graph``.
 
 from __future__ import annotations
 
-import json
 import sys
 from collections import Counter, defaultdict
 
