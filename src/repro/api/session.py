@@ -779,8 +779,8 @@ class Session:
 
         The batch is validated strictly (no duplicate or missing edges,
         no addition/deletion overlap) and merged into a fresh CSR
-        snapshot — through the session's process pool when one is
-        configured.  The session then rebinds to the new snapshot:
+        snapshot in this process, whatever the backend: the merge needs
+        no executor.  The session then rebinds to the new snapshot:
         ``session.graph`` answers with the new version, the cached
         partition is invalidated, and a selected engine is rebuilt, so
         the next ``run()`` sees the updated graph.  Every live
@@ -790,10 +790,7 @@ class Session:
         per-watch delta counts).
         """
         with self._lock:
-            streams = self._get_streams()
-            return streams.ingest(
-                additions, deletions, executor=self._get_executor()
-            )
+            return self._get_streams().ingest(additions, deletions)
 
     def _get_streams(self) -> "ContinuousQueryManager":
         with self._lock:
@@ -815,8 +812,8 @@ class Session:
         """Swap the session onto a freshly ingested graph snapshot."""
         with self._lock:
             self._graph = new.graph
-            # The partition described the old snapshot; the executor is
-            # graph-independent (pure-function workers) and survives.
+            # The partition described the old snapshot; the executor
+            # keys its replicas by partition and survives.
             self._invalidate(partition=True, executor=False)
             if self._store is not None:
                 # Stored sets are keyed by fingerprint; drop the old

@@ -33,8 +33,7 @@ from repro.distributed.coordinator import (
 )
 from repro.obs.profile import attach_worker_usage, profile_active
 from repro.obs.trace import attach_spans, span as _obs_span, wire_context
-from repro.runtime.delta import apply_delta
-from repro.runtime.executor import Executor, TaskFn
+from repro.runtime.executor import Executor, TaskFn, merge_in_order
 
 __all__ = ["SocketExecutor"]
 
@@ -105,24 +104,7 @@ class SocketExecutor(Executor):
                 self._surface_counters(cluster)
                 attach_spans(self._coordinator.take_worker_spans())
                 attach_worker_usage(self._coordinator.take_worker_usage())
-        payloads: list[Any] = []
-        first_error: BaseException | None = None
-        for status, payload, delta in triples:
-            if first_error is not None:
-                continue  # serial execution would never have run it
-            if status == "transport_error":
-                first_error = payload
-                continue
-            apply_delta(cluster, delta)
-            if status == "error":
-                # Merge the failing task's partial state first (serial
-                # parity), then re-raise in task order.
-                first_error = payload
-            else:
-                payloads.append(payload)
-        if first_error is not None:
-            raise first_error
-        return payloads
+        return merge_in_order(cluster, triples)
 
     def _surface_counters(self, cluster: Cluster) -> None:
         """Attach fault-counter advances to the run's cluster counters.

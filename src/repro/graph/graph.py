@@ -70,21 +70,6 @@ def gather_ranges(
     return row, np.arange(row.size) + (starts - ends + counts)[row]
 
 
-def _merge_adjacency_chunk(task: tuple) -> np.ndarray:
-    """Merge one vertex-range chunk of a delta CSR build.
-
-    Module-level (not a closure) so parallel executors can pickle it.
-    ``task`` carries the chunk's surviving old entries and its new
-    directed additions; the result is the chunk's neighbour segment
-    sorted by ``(src, dst)``, ready to concatenate with its siblings.
-    """
-    old_src, old_dst, add_src, add_dst = task
-    src = np.concatenate([old_src, add_src])
-    dst = np.concatenate([old_dst, add_dst])
-    order = np.lexsort((dst, src))
-    return dst[order]
-
-
 class Graph:
     """An immutable, unlabeled, undirected graph.
 
@@ -145,19 +130,16 @@ class Graph:
         self,
         additions: Iterable[tuple[int, int]] = (),
         deletions: Iterable[tuple[int, int]] = (),
-        *,
-        executor=None,
     ) -> "Graph":
         """A new snapshot with ``additions`` inserted and ``deletions`` removed.
 
         This is the streaming mutation primitive: ``self`` is untouched
         (in-flight queries keep reading their snapshot) and the result is
         a fresh CSR built by *delta merge* — unaffected neighbour lists
-        are copied in bulk and only the touched vertices pay a sort —
-        rather than a full :meth:`from_edges` rebuild.  The merge is
-        chunked over vertex ranges; pass an active
-        :class:`repro.runtime.executor.Executor` to fan the chunks out
-        through its :meth:`~repro.runtime.executor.Executor.map`.
+        are copied in bulk and only the batch pays a sort — rather than a
+        full :meth:`from_edges` rebuild.  The merge is one sorted
+        insertion: deleted slots are dropped, and the batch's directed
+        entries go in at their ranks among the surviving entries.
 
         Batches are validated strictly so delta semantics stay exact:
         adding an edge that already exists, deleting one that does not,
@@ -169,15 +151,22 @@ class Graph:
         delete = canonical_edge_array(deletions, n, field="deletions")
         if len(add) == 0 and len(delete) == 0:
             return Graph(self._indptr, self._indices)
-        if len(add) and len(delete):
-            add_keys = add[:, 0] * np.int64(n) + add[:, 1]
-            del_keys = delete[:, 0] * np.int64(n) + delete[:, 1]
-            overlap = np.intersect1d(add_keys, del_keys)
-            if len(overlap):
-                u, v = int(overlap[0]) // n, int(overlap[0]) % n
-                raise ValueError(
-                    f"additions and deletions overlap on edge ({u}, {v})"
-                )
+        # Directed entries of the batch as sorted keys src * n + dst: a
+        # key's rank in edge_keys() is its slot in the old indices array.
+        add_keys, del_keys = (
+            np.sort(np.concatenate([
+                edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]
+            ]))
+            for edges in (add, delete)
+        )
+        # The smallest shared key is the canonical (u < v) entry of the
+        # first overlapping edge in canonical order.
+        overlap = np.intersect1d(add_keys, del_keys, assume_unique=True)
+        if len(overlap):
+            u, v = int(overlap[0]) // n, int(overlap[0]) % n
+            raise ValueError(
+                f"additions and deletions overlap on edge ({u}, {v})"
+            )
         present = self.has_edges(add[:, 0], add[:, 1])
         if present.any():
             u, v = add[np.argmax(present)]
@@ -191,54 +180,19 @@ class Graph:
                 f"deletions: edge ({int(u)}, {int(v)}) not present"
             )
 
-        # Directed views of the batch, sorted by (src, dst).
-        add_src = np.concatenate([add[:, 0], add[:, 1]])
-        add_dst = np.concatenate([add[:, 1], add[:, 0]])
-        order = np.lexsort((add_dst, add_src))
-        add_src, add_dst = add_src[order], add_dst[order]
-        del_src = np.concatenate([delete[:, 0], delete[:, 1]])
-        del_dst = np.concatenate([delete[:, 1], delete[:, 0]])
-
-        # Mark deleted slots in the old indices array: a directed entry's
-        # slot is its rank in the (sorted) edge-key array.
+        keys = self.edge_keys()
         keep = np.ones(len(self._indices), dtype=bool)
-        keep[self.edge_keys().searchsorted(del_src * np.int64(n) + del_dst)] = False
-
-        degrees = self.degrees()
-        add_counts = np.bincount(add_src, minlength=n)
-        del_counts = np.bincount(del_src, minlength=n)
-        new_degrees = degrees + add_counts - del_counts
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(new_degrees, out=indptr[1:])
-
-        # Old entries' source ids, needed to keep chunk merges sorted.
-        old_src_all = np.repeat(np.arange(n, dtype=np.int64), degrees)
-
-        parallel = executor is not None and getattr(executor, "parallel", False)
-        workers = getattr(executor, "workers", 1) if parallel else 1
-        num_chunks = min(n, max(1, workers * 4)) if parallel else 1
-        bounds = np.linspace(0, n, num_chunks + 1).astype(np.int64)
-        tasks = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if lo == hi:
-                continue
-            s, e = int(self._indptr[lo]), int(self._indptr[hi])
-            chunk_keep = keep[s:e]
-            a_lo = int(np.searchsorted(add_src, lo, side="left"))
-            a_hi = int(np.searchsorted(add_src, hi, side="left"))
-            tasks.append((
-                old_src_all[s:e][chunk_keep],
-                self._indices[s:e][chunk_keep],
-                add_src[a_lo:a_hi],
-                add_dst[a_lo:a_hi],
-            ))
-        if parallel and len(tasks) > 1:
-            segments = executor.map(_merge_adjacency_chunk, tasks)
-        else:
-            segments = [_merge_adjacency_chunk(task) for task in tasks]
-        indices = (
-            np.concatenate(segments) if segments else np.empty(0, dtype=np.int64)
+        keep[keys.searchsorted(del_keys)] = False
+        # Rank among the survivors: old keys below, less deleted keys below.
+        ranks = keys.searchsorted(add_keys) - del_keys.searchsorted(add_keys)
+        indices = np.insert(self._indices[keep], ranks, add_keys % n)
+        degrees = (
+            self.degrees()
+            + np.bincount(add_keys // n, minlength=n)
+            - np.bincount(del_keys // n, minlength=n)
         )
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
         return Graph(indptr, indices)
 
     # ------------------------------------------------------------------

@@ -22,8 +22,10 @@ cross-machine effects such as daemon service time are fine).
 A simulated out-of-memory inside a task is reported like the serial path:
 the failing task's partial state is merged, later tasks are discarded, and
 the :class:`~repro.cluster.machine.SimulatedMemoryError` is re-raised in
-task order.  A worker process dying outright (segfault, ``os._exit``)
-surfaces as :class:`WorkerCrashError` instead of hanging the batch.
+task order — :func:`merge_in_order`, the one merge rule the process and
+socket backends share.  A worker process dying outright (segfault,
+``os._exit``) surfaces as :class:`WorkerCrashError` instead of hanging the
+batch.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ class WorkerCrashError(RuntimeError):
 
 
 class Executor(ABC):
-    """Runs batches of independent cluster tasks."""
+    """Runs batches of independent cluster tasks (:meth:`run_tasks` is
+    the whole contract)."""
 
     #: True when tasks may run concurrently (engines use this to pick
     #: schedule-free decompositions over inherently sequential ones).
@@ -76,17 +79,6 @@ class Executor(ABC):
         self, cluster: Cluster, fn: TaskFn, tasks: Sequence[Any]
     ) -> list[Any]:
         """Run ``fn(cluster, args)`` for each ``args``; payloads in order."""
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
-        """Apply a pure function to each item; results in input order.
-
-        Unlike :meth:`run_tasks`, ``fn`` takes the item alone and must not
-        touch cluster state — this is plain data parallelism (the streaming
-        layer's chunked CSR delta merges ride here).  The default runs
-        inline; pool-backed executors override it to fan out.  ``fn`` must
-        be a module-level function when a process backend may run it.
-        """
-        return [fn(item) for item in items]
 
     def close(self) -> None:
         """Release pools and shared memory (idempotent)."""
@@ -221,55 +213,27 @@ class ProcessExecutor(Executor):
         futures = [
             pool.submit(_worker_run, spec, base, fn, args) for args in tasks
         ]
-        payloads: list[Any] = []
-        first_error: BaseException | None = None
-        for future in futures:
+        triples = []
+        for future in futures:  # drain every future, for pool hygiene
             try:
-                status, payload, delta = future.result()
+                triples.append(future.result())
             except concurrent.futures.process.BrokenProcessPool as exc:
                 # The pool is unusable after a hard crash; drop it so the
-                # next batch starts a fresh one.  An error already pending
-                # from an earlier task wins: serial execution would have
-                # stopped there before ever reaching the crashed task.
+                # next batch starts a fresh one.  The crash takes its own
+                # position: an earlier task's error still wins.
                 self._pool = None
-                if first_error is not None:
-                    raise first_error
-                raise WorkerCrashError(
+                crash = WorkerCrashError(
                     "a cluster-task worker process died unexpectedly "
                     "(see stderr for the crashed task's output)"
-                ) from exc
+                )
+                crash.__cause__ = exc
+                triples.append(("transport_error", crash, None))
             except Exception as exc:
                 # Result transport failed (e.g. unpicklable payload).
                 # KeyboardInterrupt/SystemExit propagate immediately — a
                 # user interrupt must not wait for the batch to drain.
-                if first_error is None:
-                    first_error = exc
-                continue
-            if first_error is not None:
-                continue  # drained for pool hygiene; serial would not run it
-            apply_delta(cluster, delta)
-            if status == "error":
-                # Merge the failing task's partial state first (serial
-                # parity), then re-raise in task order.
-                first_error = payload
-            else:
-                payloads.append(payload)
-        if first_error is not None:
-            raise first_error
-        return payloads
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
-        """Fan a pure function out over the process pool (order preserved)."""
-        if not items:
-            return []
-        pool = self._ensure_pool()
-        try:
-            return list(pool.map(fn, items))
-        except concurrent.futures.process.BrokenProcessPool as exc:
-            self._pool = None
-            raise WorkerCrashError(
-                "a map worker process died unexpectedly"
-            ) from exc
+                triples.append(("transport_error", exc, None))
+        return merge_in_order(cluster, triples)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -352,6 +316,29 @@ def execute_task(
         payload = exc
         status = "error"
     return status, payload, compute_delta(cluster, base)
+
+
+def merge_in_order(
+    cluster: Cluster, triples: Sequence[tuple[str, Any, Any]]
+) -> list[Any]:
+    """Apply remote ``(status, payload, delta)`` triples in task order.
+
+    The one merge rule of every remote backend, so the real ``cluster``
+    ends as the serial backend would leave it: deltas merge in task
+    order and ``ok`` payloads are returned.  A task's error is raised
+    after its partial delta is merged; a ``transport_error`` (the task's
+    result never arrived) merges nothing and is raised.  Triples after
+    the first error are discarded — serial execution never ran them.
+    """
+    payloads: list[Any] = []
+    for status, payload, delta in triples:
+        if status == "transport_error":
+            raise payload
+        apply_delta(cluster, delta)
+        if status == "error":
+            raise payload
+        payloads.append(payload)
+    return payloads
 
 
 def _worker_run(

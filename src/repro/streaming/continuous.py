@@ -247,7 +247,6 @@ class ContinuousQueryManager:
         additions: Iterable[tuple[int, int]] = (),
         deletions: Iterable[tuple[int, int]] = (),
         *,
-        executor=None,
         timeout: float | None = None,
     ) -> dict:
         """Apply one batch and fan deltas out to every watch.
@@ -261,7 +260,7 @@ class ContinuousQueryManager:
             n = self.current.graph.num_vertices
             add = canonical_edge_array(additions, n, field="additions")
             delete = canonical_edge_array(deletions, n, field="deletions")
-            old, new = self._versions.apply_batch(add, delete, executor=executor)
+            old, new = self._versions.apply_batch(add, delete)
             if self._on_rebind is not None:
                 self._on_rebind(old, new)
             batch = {"additions": len(add), "deletions": len(delete)}

@@ -67,20 +67,16 @@ class VersionedGraph:
         self,
         additions: Iterable[tuple[int, int]] = (),
         deletions: Iterable[tuple[int, int]] = (),
-        *,
-        executor=None,
     ) -> tuple[GraphVersion, GraphVersion]:
         """Apply one batch; returns ``(old, new)`` version handles.
 
         Validation errors from :meth:`Graph.apply_batch` propagate before
         any state changes, so a rejected batch leaves the history
-        untouched.  ``executor`` fans the CSR delta merge out in chunks.
+        untouched.
         """
         with self._lock:
             old = self._current
-            graph = old.graph.apply_batch(
-                additions, deletions, executor=executor
-            )
+            graph = old.graph.apply_batch(additions, deletions)
             new = GraphVersion(
                 version=old.version + 1,
                 graph=graph,

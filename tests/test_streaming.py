@@ -41,7 +41,6 @@ from repro.graph import erdos_renyi
 from repro.graph.graph import Graph, canonical_edge_array
 from repro.graph.labeled import LabeledGraph
 from repro.query.dsl import parse_pattern
-from repro.runtime.executor import ProcessExecutor
 from repro.service import (
     QueryScheduler,
     QueryServer,
@@ -165,16 +164,6 @@ class TestApplyBatch:
         truth = Graph.from_edges(graph.num_vertices, sorted(edges))
         assert merged == truth
         assert merged.fingerprint() == truth.fingerprint()
-
-    def test_parallel_chunked_merge_equals_serial(self, graph):
-        adds, dels = _batches(graph)["mixed"]
-        serial = graph.apply_batch(additions=adds, deletions=dels)
-        with ProcessExecutor(2) as executor:
-            parallel = graph.apply_batch(
-                additions=adds, deletions=dels, executor=executor
-            )
-        assert parallel == serial
-        assert parallel.fingerprint() == serial.fingerprint()
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -820,10 +809,6 @@ class TestSessionStreaming:
             assert session.unwatch(watch) is True
             assert session.unwatch(watch) is False
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="Session.ingest builds the session's executor to merge the CSR",
-    )
     @pytest.mark.parametrize("backend", ["socket", "process"])
     def test_ingest_merges_locally_whatever_the_backend(self, graph, backend):
         tri = parse_pattern(PATTERNS["triangle"])
