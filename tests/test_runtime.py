@@ -6,16 +6,20 @@ them by reference.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.cluster import Cluster
 from repro.cluster.machine import SimulatedMemoryError
+from repro.core import rads
 from repro.core.rads import RADSEngine
-from repro.distributed import ShardWorker, SocketExecutor
+from repro.distributed import DistributedError, ShardWorker, SocketExecutor
 from repro.engines import TwinTwigEngine
 from repro.graph import erdos_renyi
 from repro.query import named_patterns
@@ -74,6 +78,22 @@ def crash_task(cluster, args):
 
 def pid_task(cluster, args):
     return os.getpid()
+
+
+def _child_pids() -> set[int]:
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def _stats(result) -> tuple:
+    return (
+        result.failed,
+        result.embedding_count,
+        result.makespan,
+        result.total_comm_bytes,
+        result.peak_memory,
+        tuple(result.per_machine_time),
+        dict(result.counters),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -284,3 +304,81 @@ class TestRunResultParity:
         assert serial.per_machine_time == parallel.per_machine_time
         assert serial.counters == parallel.counters
         assert serial.failed == parallel.failed
+
+
+class TestLocalWorkerFaults:
+    """The process backend's workers fail like any shard worker.
+
+    Losing one is a ``distributed.lost_workers`` and a resubmit, with
+    serial-identical results; losing all of them raises
+    :class:`DistributedError`, and the session starts fresh ones for the
+    next run.  ``close()`` leaves no child process behind.
+    """
+
+    @staticmethod
+    def _session(graph, backend: str):
+        return (
+            repro.open(graph).with_cluster(machines=4)
+            .backend(backend, workers=2).engine("rads").query("q4")
+        )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a killed pool worker breaks the next batch, uncounted",
+    )
+    def test_losing_one_local_worker_resubmits(self, er_graph):
+        serial = self._session(er_graph, "serial").run()
+        before = _child_pids()
+        with self._session(er_graph, "process") as session:
+            assert _stats(session.run()) == _stats(serial)
+            mine = [
+                child for child in multiprocessing.active_children()
+                if child.pid not in before
+            ]
+            assert mine
+            mine[0].kill()
+            mine[0].join(timeout=5)
+            recovered = session.run()
+        assert recovered.embedding_count == serial.embedding_count
+        assert recovered.makespan == serial.makespan
+        assert recovered.total_comm_bytes == serial.total_comm_bytes
+        assert recovered.counters["distributed.lost_workers"] == 1
+        assert recovered.counters["distributed.resubmits"] > 0
+
+    @pytest.mark.xfail(
+        strict=True, reason="a dead pool worker is a WorkerCrashError"
+    )
+    def test_losing_every_local_worker_raises_then_session_recovers(
+        self, er_graph, monkeypatch
+    ):
+        serial = self._session(er_graph, "serial").run()
+        with self._session(er_graph, "process") as session:
+            session.run()
+            executor = session._executor
+            # Every worker a phase-1 task reaches dies with it.
+            monkeypatch.setattr(rads, "_phase1_task", crash_task)
+            with pytest.raises(DistributedError):
+                session.run()
+            monkeypatch.undo()
+            assert executor.coordinator.counters[
+                "distributed.lost_workers"
+            ] == 2
+            assert _stats(session.run()) == _stats(serial)
+
+    def test_close_leaves_no_worker_behind(self, small_cluster):
+        before = _child_pids()
+        executor = ProcessExecutor(4)
+        executor.run_tasks(
+            small_cluster.fresh_copy(), pid_task, list(range(8))
+        )
+        mine = _child_pids() - before
+        assert mine
+        started = time.perf_counter()
+        executor.close()
+        elapsed = time.perf_counter() - started
+        executor.close()
+        assert elapsed < 1.0
+        assert not mine & _child_pids()
+        for pid in mine:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
