@@ -1,6 +1,16 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, and a per-file CPU summary.
+
+Every run ends with the 15 test files that spent the most CPU in this
+process (``time.process_time()`` over each test's setup, call and
+teardown).  CPU spent in child processes — forked shard workers, CLI
+subprocesses — is not counted.  The sum is less exposed to a shared
+machine's load than wall time, so a change can attribute its tier-1 cost.
+"""
 
 from __future__ import annotations
+
+import time
+from collections import defaultdict
 
 import pytest
 
@@ -47,3 +57,27 @@ def er_cluster(er_graph):
 def grid_cluster(grid_graph):
     """Fresh 4-machine cluster over the grid graph."""
     return Cluster.create(grid_graph, 4)
+
+
+#: CPU seconds per test file, summed over its tests' setup/call/teardown.
+_CPU_BY_FILE: "defaultdict[str, float]" = defaultdict(float)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    started = time.process_time()
+    yield
+    _CPU_BY_FILE[item.location[0]] += time.process_time() - started
+
+
+def pytest_terminal_summary(terminalreporter):
+    if not _CPU_BY_FILE:
+        return
+    terminalreporter.section("CPU seconds per test file (this process)")
+    ranked = sorted(_CPU_BY_FILE.items(), key=lambda kv: -kv[1])
+    for path, seconds in ranked[:15]:
+        terminalreporter.write_line(f"{seconds:8.2f}  {path}")
+    terminalreporter.write_line(
+        f"{sum(_CPU_BY_FILE.values()):8.2f}  total over "
+        f"{len(_CPU_BY_FILE)} files"
+    )
