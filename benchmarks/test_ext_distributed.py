@@ -1,13 +1,13 @@
-"""Extension benchmark: process backend vs socket shard backend.
+"""Extension benchmark: the socket backend, forked or in-process shards.
 
-Runs the same query mix through the process-pool backend and through the
-socket backend at 1, 2 and 4 local shard workers, reporting queries/sec
-for each configuration.  On one host the socket backend pays the wire
-tax (pickle + TCP per task batch) for the deployment property the
-process pool cannot offer — shards on *other* machines — so the point of
-the table is the size of that tax and how it amortises with shard count,
-not a speedup assertion.  Counts must agree everywhere (the correctness
-contract of every backend).
+Runs the same query mix through the process backend (shard workers
+forked on this host) and through the socket backend at 1, 2 and 4
+in-process shard workers, reporting queries/sec for each configuration.
+Both are one mechanism now — pickle + TCP per task to a shard worker —
+so the table no longer compares two designs: it shows what separate
+processes buy over shard threads sharing this interpreter, and how the
+wire cost amortises with shard count.  Counts must agree everywhere (the
+correctness contract of every backend).
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from conftest import run_once
 from repro.api import default_registry
 from repro.bench.experiments import bench_graph
 from repro.cluster import Cluster
-from repro.distributed import ShardWorker, SocketExecutor
+from repro.distributed import ProcessExecutor, ShardWorker, SocketExecutor
 from repro.query import named_patterns
-from repro.runtime import ProcessExecutor
 
 QUERIES = ("q1", "q2", "q3")
 #: Requests per configuration (each query run round-robin).

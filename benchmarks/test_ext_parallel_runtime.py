@@ -1,13 +1,13 @@
 """Extension: parallel execution runtime — serial vs process backend.
 
 Runs the RADS grid over RoadNet under the serial backend and under the
-shared-memory process backend (4 workers), asserting that the two report
+process backend (4 forked shard workers), asserting that the two report
 identical embedding counts, and reporting real wall-clock for both.
 (Simulated stats differ slightly here because RADS's reactive work
 stealing is schedule driven; the steal-free bit-parity guarantee is
 covered by tests/test_runtime.py.)  The speedup assertion only applies
 when the host actually has enough cores for the workers to run
-concurrently — on a single-core CI box a process pool can only lose.
+concurrently — on a single-core CI box separate processes can only lose.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ WORKERS = 4
 
 
 def _available_cores() -> int:
-    """Cores the pool can actually use: affinity capped by cgroup quota.
+    """Cores the workers can actually use: affinity capped by cgroup quota.
 
     A container started with a CPU quota (``--cpus=1``) can still expose
     an 8-wide affinity mask; asserting parallel speedup there would fail
@@ -98,7 +98,7 @@ def test_ext_parallel_runtime(benchmark, report):
     report("ext_parallel_runtime", "\n".join(lines))
 
     if cores >= WORKERS:
-        # With real cores behind the pool the phase-2 fan-out must pay off.
+        # With real cores behind the workers the phase-2 fan-out must pay off.
         assert speedup >= 1.5, (
             f"process backend speedup {speedup:.2f}x < 1.5x "
             f"on a {cores}-core host"

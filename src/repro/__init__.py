@@ -111,8 +111,7 @@ _EXPORTS: dict[str, tuple[str, str]] = {
     "best_execution_plan": ("repro.query.plan", "best_execution_plan"),
     "Executor": ("repro.runtime.executor", "Executor"),
     "SerialExecutor": ("repro.runtime.executor", "SerialExecutor"),
-    "ProcessExecutor": ("repro.runtime.executor", "ProcessExecutor"),
-    "get_executor": ("repro.runtime.executor", "get_executor"),
+    "ProcessExecutor": ("repro.distributed.executor", "ProcessExecutor"),
 }
 
 __all__ = ["__version__", *sorted(_EXPORTS)]

@@ -71,8 +71,9 @@ class RunConfig:
     - ``workers``: OS processes for independent per-machine work
       (0 = serial; results are backend-independent).
     - ``backend``: execution backend — ``"auto"`` (default: serial for
-      ``workers == 0``, else the process pool), ``"serial"``,
-      ``"process"``, or ``"socket"`` (dispatch to remote
+      ``workers == 0``, else ``"process"``), ``"serial"``, ``"process"``
+      (``workers`` shard workers forked on this host; ``workers == 0``
+      starts one per CPU), or ``"socket"`` (dispatch to remote
       ``repro worker`` shard daemons; needs ``shards`` or a shard
       registry passed to :meth:`make_executor`).
     - ``shards``: shard-worker addresses for the socket backend
@@ -254,7 +255,10 @@ class RunConfig:
         """The configured execution backend (caller owns closing it).
 
         ``backend="auto"`` keeps the historic ``workers`` semantics
-        (0 = serial, N = process pool); ``"socket"`` connects a
+        (0 = serial, N = ``"process"``).  ``"process"`` forks ``workers``
+        local shard workers (one per CPU when ``workers`` is 0) behind a
+        :class:`~repro.distributed.executor.ProcessExecutor`; ``"socket"``
+        connects a
         :class:`~repro.distributed.executor.SocketExecutor` to the
         configured ``shards`` (handshakes eagerly, so unreachable rosters
         fail here, not mid-run).  ``registry`` (socket backend only) is a
@@ -263,16 +267,12 @@ class RunConfig:
         with one, ``shards`` may be omitted and the roster starts from
         whatever workers have announced.
         """
-        from repro.runtime.executor import (
-            ProcessExecutor,
-            SerialExecutor,
-            get_executor,
-        )
+        from repro.runtime.executor import SerialExecutor
 
-        if self.backend == "serial":
+        if self.backend == "serial" or (
+            self.backend == "auto" and not self.workers
+        ):
             return SerialExecutor()
-        if self.backend == "process":
-            return ProcessExecutor(self.workers or None)
         if self.backend == "socket":
             from repro.distributed.executor import SocketExecutor
 
@@ -284,7 +284,9 @@ class RunConfig:
                     "'repro worker --announce')"
                 )
             return SocketExecutor(self.shards or (), registry=registry)
-        return get_executor(self.workers)
+        from repro.distributed.executor import ProcessExecutor
+
+        return ProcessExecutor(self.workers or None)
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-friendly form (objects reduced to their type names)."""

@@ -16,7 +16,7 @@ pattern -> engine -> executor) that previously had to be hand-wired::
 
 A :class:`Session` holds a data graph, a :class:`~repro.api.config.RunConfig`
 and an :class:`~repro.api.registry.EngineRegistry`.  The partitioned base
-cluster and the process pool are built lazily and reused across runs; each
+cluster and the executor are built lazily and reused across runs; each
 run executes on a fresh-stats copy of the base cluster, so repeated and
 gridded runs are independent — and stats are bit-identical to constructing
 the cluster and engine by hand.
@@ -168,7 +168,8 @@ class Session:
     Builder methods return ``self`` so calls chain; ``run()`` executes the
     currently selected engine/query and returns a
     :class:`~repro.engines.base.RunResult`.  Use as a context manager (or
-    call :meth:`close`) to release the process pool when ``workers > 0``.
+    call :meth:`close`) to stop the forked shard workers when
+    ``workers > 0``.
 
     Sessions are safe to share between threads: selection
     (``engine``/``query``/``configure``) and execution (``run``/
@@ -308,7 +309,9 @@ class Session:
         """Select the execution backend by name.
 
         ``"auto"`` (the default config) derives from ``workers``;
-        ``"serial"``/``"process"`` force those backends; ``"socket"``
+        ``"serial"`` forces serial execution; ``"process"`` forks
+        ``workers`` local shard workers (one per CPU when ``workers`` is
+        0); ``"socket"``
         dispatches to remote ``repro worker`` shard daemons and needs
         ``shards=[...]`` (``host:port`` strings or ``(host, port)``
         tuples).  Selecting the socket backend with a non-distributed
@@ -508,7 +511,7 @@ class Session:
                     self.cluster(),
                     self._pattern,
                     collect=collect,
-                    executor=None if labeled else self._get_executor(),
+                    executor=None if labeled else self._ensure_executor(),
                     store=self._store,
                     key=key,
                     trace=trace,
@@ -588,7 +591,7 @@ class Session:
                     engine_kwargs=engine_kwargs,
                     config=self._config,
                     check_consistency=check_consistency,
-                    executor=self._get_executor(),
+                    executor=self._ensure_executor(),
                     partition=self._get_partition(),
                     collect=self._config.collect,
                     limit=self._config.limit,
@@ -827,7 +830,7 @@ class Session:
                 )
 
     # -- lifecycle -----------------------------------------------------
-    def _get_executor(self) -> "Executor":
+    def _ensure_executor(self) -> "Executor":
         with self._lock:
             if self._executor is None:
                 self._executor = self._config.make_executor()
@@ -842,7 +845,8 @@ class Session:
                 self._executor = None
 
     def close(self) -> None:
-        """Release the process pool (idempotent; serial is a no-op)."""
+        """Close the executor: stop forked shard workers, disconnect from
+        remote ones (idempotent; serial is a no-op)."""
         self._invalidate(partition=False, executor=True)
 
     def __enter__(self) -> "Session":

@@ -50,9 +50,10 @@ Engine and query names are resolved case-insensitively through
 :func:`repro.api.default_registry` (aliases like ``wcoj`` or ``oracle``
 work too); ``--json`` emits the run's :meth:`RunResult.to_dict` record as
 one JSON document for downstream tooling.  ``--workers N`` runs the
-simulated machines' independent work on ``N`` OS processes (the
-:mod:`repro.runtime` process-pool backend); counts are identical to the
-default serial execution, and so are stats for every engine but RADS.
+simulated machines' independent work on ``N`` shard workers forked on
+this host (the process backend, :mod:`repro.distributed`); counts are
+identical to the default serial execution, and so are stats for every
+engine but RADS.
 
 Graphs are read by extension: ``.npz`` (binary CSR), ``.edges`` (SNAP edge
 list) or ``.adj`` (adjacency text).
@@ -781,10 +782,10 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--straggler", type=float, default=1.0,
                       help="slow machine 0 down by this factor")
     enum.add_argument("--workers", type=int, default=0,
-                      help="execute independent per-machine work on N OS "
-                           "processes sharing the graph via shared memory "
-                           "(0 = serial, the default); embedding counts "
-                           "are identical for every worker count")
+                      help="execute independent per-machine work on N "
+                           "shard workers forked on this host (0 = serial, "
+                           "the default); embedding counts are identical "
+                           "for every worker count")
     enum.add_argument("--backend", default="auto",
                       choices=BACKEND_NAMES,
                       help="execution backend (auto derives from "
@@ -854,8 +855,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-machine simulated memory cap; also the "
                             "basis of the scheduler's admission budget")
     serve.add_argument("--workers", type=int, default=0,
-                       help="OS processes per scheduler worker thread's "
-                            "executor (0 = serial)")
+                       help="shard workers forked for each scheduler "
+                            "worker thread's executor (0 = serial)")
     serve.add_argument("--backend", default="auto",
                        choices=BACKEND_NAMES,
                        help="execution backend for every scheduler "

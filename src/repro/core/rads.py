@@ -7,7 +7,7 @@ advances the machine with the smallest clock, which is exactly how an
 asynchronous cluster interleaves; an idle machine broadcasts `checkR` and
 steals a region group (`shareR`) from the most loaded peer.
 
-Under a parallel backend (:class:`repro.runtime.ProcessExecutor`) both
+Under a parallel backend (:class:`repro.distributed.ProcessExecutor`) both
 phases are decomposed into independent per-machine tasks: phase 1 (SM-E +
 region grouping) is embarrassingly parallel, and phase 2 replaces the
 clock-driven steal schedule with a deterministic pre-balancing pass that

@@ -588,8 +588,7 @@ class ShardCoordinator:
             try:
                 ctx_data = protocol.pack((capture_state(cluster), fn))
             except Exception as exc:
-                # Affects every task identically (like an unpicklable fn
-                # at ProcessExecutor's submit): fail the batch loudly.
+                # Affects every task identically: fail the batch loudly.
                 raise DistributedError(
                     f"batch context (cluster snapshot + task fn) is not "
                     f"serializable: {exc}"

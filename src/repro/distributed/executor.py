@@ -1,28 +1,31 @@
-"""The socket-transport execution backend.
+"""The socket-transport execution backends.
 
 :class:`SocketExecutor` is a drop-in :class:`~repro.runtime.executor.Executor`
-that runs each batch's tasks on remote
-:class:`~repro.distributed.worker.ShardWorker` daemons instead of a local
-process pool.  Everything engines rely on is preserved:
+that runs each batch's tasks on :class:`~repro.distributed.worker.ShardWorker`
+daemons.  :class:`ProcessExecutor` is the same backend over shard workers
+it forks on this host.  Everything engines rely on is preserved:
 
 - deltas are applied in **task-submission order**, so counts and reported
-  stats are bit-identical to the serial and process backends no matter
-  how tasks were dealt across shards (or resubmitted after a fault);
+  stats are bit-identical to the serial backend no matter how tasks
+  were dealt across shards (or resubmitted after a fault);
 - a failing task (simulated OOM) has its partial delta merged and its
-  exception re-raised in task order, exactly like
-  :class:`~repro.runtime.executor.ProcessExecutor`;
+  exception re-raised in task order, exactly like the serial backend;
 - fault-tolerance events are surfaced on the run's counters
   (``distributed.resubmits``, ``distributed.lost_workers``) whenever
   they advance — a healthy run carries neither key, keeping its
   counters byte-for-byte equal to a serial run's.
 
-Select it with ``RunConfig(backend="socket", shards=[...])``,
-``Session.backend("socket", shards=[...])`` or
-``repro run --backend socket --shards host:port,...``.
+Select them with ``RunConfig(backend="socket", shards=[...])`` or
+``RunConfig(backend="process", workers=N)``, the same arguments to
+``Session.backend``, or ``repro run --backend socket --shards
+host:port,...`` and ``repro run --workers N``.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import sys
 from typing import Any, Sequence
 
 from repro.cluster.cluster import Cluster
@@ -31,11 +34,13 @@ from repro.distributed.coordinator import (
     RESUBMITS,
     ShardCoordinator,
 )
+from repro.distributed.errors import DistributedError
+from repro.distributed.worker import ShardWorker, stop_worker
 from repro.obs.profile import attach_worker_usage, profile_active
 from repro.obs.trace import attach_spans, span as _obs_span, wire_context
 from repro.runtime.executor import Executor, TaskFn, merge_in_order
 
-__all__ = ["SocketExecutor"]
+__all__ = ["ProcessExecutor", "SocketExecutor"]
 
 
 class SocketExecutor(Executor):
@@ -125,3 +130,73 @@ class SocketExecutor(Executor):
     def close(self) -> None:
         """Disconnect from the roster (idempotent; daemons keep running)."""
         self._coordinator.close()
+
+
+#: Seconds a forked worker has to report its bound address.
+_START_TIMEOUT = 30.0
+
+
+def _serve_local(report) -> None:
+    """Forked child: bind a shard worker, report its address, serve."""
+    worker = ShardWorker()
+    report.send(worker.address)
+    report.close()
+    worker.serve_forever()
+
+
+class ProcessExecutor(SocketExecutor):
+    """The socket backend over ``workers`` shard workers forked locally.
+
+    Each worker binds an ephemeral localhost port; ``workers`` of 0 or
+    None forks one per CPU.  A worker that dies is lost and its tasks
+    resubmitted, like any shard.  :meth:`close` disconnects, then stops
+    the workers.
+    """
+
+    def __init__(self, workers: int | None = None):
+        # Prefer fork on Linux (cheap, inherits the warm interpreter and
+        # every task function the parent can name); elsewhere keep the
+        # platform default — macOS switched its default to spawn because
+        # forking a process that touched ObjC/CoreFoundation can crash
+        # the child.
+        methods = multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context(
+            "fork" if sys.platform == "linux" and "fork" in methods else None
+        )
+        self._children: list[tuple[Any, Any]] = []
+        try:
+            for _ in range(max(1, workers or os.cpu_count() or 1)):
+                receive, report = context.Pipe(duplex=False)
+                child = context.Process(
+                    target=_serve_local, args=(report,), daemon=True
+                )
+                child.start()
+                report.close()
+                if not receive.poll(_START_TIMEOUT):
+                    raise DistributedError(
+                        f"local shard worker {child.pid} did not start"
+                    )
+                self._children.append((child, receive.recv()))
+                receive.close()
+            super().__init__([address for _, address in self._children])
+        except BaseException:
+            self._stop_children()
+            raise
+
+    def _stop_children(self) -> None:
+        # Ask over the protocol: closing a pipe the child waited on would
+        # not stop it, because every later sibling inherits that pipe.
+        children, self._children = self._children, []
+        for child, address in children:
+            if child.is_alive():
+                stop_worker(address, timeout=2.0)
+        for child, _ in children:
+            child.join(timeout=5)
+            if child.is_alive():
+                child.kill()
+                child.join()
+
+    def close(self) -> None:
+        """Disconnect from the workers, then stop them (idempotent)."""
+        super().close()
+        self._stop_children()

@@ -17,8 +17,8 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     """A read-only view of ``array`` (zero-copy).
 
     The CSR arrays back cached state all over the repository — the
-    :meth:`Graph.fingerprint` digest, result-cache keys, shared-memory
-    segments attached by worker processes.  Freezing a *view* (not a
+    :meth:`Graph.fingerprint` digest, result-cache keys, the partitions
+    shard workers cache per fingerprint.  Freezing a *view* (not a
     copy) keeps those zero-copy paths intact while making accidental
     in-place mutation raise instead of silently serving a stale digest.
     """

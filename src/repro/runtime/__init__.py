@@ -1,7 +1,10 @@
-"""Execution backends: serial (default) and shared-memory process pool.
+"""Execution backends: the serial executor and the task/delta core.
 
-Pick a backend with :func:`get_executor` (``0``/``None`` workers = serial)
-and pass it to :meth:`repro.engines.base.EnumerationEngine.run`, to
+:class:`SerialExecutor` is the default.  The parallel backends — shard
+workers forked on this host (``ProcessExecutor``) or running elsewhere
+(``SocketExecutor``) — live in :mod:`repro.distributed`.  Pick one with
+:meth:`repro.api.RunConfig.make_executor` and pass it to
+:meth:`repro.engines.base.EnumerationEngine.run`, to
 :func:`repro.bench.harness.run_query_grid`, or on the command line via
 ``python -m repro enumerate --workers N``.
 """
@@ -15,37 +18,17 @@ from repro.runtime.delta import (
     compute_delta,
     restore_state,
 )
-from repro.runtime.executor import (
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    WorkerCrashError,
-    execute_task,
-    get_executor,
-)
-from repro.runtime.shared_graph import (
-    SharedArray,
-    SharedArrayHandle,
-    SharedGraph,
-    SharedGraphHandle,
-)
+from repro.runtime.executor import Executor, SerialExecutor, execute_task
 
 __all__ = [
     "ClusterDelta",
     "ClusterState",
     "Executor",
     "MachineState",
-    "ProcessExecutor",
     "SerialExecutor",
-    "SharedArray",
-    "SharedArrayHandle",
-    "SharedGraph",
-    "SharedGraphHandle",
-    "WorkerCrashError",
     "apply_delta",
     "capture_state",
     "compute_delta",
     "execute_task",
-    "get_executor",
     "restore_state",
 ]

@@ -354,7 +354,7 @@ class QueryScheduler:
             self.config.shards or shard_registry is None
         ):
             # Fail fast on a dead/misconfigured static shard roster: the
-            # per-worker executor fallback below (meant for process-pool
+            # per-worker executor fallback below (meant for local worker
             # start failures, where serial is a silent-but-equivalent
             # degradation) must not quietly turn a distributed server
             # into a local one.  DistributedError propagates to whoever
@@ -845,9 +845,9 @@ class QueryScheduler:
             try:
                 holder[0] = self.config.make_executor()
             except Exception:
-                # A process-pool backend that cannot start (full
-                # /dev/shm, no spawn support) must not silently kill the
-                # worker and wedge submissions: results are
+                # A process backend that cannot start its local shard
+                # workers (fork refused, no free port) must not silently
+                # kill the worker and wedge submissions: results are
                 # backend-independent, so serial execution is a safe
                 # degradation there.
                 from repro.runtime.executor import SerialExecutor

@@ -118,7 +118,7 @@ class QueryServer(LineDaemon):
         )
         self._started = time.monotonic()
         # Bind before building the scheduler: a bind failure (port in
-        # use) must not strand live worker threads / process pools.
+        # use) must not strand live worker threads / forked shard workers.
         super().__init__(host, port, name="repro-query-server")
         try:
             self.scheduler = QueryScheduler(

@@ -40,13 +40,13 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import Cluster
-from repro.distributed import ShardWorker, SocketExecutor
+from repro.distributed import ProcessExecutor, ShardWorker, SocketExecutor
 from repro.engines.crystal import CliqueIndex, CrystalEngine, choose_core
 from repro.engines.multiway import MultiwayJoinEngine
 from repro.engines.psgl import PSgLEngine
 from repro.graph import powerlaw_cluster
 from repro.query.patterns import PAPER_QUERIES, star
-from repro.runtime import ProcessExecutor, SerialExecutor
+from repro.runtime import SerialExecutor
 from test_bigjoin_goldens import GRAPHS, MACHINES, MEMORY_MB
 from test_bigjoin_goldens import CATALOGUE as _CATALOGUE
 from test_join_goldens import _python_calls, _record

@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster
-from repro.distributed import ShardWorker, SocketExecutor
+from repro.distributed import ProcessExecutor, ShardWorker, SocketExecutor
 from repro.engines.bigjoin import BigJoinEngine
 from repro.graph import (
     community_graph,
@@ -43,7 +43,7 @@ from repro.graph import (
     powerlaw_cluster,
 )
 from repro.query.patterns import CLIQUE_QUERIES, PAPER_QUERIES, square, triangle
-from repro.runtime import ProcessExecutor, SerialExecutor
+from repro.runtime import SerialExecutor
 
 GOLDENS = Path(__file__).parent / "data" / "bigjoin_goldens.json"
 

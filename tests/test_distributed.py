@@ -876,7 +876,7 @@ class TestConfigAndCapabilities:
         )
 
     def test_make_executor_dispatches_on_backend(self):
-        from repro.runtime import ProcessExecutor
+        from repro.distributed import ProcessExecutor
 
         serial = RunConfig(backend="serial", workers=4).make_executor()
         assert isinstance(serial, SerialExecutor)

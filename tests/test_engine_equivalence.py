@@ -17,6 +17,7 @@ from repro.cluster import Cluster
 from repro.cluster.machine import SimulatedMemoryError
 from repro.core import rmeef
 from repro.core.rads import RADSEngine
+from repro.distributed import ProcessExecutor
 from repro.engines.bigjoin import BigJoinEngine
 from repro.engines.single import SingleMachineEngine
 from repro.enumeration import EnumerationStats, block, enumerate_embeddings
@@ -24,7 +25,7 @@ from repro.enumeration.vf2 import vf2_embeddings
 from repro.graph import erdos_renyi, grid_road_network, powerlaw_cluster
 from repro.query import named_patterns, symmetry_breaking_constraints
 from strategies import random_connected_pattern
-from repro.runtime import ProcessExecutor, SerialExecutor
+from repro.runtime import SerialExecutor
 
 QUERIES = ["q1", "q4"]
 WORKER_COUNTS = [1, 2, 4]

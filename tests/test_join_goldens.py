@@ -40,12 +40,12 @@ import pytest
 
 import repro
 from repro.cluster import Cluster
-from repro.distributed import ShardWorker, SocketExecutor
+from repro.distributed import ProcessExecutor, ShardWorker, SocketExecutor
 from repro.engines.seed import SEEDEngine
 from repro.engines.twintwig import TwinTwigEngine
 from repro.graph import community_graph
 from repro.query.patterns import PAPER_QUERIES
-from repro.runtime import ProcessExecutor, SerialExecutor
+from repro.runtime import SerialExecutor
 from test_bigjoin_goldens import CATALOGUE, GRAPHS, MACHINES, MEMORY_MB, _digest
 
 GOLDENS = Path(__file__).parent / "data" / "join_goldens.json"

@@ -39,11 +39,11 @@ from repro.core.cache import ForeignVertexCache
 from repro.core.rads import RADSEngine, _process_group_splitting
 from repro.core.rmeef import RMeefWorker
 from repro.core.sme import SingleMachineSplit
+from repro.distributed import ProcessExecutor
 from repro.graph import community_graph, grid_road_network, powerlaw_cluster
 from repro.query import best_execution_plan
 from repro.query.patterns import CLIQUE_QUERIES, PAPER_QUERIES
 from repro.query.symmetry import symmetry_breaking_constraints
-from repro.runtime import ProcessExecutor
 
 GOLDENS = Path(__file__).parent / "data" / "rmeef_goldens.json"
 MACHINES = 4

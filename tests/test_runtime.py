@@ -15,21 +15,21 @@ import numpy as np
 import pytest
 
 import repro
+from repro.api import RunConfig
 from repro.cluster import Cluster
 from repro.cluster.machine import SimulatedMemoryError
 from repro.core import rads
 from repro.core.rads import RADSEngine
-from repro.distributed import DistributedError, ShardWorker, SocketExecutor
+from repro.distributed import (
+    DistributedError,
+    ProcessExecutor,
+    ShardWorker,
+    SocketExecutor,
+)
 from repro.engines import TwinTwigEngine
 from repro.graph import erdos_renyi
 from repro.query import named_patterns
-from repro.runtime import (
-    ProcessExecutor,
-    SerialExecutor,
-    SharedGraph,
-    WorkerCrashError,
-    get_executor,
-)
+from repro.runtime import SerialExecutor
 
 
 # ----------------------------------------------------------------------
@@ -54,7 +54,7 @@ def charge_task(cluster, args):
 
 
 def graph_probe_task(cluster, args):
-    """Read the shared graph inside a worker."""
+    """Read the graph inside a worker."""
     v = args
     return int(cluster.graph.degree(v)), [
         int(w) for w in cluster.graph.neighbors(v)
@@ -109,39 +109,10 @@ def pool2():
 
 
 class TestSharedGraph:
-    def test_round_trip(self, small_cluster):
-        graph = small_cluster.graph
-        shared = SharedGraph(graph)
-        try:
-            rebuilt, blocks = shared.handle.attach()
-            assert rebuilt.num_vertices == graph.num_vertices
-            assert rebuilt.num_edges == graph.num_edges
-            assert np.array_equal(rebuilt.indptr, graph.indptr)
-            assert np.array_equal(rebuilt.indices, graph.indices)
-            for v in (0, 17, graph.num_vertices - 1):
-                assert np.array_equal(rebuilt.neighbors(v), graph.neighbors(v))
-            del rebuilt, blocks
-        finally:
-            shared.close()
-
-    def test_attached_views_are_read_only(self, small_cluster):
-        shared = SharedGraph(small_cluster.graph)
-        try:
-            rebuilt, blocks = shared.handle.attach()
-            with pytest.raises(ValueError):
-                rebuilt.indices[0] = 99
-            del rebuilt, blocks
-        finally:
-            shared.close()
-
-    def test_close_is_idempotent(self, small_cluster):
-        shared = SharedGraph(small_cluster.graph)
-        shared.close()
-        shared.close()
-
     def test_worker_reads_graph_through_shared_memory(
         self, small_cluster, pool2
     ):
+        """A task reads the graph its worker was shipped."""
         graph = small_cluster.graph
         for v in (3, 40):
             degree, neighbors = pool2.run_tasks(
@@ -235,24 +206,11 @@ class TestFailurePropagation:
         assert capped.machine(1).counters["pre_oom_ops"] == 5
         assert capped.machine(2).counters["pre_oom_ops"] == 0
 
-    def test_worker_crash_is_surfaced_and_pool_recovers(self, small_cluster):
-        with ProcessExecutor(2) as executor:
-            with pytest.raises(WorkerCrashError):
-                executor.run_tasks(
-                    small_cluster.fresh_copy(), crash_task, [0]
-                )
-            # A fresh pool is spun up transparently for the next batch.
-            payloads = executor.run_tasks(
-                small_cluster.fresh_copy(), charge_task, [(0, 1)]
-            )
-            assert payloads == [(0, 1)]
-
 
 class TestBackendSelection:
     def test_get_executor(self):
-        assert isinstance(get_executor(None), SerialExecutor)
-        assert isinstance(get_executor(0), SerialExecutor)
-        parallel = get_executor(3)
+        assert isinstance(RunConfig().make_executor(), SerialExecutor)
+        parallel = RunConfig(workers=3).make_executor()
         try:
             assert isinstance(parallel, ProcessExecutor)
             assert parallel.workers == 3
@@ -322,10 +280,6 @@ class TestLocalWorkerFaults:
             .backend(backend, workers=2).engine("rads").query("q4")
         )
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a killed pool worker breaks the next batch, uncounted",
-    )
     def test_losing_one_local_worker_resubmits(self, er_graph):
         serial = self._session(er_graph, "serial").run()
         before = _child_pids()
@@ -345,9 +299,6 @@ class TestLocalWorkerFaults:
         assert recovered.counters["distributed.lost_workers"] == 1
         assert recovered.counters["distributed.resubmits"] > 0
 
-    @pytest.mark.xfail(
-        strict=True, reason="a dead pool worker is a WorkerCrashError"
-    )
     def test_losing_every_local_worker_raises_then_session_recovers(
         self, er_graph, monkeypatch
     ):
