@@ -286,7 +286,7 @@ class RunConfig:
             return SocketExecutor(self.shards or (), registry=registry)
         from repro.distributed.executor import ProcessExecutor
 
-        return ProcessExecutor(self.workers or None)
+        return ProcessExecutor(self.workers)
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-friendly form (objects reduced to their type names)."""

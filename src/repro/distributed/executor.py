@@ -172,12 +172,19 @@ class ProcessExecutor(SocketExecutor):
                 )
                 child.start()
                 report.close()
-                if not receive.poll(_START_TIMEOUT):
+                with receive:
+                    try:
+                        address = (
+                            receive.recv()
+                            if receive.poll(_START_TIMEOUT) else None
+                        )
+                    except EOFError:  # the child died before reporting
+                        address = None
+                self._children.append((child, address))
+                if address is None:
                     raise DistributedError(
                         f"local shard worker {child.pid} did not start"
                     )
-                self._children.append((child, receive.recv()))
-                receive.close()
             super().__init__([address for _, address in self._children])
         except BaseException:
             self._stop_children()
@@ -188,7 +195,7 @@ class ProcessExecutor(SocketExecutor):
         # not stop it, because every later sibling inherits that pipe.
         children, self._children = self._children, []
         for child, address in children:
-            if child.is_alive():
+            if address is not None and child.is_alive():
                 stop_worker(address, timeout=2.0)
         for child, _ in children:
             child.join(timeout=5)

@@ -20,6 +20,7 @@ from repro.cluster import Cluster
 from repro.cluster.machine import SimulatedMemoryError
 from repro.core import rads
 from repro.core.rads import RADSEngine
+from repro.distributed import executor as dexecutor
 from repro.distributed import (
     DistributedError,
     ProcessExecutor,
@@ -78,6 +79,10 @@ def crash_task(cluster, args):
 
 def pid_task(cluster, args):
     return os.getpid()
+
+
+def refuse_to_bind():
+    raise OSError("no port for this worker")
 
 
 def _child_pids() -> set[int]:
@@ -333,3 +338,11 @@ class TestLocalWorkerFaults:
         for pid in mine:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    def test_a_worker_that_cannot_start_raises(self, monkeypatch):
+        before = _child_pids()
+        # The forked child inherits the patch and dies before reporting.
+        monkeypatch.setattr(dexecutor, "ShardWorker", refuse_to_bind)
+        with pytest.raises(DistributedError, match="did not start"):
+            ProcessExecutor(2)
+        assert not _child_pids() - before
