@@ -201,6 +201,8 @@ class ShardCoordinator:
         Seconds :meth:`run_batch` waits for a replacement worker to
         announce after the whole roster is lost (registry mode only)
         before giving up with :class:`DistributedError`.
+    authkey:
+        The key of workers started with one, proved on every connection.
     """
 
     def __init__(
@@ -214,6 +216,7 @@ class ShardCoordinator:
         heartbeat_interval: float | None = None,
         registry: "ShardRegistry | None" = None,
         rejoin_timeout: float = 10.0,
+        authkey: bytes | None = None,
     ):
         if not shards and registry is None:
             raise DistributedError("the shard roster is empty")
@@ -225,6 +228,7 @@ class ShardCoordinator:
         self.ship_graph = ship_graph
         self.registry = registry
         self.rejoin_timeout = rejoin_timeout
+        self.authkey = authkey
         self._shards = [_Shard(protocol.parse_address(a)) for a in shards]
         self._counters = {RESUBMITS: 0, LOST_WORKERS: 0}
         self._counter_lock = threading.Lock()
@@ -288,13 +292,25 @@ class ShardCoordinator:
             self._counters[counter] += amount
 
     def _connect(self, shard: _Shard) -> None:
-        """TCP connect + handshake verification (role, then version)."""
+        """TCP connect + handshake (role, version, then the key if any)."""
         shard.sock, shard.rfile, shard.wfile, shard.hello = dial(
             shard.address,
             timeout=self.connect_timeout,
             role=protocol.WORKER_ROLE,
             version=protocol.WORKER_PROTOCOL_VERSION,
         )
+        if self.authkey is not None:
+            challenge = str(shard.hello.get("challenge", ""))
+            response = self._request(shard, {
+                "op": "auth",
+                "id": shard.next_id(),
+                "digest": protocol.auth_digest(self.authkey, challenge),
+            })
+            if not response.get("ok"):
+                raise protocol.ProtocolError(
+                    f"shard {shard.name} refused the key: "
+                    f"{response.get('error')}"
+                )
         shard.sock.settimeout(self.task_timeout)
         shard.alive = True
         shard.bound_key = None  # a fresh connection has nothing bound
@@ -335,10 +351,10 @@ class ShardCoordinator:
         threads pass the batch's wire context id — context variables do
         not cross into them).
         """
-        if not shard.alive and shard.last_error is not None:
+        shard.close()  # a dial that failed past its hello left it open
+        if shard.last_error is not None and not shard.alive:
             return
         shard.last_error = f"{type(exc).__name__}: {exc}"
-        shard.close()
         if count:
             self._bump(LOST_WORKERS)
             _events.emit(

@@ -15,6 +15,7 @@ trust note (task payloads are pickles **executed on the worker**).
 
 from __future__ import annotations
 
+import hmac
 import pickle
 from operator import index
 from typing import Any, BinaryIO
@@ -33,6 +34,7 @@ __all__ = [
     "WORKER_OPS",
     "WORKER_PROTOCOL_VERSION",
     "WORKER_ROLE",
+    "auth_digest",
     "encode",
     "error_response",
     "ok_response",
@@ -48,11 +50,16 @@ __all__ = [
 WORKER_PROTOCOL_VERSION = 2
 
 #: Operations a shard worker dispatches on.
-WORKER_OPS = ("bind", "task", "ping", "stats", "shutdown")
+WORKER_OPS = ("bind", "task", "ping", "stats", "shutdown", "auth")
 
 #: ``role`` advertised in the worker hello (distinguishes a shard worker
 #: from a query server answering on the same port by mistake).
 WORKER_ROLE = "shard-worker"
+
+
+def auth_digest(authkey: bytes, challenge: str) -> str:
+    """The ``auth`` op's proof of the key: HMAC-SHA256 of the challenge."""
+    return hmac.new(authkey, challenge.encode(), "sha256").hexdigest()
 
 
 def pack(obj: Any) -> bytes:

@@ -33,8 +33,10 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import hmac
 import os
 import queue
+import secrets
 import socket
 import threading
 import time
@@ -85,10 +87,12 @@ class _Connection:
     _SENTINEL = object()
 
     def __init__(self, worker: "ShardWorker", connection: socket.socket,
-                 send: Callable[[dict], None]):
+                 send: Callable[[dict], None], challenge: str | None):
         self.worker = worker
         self.connection = connection
         self._send = send
+        #: The hello's challenge until ``auth`` answers it; None = open.
+        self._challenge = challenge
         #: This shard's name in span and usage rows.
         self._shard = format_address(*worker.address)
         self._queue: "queue.Queue[Any]" = queue.Queue()
@@ -109,6 +113,8 @@ class _Connection:
         """Answer inline, or order a bind/task behind everything accepted."""
         op = message.get("op")
         request_id = message.get("id")
+        if op == "auth" or self._challenge is not None:
+            return self._admit(message)
         if op in ("bind", "task"):
             self._queue.put(message)
             return None
@@ -128,6 +134,23 @@ class _Connection:
             f"unknown op {op!r}; expected one of "
             f"{', '.join(protocol.WORKER_OPS)}",
         )
+
+    def _admit(self, message: dict[str, Any]) -> dict[str, Any]:
+        """Answer ``auth``; refuse all else until the key is proved."""
+        digest = message.get("digest")
+        if self._challenge is not None and not (
+            message.get("op") == "auth" and isinstance(digest, str)
+            and hmac.compare_digest(digest.encode(), protocol.auth_digest(
+                self.worker._authkey, self._challenge
+            ).encode())
+        ):
+            return protocol.error_response(
+                message.get("id"),
+                "this worker answers only a connection that proved its key "
+                "(the 'auth' op)",
+            )
+        self._challenge = None
+        return protocol.ok_response(message.get("id"), "authenticated", None)
 
     def close(self) -> None:
         """Stop the executor thread once it has drained the queue."""
@@ -282,6 +305,8 @@ class ShardWorker(LineDaemon):
         Seconds between re-announcements (keeps the registry entry
         fresh; the registry's default staleness horizon is three
         intervals).
+    authkey:
+        Answer only connections that prove this key (the ``auth`` op).
     """
 
     codec = protocol
@@ -298,6 +323,7 @@ class ShardWorker(LineDaemon):
         graph: "Graph | str | Path | None" = None,
         announce: "tuple[str, int] | str | int | None" = None,
         announce_interval: float = 5.0,
+        authkey: bytes | None = None,
     ):
         if announce_interval <= 0:
             raise ValueError(
@@ -307,6 +333,7 @@ class ShardWorker(LineDaemon):
             None if announce is None else protocol.parse_address(announce)
         )
         self._announce_interval = announce_interval
+        self._authkey = authkey
         self._announce_stop = threading.Event()
         self._announce_thread: threading.Thread | None = None
         self._lock = threading.Lock()
@@ -399,8 +426,10 @@ class ShardWorker(LineDaemon):
             pass
 
     @contextlib.contextmanager
-    def _connection(self, send: Callable[[dict], None], sock: socket.socket):
-        ctx = _Connection(self, sock, send)
+    def _connection(
+        self, send: Callable[[dict], None], sock: socket.socket, hello: dict
+    ):
+        ctx = _Connection(self, sock, send, hello.get("challenge"))
         with self._lock:
             crashed = self._crashed
             if not crashed:
@@ -418,7 +447,7 @@ class ShardWorker(LineDaemon):
     # Shared state behind the connections
     # ------------------------------------------------------------------
     def _hello(self) -> dict[str, Any]:
-        return {
+        hello = {
             "kind": "hello",
             "ok": True,
             "version": protocol.WORKER_PROTOCOL_VERSION,
@@ -427,6 +456,9 @@ class ShardWorker(LineDaemon):
             "workers": self.workers,
             "pid": os.getpid(),
         }
+        if self._authkey is not None:
+            hello["challenge"] = secrets.token_hex(16)
+        return hello
 
     def fingerprints(self) -> list[str]:
         """Fingerprints of the graphs this worker holds."""
@@ -499,7 +531,8 @@ def stop_worker(
     """Politely stop a shard worker via the protocol's ``shutdown`` op.
 
     Returns True when the worker acknowledged; False when nothing
-    answered (already dead) or what answered is not a shard worker.
+    answered (already dead), what answered is not a shard worker, or
+    the worker holds a key (only its owner may stop it).
     Convenience for scripts and CI teardown.
     """
     return acknowledged(

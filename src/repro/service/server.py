@@ -169,7 +169,7 @@ class QueryServer(LineDaemon):
         self.scheduler.close()
 
     @contextlib.contextmanager
-    def _connection(self, send: Any, sock: Any):
+    def _connection(self, send: Any, sock: Any, hello: Any):
         #: Watch ids whose push sink is this connection (detached on EOF).
         attached: list[str] = []
         try:

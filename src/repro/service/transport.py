@@ -49,12 +49,13 @@ class _Handler(socketserver.StreamRequestHandler):
             with write_lock:
                 codec.write_message(self.wfile, message)
 
+        hello = daemon._hello()
         try:
-            send(daemon._hello())
+            send(hello)
         except OSError:
             # e.g. a readiness probe that connected and hung up.
             return
-        with daemon._connection(send, self.connection) as answer:
+        with daemon._connection(send, self.connection, hello) as answer:
             while True:
                 try:
                     message = codec.read_message(self.rfile)
@@ -188,11 +189,11 @@ class LineDaemon:
         raise NotImplementedError
 
     def _connection(
-        self, send: Callable[[dict], None], sock: socket.socket
+        self, send: Callable[[dict], None], sock: socket.socket, hello: dict
     ) -> "ContextManager[Callable[[dict], dict | None]]":
         """Per-connection state, as a context manager around its life.
 
-        Entered after the hello went out, it yields ``answer(message)``:
+        Entered after ``hello`` went out, it yields ``answer(message)``:
         the response to send now, or ``None`` when the answer follows
         later through ``send`` (which any thread may call).  A response
         of kind ``bye`` shuts the daemon down.

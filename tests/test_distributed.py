@@ -57,6 +57,25 @@ def _unpicklable_task(cluster, args):
     return lambda: None
 
 
+#: Appended to by :func:`_trip` — a payload that was unpickled.
+_TRIPPED: list[str] = []
+
+
+def _trip(tag: str) -> str:
+    _TRIPPED.append(tag)
+    return tag
+
+
+class _Tripwire:
+    """Unpickling one calls :func:`_trip`: proof a payload ran."""
+
+    def __init__(self, tag: str):
+        self.tag = tag
+
+    def __reduce__(self):
+        return _trip, (self.tag,)
+
+
 def _stats(result) -> tuple:
     return (
         result.failed,
@@ -634,6 +653,100 @@ class TestWorkerDaemon:
         for garbage in (b"not a pickle!", b"", dproto.pack(payload)[:-3]):
             with pytest.raises(dproto.ProtocolError, match="undecodable"):
                 dproto.unpack(garbage)
+
+
+class TestWorkerKey:
+    """A worker started with a key answers only peers that prove it."""
+
+    KEY = b"k" * 32
+
+    @staticmethod
+    def _dial(worker: ShardWorker):
+        sock = socket.create_connection(worker.address, timeout=10)
+        rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
+        return sock, rfile, wfile, dproto.read_message(rfile)
+
+    @staticmethod
+    def _ask(rfile, wfile, message: dict) -> dict:
+        dproto.write_message(wfile, message)
+        return dproto.read_message(rfile)
+
+    def test_a_foreign_connection_is_refused(self, er_graph):
+        _TRIPPED.clear()
+        with ShardWorker(authkey=self.KEY) as worker:
+            sock, rfile, wfile, hello = self._dial(worker)
+            with sock, rfile, wfile:
+                assert hello["challenge"]
+                for message in (
+                    {"op": "bind", "id": 1, "fingerprint": "x",
+                     "data": dproto.pack(_Tripwire("bind"))},
+                    {"op": "task", "id": 2, "batch": "b",
+                     "ctx": dproto.pack(_Tripwire("ctx")),
+                     "data": dproto.pack(_Tripwire("task"))},
+                    {"op": "ping", "id": 3},
+                    {"op": "shutdown", "id": 4},
+                    {"op": "auth", "id": 5, "digest": dproto.auth_digest(
+                        b"wrong", hello["challenge"])},
+                    {"op": "auth", "id": 6, "digest": 7},
+                    {"op": "shutdown", "id": 7},
+                ):
+                    answer = self._ask(rfile, wfile, message)
+                    assert not answer["ok"], message["op"]
+                    assert answer["id"] == message["id"]
+            assert not stop_worker(worker.address)
+            # Nothing a foreign peer sent was unpickled or obeyed.
+            assert _TRIPPED == []
+            sock, rfile, wfile, _ = self._dial(worker)
+            with sock, rfile, wfile:
+                assert self._ask(
+                    rfile, wfile, {"op": "ping", "id": 1}
+                )["error"].startswith("this worker answers only a connection")
+
+    def test_the_key_holder_is_served(self, er_graph):
+        with ShardWorker(authkey=self.KEY) as worker:
+            sock, rfile, wfile, hello = self._dial(worker)
+            with sock, rfile, wfile:
+                digest = dproto.auth_digest(self.KEY, hello["challenge"])
+                assert self._ask(rfile, wfile, {
+                    "op": "auth", "id": 1, "digest": digest,
+                })["kind"] == "authenticated"
+                assert self._ask(
+                    rfile, wfile, {"op": "ping", "id": 2}
+                )["kind"] == "pong"
+            # A challenge answers one connection only.
+            sock, rfile, wfile, fresh = self._dial(worker)
+            with sock, rfile, wfile:
+                assert fresh["challenge"] != hello["challenge"]
+                assert not self._ask(rfile, wfile, {
+                    "op": "auth", "id": 1, "digest": digest,
+                })["ok"]
+            cluster = Cluster.create(er_graph, 2)
+            with ShardCoordinator(
+                [worker.address], heartbeat_interval=None,
+                authkey=self.KEY,
+            ) as coordinator:
+                ((status, payload, _),) = coordinator.run_batch(
+                    cluster, _echo_task, ["keyed"]
+                )
+                assert (status, payload) == ("ok", ("echo", "keyed"))
+
+    def test_a_coordinator_without_the_key_is_refused(self):
+        with ShardWorker(authkey=self.KEY) as worker:
+            with pytest.raises(DistributedError, match="refused the key"):
+                ShardCoordinator(
+                    [worker.address], heartbeat_interval=None,
+                    authkey=b"wrong",
+                )
+
+    def test_an_open_worker_accepts_a_keyed_coordinator(self, er_graph):
+        with ShardWorker() as worker, ShardCoordinator(
+            [worker.address], heartbeat_interval=None, authkey=self.KEY
+        ) as coordinator:
+            assert "challenge" not in coordinator.live_shards()[0].hello
+            ((status, _, _),) = coordinator.run_batch(
+                Cluster.create(er_graph, 2), _echo_task, ["open"]
+            )
+            assert status == "ok"
 
 
 def _same(a, b) -> bool:
