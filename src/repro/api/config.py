@@ -251,7 +251,7 @@ class RunConfig:
             cluster.set_speed_factor(machine, 1.0 / factor)
         return cluster
 
-    def make_executor(self, registry: Any = None) -> "Executor":
+    def make_executor(self, registry: Any = None, graph: Any = None) -> "Executor":
         """The configured execution backend (caller owns closing it).
 
         ``backend="auto"`` keeps the historic ``workers`` semantics
@@ -265,7 +265,8 @@ class RunConfig:
         :class:`~repro.distributed.registry.ShardRegistry` the executor's
         coordinator reconciles its roster against at batch boundaries —
         with one, ``shards`` may be omitted and the roster starts from
-        whatever workers have announced.
+        whatever workers have announced.  ``graph`` (process backend)
+        is the data graph the forked workers inherit, unshipped.
         """
         from repro.runtime.executor import SerialExecutor
 
@@ -286,7 +287,7 @@ class RunConfig:
             return SocketExecutor(self.shards or (), registry=registry)
         from repro.distributed.executor import ProcessExecutor
 
-        return ProcessExecutor(self.workers)
+        return ProcessExecutor(self.workers, graph=graph)
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-friendly form (objects reduced to their type names)."""

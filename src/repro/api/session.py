@@ -833,7 +833,9 @@ class Session:
     def _ensure_executor(self) -> "Executor":
         with self._lock:
             if self._executor is None:
-                self._executor = self._config.make_executor()
+                self._executor = self._config.make_executor(
+                    graph=self._graph
+                )
             return self._executor
 
     def _invalidate(self, *, partition: bool, executor: bool) -> None:

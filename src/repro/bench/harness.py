@@ -90,7 +90,7 @@ def run_query_grid(
     base = config.make_cluster(graph, partition=partition)
     grid = GridResult(dataset_name, config.machines)
     own_executor = executor is None
-    executor = executor or config.make_executor()
+    executor = executor or config.make_executor(graph=graph)
     try:
         for query in queries:
             pattern = resolve_pattern(query)

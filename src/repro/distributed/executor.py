@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import secrets
 import sys
 from typing import Any, Sequence
 
@@ -35,7 +36,7 @@ from repro.distributed.coordinator import (
     ShardCoordinator,
 )
 from repro.distributed.errors import DistributedError
-from repro.distributed.worker import ShardWorker, stop_worker
+from repro.distributed.worker import ShardWorker
 from repro.obs.profile import attach_worker_usage, profile_active
 from repro.obs.trace import attach_spans, span as _obs_span, wire_context
 from repro.runtime.executor import Executor, TaskFn, merge_in_order
@@ -136,9 +137,9 @@ class SocketExecutor(Executor):
 _START_TIMEOUT = 30.0
 
 
-def _serve_local(report) -> None:
+def _serve_local(report, graph: Any, authkey: bytes) -> None:
     """Forked child: bind a shard worker, report its address, serve."""
-    worker = ShardWorker()
+    worker = ShardWorker(graph=graph, authkey=authkey)
     report.send(worker.address)
     report.close()
     worker.serve_forever()
@@ -147,13 +148,16 @@ def _serve_local(report) -> None:
 class ProcessExecutor(SocketExecutor):
     """The socket backend over ``workers`` shard workers forked locally.
 
-    Each worker binds an ephemeral localhost port; ``workers`` of 0 or
-    None forks one per CPU.  A worker that dies is lost and its tasks
-    resubmitted, like any shard.  :meth:`close` disconnects, then stops
-    the workers.
+    Each worker binds an ephemeral localhost port (``workers`` of 0 or
+    None forks one per CPU) and answers only a peer proving a key made
+    here, which it inherits at fork.  So does ``graph``, the data graph
+    the runs will use, which is then never shipped.  A worker that dies
+    is lost and its tasks resubmitted, like any shard; no task timeout
+    applies, since a dead child is an EOF.  :meth:`close` disconnects,
+    then stops the workers.
     """
 
-    def __init__(self, workers: int | None = None):
+    def __init__(self, workers: int | None = None, graph: Any = None):
         # Prefer fork on Linux (cheap, inherits the warm interpreter and
         # every task function the parent can name); elsewhere keep the
         # platform default — macOS switched its default to spawn because
@@ -163,14 +167,21 @@ class ProcessExecutor(SocketExecutor):
         context = multiprocessing.get_context(
             "fork" if sys.platform == "linux" and "fork" in methods else None
         )
-        self._children: list[tuple[Any, Any]] = []
+        authkey = secrets.token_bytes(32)
+        if graph is not None:
+            graph.fingerprint()  # hashed once here, inherited by each child
+        self._children: list[Any] = []
+        addresses = []
         try:
             for _ in range(max(1, workers or os.cpu_count() or 1)):
                 receive, report = context.Pipe(duplex=False)
                 child = context.Process(
-                    target=_serve_local, args=(report,), daemon=True
+                    target=_serve_local,
+                    args=(report, graph, authkey),
+                    daemon=True,
                 )
                 child.start()
+                self._children.append(child)
                 report.close()
                 with receive:
                     try:
@@ -180,24 +191,24 @@ class ProcessExecutor(SocketExecutor):
                         )
                     except EOFError:  # the child died before reporting
                         address = None
-                self._children.append((child, address))
                 if address is None:
                     raise DistributedError(
                         f"local shard worker {child.pid} did not start"
                     )
-            super().__init__([address for _, address in self._children])
+                addresses.append(address)
+            super().__init__(addresses, authkey=authkey, task_timeout=None)
         except BaseException:
             self._stop_children()
             raise
 
     def _stop_children(self) -> None:
-        # Ask over the protocol: closing a pipe the child waited on would
-        # not stop it, because every later sibling inherits that pipe.
+        # SIGTERM: a local worker holds nothing that needs a goodbye.
+        # (Closing a pipe the child waits on would not stop it, because
+        # every later sibling inherits that pipe.)
         children, self._children = self._children, []
-        for child, address in children:
-            if address is not None and child.is_alive():
-                stop_worker(address, timeout=2.0)
-        for child, _ in children:
+        for child in children:
+            child.terminate()
+        for child in children:
             child.join(timeout=5)
             if child.is_alive():
                 child.kill()

@@ -843,7 +843,7 @@ class QueryScheduler:
         holder: list[Any] = [None]
         if self.config.backend != "socket":
             try:
-                holder[0] = self.config.make_executor()
+                holder[0] = self.config.make_executor(graph=self.graph)
             except Exception:
                 # A process backend that cannot start its local shard
                 # workers (fork refused, no free port) must not silently
@@ -958,7 +958,7 @@ class QueryScheduler:
             # permanently kill) the worker.
             if holder[0] is None:
                 holder[0] = self.config.make_executor(
-                    registry=self.shard_registry
+                    registry=self.shard_registry, graph=execution.graph
                 )
             # Engines hold a graph reference, so the per-worker cache is
             # keyed by (engine, snapshot fingerprint) — a rebind must not

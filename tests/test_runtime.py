@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import socket
 import threading
 import time
 
@@ -26,7 +27,9 @@ from repro.distributed import (
     ProcessExecutor,
     ShardWorker,
     SocketExecutor,
+    stop_worker,
 )
+from repro.distributed import protocol as dproto
 from repro.engines import TwinTwigEngine
 from repro.graph import erdos_renyi
 from repro.query import named_patterns
@@ -81,7 +84,7 @@ def pid_task(cluster, args):
     return os.getpid()
 
 
-def refuse_to_bind():
+def refuse_to_bind(**kwargs):
     raise OSError("no port for this worker")
 
 
@@ -338,6 +341,38 @@ class TestLocalWorkerFaults:
         for pid in mine:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    def test_a_foreign_connection_is_refused(self, small_cluster, pool2):
+        """Only the forking parent holds the key its workers ask for."""
+        for shard in pool2.coordinator.live_shards():
+            assert not stop_worker(shard.address, timeout=5)
+            with socket.create_connection(shard.address, timeout=10) as sock:
+                rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
+                assert dproto.read_message(rfile)["challenge"]
+                for op in ("task", "shutdown"):
+                    dproto.write_message(wfile, {"op": op, "id": 1})
+                    answer = dproto.read_message(rfile)
+                    assert not answer["ok"] and "auth" in answer["error"]
+        assert len(pool2.coordinator.live_shards()) == 2
+        pids = pool2.run_tasks(small_cluster.fresh_copy(), pid_task, [0, 1])
+        assert os.getpid() not in pids
+
+    def test_a_long_task_is_not_a_hung_worker(self, pool2):
+        """Local workers have no task timeout: a dead one is an EOF."""
+        assert pool2.coordinator.task_timeout is None
+        for shard in pool2.coordinator.live_shards():
+            assert shard.sock.gettimeout() is None
+
+    def test_workers_inherit_the_graph(self, small_cluster):
+        graph = small_cluster.graph
+        with ProcessExecutor(2, graph=graph) as executor:
+            for shard in executor.coordinator.live_shards():
+                assert shard.hello["graphs"] == [graph.fingerprint()]
+            degree, neighbors = executor.run_tasks(
+                small_cluster.fresh_copy(), graph_probe_task, [3]
+            )[0]
+        assert degree == graph.degree(3)
+        assert neighbors == [int(w) for w in graph.neighbors(3)]
 
     def test_a_worker_that_cannot_start_raises(self, monkeypatch):
         before = _child_pids()
