@@ -7,9 +7,14 @@ available memory.  Groups grow greedily by neighbourhood proximity
 candidates in a group share foreign fetches and edge verifications.
 
 **Cost.**  One addition costs O(deg(best) x deg), never O(|remaining|): the
-adjacency of the candidates and of their neighbours is gathered once per
-call; Eq. 5's numerator is a count per vertex, raised when a neighbour
-first enters N(group); the frontier update reads adj(best) alone.
+adjacency of the candidates, and the candidates adjacent to each of their
+neighbours, are gathered once per call (Eq. 5 is only read for candidates);
+its numerator is a count per vertex, raised when a neighbour first enters
+N(group); the frontier update reads adj(best) alone.  numpy is called once
+per call and per group (the seed's frontier, the reset), never per
+addition: an addition is int and list work, except a hub's -- more than
+``BULK_PAIRS`` (w, x) pairs, one ``np.add.at`` -- and a probe of more than
+``BULK_PROBE`` frontier candidates, one argmax over an array.
 
 **Set order is part of the output.**  The group lists depend on CPython
 3.11's set layout in two places, and ``tests/test_region_goldens.py`` pins
@@ -17,10 +22,14 @@ them: every uniform draw (a group's seed, the ``random`` strategy, an
 empty frontier) indexes ``remaining`` in iteration order, and a frontier
 above ``MAX_PROBE`` is sampled from ``list(frontier & remaining)``.  So
 both stay real sets, fed what the per-candidate loop fed them, in its
-order.  Two invariants make that cheap: ``remaining`` only shrinks and a
-discard never reorders a set, so a candidate's place in it is fixed at
-construction; and ``frontier`` is always a subset of ``remaining``, so
-testing or sizing it needs no intersection.
+order -- down to the argument's type: ``frontier.update`` takes a *set* of
+the sorted hits, as updating from the list adds the same members but
+resizes the table at other points, which reorders it and moves the
+samples (57 goldens at ``MAX_PROBE`` 5 catch it).  Two invariants make
+that cheap: ``remaining`` only shrinks and a discard never reorders a set,
+so a candidate's place in it is fixed at construction; and ``frontier`` is
+always a subset of ``remaining``, so testing or sizing it needs no
+intersection.
 """
 
 from __future__ import annotations
@@ -29,11 +38,15 @@ import numpy as np
 
 import repro.enumeration.block as kernel
 from repro.core.embedding_trie import NODE_BYTES
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, gather_ranges
 
 #: Proximity is evaluated for at most this many frontier candidates per
 #: step (a uniform sample beyond it), bounding the cost of one addition.
 MAX_PROBE = 96
+
+#: Beyond these sizes an addition's (w, x) pairs, or a probe's frontier, are
+#: one array operation: numpy's overhead per call then costs less than ints.
+BULK_PAIRS, BULK_PROBE = 32, 16
 
 
 class MemoryEstimator:
@@ -97,61 +110,80 @@ class RegionGrouper:
     def _draw(self, remaining: set[int]) -> int:
         """A uniform draw from ``remaining``, indexed in set order
         (``rng.choice(array)`` is this draw; ``integers`` is the cheaper call)."""
-        pool = np.fromiter(remaining, dtype=np.int64, count=len(remaining))
-        return int(pool[self._rng.integers(len(pool))])
+        return list(remaining)[self._rng.integers(len(remaining))]
 
-    def groups(self, candidates: list[int]) -> list[list[int]]:
+    def groups(self, candidates: list[int], costs: np.ndarray | None = None) -> list[list[int]]:
         """Partition ``candidates`` into region groups.
 
         Each group's estimated memory stays below the budget (single-vertex
         groups are allowed to exceed it — they cannot be split further).
+        ``costs``, parallel to ``candidates``, are their estimated bytes
+        (default: the estimator's).
         """
         graph, degree = self._graph, self._graph.degrees()
-        remaining = set(np.asarray(candidates, dtype=np.int64).tolist())
+        ids = np.asarray(candidates, dtype=np.int64)
+        if costs is None:
+            costs = self._estimator.estimate_many(degree[ids])
+        cost_of = dict(zip(ids.tolist(), costs.tolist())).__getitem__
+        remaining = set(ids.tolist())
         order = np.fromiter(remaining, dtype=np.int64, count=len(remaining))
         rank = dict(zip(order.tolist(), range(len(order)))).__getitem__
-        cost_of = self._estimator.estimate_many(degree[order]).tolist()
-        # Gathered once: adj(c) per candidate c, and per neighbour w of c the
-        # (w, x) pairs with x in adj(w) -- what the addition of c walks.
+        # Gathered once: adj(c) per candidate c, c of rank i at
+        # `nbr[ends[i]:ends[i + 1]]`; the candidates adjacent to each distinct
+        # neighbour, the one in `slot` j at `far[starts[j]:starts[j + 1]]`; and
+        # as arrays, the (w, x) pairs an addition walks, `via`/`two`, c by c.
         _, nbr = kernel.neighbors(graph, order)
-        pair, two = kernel.neighbors(graph, nbr)
-        via = nbr[pair]
+        near, slot = np.unique(nbr, return_inverse=True)
+        row, far = kernel.neighbors(graph, near)
+        row, far = row[np.isin(far, order)], far[np.isin(far, order)]
+        starts = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(near)))))
+        pair, flat = gather_ranges(starts[slot], np.diff(starts)[slot])
+        two, via = far[flat], nbr[pair]
         ends = np.concatenate(([0], np.cumsum(degree[order])))
-        pair_ends = np.concatenate(([0], np.cumsum(degree[nbr])))[ends].tolist()
-        ends, adj_list = ends.tolist(), nbr.tolist()
-        # Vertex-id arrays, allocated once per call and cleared per group by
-        # the indices that were set (nothing is O(|V|) or O(|E|) per group):
-        # `fresh` is 1 outside N(group) -- an int, it is what a pair adds --
-        # and `shared[x]` is |adj(x) & N(group)|, Eq. 5's numerator.
+        pair_ends = np.concatenate(([0], np.cumsum(np.diff(starts)[slot])))[ends]
+        bounds, pair_bounds, adj = ends.tolist(), pair_ends.tolist(), nbr.tolist()
+        far, starts, slot = far.tolist(), starts.tolist(), slot.tolist()
+        # Per vertex, allocated once per call and cleared per group: `fresh`
+        # is 1 outside N(group) (an int: what a pair adds), `shared[x]` is
+        # |adj(x) & N(group)|, Eq. 5's numerator; as ints, `out` and `count`.
         fresh = np.ones(graph.num_vertices, dtype=np.int64)
         shared = np.zeros(graph.num_vertices, dtype=np.int64)
+        out, count, size = memoryview(fresh), memoryview(shared), memoryview(degree)
 
         def join(v: int) -> None:
             """``v`` moves to the group: each w of adj(v) new to N(group)
-            gives every x of adj(w) one more, and what remains of adj(v)
-            enters the frontier, in `remaining`'s order."""
+            gives every candidate x of adj(w) one more, and what remains of
+            adj(v) enters the frontier, in `remaining`'s order."""
             remaining.discard(v)
             frontier.discard(v)
             i = rank(v)
-            lo, hi = pair_ends[i], pair_ends[i + 1]
-            np.add.at(shared, two[lo:hi], fresh[via[lo:hi]])
-            touched.append(two[lo:hi])
-            lo, hi = ends[i], ends[i + 1]
-            fresh[nbr[lo:hi]] = 0
-            touched.append(nbr[lo:hi])
-            hits = [w for w in adj_list[lo:hi] if w in remaining]
+            lo, hi = bounds[i], bounds[i + 1]
+            a, b = pair_bounds[i], pair_bounds[i + 1]
+            if b - a > BULK_PAIRS:
+                np.add.at(shared, two[a:b], fresh[via[a:b]])
+                fresh[nbr[lo:hi]] = 0
+            else:
+                for k in range(lo, hi):
+                    w, j = adj[k], slot[k]
+                    if out[w]:
+                        out[w] = 0
+                        for x in far[starts[j]:starts[j + 1]]:
+                            count[x] += 1
+            hits = [w for w in adj[lo:hi] if w in remaining]
             frontier.update(set(sorted(hits, key=rank)))
 
         result: list[list[int]] = []
         while remaining:
             seed_vertex = self._draw(remaining)
-            group, cost = [seed_vertex], cost_of[rank(seed_vertex)]
-            frontier, touched = set(), []
+            group, cost = [seed_vertex], cost_of(seed_vertex)
+            frontier = set()
             join(seed_vertex)
             # Frontier: remaining candidates within distance 2 of the group,
             # through one of their first 32 neighbours -- which only a vertex
             # of higher degree outside N(group) can miss.
-            close = np.unique(np.concatenate(touched))
+            i = rank(seed_vertex)
+            seen = nbr[bounds[i]:bounds[i + 1]], two[pair_bounds[i]:pair_bounds[i + 1]]
+            close = np.unique(np.concatenate(seen))
             keep = np.ones(len(close), dtype=bool)
             slow = np.flatnonzero((degree[close] > 32) & (fresh[close] == 1))
             if len(slow):
@@ -162,6 +194,8 @@ class RegionGrouper:
             while remaining and cost < self._budget:
                 if self._strategy == "random" or not frontier:
                     best = self._draw(remaining)
+                elif len(frontier) <= min(BULK_PROBE, MAX_PROBE):  # the argmax below, as ints
+                    best = max(sorted(frontier), key=lambda x: count[x] / size[x])
                 else:
                     if len(frontier) > MAX_PROBE:
                         probe = np.array(list(frontier & remaining))
@@ -170,14 +204,14 @@ class RegionGrouper:
                         probe = np.fromiter(frontier, dtype=np.int64, count=len(frontier))
                     probe.sort()  # argmax then takes the smallest id of a tie
                     best = int(probe[(shared[probe] / degree[probe]).argmax()])
-                extra = cost_of[rank(best)]
+                extra = cost_of(best)
                 if cost + extra > self._budget:
                     break
                 group.append(best)
                 cost += extra
                 join(best)
-            touched = np.concatenate(touched)
-            fresh[touched] = 1
-            shared[touched] = 0
+            rows = np.array([rank(v) for v in group])
+            fresh[nbr[gather_ranges(ends[rows], ends[rows + 1] - ends[rows])[1]]] = 1
+            shared[two[gather_ranges(pair_ends[rows], pair_ends[rows + 1] - pair_ends[rows])[1]]] = 0
             result.append(sorted(group))
         return result

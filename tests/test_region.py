@@ -1,5 +1,6 @@
 """Tests for region grouping and memory estimation (paper Sec. 6, Alg. 3)."""
 
+import os
 import sys
 
 import numpy as np
@@ -156,6 +157,45 @@ class TestGroupingCost:
         large = self._calls_per_candidate(graph, 4000)
         print(f"calls per candidate: {small:.0f} at 1000, {large:.0f} at 4000")
         assert large <= 1.5 * small
+
+
+    @staticmethod
+    def _numpy_calls(run) -> int:
+        """numpy functions ``run()`` calls, C or Python, after a warm call."""
+        calls, root = 0, os.path.dirname(np.__file__)
+
+        def tick(frame, event, arg):
+            nonlocal calls
+            if event == "c_call":
+                module = getattr(arg, "__module__", None)
+                module = module or type(getattr(arg, "__self__", None)).__module__
+                calls += module.startswith("numpy")
+            elif event == "call":
+                calls += frame.f_code.co_filename.startswith(root)
+
+        run()
+        sys.setprofile(tick)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    def test_numpy_calls_scale_with_groups_not_additions(self):
+        """On a road grid an addition is int and list work: numpy is called
+        per call and per group (the seed's frontier, the reset), never per
+        addition.  The array version made ~4 numpy calls per addition."""
+        graph = grid_road_network(30, 30, extra_edge_prob=0.04, seed=0)
+        candidates = list(range(0, graph.num_vertices, 2))
+
+        def run():
+            return make_grouper(graph, budget=40 * 4 * NODE_BYTES, seed=3).groups(candidates)
+
+        groups = run()
+        assert len(candidates) >= 30 * len(groups)
+        calls = self._numpy_calls(run)
+        print(f"{calls} numpy calls for {len(groups)} groups of {len(candidates)}")
+        assert calls <= 120 + 50 * len(groups)
 
 
 class TestRandomGroupingStrategy:
