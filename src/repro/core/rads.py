@@ -84,13 +84,12 @@ def _steal(cluster: Cluster, thief: int, victims: list[int], queues) -> list[int
 def _phase1_task(cluster: Cluster, args: tuple) -> tuple:
     """SM-E split + region grouping for one machine (independent unit)."""
     (
-        t, pattern, plan, constraints, enable_sme, collect,
+        t, split, leaves, enable_sme, collect,
         results_budget, min_groups, grouping, seed,
     ) = args
     local = cluster.partition.machine(t)
     machine = cluster.machine(t)
-    split = SingleMachineSplit(pattern, plan, constraints)
-    estimator = MemoryEstimator(len(plan.units[0].leaves))
+    estimator = MemoryEstimator(leaves)
     embeddings: list[tuple[int, ...]] = []
     sme_count = 0
     if enable_sme:
@@ -100,8 +99,8 @@ def _phase1_task(cluster: Cluster, args: tuple) -> tuple:
     else:
         distributed = split.candidates(local)
     machine.charge_ops(len(distributed), "grouping_ops")
-    total_estimate = int(estimator.estimate_many(local.graph.degrees()[distributed]).sum())
-    budget = min(results_budget, max(1.0, total_estimate / min_groups))
+    costs = estimator.estimate_many(local.graph.degrees()[distributed])
+    budget = min(results_budget, max(1.0, int(costs.sum()) / min_groups))
     grouper = RegionGrouper(
         graph=local.graph,
         estimator=estimator,
@@ -109,7 +108,7 @@ def _phase1_task(cluster: Cluster, args: tuple) -> tuple:
         seed=seed + t,
         strategy=grouping,
     )
-    return t, sme_count, embeddings, list(grouper.groups(distributed))
+    return t, sme_count, embeddings, grouper.groups(distributed, costs)
 
 
 def _phase2_task(cluster: Cluster, args: tuple) -> tuple:
@@ -166,6 +165,8 @@ class RADSEngine(EnumerationEngine):
         self._min_groups = max(1, min_groups_per_machine)
         self._seed = seed
         self.last_plan: ExecutionPlan | None = None
+        #: The plan chosen per pattern: a run reuses it, never re-plans.
+        self._plans: dict[Pattern, ExecutionPlan] = {}
 
     # ------------------------------------------------------------------
     def execution_plan(self, pattern: Pattern, plans=None) -> ExecutionPlan:
@@ -198,8 +199,11 @@ class RADSEngine(EnumerationEngine):
         collect: bool,
         executor: Executor,
     ) -> list[tuple[int, ...]]:
-        plan = self._plan_provider(pattern)
+        plan = self._plans.get(pattern)
+        if plan is None:
+            plan = self._plans[pattern] = self._plan_provider(pattern)
         self.last_plan = plan
+        split = SingleMachineSplit(pattern, plan, constraints)
         results_budget, cache_budget = self._budgets(cluster)
         results: list[tuple[int, ...]] = []
         self._count = 0
@@ -212,7 +216,7 @@ class RADSEngine(EnumerationEngine):
                 _phase1_task,
                 [
                     (
-                        t, pattern, plan, constraints, self._enable_sme,
+                        t, split, len(plan.units[0].leaves), self._enable_sme,
                         collect, results_budget, self._min_groups,
                         self._grouping, self._seed,
                     )

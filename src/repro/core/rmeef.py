@@ -499,18 +499,18 @@ class RMeefWorker:
         row, cand, known_cand = row[keep], cand[keep], known_cand[keep]
         passed = checks = fresh = None
         if deferred is not None and deferred[row].any():
-            # A known candidate settles its deferred edges itself, one
-            # check each up to the first that fails; an unknown one
-            # carries them all as undetermined edges.
+            # A known candidate settles its deferred edges itself, one check
+            # each up to the first that fails (one call tests all, the count
+            # stops there); an unknown one carries them as undetermined edges.
             waits = deferred[row]
             other = others[row]
-            passed = np.ones(len(cand), dtype=bool)
-            checks = np.zeros(len(cand), dtype=np.int64)
-            for j in range(len(refine)):
-                active = np.flatnonzero(passed & waits[:, j] & known_cand)
-                checks[active] += 1
-                ok = graph.has_edges(cand[active], other[active, j])
-                passed[active[~ok]] = False
+            tested = waits & known_cand[:, None]
+            at, j = np.nonzero(tested)
+            failed = np.zeros_like(tested)
+            failed[at, j] = ~graph.has_edges(cand[at], other[at, j])
+            passed = ~failed.any(axis=1)
+            stop = np.where(passed, len(refine) - 1, failed.argmax(axis=1))
+            checks = np.cumsum(tested, axis=1)[np.arange(len(cand)), stop]
             undetermined = waits & ~known_cand[:, None]
             if undetermined.any():
                 mate = cand[:, None]

@@ -15,10 +15,7 @@ import numpy as np
 
 from repro.cluster.machine import Machine
 from repro.core.region import MemoryEstimator
-from repro.enumeration.backtracking import (
-    BacktrackingEnumerator,
-    EnumerationStats,
-)
+from repro.enumeration.backtracking import EnumerationStats, MatchingTables
 from repro.enumeration.block import first_diff
 from repro.partition.partition import MachinePartition
 from repro.query.pattern import Pattern
@@ -37,14 +34,15 @@ class SMEResult:
 
 
 class SingleMachineSplit:
-    """Computes C(u_start), the C1 split and runs SM-E over C1."""
+    """Computes C(u_start), the C1 split and runs SM-E over C1; one split,
+    and the kernel tables it compiles, serve every machine of a query."""
 
     def __init__(self, pattern: Pattern, plan: ExecutionPlan,
                  constraints: list[tuple[int, int]]):
         self._pattern = pattern
         self._plan = plan
-        self._constraints = constraints
         self._span = pattern.span(plan.start_vertex)
+        self._tables = MatchingTables(pattern, constraints, [plan.matching_order()])
 
     def _is_candidate(self, local: MachinePartition) -> np.ndarray:
         """Mask over the owned vertices: degree filter of ``u_start``."""
@@ -81,17 +79,12 @@ class SingleMachineSplit:
         """
         sme_candidates, distributed = self.split(local)
         stats = EnumerationStats()
-        enumerator = BacktrackingEnumerator(
-            pattern=self._pattern,
-            adjacency=local.graph,
-            constraints=self._constraints,
-            order=self._plan.matching_order(),
-            allowed=local.owned_mask,
-            stats=stats,
-        )
+        starts = np.asarray(sme_candidates, dtype=np.int64).reshape(-1, 1)
         rows = np.concatenate([
             np.empty((0, self._pattern.num_vertices), dtype=np.int64),
-            *enumerator.run_blocks(sme_candidates),
+            *(block for _, block in self._tables.emit(
+                local.graph, stats, starts, local.owned_mask, charge=True
+            )),
         ])
         machine.charge_ops(stats.total_ops, "sme_ops")
         # Benchmarks read this to report the SM-E share of the result set.
