@@ -59,7 +59,7 @@ _EXPORTS: dict[str, tuple[str, str]] = {
     "SocketExecutor": ("repro.distributed.executor", "SocketExecutor"),
     "ShardWorker": ("repro.distributed.worker", "ShardWorker"),
     "ShardCoordinator": ("repro.distributed.coordinator", "ShardCoordinator"),
-    "DistributedError": ("repro.distributed.coordinator", "DistributedError"),
+    "DistributedError": ("repro.distributed.errors", "DistributedError"),
     "stop_worker": ("repro.distributed.worker", "stop_worker"),
     # -- the query service layer ---------------------------------------
     "connect": ("repro.service.client", "connect"),
@@ -76,9 +76,7 @@ _EXPORTS: dict[str, tuple[str, str]] = {
     "TrieColumns": ("repro.store", "TrieColumns"),
     "pattern_orbits": ("repro.store", "pattern_orbits"),
     # -- streaming ingest + continuous queries -------------------------
-    "ContinuousQueryManager": (
-        "repro.streaming.continuous", "ContinuousQueryManager"
-    ),
+    "ContinuousQueryManager": ("repro.streaming.continuous", "ContinuousQueryManager"),
     "Watch": ("repro.streaming.continuous", "Watch"),
     "IncrementalMatcher": ("repro.streaming.incremental", "IncrementalMatcher"),
     "DeltaRecord": ("repro.streaming.records", "DeltaRecord"),
@@ -104,9 +102,7 @@ _EXPORTS: dict[str, tuple[str, str]] = {
     "CostModel": ("repro.cluster.costmodel", "CostModel"),
     "RADSEngine": ("repro.core.rads", "RADSEngine"),
     "RunResult": ("repro.engines.base", "RunResult"),
-    "enumerate_embeddings": (
-        "repro.enumeration.backtracking", "enumerate_embeddings"
-    ),
+    "enumerate_embeddings": ("repro.enumeration.backtracking", "enumerate_embeddings"),
     "labeled_embeddings": ("repro.enumeration.labeled", "labeled_embeddings"),
     "best_execution_plan": ("repro.query.plan", "best_execution_plan"),
     "Executor": ("repro.runtime.executor", "Executor"),
@@ -117,19 +113,25 @@ _EXPORTS: dict[str, tuple[str, str]] = {
 __all__ = ["__version__", *sorted(_EXPORTS)]
 
 
-def __getattr__(name: str):
-    try:
-        module_name, attribute = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
+def _lazy(package: str, exports: dict[str, tuple[str, str]]):
+    """A package's ``__getattr__`` and ``__dir__`` over ``exports``: each
+    name is imported on first access, then cached in the package."""
     import importlib
+    import sys
 
-    value = getattr(importlib.import_module(module_name), attribute)
-    globals()[name] = value  # cache for subsequent lookups
-    return value
+    def __getattr__(name: str):
+        try:
+            module_name, attribute = exports[name]
+        except KeyError:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}") from None
+        value = getattr(importlib.import_module(module_name), attribute)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(vars(sys.modules[package])) | set(exports))
+
+    return __getattr__, __dir__
 
 
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

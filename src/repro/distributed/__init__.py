@@ -28,19 +28,19 @@ Select the backend with ``RunConfig(backend="socket", shards=[...])``,
 semantics and shard lifecycle.
 """
 
-from repro.distributed.coordinator import DistributedError, ShardCoordinator
-from repro.distributed.executor import ProcessExecutor, SocketExecutor
-from repro.distributed.protocol import WORKER_PROTOCOL_VERSION
-from repro.distributed.registry import ShardRegistry
-from repro.distributed.worker import ShardWorker, stop_worker
+from __future__ import annotations
 
-__all__ = [
-    "DistributedError",
-    "ProcessExecutor",
-    "ShardCoordinator",
-    "ShardRegistry",
-    "ShardWorker",
-    "SocketExecutor",
-    "WORKER_PROTOCOL_VERSION",
-    "stop_worker",
-]
+from repro import _lazy
+
+#: Exports resolved on first access: importing ``repro.distributed.errors``
+#: loads neither the coordinator, the executors, the worker nor the service.
+_EXPORTS = {name: (f"{__name__}.{module}", name) for module, names in {
+    "coordinator": ("ShardCoordinator",),
+    "errors": ("DistributedError",),
+    "executor": ("ProcessExecutor", "SocketExecutor"),
+    "protocol": ("WORKER_PROTOCOL_VERSION",),
+    "registry": ("ShardRegistry",),
+    "worker": ("ShardWorker", "stop_worker"),
+}.items() for name in names}
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

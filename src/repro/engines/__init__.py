@@ -1,5 +1,6 @@
 """Distributed subgraph-enumeration engines: RADS and the four baselines."""
 
+from repro import _lazy
 from repro.engines.base import EnumerationEngine, RunResult
 from repro.engines.single import SingleMachineEngine
 from repro.engines.psgl import PSgLEngine
@@ -24,12 +25,6 @@ __all__ = [
     "RADSEngine",
 ]
 
-
-def __getattr__(name: str):
-    # RADSEngine lives in repro.core, which itself imports engines.base;
-    # resolving it lazily keeps the import graph acyclic.
-    if name == "RADSEngine":
-        from repro.core.rads import RADSEngine
-
-        return RADSEngine
-    raise AttributeError(name)
+# RADSEngine lives in repro.core, which itself imports engines.base;
+# resolving it lazily keeps the import graph acyclic.
+__getattr__, __dir__ = _lazy(__name__, {"RADSEngine": ("repro.core.rads", "RADSEngine")})

@@ -1,73 +1,37 @@
-"""Query service layer: scheduler + result cache + socket server/client.
-
-This package turns the library into a long-running service (PR 4 of the
-ROADMAP's march toward serving heavy traffic):
+"""Query service layer: scheduler, result cache, socket server and client.
 
 - :class:`~repro.service.scheduler.QueryScheduler` — concurrent
-  submissions over one graph: priority queue + worker threads over the
-  existing engines/executors, admission-control memory budget derived
-  from :attr:`RunConfig.memory_mb`, deduplication of identical in-flight
-  queries, per-request timeout and cancellation.
-- :class:`~repro.service.cache.ResultCache` — LRU + TTL result cache
-  keyed by ``(graph fingerprint, pattern.canonical_key(), engine, config
-  digest, collect)``; a hit for any *isomorphic* rewrite of a cached
-  query serves the stored result with embeddings correctly remapped.
+  submissions over one graph: a priority queue and worker threads over the
+  engines, an admission budget from :attr:`RunConfig.memory_mb`,
+  deduplication of identical in-flight queries, timeout and cancellation.
+- :class:`~repro.service.cache.ResultCache` — LRU + TTL, keyed by ``(graph
+  fingerprint, pattern.canonical_key(), engine, config digest, collect)``:
+  an *isomorphic* rewrite hits, its embeddings remapped.
 - :class:`~repro.service.server.QueryServer` /
-  :class:`~repro.service.client.ServiceClient` — a JSON-lines TCP
-  transport reusing ``RunResult.to_dict()`` / ``QueryExplanation.to_dict()``
-  (``repro serve`` / ``repro submit`` on the CLI;
-  ``Session.serve()`` / ``repro.connect()`` in the API).
+  :class:`~repro.service.client.ServiceClient` — JSON lines over TCP
+  (``repro serve`` / ``repro submit``; ``Session.serve()`` /
+  ``repro.connect()``).
 
-See docs/protocol.md for the wire schema and docs/api.md for the
-cache-key definition and the eviction policy.
+docs/protocol.md has the wire schema, docs/api.md the cache key and the
+eviction policy.  Exports resolve on first access (name -> (module,
+attribute)), so importing one submodule loads none of the others.
 """
 
-from repro.service.cache import (
-    ResultCache,
-    cache_key,
-    config_digest,
-    key_digest,
-    remap_embeddings,
-)
-from repro.service.client import (
-    ServiceClient,
-    ServiceError,
-    Subscription,
-    connect,
-)
-from repro.service.protocol import PROTOCOL_VERSION, ProtocolError
-from repro.service.scheduler import (
-    AdmissionError,
-    QueryScheduler,
-    QueryTicket,
-    QuotaExceeded,
-    SchedulerClosed,
-    ServiceTimeout,
-)
-from repro.service.server import QueryServer
-from repro.service.tenancy import TenantLedger, TenantQuota
-from repro.service.transport import wait_until_serving
+from __future__ import annotations
 
-__all__ = [
-    "AdmissionError",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "QueryScheduler",
-    "QueryServer",
-    "QueryTicket",
-    "QuotaExceeded",
-    "ResultCache",
-    "SchedulerClosed",
-    "ServiceClient",
-    "ServiceError",
-    "Subscription",
-    "ServiceTimeout",
-    "TenantLedger",
-    "TenantQuota",
-    "cache_key",
-    "config_digest",
-    "connect",
-    "key_digest",
-    "remap_embeddings",
-    "wait_until_serving",
-]
+from repro import _lazy
+
+_EXPORTS = {name: (f"{__name__}.{module}", name) for module, names in {
+    "cache": ("ResultCache", "cache_key", "config_digest", "key_digest", "remap_embeddings"),
+    "client": ("ServiceClient", "ServiceError", "Subscription", "connect"),
+    "protocol": ("PROTOCOL_VERSION", "ProtocolError"),
+    "scheduler": (
+        "AdmissionError", "QueryScheduler", "QueryTicket", "QuotaExceeded",
+        "SchedulerClosed", "ServiceTimeout",
+    ),
+    "server": ("QueryServer",),
+    "tenancy": ("TenantLedger", "TenantQuota"),
+    "transport": ("wait_until_serving",),
+}.items() for name in names}
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

@@ -872,3 +872,32 @@ class TestReviewRegressions:
         assert lp.labels == (0, 1, 0)
         lp2 = repro.pattern("a:1-b:x, b-c:y")
         assert lp2.labels == (1, 0, 2)
+
+
+class TestImportWeight:
+    def test_a_serial_run_loads_no_service_store_or_shard_runtime(self):
+        """``repro.distributed.errors`` is imported for its exception alone:
+        the packages resolve their exports lazily, so a serial run never
+        loads the coordinator, executors, worker, service or store."""
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import sys, repro\n"
+            "from repro.graph import grid_road_network\n"
+            "graph = grid_road_network(8, 8, 0.05, seed=1)\n"
+            "result = repro.open(graph).with_cluster(machines=2)"
+            ".engine('rads').query('q4').run()\n"
+            "assert result.embedding_count >= 0\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('repro'))))\n"
+        )
+        loaded = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        ).stdout.split()
+        assert "repro.core.rads" in loaded
+        heavy = ("repro.service", "repro.store") + tuple(
+            f"repro.distributed.{name}" for name in ("coordinator", "executor", "worker")
+        )
+        assert [m for m in loaded if m.startswith(heavy)] == []
