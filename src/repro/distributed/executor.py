@@ -27,6 +27,8 @@ import multiprocessing
 import os
 import secrets
 import sys
+import threading
+import time
 from typing import Any, Sequence
 
 from repro.cluster.cluster import Cluster
@@ -138,10 +140,18 @@ _START_TIMEOUT = 30.0
 
 
 def _serve_local(report, graph: Any, authkey: bytes) -> None:
-    """Forked child: bind a shard worker, report its address, serve."""
-    worker = ShardWorker(graph=graph, authkey=authkey)
+    """Forked child: bind a shard worker, report its address, serve until
+    closed or orphaned (a parent killed outright stops nothing itself)."""
+    worker, parent = ShardWorker(graph=graph, authkey=authkey), os.getppid()
     report.send(worker.address)
     report.close()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        worker.close()
+
+    threading.Thread(target=watch, daemon=True).start()
     worker.serve_forever()
 
 

@@ -116,11 +116,9 @@ def pool2():
         yield executor
 
 
-class TestSharedGraph:
-    def test_worker_reads_graph_through_shared_memory(
-        self, small_cluster, pool2
-    ):
-        """A task reads the graph its worker was shipped."""
+class TestWorkerGraph:
+    def test_task_reads_the_worker_graph(self, small_cluster, pool2):
+        """A task reads the graph its worker holds."""
         graph = small_cluster.graph
         for v in (3, 40):
             degree, neighbors = pool2.run_tasks(
@@ -341,6 +339,40 @@ class TestLocalWorkerFaults:
         for pid in mine:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    def test_a_worker_outlives_no_parent_killed_outright(self):
+        """SIGKILL skips ``close()``: the orphaned worker stops itself."""
+        import signal
+        import subprocess
+        import sys
+
+        parent = subprocess.Popen(
+            [sys.executable, "-c", (
+                "import sys, time; from repro.distributed import ProcessExecutor; "
+                "e = ProcessExecutor(1); print(e._children[0].pid, flush=True); "
+                "time.sleep(60)"
+            )],
+            stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        worker = int(parent.stdout.readline())
+        parent.send_signal(signal.SIGKILL)
+        parent.wait()
+
+        def running() -> bool:  # gone, or a zombie nobody has reaped yet
+            try:
+                with open(f"/proc/{worker}/stat") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 5
+        while running() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        alive = running()
+        if alive:
+            os.kill(worker, 9)
+        assert not alive
 
     def test_a_foreign_connection_is_refused(self, small_cluster, pool2):
         """Only the forking parent holds the key its workers ask for."""
