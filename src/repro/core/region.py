@@ -10,11 +10,11 @@ candidates in a group share foreign fetches and edge verifications.
 adjacency of the candidates, and the candidates adjacent to each of their
 neighbours, are gathered once per call (Eq. 5 is only read for candidates);
 its numerator is a count per vertex, raised when a neighbour first enters
-N(group); the frontier update reads adj(best) alone.  numpy is called once
-per call and per group (the seed's frontier, the reset), never per
-addition: an addition is int and list work, except a hub's -- more than
-``BULK_PAIRS`` (w, x) pairs, one ``np.add.at`` -- and a probe of more than
-``BULK_PROBE`` frontier candidates, one argmax over an array.
+N(group); the frontier update reads adj(best) alone.  numpy runs once per
+call (the gathers) and once per group (the reset), not per addition (bar a
+draw's rng call): an addition is int and list work, except a hub's -- more
+than ``BULK_PAIRS`` (w, x) pairs, one ``np.add.at`` -- and a probe of more
+than ``BULK_PROBE`` frontier candidates, one argmax over an array.
 
 **Set order is part of the output.**  The group lists depend on CPython
 3.11's set layout in two places, and ``tests/test_region_goldens.py`` pins
@@ -117,8 +117,7 @@ class RegionGrouper:
 
         Each group's estimated memory stays below the budget (single-vertex
         groups are allowed to exceed it — they cannot be split further).
-        ``costs``, parallel to ``candidates``, are their estimated bytes
-        (default: the estimator's).
+        ``costs``, parallel to ``candidates``: their estimated bytes (default: the estimator's).
         """
         graph, degree = self._graph, self._graph.degrees()
         ids = np.asarray(candidates, dtype=np.int64)
@@ -134,8 +133,10 @@ class RegionGrouper:
         # as arrays, the (w, x) pairs an addition walks, `via`/`two`, c by c.
         _, nbr = kernel.neighbors(graph, order)
         near, slot = np.unique(nbr, return_inverse=True)
+        mine = np.zeros(graph.num_vertices, dtype=bool)
+        mine[order] = True
         row, far = kernel.neighbors(graph, near)
-        row, far = row[np.isin(far, order)], far[np.isin(far, order)]
+        row, far = row[mine[far]], far[mine[far]]
         starts = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(near)))))
         pair, flat = gather_ranges(starts[slot], np.diff(starts)[slot])
         two, via = far[flat], nbr[pair]
@@ -182,14 +183,10 @@ class RegionGrouper:
             # through one of their first 32 neighbours -- which only a vertex
             # of higher degree outside N(group) can miss.
             i = rank(seed_vertex)
-            seen = nbr[bounds[i]:bounds[i + 1]], two[pair_bounds[i]:pair_bounds[i + 1]]
-            close = np.unique(np.concatenate(seen))
-            keep = np.ones(len(close), dtype=bool)
-            slow = np.flatnonzero((degree[close] > 32) & (fresh[close] == 1))
-            if len(slow):
-                row, first = kernel.neighbors(graph, close[slow], np.full(len(slow), 32))
-                keep[slow] = np.bincount(row, fresh[first] == 0, len(slow)) > 0
-            hits = [w for w in close[keep].tolist() if w in remaining]
+            lo, hi = bounds[i], bounds[i + 1]
+            close = set(adj[lo:hi]).union(*(far[starts[j]:starts[j + 1]] for j in slot[lo:hi]))
+            hits = [x for x in sorted(close) if x in remaining and (size[x] <= 32 or not out[x]
+                    or not all(out[w] for w in graph.neighbors(x)[:32].tolist()))]
             frontier = set(sorted(hits, key=rank))
             while remaining and cost < self._budget:
                 if self._strategy == "random" or not frontier:

@@ -80,11 +80,9 @@ class SingleMachineSplit:
         sme_candidates, distributed = self.split(local)
         stats = EnumerationStats()
         starts = np.asarray(sme_candidates, dtype=np.int64).reshape(-1, 1)
+        blocks = self._tables.emit(local.graph, stats, starts, local.owned_mask, charge=True)
         rows = np.concatenate([
-            np.empty((0, self._pattern.num_vertices), dtype=np.int64),
-            *(block for _, block in self._tables.emit(
-                local.graph, stats, starts, local.owned_mask, charge=True
-            )),
+            np.empty((0, self._pattern.num_vertices), dtype=np.int64), *(b for _, b in blocks)
         ])
         machine.charge_ops(stats.total_ops, "sme_ops")
         # Benchmarks read this to report the SM-E share of the result set.
