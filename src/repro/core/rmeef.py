@@ -504,13 +504,12 @@ class RMeefWorker:
             # stops there); an unknown one carries them as undetermined edges.
             waits = deferred[row]
             other = others[row]
-            tested = waits & known_cand[:, None]
-            at, j = np.nonzero(tested)
-            failed = np.zeros_like(tested)
-            failed[at, j] = ~graph.has_edges(cand[at], other[at, j])
-            passed = ~failed.any(axis=1)
-            stop = np.where(passed, len(refine) - 1, failed.argmax(axis=1))
-            checks = np.cumsum(tested, axis=1)[np.arange(len(cand)), stop]
+            at, j = np.nonzero(waits & known_cand[:, None])
+            bad = ~graph.has_edges(cand[at], other[at, j])
+            first = np.full(len(cand), len(refine))  # first failed position
+            np.minimum.at(first, at[bad], j[bad])
+            passed = first == len(refine)
+            checks = np.bincount(at[j <= first[at]], minlength=len(cand))
             undetermined = waits & ~known_cand[:, None]
             if undetermined.any():
                 mate = cand[:, None]
