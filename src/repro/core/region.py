@@ -127,28 +127,26 @@ class RegionGrouper:
         remaining = set(ids.tolist())
         order = np.fromiter(remaining, dtype=np.int64, count=len(remaining))
         rank = dict(zip(order.tolist(), range(len(order)))).__getitem__
-        # Gathered once: adj(c) per candidate c, c of rank i at
-        # `nbr[ends[i]:ends[i + 1]]`; the candidates adjacent to each distinct
-        # neighbour, the one in `slot` j at `far[starts[j]:starts[j + 1]]`; and
-        # as arrays, the (w, x) pairs an addition walks, `via`/`two`, c by c.
-        _, nbr = kernel.neighbors(graph, order)
-        near, slot = np.unique(nbr, return_inverse=True)
-        mine = np.zeros(graph.num_vertices, dtype=bool)
-        mine[order] = True
+        # Gathered once: adj(c) for c of rank i, `nbr[bounds[i]:bounds[i + 1]]`;
+        # the candidates next to the distinct neighbour in `slot` j,
+        # `far[starts[j]:starts[j + 1]]`; the (w, x) pairs of c, `via`/`two`.
+        n, (_, nbr) = graph.num_vertices, kernel.neighbors(graph, order)
+        mine, slot = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
+        mine[order], slot[nbr] = True, 1
+        near, slot = np.flatnonzero(slot), (np.cumsum(slot) - 1)[nbr]
         row, far = kernel.neighbors(graph, near)
         row, far = row[mine[far]], far[mine[far]]
         starts = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(near)))))
         pair, flat = gather_ranges(starts[slot], np.diff(starts)[slot])
         two, via = far[flat], nbr[pair]
         ends = np.concatenate(([0], np.cumsum(degree[order])))
-        pair_ends = np.concatenate(([0], np.cumsum(np.diff(starts)[slot])))[ends]
-        bounds, pair_bounds, adj = ends.tolist(), pair_ends.tolist(), nbr.tolist()
-        far, starts, slot = far.tolist(), starts.tolist(), slot.tolist()
-        # Per vertex, allocated once per call and cleared per group: `fresh`
-        # is 1 outside N(group) (an int: what a pair adds), `shared[x]` is
-        # |adj(x) & N(group)|, Eq. 5's numerator; as ints, `out` and `count`.
-        fresh = np.ones(graph.num_vertices, dtype=np.int64)
-        shared = np.zeros(graph.num_vertices, dtype=np.int64)
+        bounds, pair_bounds = ends.tolist(), np.searchsorted(pair, ends).tolist()
+        adj, far, starts, slot = nbr.tolist(), far.tolist(), starts.tolist(), slot.tolist()
+        # Per vertex, allocated once per call and cleared per group by the
+        # indices that were set (`touched`): `fresh` is 1 outside N(group) (an
+        # int: what a pair adds), `shared[x]` is |adj(x) & N(group)|, Eq. 5's
+        # numerator; as ints, `out` and `count`.
+        fresh, shared = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
         out, count, size = memoryview(fresh), memoryview(shared), memoryview(degree)
 
         def join(v: int) -> None:
@@ -160,6 +158,8 @@ class RegionGrouper:
             i = rank(v)
             lo, hi = bounds[i], bounds[i + 1]
             a, b = pair_bounds[i], pair_bounds[i + 1]
+            touched.append(two[a:b])
+            touched.append(nbr[lo:hi])
             if b - a > BULK_PAIRS:
                 np.add.at(shared, two[a:b], fresh[via[a:b]])
                 fresh[nbr[lo:hi]] = 0
@@ -177,7 +177,7 @@ class RegionGrouper:
         while remaining:
             seed_vertex = self._draw(remaining)
             group, cost = [seed_vertex], cost_of(seed_vertex)
-            frontier = set()
+            frontier, touched = set(), []
             join(seed_vertex)
             # Frontier: remaining candidates within distance 2 of the group,
             # through one of their first 32 neighbours -- which only a vertex
@@ -207,8 +207,8 @@ class RegionGrouper:
                 group.append(best)
                 cost += extra
                 join(best)
-            rows = np.array([rank(v) for v in group])
-            fresh[nbr[gather_ranges(ends[rows], ends[rows + 1] - ends[rows])[1]]] = 1
-            shared[two[gather_ranges(pair_ends[rows], pair_ends[rows + 1] - pair_ends[rows])[1]]] = 0
+            touched = np.concatenate(touched)
+            fresh[touched] = 1
+            shared[touched] = 0
             result.append(sorted(group))
         return result
