@@ -1,6 +1,9 @@
 """The repro.api surface: registry, RunConfig, Session, serialization."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -879,10 +882,6 @@ class TestImportWeight:
         """``repro.distributed.errors`` is imported for its exception alone:
         the packages resolve their exports lazily, so a serial run never
         loads the coordinator, executors, worker, service or store."""
-        import os
-        import subprocess
-        import sys
-
         script = (
             "import sys, repro\n"
             "from repro.graph import grid_road_network\n"

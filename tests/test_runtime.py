@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -340,15 +343,12 @@ class TestLocalWorkerFaults:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc/<pid>/stat")
     def test_a_worker_outlives_no_parent_killed_outright(self):
         """SIGKILL skips ``close()``: the orphaned worker stops itself."""
-        import signal
-        import subprocess
-        import sys
-
         parent = subprocess.Popen(
             [sys.executable, "-c", (
-                "import sys, time; from repro.distributed import ProcessExecutor; "
+                "import time; from repro.distributed import ProcessExecutor; "
                 "e = ProcessExecutor(1); print(e._children[0].pid, flush=True); "
                 "time.sleep(60)"
             )],
@@ -371,7 +371,7 @@ class TestLocalWorkerFaults:
             time.sleep(0.05)
         alive = running()
         if alive:
-            os.kill(worker, 9)
+            os.kill(worker, signal.SIGKILL)
         assert not alive
 
     def test_a_foreign_connection_is_refused(self, small_cluster, pool2):
