@@ -11,10 +11,10 @@ adjacency of the candidates, and the candidates adjacent to each of their
 neighbours, are gathered once per call (Eq. 5 is only read for candidates);
 its numerator is a count per vertex, raised when a neighbour first enters
 N(group); the frontier update reads adj(best) alone.  numpy runs once per
-call (the gathers) and once per group (the reset), not per addition (bar a
-draw's rng call): an addition is int and list work, except a hub's -- more
-than ``BULK_PAIRS`` (w, x) pairs, one ``np.add.at`` -- and a probe of more
-than ``BULK_PROBE`` frontier candidates, one argmax over an array.
+call (the gathers) and per group (the reset, and a seed's hub neighbours),
+not per addition (bar a draw's rng call): an addition is int and list work,
+except a hub's -- more than ``BULK_PAIRS`` (w, x) pairs, one ``np.add.at``
+-- and a probe of more than ``BULK_PROBE`` candidates, one array argmax.
 
 **Set order is part of the output.**  The group lists depend on CPython
 3.11's set layout in two places, and ``tests/test_region_goldens.py`` pins
