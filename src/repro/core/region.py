@@ -12,9 +12,9 @@ neighbours, are gathered once per call (Eq. 5 is only read for candidates);
 its numerator is a count per vertex, raised when a neighbour first enters
 N(group); the frontier update reads adj(best) alone.  numpy runs once per
 call (the gathers) and per group (the reset, and a seed's hub neighbours),
-not per addition (bar a draw's rng call): an addition is int and list work,
-except a hub's -- more than ``BULK_PAIRS`` (w, x) pairs, one ``np.add.at``
--- and a probe of more than ``BULK_PROBE`` candidates, one array argmax.
+not per addition (bar a draw's or a sample's rng call): an addition and its
+probe are int and list work, except a hub's addition -- more than
+``BULK_PAIRS`` (w, x) pairs, one ``np.add.at``.
 
 **Set order is part of the output.**  The group lists depend on CPython
 3.11's set layout in two places, and ``tests/test_region_goldens.py`` pins
@@ -44,9 +44,9 @@ from repro.graph.graph import Graph, gather_ranges
 #: step (a uniform sample beyond it), bounding the cost of one addition.
 MAX_PROBE = 96
 
-#: Beyond these sizes an addition's (w, x) pairs, or a probe's frontier, are
-#: one array operation: numpy's overhead per call then costs less than ints.
-BULK_PAIRS, BULK_PROBE = 32, 16
+#: Beyond this many (w, x) pairs an addition is one ``np.add.at``: numpy's
+#: overhead per call then costs less than ints.
+BULK_PAIRS = 32
 
 
 class MemoryEstimator:
@@ -191,16 +191,14 @@ class RegionGrouper:
             while remaining and cost < self._budget:
                 if self._strategy == "random" or not frontier:
                     best = self._draw(remaining)
-                elif len(frontier) <= min(BULK_PROBE, MAX_PROBE):  # the argmax below, as ints
-                    best = max(sorted(frontier), key=lambda x: count[x] / size[x])
                 else:
+                    probe = frontier
                     if len(frontier) > MAX_PROBE:
-                        probe = np.array(list(frontier & remaining))
-                        probe = probe[self._rng.choice(len(probe), size=MAX_PROBE, replace=False)]
-                    else:
-                        probe = np.fromiter(frontier, dtype=np.int64, count=len(frontier))
-                    probe.sort()  # argmax then takes the smallest id of a tie
-                    best = int(probe[(shared[probe] / degree[probe]).argmax()])
+                        pool = list(frontier & remaining)
+                        pick = self._rng.choice(len(pool), size=MAX_PROBE, replace=False)
+                        probe = [pool[k] for k in pick.tolist()]
+                    # Sorted, so a tie goes to the smallest id.
+                    best = max(sorted(probe), key=lambda x: count[x] / size[x])
                 extra = cost_of(best)
                 if cost + extra > self._budget:
                     break
