@@ -34,6 +34,8 @@ from repro.runtime.executor import Executor
 
 #: Default simulated memory budget when the cluster has no explicit cap.
 DEFAULT_BUDGET_BYTES = 256 * 1024 * 1024
+#: Plans an engine keeps (least recently used out): distinct patterns cannot grow it.
+PLAN_MEMO = 256
 
 
 def _process_group_splitting(
@@ -165,7 +167,7 @@ class RADSEngine(EnumerationEngine):
         self._min_groups = max(1, min_groups_per_machine)
         self._seed = seed
         self.last_plan: ExecutionPlan | None = None
-        #: The plan chosen per pattern: a run reuses it, never re-plans.
+        #: The plan chosen per pattern (``PLAN_MEMO`` at most): a run reuses it.
         self._plans: dict[Pattern, ExecutionPlan] = {}
 
     # ------------------------------------------------------------------
@@ -199,9 +201,9 @@ class RADSEngine(EnumerationEngine):
         collect: bool,
         executor: Executor,
     ) -> list[tuple[int, ...]]:
-        plan = self._plans.get(pattern)
-        if plan is None:
-            plan = self._plans[pattern] = self._plan_provider(pattern)
+        plan = self._plans[pattern] = self._plans.pop(pattern, None) or self._plan_provider(pattern)
+        if len(self._plans) > PLAN_MEMO:
+            del self._plans[next(iter(self._plans))]
         self.last_plan = plan
         split = SingleMachineSplit(pattern, plan, constraints)
         results_budget, cache_budget = self._budgets(cluster)

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.cluster import Cluster
+from repro.core import rads
 from repro.core.rads import RADSEngine
 from repro.engines import SingleMachineEngine
-from repro.query import named_patterns, paper_query, random_star_plan
+from repro.query import best_execution_plan, named_patterns, paper_query, random_star_plan
 
 
 QUERIES = ["q1", "q2", "q3", "q4", "q5", "q6", "q7", "q8", "cq1", "cq3"]
@@ -84,6 +85,19 @@ class TestConfigurations:
             er_cluster.fresh_copy(), pattern
         )
         assert set(result.embeddings) == expected
+
+    def test_plans_are_reused_and_bounded(self, er_cluster, monkeypatch):
+        """A repeat reuses its plan; past PLAN_MEMO patterns the least
+        recently run one goes (q2 here, as q1 was run since)."""
+        monkeypatch.setattr(rads, "PLAN_MEMO", 2)
+        planned = []
+        engine = RADSEngine(plan_provider=lambda p: planned.append(p) or best_execution_plan(p))
+        for name in ["q1", "q2", "q1", "q3", "q1", "q2"]:
+            pattern = paper_query(name)
+            result = engine.run(er_cluster.fresh_copy(), pattern)
+            assert set(result.embeddings) == truth_set(er_cluster, pattern)
+        assert planned == [paper_query(name) for name in ["q1", "q2", "q3", "q2"]]
+        assert len(engine._plans) == 2
 
     def test_sme_dominates_on_grid(self, grid_graph):
         """On road-like graphs most of the work happens in SM-E, so the
