@@ -499,17 +499,18 @@ class RMeefWorker:
         row, cand, known_cand = row[keep], cand[keep], known_cand[keep]
         passed = checks = fresh = None
         if deferred is not None and deferred[row].any():
-            # A known candidate settles its deferred edges itself, one check
-            # each up to the first that fails (one call tests all, the count
-            # stops there); an unknown one carries them as undetermined edges.
+            # A known candidate settles its deferred edges itself, one
+            # check each up to the first that fails; an unknown one
+            # carries them all as undetermined edges.
             waits = deferred[row]
             other = others[row]
-            at, j = np.nonzero(waits & known_cand[:, None])
-            bad = ~graph.has_edges(cand[at], other[at, j])
-            first = np.full(len(cand), len(refine))  # first failed position
-            np.minimum.at(first, at[bad], j[bad])
-            passed = first == len(refine)
-            checks = np.bincount(at[j <= first[at]], minlength=len(cand))
+            passed = np.ones(len(cand), dtype=bool)
+            checks = np.zeros(len(cand), dtype=np.int64)
+            for j in range(len(refine)):
+                active = np.flatnonzero(passed & waits[:, j] & known_cand)
+                checks[active] += 1
+                ok = graph.has_edges(cand[active], other[active, j])
+                passed[active[~ok]] = False
             undetermined = waits & ~known_cand[:, None]
             if undetermined.any():
                 mate = cand[:, None]
