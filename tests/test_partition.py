@@ -1,9 +1,29 @@
-"""Tests for partitioners and partition views (border vertices/distances)."""
+"""Tests for partitioners and partition views (border vertices/distances).
+
+``tests/data/partition_goldens.json`` holds the SHA-256 of
+``MetisLikePartitioner``'s owner array per graph x machine count x seed,
+written by the dict-of-lists partitioner and asserted exactly: the owner
+array decides every border, region group and fetch downstream, so a
+rewrite of the partitioner must reproduce it bit for bit.
+``python tests/test_partition.py`` rewrites the file from whatever
+partitioner is checked out; only do that from a commit whose owner arrays
+are the reference.
+"""
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.graph import Graph, erdos_renyi, grid_road_network
+from repro.graph import (
+    Graph,
+    community_graph,
+    erdos_renyi,
+    grid_road_network,
+    powerlaw_cluster,
+)
 from repro.partition import (
     GraphPartition,
     HashPartitioner,
@@ -11,6 +31,80 @@ from repro.partition import (
     edge_cut,
     partition_balance,
 )
+
+
+GOLDENS = Path(__file__).parent / "data" / "partition_goldens.json"
+#: The frozen structure seed of the benchmark's workload graphs.
+WORKLOAD_SEED = 20190801
+
+
+def _with_isolated() -> Graph:
+    """A 12 x 12 grid whose ids are interleaved with 40 isolated vertices."""
+    grid = grid_road_network(12, 12, extra_edge_prob=0.05, seed=6)
+    n = grid.num_vertices + 40
+    spread = np.random.default_rng(7).permutation(n)
+    return Graph.from_edges(n, spread[np.array(list(grid.edges()))])
+
+
+def _two_components() -> Graph:
+    """A road grid and a power-law graph side by side, ids interleaved."""
+    a = grid_road_network(15, 15, extra_edge_prob=0.04, seed=8)
+    b = powerlaw_cluster(180, 3, 0.3, seed=9)
+    n = a.num_vertices + b.num_vertices
+    perm = np.random.default_rng(10).permutation(n)
+    edges = [(u, v) for u, v in a.edges()] + [
+        (u + a.num_vertices, v + a.num_vertices) for u, v in b.edges()
+    ]
+    return Graph.from_edges(n, perm[np.array(edges, dtype=np.int64)])
+
+
+GOLDEN_GRAPHS = {
+    "enum_sparse": lambda: grid_road_network(62, 62, 0.04, seed=WORKLOAD_SEED),
+    "enum_skewed": lambda: powerlaw_cluster(40, 5, 0.30, seed=WORKLOAD_SEED),
+    "sharded_batch": lambda: community_graph(20, 10, 0.6, 2, seed=WORKLOAD_SEED),
+    "served_hot": lambda: powerlaw_cluster(200, 3, 0.30, seed=WORKLOAD_SEED),
+    "stream_delta": lambda: powerlaw_cluster(200, 3, 0.30, seed=WORKLOAD_SEED),
+    "grid16": lambda: grid_road_network(16, 16, 0.05, seed=2),
+    "grid80": lambda: grid_road_network(80, 80, 0.04, seed=4),
+    "plc1600": lambda: powerlaw_cluster(1600, 5, 0.3, seed=5),
+    "er500": lambda: erdos_renyi(500, 0.01, seed=11),
+    "isolated": _with_isolated,
+    "two_components": _two_components,
+    # Twelve levels of one match each (``max_levels``), and no match at all.
+    "star": lambda: Graph.from_edges(300, [(0, v) for v in range(1, 300)]),
+    "edgeless": lambda: Graph.from_edges(250, np.zeros((0, 2), dtype=np.int64)),
+}
+GOLDEN_MACHINES = [1, 2, 4, 10]
+#: Machine counts above the coarsest graph's vertex count (40 and 6 vertices).
+GOLDEN_SURPLUS = {"enum_skewed": 64, "tiny": 8}
+GOLDEN_SEEDS = [0, 3]
+
+
+def _owner_digest(owner: np.ndarray) -> str:
+    return hashlib.sha256(np.asarray(owner, dtype="<i8").tobytes()).hexdigest()
+
+
+def compute_goldens() -> dict:
+    """The owner digest of every golden case."""
+    graphs = {name: make() for name, make in GOLDEN_GRAPHS.items()}
+    graphs["tiny"] = Graph.from_edges(
+        6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
+    )
+    cases = [(name, k) for name in GOLDEN_GRAPHS for k in GOLDEN_MACHINES]
+    cases += list(GOLDEN_SURPLUS.items())
+    out = {}
+    for name, k in cases:
+        for seed in GOLDEN_SEEDS:
+            owner = MetisLikePartitioner(seed=seed).assign(graphs[name], k)
+            out[f"{name}/k{k}/s{seed}"] = _owner_digest(owner)
+    return out
+
+
+def test_owner_arrays_match_the_goldens_bit_for_bit():
+    golden = json.loads(GOLDENS.read_text())
+    got = compute_goldens()
+    assert sorted(got) == sorted(golden)
+    assert [key for key in golden if got[key] != golden[key]] == []
 
 
 @pytest.fixture(scope="module")
@@ -160,3 +254,9 @@ class TestPartitionView:
 
     def test_adjacency_bytes(self, partition):
         assert partition.machine(0).adjacency_bytes() > 0
+
+
+if __name__ == "__main__":
+    records = compute_goldens()
+    GOLDENS.write_text(json.dumps(records, indent=0, sort_keys=True) + "\n")
+    print(f"wrote {len(records)} records to {GOLDENS}")
