@@ -14,11 +14,37 @@ from scratch:
 
 The goal is the contract RADS depends on: balanced parts with strong
 locality, so that most vertices sit far from partition borders.
+
+**Levels are weighted CSR arrays** (:class:`_Level`): row pointers,
+neighbours, edge weights and vertex weights.  Matching, region growing and
+refinement are sequential by nature and run as Python int loops over
+``.tolist()`` copies of those arrays; contraction is whole-array numpy.
+
+**Neighbour order is part of the output.**  Matching takes the first
+heaviest free neighbour, and refinement the first best part, in row order,
+so every row must list its neighbours in the order the reference
+dict-of-dicts code inserted them: a fine edge ``{v, w}`` is seen once, from
+``min(v, w)``, in CSR order, and a coarse row lists its neighbours by the
+first such edge that joined the two coarse vertices.  :func:`_contract`
+reproduces that with a stable ``np.unique`` (first occurrence) and a
+``lexsort`` by (row, first edge).  Together with the same rng calls
+(``permutation`` per level, ``choice`` when seeds run short) and the same
+float ``load`` / ``limit`` arithmetic, the owner array is bit-identical to
+the dict code's (``tests/data/partition_goldens.json``).
+
+**Refinement visits only the boundary.**  A vertex whose neighbours all sit
+in its own part has no move with positive gain, so a pass that skips it is
+the full scan.  A pass starts from the vertices with a neighbour in another
+part, in increasing id order through a min-heap; a vertex that moves pushes
+its later neighbours, the only ones whose visit is still ahead and that may
+just have become boundary.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,102 +52,97 @@ from repro.graph.graph import Graph
 from repro.partition.partitioner import Partitioner
 
 
-class _CoarseGraph:
-    """Weighted graph used internally during coarsening."""
+class _Level(NamedTuple):
+    """One coarsening level as a weighted CSR graph (int64 arrays)."""
 
-    def __init__(
-        self,
-        adjacency: list[dict[int, int]],
-        vertex_weight: np.ndarray,
-    ):
-        self.adjacency = adjacency
-        self.vertex_weight = vertex_weight
+    indptr: np.ndarray
+    indices: np.ndarray
+    edge_weight: np.ndarray
+    vertex_weight: np.ndarray
 
-    @property
-    def num_vertices(self) -> int:
-        return len(self.adjacency)
-
-    @classmethod
-    def from_graph(cls, graph: Graph) -> "_CoarseGraph":
-        adjacency = [
-            {int(w): 1 for w in graph.neighbors(v)} for v in graph.vertices()
-        ]
-        return cls(adjacency, np.ones(graph.num_vertices, dtype=np.int64))
+    def sources(self) -> np.ndarray:
+        """The row of every CSR entry."""
+        n = len(self.vertex_weight)
+        return np.repeat(np.arange(n), np.diff(self.indptr))
 
 
 def _heavy_edge_matching(
-    coarse: _CoarseGraph, rng: np.random.Generator
-) -> tuple[_CoarseGraph, np.ndarray]:
-    """One coarsening level; returns (coarser graph, fine->coarse map)."""
-    n = coarse.num_vertices
-    match = np.full(n, -1, dtype=np.int64)
-    visit_order = rng.permutation(n)
-    for v in visit_order:
-        v = int(v)
+    level: _Level, rng: np.random.Generator
+) -> tuple[_Level, np.ndarray]:
+    """One coarsening level; returns (coarser level, fine->coarse map)."""
+    n = len(level.vertex_weight)
+    ptr, nbr = level.indptr.tolist(), level.indices.tolist()
+    weight = level.edge_weight.tolist()
+    match = [-1] * n
+    for v in rng.permutation(n).tolist():
         if match[v] != -1:
             continue
-        best, best_weight = -1, -1
-        for w, weight in coarse.adjacency[v].items():
-            if match[w] == -1 and weight > best_weight:
-                best, best_weight = w, weight
-        if best == -1:
-            match[v] = v
-        else:
-            match[v] = best
-            match[best] = v
-    coarse_id = np.full(n, -1, dtype=np.int64)
-    next_id = 0
-    for v in range(n):
-        if coarse_id[v] != -1:
-            continue
-        coarse_id[v] = next_id
-        partner = int(match[v])
-        if partner != v:
-            coarse_id[partner] = next_id
-        next_id += 1
-    adjacency: list[dict[int, int]] = [dict() for _ in range(next_id)]
-    weight = np.zeros(next_id, dtype=np.int64)
-    for v in range(n):
-        cv = int(coarse_id[v])
-        weight[cv] += coarse.vertex_weight[v]
-    counted = np.zeros(n, dtype=bool)
-    for v in range(n):
-        cv = int(coarse_id[v])
-        for w, ew in coarse.adjacency[v].items():
-            if counted[w]:
-                continue
-            cw = int(coarse_id[w])
-            if cv == cw:
-                continue
-            adjacency[cv][cw] = adjacency[cv].get(cw, 0) + ew
-            adjacency[cw][cv] = adjacency[cw].get(cv, 0) + ew
-        counted[v] = True
-    # Halve double counting (each edge seen from both endpoints once overall
-    # due to the `counted` mask, so no halving needed).
-    return _CoarseGraph(adjacency, weight), coarse_id
+        best, best_weight = v, -1
+        for j in range(ptr[v], ptr[v + 1]):
+            w = nbr[j]
+            if match[w] == -1 and weight[j] > best_weight:
+                best, best_weight = w, weight[j]
+        match[v] = best
+        match[best] = v
+    # Coarse ids follow the smaller fine id of each pair.
+    _, coarse_id = np.unique(
+        np.minimum(np.arange(n), match), return_inverse=True
+    )
+    return _contract(level, coarse_id), coarse_id
+
+
+def _contract(level: _Level, coarse_id: np.ndarray) -> _Level:
+    """The coarse level of ``coarse_id``, rows in first-edge order."""
+    nc = int(coarse_id.max()) + 1
+    src = level.sources()
+    a, b = coarse_id[src], coarse_id[level.indices]
+    # Each fine edge once, from its smaller end, in CSR order.
+    keep = (src < level.indices) & (a != b)
+    a, b = a[keep], b[keep]
+    keys = np.column_stack([a * nc + b, b * nc + a]).ravel()
+    keys, first, inverse = np.unique(
+        keys, return_index=True, return_inverse=True
+    )
+    weight = np.bincount(inverse, weights=np.repeat(level.edge_weight[keep], 2))
+    row, col = np.divmod(keys, nc)
+    order = np.lexsort((first, row))
+    indptr = np.zeros(nc + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=nc), out=indptr[1:])
+    vertex_weight = np.bincount(
+        coarse_id, weights=level.vertex_weight, minlength=nc
+    )
+    return _Level(
+        indptr, col[order], weight[order].astype(np.int64),
+        vertex_weight.astype(np.int64),
+    )
 
 
 def _initial_partition(
-    coarse: _CoarseGraph, k: int, rng: np.random.Generator
+    level: _Level, k: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Greedy BFS region growing, balanced by vertex weight."""
-    n = coarse.num_vertices
-    total_weight = int(coarse.vertex_weight.sum())
-    target = total_weight / k
-    part = np.full(n, -1, dtype=np.int64)
-    order = sorted(range(n), key=lambda v: -len(coarse.adjacency[v]))
+    n = len(level.vertex_weight)
+    ptr, nbr = level.indptr.tolist(), level.indices.tolist()
+    rows = [nbr[ptr[v]:ptr[v + 1]] for v in range(n)]
+    vw = level.vertex_weight.tolist()
+    target = sum(vw) / k
+    part = [-1] * n
+    # Seeds: by degree, descending, none adjacent to an earlier seed.
     seeds: list[int] = []
-    for v in order:
+    blocked: set[int] = set()
+    for v in np.argsort(-np.diff(level.indptr), kind="stable").tolist():
         if len(seeds) >= k:
             break
-        if all(v not in coarse.adjacency[s] for s in seeds):
+        if v not in blocked:
             seeds.append(v)
+            blocked.update(rows[v])
     while len(seeds) < k:
-        candidates = [v for v in range(n) if v not in seeds]
+        taken = set(seeds)
+        candidates = [v for v in range(n) if v not in taken]
         if not candidates:
             break
         seeds.append(int(rng.choice(candidates)))
-    load = np.zeros(k, dtype=np.float64)
+    load = [0.0] * k
     # Fewer seeds than parts (k exceeds the coarse vertex count): the
     # surplus parts stay empty.
     queues: list[deque[int]] = [deque([s]) for s in seeds] + [
@@ -129,77 +150,82 @@ def _initial_partition(
     ]
     for p, s in enumerate(seeds):
         part[s] = p
-        load[p] += coarse.vertex_weight[s]
+        load[p] += vw[s]
     active = True
     while active:
         active = False
         # Least-loaded part grows first to keep balance.
-        for p in np.argsort(load):
-            p = int(p)
+        for p in np.argsort(load).tolist():
             queue = queues[p]
             grew = False
             while queue and not grew:
                 v = queue.popleft()
-                for w in coarse.adjacency[v]:
+                for w in rows[v]:
                     if part[w] == -1:
                         part[w] = p
-                        load[p] += coarse.vertex_weight[w]
+                        load[p] += vw[w]
                         queue.append(w)
                         grew = True
-                        active = True
                         if load[p] > 1.15 * target:
                             break
                 if grew:
                     queue.appendleft(v)
-        if not active:
-            remaining = np.where(part == -1)[0]
-            if len(remaining) == 0:
-                break
-            # Unreached (disconnected) vertices go to the lightest part.
-            for v in remaining:
-                p = int(np.argmin(load))
-                part[v] = p
-                load[p] += coarse.vertex_weight[v]
-                queues[p].append(int(v))
-            break
-    return part
+            active = active or grew
+    # Unreached (disconnected) vertices go to the lightest part.
+    for v in range(n):
+        if part[v] == -1:
+            p = load.index(min(load))
+            part[v] = p
+            load[p] += vw[v]
+    return np.array(part, dtype=np.int64)
 
 
 def _refine(
-    coarse: _CoarseGraph,
+    level: _Level,
     part: np.ndarray,
     k: int,
     max_imbalance: float,
     passes: int,
 ) -> np.ndarray:
     """Greedy boundary refinement with a balance constraint."""
-    load = np.zeros(k, dtype=np.float64)
-    for v in range(coarse.num_vertices):
-        load[part[v]] += coarse.vertex_weight[v]
-    limit = max_imbalance * coarse.vertex_weight.sum() / k
+    src = level.sources()
+    ptr, nbr = level.indptr.tolist(), level.indices.tolist()
+    ew, vw = level.edge_weight.tolist(), level.vertex_weight.tolist()
+    load = np.bincount(part, weights=level.vertex_weight, minlength=k).tolist()
+    limit = max_imbalance * int(level.vertex_weight.sum()) / k
     for _ in range(passes):
-        moved = 0
-        for v in range(coarse.num_vertices):
-            here = int(part[v])
+        # Sorted, so already a heap.
+        heap = np.unique(src[part[src] != part[level.indices]]).tolist()
+        owner = part.tolist()
+        moved, last = 0, -1
+        while heap:
+            v = heapq.heappop(heap)
+            if v == last:
+                continue
+            last = v
+            here = owner[v]
             weight_to: dict[int, int] = {}
-            for w, ew in coarse.adjacency[v].items():
-                pw = int(part[w])
-                weight_to[pw] = weight_to.get(pw, 0) + ew
+            for j in range(ptr[v], ptr[v + 1]):
+                pw = owner[nbr[j]]
+                if pw in weight_to:
+                    weight_to[pw] += ew[j]
+                else:
+                    weight_to[pw] = ew[j]
             internal = weight_to.get(here, 0)
             best_part, best_gain = here, 0
             for p, external in weight_to.items():
-                if p == here:
-                    continue
                 gain = external - internal
-                vw = coarse.vertex_weight[v]
-                if gain > best_gain and load[p] + vw <= limit:
+                if p != here and gain > best_gain and load[p] + vw[v] <= limit:
                     best_part, best_gain = p, gain
             if best_part != here:
-                vw = coarse.vertex_weight[v]
-                load[here] -= vw
-                load[best_part] += vw
-                part[v] = best_part
+                load[here] -= vw[v]
+                load[best_part] += vw[v]
+                owner[v] = best_part
                 moved += 1
+                for w in nbr[ptr[v]:ptr[v + 1]]:
+                    if w > v:
+                        heapq.heappush(heap, w)
+        part = np.array(owner, dtype=np.int64)
         if moved == 0:
             break
     return part
@@ -228,28 +254,31 @@ class MetisLikePartitioner(Partitioner):
         if num_machines == 1:
             return np.zeros(graph.num_vertices, dtype=np.int64)
         rng = np.random.default_rng(self._seed)
-        levels: list[tuple[_CoarseGraph, np.ndarray]] = []
-        coarse = _CoarseGraph.from_graph(graph)
+        levels: list[tuple[_Level, np.ndarray]] = []
+        level = _Level(
+            graph.indptr, graph.indices,
+            np.ones(len(graph.indices), dtype=np.int64),
+            np.ones(graph.num_vertices, dtype=np.int64),
+        )
         threshold = max(self._coarsen_until, 8 * num_machines)
         while (
-            coarse.num_vertices > threshold
+            len(level.vertex_weight) > threshold
             and len(levels) < self._max_levels
         ):
-            coarser, mapping = _heavy_edge_matching(coarse, rng)
-            if coarser.num_vertices >= coarse.num_vertices:
+            coarser, mapping = _heavy_edge_matching(level, rng)
+            if len(coarser.vertex_weight) >= len(level.vertex_weight):
                 break
-            levels.append((coarse, mapping))
-            coarse = coarser
-        part = _initial_partition(coarse, num_machines, rng)
+            levels.append((level, mapping))
+            level = coarser
+        part = _initial_partition(level, num_machines, rng)
         part = _refine(
-            coarse, part, num_machines, self._max_imbalance,
+            level, part, num_machines, self._max_imbalance,
             self._refinement_passes,
         )
         # Uncoarsen, refining at every level.
         for finer, mapping in reversed(levels):
-            part = part[mapping]
             part = _refine(
-                finer, part, num_machines, self._max_imbalance,
+                finer, part[mapping], num_machines, self._max_imbalance,
                 self._refinement_passes,
             )
-        return part.astype(np.int64)
+        return part

@@ -12,6 +12,7 @@ are the reference.
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,27 @@ class TestMetisLikePartitioner:
     def test_all_machines_used(self, grid):
         owner = MetisLikePartitioner(seed=1).assign(grid, 6)
         assert set(np.unique(owner)) == set(range(6))
+
+    def test_c_calls_per_vertex_are_capped(self):
+        """Levels are CSR arrays walked as int lists: numpy and the builtins
+        are called per level and per boundary move, not per neighbour (the
+        dict-of-dicts levels made 45 C calls per vertex here, the CSR
+        levels about 2.5)."""
+        graph = grid_road_network(60, 60, 0.04, seed=3)
+        calls = 0
+
+        def tick(frame, event, arg):
+            nonlocal calls
+            calls += event == "c_call"
+
+        MetisLikePartitioner().assign(graph, 4)  # warm: imports, dispatch
+        sys.setprofile(tick)
+        try:
+            MetisLikePartitioner().assign(graph, 4)
+        finally:
+            sys.setprofile(None)
+        print(f"{calls / graph.num_vertices:.1f} C calls per vertex")
+        assert calls <= 12 * graph.num_vertices
 
     def test_works_on_random_graph(self):
         g = erdos_renyi(200, 0.05, seed=4)
