@@ -746,7 +746,10 @@ def _port(text: str) -> int:
 
 def _seconds(text: str) -> float:
     """argparse type: a finite, non-negative number of seconds."""
-    value = float(text)  # ValueError: argparse's "invalid ... value"
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(
             f"expected non-negative seconds, got {text!r}"

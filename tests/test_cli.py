@@ -428,4 +428,6 @@ class TestInputChecks:
         with pytest.raises(SystemExit) as excinfo:
             main([*argv, "--port", live_port, "--interval", interval])
         assert excinfo.value.code == 2
-        assert "--interval" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--interval" in err
+        assert f"expected non-negative seconds, got {interval!r}" in err
