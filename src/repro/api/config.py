@@ -227,7 +227,7 @@ class RunConfig:
         from repro.partition.partition import GraphPartition
 
         owner = self.build_partitioner().assign(graph, self.machines)
-        return GraphPartition(graph, owner)
+        return GraphPartition(graph, owner, self.machines)
 
     def make_cluster(self, graph: "Graph", *, partition=None) -> "Cluster":
         """Partition ``graph`` and build the simulated cluster.

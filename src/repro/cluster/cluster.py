@@ -50,7 +50,7 @@ class Cluster:
         partitioner = partitioner or MetisLikePartitioner()
         cost_model = cost_model or CostModel()
         owner = partitioner.assign(graph, num_machines)
-        partition = GraphPartition(graph, owner)
+        partition = GraphPartition(graph, owner, num_machines)
         return cls(partition, cost_model, memory_capacity)
 
     # ------------------------------------------------------------------

@@ -503,7 +503,8 @@ class ShardCoordinator:
         """Bind every live shard to ``cluster``'s partition + cost model."""
         fingerprint, owners = self._bind_payload(cluster)
         key = (
-            fingerprint, owners, cluster.cost_model, cluster.memory_capacity
+            fingerprint, owners, cluster.num_machines, cluster.cost_model,
+            cluster.memory_capacity,
         )
         # Bind payloads packed at most once per sweep, not once per shard
         # — the ownership map is O(|V|) and a shipped graph is the whole
@@ -533,6 +534,7 @@ class ShardCoordinator:
         if data is None:
             data = packed["data"] = protocol.pack({
                 "owner": cluster.partition.owner,
+                "machines": cluster.num_machines,
                 "cost_model": cluster.cost_model,
                 "memory_capacity": cluster.memory_capacity,
             })

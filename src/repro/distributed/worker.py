@@ -186,6 +186,7 @@ class _Connection:
         try:
             payload = protocol.unpack(message["data"])
             owner = payload["owner"]
+            machines = payload["machines"]
             cost_model = payload["cost_model"]
             capacity = payload["memory_capacity"]
             shipped = message.get("graph")
@@ -208,8 +209,8 @@ class _Connection:
                 request_id, f"bind rejected: {exc}"
             )
         # A failure from here on is answered by _loop's backstop.
-        partition = self.worker._partition_for(graph, owner)
-        key = (fingerprint, owner_digest(owner), cost_model, capacity)
+        partition = self.worker._partition_for(graph, owner, machines)
+        key = (fingerprint, owner_digest(owner), machines, cost_model, capacity)
         cluster = self._replicas.get(key)
         if cluster is None:
             cluster = Cluster(partition, cost_model, capacity)
@@ -338,7 +339,7 @@ class ShardWorker(LineDaemon):
         self._announce_thread: threading.Thread | None = None
         self._lock = threading.Lock()
         self._graphs: dict[str, Graph] = {}
-        self._partitions: dict[tuple[str, str], GraphPartition] = {}
+        self._partitions: dict[tuple[str, str, int], GraphPartition] = {}
         self._tasks_served = 0
         self._contexts: set[_Connection] = set()
         if graph is not None:
@@ -511,14 +512,15 @@ class ShardWorker(LineDaemon):
             return shipped, False
 
     def _partition_for(
-        self, graph: Graph, owner: np.ndarray
+        self, graph: Graph, owner: np.ndarray, machines: int
     ) -> GraphPartition:
-        """The worker-local partition for (graph, ownership map), cached."""
-        key = (graph.fingerprint(), owner_digest(owner))
+        """The worker-local partition for (graph, ownership map, machine
+        count), cached."""
+        key = (graph.fingerprint(), owner_digest(owner), machines)
         with self._lock:
             partition = _touch_lru(self._partitions, key)
             if partition is None:
-                partition = GraphPartition(graph, owner)
+                partition = GraphPartition(graph, owner, machines)
                 while len(self._partitions) >= _DAEMON_CACHE_LIMIT:
                     self._partitions.pop(next(iter(self._partitions)))
                 self._partitions[key] = partition

@@ -126,15 +126,21 @@ _FAR = 1 << 30
 
 
 class GraphPartition:
-    """A full partitioning ``{G_1 .. G_m}`` of a data graph."""
+    """A full partitioning ``{G_1 .. G_m}`` of a data graph.
 
-    def __init__(self, graph: Graph, owner: np.ndarray):
+    ``num_machines`` is the configured cluster size: a part the
+    partitioner left empty is still a machine, owning no vertices.
+    """
+
+    def __init__(self, graph: Graph, owner: np.ndarray, num_machines: int):
         owner = np.asarray(owner, dtype=np.int64)
         if len(owner) != graph.num_vertices:
             raise ValueError("owner array length mismatch")
+        if len(owner) and not 0 <= owner.min() <= owner.max() < num_machines:
+            raise ValueError(f"owner ids outside [0, {num_machines})")
         self._graph = graph
         self._owner = owner
-        self._num_machines = int(owner.max()) + 1 if len(owner) else 0
+        self._num_machines = num_machines
         self._machines = [
             MachinePartition(graph, owner, t) for t in range(self._num_machines)
         ]

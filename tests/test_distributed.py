@@ -180,6 +180,24 @@ class TestSocketBackendEquivalence:
             via_socket = session.run()
         assert _stats(via_socket) == _stats(serial)
 
+    def test_an_empty_part_is_still_a_machine(self, shard_pair):
+        """Metis leaves the last of 10 parts of this graph empty; the run
+        still has the configured 10 machines on either backend."""
+        from repro.graph import powerlaw_cluster
+
+        graph = powerlaw_cluster(600, 4, seed=7)
+        session = repro.open(graph).engine("rads").query("q1")
+        assert session.config.make_partition(graph).owner.max() < 9
+        oracle = repro.open(graph).engine("oracle").query("q1").run()
+        serial = session.run()
+        with session.backend(
+            "socket", shards=[_addr(w) for w in shard_pair]
+        ) as remote:
+            via_socket = remote.run()
+        for result in (serial, via_socket):
+            assert len(result.per_machine_time) == 10
+            assert result.embedding_count == oracle.embedding_count
+
     def test_scheduler_fans_out_over_shards(self, er_graph, shard_pair):
         """A served session (QueryScheduler) runs queries on the roster."""
         shards = tuple(_addr(w) for w in shard_pair)
@@ -570,7 +588,7 @@ class TestWorkerDaemon:
                     "op": "bind", "id": 1,
                     "fingerprint": "not-the-real-fingerprint",
                     "data": dproto.pack({
-                        "owner": owner, "cost_model": None,
+                        "owner": owner, "machines": 1, "cost_model": None,
                         "memory_capacity": None,
                     }),
                     "graph": dproto.pack(er_graph),
@@ -607,8 +625,8 @@ class TestWorkerDaemon:
                     "op": "bind", "id": 1,
                     "fingerprint": er_graph.fingerprint(),
                     "data": dproto.pack({
-                        "owner": owner, "cost_model": CostModel(),
-                        "memory_capacity": None,
+                        "owner": owner, "machines": 1,
+                        "cost_model": CostModel(), "memory_capacity": None,
                     }),
                     "graph": dproto.pack(er_graph),
                 })
@@ -624,7 +642,7 @@ class TestWorkerDaemon:
                 # First task of the batch carries ctx ...
                 base = capture_state(
                     Cluster(
-                        worker._partition_for(er_graph, owner),
+                        worker._partition_for(er_graph, owner, 1),
                         CostModel(), None,
                     )
                 )

@@ -26,7 +26,7 @@ class TestEVI:
         graph = Graph.from_edges(
             self.N, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)]
         )
-        partition = GraphPartition(graph, np.array([0, 1, 1, 2, 2]))
+        partition = GraphPartition(graph, np.array([0, 1, 1, 2, 2]), 3)
         cluster = Cluster(partition, CostModel(), None)
         pattern = triangle()
         # No symmetry breaking: both orientations of every pair show up.

@@ -186,8 +186,10 @@ class TestMoreMachinesThanVertices:
             6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
         )
         config = repro.RunConfig(machines=8, partitioner=partitioner)
-        owner = config.make_partition(graph).owner
+        partition = config.make_partition(graph)
+        owner = partition.owner
         assert len(owner) == 6 and 0 <= owner.min() and owner.max() < 8
+        assert partition.num_machines == len(partition.machines()) == 8
         result = (
             repro.open(graph).with_config(config)
             .engine("rads").query("triangle").run()
@@ -199,7 +201,7 @@ class TestPartitionView:
     @pytest.fixture()
     def partition(self, grid):
         owner = MetisLikePartitioner(seed=0).assign(grid, 4)
-        return GraphPartition(grid, owner)
+        return GraphPartition(grid, owner, 4)
 
     def test_ownership_partition(self, partition, grid):
         counts = sum(

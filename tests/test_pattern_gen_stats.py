@@ -84,7 +84,7 @@ class TestPartitionStats:
 
     def test_report_fields(self, grid):
         owner = MetisLikePartitioner(seed=0).assign(grid, 4)
-        report = partition_report(GraphPartition(grid, owner))
+        report = partition_report(GraphPartition(grid, owner, 4))
         assert report.num_machines == 4
         assert 0 <= report.edge_cut_fraction <= 1
         assert 0 <= report.border_fraction <= 1
@@ -92,10 +92,10 @@ class TestPartitionStats:
 
     def test_metis_beats_hash_on_every_measure(self, grid):
         metis = partition_report(
-            GraphPartition(grid, MetisLikePartitioner(seed=0).assign(grid, 4))
+            GraphPartition(grid, MetisLikePartitioner(seed=0).assign(grid, 4), 4)
         )
         hashed = partition_report(
-            GraphPartition(grid, HashPartitioner(seed=0).assign(grid, 4))
+            GraphPartition(grid, HashPartitioner(seed=0).assign(grid, 4), 4)
         )
         assert metis.edge_cut < hashed.edge_cut
         assert metis.border_fraction < hashed.border_fraction
@@ -104,17 +104,17 @@ class TestPartitionStats:
     def test_sme_share_higher_with_locality(self, grid):
         pattern = paper_query("q1")
         metis = sme_share(
-            GraphPartition(grid, MetisLikePartitioner(seed=0).assign(grid, 4)),
+            GraphPartition(grid, MetisLikePartitioner(seed=0).assign(grid, 4), 4),
             pattern,
         )
         hashed = sme_share(
-            GraphPartition(grid, HashPartitioner(seed=0).assign(grid, 4)),
+            GraphPartition(grid, HashPartitioner(seed=0).assign(grid, 4), 4),
             pattern,
         )
         assert metis > hashed
 
     def test_sme_share_single_machine_is_total(self, grid):
         partition = GraphPartition(
-            grid, MetisLikePartitioner().assign(grid, 1)
+            grid, MetisLikePartitioner().assign(grid, 1), 1
         )
         assert sme_share(partition, paper_query("q4")) == 1.0
