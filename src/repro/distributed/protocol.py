@@ -1,4 +1,4 @@
-"""Coordinator <-> shard-worker wire protocol (version 2).
+"""Coordinator <-> shard-worker wire protocol (version 3).
 
 JSON lines, as on the query service (:mod:`repro.service.protocol`: one
 UTF-8 JSON object per line, versioned hello on connect), so ``nc`` can
@@ -47,7 +47,7 @@ __all__ = [
 
 #: Bumped on incompatible wire changes; echoed in the worker hello and
 #: checked by the coordinator before any bind.
-WORKER_PROTOCOL_VERSION = 2
+WORKER_PROTOCOL_VERSION = 3
 
 #: Operations a shard worker dispatches on.
 WORKER_OPS = ("bind", "task", "ping", "stats", "shutdown", "auth")

@@ -444,7 +444,7 @@ class TestHandshake:
         try:
             with pytest.raises(
                 DistributedError,
-                match="version mismatch.*worker speaks 1, coordinator 2",
+                match="version mismatch.*worker speaks 1, coordinator 3",
             ):
                 ShardCoordinator(
                     [listener.getsockname()], heartbeat_interval=None
@@ -453,16 +453,16 @@ class TestHandshake:
             listener.close()
 
     def test_version_1_coordinator_refuses_this_worker(self, monkeypatch):
-        """... and the other way round: the hello says 2, which is all a
+        """... and the other way round: the hello says 3, which is all a
         version 1 coordinator reads before it gives up."""
         with ShardWorker() as worker:
             hello = worker._hello()
-            assert hello["version"] == 2
+            assert hello["version"] == 3
             monkeypatch.setattr(worker, "_hello", lambda: hello)
             monkeypatch.setattr(dproto, "WORKER_PROTOCOL_VERSION", 1)
             with pytest.raises(
                 DistributedError,
-                match="version mismatch.*worker speaks 2, coordinator 1",
+                match="version mismatch.*worker speaks 3, coordinator 1",
             ):
                 ShardCoordinator([worker.address], heartbeat_interval=None)
 

@@ -257,7 +257,7 @@ class TestOneWorkerMode:
             thread.join(10)
         assert hello == (
             b'{"graphs": ["%s"], "kind": "hello", "ok": true, "pid": %d, '
-            b'"role": "shard-worker", "version": 2, "workers": 0}\n' % ids
+            b'"role": "shard-worker", "version": 3, "workers": 0}\n' % ids
         )
         assert stats == (
             b'{"id": 2, "kind": "stats", "ok": true, "result": '
