@@ -160,9 +160,6 @@ class _Batch:
             return self.pool.popleft()
         return None
 
-    def has_work(self, name: str) -> bool:
-        return bool(self.shares[name] or self.pool)
-
 
 class ShardCoordinator:
     """Manages the worker roster and dispatches task batches.
@@ -502,10 +499,8 @@ class ShardCoordinator:
     def _ensure_bound(self, cluster: "Cluster") -> None:
         """Bind every live shard to ``cluster``'s partition + cost model."""
         fingerprint, owners = self._bind_payload(cluster)
-        key = (
-            fingerprint, owners, cluster.num_machines, cluster.cost_model,
-            cluster.memory_capacity,
-        )
+        key = (fingerprint, owners, cluster.num_machines, cluster.cost_model,
+               cluster.memory_capacity)
         # Bind payloads packed at most once per sweep, not once per shard
         # — the ownership map is O(|V|) and a shipped graph is the whole
         # CSR.  Scoped to this call so the coordinator never retains a

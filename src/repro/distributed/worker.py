@@ -514,8 +514,7 @@ class ShardWorker(LineDaemon):
     def _partition_for(
         self, graph: Graph, owner: np.ndarray, machines: int
     ) -> GraphPartition:
-        """The worker-local partition for (graph, ownership map, machine
-        count), cached."""
+        """The worker-local partition for (graph, owner, machines), cached."""
         key = (graph.fingerprint(), owner_digest(owner), machines)
         with self._lock:
             partition = _touch_lru(self._partitions, key)

@@ -2,42 +2,35 @@
 
 The paper partitions each data graph with METIS' multilevel k-way algorithm.
 METIS is not available offline, so this module implements the same scheme
-from scratch:
-
-1. **Coarsening** — repeated heavy-edge matching collapses the graph until
-   it is small.
-2. **Initial partitioning** — greedy BFS region growing over the coarsest
-   graph, balanced by (coarse) vertex weight.
-3. **Uncoarsening + refinement** — projected back level by level; boundary
-   vertices are greedily moved to the neighbouring part with maximal gain
-   subject to a balance constraint (a lightweight Kernighan-Lin/FM pass).
-
+from scratch: **coarsening** by repeated heavy-edge matching until the graph
+is small; **initial partitioning** by greedy BFS region growing over the
+coarsest graph, balanced by (coarse) vertex weight; **uncoarsening** level by
+level, where boundary vertices move greedily to the neighbouring part with
+maximal gain subject to a balance constraint (a lightweight KL/FM pass).
 The goal is the contract RADS depends on: balanced parts with strong
 locality, so that most vertices sit far from partition borders.
 
-**Levels are weighted CSR arrays** (:class:`_Level`): row pointers,
-neighbours, edge weights and vertex weights.  Matching, region growing and
-refinement are sequential by nature and run as Python int loops over
-``.tolist()`` copies of those arrays; contraction is whole-array numpy.
+Every level is a weighted CSR graph (:class:`_Level`).  Matching, region
+growing and refinement are sequential loops over ``.tolist()`` copies of its
+arrays; contraction is whole-array numpy.
 
-**Neighbour order is part of the output.**  Matching takes the first
-heaviest free neighbour, and refinement the first best part, in row order,
-so every row must list its neighbours in the order the reference
-dict-of-dicts code inserted them: a fine edge ``{v, w}`` is seen once, from
-``min(v, w)``, in CSR order, and a coarse row lists its neighbours by the
-first such edge that joined the two coarse vertices.  :func:`_contract`
-reproduces that with a stable ``np.unique`` (first occurrence) and a
-``lexsort`` by (row, first edge).  Together with the same rng calls
+**Neighbour order is part of the output**: matching takes the first heaviest
+free neighbour and refinement the first best part, in row order.  A fine
+edge ``{v, w}`` is seen once, from ``min(v, w)``, in CSR order, and a coarse
+row lists its neighbours by the first such edge that joined the two coarse
+vertices (the insertion order of the dict-of-dicts levels this replaced).
+:func:`_contract` keeps it with a stable ``np.unique`` (first occurrence)
+and a ``lexsort`` by (row, first edge).  With the same rng calls
 (``permutation`` per level, ``choice`` when seeds run short) and the same
-float ``load`` / ``limit`` arithmetic, the owner array is bit-identical to
-the dict code's (``tests/data/partition_goldens.json``).
+float ``load`` / ``limit`` arithmetic, the owner array is the dict code's
+bit for bit (``tests/data/partition_goldens.json``).
 
-**Refinement visits only the boundary.**  A vertex whose neighbours all sit
-in its own part has no move with positive gain, so a pass that skips it is
-the full scan.  A pass starts from the vertices with a neighbour in another
-part, in increasing id order through a min-heap; a vertex that moves pushes
-its later neighbours, the only ones whose visit is still ahead and that may
-just have become boundary.
+**Refinement visits only the boundary, and that is exact**: a vertex whose
+neighbours all sit in its own part has no move with positive gain, so a
+pass that skips it equals the full scan.  A pass pops, in increasing id
+order from a min-heap, the vertices with a neighbour in another part; a
+vertex that moves pushes its later neighbours, the only ones still ahead in
+the pass that may just have become boundary.
 """
 
 from __future__ import annotations
@@ -62,8 +55,7 @@ class _Level(NamedTuple):
 
     def sources(self) -> np.ndarray:
         """The row of every CSR entry."""
-        n = len(self.vertex_weight)
-        return np.repeat(np.arange(n), np.diff(self.indptr))
+        return np.repeat(np.arange(len(self.vertex_weight)), np.diff(self.indptr))
 
 
 def _heavy_edge_matching(
@@ -85,9 +77,7 @@ def _heavy_edge_matching(
         match[v] = best
         match[best] = v
     # Coarse ids follow the smaller fine id of each pair.
-    _, coarse_id = np.unique(
-        np.minimum(np.arange(n), match), return_inverse=True
-    )
+    _, coarse_id = np.unique(np.minimum(np.arange(n), match), return_inverse=True)
     return _contract(level, coarse_id), coarse_id
 
 
@@ -100,20 +90,15 @@ def _contract(level: _Level, coarse_id: np.ndarray) -> _Level:
     keep = (src < level.indices) & (a != b)
     a, b = a[keep], b[keep]
     keys = np.column_stack([a * nc + b, b * nc + a]).ravel()
-    keys, first, inverse = np.unique(
-        keys, return_index=True, return_inverse=True
-    )
+    keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     weight = np.bincount(inverse, weights=np.repeat(level.edge_weight[keep], 2))
     row, col = np.divmod(keys, nc)
     order = np.lexsort((first, row))
     indptr = np.zeros(nc + 1, dtype=np.int64)
     np.cumsum(np.bincount(row, minlength=nc), out=indptr[1:])
-    vertex_weight = np.bincount(
-        coarse_id, weights=level.vertex_weight, minlength=nc
-    )
+    vertex_weight = np.bincount(coarse_id, weights=level.vertex_weight, minlength=nc)
     return _Level(
-        indptr, col[order], weight[order].astype(np.int64),
-        vertex_weight.astype(np.int64),
+        indptr, col[order], weight[order].astype(np.int64), vertex_weight.astype(np.int64)
     )
 
 
@@ -145,9 +130,7 @@ def _initial_partition(
     load = [0.0] * k
     # Fewer seeds than parts (k exceeds the coarse vertex count): the
     # surplus parts stay empty.
-    queues: list[deque[int]] = [deque([s]) for s in seeds] + [
-        deque() for _ in range(k - len(seeds))
-    ]
+    queues = [deque([s]) for s in seeds] + [deque() for _ in range(k - len(seeds))]
     for p, s in enumerate(seeds):
         part[s] = p
         load[p] += vw[s]
@@ -181,11 +164,7 @@ def _initial_partition(
 
 
 def _refine(
-    level: _Level,
-    part: np.ndarray,
-    k: int,
-    max_imbalance: float,
-    passes: int,
+    level: _Level, part: np.ndarray, k: int, max_imbalance: float, passes: int
 ) -> np.ndarray:
     """Greedy boundary refinement with a balance constraint."""
     src = level.sources()
@@ -194,7 +173,7 @@ def _refine(
     load = np.bincount(part, weights=level.vertex_weight, minlength=k).tolist()
     limit = max_imbalance * int(level.vertex_weight.sum()) / k
     for _ in range(passes):
-        # Sorted, so already a heap.
+        # The boundary, sorted, so already a heap.
         heap = np.unique(src[part[src] != part[level.indices]]).tolist()
         owner = part.tolist()
         moved, last = 0, -1
@@ -202,15 +181,11 @@ def _refine(
             v = heapq.heappop(heap)
             if v == last:
                 continue
-            last = v
-            here = owner[v]
+            last, here = v, owner[v]
             weight_to: dict[int, int] = {}
             for j in range(ptr[v], ptr[v + 1]):
                 pw = owner[nbr[j]]
-                if pw in weight_to:
-                    weight_to[pw] += ew[j]
-                else:
-                    weight_to[pw] = ew[j]
+                weight_to[pw] = weight_to[pw] + ew[j] if pw in weight_to else ew[j]
             internal = weight_to.get(here, 0)
             best_part, best_gain = here, 0
             for p, external in weight_to.items():
@@ -255,30 +230,18 @@ class MetisLikePartitioner(Partitioner):
             return np.zeros(graph.num_vertices, dtype=np.int64)
         rng = np.random.default_rng(self._seed)
         levels: list[tuple[_Level, np.ndarray]] = []
-        level = _Level(
-            graph.indptr, graph.indices,
-            np.ones(len(graph.indices), dtype=np.int64),
-            np.ones(graph.num_vertices, dtype=np.int64),
-        )
+        ones = np.ones(len(graph.indices), dtype=np.int64)
+        level = _Level(graph.indptr, graph.indices, ones, np.ones(graph.num_vertices, dtype=np.int64))
         threshold = max(self._coarsen_until, 8 * num_machines)
-        while (
-            len(level.vertex_weight) > threshold
-            and len(levels) < self._max_levels
-        ):
+        while len(level.vertex_weight) > threshold and len(levels) < self._max_levels:
             coarser, mapping = _heavy_edge_matching(level, rng)
             if len(coarser.vertex_weight) >= len(level.vertex_weight):
                 break
             levels.append((level, mapping))
             level = coarser
-        part = _initial_partition(level, num_machines, rng)
-        part = _refine(
-            level, part, num_machines, self._max_imbalance,
-            self._refinement_passes,
-        )
+        refine = (num_machines, self._max_imbalance, self._refinement_passes)
+        part = _refine(level, _initial_partition(level, num_machines, rng), *refine)
         # Uncoarsen, refining at every level.
         for finer, mapping in reversed(levels):
-            part = _refine(
-                finer, part[mapping], num_machines, self._max_imbalance,
-                self._refinement_passes,
-            )
+            part = _refine(finer, part[mapping], *refine)
         return part

@@ -126,11 +126,8 @@ _FAR = 1 << 30
 
 
 class GraphPartition:
-    """A full partitioning ``{G_1 .. G_m}`` of a data graph.
-
-    ``num_machines`` is the configured cluster size: a part the
-    partitioner left empty is still a machine, owning no vertices.
-    """
+    """A full partitioning ``{G_1 .. G_m}`` of a data graph; a part the
+    partitioner left empty is still one of the ``num_machines`` machines."""
 
     def __init__(self, graph: Graph, owner: np.ndarray, num_machines: int):
         owner = np.asarray(owner, dtype=np.int64)
