@@ -203,6 +203,10 @@ class TestPartitionView:
         owner = MetisLikePartitioner(seed=0).assign(grid, 4)
         return GraphPartition(grid, owner, 4)
 
+    def test_owner_ids_must_fit_the_machine_count(self, partition, grid):
+        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+            GraphPartition(grid, partition.owner, 3)
+
     def test_ownership_partition(self, partition, grid):
         counts = sum(
             len(partition.machine(t).owned_vertices) for t in range(4)
