@@ -18,11 +18,11 @@ arrays; contraction is whole-array numpy.
 free neighbour and refinement the first best part, in row order.  A fine
 edge ``{v, w}`` is seen once, from ``min(v, w)``, in CSR order, and a coarse
 row lists its neighbours by the first such edge that joined the two coarse
-vertices (the insertion order of the dict-of-dicts levels this replaced).
+vertices (the insertion order of the list-of-dicts levels this replaced).
 :func:`_contract` keeps it with a stable ``np.unique`` (first occurrence)
 and a ``lexsort`` by (row, first edge).  With the same rng calls
 (``permutation`` per level, ``choice`` when seeds run short) and the same
-float ``load`` / ``limit`` arithmetic, the owner array is the dict code's
+float ``load`` / ``limit`` arithmetic, the owner array is that code's
 bit for bit (``tests/data/partition_goldens.json``).
 
 **Refinement visits only the boundary, and that is exact**: a vertex whose

@@ -2,7 +2,7 @@
 
 ``tests/data/partition_goldens.json`` holds the SHA-256 of
 ``MetisLikePartitioner``'s owner array per graph x machine count x seed,
-written by the dict-of-lists partitioner and asserted exactly: the owner
+written by the list-of-dicts partitioner and asserted exactly: the owner
 array decides every border, region group and fetch downstream, so a
 rewrite of the partitioner must reproduce it bit for bit.
 ``python tests/test_partition.py`` rewrites the file from whatever
@@ -148,7 +148,7 @@ class TestMetisLikePartitioner:
     def test_c_calls_per_vertex_are_capped(self):
         """Levels are CSR arrays walked as int lists: numpy and the builtins
         are called per level and per boundary move, not per neighbour (the
-        dict-of-dicts levels made 45 C calls per vertex here, the CSR
+        list-of-dicts levels made 45 C calls per vertex here, the CSR
         levels about 2.5)."""
         graph = grid_road_network(60, 60, 0.04, seed=3)
         calls = 0
