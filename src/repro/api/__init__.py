@@ -39,13 +39,10 @@ from repro.api.registry import (
 from repro.api.results import (
     STORE_READ_KINDS,
     append_record_jsonl,
-    grid_results,
     read_records_jsonl,
     read_results_jsonl,
     record_from_dict,
     record_to_dict,
-    result_from_json,
-    result_to_json,
     write_results_jsonl,
 )
 from repro.api.session import (
@@ -85,7 +82,6 @@ __all__ = [
     "append_record_jsonl",
     "default_registry",
     "explain_query",
-    "grid_results",
     "load_graph",
     "open",
     "open_session",
@@ -98,7 +94,5 @@ __all__ = [
     "register_engine",
     "resolve_pattern",
     "resolve_query",
-    "result_from_json",
-    "result_to_json",
     "write_results_jsonl",
 ]

@@ -313,54 +313,3 @@ class RunConfig:
             "collect": self.collect,
             "limit": self.limit,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunConfig":
-        """Rebuild a config from its :meth:`to_dict` form (re-validated).
-
-        Inverts everything ``to_dict`` keeps losslessly.  Fields that
-        were reduced to type names can only round-trip when they name a
-        reconstructible value: the partitioner must be one of
-        :data:`PARTITIONER_NAMES` and the cost model must be ``None``
-        (a custom instance cannot be rebuilt from its class name alone —
-        pass the instance to :class:`RunConfig` directly instead).
-        Unknown keys raise :class:`ConfigError` naming them, so a
-        mistyped field fails loudly instead of silently defaulting.
-        """
-        record = dict(data)
-        unknown = sorted(
-            set(record) - {f.name for f in dataclasses.fields(cls)}
-        )
-        if unknown:
-            raise ConfigError(
-                f"unknown RunConfig fields: {', '.join(unknown)}"
-            )
-        if record.get("cost_model") is not None:
-            raise ConfigError(
-                f"cost_model {record['cost_model']!r} cannot be rebuilt "
-                f"from its type name; construct RunConfig with the "
-                f"instance instead"
-            )
-        partitioner = record.get("partitioner", "metis")
-        if not isinstance(partitioner, str) or (
-            partitioner not in PARTITIONER_NAMES
-        ):
-            raise ConfigError(
-                f"partitioner {partitioner!r} cannot be rebuilt from a "
-                f"dict; choose from {', '.join(PARTITIONER_NAMES)}"
-            )
-        if record.get("stragglers") is not None:
-            # JSON object keys are strings; machine ids are ints.
-            try:
-                record["stragglers"] = {
-                    int(machine): factor
-                    for machine, factor in record["stragglers"].items()
-                }
-            except (TypeError, ValueError, AttributeError) as exc:
-                raise ConfigError(
-                    f"stragglers must map machine ids to factors, "
-                    f"got {record['stragglers']!r}"
-                ) from exc
-        if record.get("shards") is not None:
-            record["shards"] = tuple(record["shards"])
-        return cls(**record)

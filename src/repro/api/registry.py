@@ -182,10 +182,6 @@ class EngineRegistry:
                 raise UnknownEngineError(str(name), self)
             return self._specs[canonical]
 
-    def __contains__(self, name: object) -> bool:
-        with self._lock:
-            return str(name).lower() in self._lookup
-
     def __iter__(self) -> Iterator[EngineSpec]:
         # Iterate a snapshot so concurrent registration cannot blow up a
         # caller mid-loop (dict mutation during iteration).

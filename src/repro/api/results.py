@@ -18,23 +18,12 @@ from typing import TYPE_CHECKING, Any, Iterable
 from repro.engines.base import RunResult
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.bench.harness import GridResult
     from repro.query.explain import QueryExplanation
     from repro.streaming.records import DeltaRecord
 
     #: Records these helpers read and write (a real alias so checkers
     #: and get_type_hints can resolve the annotations below).
     Record = RunResult | QueryExplanation | DeltaRecord
-
-
-def result_to_json(result: RunResult, *, indent: int | None = None) -> str:
-    """One RunResult as a JSON document."""
-    return json.dumps(result.to_dict(), indent=indent, sort_keys=True)
-
-
-def result_from_json(document: str) -> RunResult:
-    """Inverse of :func:`result_to_json`."""
-    return RunResult.from_dict(json.loads(document))
 
 
 def record_to_dict(record: "Record | dict[str, Any]") -> dict[str, Any]:
@@ -145,8 +134,3 @@ def _read_dicts_jsonl(path: str | Path) -> list[dict[str, Any]]:
             if line:
                 records.append(json.loads(line))
     return records
-
-
-def grid_results(grid: "GridResult") -> list[RunResult]:
-    """A GridResult's runs flattened in (engine, query) insertion order."""
-    return list(grid.results.values())

@@ -221,11 +221,6 @@ class Session:
         return self._graph
 
     @property
-    def labeled_graph(self) -> "LabeledGraph | None":
-        """The labeled data graph, when the session was opened with one."""
-        return self._labeled_graph
-
-    @property
     def config(self) -> RunConfig:
         """The active run configuration."""
         return self._config
@@ -348,11 +343,6 @@ class Session:
             else:
                 self._store = EmbeddingStore(store)
         return self
-
-    @property
-    def store(self) -> "EmbeddingStore | None":
-        """The attached embedding store, when :meth:`with_store` was used."""
-        return self._store
 
     # -- engine / query selection --------------------------------------
     def engine(self, name: str, **engine_kwargs: Any) -> "Session":
@@ -856,16 +846,3 @@ class Session:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = [
-            f"graph={self._graph!r}",
-            f"machines={self._config.machines}",
-        ]
-        if self._config.memory_mb is not None:
-            parts.append(f"memory_mb={self._config.memory_mb}")
-        if self._engine_name:
-            parts.append(f"engine={self._engine_name!r}")
-        if self._pattern is not None:
-            parts.append(f"query={self._pattern.name!r}")
-        return f"Session({', '.join(parts)})"

@@ -1,8 +1,7 @@
 """Experiment definitions: one function per paper table/figure.
 
-Each function returns plain data (rows / GridResult) so the pytest-benchmark
-wrappers in ``benchmarks/`` and the EXPERIMENTS.md generator share one
-implementation.
+Each function returns plain data (rows / GridResult) for the pytest-benchmark
+wrappers in ``benchmarks/``.
 """
 
 from __future__ import annotations

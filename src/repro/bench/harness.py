@@ -160,10 +160,3 @@ def format_comm_table(grid: GridResult) -> str:
     return _format_table(
         grid, lambda r: r.comm_mb, "Communication cost", "MB"
     )
-
-
-def format_count_table(grid: GridResult) -> str:
-    """Embedding counts (sanity companion to the paper figures)."""
-    return _format_table(
-        grid, lambda r: float(r.embedding_count), "Embeddings", "count"
-    )

@@ -73,24 +73,3 @@ def grouped_bar_chart(
             bar = glyph * _scaled(metric(result), limit, width, log)
             lines.append(f"  {e:<9}|{bar} {metric(result):.4g}")
     return "\n".join(lines)
-
-
-def comparison_chart(
-    labels: list[str],
-    values: dict[str, list[float]],
-    title: str,
-    width: int = 40,
-) -> str:
-    """Simple multi-series bar chart (used for scalability ratios)."""
-    series = list(values)
-    flat = [v for vs in values.values() for v in vs]
-    limit = max(flat) if flat else 1.0
-    lines = [f"{title} (max={limit:.4g})"]
-    for j, label in enumerate(labels):
-        lines.append(f"{label}:")
-        for i, name in enumerate(series):
-            glyph = BAR_GLYPHS[i % len(BAR_GLYPHS)]
-            value = values[name][j]
-            bar = glyph * _scaled(value, limit, width, log=False)
-            lines.append(f"  {name:<9}|{bar} {value:.3g}")
-    return "\n".join(lines)

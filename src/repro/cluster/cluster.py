@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cluster.costmodel import CostModel
 from repro.cluster.machine import Machine
 from repro.cluster.network import Network
@@ -86,12 +84,6 @@ class Cluster:
         """Largest per-machine peak memory."""
         return max((m.peak_memory for m in self.machines), default=0)
 
-    def reset(self) -> None:
-        """Clear clocks/memory/network stats (reuse across experiments)."""
-        for machine in self.machines:
-            machine.reset()
-        self.network = Network(self.num_machines, self.cost_model)
-
     def set_speed_factor(self, machine_id: int, factor: float) -> None:
         """Scale one machine's CPU rate (below 1 makes it a straggler)."""
         if factor <= 0:
@@ -108,9 +100,3 @@ class Cluster:
         for mine, theirs in zip(self.machines, copy.machines):
             theirs.speed_factor = mine.speed_factor
         return copy
-
-    def owner_counts(self) -> np.ndarray:
-        """Vertices owned per machine."""
-        return np.bincount(
-            self.partition.owner, minlength=self.num_machines
-        )

@@ -111,11 +111,3 @@ class Machine:
     def free(self, nbytes: int) -> None:
         """Release simulated memory."""
         self.memory_used = max(0, self.memory_used - nbytes)
-
-    def reset(self) -> None:
-        """Zero clocks, memory and counters (new experiment)."""
-        self.clock = 0.0
-        self.daemon_clock = 0.0
-        self.memory_used = 0
-        self.peak_memory = 0
-        self.counters.clear()

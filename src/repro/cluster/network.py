@@ -33,13 +33,6 @@ class Network:
         """All bytes that crossed machine boundaries."""
         return int(self.bytes_sent.sum())
 
-    def machine_bytes(self, machine_id: int) -> int:
-        """Bytes sent or received by one machine."""
-        return int(
-            self.bytes_sent[machine_id, :].sum()
-            + self.bytes_sent[:, machine_id].sum()
-        )
-
     def record(self, src: int, dst: int, nbytes: int) -> None:
         """Account a one-way payload."""
         self.bytes_sent[src, dst] += nbytes

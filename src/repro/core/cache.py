@@ -24,12 +24,6 @@ class ForeignVertexCache:
         self.bytes_used = 0
         self.evictions = 0
 
-    def __contains__(self, v: int) -> bool:
-        return v in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def vertices(self) -> list[int]:
         """The cached vertices, oldest first."""
         return list(self._entries)
@@ -38,10 +32,6 @@ class ForeignVertexCache:
     def entry_bytes(adjacency: np.ndarray) -> int:
         """Simulated footprint of one cached adjacency list."""
         return (len(adjacency) + 1) * 8
-
-    def peek(self, v: int) -> np.ndarray | None:
-        """Cached adjacency of ``v`` or None."""
-        return self._entries.get(v)
 
     def make_room(self, nbytes: int) -> list[int]:
         """Evict oldest entries until ``nbytes`` more fit the budget.
@@ -69,10 +59,3 @@ class ForeignVertexCache:
         self._entries[v] = adjacency
         self.bytes_used += self.entry_bytes(adjacency)
         return evicted
-
-    def clear(self) -> int:
-        """Drop everything; returns bytes released."""
-        released = self.bytes_used
-        self._entries.clear()
-        self.bytes_used = 0
-        return released

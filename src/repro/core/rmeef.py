@@ -86,8 +86,9 @@ ends at such a miss, so every chunk sees one mask and the same block code
 serves a one-entry cache.
 
 Region groups are independent units of work: the serial backend interleaves
-workers by virtual clock, the process backend (:mod:`repro.runtime`) drains
-one machine's queue per OS process; the per-group computation is identical.
+workers by virtual clock, the process and socket backends
+(:mod:`repro.distributed`) run one machine's queue per task on a shard
+worker; the per-group computation is identical.
 """
 
 from __future__ import annotations

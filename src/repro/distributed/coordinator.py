@@ -50,6 +50,12 @@ __all__ = ["DistributedError", "ShardCoordinator"]
 RESUBMITS = "distributed.resubmits"
 LOST_WORKERS = "distributed.lost_workers"
 
+#: Per-shard in-flight task cap (the pipelining depth).
+WINDOW = 4
+#: Seconds a batch waits for a replacement worker to announce after the
+#: whole roster is lost (registry mode only).
+REJOIN_TIMEOUT = 10.0
+
 
 class _Shard:
     """One worker connection: socket, streams, liveness, bind state."""
@@ -169,19 +175,11 @@ class ShardCoordinator:
     shards:
         Worker addresses — ``(host, port)`` tuples, ``"host:port"``
         strings, or bare port numbers (localhost).
-    window:
-        Per-shard in-flight task cap (pipelining depth).
     connect_timeout:
         Seconds allowed for TCP connect + handshake per worker.
     task_timeout:
         Seconds to wait for any single response before declaring the
         shard *hung* and resubmitting its work (``None`` = trust EOF).
-    ship_graph:
-        Ship the data graph to workers that do not hold it (cached by
-        fingerprint, so each worker receives it at most once).  With
-        ``False`` a worker lacking the graph is a handshake rejection:
-        :class:`DistributedError` naming the expected and held
-        fingerprints.
     heartbeat_interval:
         Seconds between background pings of idle workers (``None`` = no
         heartbeat thread); a worker that fails a ping leaves the roster.
@@ -194,10 +192,6 @@ class ShardCoordinator:
         With a registry ``shards`` may be empty and an unreachable
         initial roster is not fatal — the coordinator waits for
         announcements instead.
-    rejoin_timeout:
-        Seconds :meth:`run_batch` waits for a replacement worker to
-        announce after the whole roster is lost (registry mode only)
-        before giving up with :class:`DistributedError`.
     authkey:
         The key of workers started with one, proved on every connection.
     """
@@ -206,25 +200,17 @@ class ShardCoordinator:
         self,
         shards: Sequence["tuple[str, int] | str | int"],
         *,
-        window: int = 4,
         connect_timeout: float = 10.0,
         task_timeout: float | None = 600.0,
-        ship_graph: bool = True,
         heartbeat_interval: float | None = None,
         registry: "ShardRegistry | None" = None,
-        rejoin_timeout: float = 10.0,
         authkey: bytes | None = None,
     ):
         if not shards and registry is None:
             raise DistributedError("the shard roster is empty")
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.window = window
         self.connect_timeout = connect_timeout
         self.task_timeout = task_timeout
-        self.ship_graph = ship_graph
         self.registry = registry
-        self.rejoin_timeout = rejoin_timeout
         self.authkey = authkey
         self._shards = [_Shard(protocol.parse_address(a)) for a in shards]
         self._counters = {RESUBMITS: 0, LOST_WORKERS: 0}
@@ -438,13 +424,13 @@ class ShardCoordinator:
     def _await_roster(self, cluster: "Cluster") -> bool:
         """Wait for a usable (live, bound) shard via the registry.
 
-        Polls the registry for up to ``rejoin_timeout`` seconds; returns
+        Polls the registry for up to ``REJOIN_TIMEOUT`` seconds; returns
         True once a live shard is connected and bound, False on timeout
         (or immediately when there is no registry to wait on).
         """
         if self.registry is None:
             return False
-        deadline = time.monotonic() + self.rejoin_timeout
+        deadline = time.monotonic() + REJOIN_TIMEOUT
         while True:
             self._sync_registry()
             self._ensure_bound(cluster)
@@ -547,13 +533,6 @@ class ShardCoordinator:
                 f"shard {shard.name} rejected the bind: "
                 f"{response.get('error')}"
             )
-        if not self.ship_graph:
-            held = response.get("have") or []
-            raise DistributedError(
-                f"graph fingerprint mismatch at shard {shard.name}: "
-                f"coordinator expects {fingerprint!r} but the worker "
-                f"holds {held!r} (and graph shipping is disabled)"
-            )
         message = dict(message, id=shard.next_id())
         graph_payload = packed.get("graph")
         if graph_payload is None:
@@ -581,7 +560,7 @@ class ShardCoordinator:
         """Run one batch; ``(status, payload, delta)`` per task, in order.
 
         Tasks are dealt to shard drive threads from one shared queue
-        (each thread pipelines up to ``window`` in-flight tasks on its
+        (each thread pipelines up to ``WINDOW`` in-flight tasks on its
         connection); a shard that fails mid-batch has its outstanding
         tasks requeued for the survivors.
 
@@ -648,7 +627,7 @@ class ShardCoordinator:
                         and self._await_roster(cluster)
                     ):
                         # The whole roster died mid-batch but a
-                        # replacement announced within rejoin_timeout:
+                        # replacement announced within REJOIN_TIMEOUT:
                         # tasks are pure functions of the shipped
                         # snapshot, so rerunning the batch is safe (and
                         # bit-identical).
@@ -711,7 +690,7 @@ class ShardCoordinator:
                         while True:
                             if batch.done:
                                 return
-                            while len(inflight) + len(send_now) < self.window:
+                            while len(inflight) + len(send_now) < WINDOW:
                                 index = batch.take(shard.name)
                                 if index is None:
                                     break
@@ -924,9 +903,3 @@ class ShardCoordinator:
         for shard in self._shards:
             with shard.lock:
                 shard.close()
-
-    def __enter__(self) -> "ShardCoordinator":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()

@@ -53,10 +53,9 @@ class SocketExecutor(Executor):
     construction, not mid-run.  ``workers`` reports the live roster size.
     See :class:`~repro.distributed.coordinator.ShardCoordinator` for the
     roster/fault-tolerance parameters forwarded via ``**coordinator_kwargs``
-    (``window``, ``connect_timeout``, ``task_timeout``, ``ship_graph``,
-    ``heartbeat_interval``, and — for an elastic roster that follows
-    worker announcements — ``registry`` / ``rejoin_timeout``; with a
-    registry, ``shards`` may be empty).
+    (``connect_timeout``, ``task_timeout``, ``heartbeat_interval``, and —
+    for an elastic roster that follows worker announcements —
+    ``registry``; with a registry, ``shards`` may be empty).
     """
 
     parallel = True
@@ -80,11 +79,6 @@ class SocketExecutor(Executor):
         # configured but unreachable at startup land on the first run's
         # counters instead of vanishing.
         self._counters_seen = {RESUBMITS: 0, LOST_WORKERS: 0}
-
-    @property
-    def coordinator(self) -> ShardCoordinator:
-        """The underlying roster (live shards, counters, heartbeat)."""
-        return self._coordinator
 
     # ------------------------------------------------------------------
     def run_tasks(

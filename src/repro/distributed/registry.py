@@ -174,10 +174,3 @@ class ShardRegistry:
     def __len__(self) -> int:
         """Announced, non-stale worker count."""
         return len(self.addresses())
-
-    def clear(self) -> None:
-        """Forget every entry (a membership edit when any existed)."""
-        with self._lock:
-            if self._entries:
-                self._version += 1
-            self._entries.clear()

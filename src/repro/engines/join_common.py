@@ -130,6 +130,9 @@ def _instances_task(cluster: Cluster, args: tuple) -> np.ndarray:
 
     Blocks are expanded depth-first, ``ROWS_PER_BLOCK`` rows at a time, so
     finished instances arrive — and claim memory — in the loop's order.
+    A clique's members come from common neighbours without communication:
+    SEED's star-clique-preserved storage replicates a vertex's neighbours'
+    edges.
     """
     t, unit, clique, min_degree, pairs = args
     graph = cluster.graph
@@ -327,25 +330,6 @@ class DistributedJoinRunner:
         return (
             machine_id, unit, clique, self.pattern.degree(unit.pivot),
             self.checker.pairs(unit.vertices),
-        )
-
-    def star_instances(self, machine_id: int, star: JoinUnit) -> np.ndarray:
-        """Instances of a star unit: the centre is matched to this machine's
-        owned vertices, the leaves come from the (local) adjacency list."""
-        return _instances_task(
-            self.cluster, self._unit_task(machine_id, star, False)
-        )
-
-    def clique_instances(self, machine_id: int, unit: JoinUnit) -> np.ndarray:
-        """Instances of a clique unit anchored at owned vertices.
-
-        SEED's star-clique-preserved storage replicates the edges among a
-        vertex's neighbours, so a machine lists the cliques around its owned
-        vertices without communication: each further member comes from the
-        common neighbours of all members matched so far.
-        """
-        return _instances_task(
-            self.cluster, self._unit_task(machine_id, unit, True)
         )
 
     def _instances(self, unit: JoinUnit) -> list[np.ndarray]:

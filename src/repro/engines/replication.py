@@ -41,10 +41,7 @@ class ReplicationEngine(EnumerationEngine):
 
     name = "Replication"
 
-    def __init__(self, hop_override: int | None = None):
-        #: Replication radius override (defaults to the query diameter,
-        #: which is what correctness requires; exposed for ablations).
-        self._hop_override = hop_override
+    def __init__(self):
         self.last_replicated_vertices: int = 0
         self.last_replicated_bytes: int = 0
 
@@ -122,11 +119,8 @@ class ReplicationEngine(EnumerationEngine):
         collect: bool,
         executor: Executor,
     ) -> list[tuple[int, ...]]:
-        hops = (
-            self._hop_override
-            if self._hop_override is not None
-            else pattern.diameter()
-        )
+        # The query diameter: the radius correctness requires.
+        hops = pattern.diameter()
         self.last_replicated_vertices = 0
         self.last_replicated_bytes = 0
         model = cluster.cost_model

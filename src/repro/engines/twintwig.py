@@ -63,67 +63,8 @@ def twintwig_decomposition(pattern: Pattern) -> list[JoinUnit]:
     return units
 
 
-def cost_oriented_decomposition(
-    pattern: Pattern, avg_degree: float
-) -> list[JoinUnit]:
-    """Cost-oriented TwinTwig decomposition (Lai et al., VLDB J. 2017).
-
-    Same <=2-edge star units, but unit order and pivot choice minimise the
-    estimated intermediate-result volume under an average-degree model:
-    a k-leaf star from one vertex costs ~``avg_degree**k`` instances, so
-    the search greedily prefers pivots whose star closes the most pattern
-    edges against the already-joined part (each closed edge contributes an
-    edge-selectivity filter instead of an expansion).
-    """
-    remaining: set[tuple[int, int]] = set(pattern.edges())
-    units: list[JoinUnit] = []
-    covered: set[int] = set()
-
-    def star_cost(pivot: int, take: list[tuple[int, int]]) -> float:
-        leaves = [(a if b == pivot else b) for a, b in take]
-        expansion = float(avg_degree) ** sum(
-            1 for leaf in leaves if leaf not in covered
-        )
-        closing = sum(1 for leaf in leaves if leaf in covered)
-        return expansion / (1.0 + closing)
-
-    while remaining:
-        candidates = (
-            sorted(covered) if covered else sorted(pattern.vertices())
-        )
-        best: tuple[float, int, list[tuple[int, int]]] | None = None
-        for pivot in candidates:
-            incident = sorted(e for e in remaining if pivot in e)
-            if not incident:
-                continue
-            # Try 1- and 2-edge stars, preferring covered leaves first.
-            incident.sort(
-                key=lambda e: (e[0] if e[1] == pivot else e[1]) not in covered
-            )
-            for take in (incident[:1], incident[:2]):
-                cost = star_cost(pivot, take)
-                if best is None or cost < best[0]:
-                    best = (cost, pivot, list(take))
-        _, pivot, take = best
-        leaves = tuple((a if b == pivot else b) for a, b in take)
-        units.append(
-            JoinUnit(
-                vertices=(pivot, *leaves),
-                covered_edges=tuple(sorted(take)),
-                kind="star",
-            )
-        )
-        remaining -= set(take)
-        covered |= {pivot, *leaves}
-    return units
-
-
 class TwinTwigEngine(EnumerationEngine):
-    """MapReduce joins over <=2-edge star decomposition units.
-
-    With ``cost_oriented=True`` the decomposition follows the journal
-    version's cost model instead of the simple greedy.
-    """
+    """MapReduce joins over <=2-edge star decomposition units."""
 
     name = "TwinTwig"
     explain_note = (
@@ -132,9 +73,6 @@ class TwinTwigEngine(EnumerationEngine):
         "twin-twig units actually joined)"
     )
 
-    def __init__(self, cost_oriented: bool = False):
-        self._cost_oriented = cost_oriented
-
     def _explain_extras(self, pattern: Pattern) -> dict:
         units = twintwig_decomposition(pattern)
         return {
@@ -142,7 +80,6 @@ class TwinTwigEngine(EnumerationEngine):
                 {"kind": u.kind, "vertices": list(u.vertices)}
                 for u in units
             ],
-            "cost_oriented": self._cost_oriented,
         }
 
     def _execute(
@@ -153,12 +90,7 @@ class TwinTwigEngine(EnumerationEngine):
         collect: bool,
         executor: Executor,
     ) -> list[tuple[int, ...]]:
-        if self._cost_oriented:
-            units = cost_oriented_decomposition(
-                pattern, cluster.graph.average_degree()
-            )
-        else:
-            units = twintwig_decomposition(pattern)
+        units = twintwig_decomposition(pattern)
         runner = DistributedJoinRunner(cluster, pattern, constraints, executor)
         results, count = runner.run_units(units, collect)
         self._count = count

@@ -56,16 +56,6 @@ class LabeledPattern:
         """Label tuple indexed by query vertex id."""
         return self._labels
 
-    @property
-    def name(self) -> str:
-        """The underlying pattern's name (labels shown by ``repr``)."""
-        return self._pattern.name
-
-    @property
-    def num_vertices(self) -> int:
-        """Number of query vertices."""
-        return self._pattern.num_vertices
-
     def label(self, u: int) -> int:
         """Label of query vertex ``u``."""
         return self._labels[u]
@@ -93,9 +83,6 @@ class LabeledPattern:
 
     def __str__(self) -> str:
         return self.to_dsl()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"LabeledPattern({self._pattern.name}, labels={self._labels})"
 
 
 def candidate_sets(
@@ -171,10 +158,6 @@ class LabeledEnumerator:
         self._tables = MatchingTables(self.query.pattern, [], [self._order])
 
     # ------------------------------------------------------------------
-    def candidates(self, u: int) -> np.ndarray:
-        """Filtered candidate array of query vertex ``u``."""
-        return self._candidates[u]
-
     def run(self, limit: int | None = None) -> Iterator[tuple[int, ...]]:
         """Yield labeled embeddings as canonical tuples ``emb[u] = v``.
 

@@ -8,7 +8,6 @@ from repro.graph.algorithms import (
     connected_components,
     degeneracy_order,
     diameter_lower_bound,
-    k_core,
     multi_source_bfs,
     triangle_count,
     triangles,
@@ -16,7 +15,6 @@ from repro.graph.algorithms import (
 from repro.graph.cliques import enumerate_cliques, maximal_cliques
 from repro.graph.labeled import (
     LabeledGraph,
-    label_by_degree_buckets,
     label_randomly,
 )
 from repro.graph.generators import (
@@ -37,13 +35,11 @@ __all__ = [
     "connected_components",
     "diameter_lower_bound",
     "degeneracy_order",
-    "k_core",
     "triangles",
     "triangle_count",
     "enumerate_cliques",
     "maximal_cliques",
     "LabeledGraph",
-    "label_by_degree_buckets",
     "label_randomly",
     "grid_road_network",
     "erdos_renyi",

@@ -64,13 +64,6 @@ def connected_components(graph: Graph) -> np.ndarray:
     return label
 
 
-def eccentricity(graph: Graph, v: int) -> int:
-    """Largest finite BFS distance from ``v``."""
-    dist = bfs_distances(graph, v)
-    reached = dist[dist != UNREACHED]
-    return int(reached.max()) if len(reached) else 0
-
-
 def diameter_lower_bound(graph: Graph, sweeps: int = 4, seed: int = 0) -> int:
     """Double-sweep lower bound on the diameter.
 
@@ -127,25 +120,6 @@ def triangle_count(graph: Graph) -> int:
                 )
             )
     return count
-
-
-def k_core(graph: Graph, k: int) -> np.ndarray:
-    """Boolean mask of vertices in the ``k``-core."""
-    degree = graph.degrees().copy()
-    alive = np.ones(graph.num_vertices, dtype=bool)
-    queue = deque(int(v) for v in graph.vertices() if degree[v] < k)
-    while queue:
-        v = queue.popleft()
-        if not alive[v]:
-            continue
-        alive[v] = False
-        for w in graph.neighbors(v):
-            w = int(w)
-            if alive[w]:
-                degree[w] -= 1
-                if degree[w] < k:
-                    queue.append(w)
-    return alive
 
 
 def degeneracy_order(graph: Graph) -> list[int]:

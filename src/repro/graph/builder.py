@@ -23,22 +23,6 @@ class GraphBuilder:
         self._edges: list[tuple[int, int]] = []
         self._edge_set: set[tuple[int, int]] = set()
 
-    @property
-    def num_vertices(self) -> int:
-        """Current number of vertices (grows with :meth:`add_vertex`/edges)."""
-        return self._num_vertices
-
-    @property
-    def num_edges(self) -> int:
-        """Number of distinct edges added so far."""
-        return len(self._edges)
-
-    def add_vertex(self) -> int:
-        """Add an isolated vertex; returns its id."""
-        vid = self._num_vertices
-        self._num_vertices += 1
-        return vid
-
     def ensure_vertex(self, v: int) -> None:
         """Grow the vertex range so that ``v`` is a valid id."""
         if v >= self._num_vertices:
@@ -55,11 +39,6 @@ class GraphBuilder:
         self._edges.append(key)
         self.ensure_vertex(max(u, v))
         return True
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """True if the edge was already added."""
-        key = (u, v) if u < v else (v, u)
-        return key in self._edge_set
 
     def build(self) -> Graph:
         """Finalise into an immutable :class:`Graph`."""

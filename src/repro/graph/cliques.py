@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from itertools import combinations
 
-import numpy as np
-
 from repro.graph.graph import Graph
 from repro.graph.algorithms import degeneracy_order
 
@@ -68,15 +66,3 @@ def enumerate_cliques(
                 if max_count is not None and len(seen) >= max_count:
                     return sorted(seen)
     return sorted(seen)
-
-
-def local_triangles(graph: Graph, v: int) -> list[tuple[int, int]]:
-    """Pairs ``(a, b)`` with ``a < b`` forming a triangle with ``v``."""
-    nbrs = graph.neighbors(v)
-    result: list[tuple[int, int]] = []
-    for i, a in enumerate(nbrs):
-        a = int(a)
-        nbrs_a = graph.neighbors(a)
-        common = np.intersect1d(nbrs[i + 1:], nbrs_a, assume_unique=True)
-        result.extend((a, int(b)) for b in common)
-    return result

@@ -8,7 +8,7 @@ merge instead of a hash probe.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -118,13 +118,6 @@ class Graph:
         np.add.at(indptr, src + 1, 1)
         np.cumsum(indptr, out=indptr)
         return cls(indptr, dst)
-
-    @classmethod
-    def from_adjacency(cls, adjacency: Sequence[Iterable[int]]) -> "Graph":
-        """Build from a sequence of per-vertex neighbour iterables."""
-        return cls.from_edges(len(adjacency), [
-            (u, v) for u, neighbours in enumerate(adjacency) for v in neighbours if u != v
-        ])
 
     def apply_batch(
         self,
@@ -311,24 +304,6 @@ class Graph:
     def storage_bytes(self) -> int:
         """Bytes needed to store the adjacency structure (CSR arrays)."""
         return int(self._indptr.nbytes + self._indices.nbytes)
-
-    def subgraph(self, vertex_set: Iterable[int]) -> tuple["Graph", dict[int, int]]:
-        """Induced subgraph on ``vertex_set``.
-
-        Returns the subgraph (with vertices relabelled ``0..k-1``) and the
-        old-id -> new-id mapping.
-        """
-        verts = sorted(set(int(v) for v in vertex_set))
-        remap = {v: i for i, v in enumerate(verts)}
-        member = np.zeros(self.num_vertices, dtype=bool)
-        member[verts] = True
-        edges = []
-        for v in verts:
-            for w in self.neighbors(v):
-                w = int(w)
-                if v < w and member[w]:
-                    edges.append((remap[v], remap[w]))
-        return Graph.from_edges(len(verts), edges), remap
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Graph(|V|={self.num_vertices}, |E|={self.num_edges})"

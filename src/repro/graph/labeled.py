@@ -55,18 +55,6 @@ class LabeledGraph:
         """Number of undirected edges."""
         return self._graph.num_edges
 
-    def label(self, v: int) -> int:
-        """Label of vertex ``v``."""
-        return int(self._labels[v])
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbour array of ``v``."""
-        return self._graph.neighbors(v)
-
-    def degree(self, v: int) -> int:
-        """Degree of ``v``."""
-        return self._graph.degree(v)
-
     # ------------------------------------------------------------------
     def vertices_with_label(self, label: int) -> np.ndarray:
         """Sorted array of vertices carrying ``label`` (inverted index)."""
@@ -88,31 +76,12 @@ class LabeledGraph:
         """Histogram of labels over all vertices."""
         return Counter(int(x) for x in self._labels)
 
-    def neighborhood_label_frequency(self, v: int) -> Counter[int]:
-        """NLF of ``v``: how many neighbours carry each label."""
-        return Counter(int(self._labels[w]) for w in self.neighbors(v))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         distinct = len(np.unique(self._labels)) if len(self._labels) else 0
         return (
             f"LabeledGraph(|V|={self.num_vertices}, |E|={self.num_edges}, "
             f"labels={distinct})"
         )
-
-
-def label_by_degree_buckets(graph: Graph, num_labels: int) -> LabeledGraph:
-    """Synthetic labeling: bucket vertices into labels by degree rank.
-
-    Deterministic helper for tests and examples: high-degree vertices get
-    high labels, splitting the graph into ``num_labels`` roughly equal
-    buckets.
-    """
-    if num_labels < 1:
-        raise ValueError("need at least one label")
-    degrees = graph.degrees()
-    ranks = np.argsort(np.argsort(degrees, kind="stable"), kind="stable")
-    labels = (ranks * num_labels) // max(1, graph.num_vertices)
-    return LabeledGraph(graph, np.minimum(labels, num_labels - 1))
 
 
 def label_randomly(

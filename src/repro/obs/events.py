@@ -250,12 +250,6 @@ class EventJournal:
                 self._sink = open(path, "a", encoding="utf-8")
                 self._sink_path = str(path)
 
-    def clear(self) -> None:
-        """Drop every retained event (the seq counter keeps advancing)."""
-        with self._lock:
-            self._events.clear()
-
-
 #: The process-global default journal every component emits into.
 _DEFAULT = EventJournal()
 

@@ -181,11 +181,6 @@ class Tracer:
         with self._lock:
             self._spans.extend(dict(s) for s in span_dicts)
 
-    def spans(self) -> list[dict[str, Any]]:
-        """Finished span records, in completion order."""
-        with self._lock:
-            return [dict(s) for s in self._spans]
-
     # ------------------------------------------------------------------
     def tree(self) -> dict[str, Any] | None:
         """The nested span tree, or ``None`` before any span finished.

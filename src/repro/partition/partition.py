@@ -30,11 +30,6 @@ class MachinePartition:
 
     # ------------------------------------------------------------------
     @property
-    def machine_id(self) -> int:
-        """Index of this machine."""
-        return self._machine_id
-
-    @property
     def graph(self) -> Graph:
         """The full data graph (used only through owned adjacency)."""
         return self._graph
@@ -58,26 +53,6 @@ class MachinePartition:
     def is_owned(self, v: int) -> bool:
         """True iff ``v`` resides on this machine."""
         return int(self._owner[v]) == self._machine_id
-
-    def owner_of(self, v: int) -> int:
-        """Ownership map lookup (available on every machine, Sec. 3.2)."""
-        return int(self._owner[v])
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """Adjacency list of an *owned* vertex."""
-        if not self.is_owned(v):
-            raise KeyError(
-                f"vertex {v} is foreign to machine {self._machine_id}"
-            )
-        return self._graph.neighbors(v)
-
-    def degree(self, v: int) -> int:
-        """Degree of an owned vertex."""
-        if not self.is_owned(v):
-            raise KeyError(
-                f"vertex {v} is foreign to machine {self._machine_id}"
-            )
-        return self._graph.degree(v)
 
     # ------------------------------------------------------------------
     @property
@@ -116,11 +91,6 @@ class MachinePartition:
                 nbrs[self._owned_mask[nbrs] & (dist[nbrs] == _FAR)]
             )
         return dist[self._owned]
-
-    def adjacency_bytes(self) -> int:
-        """Bytes of adjacency data stored here (8 bytes per neighbour entry)."""
-        return int(self.owned_degrees.sum()) * 8
-
 
 _FAR = 1 << 30
 

@@ -17,14 +17,12 @@ from repro.query.explain import (
 from repro.query.patterns import (
     CLIQUE_QUERIES,
     PAPER_QUERIES,
-    clique_query,
     find_named,
     named_patterns,
     paper_query,
 )
 from repro.query.symmetry import (
     automorphisms,
-    orbits,
     symmetry_breaking_constraints,
 )
 from repro.query.spanning import (
@@ -58,11 +56,9 @@ __all__ = [
     "PAPER_QUERIES",
     "CLIQUE_QUERIES",
     "paper_query",
-    "clique_query",
     "find_named",
     "named_patterns",
     "automorphisms",
-    "orbits",
     "symmetry_breaking_constraints",
     "maximum_leaf_spanning_tree",
     "minimum_connected_dominating_set",

@@ -133,11 +133,6 @@ class PatternBuilder:
         self._label_order: list[str] = []
 
     # ------------------------------------------------------------------
-    def name(self, name: str | None) -> "PatternBuilder":
-        """Set (or clear) the pattern name."""
-        self._name = name
-        return self
-
     def vertex(
         self, name: str, *, label: "int | str | None" = None
     ) -> "PatternBuilder":

@@ -99,14 +99,6 @@ class QueryExplanation:
         """Number of decomposition units in the chosen plan."""
         return len(self.rounds)
 
-    def verification_edges(self) -> list[tuple[int, int]]:
-        """All sibling + cross edges across the chosen plan's rounds."""
-        edges: list[tuple[int, int]] = []
-        for unit in self.rounds:
-            edges.extend(unit.sibling_edges)
-            edges.extend(unit.cross_edges)
-        return edges
-
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe dict form sharing nothing mutable (from_dict inverts)."""

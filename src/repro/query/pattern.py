@@ -191,9 +191,6 @@ class Pattern:
     def __str__(self) -> str:
         return self.to_dsl()
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Pattern({self.name}, |V|={self.num_vertices}, |E|={self.num_edges})"
-
 
 @functools.lru_cache(maxsize=1024)
 def _canonical_permutation(pattern: "Pattern") -> tuple[int, ...]:

@@ -172,11 +172,6 @@ def paper_query(name: str) -> Pattern:
     return PAPER_QUERIES[name]
 
 
-def clique_query(name: str) -> Pattern:
-    """Look up one of cq1..cq4."""
-    return CLIQUE_QUERIES[name]
-
-
 #: Every accepted name -> pattern, built once (patterns are immutable).
 _CATALOGUE: dict[str, Pattern] = {
     **PAPER_QUERIES,

@@ -79,14 +79,6 @@ class ExecutionPlan:
             self._order = matching_order(self.pattern, self.units)
         return self._order
 
-    def verification_edges(self) -> list[tuple[int, int]]:
-        """All sibling + cross edges across units."""
-        edges: list[tuple[int, int]] = []
-        for unit in self.units:
-            edges.extend(unit.sibling_edges)
-            edges.extend(unit.cross_edges)
-        return edges
-
     def validate(self) -> None:
         """Raise ValueError if the plan violates Defs. 6-7."""
         pattern = self.pattern

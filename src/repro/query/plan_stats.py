@@ -40,11 +40,6 @@ class PlanReport:
     start_span: int
     rounds: list[RoundEstimate] = field(default_factory=list)
 
-    @property
-    def estimated_final_results(self) -> float:
-        """Cardinality estimate after the last round."""
-        return self.rounds[-1].estimated_results if self.rounds else 0.0
-
     def describe(self) -> str:
         """Multi-line human-readable summary."""
         lines = [
@@ -105,31 +100,7 @@ def estimate_plan(
     return report
 
 
-def cost_based_plan(pattern: Pattern, graph: Graph) -> ExecutionPlan:
-    """Cost-based alternative to the paper's closed-form heuristics.
-
-    Enumerates the minimum-round plan space (tiny for real queries) and
-    picks the plan with the smallest *total* estimated intermediate
-    cardinality across rounds — the quantity that actually drives memory
-    and verification traffic.  The paper's score (Eq. 4) breaks ties, so
-    the two selectors agree wherever the cardinality model has no
-    preference.
-    """
-    plans = enumerate_execution_plans(pattern)
-    if not plans:
-        raise ValueError("pattern admits no execution plan")
-
-    def key(plan: ExecutionPlan) -> tuple[float, float]:
-        report = estimate_plan(pattern, plan, graph)
-        total = sum(r.estimated_results for r in report.rounds)
-        return (total, -score_plan(plan))
-
-    return min(plans, key=key)
-
-
-def plan_space_summary(
-    pattern: Pattern, graph: Graph | None = None
-) -> dict[str, object]:
+def plan_space_summary(pattern: Pattern) -> dict[str, object]:
     """Statistics over all minimum-round plans of a pattern."""
     plans = enumerate_execution_plans(pattern)
     scores = [score_plan(p) for p in plans]
@@ -145,11 +116,4 @@ def plan_space_summary(
             {p.start_vertex for p in plans}
         ),
     }
-    if graph is not None and plans:
-        estimates = [
-            estimate_plan(pattern, p, graph).estimated_final_results
-            for p in plans
-        ]
-        summary["estimate_min"] = min(estimates)
-        summary["estimate_max"] = max(estimates)
     return summary

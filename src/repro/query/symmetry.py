@@ -52,20 +52,6 @@ def automorphisms(pattern: Pattern) -> list[tuple[int, ...]]:
     return result
 
 
-def orbits(pattern: Pattern) -> list[frozenset[int]]:
-    """Vertex orbits under the full automorphism group."""
-    autos = automorphisms(pattern)
-    seen: set[int] = set()
-    result: list[frozenset[int]] = []
-    for u in pattern.vertices():
-        if u in seen:
-            continue
-        orbit = frozenset(sigma[u] for sigma in autos)
-        seen |= orbit
-        result.append(orbit)
-    return result
-
-
 def symmetry_breaking_constraints(pattern: Pattern) -> list[tuple[int, int]]:
     """Pairwise constraints ``(u, u')`` meaning ``f(u) < f(u')``.
 

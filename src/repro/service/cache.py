@@ -282,10 +282,6 @@ class ResultCache:
             self.disk_dir.mkdir(parents=True, exist_ok=True)
             self._scan_disk()
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
     # ------------------------------------------------------------------
     def get(
         self, key: tuple, pattern: Pattern, limit: int | None = None
@@ -349,11 +345,6 @@ class ResultCache:
             if self.disk_dir is not None:
                 self._spill(key, entry)
         return True
-
-    def clear(self) -> None:
-        """Drop every memory entry (counters and spilled files are kept)."""
-        with self._lock:
-            self._entries.clear()
 
     def evict_graph(self, fingerprint: str) -> int:
         """Drop memory *and* disk entries keyed to one graph fingerprint.

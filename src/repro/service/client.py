@@ -374,9 +374,6 @@ class ServiceClient:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ServiceClient({protocol.format_address(*self.address)})"
-
 
 class Subscription:
     """Iterator over one push-mode watch's delta stream.

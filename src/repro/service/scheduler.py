@@ -159,10 +159,6 @@ class QueryTicket:
         """The run's :class:`RunResult` (raises what the run raised)."""
         return self._future.result(timeout)
 
-    def exception(self, timeout: float | None = None) -> BaseException | None:
-        """The run's exception, if any (None for a delivered result)."""
-        return self._future.exception(timeout)
-
     def done(self) -> bool:
         """True once delivered, failed or cancelled."""
         return self._future.done()
@@ -681,15 +677,6 @@ class QueryScheduler:
         with self._cond:
             self._stats["timeouts"] += 1
         return True
-
-    def run(
-        self,
-        query: "str | Pattern",
-        engine: str = "RADS",
-        **submit_kwargs: Any,
-    ) -> RunResult:
-        """Submit and wait — the blocking convenience spelling."""
-        return self.submit(query, engine, **submit_kwargs).result()
 
     def submit_job(
         self,

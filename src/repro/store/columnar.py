@@ -168,10 +168,6 @@ class TrieColumns:
         """Simulated Def. 11 footprint (Tables 3-4 accounting)."""
         return self.node_count * NODE_BYTES
 
-    def nbytes(self) -> int:
-        """Actual bytes held by the columns."""
-        return sum(v.nbytes + p.nbytes for v, p in zip(self.values, self.parents))
-
     # -- decompression --------------------------------------------------
     def decompress_leaves(self, leaf_ids: np.ndarray) -> "list[tuple[int, ...]]":
         """Embedding tuples for the given sorted-leaf indices (any order)."""
@@ -279,12 +275,3 @@ class TrieColumns:
             for v, c in zip(uniq.tolist(), sums.astype(np.int64).tolist())
             if c != 0
         }
-
-    def __len__(self) -> int:
-        return self.leaf_count
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"TrieColumns(depth={self.depth}, leaves={self.leaf_count}, "
-            f"nodes={self.node_count})"
-        )

@@ -133,10 +133,6 @@ class EmbeddingStore:
         self.aggregates = 0
         self._scan()
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._index)
-
     # -- directory layout ----------------------------------------------
     def _path_for(self, key: tuple) -> Path:
         return self.store_dir / f"{key[0][:_FP_PREFIX]}_{key_digest(key)}.npz"
@@ -228,11 +224,6 @@ class EmbeddingStore:
             self._remember(digest, stored)
             self.hits += 1
             return stored
-
-    def has(self, key: tuple) -> bool:
-        """Whether ``key`` names a stored set (no load, no counters)."""
-        with self._lock:
-            return key_digest(key) in self._index
 
     def _remember(self, digest: str, stored: StoredSet) -> None:
         self._loaded.pop(digest, None)
@@ -420,12 +411,6 @@ class EmbeddingStore:
         }
 
     # -- introspection --------------------------------------------------
-    def keys(self) -> "list[tuple]":
-        """Keys of every *loaded* set (disk-only sets are digest-indexed
-        and expose no key until loaded)."""
-        with self._lock:
-            return [stored.key for stored in self._loaded.values()]
-
     def stats(self) -> "dict[str, Any]":
         """Counter snapshot (JSON-safe), including on-disk set count."""
         with self._lock:

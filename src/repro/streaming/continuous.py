@@ -237,10 +237,6 @@ class ContinuousQueryManager:
             with watch._cond:
                 watch._push = None
 
-    def poll(self, watch_id: str, *, wait: float | None = None) -> list[DeltaRecord]:
-        """Drain one watch's pending records (KeyError when unknown)."""
-        return self.get(watch_id).poll(wait=wait)
-
     # ------------------------------------------------------------------
     def ingest(
         self,

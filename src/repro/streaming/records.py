@@ -37,11 +37,6 @@ class DeltaRecord:
     watch: str | None = None
     tenant: str | None = None
 
-    @property
-    def failed(self) -> bool:
-        """Parity with RunResult/QueryExplanation record handling."""
-        return False
-
     def to_dict(self) -> dict:
         """JSON-ready dict (embeddings as lists; tagged ``kind: delta``)."""
         payload = {

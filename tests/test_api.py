@@ -20,8 +20,6 @@ from repro.api import (
     default_registry,
     read_results_jsonl,
     register_engine,
-    result_from_json,
-    result_to_json,
     write_results_jsonl,
 )
 from repro.bench.harness import run_query_grid
@@ -155,7 +153,7 @@ class TestRegistry:
             def __init__(self, knob=1):
                 self.knob = knob
 
-        assert "mine" in reg
+        assert reg.resolve("mine").name == "Mine"
         assert reg.create("M", knob=7).knob == 7
 
     def test_register_engine_decorator_on_factory(self):
@@ -269,15 +267,6 @@ class TestRunConfig:
         config = RunConfig(collect=mode, machines=3, stragglers={1: 2.0})
         payload = json.loads(json.dumps(config.to_dict()))
         assert payload["collect"] == mode
-        rebuilt = RunConfig.from_dict(payload)
-        assert rebuilt == config
-        assert rebuilt.collect is mode if isinstance(mode, bool) else (
-            rebuilt.collect == mode
-        )
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ConfigError, match="colect"):
-            RunConfig.from_dict({"colect": True})
 
 
 # ----------------------------------------------------------------------
@@ -494,7 +483,7 @@ class TestResultSerialization:
 
     def test_json_round_trip(self, graph):
         result = self._result(graph, collect=False)
-        assert result_from_json(result_to_json(result)) == result
+        assert RunResult.from_dict(json.loads(json.dumps(result.to_dict()))) == result
 
     def test_jsonl_round_trip(self, graph, tmp_path):
         results = [

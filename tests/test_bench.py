@@ -7,7 +7,6 @@ from repro.api.config import RunConfig
 from repro.bench.datasets import DATASETS, dataset, dataset_profile
 from repro.bench.harness import (
     format_comm_table,
-    format_count_table,
     format_time_table,
     run_query_grid,
 )
@@ -67,7 +66,7 @@ class TestHarness:
         assert counts[("RADS", "q1")] == counts[("PSgL", "q1")]
 
     def test_tables_render(self, grid):
-        for fmt in (format_time_table, format_comm_table, format_count_table):
+        for fmt in (format_time_table, format_comm_table):
             text = fmt(grid)
             assert "q1" in text and "RADS" in text
             assert len(text.splitlines()) == 4

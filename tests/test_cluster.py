@@ -60,13 +60,6 @@ class TestMachine:
         m.allocate(10**12)  # no capacity, no error
         assert m.peak_memory == 10**12
 
-    def test_reset(self, model):
-        m = Machine(0, model, memory_capacity=100)
-        m.charge_ops(100)
-        m.allocate(50)
-        m.reset()
-        assert m.clock == 0 and m.memory_used == 0 and m.peak_memory == 0
-
 
 class TestNetwork:
     def test_rpc_charges_requester(self, model):
@@ -95,12 +88,6 @@ class TestNetwork:
         assert machines[0].clock == machines[1].clock == machines[2].clock
         assert machines[0].clock >= 5.0
 
-    def test_machine_bytes(self, model):
-        net = Network(2, model)
-        net.record(0, 1, 500)
-        assert net.machine_bytes(0) == 500
-        assert net.machine_bytes(1) == 500
-
     def test_broadcast(self, model):
         net = Network(3, model)
         machines = [Machine(i, model) for i in range(3)]
@@ -113,7 +100,7 @@ class TestCluster:
         g = erdos_renyi(100, 0.08, seed=1)
         cluster = Cluster.create(g, 4)
         assert cluster.num_machines == 4
-        assert int(cluster.owner_counts().sum()) == 100
+        assert len(cluster.partition.owner) == 100
 
     def test_barrier(self):
         g = erdos_renyi(50, 0.1, seed=1)
@@ -141,6 +128,6 @@ class TestCluster:
         cluster = Cluster.create(g, 2)
         cluster.machine(0).advance(3.0)
         cluster.network.record(0, 1, 100)
-        cluster.reset()
+        cluster = cluster.fresh_copy()
         assert cluster.makespan() == 0.0
         assert cluster.total_comm_bytes() == 0

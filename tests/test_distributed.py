@@ -16,6 +16,7 @@ import io
 import json
 import socket
 import threading
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from repro.distributed import (
     stop_worker,
 )
 from repro.distributed import protocol as dproto
-from repro.graph import erdos_renyi
 from repro.query import named_patterns
 from repro.runtime import SerialExecutor
 from repro.runtime.delta import capture_state, compute_delta
@@ -204,14 +204,14 @@ class TestSocketBackendEquivalence:
         with QueryScheduler(
             er_graph, RunConfig(machines=3), threads=1
         ) as serial_scheduler:
-            reference = serial_scheduler.run("q1", "rads")
+            reference = serial_scheduler.submit("q1", "rads").result()
         with QueryScheduler(
             er_graph,
             RunConfig(machines=3, backend="socket", shards=shards),
             threads=2,
             cache=False,
         ) as scheduler:
-            served = scheduler.run("q1", "rads")
+            served = scheduler.submit("q1", "rads").result()
             assert scheduler.stats()["executor_fallbacks"] == 0
         assert served.embedding_count == reference.embedding_count
         assert served.makespan == reference.makespan
@@ -336,7 +336,7 @@ class TestFaultTolerance:
                 [w.address for w in workers], heartbeat_interval=None
             )
             workers[1].crash()
-            assert executor.coordinator.heartbeat() == 1
+            assert executor._coordinator.heartbeat() == 1
             cluster = Cluster.create(er_graph, 3)
             pattern = named_patterns()["q1"]
             serial = RADSEngine().run(
@@ -354,33 +354,26 @@ class TestFaultTolerance:
                 worker.close()
 
 
-class TestHandshake:
-    def test_fingerprint_mismatch_rejected_without_shipping(self, er_graph):
-        other = erdos_renyi(40, 0.1, seed=11)
-        worker = ShardWorker(graph=other).start()
-        try:
-            executor = SocketExecutor(
-                [worker.address], ship_graph=False, heartbeat_interval=None
-            )
-            cluster = Cluster.create(er_graph, 3)
-            with pytest.raises(
-                DistributedError, match="fingerprint mismatch"
-            ) as excinfo:
-                RADSEngine().run(
-                    cluster.fresh_copy(), named_patterns()["q1"],
-                    collect_embeddings=False, executor=executor,
-                )
-            assert er_graph.fingerprint() in str(excinfo.value)
-            assert other.fingerprint() in str(excinfo.value)
-            executor.close()
-        finally:
-            worker.close()
+def _shipped(worker: ShardWorker) -> list[bool]:
+    """Whether each bind ``worker`` answers from now on carried the graph."""
+    binds: list[bool] = []
+    graph_for = worker._graph_for
 
+    def spy(fingerprint, graph):
+        binds.append(graph is not None)
+        return graph_for(fingerprint, graph)
+
+    worker._graph_for = spy
+    return binds
+
+
+class TestHandshake:
     def test_preloaded_graph_needs_no_shipping(self, er_graph):
         worker = ShardWorker(graph=er_graph).start()
+        binds = _shipped(worker)
         try:
             executor = SocketExecutor(
-                [worker.address], ship_graph=False, heartbeat_interval=None
+                [worker.address], heartbeat_interval=None
             )
             cluster = Cluster.create(er_graph, 3)
             serial = RADSEngine().run(
@@ -392,6 +385,7 @@ class TestHandshake:
                 collect_embeddings=False, executor=executor,
             )
             assert _stats(result) == _stats(serial)
+            assert binds and not any(binds), binds
             executor.close()
         finally:
             worker.close()
@@ -412,13 +406,15 @@ class TestHandshake:
             executor.close()
             # A later coordinator binds without shipping: the worker
             # already holds the graph.
+            binds = _shipped(worker)
             executor = SocketExecutor(
-                [worker.address], ship_graph=False, heartbeat_interval=None
+                [worker.address], heartbeat_interval=None
             )
             RADSEngine().run(
                 cluster.fresh_copy(), named_patterns()["q1"],
                 collect_embeddings=False, executor=executor,
             )
+            assert binds and not any(binds), binds
             executor.close()
         finally:
             worker.close()
@@ -506,9 +502,9 @@ class TestNoDelay:
     def test_both_ends_of_a_shard_connection(self, monkeypatch):
         accepted = self._accepted(monkeypatch)
         with ShardWorker() as worker:
-            with ShardCoordinator(
+            with closing(ShardCoordinator(
                 [worker.address], heartbeat_interval=None
-            ) as coordinator:
+            )) as coordinator:
                 (shard,) = coordinator.live_shards()
                 assert self._nodelay(shard.sock)
                 assert [self._nodelay(s) for s in accepted] == [True]
@@ -739,10 +735,10 @@ class TestWorkerKey:
                     "op": "auth", "id": 1, "digest": digest,
                 })["ok"]
             cluster = Cluster.create(er_graph, 2)
-            with ShardCoordinator(
+            with closing(ShardCoordinator(
                 [worker.address], heartbeat_interval=None,
                 authkey=self.KEY,
-            ) as coordinator:
+            )) as coordinator:
                 ((status, payload, _),) = coordinator.run_batch(
                     cluster, _echo_task, ["keyed"]
                 )
@@ -757,9 +753,9 @@ class TestWorkerKey:
                 )
 
     def test_an_open_worker_accepts_a_keyed_coordinator(self, er_graph):
-        with ShardWorker() as worker, ShardCoordinator(
+        with ShardWorker() as worker, closing(ShardCoordinator(
             [worker.address], heartbeat_interval=None, authkey=self.KEY
-        ) as coordinator:
+        )) as coordinator:
             assert "challenge" not in coordinator.live_shards()[0].hello
             ((status, _, _),) = coordinator.run_batch(
                 Cluster.create(er_graph, 2), _echo_task, ["open"]
@@ -949,7 +945,7 @@ class TestBoundedFrames:
                     cluster.fresh_copy(), pattern,
                     collect_embeddings=False, executor=executor,
                 )
-                obituary = executor.coordinator._roster_obituary()
+                obituary = executor._coordinator._roster_obituary()
         finally:
             listener.close()
         thread.join(10)

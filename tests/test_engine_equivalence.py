@@ -1,7 +1,7 @@
 """Cross-engine, cross-backend equivalence on seeded random graphs.
 
 Every engine must report the same embedding count for a query, and every
-execution backend (serial, process pool at 1, 2 and 4 workers) must
+execution backend (serial, and 1, 2 and 4 forked shard workers) must
 reproduce that count exactly — the paper's correctness bar for the
 reproduction, and the guard rail for the parallel runtime.
 """

@@ -60,9 +60,6 @@ class TestEventJournal:
         retained = journal.snapshot()
         assert [r["seq"] for r in retained] == [3, 4, 5]
         assert journal.last_seq == 5
-        # clear drops records but the seq clock keeps advancing.
-        journal.clear()
-        assert len(journal) == 0
         assert journal.emit("info", "t", "k")["seq"] == 6
 
     def test_invalid_capacity(self):

@@ -11,14 +11,12 @@ from repro.graph import (
     enumerate_cliques,
     erdos_renyi,
     grid_road_network,
-    k_core,
     maximal_cliques,
     multi_source_bfs,
     triangle_count,
     triangles,
 )
-from repro.graph.algorithms import UNREACHED, eccentricity
-from repro.graph.cliques import local_triangles
+from repro.graph.algorithms import UNREACHED
 
 
 @pytest.fixture()
@@ -44,10 +42,6 @@ class TestBFS:
     def test_multi_source(self, path_graph):
         dist = multi_source_bfs(path_graph, [0, 4])
         assert list(dist) == [0, 1, 2, 1, 0]
-
-    def test_eccentricity(self, path_graph):
-        assert eccentricity(path_graph, 0) == 4
-        assert eccentricity(path_graph, 2) == 2
 
 
 class TestComponents:
@@ -85,23 +79,6 @@ class TestTriangles:
 
     def test_triangle_free(self, path_graph):
         assert triangle_count(path_graph) == 0
-
-    def test_local_triangles(self, two_triangles):
-        assert local_triangles(two_triangles, 0) == [(1, 2)]
-
-
-class TestKCore:
-    def test_triangle_is_2core(self, two_triangles):
-        assert k_core(two_triangles, 2).all()
-
-    def test_path_has_no_2core(self, path_graph):
-        assert not k_core(path_graph, 2).any()
-
-    def test_k_core_subset_of_smaller_core(self):
-        g = erdos_renyi(80, 0.1, seed=3)
-        core2 = k_core(g, 2)
-        core3 = k_core(g, 3)
-        assert (core3 <= core2).all()
 
 
 class TestDegeneracy:

@@ -131,7 +131,7 @@ def test_traced_rounds_report_their_row_counts():
             collect_embeddings=False,
         )
     rounds = [
-        s for s in tracer.spans() if s["name"] in ("round.unit", "round.join")
+        s for s in tracer._spans if s["name"] in ("round.unit", "round.join")
     ]
     assert [s["name"] for s in rounds][:2] == ["round.unit", "round.join"]
     unit, *joins = (s["attributes"] for s in rounds)

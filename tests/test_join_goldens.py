@@ -52,7 +52,6 @@ GOLDENS = Path(__file__).parent / "data" / "join_goldens.json"
 
 ENGINES = {
     "twintwig": TwinTwigEngine,
-    "twintwig-co": lambda: TwinTwigEngine(cost_oriented=True),
     "seed": SEEDEngine,
 }
 
@@ -120,7 +119,10 @@ def compute(executor, keys=None) -> dict:
 
 @pytest.fixture(scope="module")
 def golden():
-    return json.loads(GOLDENS.read_text())
+    # The file also holds "twintwig-co" records, from a cost-oriented
+    # decomposition TwinTwig no longer has; only ENGINES' records replay.
+    records = json.loads(GOLDENS.read_text())
+    return {k: v for k, v in records.items() if k.split("/")[0] in ENGINES}
 
 
 def _assert_matches(golden: dict, executor, keys) -> None:

@@ -15,7 +15,6 @@ from repro.enumeration.labeled import (
 from repro.graph import (
     LabeledGraph,
     erdos_renyi,
-    label_by_degree_buckets,
     label_randomly,
 )
 from repro.graph.graph import Graph
@@ -31,7 +30,7 @@ def brute_force(data: LabeledGraph, query: LabeledPattern):
     return {
         emb
         for emb in unlabeled
-        if all(data.label(v) == query.label(u) for u, v in enumerate(emb))
+        if all(data.labels[v] == query.label(u) for u, v in enumerate(emb))
     }
 
 
@@ -39,8 +38,7 @@ class TestLabeledGraph:
     def test_label_lookup(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         lg = LabeledGraph(g, [5, 7, 5])
-        assert lg.label(0) == 5
-        assert lg.label(1) == 7
+        assert lg.labels.tolist() == [5, 7, 5]
         assert list(lg.vertices_with_label(5)) == [0, 2]
         assert list(lg.vertices_with_label(7)) == [1]
         assert list(lg.vertices_with_label(9)) == []
@@ -55,25 +53,10 @@ class TestLabeledGraph:
         with pytest.raises(ValueError):
             LabeledGraph(g, [0, -1])
 
-    def test_nlf(self):
-        g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        lg = LabeledGraph(g, [0, 1, 1, 2])
-        nlf = lg.neighborhood_label_frequency(0)
-        assert nlf == {1: 2, 2: 1}
-
     def test_label_frequencies(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         lg = LabeledGraph(g, [0, 0, 1, 0])
         assert lg.label_frequencies() == {0: 3, 1: 1}
-
-    def test_degree_bucket_labeling(self):
-        g = star(5)  # pattern, need a data graph; build a hub graph
-        data = Graph.from_edges(6, [(0, i) for i in range(1, 6)])
-        lg = label_by_degree_buckets(data, 2)
-        # Buckets split by degree rank: the hub is in the top bucket, and
-        # the two buckets are balanced (3 vertices each).
-        assert lg.label(0) == 1
-        assert lg.label_frequencies() == {0: 3, 1: 3}
 
     def test_random_labeling_deterministic(self):
         g = erdos_renyi(30, 0.2, seed=3)

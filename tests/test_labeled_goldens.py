@@ -59,7 +59,7 @@ def _run(data, query, use_nlf: bool, limit: int | None = None) -> dict:
     record = {"count": len(rows), "head": rows[:3], "sha256": _digest(rows)}
     if limit is None:
         candidates = [
-            enumerator.candidates(u).tolist() for u in query.pattern.vertices()
+            enumerator._candidates[u].tolist() for u in query.pattern.vertices()
         ]
         record["stats"] = [
             stats.candidates_scanned, stats.intersections,

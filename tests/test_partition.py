@@ -221,17 +221,8 @@ class TestPartitionView:
             with pytest.raises(ValueError):
                 m.owned_mask[0] = True
             assert m.owned_degrees.tolist() == [
-                m.degree(int(v)) for v in owned
+                partition.graph.degree(int(v)) for v in owned
             ]
-
-    def test_foreign_access_raises(self, partition):
-        m0 = partition.machine(0)
-        foreign = [
-            v for v in range(partition.graph.num_vertices)
-            if not m0.is_owned(v)
-        ][0]
-        with pytest.raises(KeyError):
-            m0.neighbors(foreign)
 
     def test_border_vertices_have_foreign_neighbour(self, partition, grid):
         m0 = partition.machine(0)
@@ -279,9 +270,6 @@ class TestPartitionView:
                 assert m0.border_distances[slot] > grid.num_vertices
             else:
                 assert m0.border_distances[slot] == expected
-
-    def test_adjacency_bytes(self, partition):
-        assert partition.machine(0).adjacency_bytes() > 0
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.query import Pattern, named_patterns, paper_query, clique_query
+from repro.query import CLIQUE_QUERIES, Pattern, named_patterns, paper_query
 from repro.query.patterns import PAPER_QUERIES, CLIQUE_QUERIES, running_example
 
 
@@ -34,7 +34,7 @@ class TestPattern:
 
     def test_max_clique(self):
         assert paper_query("q2").max_clique_size() == 3
-        assert clique_query("cq1").max_clique_size() == 4
+        assert CLIQUE_QUERIES["cq1"].max_clique_size() == 4
         assert paper_query("q1").max_clique_size() == 2
 
     def test_relabel_preserves_structure(self):

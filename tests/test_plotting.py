@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.harness import GridResult
-from repro.bench.plotting import comparison_chart, grouped_bar_chart
+from repro.bench.plotting import grouped_bar_chart
 from repro.engines.base import RunResult
 
 
@@ -56,18 +56,3 @@ class TestGroupedBarChart:
             grid, metric=lambda r: r.total_comm_bytes, title="comm"
         )
         assert "comm" in chart
-
-
-class TestComparisonChart:
-    def test_renders(self):
-        chart = comparison_chart(
-            ["5", "10", "15"],
-            {"RADS": [1.0, 1.5, 1.8], "Crystal": [1.0, 2.0, 2.8]},
-            title="scalability",
-        )
-        assert "scalability" in chart
-        assert chart.count("RADS") == 3
-
-    def test_zero_values(self):
-        chart = comparison_chart(["a"], {"X": [0.0]}, title="t")
-        assert "X" in chart

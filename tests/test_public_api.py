@@ -1,8 +1,27 @@
 """The documented top-level API surface must stay importable and usable."""
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
+
+
+def _exports():
+    """``(package, name)`` for every name a ``repro`` package exports: its
+    ``__all__`` and its lazy ``_EXPORTS`` map.  Test ids are the bare name
+    for ``repro`` itself and ``package.name`` below it."""
+    cases = [pytest.param("repro", name, id=name) for name in sorted(repro._EXPORTS)]
+    for info in sorted(pkgutil.walk_packages(repro.__path__, "repro."), key=lambda m: m.name):
+        if info.ispkg:
+            package = importlib.import_module(info.name)
+            names = set(package.__all__) | set(getattr(package, "_EXPORTS", ()))
+            cases += [
+                pytest.param(info.name, name, id=f"{info.name}.{name}")
+                for name in sorted(names)
+            ]
+    return cases
 
 
 class TestTopLevelExports:
@@ -10,9 +29,9 @@ class TestTopLevelExports:
         assert isinstance(repro.__version__, str)
         assert repro.__version__.count(".") == 2
 
-    @pytest.mark.parametrize("name", sorted(repro._EXPORTS))
-    def test_every_export_resolves(self, name):
-        value = getattr(repro, name)
+    @pytest.mark.parametrize("package, name", _exports())
+    def test_every_export_resolves(self, package, name):
+        value = getattr(importlib.import_module(package), name)
         assert value is not None
 
     def test_unknown_attribute_raises(self):

@@ -81,10 +81,11 @@ class TestReplicationVolume:
         assert engine.last_replicated_vertices > 0.5 * sum(foreign_totals)
 
     def test_radius_grows_replication(self, er_cluster):
-        narrow = ReplicationEngine(hop_override=1)
+        """The radius is the query diameter: 1 for a triangle, 3 for P4."""
+        narrow = ReplicationEngine()
         narrow.run(er_cluster.fresh_copy(), triangle())
-        wide = ReplicationEngine(hop_override=3)
-        wide.run(er_cluster.fresh_copy(), triangle())
+        wide = ReplicationEngine()
+        wide.run(er_cluster.fresh_copy(), path(4))
         assert wide.last_replicated_vertices >= narrow.last_replicated_vertices
         assert wide.last_replicated_bytes >= narrow.last_replicated_bytes
 

@@ -320,7 +320,7 @@ class TestLocalWorkerFaults:
             with pytest.raises(DistributedError):
                 session.run()
             monkeypatch.undo()
-            assert executor.coordinator.counters[
+            assert executor._coordinator.counters[
                 "distributed.lost_workers"
             ] == 2
             assert _stats(session.run()) == _stats(serial)
@@ -376,7 +376,7 @@ class TestLocalWorkerFaults:
 
     def test_a_foreign_connection_is_refused(self, small_cluster, pool2):
         """Only the forking parent holds the key its workers ask for."""
-        for shard in pool2.coordinator.live_shards():
+        for shard in pool2._coordinator.live_shards():
             assert not stop_worker(shard.address, timeout=5)
             with socket.create_connection(shard.address, timeout=10) as sock:
                 rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
@@ -385,20 +385,20 @@ class TestLocalWorkerFaults:
                     dproto.write_message(wfile, {"op": op, "id": 1})
                     answer = dproto.read_message(rfile)
                     assert not answer["ok"] and "auth" in answer["error"]
-        assert len(pool2.coordinator.live_shards()) == 2
+        assert len(pool2._coordinator.live_shards()) == 2
         pids = pool2.run_tasks(small_cluster.fresh_copy(), pid_task, [0, 1])
         assert os.getpid() not in pids
 
     def test_a_long_task_is_not_a_hung_worker(self, pool2):
         """Local workers have no task timeout: a dead one is an EOF."""
-        assert pool2.coordinator.task_timeout is None
-        for shard in pool2.coordinator.live_shards():
+        assert pool2._coordinator.task_timeout is None
+        for shard in pool2._coordinator.live_shards():
             assert shard.sock.gettimeout() is None
 
     def test_workers_inherit_the_graph(self, small_cluster):
         graph = small_cluster.graph
         with ProcessExecutor(2, graph=graph) as executor:
-            for shard in executor.coordinator.live_shards():
+            for shard in executor._coordinator.live_shards():
                 assert shard.hello["graphs"] == [graph.fingerprint()]
             degree, neighbors = executor.run_tasks(
                 small_cluster.fresh_copy(), graph_probe_task, [3]

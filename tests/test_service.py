@@ -149,7 +149,7 @@ class TestResultCache:
         now[0] = 10.0
         assert cache.get(("k",), p) is None
         assert cache.expirations == 1
-        assert len(cache) == 0
+        assert len(cache._entries) == 0
 
     def test_failed_runs_are_not_cached(self):
         cache = ResultCache()
@@ -634,7 +634,7 @@ class TestSchedulerResults:
         with QueryScheduler(
             graph, RunConfig(machines=3), threads=2
         ) as scheduler:
-            original = scheduler.run("q1", "rads", collect=True)
+            original = scheduler.submit("q1", "rads", collect=True).result()
             ticket = scheduler.submit(rewrite, "rads", collect=True)
             served = ticket.result(60)
         assert ticket.cache_hit
@@ -647,10 +647,10 @@ class TestSchedulerResults:
         with QueryScheduler(
             graph, RunConfig(machines=3), threads=1
         ) as scheduler:
-            full = scheduler.run("triangle", "rads", collect=True)
-            limited = scheduler.run(
+            full = scheduler.submit("triangle", "rads", collect=True).result()
+            limited = scheduler.submit(
                 "triangle", "rads", collect=True, limit=3
-            )
+            ).result()
         assert limited.embeddings == full.embeddings[:3]
         assert limited.counters["service.cache_hit"] == 1
 
@@ -661,8 +661,8 @@ class TestSchedulerResults:
         with QueryScheduler(
             graph, RunConfig(machines=3), threads=1
         ) as scheduler:
-            scheduler.run("q1", "rads", collect=True)
-            full = scheduler.run(rewrite, "rads", collect=True)
+            scheduler.submit("q1", "rads", collect=True).result()
+            full = scheduler.submit(rewrite, "rads", collect=True).result()
             ticket = scheduler.submit(rewrite, "rads", collect=True, limit=4)
             page = ticket.result(60)
         assert ticket.cache_hit
@@ -674,7 +674,7 @@ class TestSchedulerResults:
         with QueryScheduler(
             graph, RunConfig(machines=3), threads=1, cache=False
         ) as scheduler:
-            scheduler.run("triangle", "rads")
+            scheduler.submit("triangle", "rads").result()
             ticket = scheduler.submit("triangle", "rads")
             ticket.result(60)
             assert not ticket.cache_hit

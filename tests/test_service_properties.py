@@ -57,14 +57,14 @@ def test_isomorphic_hit_serves_identical_counts_and_valid_embeddings(
     rewrite = random_relabeling(pattern, seed=seed + 100)
     config = RunConfig(machines=2)
     with QueryScheduler(graph, config, threads=2) as scheduler:
-        original = scheduler.run(pattern, "single", collect=True)
+        original = scheduler.submit(pattern, "single", collect=True).result()
         ticket = scheduler.submit(rewrite, "single", collect=True)
         served = ticket.result(60)
         # Uncached ground truth for the rewrite itself (cache disabled).
         with QueryScheduler(
             graph, config, threads=1, cache=False
         ) as uncached:
-            direct = uncached.run(rewrite, "single", collect=True)
+            direct = uncached.submit(rewrite, "single", collect=True).result()
 
     assert ticket.cache_hit, "isomorphic rewrite must hit the cache"
     assert served.counters["service.cache_hit"] == 1
@@ -98,8 +98,8 @@ def test_exact_repeat_is_byte_identical(graph):
     with QueryScheduler(
         graph, RunConfig(machines=2), threads=1
     ) as scheduler:
-        first = scheduler.run(pattern, "single", collect=True)
-        second = scheduler.run(pattern, "single", collect=True)
+        first = scheduler.submit(pattern, "single", collect=True).result()
+        second = scheduler.submit(pattern, "single", collect=True).result()
     assert second.counters["service.cache_hit"] == 1
     assert second.embeddings == first.embeddings
     assert second.embedding_count == first.embedding_count

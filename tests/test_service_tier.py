@@ -348,12 +348,12 @@ class TestWorkerEngineCache:
             graph, RunConfig(machines=2), registry, threads=1, cache=False
         ) as scheduler:
             for name in names:
-                scheduler.run("triangle", name)
+                scheduler.submit("triangle", name).result()
             assert built == names
             for name in names[1:]:  # still warm
-                scheduler.run("triangle", name)
+                scheduler.submit("triangle", name).result()
             assert built == names
-            scheduler.run("triangle", "E0")  # the one that was evicted
+            scheduler.submit("triangle", "E0").result()  # the one that was evicted
             assert built == names + ["E0"]
 
 
@@ -403,7 +403,7 @@ class TestDiskTier:
         # A brand-new cache over the same directory (a restarted server)
         # serves the spilled entry, byte for byte.
         second = ResultCache(disk_dir=tmp_path / "cache")
-        assert len(second) == 0
+        assert len(second._entries) == 0
         served = second.get(("k",), p)
         assert served is not None
         assert served.to_dict() == reference.to_dict()
@@ -909,7 +909,7 @@ class TestServerRestartFromDisk:
         with QueryScheduler(
             graph, config, threads=1, cache=cache
         ) as scheduler:
-            scheduler.run("triangle", "rads")
+            scheduler.submit("triangle", "rads").result()
         key = cache_key(
             graph, triangle(), "RADS", config, collect=config.collect
         )

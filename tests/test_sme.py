@@ -50,7 +50,7 @@ class TestSplit:
         split = SingleMachineSplit(pattern, plan, cons)
         local = cluster.partition.machine(0)
         for v in split.candidates(local):
-            assert local.degree(v) >= pattern.degree(plan.start_vertex)
+            assert cluster.graph.degree(v) >= pattern.degree(plan.start_vertex)
 
 
 class TestProposition1:

@@ -52,7 +52,7 @@ class TestSpeedFactorPlumbing:
         cluster = Cluster.create(er_graph, 3)
         cluster.set_speed_factor(1, 0.5)
         cluster.machine(1).charge_ops(100)
-        cluster.reset()
+        cluster = cluster.fresh_copy()
         assert cluster.machine(1).speed_factor == 0.5
         assert cluster.machine(1).clock == 0.0
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.query import Pattern, automorphisms, orbits, symmetry_breaking_constraints
+from repro.query import Pattern, automorphisms, symmetry_breaking_constraints
 from repro.query.patterns import (
     PAPER_QUERIES,
     clique,
@@ -41,12 +41,6 @@ class TestAutomorphisms:
         for sigma in automorphisms(p):
             for u, v in p.edges():
                 assert p.has_edge(sigma[u], sigma[v])
-
-    def test_orbits_partition_vertices(self):
-        p = k33()
-        obs = orbits(p)
-        all_vertices = sorted(v for orbit in obs for v in orbit)
-        assert all_vertices == list(p.vertices())
 
 
 class TestConstraints:

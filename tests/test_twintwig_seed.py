@@ -90,9 +90,8 @@ class TestJoinRunner:
         pattern = ALL_QUERIES["q1"]
         runner = DistributedJoinRunner(cluster, pattern, [])
         unit = JoinUnit((0, 1, 3), ((0, 1), (0, 3)), "star")
-        for t in range(3):
-            for inst in runner.star_instances(t, unit):
-                centre, leaf1, leaf2 = inst
+        for instances in runner._instances(unit):
+            for centre, leaf1, leaf2 in instances:
                 assert graph.has_edge(centre, leaf1)
                 assert graph.has_edge(centre, leaf2)
                 assert leaf1 != leaf2
@@ -103,8 +102,8 @@ class TestJoinRunner:
         pattern = ALL_QUERIES["cq1"]
         runner = DistributedJoinRunner(cluster, pattern, [])
         unit = JoinUnit((0, 1, 2), ((0, 1), (0, 2), (1, 2)), "clique")
-        for t in range(2):
-            for a, b, c in runner.clique_instances(t, unit):
+        for instances in runner._instances(unit):
+            for a, b, c in instances:
                 assert graph.has_edge(a, b)
                 assert graph.has_edge(a, c)
                 assert graph.has_edge(b, c)
@@ -118,52 +117,3 @@ class TestJoinRunner:
                 {0: [], 1: []}, (0, 1),
                 {0: [], 1: []}, JoinUnit((2, 3), ((2, 3),), "star"),
             )
-
-
-class TestCostOrientedDecomposition:
-    def test_covers_all_edges(self):
-        from repro.engines.twintwig import cost_oriented_decomposition
-
-        for name in sorted(ALL_QUERIES):
-            units = cost_oriented_decomposition(ALL_QUERIES[name], 8.0)
-            covered = sorted(e for u in units for e in u.covered_edges)
-            assert covered == sorted(ALL_QUERIES[name].edges()), name
-
-    def test_units_are_small_stars(self):
-        from repro.engines.twintwig import cost_oriented_decomposition
-
-        for unit in cost_oriented_decomposition(ALL_QUERIES["q8"], 8.0):
-            assert len(unit.covered_edges) <= 2
-
-    def test_engine_correct(self):
-        from repro.cluster import Cluster
-        from repro.engines import SingleMachineEngine
-        from repro.engines.twintwig import TwinTwigEngine
-
-        graph = erdos_renyi(70, 0.12, seed=44)
-        cluster = Cluster.create(graph, 3)
-        pattern = ALL_QUERIES["q4"]
-        expected = set(
-            SingleMachineEngine().run(cluster.fresh_copy(), pattern).embeddings
-        )
-        result = TwinTwigEngine(cost_oriented=True).run(
-            cluster.fresh_copy(), pattern
-        )
-        assert set(result.embeddings) == expected
-
-    def test_cost_oriented_no_worse_on_powerlaw(self):
-        from repro.cluster import Cluster
-        from repro.engines.twintwig import TwinTwigEngine
-        from repro.graph import powerlaw_cluster
-
-        graph = powerlaw_cluster(200, 4, seed=45)
-        cluster = Cluster.create(graph, 3)
-        pattern = ALL_QUERIES["q5"]
-        naive = TwinTwigEngine().run(
-            cluster.fresh_copy(), pattern, collect_embeddings=False
-        )
-        smart = TwinTwigEngine(cost_oriented=True).run(
-            cluster.fresh_copy(), pattern, collect_embeddings=False
-        )
-        assert smart.embedding_count == naive.embedding_count
-        assert smart.peak_memory <= naive.peak_memory * 1.5
