@@ -68,11 +68,14 @@ MEMORY = 4 << 30  # address-space cap per process: a runaway fails, not the mach
 #: Unreached functions that a test uses as the reference for program output.
 REFERENCE = {
     "repro/enumeration/backtracking.py::BacktrackingEnumerator.run_seeded":
-        "tests/test_streaming.py::TestPrefixAndSeeded::test_a_seed_block_equals_its_seeds_one_by_one",
+        "tests/test_streaming.py::TestPrefixAndSeeded"
+        "::test_a_seed_block_equals_its_seeds_one_by_one",
     "repro/enumeration/backtracking.py::BacktrackingEnumerator.run_seeded_block":
-        "tests/test_streaming.py::TestPrefixAndSeeded::test_a_seed_block_equals_its_seeds_one_by_one",
+        "tests/test_streaming.py::TestPrefixAndSeeded"
+        "::test_a_seed_block_equals_its_seeds_one_by_one",
     "repro/enumeration/vf2.py::vf2_embeddings":
-        "tests/test_engine_equivalence.py::TestKernelAgainstVF2::test_random_patterns_graphs_and_ownership_masks",
+        "tests/test_engine_equivalence.py::TestKernelAgainstVF2"
+        "::test_random_patterns_graphs_and_ownership_masks",
     "repro/graph/algorithms.py::connected_components":
         "tests/test_generators.py::TestPowerlawCluster::test_connected",
     "repro/graph/algorithms.py::triangles":
@@ -89,7 +92,8 @@ REFERENCE = {
         "tests/test_counter_registry.py::TestRealWorkloadsEmitOnlyRegisteredNames"
         "::test_session_run_counters_are_accounted_for",
     "repro/obs/trace.py::span_names":
-        "tests/test_observability_service.py::TestDistributedTrace::test_traced_submit_returns_one_connected_tree",
+        "tests/test_observability_service.py::TestDistributedTrace"
+        "::test_traced_submit_returns_one_connected_tree",
     "repro/partition/partitioner.py::partition_balance":
         "tests/test_partition.py::TestMetisLikePartitioner::test_balanced",
     "repro/query/isomorphism.py::_invariant":
@@ -104,10 +108,13 @@ REFERENCE = {
         "tests/test_spanning.py::TestCDS::test_douglas_identity",
     "repro/query/spanning.py::minimum_connected_dominating_set":
         "tests/test_plan.py::TestPlanValidity::test_minimum_rounds_theorem1",
-    "repro/query/spanning.py::spanning_trees": "tests/test_spanning.py::TestCDS::test_douglas_identity",
-    "repro/query/spanning.py::tree_leaf_count": "tests/test_spanning.py::TestCDS::test_douglas_identity",
+    "repro/query/spanning.py::spanning_trees":
+        "tests/test_spanning.py::TestCDS::test_douglas_identity",
+    "repro/query/spanning.py::tree_leaf_count":
+        "tests/test_spanning.py::TestCDS::test_douglas_identity",
     "repro/query/symmetry.py::satisfies_constraints":
-        "tests/test_symmetry.py::TestBoundColumns::test_bounds_hold_at_every_position_iff_the_constraints_hold",
+        "tests/test_symmetry.py::TestBoundColumns"
+        "::test_bounds_hold_at_every_position_iff_the_constraints_hold",
     "repro/streaming/incremental.py::IncrementalMatcher.verify_parity":
         "tests/test_streaming.py::TestDeltaParitySerial::test_randomized_batches_hold_parity",
 }
@@ -147,24 +154,30 @@ DOCUMENTED = {
     "repro/obs/events.py::EventJournal.set_sink": "CLI: `repro serve --events-log` (docs/api.md)",
     "repro/obs/profile.py::Profiler.add_worker_usage":
         "docs/api.md: Profiling (socket-backed profiles attribute CPU per shard)",
-    "repro/obs/profile.py::current_profiler": "docs/api.md: Profiling (`Session.run(profile=True)`)",
+    "repro/obs/profile.py::current_profiler":
+        "docs/api.md: Profiling (`Session.run(profile=True)`)",
     "repro/obs/profile.py::task_rusage":
         "docs/api.md: Profiling (socket-backed profiles attribute CPU per shard)",
     "repro/obs/trace.py::Span.set": "docs/api.md: Observability (span `attributes`)",
     "repro/service/cache.py::ResultCache._drop_disk":
         "docs/api.md: Production service tier (a corrupt file is dropped, `disk_errors`)",
     "repro/service/protocol.py::_is_number": "docs/protocol.md: field checks (a positive number)",
-    "repro/service/protocol.py::render_docs": "docs/protocol.md (generated by `python -m repro.service.protocol`)",
+    "repro/service/protocol.py::render_docs":
+        "docs/protocol.md (generated by `python -m repro.service.protocol`)",
     "repro/service/scheduler.py::QueryScheduler._fail_all":
         "docs/api.md: Service layer (deduplicated submissions share one execution)",
     "repro/service/scheduler.py::QueryScheduler._rejected":
         "docs/api.md: Service layer (requests that can never fit raise `AdmissionError`)",
-    "repro/service/scheduler.py::QueryScheduler._time_out": "docs/api.md: Service layer (`timeout`)",
-    "repro/service/scheduler.py::QueryTicket._fail": "docs/api.md: Service layer (`timeout`, `cancel()`)",
-    "repro/service/tenancy.py::TenantLedger._refill": "docs/api.md: Production service tier (token-bucket rate)",
+    "repro/service/scheduler.py::QueryScheduler._time_out":
+        "docs/api.md: Service layer (`timeout`)",
+    "repro/service/scheduler.py::QueryTicket._fail":
+        "docs/api.md: Service layer (`timeout`, `cancel()`)",
+    "repro/service/tenancy.py::TenantLedger._refill":
+        "docs/api.md: Production service tier (token-bucket rate)",
     "repro/service/tenancy.py::TenantLedger.reject_memory":
         "docs/api.md: Production service tier (a never-fits request raises `AdmissionError`)",
-    "repro/store/columnar.py::TrieColumns.aggregate": "docs/protocol.md: `aggregate` op (`group_by` vertex)",
+    "repro/store/columnar.py::TrieColumns.aggregate":
+        "docs/protocol.md: `aggregate` op (`group_by` vertex)",
     "repro/store/store.py::EmbeddingStore._drop":
         "docs/api.md: Embedding store (corrupt/mismatched files are dropped and counted)",
     "repro/streaming/continuous.py::Watch._note_dropped":

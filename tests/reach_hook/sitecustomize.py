@@ -15,9 +15,9 @@ calls, but the benchmark's traced run installs and then clears its own
 At exit the process writes one ``file<TAB>firstlineno<TAB>qualname`` line
 per code object it entered under ``REACH_SRC`` (paths relative to it) to
 a file of its own in ``REACH_DIR``.  Exit here means ``atexit``, and also
-``os._exit`` (a forked child's normal end), ``os.execv`` / ``os.execve``
-and a SIGTERM that meets the default handler, which is how a parent stops
-its forked shard workers.  Only SIGKILL loses a record.
+``os._exit`` (a forked child's normal end), ``os.execv`` (the benchmark
+re-executes itself) and a SIGTERM that meets the default handler, which is
+how a parent stops its forked shard workers.  Only SIGKILL loses a record.
 """
 
 import atexit
@@ -73,7 +73,6 @@ if _OUT:
     atexit.register(_write)
     os._exit = _before(os._exit)
     os.execv = _before(os.execv)
-    os.execve = _before(os.execve)
     if signal.getsignal(signal.SIGTERM) == signal.SIG_DFL:
         signal.signal(signal.SIGTERM, _on_sigterm)
     sys.settrace(_hook)
