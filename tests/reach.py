@@ -1,17 +1,18 @@
 """The reach map: which ``src/`` functions the program's entry points run.
 
-    python tests/reach.py            # runs every entry point, ~20 min
+    python tests/reach.py            # runs every entry point, ~7 min on 2 vCPU
     python tests/reach.py --check    # re-reads tests/data/reach.json only
 
 Every entry point runs in a process of its own with ``tests/reach_hook``'s
 ``sitecustomize.py`` loaded into it and into every Python process it
 starts (shard workers forked by the process backend, ``repro serve`` /
 ``repro worker`` daemons, the benchmark's served child).  Each process
-writes the functions it entered; the driver merges them per entry point
+writes the functions it entered; this script merges them per entry point
 into ``tests/data/reach.json``: for every function and method defined at
 the top level of a ``src/`` module or class, the entry points that reach
-it.  A function no entry point reaches is tagged instead, in the tables
-below:
+it (an abstract method, whose body only raises ``NotImplementedError``,
+is reached where an override is).  A function no entry point reaches is
+tagged instead, in the tables below:
 
 - ``reference``: a test checks the program's output against it (an
   oracle, a theorem's brute force), named by the test;
@@ -19,7 +20,7 @@ below:
   name in a code span there, or listed by hand with where it is described.
 
 A function that is neither reached nor tagged is the output's
-``unaccounted`` list, and the driver exits 1: delete it, or say why it
+``unaccounted`` list, and the script exits 1: delete it, or say why it
 stays.  The file is sorted and has no timings, so two runs write the same
 bytes.
 
