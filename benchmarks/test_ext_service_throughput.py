@@ -323,16 +323,13 @@ def test_ext_tracing_overhead(benchmark, report):
 # Profiling overhead guard (PR 10)
 # ----------------------------------------------------------------------
 def test_ext_profiling_overhead(benchmark, report):
-    """Disabled profiling must be invisible; enabled must not perturb.
+    """Enabled profiling must not perturb, nor cost without bound.
 
-    The disabled path is one ContextVar read (``profile_active()``) per
-    execution — the guard holds it under 0.01% of what a request already
-    costs.  A fully profiled drive must produce the same enumeration
-    counts, and a profiled/unprofiled pair of the same query must be
-    bit-identical on every engine stat: profiles observe, never perturb.
+    A fully profiled drive must produce the same enumeration counts, and
+    a profiled/unprofiled pair of the same query must be bit-identical on
+    every engine stat: profiles observe, never perturb.  (An unprofiled
+    execution runs no profiling code: nothing to time.)
     """
-    from repro.obs.profile import profile_active
-
     graph = powerlaw_cluster(400, edges_per_vertex=4, seed=11)
 
     def _stats(result):
@@ -351,10 +348,6 @@ def test_ext_profiling_overhead(benchmark, report):
         )
 
     def experiment():
-        start = time.perf_counter()
-        for _ in range(TRACE_PROBE_ITERS):
-            profile_active()
-        probe_cost = (time.perf_counter() - start) / TRACE_PROBE_ITERS
         elapsed_off, _ = _drive(graph, cache=False)
         elapsed_on, _ = _drive(graph, cache=False, profile=True)
         # Bit-parity: same scheduler, same query, profiled and not.
@@ -369,9 +362,9 @@ def test_ext_profiling_overhead(benchmark, report):
         assert profiled.profile is not None
         assert profiled.profile["wall_seconds"] > 0
         identical = _stats(plain) == _stats(profiled)
-        return probe_cost, elapsed_off, elapsed_on, identical
+        return elapsed_off, elapsed_on, identical
 
-    probe_cost, elapsed_off, elapsed_on, identical = run_once(
+    elapsed_off, elapsed_on, identical = run_once(
         benchmark, experiment
     )
 
@@ -379,9 +372,7 @@ def test_ext_profiling_overhead(benchmark, report):
     lines = [
         "Profiling overhead — powerlaw |V|=400, 4 machines, "
         f"{THREADS} threads, {REQUESTS} requests (cache off)",
-        f"disabled probe (profile_active): {probe_cost * 1e9:8.1f} ns/call "
-        f"({100 * probe_cost / baseline_per_request:.6f}% of the "
-        f"{baseline_per_request * 1e3:.1f}ms baseline request)",
+        f"baseline request: {baseline_per_request * 1e3:.1f}ms",
         f"unprofiled drive: {elapsed_off:6.2f}s "
         f"({REQUESTS / elapsed_off:.1f} q/s)",
         f"profiled drive:   {elapsed_on:6.2f}s "
@@ -391,9 +382,6 @@ def test_ext_profiling_overhead(benchmark, report):
     ]
     report("ext_profiling_overhead", "\n".join(lines))
 
-    # The disabled path — one ContextVar read — is lost in the noise of
-    # a request: under 0.01% of the baseline per-request cost.
-    assert probe_cost < 0.0001 * baseline_per_request
     # Profiles observe, never perturb.
     assert identical
     # Enabled profiling is a deliberate opt-in cost — tracemalloc hooks

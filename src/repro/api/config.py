@@ -41,20 +41,19 @@ class ConfigError(ValueError):
     """A RunConfig field failed validation."""
 
 
-def normalize_collect(value: Any, *, field: str = "collect") -> "bool | str":
+def normalize_collect(value: Any) -> "bool | str":
     """Validate the tri-state result mode: ``False``/``True``/``"store"``.
 
     Truthy non-bools (``collect=1``) are rejected rather than coerced —
     silently treating them as ``True`` used to mask caller bugs, and
     ``"store"`` must stay distinguishable from plain truthiness.
-    ``field`` names the offending field in the :class:`ConfigError`.
     """
     if value is True or value is False:
         return value
     if value == "store":
         return "store"
     raise ConfigError(
-        f"{field} must be True, False or 'store', got {value!r}"
+        f"collect must be True, False or 'store', got {value!r}"
     )
 
 

@@ -62,7 +62,7 @@ _UNSET: Any = object()
 class UnknownQueryError(KeyError):
     """A query string neither a registered pattern nor valid DSL matches."""
 
-    def __init__(self, name: str, dsl_error: str | None = None):
+    def __init__(self, name: str, dsl_error: str | None):
         self.name = name
         self.choices = ", ".join(sorted(named_patterns()))
         self.suggestions = suggest_names(name, named_patterns())
@@ -131,8 +131,8 @@ def resolve_query(
         try:
             return parse_pattern(text)
         except PatternSyntaxError as exc:
-            raise UnknownQueryError(text, dsl_error=str(exc)) from exc
-    raise UnknownQueryError(text)
+            raise UnknownQueryError(text, str(exc)) from exc
+    raise UnknownQueryError(text, None)
 
 
 def resolve_pattern(query: "str | Pattern | LabeledPattern") -> Pattern:
@@ -143,19 +143,15 @@ def resolve_pattern(query: "str | Pattern | LabeledPattern") -> Pattern:
     return resolved
 
 
-def open_session(
-    source: "Graph | LabeledGraph | str | Path",
-    *,
-    config: RunConfig | None = None,
-    registry: EngineRegistry | None = None,
-) -> "Session":
-    """Open a session over a (labeled) graph instance or a graph file path."""
+def open_session(source: "Graph | LabeledGraph | str | Path") -> "Session":
+    """Open a session over a (labeled) graph instance or a graph file path
+    (configure it with :meth:`Session.configure` and friends)."""
     graph = (
         source
         if isinstance(source, (Graph, LabeledGraph))
         else load_graph(source)
     )
-    return Session(graph, config=config, registry=registry)
+    return Session(graph)
 
 
 #: ``repro.open(...)`` — the facade's documented spelling.
@@ -184,8 +180,6 @@ class Session:
     def __init__(
         self,
         graph: "Graph | LabeledGraph",
-        config: RunConfig | None = None,
-        registry: EngineRegistry | None = None,
     ):
         if isinstance(graph, LabeledGraph):
             self._labeled_graph: LabeledGraph | None = graph
@@ -198,8 +192,8 @@ class Session:
                 f"Session needs a Graph or LabeledGraph, got "
                 f"{type(graph).__name__}; use repro.open(path) for files"
             )
-        self._config = config or RunConfig()
-        self._registry = registry or default_registry()
+        self._config = RunConfig()
+        self._registry = default_registry()
         self._engine_name: str | None = None
         self._engine_kwargs: dict[str, Any] = {}
         self._engine = None
@@ -544,8 +538,6 @@ class Session:
         queries: "list[str | Pattern] | None" = None,
         *,
         dataset_name: str = "session",
-        check_consistency: bool = True,
-        engine_kwargs: Mapping[str, Mapping[str, Any]] | None = None,
     ) -> "GridResult":
         """Engine x query sweep over the session cluster configuration.
 
@@ -578,9 +570,7 @@ class Session:
                     list(queries),
                     engines=engines,
                     registry=self._registry,
-                    engine_kwargs=engine_kwargs,
                     config=self._config,
-                    check_consistency=check_consistency,
                     executor=self._ensure_executor(),
                     partition=self._get_partition(),
                     collect=self._config.collect,
@@ -666,14 +656,10 @@ class Session:
         port: int = 0,
         threads: int = 4,
         cache: Any = None,
-        cache_dir: str | None = None,
-        store: Any = None,
         store_dir: str | None = None,
         memory_budget_mb: float | None = None,
         log_path: str | None = None,
-        tenants: Any = None,
         default_quota: Any = None,
-        shard_registry: Any = None,
         events_path: str | None = None,
         start: bool = True,
     ) -> "QueryServer":
@@ -692,13 +678,14 @@ class Session:
         independently usable.  Close the returned server (context manager
         or ``close()``) to stop serving.  Unlabeled queries only.
 
-        ``store``/``store_dir`` enable ``collect="store"`` submissions
-        plus the ``page``/``lookup``/``aggregate`` protocol ops; when
-        neither is given a store attached with :meth:`with_store` is
-        shared with the server.
-
+        ``store_dir`` enables ``collect="store"`` submissions plus the
+        ``page``/``lookup``/``aggregate`` protocol ops; without it a store
+        attached with :meth:`with_store` is shared with the server.
         ``events_path`` mirrors every event-journal record to a JSONL
         file (replayable with :func:`repro.api.results.read_records_jsonl`).
+        The options ``repro serve`` does not set (named tenants, a shard
+        registry, ...) are :class:`~repro.service.server.QueryServer`'s:
+        build one directly to set them.
         """
         from repro.service.server import QueryServer
 
@@ -711,19 +698,12 @@ class Session:
                 port=port,
                 threads=threads,
                 cache=cache,
-                cache_dir=cache_dir,
-                store=(
-                    self._store
-                    if store is None and store_dir is None
-                    else store
-                ),
+                store=self._store if store_dir is None else None,
                 store_dir=store_dir,
                 memory_budget_mb=memory_budget_mb,
                 log_path=log_path,
                 partition=self._get_partition(),
-                tenants=tenants,
                 default_quota=default_quota,
-                shard_registry=shard_registry,
                 events_path=events_path,
             )
         return server.start() if start else server

@@ -117,5 +117,5 @@ def dataset_profile(name: str, scale: float = 1.0) -> dict[str, object]:
         "num_vertices": graph.num_vertices,
         "num_edges": graph.num_edges,
         "avg_degree": round(graph.average_degree(), 2),
-        "diameter_lb": diameter_lower_bound(graph, sweeps=4),
+        "diameter_lb": diameter_lower_bound(graph),
     }

@@ -41,15 +41,14 @@ class Cluster:
         graph: Graph,
         num_machines: int,
         partitioner: Partitioner | None = None,
-        cost_model: CostModel | None = None,
         memory_capacity: int | None = None,
     ) -> "Cluster":
-        """Partition ``graph`` over ``num_machines`` and build the cluster."""
+        """Partition ``graph`` over ``num_machines`` and build the cluster
+        (default cost model)."""
         partitioner = partitioner or MetisLikePartitioner()
-        cost_model = cost_model or CostModel()
         owner = partitioner.assign(graph, num_machines)
         partition = GraphPartition(graph, owner, num_machines)
-        return cls(partition, cost_model, memory_capacity)
+        return cls(partition, CostModel(), memory_capacity)
 
     # ------------------------------------------------------------------
     @property

@@ -40,8 +40,9 @@ class Machine:
     daemon thread that serves remote `fetchV`/`verifyE` requests (RADS
     overlaps daemon service with local work, so the two are separate).
 
-    ``speed_factor`` scales the CPU rate of this machine relative to the
-    cost model's baseline; values below 1 make it a *straggler*.  The
+    ``speed_factor`` (1 here; :meth:`Cluster.set_speed_factor` changes
+    it) scales the CPU rate of this machine relative to the cost model's
+    baseline; values below 1 make it a *straggler*.  The
     paper motivates asynchrony with exactly this: in synchronous systems
     "the machines must wait for each other [...], making the overall
     performance equivalent to that of the slowest machine".
@@ -52,14 +53,11 @@ class Machine:
         machine_id: int,
         cost_model: CostModel,
         memory_capacity: int | None = None,
-        speed_factor: float = 1.0,
     ):
-        if speed_factor <= 0:
-            raise ValueError("speed_factor must be positive")
         self.machine_id = machine_id
         self.cost_model = cost_model
         self.memory_capacity = memory_capacity
-        self.speed_factor = speed_factor
+        self.speed_factor = 1.0
         self.clock = 0.0
         self.daemon_clock = 0.0
         self.memory_used = 0
@@ -74,12 +72,12 @@ class Machine:
         self.clock += self.cost_model.compute_time(ops) / self.speed_factor
         self.counters[counter] += int(ops)
 
-    def charge_daemon_ops(self, ops: float, counter: str = "daemon_ops") -> None:
+    def charge_daemon_ops(self, ops: float) -> None:
         """Advance the daemon clock (overlapped with the main thread)."""
         self.daemon_clock += (
             self.cost_model.compute_time(ops) / self.speed_factor
         )
-        self.counters[counter] += int(ops)
+        self.counters["daemon_ops"] += int(ops)
 
     def advance(self, seconds: float) -> None:
         """Advance the main clock by wall time (waits, transfers)."""

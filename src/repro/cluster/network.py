@@ -62,17 +62,12 @@ class Network:
         )
         responder.charge_daemon_ops(service_ops)
 
-    def shuffle(
-        self,
-        machines: list[Machine],
-        payload: np.ndarray,
-        barrier: bool = True,
-    ) -> None:
+    def shuffle(self, machines: list[Machine], payload: np.ndarray) -> None:
         """All-to-all exchange of ``payload[src, dst]`` bytes with a barrier.
 
         Each machine's send time is its outgoing volume; each machine then
-        waits for its incoming volume; with ``barrier`` the slowest machine
-        gates everyone (synchronisation delay).
+        waits for its incoming volume; the slowest machine gates everyone
+        (synchronisation delay).
         """
         model = self._cost_model
         n = len(machines)
@@ -89,10 +84,9 @@ class Network:
                     + model.transfer_time(out_bytes)
                     + model.transfer_time(in_bytes)
                 )
-        if barrier:
-            latest = max(m.clock for m in machines)
-            for machine in machines:
-                machine.clock = latest
+        latest = max(m.clock for m in machines)
+        for machine in machines:
+            machine.clock = latest
 
     def broadcast(
         self, sender: Machine, receivers: list[Machine], nbytes: int

@@ -87,7 +87,7 @@ def _phase1_task(cluster: Cluster, args: tuple) -> tuple:
     """SM-E split + region grouping for one machine (independent unit)."""
     (
         t, split, leaves, enable_sme, collect,
-        results_budget, min_groups, grouping, seed,
+        results_budget, min_groups, grouping,
     ) = args
     local = cluster.partition.machine(t)
     machine = cluster.machine(t)
@@ -107,7 +107,7 @@ def _phase1_task(cluster: Cluster, args: tuple) -> tuple:
         graph=local.graph,
         estimator=estimator,
         budget_bytes=budget,
-        seed=seed + t,
+        seed=t,
         strategy=grouping,
     )
     return t, sme_count, embeddings, grouper.groups(distributed, costs)
@@ -151,7 +151,6 @@ class RADSEngine(EnumerationEngine):
         cache_budget_fraction: float = 0.35,
         min_groups_per_machine: int = 4,
         grouping: str = "proximity",
-        seed: int = 0,
     ):
         self._plan_provider = plan_provider or best_execution_plan
         self._enable_sme = enable_sme
@@ -165,7 +164,6 @@ class RADSEngine(EnumerationEngine):
         # checkR/shareR has units of work to rebalance (a machine's whole
         # workload in one group cannot be shared).
         self._min_groups = max(1, min_groups_per_machine)
-        self._seed = seed
         self.last_plan: ExecutionPlan | None = None
         #: The plan chosen per pattern (``PLAN_MEMO`` at most): a run reuses it.
         self._plans: dict[Pattern, ExecutionPlan] = {}
@@ -220,7 +218,7 @@ class RADSEngine(EnumerationEngine):
                     (
                         t, split, len(plan.units[0].leaves), self._enable_sme,
                         collect, results_budget, self._min_groups,
-                        self._grouping, self._seed,
+                        self._grouping,
                     )
                     for t in range(cluster.num_machines)
                 ],

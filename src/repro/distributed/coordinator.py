@@ -55,6 +55,8 @@ WINDOW = 4
 #: Seconds a batch waits for a replacement worker to announce after the
 #: whole roster is lost (registry mode only).
 REJOIN_TIMEOUT = 10.0
+#: Seconds allowed for TCP connect + handshake per worker.
+CONNECT_TIMEOUT = 10.0
 
 
 class _Shard:
@@ -120,10 +122,7 @@ class _Batch:
     ``trace`` is the JSON-safe span-propagation context of a traced run
     (:func:`repro.obs.trace.wire_context`) or ``None``; when set it rides
     on every task message, and the workers' finished span dicts shipped
-    back beside results accumulate in ``spans``.  ``profile`` marks a
-    profiled batch the same way: every task message carries
-    ``profile: true``, and the workers' rusage rows shipped back beside
-    results accumulate in ``usage``.
+    back beside results accumulate in ``spans``.
     """
 
     def __init__(
@@ -133,15 +132,12 @@ class _Batch:
         tasks: Sequence[Any],
         shard_names: Sequence[str],
         trace: "dict[str, str] | None" = None,
-        profile: bool = False,
     ):
         self.token = token
         self.ctx_data = ctx_data
         self.tasks = tasks
         self.trace = trace
-        self.profile = profile
         self.spans: list[dict] = []
-        self.usage: list[dict] = []
         self.cond = threading.Condition()
         self.shares: dict[str, deque[int]] = {
             name: deque() for name in shard_names
@@ -175,8 +171,6 @@ class ShardCoordinator:
     shards:
         Worker addresses — ``(host, port)`` tuples, ``"host:port"``
         strings, or bare port numbers (localhost).
-    connect_timeout:
-        Seconds allowed for TCP connect + handshake per worker.
     task_timeout:
         Seconds to wait for any single response before declaring the
         shard *hung* and resubmitting its work (``None`` = trust EOF).
@@ -200,7 +194,6 @@ class ShardCoordinator:
         self,
         shards: Sequence["tuple[str, int] | str | int"],
         *,
-        connect_timeout: float = 10.0,
         task_timeout: float | None = 600.0,
         heartbeat_interval: float | None = None,
         registry: "ShardRegistry | None" = None,
@@ -208,7 +201,6 @@ class ShardCoordinator:
     ):
         if not shards and registry is None:
             raise DistributedError("the shard roster is empty")
-        self.connect_timeout = connect_timeout
         self.task_timeout = task_timeout
         self.registry = registry
         self.authkey = authkey
@@ -219,9 +211,6 @@ class ShardCoordinator:
         #: Worker span dicts from the most recent traced batch, consumed
         #: by :meth:`take_worker_spans` (guarded by ``_batch_lock``).
         self._worker_spans: list[dict] = []
-        #: Worker rusage rows from the most recent profiled batch,
-        #: consumed by :meth:`take_worker_usage` (same guard).
-        self._worker_usage: list[dict] = []
         #: Serializes roster edits (registry syncs) against each other;
         #: readers (live_shards, close) see atomic list swaps.
         self._roster_lock = threading.Lock()
@@ -278,7 +267,7 @@ class ShardCoordinator:
         """TCP connect + handshake (role, version, then the key if any)."""
         shard.sock, shard.rfile, shard.wfile, shard.hello = dial(
             shard.address,
-            timeout=self.connect_timeout,
+            timeout=CONNECT_TIMEOUT,
             role=protocol.WORKER_ROLE,
             version=protocol.WORKER_PROTOCOL_VERSION,
         )
@@ -308,37 +297,37 @@ class ShardCoordinator:
                 address=shard.name, **attrs,
             )
         except (OSError, protocol.ProtocolError) as exc:
-            self._lose(shard, exc, count=False)
+            self._bury(shard, exc)
+
+    def _bury(self, shard: _Shard, exc: BaseException) -> bool:
+        """Remove a shard from the roster, recording why; False when the
+        heartbeat already buried it (callers race it for ``shard.lock``),
+        which keeps its original cause of death.  A managed shard whose
+        announced join could not be connected yet goes this way: its
+        removal is not a fault."""
+        shard.close()  # a dial that failed past its hello left it open
+        if shard.last_error is not None and not shard.alive:
+            return False
+        shard.last_error = f"{type(exc).__name__}: {exc}"
+        return True
 
     def _lose(
-        self,
-        shard: _Shard,
-        exc: BaseException,
-        *,
-        count: bool = True,
-        trace_id: str | None = None,
+        self, shard: _Shard, exc: BaseException, *, trace_id: str | None = None
     ) -> None:
-        """Remove a shard from the roster (fault path).
+        """Remove a shard from the roster (fault path) and count it.
 
         Counted whether the shard died mid-service or never answered the
         initial handshake: a roster member the operator configured but
         cannot be used is a lost worker either way (the executor surfaces
-        the counter on the next run's results).  Idempotent — a shard the
-        heartbeat already buried (callers race it for ``shard.lock``) is
-        not re-counted and keeps its original cause of death.  With
-        ``count=False`` (a managed shard whose announced join could not
-        be connected yet) the removal is not a fault.
+        the counter on the next run's results).  Idempotent, as
+        :meth:`_bury` is.
 
         Counted losses are journaled as ``worker.lost``; ``trace_id``
         ties the event to the request whose batch hit the fault (drive
         threads pass the batch's wire context id — context variables do
         not cross into them).
         """
-        shard.close()  # a dial that failed past its hello left it open
-        if shard.last_error is not None and not shard.alive:
-            return
-        shard.last_error = f"{type(exc).__name__}: {exc}"
-        if count:
+        if self._bury(shard, exc):
             self._bump(LOST_WORKERS)
             _events.emit(
                 "error",
@@ -555,7 +544,6 @@ class ShardCoordinator:
         tasks: Sequence[Any],
         *,
         trace: "dict[str, str] | None" = None,
-        profile: bool = False,
     ) -> list[tuple]:
         """Run one batch; ``(status, payload, delta)`` per task, in order.
 
@@ -568,9 +556,7 @@ class ShardCoordinator:
         batch *traced*: it rides on every task message, workers emit one
         span per task and ship the finished span dicts back beside their
         results, and the caller collects them afterwards via
-        :meth:`take_worker_spans`.  ``profile`` makes it *profiled* the
-        same way: workers measure their own rusage delta per task and
-        ship the rows back, collected via :meth:`take_worker_usage`.
+        :meth:`take_worker_spans`.
         """
         if self._closed:
             raise DistributedError("coordinator is closed")
@@ -600,7 +586,6 @@ class ShardCoordinator:
                     f"batch-{self._batch_seq}", ctx_data, tasks,
                     [shard.name for shard in live],
                     trace=trace,
-                    profile=profile,
                 )
                 threads = [
                     threading.Thread(
@@ -645,7 +630,6 @@ class ShardCoordinator:
                         continue
                     raise batch.failure
                 self._worker_spans = list(batch.spans)
-                self._worker_usage = list(batch.usage)
                 return [batch.results[i] for i in range(len(tasks))]
 
     def take_worker_spans(self) -> list[dict]:
@@ -659,17 +643,6 @@ class ShardCoordinator:
         with self._batch_lock:
             spans, self._worker_spans = self._worker_spans, []
             return spans
-
-    def take_worker_usage(self) -> list[dict]:
-        """Rusage rows shipped back by the last profiled batch (consumed).
-
-        Empty for unprofiled batches.  The executor folds these into the
-        active :class:`~repro.obs.profile.Profiler` right after
-        :meth:`run_batch` returns.
-        """
-        with self._batch_lock:
-            usage, self._worker_usage = self._worker_usage, []
-            return usage
 
     def _drive(self, shard: _Shard, batch: _Batch) -> None:
         """One shard's batch loop: deal, pipeline, collect, survive."""
@@ -732,8 +705,6 @@ class ShardCoordinator:
                         }
                         if batch.trace is not None:
                             message["trace"] = batch.trace
-                        if batch.profile:
-                            message["profile"] = True
                         if not ctx_sent:
                             # First task this connection sees for the
                             # batch carries the shared (base, fn) context.
@@ -752,13 +723,9 @@ class ShardCoordinator:
                     if response.get("ok"):
                         triple = protocol.unpack(response["data"])
                         worker_spans = response.get("spans")
-                        worker_usage = response.get("usage")
-                        if worker_spans or worker_usage:
+                        if worker_spans:
                             with batch.cond:
-                                if worker_spans:
-                                    batch.spans.extend(worker_spans)
-                                if worker_usage:
-                                    batch.usage.extend(worker_usage)
+                                batch.spans.extend(worker_spans)
                     else:
                         # The worker is healthy but the task failed there
                         # (malformed task, unserializable result).  Surfaced

@@ -39,7 +39,6 @@ from repro.distributed.coordinator import (
 )
 from repro.distributed.errors import DistributedError
 from repro.distributed.worker import ShardWorker
-from repro.obs.profile import attach_worker_usage, profile_active
 from repro.obs.trace import attach_spans, span as _obs_span, wire_context
 from repro.runtime.executor import Executor, TaskFn, merge_in_order
 
@@ -53,7 +52,7 @@ class SocketExecutor(Executor):
     construction, not mid-run.  ``workers`` reports the live roster size.
     See :class:`~repro.distributed.coordinator.ShardCoordinator` for the
     roster/fault-tolerance parameters forwarded via ``**coordinator_kwargs``
-    (``connect_timeout``, ``task_timeout``, ``heartbeat_interval``, and —
+    (``task_timeout``, ``heartbeat_interval``, and —
     for an elastic roster that follows worker announcements —
     ``registry``; with a registry, ``shards`` may be empty).
     """
@@ -91,21 +90,16 @@ class SocketExecutor(Executor):
         ):
             # Traced runs ship the batch span as the parent for the
             # shard workers' leaf spans; the finished worker spans come
-            # back with the batch and fold into the live tree here.
-            # Profiled runs ride the same pipe: workers measure their
-            # own rusage per task and the rows fold into the active
-            # profiler.
+            # back with the batch and fold into the live tree here (a
+            # profile sums its worker rows from them).
             try:
                 triples = self._coordinator.run_batch(
-                    cluster, fn, tasks,
-                    trace=wire_context(),
-                    profile=profile_active(),
+                    cluster, fn, tasks, trace=wire_context()
                 )
             finally:
                 self.workers = len(self._coordinator.live_shards())
                 self._surface_counters(cluster)
                 attach_spans(self._coordinator.take_worker_spans())
-                attach_worker_usage(self._coordinator.take_worker_usage())
         return merge_in_order(cluster, triples)
 
     def _surface_counters(self, cluster: Cluster) -> None:

@@ -47,7 +47,7 @@ __all__ = [
 
 #: Bumped on incompatible wire changes; echoed in the worker hello and
 #: checked by the coordinator before any bind.
-WORKER_PROTOCOL_VERSION = 3
+WORKER_PROTOCOL_VERSION = 4
 
 #: Operations a shard worker dispatches on.
 WORKER_OPS = ("bind", "task", "ping", "stats", "shutdown", "auth")

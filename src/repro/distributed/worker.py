@@ -36,6 +36,7 @@ import hashlib
 import hmac
 import os
 import queue
+import resource
 import secrets
 import socket
 import threading
@@ -48,7 +49,6 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.distributed import protocol
 from repro.graph.graph import Graph
-from repro.obs.profile import task_rusage, worker_usage
 from repro.obs.trace import remote_span
 from repro.partition.partition import GraphPartition
 from repro.runtime.executor import execute_task
@@ -56,6 +56,9 @@ from repro.service.protocol import PROTOCOL_VERSION, format_address
 from repro.service.transport import LineDaemon, acknowledged
 
 __all__ = ["ShardWorker", "stop_worker"]
+
+#: Seconds :func:`stop_worker` waits for an answer.
+STOP_TIMEOUT = 10.0
 
 #: Replica clusters cached per connection; evict beyond this many.
 _REPLICA_CACHE_LIMIT = 8
@@ -202,7 +205,6 @@ class _Connection:
         except LookupError as exc:
             response = protocol.error_response(request_id, str(exc))
             response["code"] = "need-graph"
-            response["have"] = self.worker.fingerprints()
             return response
         except Exception as exc:  # e.g. shipped-graph fingerprint mismatch
             return protocol.error_response(
@@ -226,7 +228,6 @@ class _Connection:
     def _task(self, message: dict[str, Any]) -> None:
         request_id = message.get("id")
         trace = message.get("trace")
-        profile = bool(message.get("profile"))
         try:
             token = message.get("batch")
             ctx = message.get("ctx")
@@ -253,14 +254,17 @@ class _Connection:
             return
         self.worker._count_task()
         started = time.perf_counter()
-        before = task_rusage() if profile else None
+        before = resource.getrusage(resource.RUSAGE_SELF) if trace is not None else None
         triple = execute_task(self._cluster, base, fn, args)
-        # ``mode`` went on the wire when the daemon also had a pool mode;
-        # the rows keep it so traces and profiles read as they did.
         measured = {}
         if trace is not None:
             # One finished leaf span, parented on the coordinator-side
-            # batch span the task message carried (the cross-wire link).
+            # batch span the task message carried (the cross-wire link),
+            # with this process's CPU across the task: a profile's
+            # worker rows are summed from these.  ``mode`` went on the
+            # wire when the daemon also had a pool mode; the span keeps
+            # it so traces and profiles read as they did.
+            after = resource.getrusage(resource.RUSAGE_SELF)
             measured["spans"] = [remote_span(
                 trace,
                 "worker.task",
@@ -269,11 +273,10 @@ class _Connection:
                 shard=self._shard,
                 pid=os.getpid(),
                 mode="inline",
+                utime=after.ru_utime - before.ru_utime,
+                stime=after.ru_stime - before.ru_stime,
+                maxrss_kb=after.ru_maxrss,  # KiB on Linux
             )]
-        if profile:
-            measured["usage"] = [
-                worker_usage(before, shard=self._shard, mode="inline")
-            ]
         try:
             data = protocol.pack(triple)
         except Exception as exc:  # unpicklable payload
@@ -526,9 +529,7 @@ class ShardWorker(LineDaemon):
             return partition
 
 
-def stop_worker(
-    address: "tuple[str, int] | str | int", *, timeout: float = 10.0
-) -> bool:
+def stop_worker(address: "tuple[str, int] | str | int") -> bool:
     """Politely stop a shard worker via the protocol's ``shutdown`` op.
 
     Returns True when the worker acknowledged; False when nothing
@@ -539,7 +540,7 @@ def stop_worker(
     return acknowledged(
         protocol.parse_address(address),
         {"op": "shutdown", "id": 0},
-        timeout=timeout,
+        timeout=STOP_TIMEOUT,
         role=protocol.WORKER_ROLE,
         # A daemon left over from another checkout still has to be
         # stoppable: ``shutdown`` is the same line in every version.

@@ -66,6 +66,9 @@ from repro.runtime.executor import Executor
 #: product of a core row's candidate counts).
 _ROWS_PER_CHUNK = 32 * kernel.ROWS_PER_BLOCK
 
+#: A :class:`CliqueIndex` stops building (incomplete) at this many cliques.
+MAX_ENTRIES = 5_000_000
+
 
 def _core_general_task(cluster: Cluster, args: tuple) -> np.ndarray:
     """Enumerate one machine's core embeddings via backtracking
@@ -170,13 +173,12 @@ INDEX_ENTRY_OVERHEAD = 64
 class CliqueIndex:
     """Offline index of all data-graph cliques up to ``max_size``.
 
-    ``complete`` is false when ``max_entries`` stopped construction: the
+    ``complete`` is false when ``MAX_ENTRIES`` stopped construction: the
     index then holds *some* cliques of each size, and nothing may read it
     as all of them.
     """
 
-    def __init__(self, graph: Graph, max_size: int = 4,
-                 max_entries: int = 5_000_000):
+    def __init__(self, graph: Graph, max_size: int = 4):
         self._graph = graph
         self.max_size = max_size
         self.complete = True
@@ -195,7 +197,7 @@ class CliqueIndex:
             if sub not in distinct[len(sub)]:
                 distinct[len(sub)].add(sub)
                 entries += 1
-                if entries >= max_entries:
+                if entries >= MAX_ENTRIES:
                     self.complete = False
                     break
         #: size -> the ``(count, size)`` array of cliques, rows ascending.

@@ -22,11 +22,11 @@ from repro.runtime.executor import Executor
 from repro.query.pattern import Pattern
 
 
-def _pattern_cliques(pattern: Pattern, min_size: int = 3) -> list[tuple[int, ...]]:
-    """All cliques of the (tiny) pattern with at least ``min_size`` vertices."""
+def _pattern_cliques(pattern: Pattern) -> list[tuple[int, ...]]:
+    """All cliques of the (tiny) pattern with at least three vertices."""
     cliques: list[tuple[int, ...]] = []
     vertices = list(pattern.vertices())
-    for size in range(min_size, pattern.num_vertices + 1):
+    for size in range(3, pattern.num_vertices + 1):
         for combo in combinations(vertices, size):
             if all(
                 pattern.has_edge(a, b) for a, b in combinations(combo, 2)

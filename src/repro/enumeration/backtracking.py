@@ -294,7 +294,7 @@ class MatchingTables:
                 if limit <= 0:
                     return
 
-    def block(self, adjacency, stats, seeds, allowed=None) -> tuple[np.ndarray, np.ndarray]:
+    def block(self, adjacency, stats, seeds, allowed) -> tuple[np.ndarray, np.ndarray]:
         """Everything :meth:`emit` yields, as one ``(seed index, embeddings)`` pair."""
         empty = np.empty((0, len(self.orders[0])), dtype=np.int64)
         tags, rows = zip((empty[:, 0], empty), *self.emit(adjacency, stats, seeds, allowed))
@@ -317,28 +317,24 @@ class BacktrackingEnumerator:
             self.order = compute_matching_order(self.pattern)
         self._tables = MatchingTables(self.pattern, self.constraints, [self.order])
 
-    def run_blocks(
-        self, start_candidates: Iterable[int], limit: int | None = None
-    ) -> Iterator[np.ndarray]:
+    def run_blocks(self, start_candidates: Iterable[int]) -> Iterator[np.ndarray]:
         """Embeddings as ``(r, |V_P|)`` arrays, ``rows[:, u] = v``, in order.
 
         ``start_candidates`` are tried for ``order[0]`` in the order
         given; they are validated against ``allowed`` and the degree
-        filter.  ``limit`` keeps the first ``limit`` embeddings.
+        filter.
         """
         if not isinstance(start_candidates, np.ndarray):
             start_candidates = list(start_candidates)
         starts = np.asarray(start_candidates, dtype=np.int64).reshape(-1, 1)
         for _, rows in self._tables.emit(
-            self.adjacency, self.stats, starts, self.allowed, limit, charge=True
+            self.adjacency, self.stats, starts, self.allowed, charge=True
         ):
             yield rows
 
-    def run(
-        self, start_candidates: Iterable[int], limit: int | None = None
-    ) -> Iterator[tuple[int, ...]]:
+    def run(self, start_candidates: Iterable[int]) -> Iterator[tuple[int, ...]]:
         """:meth:`run_blocks`, row by row as tuples ``emb[u] = v``."""
-        for rows in self.run_blocks(start_candidates, limit):
+        for rows in self.run_blocks(start_candidates):
             yield from map(tuple, rows.tolist())
 
     def run_seeded(
@@ -387,7 +383,6 @@ def enumerate_embeddings(
     constraints: list[tuple[int, int]] | None = None,
     order: list[int] | None = None,
     allowed: np.ndarray | None = None,
-    limit: int | None = None,
     stats: EnumerationStats | None = None,
 ) -> list[tuple[int, ...]]:
     """Convenience wrapper returning the embedding list.
@@ -403,4 +398,4 @@ def enumerate_embeddings(
         allowed=allowed,
         stats=stats or EnumerationStats(),
     )
-    return list(enumerator.run(vertices, limit=limit))
+    return list(enumerator.run(vertices))

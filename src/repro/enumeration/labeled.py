@@ -172,15 +172,10 @@ class LabeledEnumerator:
 def labeled_embeddings(
     data: LabeledGraph,
     query: LabeledPattern,
-    use_nlf: bool = True,
     limit: int | None = None,
     stats: EnumerationStats | None = None,
 ) -> list[tuple[int, ...]]:
-    """Convenience wrapper returning all labeled embeddings."""
-    enumerator = LabeledEnumerator(
-        data=data,
-        query=query,
-        use_nlf=use_nlf,
-        stats=stats or EnumerationStats(),
-    )
+    """Convenience wrapper returning all labeled embeddings (the first
+    ``limit`` of them, with one)."""
+    enumerator = LabeledEnumerator(data=data, query=query, stats=stats or EnumerationStats())
     return list(enumerator.run(limit=limit))

@@ -106,20 +106,14 @@ class VF2Enumerator:
         return True
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        start_candidates: Iterable[int],
-        limit: int | None = None,
-    ) -> Iterator[tuple[int, ...]]:
+    def run(self, start_candidates: Iterable[int]) -> Iterator[tuple[int, ...]]:
         """Yield embeddings as canonical tuples ``emb[u] = v``."""
         order = self.order
         n = self.pattern.num_vertices
         mapping: dict[int, int] = {}
         used: set[int] = set()
-        emitted = 0
 
         def extend(position: int) -> Iterator[tuple[int, ...]]:
-            nonlocal emitted
             self.stats.recursive_calls += 1
             u = order[position]
             # VF2 draws candidates from the data-side terminal set: the
@@ -134,14 +128,11 @@ class VF2Enumerator:
                 used.add(v)
                 if position + 1 == n:
                     self.stats.embeddings += 1
-                    emitted += 1
                     yield tuple(mapping[w] for w in range(n))
                 else:
                     yield from extend(position + 1)
                 used.discard(v)
                 del mapping[u]
-                if limit is not None and emitted >= limit:
-                    return
 
         for v0 in start_candidates:
             v0 = int(v0)
@@ -150,14 +141,11 @@ class VF2Enumerator:
             mapping[order[0]] = v0
             used.add(v0)
             if n == 1:
-                emitted += 1
                 yield (v0,)
             else:
                 yield from extend(1)
             used.discard(v0)
             del mapping[order[0]]
-            if limit is not None and emitted >= limit:
-                return
 
 
 def vf2_embeddings(
@@ -167,7 +155,6 @@ def vf2_embeddings(
     constraints: list[tuple[int, int]] | None = None,
     order: list[int] | None = None,
     allowed: Callable[[int], bool] | None = None,
-    limit: int | None = None,
     stats: EnumerationStats | None = None,
 ) -> list[tuple[int, ...]]:
     """Convenience wrapper mirroring
@@ -180,4 +167,4 @@ def vf2_embeddings(
         allowed=allowed,
         stats=stats or EnumerationStats(),
     )
-    return list(enumerator.run(vertices, limit=limit))
+    return list(enumerator.run(vertices))

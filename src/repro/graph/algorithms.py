@@ -64,19 +64,24 @@ def connected_components(graph: Graph) -> np.ndarray:
     return label
 
 
-def diameter_lower_bound(graph: Graph, sweeps: int = 4, seed: int = 0) -> int:
+#: Sweeps :func:`diameter_lower_bound` makes (fewer once one finds nothing farther).
+DIAMETER_SWEEPS = 4
+
+
+def diameter_lower_bound(graph: Graph) -> int:
     """Double-sweep lower bound on the diameter.
 
     Exact diameters of the synthetic datasets are too expensive; the paper's
-    Table 1 only needs the order of magnitude.  Repeated double sweeps from
-    the farthest vertex found so far give a tight lower bound in practice.
+    Table 1 only needs the order of magnitude.  ``DIAMETER_SWEEPS`` repeated
+    double sweeps from the farthest vertex found so far, starting from a
+    seed-0 random vertex, give a tight lower bound in practice.
     """
     if graph.num_vertices == 0:
         return 0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     start = int(rng.integers(graph.num_vertices))
     best = 0
-    for _ in range(max(1, sweeps)):
+    for _ in range(DIAMETER_SWEEPS):
         dist = bfs_distances(graph, start)
         reached = np.where(dist != UNREACHED)[0]
         if len(reached) == 0:

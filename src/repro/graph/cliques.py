@@ -13,38 +13,27 @@ from repro.graph.graph import Graph
 from repro.graph.algorithms import degeneracy_order
 
 
-def maximal_cliques(graph: Graph, max_count: int | None = None) -> list[tuple[int, ...]]:
-    """All maximal cliques via Bron-Kerbosch with degeneracy ordering.
-
-    Parameters
-    ----------
-    max_count:
-        Optional safety cap; enumeration stops once reached.
-    """
+def maximal_cliques(graph: Graph) -> list[tuple[int, ...]]:
+    """All maximal cliques via Bron-Kerbosch with degeneracy ordering."""
     adjacency = [set(int(w) for w in graph.neighbors(v)) for v in graph.vertices()]
     result: list[tuple[int, ...]] = []
 
-    def expand(r: list[int], p: set[int], x: set[int]) -> bool:
-        if max_count is not None and len(result) >= max_count:
-            return False
+    def expand(r: list[int], p: set[int], x: set[int]) -> None:
         if not p and not x:
             result.append(tuple(sorted(r)))
-            return True
+            return
         pivot = max(p | x, key=lambda v: len(adjacency[v] & p))
         for v in sorted(p - adjacency[pivot]):
-            if not expand(r + [v], p & adjacency[v], x & adjacency[v]):
-                return False
+            expand(r + [v], p & adjacency[v], x & adjacency[v])
             p = p - {v}
             x = x | {v}
-        return True
 
     order = degeneracy_order(graph)
     position = {v: i for i, v in enumerate(order)}
     for v in order:
         later = {w for w in adjacency[v] if position[w] > position[v]}
         earlier = {w for w in adjacency[v] if position[w] < position[v]}
-        if not expand([v], later, earlier):
-            break
+        expand([v], later, earlier)
     return result
 
 

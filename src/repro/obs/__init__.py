@@ -22,8 +22,8 @@ system (PR 9):
   ``Session.run(profile=True)`` or a ``submit`` op carrying
   ``profile: true`` measures CPU/memory/GC around the request, folds
   the span tree into a flame table (self-time by span name), and
-  attributes CPU to shard workers via rusage rows shipped back on task
-  responses.
+  attributes CPU to shard workers from the rusage their task spans
+  carry.
 - :mod:`repro.obs.events` — the structured event journal: a bounded
   ring of leveled, JSON-safe records emitted at every state transition
   that previously only bumped a counter (worker lost/joined/stale,
@@ -44,13 +44,7 @@ from repro.obs.events import EventJournal, KNOWN_KINDS, emit, journal
 from repro.obs.expo import render_text
 from repro.obs.health import HealthEngine
 from repro.obs.hist import DEFAULT_BUCKETS, Histogram, SlowQueryLog
-from repro.obs.profile import (
-    Profiler,
-    attach_worker_usage,
-    current_profiler,
-    flame_table,
-    profile_active,
-)
+from repro.obs.profile import Profiler, flame_table
 from repro.obs.trace import (
     Span,
     Tracer,
@@ -74,13 +68,10 @@ __all__ = [
     "Span",
     "Tracer",
     "attach_spans",
-    "attach_worker_usage",
-    "current_profiler",
     "current_span",
     "emit",
     "flame_table",
     "journal",
-    "profile_active",
     "remote_span",
     "render_text",
     "span",

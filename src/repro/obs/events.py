@@ -205,19 +205,12 @@ class EventJournal:
             events = events[-limit:] if limit else []
         return events
 
-    def last(
-        self, kind: str, *, component: str | None = None
-    ) -> dict[str, Any] | None:
+    def last(self, kind: str) -> dict[str, Any] | None:
         """The newest retained event of ``kind`` (None when absent)."""
         with self._lock:
             for record in reversed(self._events):
-                if record["kind"] != kind:
-                    continue
-                if component is not None and (
-                    record["component"] != component
-                ):
-                    continue
-                return dict(record)
+                if record["kind"] == kind:
+                    return dict(record)
         return None
 
     @property

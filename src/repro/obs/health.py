@@ -9,7 +9,7 @@ in the sense that each is a named threshold over fields the snapshot
 already carries; nothing here measures anything new, so evaluating is
 cheap enough for ``repro health --watch`` to poll.
 
-Built-in rules (every threshold is a constructor knob):
+Built-in rules (each threshold is a module constant):
 
 - ``latency_p95`` — the ``latency`` histogram's p95 exceeds the ceiling
   (only once ``min_samples`` requests have completed, so a cold server
@@ -46,6 +46,19 @@ __all__ = ["HealthEngine", "STATUSES"]
 #: Verdict ladder, healthiest first.
 STATUSES = ("ok", "degraded", "critical")
 
+#: ``latency_p95``'s ceiling, in seconds.
+P95_LATENCY_SECONDS = 30.0
+#: Finished requests before ``latency_p95`` and ``error_rate`` judge.
+MIN_SAMPLES = 16
+#: ``error_rate``'s budget: the failed fraction of finished requests.
+ERROR_RATE = 0.5
+#: ``queue_depth``'s bound on queued requests.
+QUEUE_DEPTH = 64
+#: Stale announced workers at which ``stale_shards`` fires.
+STALE_SHARDS = 1
+#: ``disk_errors``'s budget on the cache's disk-tier error counter.
+DISK_ERROR_BUDGET = 8
+
 
 def _shed(metrics: dict, *path: str) -> Any:
     """``metrics[a][b]...`` with missing/None segments collapsing to None."""
@@ -60,29 +73,13 @@ def _shed(metrics: dict, *path: str) -> Any:
 class HealthEngine:
     """Evaluates the SLO rule set against one metrics snapshot.
 
-    Thresholds are fixed at construction; :meth:`evaluate` is stateless
+    The thresholds are the module constants; :meth:`evaluate` is stateless
     apart from remembering which rules were firing last time (to emit
     fired/cleared transition events into ``journal``, the process
     default when omitted).
     """
 
-    def __init__(
-        self,
-        *,
-        p95_latency_seconds: float = 30.0,
-        min_samples: int = 16,
-        error_rate: float = 0.5,
-        queue_depth: int = 64,
-        stale_shards: int = 1,
-        disk_error_budget: int = 8,
-        journal: "_events.EventJournal | None" = None,
-    ):
-        self.p95_latency_seconds = p95_latency_seconds
-        self.min_samples = min_samples
-        self.error_rate = error_rate
-        self.queue_depth = queue_depth
-        self.stale_shards = stale_shards
-        self.disk_error_budget = disk_error_budget
+    def __init__(self, *, journal: "_events.EventJournal | None" = None):
         self._journal = journal if journal is not None else _events.journal()
         self._firing: set[str] = set()
 
@@ -97,12 +94,12 @@ class HealthEngine:
             "name": "latency_p95",
             "severity": "degraded",
             "firing": (
-                samples >= self.min_samples
-                and p95 > self.p95_latency_seconds
+                samples >= MIN_SAMPLES
+                and p95 > P95_LATENCY_SECONDS
             ),
             "evidence": {
                 "p95_seconds": p95,
-                "ceiling_seconds": self.p95_latency_seconds,
+                "ceiling_seconds": P95_LATENCY_SECONDS,
                 "samples": samples,
             },
         })
@@ -115,11 +112,11 @@ class HealthEngine:
             "name": "error_rate",
             "severity": "critical",
             "firing": (
-                finished >= self.min_samples and rate > self.error_rate
+                finished >= MIN_SAMPLES and rate > ERROR_RATE
             ),
             "evidence": {
                 "rate": rate,
-                "budget": self.error_rate,
+                "budget": ERROR_RATE,
                 "failed": failed,
                 "finished": finished,
             },
@@ -129,8 +126,8 @@ class HealthEngine:
         rules.append({
             "name": "queue_depth",
             "severity": "degraded",
-            "firing": queued > self.queue_depth,
-            "evidence": {"queued": queued, "bound": self.queue_depth},
+            "firing": queued > QUEUE_DEPTH,
+            "evidence": {"queued": queued, "bound": QUEUE_DEPTH},
         })
 
         registry = _shed(metrics, "shards", "registry") or []
@@ -142,11 +139,11 @@ class HealthEngine:
         rules.append({
             "name": "stale_shards",
             "severity": "degraded",
-            "firing": len(stale) >= self.stale_shards,
+            "firing": len(stale) >= STALE_SHARDS,
             "evidence": {
                 "stale": stale,
                 "announced": len(registry),
-                "bound": self.stale_shards,
+                "bound": STALE_SHARDS,
             },
         })
 
@@ -154,10 +151,10 @@ class HealthEngine:
         rules.append({
             "name": "disk_errors",
             "severity": "degraded",
-            "firing": disk_errors > self.disk_error_budget,
+            "firing": disk_errors > DISK_ERROR_BUDGET,
             "evidence": {
                 "errors": disk_errors,
-                "budget": self.disk_error_budget,
+                "budget": DISK_ERROR_BUDGET,
             },
         })
 

@@ -30,7 +30,7 @@ from typing import Any
 
 __all__ = ["DEFAULT_BUCKETS", "Histogram", "SlowQueryLog"]
 
-#: Upper bounds (seconds) of the default latency ladder.  ``+inf`` is
+#: Upper bounds (seconds) of every histogram's latency ladder.  ``+inf`` is
 #: implicit as a final catch-all bucket.
 DEFAULT_BUCKETS: tuple[float, ...] = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
@@ -40,18 +40,19 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 #: The percentiles every snapshot reports.
 SNAPSHOT_PERCENTILES = (50.0, 95.0, 99.0)
 
+#: Requests a :class:`SlowQueryLog` keeps.
+SLOW_QUERIES = 16
+
 
 class Histogram:
     """Thread-safe fixed-bucket histogram of seconds-valued observations."""
 
-    def __init__(
-        self, name: str, buckets: tuple[float, ...] = DEFAULT_BUCKETS
-    ):
-        bounds = tuple(sorted(float(b) for b in buckets))
+    def __init__(self, name: str):
+        bounds = tuple(sorted(float(b) for b in DEFAULT_BUCKETS))
         if not bounds or any(b <= 0 for b in bounds):
-            raise ValueError(f"buckets must be positive, got {buckets!r}")
+            raise ValueError(f"buckets must be positive, got {DEFAULT_BUCKETS!r}")
         if len(set(bounds)) != len(bounds):
-            raise ValueError(f"duplicate bucket bounds in {buckets!r}")
+            raise ValueError(f"duplicate bucket bounds in {DEFAULT_BUCKETS!r}")
         self.name = name
         self.bounds = bounds
         self._lock = threading.Lock()
@@ -147,18 +148,18 @@ class Histogram:
 class SlowQueryLog:
     """Bounded ring of the slowest recent requests (threshold-free).
 
-    Every completed execution is offered; the log keeps the ``capacity``
-    slowest seen since startup, ordered slowest-first in
+    Every completed execution is offered; the log keeps the
+    ``SLOW_QUERIES`` slowest seen since startup, ordered slowest-first in
     :meth:`snapshot`.  Entries are plain JSON-safe dicts — the scheduler
     records pattern/engine/tenant/duration and, for traced requests, the
     span tree, so the metrics surface can show *where* a slow query's
     time went, not just that it was slow.
     """
 
-    def __init__(self, capacity: int = 16):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
+    def __init__(self):
+        if SLOW_QUERIES <= 0:
+            raise ValueError(f"capacity must be positive, got {SLOW_QUERIES}")
+        self.capacity = SLOW_QUERIES
         self._lock = threading.Lock()
         self._entries: list[dict[str, Any]] = []
 

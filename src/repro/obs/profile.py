@@ -22,56 +22,31 @@ a scheduler execution) and records:
   hot spots rank without reading raw trees.  Self times telescope: they
   sum to the root duration, which is the acceptance bound profiled runs
   are tested against;
-- per-worker CPU attribution for socket-backed runs: shard workers
-  measure their own :func:`resource.getrusage` delta per task and ship
-  it back on task responses (exactly like ``remote_span``); the
-  coordinator accumulates them and the executor folds them into the
-  active profiler via :func:`attach_worker_usage` — the profile's
-  ``workers`` rows say which shard spent the CPU.
+- per-worker CPU attribution for socket-backed runs: a profiled run
+  always traces, and a shard worker puts its own
+  :func:`resource.getrusage` delta per task (``utime``, ``stime``,
+  ``maxrss_kb``) on the ``worker.task`` span it ships back, so the
+  profile's ``workers`` rows are summed from the span tree, as the flame
+  table is — they say which shard spent the CPU.
 
-Propagation mirrors tracing: a context variable holds the active
-:class:`Profiler` (``None`` = profiling off, the only cost the disabled
-path pays), so executors and coordinators ask :func:`profile_active`
-without any constructor threading.  Profiles observe, never perturb:
-counts and stats are bit-identical with profiling on or off, results
-served from the cache/store never carry one (the byte-stability
-discipline), and the disabled path is guarded by
-``benchmarks/test_ext_profiling_overhead``.
+Profiles observe, never perturb: counts and stats are bit-identical with
+profiling on or off, and results served from the cache/store never carry
+one (the byte-stability discipline).
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import threading
 import time
-from contextvars import ContextVar
 from typing import Any
-
-try:  # Unix only; profiles degrade gracefully elsewhere.
-    import resource as _resource
-except ImportError:  # pragma: no cover - non-posix
-    _resource = None  # type: ignore[assignment]
 
 try:
     import tracemalloc as _tracemalloc
 except ImportError:  # pragma: no cover - minimal builds
     _tracemalloc = None  # type: ignore[assignment]
 
-__all__ = [
-    "Profiler",
-    "attach_worker_usage",
-    "current_profiler",
-    "flame_table",
-    "profile_active",
-    "task_rusage",
-    "worker_usage",
-]
-
-#: The active profiler of the current context (``None`` = profiling off).
-_CURRENT: ContextVar["Profiler | None"] = ContextVar(
-    "repro_obs_profiler", default=None
-)
+__all__ = ["Profiler", "flame_table", "worker_rows"]
 
 # tracemalloc is process-global: refcount starts/stops so overlapping
 # profiled requests share one tracing window instead of fighting over it.
@@ -112,15 +87,12 @@ def _gc_totals() -> tuple[int, int, int]:
 class Profiler:
     """Measures one request between ``__enter__`` and ``__exit__``.
 
-    Entering installs this profiler as the context's active one (so
-    downstream executors attribute worker usage to it) and snapshots the
-    clocks; exiting computes the deltas.  :meth:`result` then assembles
-    the JSON-safe profile record, optionally folding in a span tree for
-    the flame table.
+    Entering snapshots the clocks; exiting computes the deltas.
+    :meth:`result` then assembles the JSON-safe profile record, folding in
+    the request's span tree for the flame table and the worker rows.
     """
 
     def __init__(self) -> None:
-        self._token = None
         self._tracing_memory = False
         self._wall0 = 0.0
         self._cpu0 = 0.0
@@ -133,13 +105,9 @@ class Profiler:
         self.peak_bytes: int | None = None
         self.allocated_bytes: int | None = None
         self.gc_deltas = (0, 0, 0)
-        self._usage_lock = threading.Lock()
-        #: (shard, pid, mode) -> accumulated rusage row.
-        self._workers: dict[tuple, dict[str, Any]] = {}
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "Profiler":
-        self._token = _CURRENT.set(self)
         self._tracing_memory = _tracemalloc_acquire()
         if self._tracing_memory:
             current, _ = _tracemalloc.get_traced_memory()
@@ -167,54 +135,11 @@ class Profiler:
             self.allocated_bytes = current - self._mem0
             _tracemalloc_release()
             self._tracing_memory = False
-        if self._token is not None:
-            _CURRENT.reset(self._token)
-            self._token = None
 
     # ------------------------------------------------------------------
-    def add_worker_usage(
-        self, usages: "list[dict[str, Any]] | None"
-    ) -> None:
-        """Fold per-task worker rusage rows into the per-worker totals."""
-        if not usages:
-            return
-        with self._usage_lock:
-            for usage in usages:
-                key = (
-                    usage.get("shard"),
-                    usage.get("pid"),
-                    usage.get("mode"),
-                )
-                row = self._workers.get(key)
-                if row is None:
-                    row = self._workers[key] = {
-                        "shard": usage.get("shard"),
-                        "pid": usage.get("pid"),
-                        "mode": usage.get("mode"),
-                        "tasks": 0,
-                        "utime": 0.0,
-                        "stime": 0.0,
-                        "maxrss_kb": 0,
-                    }
-                row["tasks"] += 1
-                row["utime"] += float(usage.get("utime", 0.0))
-                row["stime"] += float(usage.get("stime", 0.0))
-                row["maxrss_kb"] = max(
-                    row["maxrss_kb"], int(usage.get("maxrss_kb", 0))
-                )
-
-    def worker_rows(self) -> list[dict[str, Any]]:
-        """Accumulated per-worker usage, busiest (CPU) first."""
-        with self._usage_lock:
-            rows = [dict(row) for row in self._workers.values()]
-        rows.sort(key=lambda r: r["utime"] + r["stime"], reverse=True)
-        return rows
-
-    # ------------------------------------------------------------------
-    def result(
-        self, tree: "dict[str, Any] | None" = None
-    ) -> dict[str, Any]:
-        """The JSON-safe profile record (call after ``__exit__``)."""
+    def result(self, tree: "dict[str, Any] | None") -> dict[str, Any]:
+        """The JSON-safe profile record of the request whose span tree is
+        ``tree`` (call after ``__exit__``)."""
         collections, collected, uncollectable = self.gc_deltas
         record: dict[str, Any] = {
             "wall_seconds": self.wall_seconds,
@@ -232,29 +157,40 @@ class Profiler:
                 "uncollectable": uncollectable,
             },
             "flame": flame_table(tree),
-            "workers": self.worker_rows(),
+            "workers": worker_rows(tree),
         }
         return record
 
 
-# ----------------------------------------------------------------------
-# Module-level surface (mirrors repro.obs.trace)
-# ----------------------------------------------------------------------
-def current_profiler() -> "Profiler | None":
-    """The context's active profiler (``None`` = profiling off)."""
-    return _CURRENT.get()
+def worker_rows(tree: "dict[str, Any] | None") -> list[dict[str, Any]]:
+    """Per-worker usage summed from a span tree's ``worker.task`` spans,
+    one row per (shard, pid, mode), busiest (CPU) first.
 
+    A shard worker puts its rusage delta across each task on the task's
+    span; ``tasks`` counts the spans, ``utime`` / ``stime`` sum and
+    ``maxrss_kb`` is the largest.  A tree without worker spans (a serial
+    run) has no rows.
+    """
+    rows: dict[tuple, dict[str, Any]] = {}
 
-def profile_active() -> bool:
-    """Whether a profiler is active in this context (one ContextVar read)."""
-    return _CURRENT.get() is not None
+    def visit(node: dict[str, Any]) -> None:
+        attributes = node.get("attributes") or {}
+        if node["name"] == "worker.task" and "utime" in attributes:
+            key = (attributes["shard"], attributes["pid"], attributes["mode"])
+            row = rows.setdefault(key, {
+                "shard": key[0], "pid": key[1], "mode": key[2],
+                "tasks": 0, "utime": 0.0, "stime": 0.0, "maxrss_kb": 0,
+            })
+            row["tasks"] += 1
+            row["utime"] += attributes["utime"]
+            row["stime"] += attributes["stime"]
+            row["maxrss_kb"] = max(row["maxrss_kb"], attributes["maxrss_kb"])
+        for child in node.get("children", ()):
+            visit(child)
 
-
-def attach_worker_usage(usages: "list[dict[str, Any]] | None") -> None:
-    """Fold shipped-back worker rusage rows into the active profiler."""
-    profiler = _CURRENT.get()
-    if profiler is not None:
-        profiler.add_worker_usage(usages)
+    if tree:
+        visit(tree)
+    return sorted(rows.values(), key=lambda r: r["utime"] + r["stime"], reverse=True)
 
 
 # ----------------------------------------------------------------------
@@ -304,43 +240,3 @@ def flame_table(
     ]
     table.sort(key=lambda r: (-r["self"], r["name"]))
     return table
-
-
-# ----------------------------------------------------------------------
-# Worker-side rusage measurement (no Profiler object on the worker)
-# ----------------------------------------------------------------------
-def task_rusage() -> Any:
-    """Snapshot this process's rusage (``None`` where unsupported).
-
-    The shard worker takes one before executing a profiled task and
-    hands it to :func:`worker_usage` afterwards.
-    """
-    if _resource is None:  # pragma: no cover - non-posix
-        return None
-    return _resource.getrusage(_resource.RUSAGE_SELF)
-
-
-def worker_usage(
-    before: Any, *, shard: str, mode: str
-) -> dict[str, Any]:
-    """One task's JSON-safe usage row from a :func:`task_rusage` baseline.
-
-    ``utime``/``stime`` are the worker process's CPU delta across the
-    task, which ran in that process (``mode`` says so: ``"inline"``).
-    """
-    row: dict[str, Any] = {
-        "shard": shard,
-        "pid": os.getpid(),
-        "mode": mode,
-        "utime": 0.0,
-        "stime": 0.0,
-        "maxrss_kb": 0,
-    }
-    if _resource is None or before is None:  # pragma: no cover - non-posix
-        return row
-    after = _resource.getrusage(_resource.RUSAGE_SELF)
-    row["utime"] = after.ru_utime - before.ru_utime
-    row["stime"] = after.ru_stime - before.ru_stime
-    # ru_maxrss is KiB on Linux (bytes on macOS; close enough for a gauge).
-    row["maxrss_kb"] = int(after.ru_maxrss)
-    return row

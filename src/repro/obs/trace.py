@@ -155,8 +155,8 @@ class Tracer:
     threads.
     """
 
-    def __init__(self, trace_id: str | None = None):
-        self.trace_id = trace_id or _new_id()
+    def __init__(self):
+        self.trace_id = _new_id()
         self._lock = threading.Lock()
         self._spans: list[dict[str, Any]] = []
 

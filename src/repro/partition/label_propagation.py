@@ -15,18 +15,16 @@ import numpy as np
 from repro.graph.graph import Graph
 from repro.partition.partitioner import HashPartitioner, Partitioner
 
+#: Propagation rounds (fewer once a round moves nothing).
+ITERATIONS = 8
+#: A part may hold at most this times its even share of vertices.
+MAX_IMBALANCE = 1.1
+
 
 class LabelPropagationPartitioner(Partitioner):
     """Size-constrained label propagation over a hash seeding."""
 
-    def __init__(
-        self,
-        iterations: int = 8,
-        max_imbalance: float = 1.1,
-        seed: int = 0,
-    ):
-        self._iterations = iterations
-        self._max_imbalance = max_imbalance
+    def __init__(self, seed: int = 0):
         self._seed = seed
 
     def assign(self, graph: Graph, num_machines: int) -> np.ndarray:
@@ -37,8 +35,8 @@ class LabelPropagationPartitioner(Partitioner):
         rng = np.random.default_rng(self._seed)
         part = HashPartitioner(self._seed).assign(graph, num_machines)
         counts = np.bincount(part, minlength=num_machines).astype(np.float64)
-        limit = self._max_imbalance * graph.num_vertices / num_machines
-        for _ in range(self._iterations):
+        limit = MAX_IMBALANCE * graph.num_vertices / num_machines
+        for _ in range(ITERATIONS):
             moved = 0
             order = rng.permutation(graph.num_vertices)
             for v in order:

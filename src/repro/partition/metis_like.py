@@ -44,6 +44,15 @@ import numpy as np
 from repro.graph.graph import Graph
 from repro.partition.partitioner import Partitioner
 
+#: Coarsen until at most this many vertices (or 8 per machine) remain...
+COARSEN_UNTIL = 200
+#: ...or this many levels have been built.
+MAX_LEVELS = 12
+#: Boundary-refinement passes per level (fewer once a pass moves nothing).
+REFINEMENT_PASSES = 4
+#: A part may carry at most this times its even share of vertex weight.
+MAX_IMBALANCE = 1.1
+
 
 class _Level(NamedTuple):
     """One coarsening level as a weighted CSR graph (int64 arrays)."""
@@ -163,16 +172,14 @@ def _initial_partition(
     return np.array(part, dtype=np.int64)
 
 
-def _refine(
-    level: _Level, part: np.ndarray, k: int, max_imbalance: float, passes: int
-) -> np.ndarray:
+def _refine(level: _Level, part: np.ndarray, k: int) -> np.ndarray:
     """Greedy boundary refinement with a balance constraint."""
     src = level.sources()
     ptr, nbr = level.indptr.tolist(), level.indices.tolist()
     ew, vw = level.edge_weight.tolist(), level.vertex_weight.tolist()
     load = np.bincount(part, weights=level.vertex_weight, minlength=k).tolist()
-    limit = max_imbalance * int(level.vertex_weight.sum()) / k
-    for _ in range(passes):
+    limit = MAX_IMBALANCE * int(level.vertex_weight.sum()) / k
+    for _ in range(REFINEMENT_PASSES):
         # The boundary, sorted, so already a heap.
         heap = np.unique(src[part[src] != part[level.indices]]).tolist()
         owner = part.tolist()
@@ -209,18 +216,7 @@ def _refine(
 class MetisLikePartitioner(Partitioner):
     """Multilevel k-way partitioner (coarsen / partition / refine)."""
 
-    def __init__(
-        self,
-        coarsen_until: int = 200,
-        max_levels: int = 12,
-        refinement_passes: int = 4,
-        max_imbalance: float = 1.1,
-        seed: int = 0,
-    ):
-        self._coarsen_until = coarsen_until
-        self._max_levels = max_levels
-        self._refinement_passes = refinement_passes
-        self._max_imbalance = max_imbalance
+    def __init__(self, seed: int = 0):
         self._seed = seed
 
     def assign(self, graph: Graph, num_machines: int) -> np.ndarray:
@@ -232,16 +228,15 @@ class MetisLikePartitioner(Partitioner):
         levels: list[tuple[_Level, np.ndarray]] = []
         ones = np.ones(len(graph.indices), dtype=np.int64)
         level = _Level(graph.indptr, graph.indices, ones, np.ones(graph.num_vertices, dtype=np.int64))
-        threshold = max(self._coarsen_until, 8 * num_machines)
-        while len(level.vertex_weight) > threshold and len(levels) < self._max_levels:
+        threshold = max(COARSEN_UNTIL, 8 * num_machines)
+        while len(level.vertex_weight) > threshold and len(levels) < MAX_LEVELS:
             coarser, mapping = _heavy_edge_matching(level, rng)
             if len(coarser.vertex_weight) >= len(level.vertex_weight):
                 break
             levels.append((level, mapping))
             level = coarser
-        refine = (num_machines, self._max_imbalance, self._refinement_passes)
-        part = _refine(level, _initial_partition(level, num_machines, rng), *refine)
+        part = _refine(level, _initial_partition(level, num_machines, rng), num_machines)
         # Uncoarsen, refining at every level.
         for finer, mapping in reversed(levels):
-            part = _refine(finer, part[mapping], *refine)
+            part = _refine(finer, part[mapping], num_machines)
         return part

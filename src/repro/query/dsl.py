@@ -190,9 +190,9 @@ class PatternBuilder:
         self,
         *,
         label_map: "Mapping[str, int] | None" = None,
-        require_connected: bool = True,
     ) -> "Pattern | LabeledPattern":
-        """The finished pattern (labeled iff any vertex carries a label).
+        """The finished pattern (labeled iff any vertex carries a label;
+        a pattern that is not connected is a :class:`PatternSyntaxError`).
 
         Unnamed patterns that are structurally one of the registered named
         queries adopt that name (``a-b, b-c, c-a`` builds ``triangle``).
@@ -202,7 +202,7 @@ class PatternBuilder:
         pattern = Pattern(
             len(self._order), sorted(self._edges), name=self._name
         )
-        if require_connected and not pattern.is_connected():
+        if not pattern.is_connected():
             raise PatternSyntaxError(
                 f"pattern is not connected: {format_pattern(pattern)!r}"
             )
@@ -230,9 +230,7 @@ def _find_registered_name(pattern: Pattern) -> str | None:
 def parse_pattern(
     text: str,
     *,
-    name: str | None = None,
     label_map: "Mapping[str, int] | None" = None,
-    require_connected: bool = True,
 ) -> "Pattern | LabeledPattern":
     """Parse DSL ``text`` into a :class:`Pattern` (or ``LabeledPattern``).
 
@@ -242,7 +240,7 @@ def parse_pattern(
     """
     if not isinstance(text, str):
         raise TypeError(f"pattern text must be a string, got {type(text).__name__}")
-    builder = PatternBuilder(name=name)
+    builder = PatternBuilder()
     terms = [t.strip() for t in _TERM_SPLIT.split(text)]
     if not any(terms):
         raise PatternSyntaxError(f"empty pattern text: {text!r}")
@@ -264,9 +262,7 @@ def parse_pattern(
                 u_label=_coerce_label(u_label),
                 v_label=_coerce_label(v_label),
             )
-    return builder.build(
-        label_map=label_map, require_connected=require_connected
-    )
+    return builder.build(label_map=label_map)
 
 
 #: ``repro.pattern(...)`` — the facade's documented spelling.

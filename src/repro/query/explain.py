@@ -32,8 +32,8 @@ from repro.query.symmetry import automorphisms, symmetry_breaking_constraints
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.graph.graph import Graph
 
-#: Runner-up plans reported by default (the plan space itself is tiny).
-DEFAULT_ALTERNATIVES = 5
+#: Runner-up plans reported (the plan space itself is tiny).
+ALTERNATIVES = 5
 
 
 @dataclass(frozen=True)
@@ -262,10 +262,8 @@ def explain_query(
     graph: "Graph | None" = None,
     plan: ExecutionPlan | None = None,
     plans: list[ExecutionPlan] | None = None,
-    labels: "tuple[int, ...] | None" = None,
     extras: dict[str, Any] | None = None,
     notes: str = "",
-    max_alternatives: int = DEFAULT_ALTERNATIVES,
 ) -> QueryExplanation:
     """Build a :class:`QueryExplanation` for ``query``.
 
@@ -275,10 +273,9 @@ def explain_query(
     enumerated it to choose); ``graph`` enables the per-round cost-model
     estimates; ``extras`` carries engine-specific structure.
     """
-    pattern = query
+    pattern, labels = query, None
     if hasattr(query, "pattern") and hasattr(query, "labels"):
-        pattern = query.pattern
-        labels = tuple(query.labels) if labels is None else labels
+        pattern, labels = query.pattern, tuple(query.labels)
     candidates = enumerate_execution_plans(pattern) if plans is None else plans
     if plan is None:
         plan = best_execution_plan(pattern, plans=candidates)
@@ -335,7 +332,7 @@ def explain_query(
             score=score_plan(p),
             start_span=pattern.span(p.start_vertex),
         )
-        for p in ranked[: max(0, max_alternatives)]
+        for p in ranked[:ALTERNATIVES]
     ]
     return QueryExplanation(
         engine=engine,

@@ -22,6 +22,9 @@ from itertools import permutations, product
 from repro.query.pattern import Pattern
 from repro.query.spanning import connected_dominating_sets
 
+#: Stop enumerating execution plans after this many.
+MAX_PLANS = 5000
+
 
 @dataclass(frozen=True)
 class DecompositionUnit:
@@ -186,21 +189,15 @@ def _leaf_assignments(
     return assignments
 
 
-def enumerate_execution_plans(
-    pattern: Pattern,
-    extra_rounds: int = 0,
-    max_plans: int = 5000,
-) -> list[ExecutionPlan]:
-    """All distinct-pivot execution plans with ``c_P + extra_rounds`` units."""
+def enumerate_execution_plans(pattern: Pattern) -> list[ExecutionPlan]:
+    """All distinct-pivot execution plans with ``c_P`` units (at most
+    ``MAX_PLANS`` of them)."""
     for size in range(1, pattern.num_vertices + 1):
         cds_list = connected_dominating_sets(pattern, size)
         if cds_list:
-            target = size + extra_rounds
             break
     else:  # pragma: no cover - connected patterns always have a CDS
         return []
-    if extra_rounds:
-        cds_list = connected_dominating_sets(pattern, target)
     plans: list[ExecutionPlan] = []
     for cds in cds_list:
         for pivots in permutations(sorted(cds)):
@@ -211,12 +208,12 @@ def enumerate_execution_plans(
             )
             if not valid:
                 continue
-            budget = max(1, max_plans - len(plans))
+            budget = max(1, MAX_PLANS - len(plans))
             for leaf_owner in _leaf_assignments(pattern, pivots, budget):
                 plan = _build_plan(pattern, pivots, leaf_owner)
                 if plan is not None:
                     plans.append(plan)
-            if len(plans) >= max_plans:
+            if len(plans) >= MAX_PLANS:
                 return plans
     return plans
 

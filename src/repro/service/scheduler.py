@@ -411,7 +411,7 @@ class QueryScheduler:
         # observability() / the server's ``metrics`` op.
         self.latency = Histogram("latency")
         self.queue_wait = Histogram("queue_wait")
-        self.slow_queries = SlowQueryLog(16)
+        self.slow_queries = SlowQueryLog()
         self._workers = [
             threading.Thread(
                 target=self._worker, name=f"repro-query-{i}", daemon=True
@@ -483,7 +483,7 @@ class QueryScheduler:
         collect = (
             self.config.collect
             if collect is None
-            else normalize_collect(collect, field="collect")
+            else normalize_collect(collect)
         )
         if collect == "store" and self.store is None:
             raise ValueError(
@@ -718,7 +718,7 @@ class QueryScheduler:
             )
         return ticket
 
-    def rebind_graph(self, graph: "Graph", *, partition: Any = None) -> None:
+    def rebind_graph(self, graph: "Graph") -> None:
         """Serve subsequent submissions against a new graph snapshot.
 
         The streaming ingest path calls this after every applied batch.
@@ -730,8 +730,7 @@ class QueryScheduler:
         being flushed (reclaim their memory with
         :meth:`ResultCache.evict_graph` if desired).
         """
-        if partition is None:
-            partition = self.config.make_partition(graph)
+        partition = self.config.make_partition(graph)
         with self._cond:
             if self._closed:
                 raise SchedulerClosed("scheduler is closed")

@@ -75,7 +75,6 @@ class QueryServer(LineDaemon):
         port: int = 0,
         threads: int = 4,
         cache: "ResultCache | None | bool" = None,
-        cache_dir: "str | None" = None,
         store: "EmbeddingStore | None" = None,
         store_dir: "str | None" = None,
         memory_budget_mb: float | None = None,
@@ -90,15 +89,6 @@ class QueryServer(LineDaemon):
         self.graph = graph
         self.config = config or RunConfig()
         self.registry = registry or default_registry()
-        if cache_dir is not None:
-            if isinstance(cache, ResultCache):
-                raise ValueError(
-                    "pass either a ready ResultCache (configure its "
-                    "disk_dir yourself) or cache_dir, not both"
-                )
-            if cache is False:
-                raise ValueError("cache_dir is meaningless with cache=False")
-            cache = ResultCache(disk_dir=cache_dir)
         if store_dir is not None:
             if store is not None:
                 raise ValueError(

@@ -242,10 +242,10 @@ class TenantLedger:
             weight = 1.0 if state.quota is None else state.quota.weight
             return state.reserved / weight
 
-    def note(self, tenant: "str | None", counter: str, amount: int = 1) -> None:
+    def note(self, tenant: "str | None", counter: str) -> None:
         """Bump one per-tenant stat counter."""
         with self._lock:
-            self._state(tenant).stats[counter] += amount
+            self._state(tenant).stats[counter] += 1
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, dict[str, Any]]:

@@ -220,45 +220,11 @@ class TrieColumns:
         """Embeddings containing ``vertex``, in sorted leaf order."""
         return self.decompress_leaves(self.lookup_leaves(int(vertex)))
 
-    def aggregate(
-        self, group_by: str, *, orbits: "Sequence[Sequence[int]] | None" = None
-    ) -> "dict[str, int] | dict[str, dict[str, int]]":
-        """Group counts as an index scan (leaves are never decompressed).
-
-        - ``"root"``: embeddings per first-query-vertex match — the
-          level-0 node leaf-range sizes.
-        - ``"vertex"``: embeddings containing each data vertex, summed
-          over per-level node ranges (injectivity makes this exact).
-        - ``"orbit"``: per automorphism orbit of query-vertex positions
-          (pass ``orbits``), the per-data-vertex containment count within
-          that orbit's levels.
-
-        Keys are strings (JSON object keys on the wire).
-        """
-        if group_by == "root":
-            sizes = self.leaf_end[0] - self.leaf_begin[0]
-            return {
-                str(v): c
-                for v, c in zip(self.values[0].tolist(), sizes.tolist())
-            }
-        if group_by == "vertex":
-            return self._vertex_counts(range(self.depth))
-        if group_by == "orbit":
-            if orbits is None:
-                raise ValueError("group_by='orbit' needs the orbit partition")
-            return {
-                ",".join(str(p) for p in sorted(orbit)): self._vertex_counts(
-                    sorted(orbit)
-                )
-                for orbit in orbits
-            }
-        raise ValueError(
-            f"unknown group_by {group_by!r}; choose from "
-            f"{', '.join(AGGREGATE_MODES)}"
-        )
-
-    def _vertex_counts(self, levels: Iterable[int]) -> "dict[str, int]":
-        """Sum node leaf-range sizes per data vertex over ``levels``."""
+    def vertex_counts(self, levels: Iterable[int]) -> "dict[str, int]":
+        """Embeddings per data vertex matched at any of ``levels``: the
+        node leaf-range sizes summed per vertex (an index scan; leaves
+        are never decompressed, and injectivity makes the sum exact).
+        Keys are strings (JSON object keys on the wire)."""
         chunks_v: list[np.ndarray] = []
         chunks_c: list[np.ndarray] = []
         for level in levels:

@@ -29,7 +29,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -53,6 +53,9 @@ STORE_FORMAT = 1
 
 #: Filename prefix length taken from the graph fingerprint (hex chars).
 _FP_PREFIX = 16
+
+#: Parsed sets an :class:`EmbeddingStore` keeps in memory (LRU).
+CAPACITY = 8
 
 
 @dataclass
@@ -98,30 +101,22 @@ def pattern_orbits(pattern: Pattern) -> "list[tuple[int, ...]]":
 class EmbeddingStore:
     """Directory of trie-compressed result sets with index-scan serving.
 
-    ``capacity`` bounds how many *parsed* sets stay in memory (LRU); the
+    ``CAPACITY`` bounds how many *parsed* sets stay in memory (LRU); the
     directory itself is unbounded — stored sets are the product being
-    persisted, not a cache.  ``wall_clock`` stamps ``stored_at`` and is
-    injectable for tests.  All methods are thread-safe.
+    persisted, not a cache.  All methods are thread-safe.
     """
 
     def __init__(
         self,
         store_dir: "str | Path",
-        *,
-        capacity: int = 8,
-        wall_clock: Callable[[], float] = time.time,
     ):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.store_dir = Path(store_dir)
         self.store_dir.mkdir(parents=True, exist_ok=True)
-        self.capacity = capacity
-        self._wall = wall_clock
         self._lock = threading.RLock()
         #: key digest -> on-disk path (filenames carry the fingerprint
         #: prefix, so eviction by graph never opens a file).
         self._index: dict[str, Path] = {}
-        #: digest -> parsed StoredSet, LRU-bounded by ``capacity``.
+        #: digest -> parsed StoredSet, LRU-bounded by ``CAPACITY``.
         self._loaded: "OrderedDict[str, StoredSet]" = OrderedDict()
         self.writes = 0
         self.hits = 0
@@ -165,7 +160,7 @@ class EmbeddingStore:
         )
         stripped = copy_result(result)
         stripped.embeddings = None
-        stored_at = float(self._wall())
+        stored_at = time.time()
         meta = {
             "format": STORE_FORMAT,
             "key": _key_record(key),
@@ -228,7 +223,7 @@ class EmbeddingStore:
     def _remember(self, digest: str, stored: StoredSet) -> None:
         self._loaded.pop(digest, None)
         self._loaded[digest] = stored
-        while len(self._loaded) > self.capacity:
+        while len(self._loaded) > CAPACITY:
             self._loaded.popitem(last=False)
 
     def _load(self, key: tuple, digest: str, path: Path) -> "StoredSet | None":
@@ -386,13 +381,13 @@ class EmbeddingStore:
             return None
         if group_by == "root":
             level = self._mapping(stored, pattern)[0]
-            groups: Any = stored.columns._vertex_counts([level])
+            groups: Any = stored.columns.vertex_counts([level])
         elif group_by == "vertex":
-            groups = stored.columns.aggregate("vertex")
+            groups = stored.columns.vertex_counts(range(stored.columns.depth))
         elif group_by == "orbit":
             mapping = self._mapping(stored, pattern)
             groups = {
-                ",".join(str(p) for p in orbit): stored.columns._vertex_counts(
+                ",".join(str(p) for p in orbit): stored.columns.vertex_counts(
                     sorted(mapping[p] for p in orbit)
                 )
                 for orbit in pattern_orbits(pattern)
@@ -418,7 +413,7 @@ class EmbeddingStore:
                 "dir": str(self.store_dir),
                 "sets": len(self._index),
                 "loaded": len(self._loaded),
-                "capacity": self.capacity,
+                "capacity": CAPACITY,
                 "writes": self.writes,
                 "hits": self.hits,
                 "misses": self.misses,

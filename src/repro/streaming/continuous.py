@@ -31,12 +31,15 @@ from repro.streaming.incremental import IncrementalMatcher
 from repro.streaming.records import DeltaRecord
 from repro.streaming.version import GraphVersion, VersionedGraph
 
+#: Delta records a watch holds for :meth:`Watch.poll`; older ones drop.
+PENDING_LIMIT = 256
+
 
 class Watch:
     """One registered continuous query.
 
     Delta records accumulate in a bounded pending queue until
-    :meth:`poll` drains them (oldest beyond ``pending_limit`` are
+    :meth:`poll` drains them (oldest beyond ``PENDING_LIMIT`` are
     dropped and counted); an attached push sink (service push mode)
     additionally receives every record as it is published.
     """
@@ -49,7 +52,6 @@ class Watch:
         *,
         tenant: str | None = None,
         collect: bool = True,
-        pending_limit: int = 256,
     ):
         self.id = watch_id
         self.pattern = pattern
@@ -62,7 +64,6 @@ class Watch:
         #: poll so a subscriber knows its stream is gappy and can resync.
         self.dropped = 0
         self._pending: deque[DeltaRecord] = deque()
-        self._pending_limit = pending_limit
         self._cond = threading.Condition()
         self._push: Callable[[DeltaRecord], None] | None = None
 
@@ -80,7 +81,7 @@ class Watch:
         overflowed = 0
         with self._cond:
             self._pending.append(record)
-            while len(self._pending) > self._pending_limit:
+            while len(self._pending) > PENDING_LIMIT:
                 self._pending.popleft()
                 self.dropped += 1
                 overflowed += 1
@@ -97,7 +98,7 @@ class Watch:
                 watch=self.id,
                 reason="overflow",
                 dropped=overflowed,
-                pending_limit=self._pending_limit,
+                pending_limit=PENDING_LIMIT,
             )
         if push is not None:
             try:
@@ -242,8 +243,6 @@ class ContinuousQueryManager:
         self,
         additions: Iterable[tuple[int, int]] = (),
         deletions: Iterable[tuple[int, int]] = (),
-        *,
-        timeout: float | None = None,
     ) -> dict:
         """Apply one batch and fan deltas out to every watch.
 
@@ -296,7 +295,7 @@ class ContinuousQueryManager:
                             "error": str(exc),
                         }
                         continue
-                    compute = functools.partial(ticket.result, timeout)
+                    compute = ticket.result
                 jobs.append((watch, compute))
             for watch, job in jobs:
                 try:

@@ -53,31 +53,18 @@ class DeltaParityError(AssertionError):
     """Incremental delta disagreed with the full re-enumeration diff."""
 
 
-def full_embeddings(
-    graph: Graph,
-    pattern: Pattern,
-    constraints: Sequence[tuple[int, int]] | None = None,
-) -> set[tuple[int, ...]]:
+def full_embeddings(graph: Graph, pattern: Pattern) -> set[tuple[int, ...]]:
     """One-shot constrained enumeration, as a set (parity reference)."""
-    if constraints is None:
-        constraints = symmetry_breaking_constraints(pattern)
-    return set(
-        enumerate_embeddings(graph, graph.vertices(), pattern, list(constraints))
-    )
+    constraints = symmetry_breaking_constraints(pattern)
+    return set(enumerate_embeddings(graph, graph.vertices(), pattern, constraints))
 
 
 class IncrementalMatcher:
     """Delta embeddings for one registered pattern (compiled at construction)."""
 
-    def __init__(
-        self,
-        pattern: Pattern,
-        constraints: Sequence[tuple[int, int]] | None = None,
-    ):
+    def __init__(self, pattern: Pattern):
         self.pattern = pattern
-        if constraints is None:
-            constraints = symmetry_breaking_constraints(pattern)
-        self.constraints = list(constraints)
+        self.constraints = list(symmetry_breaking_constraints(pattern))
         self._edges = np.array(list(pattern.edges()))
         if not len(self._edges):
             raise ValueError("a continuous query needs a pattern edge to root at")
@@ -102,7 +89,7 @@ class IncrementalMatcher:
         seeds = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
         if len(seeds) == 0:
             return np.empty((0, self.pattern.num_vertices), dtype=np.int64)
-        edge, found = self._tables.block(adjacency, stats or EnumerationStats(), seeds)
+        edge, found = self._tables.block(adjacency, stats or EnumerationStats(), seeds, None)
         # Drop rows using an edge listed before the one they grew from.
         stride = int(max(seeds.max(), found.max(initial=0))) + 1
         listed, first = np.unique(seeds[:, 0] * stride + seeds[:, 1], return_index=True)
@@ -159,8 +146,8 @@ class IncrementalMatcher:
         match the set difference exactly.  Raises
         :class:`DeltaParityError` with the disagreeing embeddings.
         """
-        before = full_embeddings(old_graph, self.pattern, self.constraints)
-        after = full_embeddings(new_graph, self.pattern, self.constraints)
+        before = full_embeddings(old_graph, self.pattern)
+        after = full_embeddings(new_graph, self.pattern)
         expect_added = after - before
         expect_removed = before - after
         got_added, got_removed = set(added), set(removed)

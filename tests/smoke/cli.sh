@@ -13,6 +13,9 @@
 # Run from the repository root: bash tests/smoke/cli.sh
 set -e
 
+# What this step writes, from an earlier run: start clean.
+rm -rf /tmp/road.npz /tmp/workers-2.json /tmp/workers-0.json
+
 PYTHONPATH=src python -m repro generate \
   --dataset roadnet --scale 0.05 --out /tmp/road.npz
 PYTHONPATH=src python -m repro enumerate --graph /tmp/road.npz \

@@ -13,6 +13,9 @@
 # Run from the repository root: bash tests/smoke/distributed.sh
 set -e
 
+# What this step writes, from an earlier run: start clean.
+rm -rf /tmp/w1.log /tmp/w2.log /tmp/bj_socket.json /tmp/bj_serial.json
+
 timeout 180 bash -c '
 set -e
 PYTHONPATH=src python -m repro worker --port 7471 > /tmp/w1.log 2>&1 &

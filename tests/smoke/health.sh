@@ -12,6 +12,9 @@
 # Run from the repository root: bash tests/smoke/health.sh
 set -e
 
+# What this step writes, from an earlier run: start clean.
+rm -rf /tmp/hw1.log /tmp/hw2.log /tmp/health-blocked.json /tmp/health-events.jsonl
+
 timeout 300 bash -c '
 set -e
 PYTHONPATH=src python -m repro serve --graph /tmp/road.npz \

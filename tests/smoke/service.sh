@@ -12,6 +12,10 @@
 # Run from the repository root: bash tests/smoke/service.sh
 set -e
 
+# What this step writes, from an earlier run: start clean.
+rm -rf /tmp/result-cache /tmp/requests.jsonl /tmp/w-announce.log \
+  /tmp/first.json /tmp/second.json /tmp/restarted.json
+
 PYTHONPATH=src python -m repro serve --graph /tmp/road.npz \
   --port 7463 --machines 3 --threads 4 \
   --cache-dir /tmp/result-cache --log /tmp/requests.jsonl &

@@ -14,6 +14,10 @@
 # Run from the repository root: bash tests/smoke/store.sh
 set -e
 
+# What this step writes, from an earlier run: start clean.
+rm -rf /tmp/emb-store /tmp/store-first.json /tmp/store-iso.json \
+  /tmp/store-page.json /tmp/store-page2.json
+
 timeout 180 bash -c '
 set -e
 PYTHONPATH=src python -m repro serve --graph /tmp/road.npz \

@@ -12,6 +12,9 @@
 # Run from the repository root: bash tests/smoke/streaming.sh
 set -e
 
+# What this step writes, from an earlier run: start clean.
+rm -rf /tmp/reingest.txt
+
 timeout 180 bash -c '
 set -e
 PYTHONPATH=src python -m repro serve --graph /tmp/road.npz \

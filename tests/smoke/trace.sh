@@ -11,6 +11,9 @@
 # Run from the repository root: bash tests/smoke/trace.sh
 set -e
 
+# What this step writes, from an earlier run: start clean.
+rm -rf /tmp/traced.json
+
 timeout 180 bash -c '
 set -e
 PYTHONPATH=src python -m repro serve --graph /tmp/road.npz \

@@ -427,12 +427,13 @@ class TestSession:
         assert grid.get("Single", "q2") is not None
 
     def test_run_grid_rejects_kwargs_with_ready_engines(self, graph):
+        from repro.bench.harness import run_query_grid
         from repro.engines.single import SingleMachineEngine
 
         with pytest.raises(ValueError, match="ready engines mapping"):
-            repro.open(graph).with_cluster(machines=2).run_grid(
+            run_query_grid(
+                graph, "session", ["q2"],
                 engines={"Single": SingleMachineEngine()},
-                queries=["q2"],
                 engine_kwargs={"Single": {}},
             )
 

@@ -1,6 +1,6 @@
 """Tests for the generic backtracking enumerator (ground truth oracle)."""
 
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 import pytest
@@ -79,9 +79,8 @@ class TestEnumeratorFeatures:
             assert allowed[list(emb)].all()
 
     def test_limit(self, graph):
-        got = enumerate_embeddings(
-            graph.neighbors, graph.vertices(), triangle(), limit=5
-        )
+        enumerator = BacktrackingEnumerator(triangle(), graph.neighbors)
+        got = list(islice(enumerator.run(graph.vertices()), 5))
         assert len(got) == 5
 
     def test_start_candidates_restrict_first_vertex(self, graph):

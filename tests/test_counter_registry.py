@@ -110,7 +110,7 @@ class TestRealWorkloadsEmitOnlyRegisteredNames:
     def test_session_run_counters_are_accounted_for(
         self, er_graph, engine
     ):
-        session = Session(er_graph, RunConfig(machines=3))
+        session = Session(er_graph).with_cluster(machines=3)
         result = session.query("a-b, b-c, c-a").engine(engine).run()
         assert result.counters  # non-trivial workload
         assert unknown_counters(result.counters) == []

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.engines import SingleMachineEngine
+from repro.engines import SingleMachineEngine, crystal
 from repro.engines.crystal import (
     CliqueIndex,
     CrystalEngine,
@@ -76,10 +76,12 @@ class TestCliqueIndex:
         large = CliqueIndex(graph, max_size=4).size_bytes()
         assert large > small
 
-    def test_entry_cap(self, graph):
-        index = CliqueIndex(graph, max_size=4, max_entries=10)
+    def test_entry_cap(self, graph, monkeypatch):
+        monkeypatch.setattr(crystal, "MAX_ENTRIES", 10)
+        index = CliqueIndex(graph, max_size=4)
         assert index.count(3) + index.count(4) <= 12
         assert not index.complete
+        monkeypatch.undo()
         assert CliqueIndex(graph, max_size=4).complete
 
 
@@ -96,8 +98,8 @@ class TestCrystalEngine:
         result = engine.run(cluster.fresh_copy(), pattern)
         assert set(result.embeddings) == set(expected)
 
-    def test_truncated_index_is_not_read_as_all_cliques(self):
-        """``max_entries`` stops construction early: the core's fast path
+    def test_truncated_index_is_not_read_as_all_cliques(self, monkeypatch):
+        """``MAX_ENTRIES`` stops construction early: the core's fast path
         would take the entries it holds for every clique and undercount."""
         graph = powerlaw_cluster(150, 5, 0.3, seed=3)
         cluster = Cluster.create(graph, 4)
@@ -105,7 +107,8 @@ class TestCrystalEngine:
         expected = SingleMachineEngine().run(
             cluster.fresh_copy(), pattern, collect_embeddings=False
         )
-        index = CliqueIndex(graph, max_size=4, max_entries=10)
+        monkeypatch.setattr(crystal, "MAX_ENTRIES", 10)
+        index = CliqueIndex(graph, max_size=4)
         result = CrystalEngine(index).run(
             cluster.fresh_copy(), pattern, collect_embeddings=False
         )

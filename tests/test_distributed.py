@@ -275,8 +275,7 @@ class TestFaultTolerance:
         worker = ShardWorker().start()
         try:
             executor = SocketExecutor(
-                [worker.address, "127.0.0.1:1"],
-                connect_timeout=0.5, heartbeat_interval=None,
+                [worker.address, "127.0.0.1:1"], heartbeat_interval=None,
             )
             assert executor.workers == 1
             cluster = Cluster.create(er_graph, 3)
@@ -293,8 +292,7 @@ class TestFaultTolerance:
     def test_unreachable_roster_fails_at_construction(self):
         with pytest.raises(DistributedError, match="no shard worker"):
             SocketExecutor(
-                ["127.0.0.1:1"], connect_timeout=0.5,
-                heartbeat_interval=None,
+                ["127.0.0.1:1"], heartbeat_interval=None,
             )
 
     def test_heartbeat_prunes_dead_workers(self):
@@ -440,7 +438,7 @@ class TestHandshake:
         try:
             with pytest.raises(
                 DistributedError,
-                match="version mismatch.*worker speaks 1, coordinator 3",
+                match="version mismatch.*worker speaks 1, coordinator 4",
             ):
                 ShardCoordinator(
                     [listener.getsockname()], heartbeat_interval=None
@@ -449,16 +447,16 @@ class TestHandshake:
             listener.close()
 
     def test_version_1_coordinator_refuses_this_worker(self, monkeypatch):
-        """... and the other way round: the hello says 3, which is all a
+        """... and the other way round: the hello says 4, which is all a
         version 1 coordinator reads before it gives up."""
         with ShardWorker() as worker:
             hello = worker._hello()
-            assert hello["version"] == 3
+            assert hello["version"] == 4
             monkeypatch.setattr(worker, "_hello", lambda: hello)
             monkeypatch.setattr(dproto, "WORKER_PROTOCOL_VERSION", 1)
             with pytest.raises(
                 DistributedError,
-                match="version mismatch.*worker speaks 3, coordinator 1",
+                match="version mismatch.*worker speaks 4, coordinator 1",
             ):
                 ShardCoordinator([worker.address], heartbeat_interval=None)
 

@@ -54,7 +54,8 @@ class TestParse:
         assert (p.num_vertices, p.num_edges) == (1, 0)
 
     def test_name_argument(self):
-        assert parse_pattern("a-b, b-c", name="wedge").name == "wedge"
+        builder = PatternBuilder(name="wedge").edge("a", "b").edge("b", "c")
+        assert builder.build().name == "wedge"
 
     def test_unnamed_adopts_registered_name(self):
         assert parse_pattern("a-b, b-c, c-a").name == "triangle"
@@ -67,10 +68,6 @@ class TestParse:
     def test_rejected_text(self, bad):
         with pytest.raises(PatternSyntaxError):
             parse_pattern(bad)
-
-    def test_disconnected_allowed_when_asked(self):
-        p = parse_pattern("a-b, c-d", require_connected=False)
-        assert p.num_vertices == 4 and not p.is_connected()
 
     def test_non_string_rejected(self):
         with pytest.raises(TypeError):
@@ -155,7 +152,6 @@ class TestBuilder:
         builder = PatternBuilder().edge("a", "b").edge("c", "d")
         with pytest.raises(PatternSyntaxError, match="not connected"):
             builder.build()
-        assert builder.build(require_connected=False).num_vertices == 4
 
     def test_negative_label_rejected(self):
         with pytest.raises(PatternSyntaxError):

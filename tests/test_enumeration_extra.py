@@ -10,7 +10,8 @@ from repro.enumeration import (
     compute_matching_order,
     enumerate_embeddings,
 )
-from repro.graph import Graph, erdos_renyi
+from repro.enumeration.labeled import LabeledPattern, labeled_embeddings
+from repro.graph import Graph, LabeledGraph, erdos_renyi
 from repro.query import Pattern
 from repro.query.patterns import clique, path, star, triangle
 
@@ -103,7 +104,18 @@ class TestAdversarialPatterns:
         enumerator = BacktrackingEnumerator(
             pattern=triangle(), adjacency=g.neighbors
         )
-        assert list(enumerator.run(g.vertices(), limit=0)) in ([], )
+        first = enumerator.order[0]
+        assert list(enumerator.run_seeded({first: 0}, limit=0)) in ([], )
+
+
+def _limited(g, pattern, limit=None, stats=None):
+    """The kernel's ``limit``, reached where a caller sets it: a labeled
+    run (one label everywhere, so every embedding matches)."""
+    return labeled_embeddings(
+        LabeledGraph(g, [0] * g.num_vertices),
+        LabeledPattern(pattern, [0] * pattern.num_vertices),
+        limit=limit, stats=stats,
+    )
 
 
 class TestLimit:
@@ -114,9 +126,7 @@ class TestLimit:
         # and returned [(0, 1, 2)] here.
         g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
         stats = EnumerationStats()
-        got = enumerate_embeddings(
-            g, g.vertices(), triangle(), limit=0, stats=stats
-        )
+        got = _limited(g, triangle(), limit=0, stats=stats)
         assert got == []
         assert stats.recursive_calls == 0 and stats.embeddings == 0
 
@@ -126,13 +136,11 @@ class TestLimit:
     ):
         monkeypatch.setattr(block, "ROWS_PER_BLOCK", rows_per_block)
         g = erdos_renyi(20, 0.3, seed=4)
-        full = enumerate_embeddings(g, g.vertices(), triangle())
+        full = _limited(g, triangle())
         assert len(full) > 10
         for k in (1, 2, 7, len(full), len(full) + 5):
             stats = EnumerationStats()
-            got = enumerate_embeddings(
-                g, g.vertices(), triangle(), limit=k, stats=stats
-            )
+            got = _limited(g, triangle(), limit=k, stats=stats)
             assert got == full[:k]
             assert stats.embeddings == len(got)
 
@@ -140,16 +148,14 @@ class TestLimit:
         monkeypatch.setattr(block, "ROWS_PER_BLOCK", 3)
         g = erdos_renyi(20, 0.3, seed=4)
         unlimited, limited = EnumerationStats(), EnumerationStats()
-        enumerate_embeddings(g, g.vertices(), triangle(), stats=unlimited)
-        enumerate_embeddings(g, g.vertices(), triangle(), limit=1, stats=limited)
+        _limited(g, triangle(), stats=unlimited)
+        _limited(g, triangle(), limit=1, stats=limited)
         assert 0 < limited.total_ops < unlimited.total_ops
 
     def test_single_vertex_pattern_honours_limit_and_counts(self):
         g = erdos_renyi(12, 0.3, seed=2)
         stats = EnumerationStats()
-        got = enumerate_embeddings(
-            g, g.vertices(), Pattern(1, []), limit=5, stats=stats
-        )
+        got = _limited(g, Pattern(1, []), limit=5, stats=stats)
         assert got == [(v,) for v in range(5)]
         assert stats.embeddings == 5
 

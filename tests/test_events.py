@@ -92,8 +92,9 @@ class TestEventJournal:
         journal = EventJournal()
         journal.emit("info", "a", "k.one")
         journal.emit("info", "b", "k.one")
+        journal.emit("info", "a", "k.two")
         assert journal.last("k.one")["component"] == "b"
-        assert journal.last("k.one", component="a")["seq"] == 1
+        assert journal.last("k.one")["seq"] == 2
         assert journal.last("k.none") is None
 
     def test_trace_id_captured_from_active_span(self):

@@ -57,7 +57,7 @@ class TestComponents:
 
 class TestDiameter:
     def test_path_diameter_exact(self, path_graph):
-        assert diameter_lower_bound(path_graph, sweeps=4) == 4
+        assert diameter_lower_bound(path_graph) == 4
 
     def test_grid_diameter_grows(self):
         small = grid_road_network(5, 5, extra_edge_prob=0, seed=0)
@@ -107,11 +107,6 @@ class TestCliques:
     def test_enumerate_min_size(self, two_triangles):
         cliques = enumerate_cliques(two_triangles, min_size=3, max_size=3)
         assert len(cliques) == 2
-
-    def test_max_count_cap(self):
-        g = erdos_renyi(40, 0.3, seed=5)
-        capped = maximal_cliques(g, max_count=3)
-        assert len(capped) <= 4  # cap is approximate by one batch
 
     def test_cliques_are_cliques(self):
         g = erdos_renyi(30, 0.25, seed=6)

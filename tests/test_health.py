@@ -21,6 +21,7 @@ from repro.distributed import ShardRegistry, ShardWorker
 from repro.graph import erdos_renyi
 from repro.obs import events
 from repro.obs.events import EventJournal
+from repro.obs import health
 from repro.obs.health import STATUSES, HealthEngine
 from repro.service import QueryServer, connect
 
@@ -52,8 +53,8 @@ def _rule(verdict: dict, name: str) -> dict:
 # Rule unit behavior (synthetic snapshots, private journal)
 # ----------------------------------------------------------------------
 class TestHealthRules:
-    def engine(self, **kwargs) -> HealthEngine:
-        return HealthEngine(journal=EventJournal(), **kwargs)
+    def engine(self) -> HealthEngine:
+        return HealthEngine(journal=EventJournal())
 
     def test_empty_metrics_is_ok(self):
         verdict = self.engine().evaluate({})
@@ -65,44 +66,55 @@ class TestHealthRules:
         }
 
     def test_latency_rule_is_gated_on_min_samples(self):
-        engine = self.engine(p95_latency_seconds=1.0, min_samples=4)
-        slow = {"histograms": {"latency": {"count": 3, "p95": 50.0}}}
+        engine = self.engine()
+        p95 = health.P95_LATENCY_SECONDS + 20.0
+        slow = {"histograms": {"latency": {
+            "count": health.MIN_SAMPLES - 1, "p95": p95,
+        }}}
         assert engine.evaluate(slow)["status"] == "ok"  # too few samples
-        slow["histograms"]["latency"]["count"] = 4
+        slow["histograms"]["latency"]["count"] = health.MIN_SAMPLES
         verdict = engine.evaluate(slow)
         assert verdict["status"] == "degraded"
         assert verdict["firing"] == ["latency_p95"]
         evidence = _rule(verdict, "latency_p95")["evidence"]
-        assert evidence["p95_seconds"] == 50.0
-        assert evidence["ceiling_seconds"] == 1.0
+        assert evidence["p95_seconds"] == p95
+        assert evidence["ceiling_seconds"] == health.P95_LATENCY_SECONDS
 
     def test_error_rate_rule_is_critical(self):
-        engine = self.engine(error_rate=0.25, min_samples=4)
-        metrics = {"scheduler": {"completed": 2, "failed": 2}}
+        engine = self.engine()
+        completed = health.MIN_SAMPLES // 4
+        failed = health.MIN_SAMPLES - completed
+        assert failed / health.MIN_SAMPLES > health.ERROR_RATE
+        metrics = {"scheduler": {"completed": completed, "failed": failed}}
         verdict = engine.evaluate(metrics)
         assert verdict["status"] == "critical"
         assert "error_rate" in verdict["firing"]
-        assert _rule(verdict, "error_rate")["evidence"]["rate"] == 0.5
+        assert _rule(verdict, "error_rate")["evidence"]["rate"] == (
+            failed / health.MIN_SAMPLES
+        )
 
     def test_queue_depth_rule(self):
-        engine = self.engine(queue_depth=8)
+        engine = self.engine()
         assert engine.evaluate(
-            {"scheduler": {"queued": 8}}
+            {"scheduler": {"queued": health.QUEUE_DEPTH}}
         )["status"] == "ok"
-        verdict = engine.evaluate({"scheduler": {"queued": 9}})
+        verdict = engine.evaluate(
+            {"scheduler": {"queued": health.QUEUE_DEPTH + 1}}
+        )
         assert verdict["status"] == "degraded"
         assert verdict["firing"] == ["queue_depth"]
 
     def test_stale_shards_rule(self):
-        engine = self.engine(stale_shards=2)
+        engine = self.engine()
         registry = [
-            {"address": "a:1", "stale": True},
+            {"address": "a:1", "stale": False},
             {"address": "b:2", "stale": False},
         ]
+        assert health.STALE_SHARDS <= len(registry)
         assert engine.evaluate(
             {"shards": {"registry": registry}}
         )["status"] == "ok"
-        registry[1]["stale"] = True
+        registry[0]["stale"] = registry[1]["stale"] = True
         verdict = engine.evaluate({"shards": {"registry": registry}})
         assert verdict["firing"] == ["stale_shards"]
         assert _rule(verdict, "stale_shards")["evidence"]["stale"] == [
@@ -110,11 +122,12 @@ class TestHealthRules:
         ]
 
     def test_disk_errors_rule(self):
-        engine = self.engine(disk_error_budget=2)
+        engine = self.engine()
+        budget = health.DISK_ERROR_BUDGET
         assert engine.evaluate(
-            {"cache": {"disk": {"errors": 2}}}
+            {"cache": {"disk": {"errors": budget}}}
         )["status"] == "ok"
-        verdict = engine.evaluate({"cache": {"disk": {"errors": 3}}})
+        verdict = engine.evaluate({"cache": {"disk": {"errors": budget + 1}}})
         assert verdict["firing"] == ["disk_errors"]
         # A memory-only cache reports disk: null — never a crash.
         assert engine.evaluate(
@@ -143,27 +156,28 @@ class TestHealthRules:
 
     def test_transitions_are_journaled(self):
         journal = EventJournal()
-        engine = HealthEngine(queue_depth=1, journal=journal)
+        engine = HealthEngine(journal=journal)
+        over = health.QUEUE_DEPTH + 1
         engine.evaluate({"scheduler": {"queued": 0}})
         assert journal.last(events.HEALTH_RULE_FIRED) is None
-        engine.evaluate({"scheduler": {"queued": 5}})
+        engine.evaluate({"scheduler": {"queued": over}})
         fired = journal.last(events.HEALTH_RULE_FIRED)
         assert fired["rule"] == "queue_depth"
         assert fired["severity"] == "degraded"
         # Steady firing state: no duplicate transition event.
-        engine.evaluate({"scheduler": {"queued": 5}})
+        engine.evaluate({"scheduler": {"queued": over}})
         assert journal.last(events.HEALTH_RULE_FIRED)["seq"] == fired["seq"]
         engine.evaluate({"scheduler": {"queued": 0}})
         cleared = journal.last(events.HEALTH_RULE_CLEARED)
         assert cleared["rule"] == "queue_depth"
 
     def test_critical_outranks_degraded(self):
-        engine = self.engine(
-            queue_depth=1, error_rate=0.1, min_samples=2
-        )
-        verdict = engine.evaluate({
-            "scheduler": {"queued": 5, "completed": 0, "failed": 2},
-        })
+        engine = self.engine()
+        verdict = engine.evaluate({"scheduler": {
+            "queued": health.QUEUE_DEPTH + 1,
+            "completed": 0,
+            "failed": health.MIN_SAMPLES,
+        }})
         assert verdict["status"] == "critical"
         assert set(verdict["firing"]) == {"queue_depth", "error_rate"}
 

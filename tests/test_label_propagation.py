@@ -21,9 +21,7 @@ class TestLabelPropagation:
         assert owner.min() >= 0 and owner.max() < 4
 
     def test_balance_respected(self, grid):
-        owner = LabelPropagationPartitioner(
-            max_imbalance=1.1, seed=1
-        ).assign(grid, 4)
+        owner = LabelPropagationPartitioner(seed=1).assign(grid, 4)
         assert partition_balance(owner, 4) <= 1.15
 
     def test_better_locality_than_hash(self, grid):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.enumeration import block, enumerate_embeddings, labeled_embeddings
 from repro.enumeration.backtracking import EnumerationStats
 from repro.enumeration.labeled import (
+    LabeledEnumerator,
     LabeledPattern,
     candidate_sets,
     labeled_matching_order,
@@ -189,6 +190,6 @@ class TestLabeledEnumeration:
         g = erdos_renyi(30, 0.18, seed=seed)
         lg = label_randomly(g, 3, seed=seed + 1)
         lp = LabeledPattern(path(4), [0, 1, 2, 0])
-        with_nlf = set(labeled_embeddings(lg, lp, use_nlf=True))
-        without = set(labeled_embeddings(lg, lp, use_nlf=False))
+        with_nlf = set(LabeledEnumerator(lg, lp, use_nlf=True).run())
+        without = set(LabeledEnumerator(lg, lp, use_nlf=False).run())
         assert with_nlf == without

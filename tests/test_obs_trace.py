@@ -17,6 +17,7 @@ import threading
 import pytest
 
 from repro.obs.expo import render_text
+from repro.obs import hist as hist_module
 from repro.obs.hist import DEFAULT_BUCKETS, Histogram, SlowQueryLog
 from repro.obs.trace import (
     Tracer,
@@ -179,8 +180,9 @@ class TestWirePropagation:
 # Histograms
 # ----------------------------------------------------------------------
 class TestHistogram:
-    def test_buckets_are_cumulative_le_semantics(self):
-        hist = Histogram("t", buckets=(0.1, 1.0, 10.0))
+    def test_buckets_are_cumulative_le_semantics(self, monkeypatch):
+        monkeypatch.setattr(hist_module, "DEFAULT_BUCKETS", (0.1, 1.0, 10.0))
+        hist = Histogram("t")
         for value in (0.05, 0.1, 0.5, 5.0, 50.0):
             hist.observe(value)
         snap = hist.snapshot()
@@ -190,8 +192,9 @@ class TestHistogram:
         assert snap["max"] == 50.0
         assert snap["sum"] == pytest.approx(55.65)
 
-    def test_percentiles_interpolate_within_the_bucket(self):
-        hist = Histogram("t", buckets=(1.0, 2.0))
+    def test_percentiles_interpolate_within_the_bucket(self, monkeypatch):
+        monkeypatch.setattr(hist_module, "DEFAULT_BUCKETS", (1.0, 2.0))
+        hist = Histogram("t")
         for _ in range(100):
             hist.observe(1.5)
         # All mass in (1.0, 2.0]: the median interpolates inside it.
@@ -200,8 +203,9 @@ class TestHistogram:
         assert set(snap) >= {"p50", "p95", "p99"}
         assert snap["p50"] <= snap["p95"] <= snap["p99"]
 
-    def test_overflow_bucket_percentile_reports_observed_max(self):
-        hist = Histogram("t", buckets=(0.001,))
+    def test_overflow_bucket_percentile_reports_observed_max(self, monkeypatch):
+        monkeypatch.setattr(hist_module, "DEFAULT_BUCKETS", (0.001,))
+        hist = Histogram("t")
         hist.observe(42.0)
         assert hist.percentile(99.0) == 42.0
 
@@ -216,24 +220,24 @@ class TestHistogram:
         assert DEFAULT_BUCKETS[-1] >= 60.0
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
 
-    def test_invalid_buckets_are_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram("t", buckets=())
-        with pytest.raises(ValueError):
-            Histogram("t", buckets=(0.0, 1.0))
-        with pytest.raises(ValueError):
-            Histogram("t", buckets=(1.0, 1.0))
+    def test_invalid_buckets_are_rejected(self, monkeypatch):
+        for buckets in ((), (0.0, 1.0), (1.0, 1.0)):
+            monkeypatch.setattr(hist_module, "DEFAULT_BUCKETS", buckets)
+            with pytest.raises(ValueError):
+                Histogram("t")
 
 
 class TestSlowQueryLog:
-    def test_keeps_the_slowest_sorted_desc(self):
-        log = SlowQueryLog(capacity=3)
+    def test_keeps_the_slowest_sorted_desc(self, monkeypatch):
+        monkeypatch.setattr(hist_module, "SLOW_QUERIES", 3)
+        log = SlowQueryLog()
         for duration in (0.1, 0.5, 0.2, 0.9, 0.05):
             log.record({"pattern": "q", "duration": duration})
         assert [e["duration"] for e in log.snapshot()] == [0.9, 0.5, 0.2]
 
-    def test_fast_requests_do_not_displace_slow_ones(self):
-        log = SlowQueryLog(capacity=2)
+    def test_fast_requests_do_not_displace_slow_ones(self, monkeypatch):
+        monkeypatch.setattr(hist_module, "SLOW_QUERIES", 2)
+        log = SlowQueryLog()
         log.record({"duration": 1.0})
         log.record({"duration": 2.0})
         log.record({"duration": 0.5})
@@ -246,9 +250,10 @@ class TestSlowQueryLog:
         entry["pattern"] = "mutated"
         assert log.snapshot()[0]["pattern"] == "q"
 
-    def test_capacity_must_be_positive(self):
+    def test_capacity_must_be_positive(self, monkeypatch):
+        monkeypatch.setattr(hist_module, "SLOW_QUERIES", 0)
         with pytest.raises(ValueError):
-            SlowQueryLog(capacity=0)
+            SlowQueryLog()
 
 
 # ----------------------------------------------------------------------
@@ -269,8 +274,11 @@ class TestRenderText:
         assert "abcdef" not in text
         assert text.endswith("\n")
 
-    def test_histogram_snapshot_renders_buckets_sum_count_quantiles(self):
-        hist = Histogram("latency", buckets=(0.1, 1.0))
+    def test_histogram_snapshot_renders_buckets_sum_count_quantiles(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(hist_module, "DEFAULT_BUCKETS", (0.1, 1.0))
+        hist = Histogram("latency")
         hist.observe(0.05)
         hist.observe(0.5)
         text = render_text({"histograms": {"latency": hist.snapshot()}})

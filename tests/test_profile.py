@@ -2,8 +2,9 @@
 
 PR-10 tentpole surface #1: ``profile=True`` on ``Session.run`` and on
 the protocol ``submit`` measures one request's CPU/memory/GC cost and
-aggregates its span tree into a flame table; socket-backed runs ship
-per-task worker rusage back and the profile attributes CPU per shard.
+aggregates its span tree into a flame table; socket-backed runs put
+per-task worker rusage on the shipped-back task spans and the profile
+attributes CPU per shard.
 The acceptance bound lives here: a profiled socket submit returns
 per-worker CPU attribution and a flame table whose self times sum to
 the root duration within 5%, with counts and stats bit-identical to an
@@ -13,23 +14,15 @@ cached copies never carry one.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 import repro
 from repro.api import RunConfig
 from repro.api.results import RunResult
 from repro.distributed import ShardWorker
+from repro.distributed import protocol as dproto
 from repro.graph import erdos_renyi
-from repro.obs.profile import (
-    Profiler,
-    current_profiler,
-    flame_table,
-    profile_active,
-    task_rusage,
-    worker_usage,
-)
+from repro.obs.profile import Profiler, flame_table, worker_rows
 from repro.service import QueryServer, connect
 from repro.service.client import ServiceError
 
@@ -120,14 +113,10 @@ class TestFlameTable:
 # ----------------------------------------------------------------------
 class TestProfiler:
     def test_measures_and_propagates(self):
-        assert not profile_active()
         with Profiler() as profiler:
-            assert profile_active()
-            assert current_profiler() is profiler
             ballast = [bytes(1024) for _ in range(64)]  # allocate
             del ballast
-        assert not profile_active()
-        record = profiler.result()
+        record = profiler.result(None)
         assert record["wall_seconds"] > 0
         assert record["cpu"]["process_seconds"] >= 0
         assert record["cpu"]["thread_seconds"] >= 0
@@ -140,17 +129,21 @@ class TestProfiler:
         assert record["workers"] == []
 
     def test_worker_usage_aggregates_by_shard_pid_mode(self):
-        profiler = Profiler()
-        profiler.add_worker_usage([
-            {"shard": "a:1", "pid": 10, "mode": "inline",
-             "utime": 0.2, "stime": 0.1, "maxrss_kb": 100},
-            {"shard": "a:1", "pid": 10, "mode": "inline",
-             "utime": 0.3, "stime": 0.0, "maxrss_kb": 90},
-            {"shard": "b:2", "pid": 11, "mode": "pool",
-             "utime": 0.1, "stime": 0.0, "maxrss_kb": 500},
-        ])
-        profiler.add_worker_usage(None)  # tolerated: nothing shipped
-        rows = profiler.worker_rows()
+        def task(shard, pid, mode, utime, stime, maxrss_kb):
+            return {"name": "worker.task", "duration": 0.1, "children": [],
+                    "attributes": {"shard": shard, "pid": pid, "mode": mode,
+                                   "utime": utime, "stime": stime,
+                                   "maxrss_kb": maxrss_kb}}
+
+        tree = {"name": "root", "duration": 1.0, "children": [
+            {"name": "executor.batch", "duration": 0.5, "children": [
+                task("a:1", 10, "inline", 0.2, 0.1, 100),
+                task("a:1", 10, "inline", 0.3, 0.0, 90),
+                task("b:2", 11, "pool", 0.1, 0.0, 500),
+            ]},
+            {"name": "round.1", "duration": 0.1, "children": []},
+        ]}
+        rows = worker_rows(tree)
         assert [r["shard"] for r in rows] == ["a:1", "b:2"]  # busiest CPU
         merged = rows[0]
         assert merged["tasks"] == 2
@@ -158,16 +151,7 @@ class TestProfiler:
         assert merged["stime"] == pytest.approx(0.1)
         assert merged["maxrss_kb"] == 100  # max, not sum
         assert rows[1]["mode"] == "pool"
-
-    def test_task_rusage_row(self):
-        before = task_rusage()
-        sum(i * i for i in range(50_000))  # burn a little CPU
-        row = worker_usage(before, shard="127.0.0.1:9001", mode="inline")
-        assert row["shard"] == "127.0.0.1:9001"
-        assert row["pid"] == os.getpid()
-        assert row["mode"] == "inline"
-        assert row["utime"] >= 0.0 and row["stime"] >= 0.0
-        assert row["maxrss_kb"] > 0
+        assert worker_rows(None) == []  # no tree: nothing shipped
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +253,49 @@ class TestDistributedProfile:
         root = rows["service.execute"]["total"]
         self_sum = sum(row["self"] for row in profile["flame"])
         assert self_sum == pytest.approx(root, rel=0.05)
+
+    def test_worker_rows_are_the_task_spans_summed(
+        self, server, monkeypatch
+    ):
+        """The ``workers`` rows are the ``worker.task`` spans' rusage
+        attributes summed per (shard, pid), and no task message carries
+        a ``profile`` field: the trace is the only channel."""
+        sent = []
+        write = dproto.write_message
+
+        def recording(stream, message):
+            if message.get("op") == "task":
+                sent.append(message)
+            return write(stream, message)
+
+        monkeypatch.setattr(dproto, "write_message", recording)
+        with connect(server.address, timeout=60) as client:
+            result = client.submit("q3", engine="rads", profile=True, trace=True)
+        assert sent and not any("profile" in message for message in sent)
+
+        sums: dict[tuple, dict] = {}
+
+        def visit(node):
+            if node["name"] == "worker.task":
+                a = node["attributes"]
+                row = sums.setdefault((a["shard"], a["pid"]), {
+                    "tasks": 0, "utime": 0.0, "stime": 0.0, "maxrss_kb": 0,
+                })
+                row["tasks"] += 1
+                row["utime"] += a["utime"]
+                row["stime"] += a["stime"]
+                row["maxrss_kb"] = max(row["maxrss_kb"], a["maxrss_kb"])
+            for child in node["children"]:
+                visit(child)
+
+        visit(result.trace)
+        rows = {(r["shard"], r["pid"]): r for r in result.profile["workers"]}
+        assert sums and set(rows) == set(sums)
+        for key, row in sums.items():
+            assert rows[key]["tasks"] == row["tasks"]
+            assert rows[key]["utime"] == pytest.approx(row["utime"])
+            assert rows[key]["stime"] == pytest.approx(row["stime"])
+            assert rows[key]["maxrss_kb"] == row["maxrss_kb"] > 0
 
     def test_cache_hit_fast_path_has_no_profile(self, server):
         with connect(server.address, timeout=60) as client:

@@ -38,7 +38,7 @@ def test_rads_equals_oracle_on_random_inputs(
     expected = set(
         SingleMachineEngine().run(cluster.fresh_copy(), pattern).embeddings
     )
-    result = RADSEngine(seed=seed).run(cluster.fresh_copy(), pattern)
+    result = RADSEngine().run(cluster.fresh_copy(), pattern)
     got = result.embeddings
     assert set(got) == expected
     assert len(got) == len(expected)

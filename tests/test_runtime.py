@@ -377,7 +377,7 @@ class TestLocalWorkerFaults:
     def test_a_foreign_connection_is_refused(self, small_cluster, pool2):
         """Only the forking parent holds the key its workers ask for."""
         for shard in pool2._coordinator.live_shards():
-            assert not stop_worker(shard.address, timeout=5)
+            assert not stop_worker(shard.address)
             with socket.create_connection(shard.address, timeout=10) as sock:
                 rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
                 assert dproto.read_message(rfile)["challenge"]

@@ -875,7 +875,7 @@ class TestServerRestartFromDisk:
     ):
         cache_dir = str(tmp_path / "results")
         with QueryServer(
-            graph, RunConfig(machines=3), cache_dir=cache_dir
+            graph, RunConfig(machines=3), cache=ResultCache(disk_dir=cache_dir)
         ) as server:
             with connect(server.address, timeout=60) as client:
                 first = client.submit("triangle", engine="rads",
@@ -883,7 +883,7 @@ class TestServerRestartFromDisk:
                 assert client.last_cache == "miss"
         # A brand-new server process-equivalent over the same directory.
         with QueryServer(
-            graph, RunConfig(machines=3), cache_dir=cache_dir
+            graph, RunConfig(machines=3), cache=ResultCache(disk_dir=cache_dir)
         ) as server:
             with connect(server.address, timeout=60) as client:
                 again = client.submit("triangle", engine="rads",
@@ -893,14 +893,6 @@ class TestServerRestartFromDisk:
         assert stats["cache"]["disk"]["hits"] == 1
         # Byte parity modulo the per-request service.* counters.
         assert _stripped(again) == _stripped(first)
-
-    def test_cache_dir_conflicts_are_rejected(self, graph, tmp_path):
-        with pytest.raises(ValueError, match="cache_dir"):
-            QueryServer(graph, cache=False, cache_dir=str(tmp_path))
-        with pytest.raises(ValueError, match="disk_dir"):
-            QueryServer(
-                graph, cache=ResultCache(), cache_dir=str(tmp_path)
-            )
 
     def test_scheduler_key_matches_disk_spill(self, graph, tmp_path):
         """The spill filename is the digest of the canonical cache key."""

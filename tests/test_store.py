@@ -107,7 +107,7 @@ class TestTrieColumns:
             columns = TrieColumns.from_embeddings(embs, 3)
             want = sorted(set(embs))
             vertices = {v for emb in want for v in emb} | {-1, 13, 10_000}
-            containing = columns.aggregate("vertex")
+            containing = columns.vertex_counts(range(3))
             for vertex in sorted(vertices):
                 expect = [emb for emb in want if vertex in emb]
                 assert columns.lookup(vertex) == expect
@@ -133,15 +133,14 @@ class TestTrieColumns:
         columns = TrieColumns.from_embeddings(self.EMBS, 3)
         want = sorted(set(self.EMBS))
         # Group keys are strings: the dicts travel as JSON verbatim.
-        assert columns.aggregate("root") == {
+        assert columns.vertex_counts([0]) == {
             str(k): v for k, v in Counter(emb[0] for emb in want).items()
         }
-        assert columns.aggregate("vertex") == {
+        assert columns.vertex_counts(range(3)) == {
             str(k): v
             for k, v in Counter(v for emb in want for v in emb).items()
         }
-        with pytest.raises(ValueError, match="group_by"):
-            columns.aggregate("nope")
+        assert columns.vertex_counts([]) == {}
 
     def test_from_arrays_round_trip(self):
         columns = TrieColumns.from_embeddings(self.EMBS, 3)
@@ -161,7 +160,7 @@ class TestTrieColumns:
         assert columns.decompress_all() == []
         assert columns.node_count == 0
         assert columns.lookup(0) == []
-        assert columns.aggregate("root") == {}
+        assert columns.vertex_counts([0]) == {}
 
 
 # ----------------------------------------------------------------------
@@ -580,7 +579,7 @@ class TestSessionStore:
 
     def test_config_collect_store_applies_to_plain_run(self, graph, tmp_path):
         session = (
-            repro.open(graph, config=RunConfig(collect="store"))
+            repro.open(graph).configure(collect="store")
             .with_store(tmp_path).engine("RADS").query("triangle")
         )
         assert session.run().embeddings is None

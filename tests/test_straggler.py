@@ -21,23 +21,24 @@ from repro.query import named_patterns
 class TestSpeedFactorPlumbing:
     def test_charge_ops_scales_with_speed(self):
         model = CostModel()
-        fast = Machine(0, model, speed_factor=2.0)
-        slow = Machine(1, model, speed_factor=0.5)
+        fast, slow = Machine(0, model), Machine(1, model)
+        fast.speed_factor, slow.speed_factor = 2.0, 0.5
         fast.charge_ops(1000)
         slow.charge_ops(1000)
         assert slow.clock == pytest.approx(4 * fast.clock)
 
     def test_daemon_clock_scales_too(self):
         model = CostModel()
-        slow = Machine(0, model, speed_factor=0.25)
-        ref = Machine(1, model)
+        slow, ref = Machine(0, model), Machine(1, model)
+        slow.speed_factor = 0.25
         slow.charge_daemon_ops(500)
         ref.charge_daemon_ops(500)
         assert slow.daemon_clock == pytest.approx(4 * ref.daemon_clock)
 
-    def test_invalid_speed_factor(self):
+    def test_invalid_speed_factor(self, er_graph):
+        cluster = Cluster.create(er_graph, 2)
         with pytest.raises(ValueError):
-            Machine(0, CostModel(), speed_factor=0.0)
+            cluster.set_speed_factor(0, 0.0)
 
     def test_cluster_setter_and_fresh_copy(self, er_graph):
         cluster = Cluster.create(er_graph, 4)

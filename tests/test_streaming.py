@@ -57,6 +57,7 @@ from repro.streaming import (
     VersionedGraph,
     full_embeddings,
 )
+from repro.streaming import continuous
 
 # The parity patterns the acceptance criterion sweeps (>= 3).
 PATTERNS = {
@@ -535,10 +536,10 @@ class TestContinuousQueryManager:
             assert scheduler.graph.fingerprint() == \
                 manager.current.fingerprint
 
-    def test_pending_queue_overflow_drops_oldest(self, graph):
+    def test_pending_queue_overflow_drops_oldest(self, graph, monkeypatch):
+        monkeypatch.setattr(continuous, "PENDING_LIMIT", 2)
         manager = ContinuousQueryManager(graph)
         watch = manager.register("a-b, b-c, c-a")
-        watch._pending_limit = 2
         absent = _absent(graph)
         for i in range(4):
             manager.ingest([absent[i]], ())

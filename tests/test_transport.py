@@ -19,6 +19,7 @@ import time
 import pytest
 
 import repro
+import repro.distributed.worker as worker_module
 from repro.api import RunConfig
 from repro.api.session import load_graph
 from repro.cli import main as cli_main
@@ -185,9 +186,12 @@ class TestDial:
     @pytest.mark.parametrize(
         "greeting", [b"garbage\n", b""], ids=["garbage", "silence"]
     )
-    def test_stop_worker_is_false_for_garbage_or_silence(self, greeting):
+    def test_stop_worker_is_false_for_garbage_or_silence(
+        self, greeting, monkeypatch
+    ):
+        monkeypatch.setattr(worker_module, "STOP_TIMEOUT", 0.5)
         with impostor(greeting) as (address, hung_up):
-            assert stop_worker(address, timeout=0.5) is False
+            assert stop_worker(address) is False
         assert hung_up == [True]  # dial closed what it opened
 
     def test_connecting_to_a_shard_worker_says_what_answered(self):
@@ -257,7 +261,7 @@ class TestOneWorkerMode:
             thread.join(10)
         assert hello == (
             b'{"graphs": ["%s"], "kind": "hello", "ok": true, "pid": %d, '
-            b'"role": "shard-worker", "version": 3, "workers": 0}\n' % ids
+            b'"role": "shard-worker", "version": 4, "workers": 0}\n' % ids
         )
         assert stats == (
             b'{"id": 2, "kind": "stats", "ok": true, "result": '

@@ -1,5 +1,7 @@
 """Tests for the VF2-style serial enumerator."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,11 +63,10 @@ class TestVF2Basics:
 
     def test_limit_short_circuits(self):
         g = erdos_renyi(40, 0.3, seed=1)
-        pattern = triangle()
-        found = vf2_embeddings(
-            g.neighbors, g.vertices(), pattern, limit=5
-        )
+        enumerator = VF2Enumerator(pattern=triangle(), adjacency=g.neighbors)
+        found = list(islice(enumerator.run(g.vertices()), 5))
         assert len(found) == 5
+        assert enumerator.stats.embeddings == 5  # stopped, not run out
 
     def test_allowed_predicate_restricts_all_positions(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
