@@ -5,8 +5,12 @@ systems of [6] and [5] parallelize *serial* graph algorithms by giving
 each machine enough of the data graph to work alone.  Before enumeration,
 machine ``M_t`` copies from its peers every node and edge within distance
 ``d`` of its border vertices, where ``d`` is the query diameter; it then
-runs a stock serial algorithm (VF2 here, as the paper suggests) over its
-expanded fragment, with no further communication.
+runs a stock serial algorithm over its expanded fragment, with no further
+communication.  Here that algorithm is the shared block kernel
+(:class:`~repro.enumeration.backtracking.BacktrackingEnumerator`), seeded
+with the machine's owned vertices and restricted to owned plus replicated
+ones by a vertex mask; its ``total_ops`` are charged as ``enum_ops``, the
+counter the single-machine oracle charges for the same kernel.
 
 The paper's criticism is structural and reproduced faithfully: when the
 query diameter is large or the data graph has a small diameter (social
@@ -25,19 +29,16 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
 from repro.cluster.cluster import Cluster
 from repro.engines.base import EnumerationEngine
 from repro.engines.join_common import claim
 from repro.runtime.executor import Executor
-from repro.enumeration.backtracking import EnumerationStats
-from repro.enumeration.vf2 import VF2Enumerator
+from repro.enumeration.backtracking import BacktrackingEnumerator, EnumerationStats
 from repro.query.pattern import Pattern
 
 
 class ReplicationEngine(EnumerationEngine):
-    """d-hop border replication + per-machine serial VF2."""
+    """d-hop border replication + the block kernel per machine."""
 
     name = "Replication"
 
@@ -123,40 +124,34 @@ class ReplicationEngine(EnumerationEngine):
         hops = pattern.diameter()
         self.last_replicated_vertices = 0
         self.last_replicated_bytes = 0
-        model = cluster.cost_model
-        emb_bytes = model.embedding_bytes(pattern.num_vertices)
+        emb_bytes = cluster.cost_model.embedding_bytes(pattern.num_vertices)
         results: list[tuple[int, ...]] = []
         count = 0
-        empty = np.empty(0, dtype=np.int64)
 
         for t in range(cluster.num_machines):
             local = cluster.partition.machine(t)
             machine = cluster.machine(t)
-            replicated = self._replicate(cluster, t, hops)
-            visible = replicated  # owned vertices are always visible
-
-            def adjacency(v: int) -> np.ndarray:
-                if local.is_owned(v) or v in visible:
-                    return cluster.graph.neighbors(v)
-                return empty
-
+            allowed = local.owned_mask.copy()
+            allowed[list(self._replicate(cluster, t, hops))] = True
             stats = EnumerationStats()
-            enumerator = VF2Enumerator(
+            enumerator = BacktrackingEnumerator(
                 pattern=pattern,
-                adjacency=adjacency,
+                adjacency=cluster.graph,
                 constraints=constraints,
-                allowed=lambda v: local.is_owned(v) or v in visible,
+                allowed=allowed,
                 stats=stats,
             )
             found = claimed = 0
-            start_owned = (int(v) for v in local.owned_vertices)
-            for embedding in enumerator.run(start_owned):
-                found += 1
-                if collect:
-                    results.append(embedding)
-                claimed = claim(machine, claimed, found, emb_bytes, "result_bytes")
-            machine.allocate((found - claimed) * emb_bytes, "result_bytes")
-            machine.charge_ops(stats.total_ops, "vf2_ops")
+            try:
+                for rows in enumerator.run_blocks(local.owned_vertices):
+                    found += len(rows)
+                    if collect:
+                        results.extend(map(tuple, rows.tolist()))
+                    claimed = claim(machine, claimed, found, emb_bytes, "result_bytes")
+                machine.allocate((found - claimed) * emb_bytes, "result_bytes")
+            finally:
+                # A run that fails a claim still reports the work it burned.
+                machine.charge_ops(stats.total_ops, "enum_ops")
             count += found
         self._count = count
         return results

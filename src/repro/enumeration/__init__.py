@@ -11,7 +11,6 @@ from repro.enumeration.backtracking import (
     compute_matching_order,
     enumerate_embeddings,
 )
-from repro.enumeration.vf2 import VF2Enumerator, vf2_embeddings
 from repro.enumeration.labeled import (
     LabeledEnumerator,
     LabeledPattern,
@@ -25,8 +24,6 @@ __all__ = [
     "MatchingTables",
     "compute_matching_order",
     "enumerate_embeddings",
-    "VF2Enumerator",
-    "vf2_embeddings",
     "LabeledEnumerator",
     "LabeledPattern",
     "candidate_sets",

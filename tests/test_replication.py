@@ -43,6 +43,22 @@ class TestReplicationCorrectness:
         )
         assert counted.embedding_count == collected.embedding_count
 
+    @pytest.mark.parametrize("qname", ["q1", "q4", "cq1"])
+    def test_counting_mode_reports_the_same_stats(self, er_cluster, qname):
+        """Collecting only keeps the rows: the simulated run is the same."""
+        pattern = named_patterns()[qname]
+        collected = ReplicationEngine().run(er_cluster.fresh_copy(), pattern)
+        counted = ReplicationEngine().run(
+            er_cluster.fresh_copy(), pattern, collect_embeddings=False
+        )
+        assert counted.embeddings is None
+        assert counted.makespan == collected.makespan
+        assert counted.per_machine_time == collected.per_machine_time
+        assert counted.peak_memory == collected.peak_memory
+        assert counted.total_comm_bytes == collected.total_comm_bytes
+        assert counted.counters == collected.counters
+        assert counted.counters["enum_ops"] > 0
+
     def test_single_machine_no_replication(self, er_graph):
         cluster = Cluster.create(er_graph, 1)
         engine = ReplicationEngine()
@@ -102,3 +118,22 @@ class TestReplicationVolume:
         result = engine.run(er_cluster.fresh_copy(), named_patterns()["q3"])
         assert engine.last_replicated_bytes > 0
         assert result.peak_memory >= engine.last_replicated_bytes / er_cluster.num_machines
+
+
+class TestReplicationMemory:
+    def test_result_claims_fail_with_the_work_charged(self):
+        """Under a 1 MiB cap the replicas fit but q4's results on a hub
+        graph do not: the run fails at a result claim, and the failed
+        result still carries the replication and the enumeration work."""
+        g = powerlaw_cluster(200, 5, 0.3, seed=1)
+        pattern = named_patterns()["q4"]
+        uncapped = ReplicationEngine().run(Cluster.create(g, 4), pattern)
+        assert not uncapped.failed and uncapped.peak_memory > 1 << 20
+        result = ReplicationEngine().run(
+            Cluster.create(g, 4, memory_capacity=1 << 20), pattern
+        )
+        assert result.failed and "OOM" in result.failure
+        assert result.embedding_count == 0 and result.embeddings is None
+        assert result.counters["replicated_bytes"] > 0
+        assert 0 < result.counters["enum_ops"] <= uncapped.counters["enum_ops"]
+        assert result.counters["result_bytes"] <= 1 << 20

@@ -6,17 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.enumeration import (
-    EnumerationStats,
-    enumerate_embeddings,
-    vf2_embeddings,
-)
-from repro.enumeration.vf2 import VF2Enumerator
+from repro.enumeration import EnumerationStats, enumerate_embeddings
 from repro.graph import erdos_renyi
 from repro.graph.graph import Graph
 from repro.query import named_patterns
 from repro.query.patterns import clique, path, star, triangle
 from repro.query.symmetry import symmetry_breaking_constraints
+from vf2 import VF2Enumerator, vf2_embeddings
 
 
 def embeddings_on(graph, pattern, constraints=None):

@@ -1,11 +1,12 @@
-"""VF2-style subgraph enumeration (Cordella et al., TPAMI 2004).
+"""VF2-style subgraph enumeration (Cordella et al., TPAMI 2004), kept
+beside its tests as the independent oracle.
 
-The replication-based baseline (:mod:`repro.engines.replication`) follows
-Fan et al.'s recipe of running "a serial algorithm (e.g., VF2)" per
-machine, so this module provides that serial algorithm.  It is also an
-independent implementation of the same semantics as
-:class:`repro.enumeration.backtracking.BacktrackingEnumerator` —
-the property-based tests cross-check the two against each other.
+A vertex-at-a-time implementation of the same semantics as
+:class:`repro.enumeration.backtracking.BacktrackingEnumerator`, sharing
+none of its block machinery: ``test_vf2.py`` and the property-based
+differentials of ``test_engine_equivalence.py`` cross-check the kernel
+and the engines built on it against this module.  The package never
+imports it.
 
 The enumerator searches for *monomorphisms* (every pattern edge must map
 to a data edge; non-edges are unconstrained), which is the subgraph
