@@ -245,19 +245,26 @@ class EnumerationEngine(ABC):
             # The failure path keeps the per-machine counters accumulated
             # up to the OOM: the paper's "crashed competitor" bars still
             # report how much work (and communication) the run burned.
-            return RunResult(
-                engine=self.name,
-                pattern_name=pattern.name,
-                embedding_count=0,
-                makespan=cluster.makespan(),
-                total_comm_bytes=cluster.total_comm_bytes(),
-                peak_memory=cluster.peak_memory(),
-                per_machine_time=[m.finish_time for m in cluster.machines],
-                failed=True,
-                failure=str(exc),
-                counters=_cluster_counters(cluster),
-            )
-        count = len(embeddings) if collect_embeddings else self._count
+            return self._result(cluster, pattern, failure=str(exc))
+        return self._result(
+            cluster, pattern,
+            count=len(embeddings) if collect_embeddings else self._count,
+            embeddings=embeddings if collect_embeddings else None,
+        )
+
+    def _result(
+        self,
+        cluster: Cluster,
+        pattern: Pattern,
+        *,
+        count: int = 0,
+        embeddings: list[tuple[int, ...]] | None = None,
+        failure: str | None = None,
+        counters: dict[str, int] | None = None,
+    ) -> RunResult:
+        """``cluster``'s stats packaged as this engine's result on ``pattern``:
+        failed when ``failure`` names a simulated OOM; ``counters`` default
+        to the per-machine counters merged across the cluster."""
         return RunResult(
             engine=self.name,
             pattern_name=pattern.name,
@@ -266,8 +273,10 @@ class EnumerationEngine(ABC):
             total_comm_bytes=cluster.total_comm_bytes(),
             peak_memory=cluster.peak_memory(),
             per_machine_time=[m.finish_time for m in cluster.machines],
-            embeddings=embeddings if collect_embeddings else None,
-            counters=_cluster_counters(cluster),
+            embeddings=embeddings,
+            failed=failure is not None,
+            failure=failure,
+            counters=_cluster_counters(cluster) if counters is None else counters,
         )
 
 

@@ -90,7 +90,6 @@ class SingleMachineEngine(EnumerationEngine):
         also caps the reported count.
         """
         from repro.cluster.machine import SimulatedMemoryError
-        from repro.engines.base import _cluster_counters
         from repro.enumeration.labeled import LabeledEnumerator
 
         stats = EnumerationStats()
@@ -111,26 +110,10 @@ class SingleMachineEngine(EnumerationEngine):
                 "result_bytes",
             )
         except SimulatedMemoryError as exc:
-            return RunResult(
-                engine=self.name,
-                pattern_name=query.pattern.name,
-                embedding_count=0,
-                makespan=cluster.makespan(),
-                total_comm_bytes=cluster.total_comm_bytes(),
-                peak_memory=cluster.peak_memory(),
-                per_machine_time=[m.finish_time for m in cluster.machines],
-                failed=True,
-                failure=str(exc),
-                counters=_cluster_counters(cluster),
-            )
-        return RunResult(
-            engine=self.name,
-            pattern_name=query.pattern.name,
-            embedding_count=count,
-            makespan=cluster.makespan(),
-            total_comm_bytes=cluster.total_comm_bytes(),
-            peak_memory=cluster.peak_memory(),
-            per_machine_time=[m.finish_time for m in cluster.machines],
+            return self._result(cluster, query.pattern, failure=str(exc))
+        return self._result(
+            cluster, query.pattern,
+            count=count,
             embeddings=embeddings if collect_embeddings else None,
             counters={
                 "enum_ops": int(stats.total_ops),
