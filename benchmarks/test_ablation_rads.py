@@ -1,9 +1,9 @@
 """Ablation bench: how much each RADS design choice contributes.
 
-Not a paper figure — DESIGN.md calls out SM-E (Sec. 3.1), the foreign-
-vertex cache (Sec. 3.2/Appendix B) and checkR/shareR work stealing as the
-load-bearing design choices; this bench isolates each on the dataset where
-it should matter most.
+Not a paper figure: this bench isolates three RADS design choices — SM-E
+(Sec. 3.1), the foreign-vertex cache (Sec. 3.2/Appendix B) and
+checkR/shareR work stealing — each on the dataset where it should matter
+most.
 """
 
 from conftest import run_once

@@ -42,7 +42,8 @@ def test_fig12_scalability_dblp(benchmark, report):
 def test_fig12_scalability_livejournal(benchmark, report):
     # Paper Fig. 12(c): only Crystal and RADS scale to this dataset; the
     # dense graphs run at a reduced scale to keep the bench tractable.
-    # Known scale artifact (recorded in EXPERIMENTS.md): with zero SM-E on
+    # Known scale artifact, a deviation from the paper (committing the
+    # figure's record is ROADMAP item 4): with zero SM-E on
     # this small-diameter graph, RADS's per-machine compute shrinks with
     # the node count while its fetch/verify message costs grow, so its
     # curve is flat-to-declining here; Crystal's speedup reproduces.
