@@ -36,21 +36,13 @@ class TestReplicationCorrectness:
         assert set(result.embeddings) == expected
 
     def test_counting_mode_matches(self, er_cluster):
+        """Collecting only keeps the rows: the simulated run is the same."""
         pattern = named_patterns()["q2"]
         collected = ReplicationEngine().run(er_cluster.fresh_copy(), pattern)
         counted = ReplicationEngine().run(
             er_cluster.fresh_copy(), pattern, collect_embeddings=False
         )
         assert counted.embedding_count == collected.embedding_count
-
-    @pytest.mark.parametrize("qname", ["q1", "q4", "cq1"])
-    def test_counting_mode_reports_the_same_stats(self, er_cluster, qname):
-        """Collecting only keeps the rows: the simulated run is the same."""
-        pattern = named_patterns()[qname]
-        collected = ReplicationEngine().run(er_cluster.fresh_copy(), pattern)
-        counted = ReplicationEngine().run(
-            er_cluster.fresh_copy(), pattern, collect_embeddings=False
-        )
         assert counted.embeddings is None
         assert counted.makespan == collected.makespan
         assert counted.per_machine_time == collected.per_machine_time
