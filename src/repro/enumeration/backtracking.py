@@ -10,17 +10,23 @@ cost model — ``recursive_calls`` += rows entering a step, ``intersections``
 bounds (and start candidates passing ``allowed``), ``embeddings`` +=
 complete rows yielded.
 
-**Tables.**  :class:`MatchingTables` compiles ``P`` matching orders of one
-pattern into one int64 table per position, a row per order — the backward
-anchor columns padded with column 0 to the widest list, each anchor's size
-offset (0, or ``_ABSENT`` for padding, so a padded anchor sorts after every
-real list, filters nothing and charges nothing), the lower and upper bound
+**Tables.**  :class:`MatchingTables` compiles ``P`` matching orders into
+one int64 table per position, a row per order — the backward anchor
+columns padded with column 0 to the widest list, each anchor's size offset
+(0, or ``_ABSENT`` for padding, so a padded anchor sorts after every real
+list, filters nothing and charges nothing), the lower and upper bound
 columns as 0/1 masks, the degree floor — and the permutation back to
 pattern-vertex columns: a function of ``(pattern, constraints, orders)``
 only, run over any snapshot.  With ``P > 1`` (streaming's ``2 |E_P|``
 rooted plans) every ``(seed, order)`` pair is a row of the seed block,
 tagged ``seed * P + order``: a level is one step whatever ``P`` is, and
 rows come out in ``(seed, order, depth-first)`` order.
+:meth:`MatchingTables.fuse` puts the orders of several patterns in one
+table (streaming's watches): orders may then differ in length, an order
+that has ended has a padding row no row reaches, and a row leaves the
+block at its own order's length — so each pattern's rows keep their
+``(seed, order, depth-first)`` order, and with one length (SM-E, Single,
+Replication, labeled) a level costs no extra array operation.
 
 **One fused step.**  A gathered level is one function,
 :meth:`MatchingTables._step`, that pays numpy's dispatch once per array
@@ -137,8 +143,9 @@ def compute_matching_order(
     return order
 
 
-def _row(anchors: list[int], width: int, lower: list[int], upper: list[int], q: int, degree: int):
-    """One order's table row at position ``q`` (see :class:`MatchingTables`)."""
+def _row(q: int, width: int, anchors: list[int], lower: list[int], upper: list[int], degree: int):
+    """One order's table row at position ``q`` (see :class:`MatchingTables`);
+    with no anchors, bounds or degree, the padding row of an order that has ended."""
     pad = width - len(anchors)
     return [
         *anchors, *[0] * pad, *[0] * len(anchors), *[_ABSENT] * pad,
@@ -147,36 +154,51 @@ def _row(anchors: list[int], width: int, lower: list[int], upper: list[int], q: 
 
 
 class MatchingTables:
-    """The block kernel over ``P`` matching orders of one pattern (module docstring)."""
+    """The block kernel over ``P`` matching orders (module docstring)."""
 
     def __init__(
         self, pattern: Pattern, constraints: list[tuple[int, int]], orders: list[list[int]]
     ):
         if any(set(order) != set(pattern.vertices()) for order in orders):
             raise ValueError("order must cover all pattern vertices")
-        self.orders = orders
-        places = [{u: i for i, u in enumerate(order)} for order in orders]
-        backward = [
-            [[at[w] for w in pattern.adj(u) if at[w] < i] for i, u in enumerate(order)]
-            for order, at in zip(orders, places)
-        ]
-        if not all(all(plan[1:]) for plan in backward):
-            raise ValueError("order vertex without an earlier neighbour")
-        bounds = [bound_columns(constraints, order) for order in orders]
-        # Per position: the table, the anchor width, and where in a row the
-        # lower / upper bound masks are (None: no order bounds that side).
+        plans = []  # per order: (anchors, lower, upper, degree) per position; its columns
+        for order in orders:
+            at = {u: i for i, u in enumerate(order)}
+            backward = [[at[w] for w in pattern.adj(u) if at[w] < i] for i, u in enumerate(order)]
+            if not all(backward[1:]):
+                raise ValueError("order vertex without an earlier neighbour")
+            rows = zip(backward, *bound_columns(constraints, order), map(pattern.degree, order))
+            plans.append((list(rows), [at[u] for u in pattern.vertices()]))
+        self._compile(orders, plans)
+
+    @classmethod
+    def fuse(cls, parts: list[MatchingTables]) -> MatchingTables:
+        """One table over the orders of ``parts`` in turn (module docstring)."""
+        if len(parts) == 1:
+            return parts[0]
+        fused = cls.__new__(cls)
+        orders = [order for part in parts for order in part.orders]
+        fused._compile(orders, [plan for part in parts for plan in part._plans])
+        return fused
+
+    def _compile(self, orders, plans):
+        """Per position the table, the anchor width, and where in a row the
+        lower / upper bound masks are (None: no order bounds that side)."""
+        self.orders, self._plans = orders, plans
+        self._lengths = np.array([len(order) for order in orders])
+        depth = int(self._lengths.max())
+        self._ends = set(self._lengths.tolist()) - {depth}  # where some orders end
         self._steps = []
-        for q in range(pattern.num_vertices):
-            width = max(len(plan[q]) for plan in backward)
-            table = np.array([
-                _row(plan[q], width, lower[q], upper[q], q, pattern.degree(order[q]))
-                for plan, (lower, upper), order in zip(backward, bounds, orders)
-            ], dtype=np.int64).reshape(len(orders), -1)
+        for q in range(depth):
+            rows = [plan[q] if q < len(plan) else ([], [], [], 0) for plan, _ in plans]
+            width = max(len(row[0]) for row in rows)
+            table = np.array([_row(q, width, *row) for row in rows], dtype=np.int64)
+            table = table.reshape(len(rows), -1)
             sides = (slice(2 * width, 2 * width + q), slice(2 * width + q, 2 * width + 2 * q))
             self._steps.append(
                 (table, width, *(side if table[:, side].any() else None for side in sides))
             )
-        self._columns = np.array([[at[u] for u in pattern.vertices()] for at in places])
+        self._columns = np.array([columns + [0] * (depth - len(columns)) for _, columns in plans])
 
     def _step(self, run, block, tags):
         """The next block — ``block``'s rows one position deeper — and its tags:
@@ -219,17 +241,19 @@ class MatchingTables:
         row = row[keep]
         return kernel.append(block, row, cand[keep]), tags[row]
 
-    def _admit(self, run, seeds, charge=False):
+    def _admit(self, run, seeds, charge=False, active=None):
         """The rows of ``seeds`` that are partial embeddings of their order and
         their tags, in one pass (module docstring); with ``P > 1`` a row per
-        ``(seed, order)`` pair, tagged ``seed * P + order``."""
+        ``(seed, order)`` pair, tagged ``seed * P + order``.  ``active``: a
+        boolean mask over the orders, whose others admit no row."""
         graph, masks, stats = run
         degrees, keys, n = graph.degrees(), graph.edge_keys(), graph.num_vertices
         count = len(self.orders)
         if count > 1:
             seeds = seeds.repeat(count, axis=0)
         tags = np.arange(seeds.shape[0])
-        plans, keep = tags % count, tags >= 0
+        plans = tags % count
+        keep = tags >= 0 if active is None else active[plans]
         for position in range(seeds.shape[1]):
             table, width, lower, upper = self._steps[position]
             table, column, prefix = table[plans], seeds[:, position], seeds[:, :position]
@@ -253,10 +277,16 @@ class MatchingTables:
         return seeds[keep], tags[keep]
 
     def _expand(self, run, block, tags) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Complete blocks below ``block`` in DFS order, chunk by chunk."""
-        if block.shape[1] == len(self.orders[0]):
+        """Complete blocks below ``block`` in DFS order, chunk by chunk; a row
+        is complete at its own order's length."""
+        depth = block.shape[1]
+        if depth == len(self._steps):
             yield block, tags
             return
+        if depth in self._ends:  # the rows of the orders that end here leave
+            done = self._lengths[tags % len(self.orders)] == depth
+            yield block[done], tags[done]
+            block, tags = block[~done], tags[~done]
         for lo in range(0, len(block), kernel.ROWS_PER_BLOCK):
             hi = lo + kernel.ROWS_PER_BLOCK
             yield from self._expand(run, *self._step(run, block[lo:hi], tags[lo:hi]))
@@ -264,10 +294,12 @@ class MatchingTables:
     def emit(
         self, adjacency: Graph, stats: EnumerationStats, seeds: np.ndarray,
         allowed: np.ndarray | None = None, limit: int | None = None, charge=False,
+        active: np.ndarray | None = None,
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """``(seed index, embeddings by pattern vertex)`` blocks below ``seeds``,
-        whose column ``j`` is the image of every order's position ``j``.
-        ``charge``: the seeds are start candidates (one column)."""
+        """``(tags, embeddings by pattern vertex)`` blocks below ``seeds``, a
+        row's tag ``seed index * P + order``; a block's rows have one length.
+        ``charge``: the seeds are start candidates (one column); ``active``:
+        see :meth:`_admit`."""
         bound = getattr(adjacency, "__func__", None) is Graph.neighbors
         graph = adjacency.__self__ if bound else adjacency
         if not isinstance(graph, Graph):
@@ -276,27 +308,28 @@ class MatchingTables:
         if allowed is not None:
             if getattr(allowed, "dtype", None) != bool:
                 raise TypeError(f"allowed must be a boolean vertex mask, got {allowed!r}")
-            masks = np.broadcast_to(allowed, (len(self.orders[0]), graph.num_vertices))
+            masks = np.broadcast_to(allowed, (len(self._steps), graph.num_vertices))
         outside = seeds[(seeds < 0) | (seeds >= graph.num_vertices)]
         if outside.size:
             raise ValueError(f"vertex id {outside[0]} outside [0, {graph.num_vertices})")
         count, run = len(self.orders), (graph, masks, stats)
-        block, tags = self._admit(run, seeds, charge)
+        block, tags = self._admit(run, seeds, charge, active)
         if limit is not None and limit <= 0:
             return
         for rows, tags in self._expand(run, block, tags):
             rows, tags = rows[:limit], tags[:limit]
             stats.embeddings += len(rows)
             span = np.arange(len(rows))[:, None]
-            yield tags // count, rows[span, self._columns[tags % count]]
+            yield tags, rows[span, self._columns[tags % count, :rows.shape[1]]]
             if limit is not None:
                 limit -= len(rows)
                 if limit <= 0:
                     return
 
     def block(self, adjacency, stats, seeds, allowed) -> tuple[np.ndarray, np.ndarray]:
-        """Everything :meth:`emit` yields, as one ``(seed index, embeddings)`` pair."""
-        empty = np.empty((0, len(self.orders[0])), dtype=np.int64)
+        """Everything :meth:`emit` yields, as one ``(tags, embeddings)`` pair
+        (orders of one length)."""
+        empty = np.empty((0, len(self._steps)), dtype=np.int64)
         tags, rows = zip((empty[:, 0], empty), *self.emit(adjacency, stats, seeds, allowed))
         return np.concatenate(tags), np.concatenate(rows)
 
@@ -327,53 +360,13 @@ class BacktrackingEnumerator:
         if not isinstance(start_candidates, np.ndarray):
             start_candidates = list(start_candidates)
         starts = np.asarray(start_candidates, dtype=np.int64).reshape(-1, 1)
-        for _, rows in self._tables.emit(
-            self.adjacency, self.stats, starts, self.allowed, charge=True
-        ):
-            yield rows
+        blocks = self._tables.emit(self.adjacency, self.stats, starts, self.allowed, charge=True)
+        yield from (rows for _, rows in blocks)
 
     def run(self, start_candidates: Iterable[int]) -> Iterator[tuple[int, ...]]:
         """:meth:`run_blocks`, row by row as tuples ``emb[u] = v``."""
         for rows in self.run_blocks(start_candidates):
             yield from map(tuple, rows.tolist())
-
-    def run_seeded(
-        self, seed: dict[int, int], limit: int | None = None
-    ) -> Iterator[tuple[int, ...]]:
-        """Embeddings extending a pre-matched ``seed`` mapping.
-
-        ``seed`` must map exactly the first ``len(seed)`` vertices of the
-        matching order (build the order with ``prefix=`` to choose them).
-        A seed that is not itself a valid partial embedding — injectivity,
-        ``allowed``/degree filters, a data edge per seeded pattern edge,
-        symmetry-breaking bounds — yields nothing.  This is the one-row
-        case of :meth:`run_seeded_block`.
-        """
-        prefix = self.order[: len(seed)]
-        if not seed:
-            raise ValueError("seed must map at least one pattern vertex")
-        if set(prefix) != set(seed):
-            raise ValueError(f"seed must cover the first {len(seed)} order vertices {prefix}")
-        seeds = np.array([[seed[u] for u in prefix]], dtype=np.int64)
-        for _, rows in self._tables.emit(self.adjacency, self.stats, seeds, self.allowed, limit):
-            yield from map(tuple, rows.tolist())
-
-    def run_seeded_block(self, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """All embeddings extending any row of ``seeds``, as one block.
-
-        ``seeds`` is an ``(m, k)`` array: the images of the first ``k``
-        order vertices.  Returns ``(seed_index, embeddings)`` — an
-        ``(r, |V_P|)`` array indexed by pattern vertex and, per row, the
-        index of the seed it extends.  Rows and counters equal the
-        concatenation of :meth:`run_seeded` over the seeds in order
-        (invalid seeds add nothing), at one step per level, not one per seed.
-        """
-        seeds = np.asarray(seeds, dtype=np.int64)
-        if seeds.ndim != 2 or not 1 <= seeds.shape[1] <= len(self.order):
-            raise ValueError(
-                f"seeds must be an (m, k) array of order-prefix images, 1 <= k <= {len(self.order)}"
-            )
-        return self._tables.block(self.adjacency, self.stats, seeds, self.allowed)
 
 
 def enumerate_embeddings(
@@ -391,11 +384,6 @@ def enumerate_embeddings(
     matching order.
     """
     enumerator = BacktrackingEnumerator(
-        pattern=pattern,
-        adjacency=adjacency,
-        constraints=constraints or [],
-        order=order,
-        allowed=allowed,
-        stats=stats or EnumerationStats(),
+        pattern, adjacency, constraints or [], order, allowed, stats or EnumerationStats()
     )
     return list(enumerator.run(vertices))

@@ -13,6 +13,12 @@ its owner's token bucket, and a quota-rejected delta is *dropped* (the
 watch's ``dropped`` counter and the poll response say so) rather than
 computed for free.  Standalone (no scheduler — the ``Session.watch``
 path), deltas are computed inline and no quotas apply.
+
+Watches on equal patterns share an :class:`IncrementalMatcher`; register /
+unregister fuse the distinct ones into a :class:`FusedMatcher`, so a batch
+side is one kernel run for every watch.  The first job of a batch to run
+computes it for every watch admitted so far, its own included: a dropped
+delta is still never computed, and every interleaving gives the same records.
 """
 
 from __future__ import annotations
@@ -25,9 +31,10 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from repro.enumeration.backtracking import EnumerationStats
 from repro.graph.graph import Graph, canonical_edge_array
 from repro.query.pattern import Pattern
-from repro.streaming.incremental import IncrementalMatcher
+from repro.streaming.incremental import FusedMatcher, IncrementalMatcher
 from repro.streaming.records import DeltaRecord
 from repro.streaming.version import GraphVersion, VersionedGraph
 
@@ -45,16 +52,12 @@ class Watch:
     """
 
     def __init__(
-        self,
-        watch_id: str,
-        pattern: Pattern,
-        matcher: IncrementalMatcher,
-        *,
-        tenant: str | None = None,
-        collect: bool = True,
+        self, watch_id: str, pattern: Pattern, matcher: IncrementalMatcher,
+        *, tenant: str | None = None, collect: bool = True,
     ):
         self.id = watch_id
         self.pattern = pattern
+        self.text = str(pattern)  # every record's ``pattern``, formatted once
         self.matcher = matcher
         self.tenant = tenant
         self.collect = collect
@@ -91,15 +94,8 @@ class Watch:
         if overflowed:
             from repro.obs import events as _events
 
-            _events.emit(
-                "warning",
-                "streaming",
-                _events.WATCH_DROPPED,
-                watch=self.id,
-                reason="overflow",
-                dropped=overflowed,
-                pending_limit=PENDING_LIMIT,
-            )
+            _events.emit("warning", "streaming", _events.WATCH_DROPPED, watch=self.id,
+                         reason="overflow", dropped=overflowed, pending_limit=PENDING_LIMIT)
         if push is not None:
             try:
                 push(record)
@@ -127,6 +123,28 @@ class Watch:
                 "pending": len(self._pending),
                 "push": self._push is not None,
             }
+
+
+class _Deltas:
+    """One batch's ``(added, removed)`` blocks per matcher, computed on first
+    demand for every admitted matcher not yet done (module docstring)."""
+
+    def __init__(self, fused: FusedMatcher | None, old: Graph, new: Graph, add: np.ndarray,
+                 delete: np.ndarray):
+        self.fused, self.old, self.new, self.add, self.delete = fused, old, new, add, delete
+        self.admitted: list[IncrementalMatcher] = []  # appended under the lock: jobs read it
+        self.done: dict[IncrementalMatcher, tuple[np.ndarray, np.ndarray]] = {}
+        self.lock = threading.Lock()
+
+    def get(self, matcher: IncrementalMatcher) -> tuple[np.ndarray, np.ndarray]:
+        with self.lock:
+            if matcher not in self.done:
+                wanted = [m for m in self.fused.matchers if m is matcher or (
+                    m in self.admitted and m not in self.done)]
+                added = self.fused.blocks_using(self.new, self.add, wanted, EnumerationStats())
+                removed = self.fused.blocks_using(self.old, self.delete, wanted, EnumerationStats())
+                self.done.update((m, (added[m], removed[m])) for m in wanted)
+            return self.done[matcher]
 
 
 class ContinuousQueryManager:
@@ -167,6 +185,9 @@ class ContinuousQueryManager:
         self._on_rebind = on_rebind
         self._on_record = on_record
         self._watches: dict[str, Watch] = {}
+        # The distinct registered patterns, fused (see the module docstring).
+        self._matchers: dict[Pattern, IncrementalMatcher] = {}
+        self._fused: FusedMatcher | None = None
         self._lock = threading.RLock()
         self._ids = itertools.count(1)
         self._batches = 0
@@ -180,11 +201,7 @@ class ContinuousQueryManager:
         return self._versions.current
 
     def register(
-        self,
-        query: "str | Pattern",
-        *,
-        tenant: str | None = None,
-        collect: bool = True,
+        self, query: "str | Pattern", *, tenant: str | None = None, collect: bool = True
     ) -> Watch:
         """Register a continuous query; returns its :class:`Watch`.
 
@@ -200,22 +217,29 @@ class ContinuousQueryManager:
             raise ValueError(
                 "continuous queries support unlabeled patterns only"
             )
-        matcher = IncrementalMatcher(pattern)
         with self._lock:
-            watch = Watch(
-                f"w{next(self._ids)}",
-                pattern,
-                matcher,
-                tenant=tenant,
-                collect=collect,
-            )
+            if pattern not in self._matchers:
+                self._matchers[pattern] = IncrementalMatcher(pattern)
+                self._fuse()
+            watch = Watch(f"w{next(self._ids)}", pattern, self._matchers[pattern],
+                          tenant=tenant, collect=collect)
             self._watches[watch.id] = watch
             return watch
 
     def unregister(self, watch_id: str) -> bool:
         """Remove a watch; False when the id is unknown (idempotent)."""
         with self._lock:
-            return self._watches.pop(watch_id, None) is not None
+            watch = self._watches.pop(watch_id, None)
+            if watch is None:
+                return False
+            if all(other.pattern != watch.pattern for other in self._watches.values()):
+                del self._matchers[watch.pattern]
+                self._fuse()
+            return True
+
+    def _fuse(self) -> None:  # the fused matcher over the distinct patterns
+        matchers = list(self._matchers.values())
+        self._fused = FusedMatcher(matchers) if matchers else None
 
     def get(self, watch_id: str) -> Watch:
         """The live watch for ``watch_id`` (KeyError when unknown)."""
@@ -240,9 +264,7 @@ class ContinuousQueryManager:
 
     # ------------------------------------------------------------------
     def ingest(
-        self,
-        additions: Iterable[tuple[int, int]] = (),
-        deletions: Iterable[tuple[int, int]] = (),
+        self, additions: Iterable[tuple[int, int]] = (), deletions: Iterable[tuple[int, int]] = ()
     ) -> dict:
         """Apply one batch and fan deltas out to every watch.
 
@@ -264,85 +286,57 @@ class ContinuousQueryManager:
             report["batch"] = batch
             report["watches"] = {}
             jobs: list[tuple[Watch, Callable[[], DeltaRecord]]] = []
+            deltas = _Deltas(self._fused, old.graph, new.graph, add, delete)
             for watch in watches:
-                compute = functools.partial(
-                    self._compute, watch, old, new, add, delete, batch
-                )
+                compute = functools.partial(self._compute, watch, deltas, new, batch)
                 if self._scheduler is not None:
                     from repro.service.tenancy import QuotaExceeded
 
                     try:
                         ticket = self._scheduler.submit_job(
-                            compute,
-                            tenant=watch.tenant,
-                            description=f"delta:{watch.id}",
-                        )
+                            compute, tenant=watch.tenant, description=f"delta:{watch.id}")
                     except QuotaExceeded as exc:
                         watch._note_dropped()
                         self._quota_dropped += 1
                         from repro.obs import events as _events
 
-                        _events.emit(
-                            "warning",
-                            "streaming",
-                            _events.WATCH_DROPPED,
-                            watch=watch.id,
-                            reason="quota",
-                            tenant=watch.tenant,
-                        )
-                        report["watches"][watch.id] = {
-                            "dropped": True,
-                            "error": str(exc),
-                        }
+                        _events.emit("warning", "streaming", _events.WATCH_DROPPED,
+                                     watch=watch.id, reason="quota", tenant=watch.tenant)
+                        report["watches"][watch.id] = {"dropped": True, "error": str(exc)}
                         continue
                     compute = ticket.result
+                with deltas.lock:
+                    deltas.admitted.append(watch.matcher)
                 jobs.append((watch, compute))
             for watch, job in jobs:
                 try:
                     record = job()
                 except Exception as exc:
-                    report["watches"][watch.id] = {
-                        "failed": True,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
+                    error = f"{type(exc).__name__}: {exc}"
+                    report["watches"][watch.id] = {"failed": True, "error": error}
                     continue
                 watch._publish(record)
                 self._delta_records += 1
                 if self._on_record is not None:
                     self._on_record(record)
                 report["watches"][watch.id] = {
-                    "added": record.added_count,
-                    "removed": record.removed_count,
-                }
+                    "added": record.added_count, "removed": record.removed_count}
             self._batches += 1
             return report
 
     def _compute(
-        self,
-        watch: Watch,
-        old: GraphVersion,
-        new: GraphVersion,
-        add: np.ndarray,
-        delete: np.ndarray,
-        batch: dict,
+        self, watch: Watch, deltas: _Deltas, new: GraphVersion, batch: dict
     ) -> DeltaRecord:
-        added = watch.matcher.block_using(new.graph, add)
-        removed = watch.matcher.block_using(old.graph, delete)
+        added, removed = deltas.get(watch.matcher)
         record = DeltaRecord(
-            pattern_name=watch.pattern.name,
-            pattern=str(watch.pattern),
-            version=new.version,
-            graph_fingerprint=new.fingerprint,
-            added_count=len(added),
-            removed_count=len(removed),
-            batch=batch,
-            watch=watch.id,
-            tenant=watch.tenant,
+            pattern_name=watch.pattern.name, pattern=watch.text, version=new.version,
+            graph_fingerprint=new.fingerprint, added_count=len(added),
+            removed_count=len(removed), batch=batch, watch=watch.id, tenant=watch.tenant,
         )
         if watch.collect or self._verify:  # tuples only for who reads them
             lists = [list(map(tuple, rows.tolist())) for rows in (added, removed)]
             if self._verify:
-                watch.matcher.verify_parity(old.graph, new.graph, *lists)
+                watch.matcher.verify_parity(deltas.old, deltas.new, *lists)
             if watch.collect:
                 record.added, record.removed = lists
         return record

@@ -21,10 +21,13 @@ uses.  Double counting across edges is removed by attributing each
 embedding to the *first* touched edge it uses.
 
 The plans are compiled once, at construction, into one
-:class:`~repro.enumeration.backtracking.MatchingTables`; a batch side is
-then *one* seed block — a row per (touched edge, plan), the plan looked up
-from the row's tag — so a call costs ``|V_P|`` kernel steps however many
-plans the pattern has, and binding a snapshot compiles nothing.
+:class:`~repro.enumeration.backtracking.MatchingTables`, and a
+:class:`FusedMatcher` puts the plans of several patterns (a stream's
+watches) in one table.  A batch side is then *one* seed block — a row per
+(touched edge, plan), the plan looked up from the row's tag — so an ingest
+costs one admission and ``max |V_P| - 2`` kernel steps per side however
+many plans and patterns there are, a stable partition by pattern hands
+each its rows, and binding a snapshot compiles nothing.
 
 Symmetry-breaking constraints are passed through unchanged — they are
 inequalities on data vertices, independent of which snapshot is being
@@ -59,6 +62,50 @@ def full_embeddings(graph: Graph, pattern: Pattern) -> set[tuple[int, ...]]:
     return set(enumerate_embeddings(graph, graph.vertices(), pattern, constraints))
 
 
+class FusedMatcher:
+    """The rooted plans of several incremental matchers in one table: what
+    each one's :meth:`~IncrementalMatcher.block_using` returns, from one kernel run."""
+
+    def __init__(self, matchers: list[IncrementalMatcher]):
+        self.matchers = matchers
+        self._tables = MatchingTables.fuse([matcher._tables for matcher in matchers])
+        self._owner = np.repeat(range(len(matchers)), [len(m._tables.orders) for m in matchers])
+
+    def blocks_using(
+        self, adjacency: Graph, edges: "Iterable[tuple[int, int]] | np.ndarray",
+        wanted: list[IncrementalMatcher], stats: EnumerationStats,
+    ) -> dict[IncrementalMatcher, np.ndarray]:
+        """Per matcher in ``wanted`` its block over ``edges``; the other
+        matchers' plans admit no row."""
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        seeds = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
+        slots = [self.matchers.index(matcher) for matcher in wanted]
+        active = np.zeros(len(self.matchers), dtype=bool)
+        active[slots] = True
+        count = len(self._tables.orders)
+        chunks = list(self._tables.emit(adjacency, stats, seeds, active=active[self._owner]))
+        stride = 1 + int(max([seeds.max(initial=0)] + [rows.max(initial=0) for _, rows in chunks]))
+        listed, first = np.unique(seeds[:, 0] * stride + seeds[:, 1], return_index=True)
+        sizes = [matcher.pattern.num_vertices for matcher in wanted]
+        found = {}
+        for matcher, slot, k in zip(wanted, slots, sizes):
+            pieces = [(np.empty(0, dtype=np.int64), np.empty((0, k), dtype=np.int64))]
+            for tags, rows in chunks:  # a block's rows have one length
+                if rows.shape[1] == k:
+                    mine = slice(None) if sizes.count(k) == 1 else self._owner[tags % count] == slot
+                    pieces.append((tags[mine], rows[mine]))
+            tags, rows = (np.concatenate(column) for column in zip(*pieces))
+            # Drop rows using an edge listed before the one they grew from.
+            ends = np.sort(rows[:, matcher._edges], axis=2)
+            used = ends[..., 0] * stride + ends[..., 1]
+            at = np.searchsorted(listed, used)
+            at[at == len(listed)] = 0
+            keep = (listed[at] != used) | (first[at] >= (tags // count)[:, None])
+            found[matcher] = rows[keep.all(axis=1)]
+        return found
+
+
 class IncrementalMatcher:
     """Delta embeddings for one registered pattern (compiled at construction)."""
 
@@ -73,39 +120,21 @@ class IncrementalMatcher:
             for u in pattern.vertices()
             for v in pattern.adj(u)
         ])
+        self._fused = FusedMatcher([self])
 
     # ------------------------------------------------------------------
     def block_using(
-        self,
-        adjacency: Graph,
-        edges: "Iterable[tuple[int, int]] | np.ndarray",
-        *,
-        stats: EnumerationStats | None = None,
+        self, adjacency: Graph, edges: "Iterable[tuple[int, int]] | np.ndarray",
+        *, stats: EnumerationStats | None = None,
     ) -> np.ndarray:
         """:meth:`matches_using` as an ``(r, |V_P|)`` array, ``rows[:, u] = v``;
-        ``edges`` (a list or an ``(m, 2)`` array) is the seed block as it is."""
-        if not isinstance(edges, np.ndarray):
-            edges = list(edges)
-        seeds = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
-        if len(seeds) == 0:
-            return np.empty((0, self.pattern.num_vertices), dtype=np.int64)
-        edge, found = self._tables.block(adjacency, stats or EnumerationStats(), seeds, None)
-        # Drop rows using an edge listed before the one they grew from.
-        stride = int(max(seeds.max(), found.max(initial=0))) + 1
-        listed, first = np.unique(seeds[:, 0] * stride + seeds[:, 1], return_index=True)
-        ends = np.sort(found[:, self._edges], axis=2)
-        used = ends[..., 0] * stride + ends[..., 1]
-        slot = np.searchsorted(listed, used)
-        slot[slot == len(listed)] = 0
-        keep = (listed[slot] != used) | (first[slot] >= edge[:, None])
-        return found[keep.all(axis=1)]
+        ``edges`` (a list or an ``(m, 2)`` array) is the seed block as it is.
+        The one-pattern case of :meth:`FusedMatcher.blocks_using`."""
+        return self._fused.blocks_using(adjacency, edges, [self], stats or EnumerationStats())[self]
 
     def matches_using(
-        self,
-        adjacency: Graph,
-        edges: Iterable[tuple[int, int]],
-        *,
-        stats: EnumerationStats | None = None,
+        self, adjacency: Graph, edges: Iterable[tuple[int, int]],
+        *, stats: EnumerationStats | None = None,
     ) -> list[tuple[int, ...]]:
         """Constraint-satisfying embeddings using >= 1 of ``edges``.
 
@@ -117,27 +146,18 @@ class IncrementalMatcher:
         return list(map(tuple, self.block_using(adjacency, edges, stats=stats).tolist()))
 
     def delta(
-        self,
-        old_graph: Graph,
-        new_graph: Graph,
-        additions: Iterable[tuple[int, int]],
-        deletions: Iterable[tuple[int, int]],
-        *,
-        stats: EnumerationStats | None = None,
+        self, old_graph: Graph, new_graph: Graph, additions: Iterable[tuple[int, int]],
+        deletions: Iterable[tuple[int, int]], *, stats: EnumerationStats | None = None,
     ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
         """``(added, removed)`` embeddings for the batch that turned ``old_graph``
         into ``new_graph``: new matches are rooted at added edges in the new
         snapshot, vanished matches at deleted edges in the old one."""
-        added = self.matches_using(new_graph, additions, stats=stats)
-        removed = self.matches_using(old_graph, deletions, stats=stats)
-        return added, removed
+        return (self.matches_using(new_graph, additions, stats=stats),
+                self.matches_using(old_graph, deletions, stats=stats))
 
     def verify_parity(
-        self,
-        old_graph: Graph,
-        new_graph: Graph,
-        added: Sequence[tuple[int, ...]],
-        removed: Sequence[tuple[int, ...]],
+        self, old_graph: Graph, new_graph: Graph,
+        added: Sequence[tuple[int, ...]], removed: Sequence[tuple[int, ...]],
     ) -> None:
         """Assert the delta equals the diff of full re-enumerations.
 

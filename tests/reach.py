@@ -84,12 +84,9 @@ MEMORY = 4 << 30  # address-space cap per process: a runaway fails, not the mach
 
 #: Unreached functions that a test uses as the reference for program output.
 REFERENCE = {
-    "repro/enumeration/backtracking.py::BacktrackingEnumerator.run_seeded":
-        "tests/test_streaming.py::TestPrefixAndSeeded"
-        "::test_a_seed_block_equals_its_seeds_one_by_one",
-    "repro/enumeration/backtracking.py::BacktrackingEnumerator.run_seeded_block":
-        "tests/test_streaming.py::TestPrefixAndSeeded"
-        "::test_a_seed_block_equals_its_seeds_one_by_one",
+    "repro/enumeration/backtracking.py::MatchingTables.block":
+        "tests/test_rooted_block.py::TestTaggedBlockEqualsThePerPlanLoop"
+        "::test_ordered_lists_and_counters",
     "repro/graph/algorithms.py::connected_components":
         "tests/test_generators.py::TestPowerlawCluster::test_connected",
     "repro/graph/algorithms.py::triangles":

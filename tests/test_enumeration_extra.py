@@ -6,6 +6,7 @@ import pytest
 from repro.enumeration import (
     BacktrackingEnumerator,
     EnumerationStats,
+    MatchingTables,
     block,
     compute_matching_order,
     enumerate_embeddings,
@@ -89,23 +90,18 @@ class TestAdversarialPatterns:
         # the end died with a bare IndexError inside the kernel.
         g = erdos_renyi(30, 0.3, seed=4)
         enumerator = BacktrackingEnumerator(triangle(), g)
-        first, second = enumerator.order[:2]
+        tables = MatchingTables(triangle(), [], [enumerator.order])
         with pytest.raises(ValueError, match=f"vertex id {bad} outside"):
             list(enumerator.run([1, bad]))
-        with pytest.raises(ValueError, match=f"vertex id {bad} outside"):
-            list(enumerator.run_seeded({first: bad}))
-        with pytest.raises(ValueError, match=f"vertex id {bad} outside"):
-            list(enumerator.run_seeded({first: 1, second: bad}))
-        with pytest.raises(ValueError, match=f"vertex id {bad} outside"):
-            enumerator.run_seeded_block(np.array([[bad, 1], [2, 3]]))
+        for seeds in ([[bad]], [[1, bad]], [[bad, 1], [2, 3]]):
+            with pytest.raises(ValueError, match=f"vertex id {bad} outside"):
+                tables.block(g, EnumerationStats(), np.array(seeds), None)
 
     def test_limit_zero(self):
         g = erdos_renyi(20, 0.3, seed=4)
-        enumerator = BacktrackingEnumerator(
-            pattern=triangle(), adjacency=g.neighbors
-        )
-        first = enumerator.order[0]
-        assert list(enumerator.run_seeded({first: 0}, limit=0)) in ([], )
+        tables = MatchingTables(triangle(), [], [compute_matching_order(triangle())])
+        seeds = np.array([[0]])
+        assert list(tables.emit(g.neighbors, EnumerationStats(), seeds, limit=0)) == []
 
 
 def _limited(g, pattern, limit=None, stats=None):
@@ -166,7 +162,13 @@ class TestLimit:
             (a, b) for a, b in g.edges()
             if len(np.intersect1d(g.neighbors(a), g.neighbors(b))) >= 2
         )
-        enumerator = BacktrackingEnumerator(triangle(), g, order=order)
-        full = list(enumerator.run_seeded({0: a, 1: b}))
-        assert list(enumerator.run_seeded({0: a, 1: b}, limit=0)) == []
-        assert list(enumerator.run_seeded({0: a, 1: b}, limit=1)) == full[:1]
+        tables, seeds = MatchingTables(triangle(), [], [order]), np.array([[a, b]])
+
+        def seeded(limit=None):
+            blocks = tables.emit(g, EnumerationStats(), seeds, limit=limit)
+            return [tuple(row) for _, rows in blocks for row in rows.tolist()]
+
+        full = seeded()
+        assert len(full) >= 2
+        assert seeded(limit=0) == []
+        assert seeded(limit=1) == full[:1]

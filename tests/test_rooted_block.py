@@ -1,13 +1,16 @@
-"""A watch's rooted plans go through the kernel together, as one tagged block.
+"""A watch's rooted plans go through the kernel together, as one tagged block,
+and so do every watch's on one stream.
 
 ``IncrementalMatcher.matches_using`` roots one matching order at every
 directed pattern edge (``2 |E_P|`` plans).  Counted, not timed: what a call
 costs in kernel steps — one admission of the seed block, then one
 ``MatchingTables._step`` per level — must be at most the pattern's vertex
-count, whatever the number of plans, and nothing on
-the ingest path may compile an enumerator once the watch is registered.
+count, whatever the number of plans; an ingest pays one admission and
+``max |V_P| - 2`` steps per batch side however many watches there are; and
+nothing on the ingest path may compile a table once the watch is registered.
 And differential: the per-plan loop the block replaced lives on here as the
-reference, for ordered lists and all four counters.
+reference, for ordered lists and all four counters, and each watch's own
+``IncrementalMatcher`` is the reference for the fused fan-out.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.enumeration.backtracking import (
@@ -24,10 +28,13 @@ from repro.enumeration.backtracking import (
     MatchingTables,
     compute_matching_order,
 )
+from repro.api import RunConfig
 from repro.graph import erdos_renyi, grid_road_network, powerlaw_cluster
-from repro.query.patterns import CLIQUE_QUERIES, PAPER_QUERIES, square, star, triangle
+from repro.graph.graph import canonical_edge_array
+from repro.query.patterns import CLIQUE_QUERIES, PAPER_QUERIES, path, square, star, triangle
 from repro.query.symmetry import bound_columns, symmetry_breaking_constraints
-from repro.streaming import incremental
+from repro.service import QueryScheduler, TenantQuota
+from repro.streaming import ContinuousQueryManager, incremental
 from repro.streaming.incremental import IncrementalMatcher
 
 WATCHES = {"triangle": triangle(), "square": square(), "q4": PAPER_QUERIES["q4"]}
@@ -107,9 +114,30 @@ class TestRootedCost:
             session.ingest(deletions=batch)
             session.ingest(additions=batch)
 
-        (built,) = _calls(there_and_back, BacktrackingEnumerator.__post_init__.__code__)
+        built = _calls(
+            there_and_back, BacktrackingEnumerator.__post_init__.__code__,
+            MatchingTables.__init__.__code__, MatchingTables.fuse.__func__.__code__,
+        )
         assert all(len(watch.poll()) == 4 for watch in watches)
-        assert built == 0
+        assert built == [0, 0, 0]
+
+    def test_an_ingest_is_one_kernel_run_per_batch_side(self, graph):
+        """Triangle + square + q4: one admission and ``5 - 2`` steps per side
+        (one admission and ``|V_P| - 2`` steps per watch before the fusion)."""
+        session = repro.open(graph)
+        watches = [session.watch(pattern) for pattern in WATCHES.values()]
+        present = list(graph.edges())[::7][:8]
+        absent = [(u, u + 2) for u in range(0, 160, 20) if not graph.has_edge(u, u + 2)]
+
+        def there_and_back():  # two ingests, four batch sides
+            session.ingest(additions=absent, deletions=present)
+            session.ingest(additions=present, deletions=absent)
+
+        admissions, steps = _calls(
+            there_and_back, MatchingTables._admit.__code__, MatchingTables._step.__code__)
+        assert (admissions, steps) == (4, 4 * 3)
+        records = [watch.poll()[-2:] for watch in watches]
+        assert all(r.added_count + r.removed_count for r in records[-1])
 
 
 def per_plan_loop(pattern, constraints, graph, edges, stats):
@@ -117,10 +145,9 @@ def per_plan_loop(pattern, constraints, graph, edges, stats):
     then first-listed-edge attribution, in (edge, plan, DFS) order."""
     seeds = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
     runs = [
-        BacktrackingEnumerator(
-            pattern, graph, constraints,
-            compute_matching_order(pattern, prefix=[u, v]), stats=stats,
-        ).run_seeded_block(seeds)
+        MatchingTables(
+            pattern, constraints, [compute_matching_order(pattern, prefix=[u, v])]
+        ).block(graph, stats, seeds, None)
         for u in pattern.vertices()
         for v in pattern.adj(u)
     ]
@@ -308,3 +335,123 @@ class TestCountOnlyWatch:
                 "additions": full.batch["additions"], "deletions": 12 - full.batch["additions"],
             }
             assert full.added_count + full.removed_count > 0
+
+
+#: Watchable patterns: equal ones, several of four vertices, one edge
+#: (complete at admission), and q4.
+POOL = [triangle(), square(), path(4), star(3), path(2), PAPER_QUERIES["q4"], square()]
+
+
+def _own(pattern, old, new, additions, deletions):
+    """What the watch's own matcher finds, one pattern at a time."""
+    matcher = IncrementalMatcher(pattern)
+    return tuple(
+        matcher.block_using(graph, canonical_edge_array(edges, graph.num_vertices)).tolist()
+        for graph, edges in ((new, additions), (old, deletions))
+    )
+
+
+class TestFanOut:
+    """Every watch of a stream gets the rows its own matcher finds, in order."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_each_watch_gets_its_own_block(self, data):
+        n = data.draw(st.integers(6, 14), label="n")
+        graph = erdos_renyi(n, data.draw(st.sampled_from([0.3, 0.5]), label="p"),
+                            seed=data.draw(st.integers(0, 99), label="seed"))
+        picks = data.draw(st.lists(st.integers(0, len(POOL) - 1), min_size=1, max_size=4))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        touched = data.draw(st.lists(st.sampled_from(pairs), max_size=10, unique=True))
+        additions = [e for e in touched if not graph.has_edge(*e)]
+        deletions = [(v, u) for u, v in touched if graph.has_edge(u, v)]
+        manager = ContinuousQueryManager(graph)
+        watches = [manager.register(POOL[i]) for i in picks]
+        manager.ingest(additions, deletions)
+        new = manager.current.graph
+        for watch, i in zip(watches, picks, strict=True):
+            [record] = watch.poll()
+            got = ([list(r) for r in record.added], [list(r) for r in record.removed])
+            assert got == _own(POOL[i], graph, new, additions, deletions), POOL[i].name
+
+    def test_equal_patterns_share_one_matcher_and_unregister_refuses(self):
+        graph = powerlaw_cluster(40, 3, 0.4, seed=3)
+        manager = ContinuousQueryManager(graph)
+        first, again = manager.register("square"), manager.register("a-b, b-c, c-d, d-a")
+        tri = manager.register("triangle")
+        assert first.matcher is again.matcher
+        assert len(manager._fused.matchers) == 2
+        manager.unregister(first.id)
+        assert len(manager._fused.matchers) == 2  # `again` still watches it
+        manager.unregister(again.id)
+        assert manager._fused.matchers == [tri.matcher]
+        manager.unregister(tri.id)
+        assert manager._fused is None
+        assert manager.ingest((), ())["watches"] == {}
+
+    def test_a_quota_dropped_watch_is_never_enumerated(self, monkeypatch):
+        graph = powerlaw_cluster(60, 3, 0.4, seed=5)
+        admitted, original = [], MatchingTables._admit
+
+        def spy(self, run, seeds, charge=False, active=None):  # the plans of the rows let in
+            block, tags = original(self, run, seeds, charge, active)
+            admitted.append((self, tags % len(self.orders)))
+            return block, tags
+
+        monkeypatch.setattr(MatchingTables, "_admit", spy)
+        present = list(graph.edges())
+        batches = [([], present[:6]), (present[:6], []), ([], present[6:12][::-1])]
+        with QueryScheduler(graph, RunConfig(machines=2), threads=2,
+                            tenants={"starved": TenantQuota(rate=1e-3, burst=1)}) as scheduler:
+            served = ContinuousQueryManager(graph, scheduler=scheduler)
+            watches = [served.register(q) for q in ("triangle", "q4")]
+            starved = served.register("square", tenant="starved")
+            served.ingest(*batches[0])
+            first = len(admitted)  # the one batch the square is admitted to
+            for batch in batches[1:]:
+                served.ingest(*batch)
+        assert starved.dropped == 2 and len(starved.poll()) == 1
+        assert served.stats()["quota_dropped"] == 2
+        fused = served._fused
+        square = [fused._owner[plans] == fused.matchers.index(starved.matcher)
+                  for tables, plans in admitted if tables is fused._tables]
+        assert len(square) == len(admitted) and len(admitted) > first
+        assert any(rows.any() for rows in square[:first])
+        assert not any(rows.any() for rows in square[first:])
+        alone = ContinuousQueryManager(graph)
+        reference = [alone.register(q) for q in ("triangle", "q4")]
+        for batch in batches:
+            alone.ingest(*batch)
+        for watch, own in zip(watches, reference, strict=True):
+            got, want = watch.poll(), own.poll()
+            assert [(r.added, r.removed) for r in got] == [(r.added, r.removed) for r in want]
+            assert sum(r.added_count + r.removed_count for r in got) > 0
+
+    def test_interleaved_jobs_publish_the_standalone_records(self):
+        """More scheduler threads than cores and a short switch interval: any
+        job of a batch may be the one that computes it, for any subset of
+        the watches, and every watch still gets exactly its own rows."""
+        graph = powerlaw_cluster(60, 3, 0.4, seed=8)
+        queries = ["triangle", "square", "q4", "a-b, b-c, c-a", "path4", "square"]
+        present = list(graph.edges())
+        batches = [([], present[i:i + 5]) for i in range(0, 20, 5)]
+        batches += [(deletions, additions) for additions, deletions in batches]
+        alone = ContinuousQueryManager(graph)
+        want = [alone.register(q) for q in queries]
+        for batch in batches:
+            alone.ingest(*batch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with QueryScheduler(graph, RunConfig(machines=2), threads=6) as scheduler:
+                served = ContinuousQueryManager(graph, scheduler=scheduler)
+                got = [served.register(q) for q in queries]
+                for batch in batches:
+                    served.ingest(*batch)
+        finally:
+            sys.setswitchinterval(interval)
+        for mine, own in zip(got, want, strict=True):
+            records, expected = mine.poll(), own.poll()
+            assert len(records) == len(batches)
+            assert [(r.added, r.removed) for r in records] == [
+                (r.added, r.removed) for r in expected]

@@ -34,7 +34,8 @@ from repro.api.results import append_record_jsonl, read_records_jsonl
 from repro.cli import main as cli_main
 from repro.distributed import ShardRegistry, ShardWorker
 from repro.enumeration.backtracking import (
-    BacktrackingEnumerator,
+    EnumerationStats,
+    MatchingTables,
     compute_matching_order,
 )
 from repro.graph import erdos_renyi
@@ -268,36 +269,26 @@ class TestPrefixAndSeeded:
         order = compute_matching_order(tri, prefix=[0, 1])
         full = full_embeddings(graph, tri)
         a, b = sorted(_present(graph))[10]
-        enum = BacktrackingEnumerator(
-            tri, graph.neighbors,
-            constraints=list(symmetry_breaking_constraints(tri)),
-            order=order,
-        )
-        seeded = set(enum.run_seeded({0: a, 1: b}))
+        constraints = list(symmetry_breaking_constraints(tri))
+        _, rows = _seeded(tri, graph.neighbors, order, [[a, b]], constraints=constraints)
         expected = {f for f in full if f[0] == a and f[1] == b}
-        assert seeded == expected
+        assert set(map(tuple, rows.tolist())) == expected
 
     def test_run_seeded_invalid_seed_is_empty_not_an_error(self, graph):
         tri = parse_pattern(PATTERNS["triangle"])
         order = compute_matching_order(tri, prefix=[0, 1])
-        enum = BacktrackingEnumerator(tri, graph.neighbors, order=order)
         # Non-injective seed matches nothing.
-        assert list(enum.run_seeded({0: 4, 1: 4})) == []
-        # Seeding vertices out of order position is a caller bug.
-        with pytest.raises(ValueError, match="order"):
-            list(enum.run_seeded({0: 1, 2: 3}))
-        with pytest.raises(ValueError, match="at least one"):
-            list(enum.run_seeded({}))
+        tags, rows = _seeded(tri, graph.neighbors, order, [[4, 4]])
+        assert tags.shape == (0,) and rows.shape == (0, 3)
 
     @pytest.mark.parametrize("name", sorted(PATTERNS))
     @pytest.mark.parametrize("width", [1, 2, None])
     def test_run_seeded_block_is_concatenated_run_seeded(
         self, graph, name, width
     ):
-        """One block over many seeds == per-seed calls, in rows, order
+        """One block over many seeds == one block per seed, in rows, order
         and counters — invalid seeds (repeated vertex, missing data
         edge, bound-violating, under-degree) included."""
-        from repro.enumeration.backtracking import EnumerationStats
         from repro.query.symmetry import symmetry_breaking_constraints
 
         pattern = parse_pattern(PATTERNS[name])
@@ -315,25 +306,18 @@ class TestPrefixAndSeeded:
             seeds = np.stack(
                 np.meshgrid(*[sample] * width, indexing="ij"), axis=-1
             ).reshape(-1, width)
-
-        def enumerator():
-            return BacktrackingEnumerator(
-                pattern, graph,
-                constraints=list(symmetry_breaking_constraints(pattern)),
-                order=order, stats=EnumerationStats(),
-            )
-
-        one_by_one = enumerator()
+        constraints = list(symmetry_breaking_constraints(pattern))
+        one_by_one, together = EnumerationStats(), EnumerationStats()
         expected = [
             (i, emb)
-            for i, row in enumerate(seeds.tolist())
-            for emb in one_by_one.run_seeded(dict(zip(order, row)))
+            for i, row in enumerate(seeds)
+            for emb in map(tuple, _seeded(
+                pattern, graph, order, row[None], one_by_one, constraints)[1].tolist())
         ]
-        block = enumerator()
-        seed_index, embeddings = block.run_seeded_block(seeds)
+        seed_index, embeddings = _seeded(pattern, graph, order, seeds, together, constraints)
         got = list(zip(seed_index.tolist(), map(tuple, embeddings.tolist())))
         assert got == expected
-        assert block.stats == one_by_one.stats
+        assert together == one_by_one
         assert embeddings.shape[1] == pattern.num_vertices
         assert 0 < len(set(seed_index.tolist())) < len(seeds)
 
@@ -360,29 +344,29 @@ class TestPrefixAndSeeded:
         order = compute_matching_order(tri, prefix=[0, 1])
         pairs = np.stack(np.meshgrid(range(7), range(7), indexing="ij"), -1)
         seeds = pairs.reshape(-1, 2)
-        enum = BacktrackingEnumerator(tri, g, order=order)
         expected = [
             (i, emb)
-            for i, row in enumerate(seeds.tolist())
-            for emb in enum.run_seeded(dict(zip(order, row)))
+            for i, row in enumerate(seeds)
+            for emb in map(tuple, _seeded(tri, g, order, row[None])[1].tolist())
         ]
         assert len(expected) == 6  # the triangle from each directed edge
-        seed_index, embeddings = enum.run_seeded_block(seeds)
+        seed_index, embeddings = _seeded(tri, g, order, seeds)
         rows = map(tuple, embeddings.tolist())
         assert list(zip(seed_index.tolist(), rows)) == expected
         # A seed that is no vertex fails loudly, in either column.
-        for seed in ({order[0]: 7}, {order[0]: 0, order[1]: 7}):
+        for seed in ([[7, 0]], [[0, 7]]):
             with pytest.raises(ValueError, match="vertex id 7 outside"):
-                list(enum.run_seeded(seed))
-
-    def test_run_seeded_block_rejects_malformed_seeds(self, graph):
-        tri = parse_pattern(PATTERNS["triangle"])
-        enum = BacktrackingEnumerator(tri, graph)
-        for bad in (np.empty((3, 0)), np.zeros((2, 4)), np.zeros(3)):
-            with pytest.raises(ValueError, match="seeds must be"):
-                enum.run_seeded_block(bad)
-        seed_index, embeddings = enum.run_seeded_block(np.empty((0, 2)))
+                _seeded(tri, g, order, seed)
+        seed_index, embeddings = _seeded(tri, g, order, np.empty((0, 2)))
         assert seed_index.shape == (0,) and embeddings.shape == (0, 3)
+
+
+def _seeded(pattern, graph, order, seeds, stats=None, constraints=()):
+    """``(seed index, embeddings)``: the kernel's block for one matching order
+    whose first ``k`` vertices are seeded by the rows of an ``(m, k)`` array."""
+    tables = MatchingTables(pattern, list(constraints), [order])
+    seeds = np.asarray(seeds, dtype=np.int64)
+    return tables.block(graph, stats or EnumerationStats(), seeds, None)
 
 
 # ----------------------------------------------------------------------
