@@ -374,7 +374,7 @@ class TestFanOut:
             got = ([list(r) for r in record.added], [list(r) for r in record.removed])
             assert got == _own(POOL[i], graph, new, additions, deletions), POOL[i].name
 
-    def test_equal_patterns_share_one_matcher_and_unregister_refuses(self):
+    def test_equal_patterns_share_one_matcher_and_unregister_fuses_again(self):
         graph = powerlaw_cluster(40, 3, 0.4, seed=3)
         manager = ContinuousQueryManager(graph)
         first, again = manager.register("square"), manager.register("a-b, b-c, c-d, d-a")
