@@ -226,20 +226,19 @@ class TestRMeefAgainstVF2:
             workers: rads(executor=executor)
             for workers, executor in pools.items() if workers <= 2
         }
-        reference = parallel[1]
+        # Phase 2 runs on the caller's cluster on every backend: each
+        # worker count reports the serial record, field for field.
         for record in parallel.values():
-            assert record == reference
+            assert record == whole
         expected = sorted(
             vf2_embeddings(
                 graph.neighbors, graph.vertices(), pattern,
                 symmetry_breaking_constraints(pattern),
             )
         )
-        for record in (whole, reference):
-            if record["failed"]:
-                continue  # a genuine simulated OOM: nothing to compare
-            assert record["embedding_count"] == len(expected)
-            assert sorted(map(tuple, record["embeddings"])) == expected
+        if not whole["failed"]:  # a genuine simulated OOM: nothing to compare
+            assert whole["embedding_count"] == len(expected)
+            assert sorted(map(tuple, whole["embeddings"])) == expected
 
     def test_oom_split_and_retry_pins_ops_and_peak(self, monkeypatch):
         """Region groups sized past the capacity split and retry; the

@@ -2,10 +2,12 @@
 
 import pytest
 
+import repro
 from repro.cluster import Cluster
 from repro.core import rads
 from repro.core.rads import RADSEngine
 from repro.engines import SingleMachineEngine
+from repro.graph import community_graph
 from repro.query import best_execution_plan, named_patterns, paper_query, random_star_plan
 
 
@@ -188,3 +190,30 @@ class TestRunCounters:
             RADSEngine(grouping="zigzag").run(
                 er_cluster.fresh_copy(), named_patterns()["q2"]
             )
+
+
+class TestStealCount:
+    """The R-Meef round's span reports how many region groups were stolen."""
+
+    GRAPH = community_graph(20, 10, 0.6, 2, seed=20190801)
+
+    @classmethod
+    def _run(cls, workers: int = 0, **engine_kwargs):
+        with repro.open(cls.GRAPH).with_cluster(machines=4).with_workers(workers) as session:
+            result = session.engine("rads", **engine_kwargs).query("q4").run(trace=True)
+        spans = [result.trace]
+        while spans[0]["name"] != "round.r-meef":
+            node = spans.pop(0)
+            spans.extend(node["children"])
+        return result, spans[0]["attributes"]["steals"]
+
+    def test_serial_and_process_steal_alike(self):
+        serial, steals = self._run()
+        parallel, parallel_steals = self._run(workers=2)
+        assert steals > 0 and parallel_steals == steals
+        assert parallel.total_comm_bytes == serial.total_comm_bytes
+        assert parallel.makespan == serial.makespan
+
+    def test_without_stealing_the_count_is_zero(self):
+        _, steals = self._run(enable_work_stealing=False)
+        assert steals == 0

@@ -196,7 +196,7 @@ class TestFailurePropagation:
         # the second task never happened as far as the cluster is concerned.
         assert capped.machine(1).counters["pre_oom_ops"] == 5
         assert capped.machine(2).counters["pre_oom_ops"] == 0
-        if backend.parallel:
+        if not isinstance(backend, SerialExecutor):
             # A transport error at task 0 merges nothing and wins over
             # task 1's OOM, whose partial delta is discarded.
             capped = Cluster(
@@ -238,39 +238,36 @@ class TestBackendSelection:
 
 
 class TestRunResultParity:
-    """Serial and process backends agree on every RunResult field.
+    """Serial, process and socket backends agree on every RunResult field.
 
-    RADS runs with work stealing disabled: reactive stealing is schedule
-    driven, so only the steal-free configuration is defined to match the
-    serial clock interleaving bit for bit.  The join engines are barrier
-    synchronised and match as-is.
+    RADS fans phase 1 out through the executor and runs its clock-driven
+    steal loop on the caller's cluster, so stealing on or off, its numbers
+    are the serial ones.  The join engines are barrier synchronised and
+    match as-is.
     """
 
     @pytest.mark.parametrize("query", ["q1", "q4"])
     @pytest.mark.parametrize(
         "make_engine",
         [
+            RADSEngine,
             lambda: RADSEngine(enable_work_stealing=False),
             TwinTwigEngine,
         ],
-        ids=["RADS-nosteal", "TwinTwig"],
+        ids=["RADS", "RADS-nosteal", "TwinTwig"],
     )
-    def test_parity(self, small_cluster, pool2, make_engine, query):
+    def test_parity(self, small_cluster, pool2, shard, make_engine, query):
         pattern = named_patterns()[query]
         serial = make_engine().run(
             small_cluster.fresh_copy(), pattern, collect_embeddings=False
         )
-        parallel = make_engine().run(
-            small_cluster.fresh_copy(), pattern,
-            collect_embeddings=False, executor=pool2,
-        )
-        assert serial.embedding_count == parallel.embedding_count
-        assert serial.makespan == parallel.makespan
-        assert serial.total_comm_bytes == parallel.total_comm_bytes
-        assert serial.peak_memory == parallel.peak_memory
-        assert serial.per_machine_time == parallel.per_machine_time
-        assert serial.counters == parallel.counters
-        assert serial.failed == parallel.failed
+        with SocketExecutor([shard.address], heartbeat_interval=None) as sock:
+            for executor in (pool2, sock):
+                parallel = make_engine().run(
+                    small_cluster.fresh_copy(), pattern,
+                    collect_embeddings=False, executor=executor,
+                )
+                assert _stats(serial) == _stats(parallel), executor
 
 
 class TestLocalWorkerFaults:
