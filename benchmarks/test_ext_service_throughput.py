@@ -143,9 +143,12 @@ OPEN_LOOP_TENANTS = ("gold", "bronze")
 def test_ext_multitenant_elastic_throughput(benchmark, report):
     """Open-loop multi-tenant load with a shard worker killed mid-run.
 
-    Two announced shard workers serve a weighted pair of tenants; every
-    request is submitted up front (open loop), one worker is crashed once
-    a third of the responses are in, and the remaining work rides the
+    Two announced shard workers serve a weighted pair of tenants; the
+    first half of the requests is submitted up front (open loop), one
+    worker is crashed once a third of all the responses are in, and the
+    second half is fired at once, with the first still in flight.  A
+    RADS run's only remote batch is its phase 1, so by then the first
+    half has nothing left to send; the second half's runs ride the
     fault-tolerance path (lost worker, task resubmission) on the
     surviving shard.  The table reports per-tenant completions and the
     fault counters — the acceptance bar is that every request completes
@@ -174,17 +177,21 @@ def test_ext_multitenant_elastic_throughput(benchmark, report):
                     "bronze": TenantQuota(weight=1.0),
                 },
             ) as scheduler:
+                def submit(requests):
+                    return [
+                        scheduler.submit(
+                            QUERIES[i % len(QUERIES)],
+                            "rads",
+                            tenant=OPEN_LOOP_TENANTS[
+                                i % len(OPEN_LOOP_TENANTS)
+                            ],
+                        )
+                        for i in requests
+                    ]
+
+                half = OPEN_LOOP_REQUESTS // 2
                 start = time.perf_counter()
-                tickets = [
-                    scheduler.submit(
-                        QUERIES[i % len(QUERIES)],
-                        "rads",
-                        tenant=OPEN_LOOP_TENANTS[
-                            i % len(OPEN_LOOP_TENANTS)
-                        ],
-                    )
-                    for i in range(OPEN_LOOP_REQUESTS)
-                ]
+                tickets = submit(range(half))
                 deadline = time.monotonic() + 600
                 while (
                     scheduler.stats()["completed"]
@@ -193,6 +200,7 @@ def test_ext_multitenant_elastic_throughput(benchmark, report):
                 ):
                     time.sleep(0.01)
                 workers[1].crash()  # mid-run, no withdraw: a dead host
+                tickets += submit(range(half, OPEN_LOOP_REQUESTS))
                 results = [ticket.result(600) for ticket in tickets]
                 elapsed = time.perf_counter() - start
                 stats = scheduler.stats()

@@ -72,12 +72,11 @@ def main() -> int:
         print("\nrunning q4 across both shards ...")
         healthy = session.run()
         print(f"  {healthy.summary()}")
-        # Counts are backend-independent, always.  (RADS's *stats* can
-        # differ from serial on graphs where its schedule-driven work
-        # stealing kicks in — the same caveat as the process backend;
-        # schedule-free engines are bit-identical across all backends.)
+        # Counts and simulated stats are backend-independent.
         assert healthy.embedding_count == reference.embedding_count
-        print("  count identical to the serial backend")
+        assert healthy.makespan == reference.makespan
+        assert healthy.total_comm_bytes == reference.total_comm_bytes
+        print("  count, makespan and traffic identical to the serial backend")
 
         victim_proc, victim_addr = workers[0]
         print(f"\nkilling worker {victim_addr} (pid={victim_proc.pid}) "

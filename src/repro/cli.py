@@ -17,9 +17,9 @@ Subcommands cover the library's workflows end to end::
 ``worker`` starts a :mod:`repro.distributed` shard daemon; point
 ``enumerate``/``run`` (or ``serve``) at a roster of them with
 ``--backend socket --shards host:port,host:port`` to execute a query's
-independent per-machine work across hosts.  Counts match the serial
-backend, stats too except RADS's (its parallel phase-2 schedule differs);
-a dead shard is survived (``distributed.resubmits`` in the result counters).
+independent per-machine work across hosts.  Counts and stats match the
+serial backend; a dead shard is survived (``distributed.resubmits`` in the
+result counters).
 
 ``serve`` starts the :mod:`repro.service` query server (concurrent
 scheduler + canonical-pattern result cache) over one graph; ``submit``

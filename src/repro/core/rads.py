@@ -2,18 +2,13 @@
 work stealing (paper Sec. 3, 6 and the checkR/shareR protocol).
 
 Machines run independently on their own virtual clocks — there are no
-barriers anywhere.  Under the default serial backend the scheduler always
-advances the machine with the smallest clock, which is exactly how an
-asynchronous cluster interleaves; an idle machine broadcasts `checkR` and
-steals a region group (`shareR`) from the most loaded peer.
-
-Under a parallel backend (:class:`repro.distributed.ProcessExecutor`) both
-phases are decomposed into independent per-machine tasks: phase 1 (SM-E +
-region grouping) is embarrassingly parallel, and phase 2 replaces the
-clock-driven steal schedule with a deterministic pre-balancing pass that
-charges the same `checkR`/`shareR` network costs up front, so reported
-stats are identical for every worker count.  Embedding counts are
-identical across *all* backends.
+barriers anywhere.  Phase 1 (SM-E + region grouping) is one independent
+task per machine and fans out through the executor.  Phase 2 runs on the
+caller's cluster, which holds phase 1's merged deltas: the scheduler
+always advances the machine with the smallest clock, which is exactly how
+an asynchronous cluster interleaves; an idle machine broadcasts `checkR`
+and steals a region group (`shareR`) from the most loaded peer.  Counts
+and reported stats are identical on every backend and worker count.
 """
 
 from __future__ import annotations
@@ -111,24 +106,6 @@ def _phase1_task(cluster: Cluster, args: tuple) -> tuple:
         strategy=grouping,
     )
     return t, sme_count, embeddings, grouper.groups(distributed, costs)
-
-
-def _phase2_task(cluster: Cluster, args: tuple) -> tuple:
-    """R-Meef over one machine's (pre-balanced) region groups."""
-    (
-        t, pattern, plan, constraints, collect,
-        cache_budget, flush_threshold, groups,
-    ) = args
-    worker = RMeefWorker(
-        cluster, pattern, plan, constraints, t,
-        ForeignVertexCache(cache_budget),
-        flush_threshold=flush_threshold,
-    )
-    results: list[tuple[int, ...]] = []
-    count = 0
-    for group in groups:
-        count += _process_group_splitting(worker, group, collect, results)
-    return t, count, results
 
 
 class RADSEngine(EnumerationEngine):
@@ -229,39 +206,17 @@ class RADSEngine(EnumerationEngine):
                     results.extend(embeddings)
                 queues[t] = deque(groups)
 
-        # Phase 2: process region groups.  The serial backend (asynchronous
-        # simulation) always advances the machine with the smallest clock,
-        # stealing when idle; a parallel backend trades that clock-driven
-        # schedule for an up-front deterministic rebalance, making every
-        # machine's queue an independent task.
+        # Phase 2 (on this cluster, whatever the backend): process region
+        # groups, always advancing the machine with the smallest clock and
+        # stealing when idle.
         with self.round_span(
-            "r-meef",
-            groups=sum(len(q) for q in queues.values()),
-            schedule="prebalanced" if executor.parallel else "steal",
-        ):
-            if not executor.parallel:
-                self._run_steal_loop(
-                    cluster, pattern, plan, constraints, collect,
-                    cache_budget, results_budget, queues, results,
-                )
-                return results
-            self._prebalance(cluster, queues)
-            for t, count, found in executor.run_tasks(
-                cluster,
-                _phase2_task,
-                [
-                    (
-                        t, pattern, plan, constraints, collect,
-                        int(cache_budget), results_budget / 2,
-                        list(queues[t]),
-                    )
-                    for t in range(cluster.num_machines)
-                    if queues[t]
-                ],
-            ):
-                self._count += count
-                if collect:
-                    results.extend(found)
+            "r-meef", groups=sum(len(q) for q in queues.values())
+        ) as span:
+            steals = self._run_steal_loop(
+                cluster, pattern, plan, constraints, collect,
+                cache_budget, results_budget, queues, results,
+            )
+            span.set(steals=steals)
         return results
 
     def _run_steal_loop(
@@ -275,8 +230,9 @@ class RADSEngine(EnumerationEngine):
         results_budget: float,
         queues: "dict[int, deque[list[int]]]",
         results: list[tuple[int, ...]],
-    ) -> None:
-        """Clock-driven serial R-Meef round with reactive work stealing."""
+    ) -> int:
+        """Clock-driven R-Meef round with reactive work stealing; returns
+        the number of groups stolen."""
         workers = {
             t: RMeefWorker(
                 cluster, pattern, plan, constraints, t,
@@ -286,10 +242,10 @@ class RADSEngine(EnumerationEngine):
             for t in range(cluster.num_machines)
         }
         done: set[int] = set()
+        steals = 0
         while len(done) < cluster.num_machines:
             # The paper's "executor machine": the one whose clock is
-            # furthest behind (careful: distinct from the `executor`
-            # backend parameter, which the serial path no longer needs).
+            # furthest behind.
             active = min(
                 (t for t in range(cluster.num_machines) if t not in done),
                 key=lambda t: cluster.machine(t).clock,
@@ -309,31 +265,11 @@ class RADSEngine(EnumerationEngine):
                     done.add(active)
                     continue
                 group = _steal(cluster, active, victims, queues)
+                steals += 1
             else:
                 done.add(active)
                 continue
             self._count += _process_group_splitting(
                 workers[active], group, collect, results
             )
-
-    def _prebalance(
-        self, cluster: Cluster, queues: dict[int, deque[list[int]]]
-    ) -> None:
-        """Deterministic checkR/shareR for the parallel backend.
-
-        The serial scheduler steals reactively, driven by the clock
-        interleaving; a parallel run has no such global schedule, so load
-        balancing is decided before the queues fan out: each idle machine
-        probes (`checkR` broadcast) and takes one group (`shareR` RPC) from
-        the most backlogged peer until no peer has a shareable backlog.
-        The same network costs as a reactive steal are charged, and the
-        outcome depends only on the queues, never on worker count.
-        """
-        if not self._enable_work_stealing:
-            return
-        while True:
-            idle = [t for t in sorted(queues) if not queues[t]]
-            victims = [t for t in sorted(queues) if len(queues[t]) >= 2]
-            if not idle or not victims:
-                return
-            queues[idle[0]].append(_steal(cluster, idle[0], victims, queues))
+        return steals

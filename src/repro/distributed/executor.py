@@ -57,8 +57,6 @@ class SocketExecutor(Executor):
     ``registry``; with a registry, ``shards`` may be empty).
     """
 
-    parallel = True
-
     def __init__(
         self,
         shards: Sequence["tuple[str, int] | str | int"],

@@ -231,8 +231,8 @@ class EnumerationEngine(ABC):
         exception, matching how the paper reports crashed competitors.
 
         ``executor`` selects the execution backend (default: serial).  The
-        embedding counts — and, for schedule-free engines, every reported
-        statistic — are independent of the backend and its worker count.
+        embedding counts and every reported statistic are independent of
+        the backend and its worker count.
         """
         constraints = symmetry_breaking_constraints(pattern)
         self._count = 0

@@ -6,18 +6,21 @@ and return a picklable payload.  An :class:`Executor` runs a batch of such
 tasks and guarantees the cluster ends up in a deterministic state:
 
 - :class:`SerialExecutor` (the default) runs tasks inline, one after the
-  other, against the real cluster — exactly the pre-existing behaviour.
+  other, against the real cluster.
 - The remote backends in :mod:`repro.distributed` ship each task to a
   shard worker that runs it against a replica cluster
   (:func:`execute_task`) and sends back a
   :class:`~repro.runtime.delta.ClusterDelta`.  Deltas are applied in
   task-submission order (:func:`merge_in_order`), so counts and reported
-  stats are bit-identical no matter how many workers are configured.
+  stats are bit-identical to the serial backend's, whatever the number
+  of workers.
 
 Tasks in one batch must be independent: they may not rely on another
 task's mutations, and at most one task per batch may touch a given
 machine's main clock and memory (the single-writer discipline; additive
-cross-machine effects such as daemon service time are fine).
+cross-machine effects such as daemon service time are fine).  Work whose
+order depends on the machines' clocks (RADS's phase-2 steal loop) is no
+batch: the engine runs it on the caller's cluster, on every backend.
 
 A simulated out-of-memory inside a task is reported like the serial path:
 the failing task's partial state is merged, later tasks are discarded, and
@@ -46,9 +49,6 @@ class Executor(ABC):
     """Runs batches of independent cluster tasks (:meth:`run_tasks` is
     the whole contract)."""
 
-    #: True when tasks may run concurrently (engines use this to pick
-    #: schedule-free decompositions over inherently sequential ones).
-    parallel: bool = False
     #: Number of OS processes executing tasks.
     workers: int = 1
 
@@ -71,7 +71,6 @@ class Executor(ABC):
 class SerialExecutor(Executor):
     """Inline execution against the real cluster (default backend)."""
 
-    parallel = False
     workers = 1
 
     def run_tasks(

@@ -163,7 +163,6 @@ DOCUMENTED = {
     "repro/graph/io.py::save_adjacency_text": "docs/api.md: Graphs (`.adj` / `.edges` writers)",
     "repro/graph/io.py::save_edge_list": "docs/api.md: Graphs (`.adj` / `.edges` writers)",
     "repro/obs/events.py::EventJournal.set_sink": "CLI: `repro serve --events-log` (docs/api.md)",
-    "repro/obs/trace.py::Span.set": "docs/api.md: Observability (span `attributes`)",
     "repro/service/cache.py::ResultCache._drop_disk":
         "docs/api.md: Production service tier (a corrupt file is dropped, `disk_errors`)",
     "repro/service/protocol.py::_is_number": "docs/protocol.md: field checks (a positive number)",
