@@ -63,6 +63,7 @@ MEMORY_MB = [None, 0.25, 0.0625]
 REGIME_QUERIES = ["q2", "q4", "q5", "q7", "cq2"]
 OOM_GRAPHS = ("powerlaw", "dense")
 OOM_BUDGETS = [(0.125, 2.0), (0.25, 8.0)]  # (memory_mb, results_budget_fraction)
+NOSME_CAPS = (None, 0.0625)  # the caps of the `nosme` and `process` cells
 
 
 def _capacity(memory_mb: float | None) -> int | None:
@@ -202,7 +203,7 @@ def compute(matrix=lambda gname, memory_mb: True, regimes=REGIME_QUERIES) -> dic
                     capped.fresh_copy(),
                     RADSEngine(results_budget_fraction=0.002), pattern, True,
                 )
-                for mb in (None, 0.0625):
+                for mb in NOSME_CAPS:
                     out["nosme"][f"{gname}/{qname}/mb{mb}"] = _engine_record(
                         clusters[mb].fresh_copy(),
                         RADSEngine(enable_sme=False), pattern, True,
@@ -222,7 +223,7 @@ def _goldens() -> dict:
     golden = json.loads(GOLDENS.read_text())
     golden["process"] = {
         f"{gname}/{qname}/mb{mb}": golden["matrix"][f"{gname}/{qname}/mb{mb}/c1"]
-        for gname in GRAPHS for qname in REGIME_QUERIES for mb in (None, 0.0625)
+        for gname in GRAPHS for qname in REGIME_QUERIES for mb in NOSME_CAPS
     }
     return golden
 
